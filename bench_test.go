@@ -6,7 +6,12 @@ package xmatch_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,6 +25,7 @@ import (
 	"xmatch/internal/index"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/server"
 	"xmatch/internal/store"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
@@ -1083,5 +1089,65 @@ func BenchmarkWorkloadCapture(b *testing.B) {
 		if _, err := store.AppendWorkloadRecord(&buf, rec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and drops
+// the body, so a handler benchmark measures the handler and not a recorder.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkServeQuery measures one /v1/query through the real handler —
+// decode, admission, prepare (cached), evaluate, aggregate, render, account,
+// write — cycling over the Table III twigs on the 3,473-node document with
+// |M|=100: compact (bodies of hundreds of KB, where rendering dominates)
+// and top-k with k=5 (small bodies, where the fixed per-request cost does).
+func BenchmarkServeQuery(b *testing.B) {
+	man := &store.Catalog{Entries: []store.CatalogEntry{
+		{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 3473, DocSeed: 42, Tau: 0.2},
+	}}
+	srv, err := server.New(func() (*server.Catalog, error) {
+		return server.BuildCatalog(man, ".", engine.Options{CacheCapacity: engine.DefaultCacheCapacity})
+	}, server.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		k    int
+	}{{"compact", 0}, {"topk", 5}} {
+		b.Run(mode.name, func(b *testing.B) {
+			var bodies [][]byte
+			for _, q := range dataset.Queries() {
+				body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mode.name, K: mode.k})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies = append(bodies, body)
+			}
+			w := &discardWriter{header: http.Header{}}
+			serve := func(i int) {
+				w.code = 0
+				r := httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(bodies[i%len(bodies)]))
+				srv.ServeHTTP(w, r)
+				if w.code != http.StatusOK {
+					b.Fatalf("status %d", w.code)
+				}
+			}
+			for i := range bodies {
+				serve(i) // fill the prepared-query cache and the matcher memo
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(i)
+			}
+		})
 	}
 }

@@ -535,15 +535,23 @@ type ResultMerger struct {
 	matches map[int][]twig.Match
 	seen    map[int]map[string]bool // built on the second Add for a mapping
 
-	// AddStreams identity cache: heavily overlapping mappings hand the
+	// AddStreams identity memo: heavily overlapping mappings hand the
 	// merger the same memo-shared shard streams over and over, and the
 	// merge is a pure function of the streams, so an AddStreams whose
-	// stream tuple is pointer-identical to the previous call's reuses the
-	// previous merged slice instead of re-concatenating — the multi-shard
+	// stream tuple is pointer-identical to an earlier call's reuses that
+	// call's merged slice instead of re-concatenating — the multi-shard
 	// analogue of the matcher memo handing one slice to many mappings.
-	lastStreams [][]twig.Match
-	lastMerged  []twig.Match
-	lastValid   bool
+	// Every tuple of the merge is remembered, not only the last, so the
+	// sharing does not depend on identical tuples arriving back to back.
+	// Tuples are bucketed by their first stream's identity.
+	merged map[ident][]mergedStreams
+}
+
+// mergedStreams is one remembered AddStreams call: the identity of every
+// stream of the tuple and the slice they merged to.
+type mergedStreams struct {
+	streams []ident
+	merged  []twig.Match
 }
 
 // NewResultMerger returns an empty merger for the mapping set.
@@ -617,8 +625,8 @@ func (r *ResultMerger) AddStreams(mi int, streams [][]twig.Match) {
 		r.Add(mi, streams[last])
 		return
 	}
-	if r.sameStreams(streams) {
-		r.Add(mi, r.lastMerged)
+	if merged, ok := r.recallStreams(streams); ok {
+		r.Add(mi, merged)
 		return
 	}
 	total := 0
@@ -686,36 +694,37 @@ func (r *ResultMerger) AddStreams(mi int, streams [][]twig.Match) {
 	r.Add(mi, merged)
 }
 
-// sameStreams reports whether streams is pointer-identical — same count,
-// and each stream the same (base, length) window — to the tuple of the
-// previous merging AddStreams call.
-func (r *ResultMerger) sameStreams(streams [][]twig.Match) bool {
-	if !r.lastValid || len(streams) != len(r.lastStreams) {
-		return false
-	}
-	for i, s := range streams {
-		prev := r.lastStreams[i]
-		if len(s) != len(prev) {
-			return false
+// recallStreams returns the merged slice of an earlier AddStreams call
+// whose tuple was pointer-identical to streams: same count, and each
+// stream the same (base, length) window.
+func (r *ResultMerger) recallStreams(streams [][]twig.Match) ([]twig.Match, bool) {
+next:
+	for _, t := range r.merged[sliceIdent(streams[0])] {
+		if len(t.streams) != len(streams) {
+			continue
 		}
-		if len(s) > 0 && &s[0] != &prev[0] {
-			return false
+		for i, s := range streams {
+			if sliceIdent(s) != t.streams[i] {
+				continue next
+			}
 		}
+		return t.merged, true
 	}
-	return true
+	return nil, false
 }
 
-// rememberStreams snapshots the stream tuple (the caller typically reuses
-// the streams slice itself across mappings, so the headers are copied) and
-// its merged output for sameStreams reuse.
+// rememberStreams records the stream tuple's identities (the caller
+// typically reuses the streams slice itself across mappings, so nothing of
+// it is retained) and its merged output for recallStreams.
 func (r *ResultMerger) rememberStreams(streams [][]twig.Match, merged []twig.Match) {
-	if cap(r.lastStreams) < len(streams) {
-		r.lastStreams = make([][]twig.Match, len(streams))
+	ids := make([]ident, len(streams))
+	for i, s := range streams {
+		ids[i] = sliceIdent(s)
 	}
-	r.lastStreams = r.lastStreams[:len(streams)]
-	copy(r.lastStreams, streams)
-	r.lastMerged = merged
-	r.lastValid = true
+	if r.merged == nil {
+		r.merged = make(map[ident][]mergedStreams)
+	}
+	r.merged[ids[0]] = append(r.merged[ids[0]], mergedStreams{streams: ids, merged: merged})
 }
 
 // Finish returns the accumulated results ordered by mapping index.
@@ -745,36 +754,55 @@ type Answer struct {
 // matches bind to the given query node and sums the probabilities of
 // mappings yielding identical value sets. Answers are ordered by
 // non-increasing probability, ties broken by value.
+//
+// Results that carry the same Matches slice (the evaluators share one slice
+// across every mapping with the same rewrite) bind the same values, so the
+// value set is computed once per distinct slice; probabilities are still
+// summed in result order.
 func AggregateByNode(results []Result, qn *twig.Node) []Answer {
-	byKey := map[string]*Answer{}
+	type group struct {
+		Answer
+		tie string // the order's tie-break, rendered once
+	}
+	byKey := map[string]*group{}
+	bySlice := map[ident]*group{}
+	var groups []*group // in order of first appearance
 	for _, r := range results {
-		valSet := map[string]bool{}
-		for _, m := range r.Matches {
-			if d := m.Get(qn); d != nil {
-				valSet[d.Text] = true
+		id := sliceIdent(r.Matches)
+		g, fresh := bySlice[id], false
+		if g == nil {
+			valSet := map[string]bool{}
+			for _, m := range r.Matches {
+				if d := m.Get(qn); d != nil {
+					valSet[d.Text] = true
+				}
 			}
+			vals := make([]string, 0, len(valSet))
+			for v := range valSet {
+				vals = append(vals, v)
+			}
+			sort.Strings(vals)
+			key := strings.Join(vals, "\x00")
+			if g = byKey[key]; g == nil {
+				g, fresh = &group{Answer: Answer{Values: vals, Prob: r.Prob}, tie: fmt.Sprint(vals)}, true
+				byKey[key] = g
+				groups = append(groups, g)
+			}
+			bySlice[id] = g
 		}
-		vals := make([]string, 0, len(valSet))
-		for v := range valSet {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		key := strings.Join(vals, "\x00")
-		if a, ok := byKey[key]; ok {
-			a.Prob += r.Prob
-		} else {
-			byKey[key] = &Answer{Values: vals, Prob: r.Prob}
+		if !fresh {
+			g.Prob += r.Prob
 		}
 	}
-	out := make([]Answer, 0, len(byKey))
-	for _, a := range byKey {
-		out = append(out, *a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
+	sort.Slice(groups, func(i, j int) bool {
+		if groups[i].Prob != groups[j].Prob {
+			return groups[i].Prob > groups[j].Prob
 		}
-		return fmt.Sprint(out[i].Values) < fmt.Sprint(out[j].Values)
+		return groups[i].tie < groups[j].tie
 	})
+	out := make([]Answer, len(groups))
+	for i, g := range groups {
+		out[i] = g.Answer
+	}
 	return out
 }

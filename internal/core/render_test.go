@@ -1,0 +1,207 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"xmatch/internal/twig"
+	"xmatch/internal/xmltree"
+)
+
+// sharedResults builds results the way the evaluators hand them over: a
+// few distinct match slices, each carried by several mappings, plus an
+// empty answer and a slice that is equal in content to another but not in
+// identity.
+func sharedResults() []Result {
+	q0, q1 := &twig.Node{Label: "a", Index: 0}, &twig.Node{Label: "b", Index: 1}
+	node := func(path string, start int, text string) *xmltree.Node {
+		return &xmltree.Node{Path: path, Start: start, Text: text}
+	}
+	pair := func(start int, text string) twig.Match {
+		return twig.Match{{Q: q0, D: node("Order", 1, "")}, {Q: q1, D: node("Order.<Line>&\"x\"", start, text)}}
+	}
+	a := []twig.Match{pair(16, "Cathy"), pair(32, "line\u2028sep\x01\t"), pair(48, "")}
+	b := []twig.Match{pair(64, "Bob \xff\xfe <b>")}
+	aCopy := append([]twig.Match(nil), a...)
+	return []Result{
+		{MappingIndex: 0, Prob: 0.25, Matches: a},
+		{MappingIndex: 1, Prob: 1e-7, Matches: b},
+		{MappingIndex: 3, Prob: 0.125, Matches: a},
+		{MappingIndex: 4, Prob: 0.0625, Matches: nil},
+		{MappingIndex: 7, Prob: 1e21, Matches: b},
+		{MappingIndex: 8, Prob: 0.3, Matches: aCopy},
+		{MappingIndex: 9, Prob: 0.1, Matches: a[:2]},
+		{MappingIndex: 12, Prob: 0.2, Matches: []twig.Match{{}}},
+	}
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAppendResultsJSONMatchesEncodingJSON: the renderer's bytes are
+// encoding/json's bytes for the wire forms, shared fragments included.
+func TestAppendResultsJSONMatchesEncodingJSON(t *testing.T) {
+	results := sharedResults()
+	if got, want := AppendResultsJSON(nil, results), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+		t.Fatalf("results:\ngot  %s\nwant %s", got, want)
+	}
+	for _, rs := range [][]Result{nil, {}} {
+		if got := AppendResultsJSON(nil, rs); string(got) != "[]" {
+			t.Fatalf("empty results rendered %s", got)
+		}
+	}
+	answers := []Answer{
+		{Values: []string{"Alice", "<Bob>"}, Prob: 0.5},
+		{Values: []string{}, Prob: 5e-324},
+		{Values: nil, Prob: 0},
+	}
+	if got, want := AppendAnswersJSON(nil, answers), mustMarshal(t, AnswersToWire(answers)); !bytes.Equal(got, want) {
+		t.Fatalf("answers:\ngot  %s\nwant %s", got, want)
+	}
+	if got := AppendAnswersJSON(nil, nil); string(got) != "[]" {
+		t.Fatalf("nil answers rendered %s", got)
+	}
+}
+
+// TestAppendResultsJSONSelfAppendAcrossGrowth: a shared fragment is copied
+// from the buffer into itself. Rendering into buffers of every capacity
+// from empty to exact makes the buffer reallocate at every possible point
+// of the rendering — while a fragment is first rendered, between the two,
+// and in the middle of the self-append — and the bytes must never differ.
+func TestAppendResultsJSONSelfAppendAcrossGrowth(t *testing.T) {
+	results := sharedResults()
+	prefix := []byte(`{"results":`)
+	want := append(append([]byte(nil), prefix...), mustMarshal(t, ToWire(results))...)
+	for c := len(prefix); c <= len(want); c++ {
+		dst := append(make([]byte, 0, c), prefix...)
+		if got := AppendResultsJSON(dst, results); !bytes.Equal(got, want) {
+			t.Fatalf("capacity %d:\ngot  %s\nwant %s", c, got, want)
+		}
+	}
+}
+
+// aggregateReference is AggregateByNode as it stood before value sets were
+// shared by slice identity and the tie-break rendered once: a value set per
+// result, fmt.Sprint inside the comparator.
+func aggregateReference(results []Result, qn *twig.Node) []Answer {
+	byKey := map[string]*Answer{}
+	for _, r := range results {
+		valSet := map[string]bool{}
+		for _, m := range r.Matches {
+			if d := m.Get(qn); d != nil {
+				valSet[d.Text] = true
+			}
+		}
+		vals := make([]string, 0, len(valSet))
+		for v := range valSet {
+			vals = append(vals, v)
+		}
+		sort.Strings(vals)
+		key := strings.Join(vals, "\x00")
+		if a, ok := byKey[key]; ok {
+			a.Prob += r.Prob
+		} else {
+			byKey[key] = &Answer{Values: vals, Prob: r.Prob}
+		}
+	}
+	out := make([]Answer, 0, len(byKey))
+	for _, a := range byKey {
+		out = append(out, *a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Prob != out[j].Prob {
+			return out[i].Prob > out[j].Prob
+		}
+		return fmt.Sprint(out[i].Values) < fmt.Sprint(out[j].Values)
+	})
+	return out
+}
+
+// TestAggregateByNodeManyTies: many answers with equal probability (the
+// order rests on the tie-break alone), value sets reached through shared
+// slices, through content-equal distinct slices and through different
+// slices binding the same values, and sums of three and more terms whose
+// floating-point result depends on the order of addition.
+func TestAggregateByNodeManyTies(t *testing.T) {
+	qn := &twig.Node{Label: "leaf", Index: 1}
+	other := &twig.Node{Label: "root", Index: 0}
+	match := func(text string) twig.Match {
+		return twig.Match{{Q: other, D: &xmltree.Node{Text: "ignored"}}, {Q: qn, D: &xmltree.Node{Text: text}}}
+	}
+	var results []Result
+	add := func(prob float64, ms []twig.Match) {
+		results = append(results, Result{MappingIndex: len(results), Prob: prob, Matches: ms})
+	}
+	var tied [][]twig.Match
+	for i := 0; i < 40; i++ {
+		tied = append(tied, []twig.Match{match(fmt.Sprintf("v%02d", (i*7)%40)), match("w")})
+	}
+	for _, ms := range tied {
+		add(0.01, ms)
+	}
+	shared := []twig.Match{match("x"), match("y"), match("x")}
+	for _, p := range []float64{0.1, 0.2, 0.3, 1e-17, 0.7} {
+		add(p, shared)
+	}
+	add(0.05, append([]twig.Match(nil), shared...))   // equal content, other identity
+	add(0.15, []twig.Match{match("y"), match("x")})   // other matches, same values
+	add(0.01, []twig.Match{match("v07"), match("w")}) // joins one of the tied answers
+	// Empty answers share one key: nil, empty, and no binding for qn.
+	add(0.02, nil)
+	add(0.03, []twig.Match{})
+	add(0.04, []twig.Match{{{Q: other, D: &xmltree.Node{}}}})
+	for i := len(tied) - 1; i >= 0; i -= 3 {
+		add(0.01, tied[i]) // shared slices again, far from their first use
+	}
+
+	got, want := AggregateByNode(results, qn), aggregateReference(results, qn)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("aggregate differs from the reference:\ngot  %v\nwant %v", got, want)
+	}
+	for i := 0; i < 20; i++ { // map iteration must not reach the order
+		if again := AggregateByNode(results, qn); !reflect.DeepEqual(again, got) {
+			t.Fatalf("aggregate not deterministic:\nrun 0 %v\nrun %d %v", got, i+1, again)
+		}
+	}
+}
+
+// TestAddStreamsSharesNonAdjacentTuples: mappings whose per-shard streams
+// are pointer-identical get the same merged slice even when another tuple
+// was merged in between — the merger remembers every tuple, not the last.
+func TestAddStreamsSharesNonAdjacentTuples(t *testing.T) {
+	set := mergerSet(t)
+	qn := &twig.Node{Label: "a"}
+	a0, a1 := []twig.Match{mk(qn, 16), mk(qn, 32)}, []twig.Match{mk(qn, 160)}
+	b0, b1 := []twig.Match{mk(qn, 48)}, []twig.Match{mk(qn, 176), mk(qn, 192)}
+
+	r := NewResultMerger(set)
+	streams := make([][]twig.Match, 2) // caller-reused buffer, like gatherSubset's
+	for mi, tuple := range [][2][]twig.Match{{a0, a1}, {b0, b1}, {a0, a1}, {a0, b1}, {b0, b1}, {a0, a1}} {
+		streams[0], streams[1] = tuple[0], tuple[1]
+		r.AddStreams(mi, streams)
+	}
+	res := r.Finish()
+	same := func(i, j int) bool { return &res[i].Matches[0] == &res[j].Matches[0] }
+	if !same(0, 2) || !same(0, 5) || !same(1, 4) {
+		t.Fatal("identical stream tuples apart from each other did not share one merged slice")
+	}
+	if same(0, 1) || same(0, 3) || same(1, 3) {
+		t.Fatal("different stream tuples share a merged slice")
+	}
+	for i, want := range [][]int{{16, 32, 160}, {48, 176, 192}, {16, 32, 160}, {16, 32, 176, 192}, {48, 176, 192}, {16, 32, 160}} {
+		if got := starts(res[i].Matches, qn); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mapping %d merged to %v, want %v", i, got, want)
+		}
+	}
+}

@@ -192,14 +192,17 @@ func TestEngineDeltaRace(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		readers.Add(1)
-		go func() { // readers: a fixed number of pinned "requests" each
+		go func() { // readers: pinned "requests", each evaluated both ways
 			defer readers.Done()
 			q, err := core.PrepareQuery(f.pats[0], f.set)
 			if err != nil {
 				errc <- err
 				return
 			}
-			for r := 0; r < 25; r++ {
+			// At least 25 requests, and more (bounded) until the writer has
+			// landed an epoch: memo-hot requests can otherwise all finish
+			// before the writer's first batch does.
+			for r := 0; r < 25 || (r < 5000 && f.h.Snapshot().Epoch == 0); r++ {
 				snap := f.h.Snapshot() // pin per request
 				seq := answers(t, q, core.Evaluate(q, f.set, snap.Doc, f.tree))
 				par := answers(t, q, eng.Evaluate(q, f.set, snap.Doc, f.tree))

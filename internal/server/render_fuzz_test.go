@@ -1,0 +1,87 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"testing"
+
+	"xmatch/internal/core"
+	"xmatch/internal/engine"
+	"xmatch/internal/twig"
+	"xmatch/internal/xmltree"
+)
+
+// FuzzRenderJSON holds the append-style response renderer to encoding/json
+// byte for byte: any strings (control bytes, HTML-sensitive characters,
+// U+2028/U+2029, invalid UTF-8), any finite floats (exponent forms, -0,
+// subnormals), k and text on both sides of omitempty, shared and unshared
+// match slices, null and empty value lists, failed batch members with and
+// without a message — a /v1/query and a /v1/batch body must equal what the
+// Encoder writes for QueryResponse / BatchResponse over the ToWire forms,
+// and the digest taken from the rendered bytes must equal DigestResults.
+func FuzzRenderJSON(f *testing.F) {
+	f.Add("D7", "Order//EMail", "compact", 0, uint64(3), "Order.Contact.EMail", "a@b.example", 0.25, 17)
+	f.Add("d<&>", "a[.=\"v\"]\\", "topk", 5, uint64(0), "p\x00\x01\x1f\x7f\b\f\n\r\t", "\u2028 and \u2029", 1e-7, -1)
+	f.Add("\xff\xfe", "\xc3", "basic", -2, ^uint64(0), "é日本", "", 1e21, 0)
+	f.Add("", "", "", 1, uint64(1), "", "x", math.Copysign(0, -1), 1<<31)
+	f.Add("q", "\"", "\\", 0, uint64(9), "a.b", "\xe2\x80", 5e-324, 3)
+	f.Add("q", "/", "m", 7, uint64(2), "a", "b", 123456789.125e-15, 4)
+	f.Add("q", "/", "m", 7, uint64(2), "a", "b", -9.999999999999999e20, 4)
+	f.Fuzz(func(t *testing.T, dataset, pattern, mode string, k int, epoch uint64, path, text string, prob float64, start int) {
+		if math.IsNaN(prob) || math.IsInf(prob, 0) {
+			t.Skip("encoding/json refuses non-finite numbers")
+		}
+		q0, q1 := &twig.Node{Index: 0}, &twig.Node{Index: k}
+		match := func(p string, s int, tx string) twig.Match {
+			return twig.Match{{Q: q0, D: &xmltree.Node{Path: p, Start: s, Text: tx}}, {Q: q1, D: &xmltree.Node{Path: tx, Start: -s, Text: p}}}
+		}
+		shared := []twig.Match{match(path, start, text), match(text, start+1, ""), {}}
+		results := []core.Result{
+			{MappingIndex: 0, Prob: prob, Matches: shared},
+			{MappingIndex: k, Prob: prob / 3, Matches: nil},
+			{MappingIndex: 2, Prob: -prob, Matches: shared},
+			{MappingIndex: start, Prob: math.Sqrt(math.Abs(prob)), Matches: []twig.Match{match(pattern, k, dataset)}},
+			{MappingIndex: 4, Prob: prob * 1e-300, Matches: shared},
+		}
+		answers := []core.Answer{
+			{Values: []string{text, path, mode}, Prob: prob},
+			{Values: nil, Prob: prob / 7},
+			{Values: []string{}, Prob: 0},
+		}
+		encode := func(v any) []byte {
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		wireResults, wireAnswers := core.ToWire(results), core.AnswersToWire(answers)
+
+		got, spans := appendQueryBody([]byte("stale"), dataset, pattern, mode, k, epoch, results, answers)
+		got = append(got, '}', '\n')
+		want := encode(QueryResponse{Dataset: dataset, Pattern: pattern, Mode: mode, K: k, Epoch: epoch, Results: wireResults, Answers: wireAnswers})
+		if !bytes.Equal(got[len("stale"):], want) {
+			t.Fatalf("query body:\ngot  %q\nwant %q", got[len("stale"):], want)
+		}
+		if d, w := digestPayload(got, spans), DigestResults(wireResults, wireAnswers); d != w {
+			t.Fatalf("digest of the rendered bytes %016x, DigestResults %016x", d, w)
+		}
+
+		evaluated := []engine.Response{
+			{Request: engine.Request{Pattern: pattern, K: k}, Results: results},
+			{Request: engine.Request{Pattern: text}, Err: errors.New(path)},
+			{Request: engine.Request{Pattern: path, K: start}},
+		}
+		gotBatch := appendBatchBody(nil, dataset, epoch, evaluated, [][]core.Answer{answers, nil, nil})
+		wantBatch := encode(BatchResponse{Dataset: dataset, Epoch: epoch, Responses: []BatchAnswer{
+			{Pattern: pattern, K: k, Results: wireResults, Answers: wireAnswers},
+			{Pattern: text, Error: path},
+			{Pattern: path, K: start, Results: []core.WireResult{}, Answers: []core.WireAnswer{}},
+		}})
+		if !bytes.Equal(gotBatch, wantBatch) {
+			t.Fatalf("batch body:\ngot  %q\nwant %q", gotBatch, wantBatch)
+		}
+	})
+}

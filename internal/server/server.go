@@ -346,7 +346,11 @@ func (s *Server) budget(d *Dataset) int {
 	}
 }
 
-// Wire types of the query API.
+// Wire types of the query API. The server decodes requests into them; the
+// query and batch responses it renders itself (render.go), byte-identical
+// to encoding/json's rendering of QueryResponse / BatchResponse, which are
+// what clients decode into and what the tests compare the rendered bytes
+// against.
 
 // QueryRequest is the body of POST /v1/query.
 type QueryRequest struct {
@@ -850,19 +854,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	aggDone := tr.Region("aggregate", "")
-	resp := QueryResponse{
-		Dataset: req.Dataset,
-		Pattern: req.Pattern,
-		Mode:    mode,
-		K:       req.K,
-		Epoch:   snapsEpoch(snaps),
-		Results: core.ToWire(results),
-		Answers: core.AnswersToWire(core.AggregateLeaf(q, results)),
-	}
+	answers := core.AggregateLeaf(q, results)
 	aggDone()
+	epoch := snapsEpoch(snaps)
+	// The body is rendered whole before anything is accounted or written,
+	// so the latency the workload table and the capture record see includes
+	// the encode — the largest stage of a big compact answer.
+	body := getBody()
+	defer body.release()
+	encDone := tr.Region("encode", "")
+	var payload payloadSpans
+	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, results, answers)
+	encDone()
 	if explain {
-		resp.Explain = buildExplain(tr, snaps, before)
+		body.b = append(body.b, `,"explain":`...)
+		body.b = appendJSON(body.b, buildExplain(tr, snaps, before))
 	}
+	body.b = append(body.b, '}', '\n')
 	// Workload accounting happens on the response the client is about to
 	// receive: the fingerprint keys the prepared query's canonical pattern
 	// (not the request text), and the capture's digest covers the exact
@@ -870,20 +878,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	canonical := q.Pattern.String()
 	fp := engine.FingerprintPattern(req.Dataset, canonical, mode, req.K)
 	latency := time.Since(start)
-	s.workload.record(fp, req.Dataset, canonical, mode, req.K, cached, len(resp.Results), resp.Epoch, latency)
-	s.capture.record(func() store.WorkloadRecord {
-		return store.WorkloadRecord{
+	s.workload.record(fp, req.Dataset, canonical, mode, req.K, cached, len(results), epoch, latency)
+	if s.capture.sample() {
+		// The digest is hashed from the rendered bytes before the log takes
+		// its mutex; a sampled-out request never pays for it.
+		s.capture.record(store.WorkloadRecord{
 			Fingerprint: fp,
 			Dataset:     req.Dataset,
 			Pattern:     canonical,
 			Mode:        mode,
 			K:           req.K,
-			Epoch:       resp.Epoch,
+			Epoch:       epoch,
 			LatencyUs:   latency.Microseconds(),
-			Digest:      DigestResults(resp.Results, resp.Answers),
-		}
-	})
-	writeJSON(w, http.StatusOK, resp)
+			Digest:      digestPayload(body.b, payload),
+		})
+	}
+	writeBody(w, body.b)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -942,25 +952,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, bq := range req.Queries {
 		engReqs[i] = engine.Request{Pattern: bq.Pattern, K: bq.K}
 	}
-	resp := BatchResponse{Dataset: req.Dataset, Epoch: snapsEpoch(snaps), Responses: make([]BatchAnswer, len(engReqs))}
 	evalDone := tr.Region("evaluate", "queries="+strconv.Itoa(len(engReqs)))
-	answers := eng.EvaluateBatchAcross(ds.Set, sh, ds.Tree, engReqs)
+	evaluated := eng.EvaluateBatchAcross(ds.Set, sh, ds.Tree, engReqs)
 	evalDone()
 	if ctx.Err() != nil {
 		s.failTimeout(w, ctx, "evaluate", timeout)
 		return
 	}
-	for i, er := range answers {
-		ba := BatchAnswer{Pattern: er.Pattern, K: er.K}
-		if er.Err != nil {
-			ba.Error = er.Err.Error()
-		} else {
-			ba.Results = core.ToWire(er.Results)
-			ba.Answers = core.AnswersToWire(core.AggregateLeaf(er.Query, er.Results))
+	aggDone := tr.Region("aggregate", "")
+	answers := make([][]core.Answer, len(evaluated))
+	for i, er := range evaluated {
+		if er.Err == nil {
+			answers[i] = core.AggregateLeaf(er.Query, er.Results)
 		}
-		resp.Responses[i] = ba
 	}
-	writeJSON(w, http.StatusOK, resp)
+	aggDone()
+	body := getBody()
+	defer body.release()
+	encDone := tr.Region("encode", "")
+	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(snaps), evaluated, answers)
+	encDone()
+	writeBody(w, body.b)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {

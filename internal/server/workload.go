@@ -152,6 +152,14 @@ func (ws *workloadStats) top(n int) []WorkloadEntry {
 	out := make([]WorkloadEntry, len(stats))
 	for i, st := range stats {
 		win := st.lat.Window()
+		// record counts a request before it observes its latency, so
+		// counters re-read after the window can never trail it (a copy made
+		// before could: requests keep landing between the two reads).
+		ws.mu.Lock()
+		if live := ws.byFP[st.fingerprint]; live != nil && live.lat == st.lat {
+			st = *live
+		}
+		ws.mu.Unlock()
 		e := WorkloadEntry{
 			Fingerprint:    fmt.Sprintf("%016x", st.fingerprint),
 			Dataset:        st.dataset,
@@ -284,22 +292,24 @@ func newCaptureLog(path string, sampleN int, budget int64, profiles func() []sto
 	}, nil
 }
 
-// record offers one request to the log. The record is built lazily so a
-// sampled-out request never pays for its result digest. Nil-safe:
-// capture disabled means a nil *captureLog.
-func (c *captureLog) record(mk func() store.WorkloadRecord) {
+// sample counts one offered request and reports whether the log wants its
+// record: it is one of the 1-in-N the log keeps and the file still has
+// budget. Deciding first lets a request that will not be logged skip its
+// result digest, and lets one that will compute it before record takes the
+// mutex. Nil-safe: capture disabled means a nil *captureLog.
+func (c *captureLog) sample() bool {
 	if c == nil {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
 	if c.sampleN > 1 && (c.seq-1)%uint64(c.sampleN) != 0 {
 		c.sampledOut++
-		return
+		return false
 	}
 	if c.f == nil {
-		return
+		return false
 	}
 	if c.written >= c.budget {
 		if c.dropped == 0 {
@@ -307,9 +317,21 @@ func (c *captureLog) record(mk func() store.WorkloadRecord) {
 				"path", c.path, "budgetBytes", c.budget, "records", c.records)
 		}
 		c.dropped++
+		return false
+	}
+	return true
+}
+
+// record appends the record of a request sample accepted. Requests sampled
+// concurrently may each append, so the file can pass its budget by a few
+// records.
+func (c *captureLog) record(rec store.WorkloadRecord) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.f == nil {
 		return
 	}
-	n, err := store.AppendWorkloadRecord(c.f, mk())
+	n, err := store.AppendWorkloadRecord(c.f, rec)
 	c.written += int64(n)
 	if err != nil {
 		c.logger.Error("workload capture write failed; capture disabled", "path", c.path, "err", err)
