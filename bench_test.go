@@ -588,6 +588,38 @@ func BenchmarkPTQBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkPlanCompile measures the cold compile of the evaluation plans
+// of the whole Table III workload at |M|=100 (one op = ten plans) — the
+// per-query cost core.Plan moved out of the request and into the first
+// evaluation. A prepared query keeps the plan of the block tree it met
+// last, so alternating two equal trees recompiles on every call.
+func BenchmarkPlanCompile(b *testing.B) {
+	setup(b)
+	set := fixSets[100]
+	other, err := core.Build(set, core.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	trees := [2]*core.BlockTree{fixTree, other}
+	var queries []*core.Query
+	for _, spec := range dataset.Queries() {
+		q, err := core.PrepareQuery(spec.Text, set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, q := range queries {
+			if q.Plan(set, trees[i%2]) == nil {
+				b.Fatal("no plan")
+			}
+		}
+	}
+}
+
 // BenchmarkPTQCollection* sweep shard counts over the ~1M-node generated
 // Order corpus: the same total corpus partitioned into 1, 2, 4, and 8
 // member documents, evaluated through the engine's scatter-gather path
@@ -601,9 +633,9 @@ func BenchmarkPTQBatch(b *testing.B) {
 // reads as the scatter's cost-neutrality instead: partitioning the
 // heavy evaluation must not lose throughput). The Indexed variant
 // attaches the positional index to every member and measures the
-// steady-state serving path (block tree + per-shard result memo +
-// the merger's stream-identity reuse), where per-op work is small and
-// the sweep prices the per-shard gather overhead.
+// steady-state serving path (the compiled plan + per-shard result memo +
+// one gather per result class), where per-op work is small and the sweep
+// prices the per-shard overhead: one matcher call per leaf unit per shard.
 
 const collectionBenchNodes = 1_000_000
 

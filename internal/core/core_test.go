@@ -518,13 +518,6 @@ func TestAggregateByNode(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestPTQCorrectUnderCaps(t *testing.T) {
 	// "Query performance can be affected by the number of c-blocks
 	// generated, but query correctness will not be affected by using

@@ -11,9 +11,9 @@ import (
 // rewritten pattern (whole queries in Algorithm 3, subtrees and single
 // nodes in Algorithm 4) is matched against the document through it. A
 // Matcher must return matches byte-identical in content and order to
-// twig.MatchByPaths — evaluation correctness (memoization, block sharing,
-// result merging, the engine's parallel chunking) is proven against that
-// contract.
+// twig.MatchByPaths — evaluation correctness (the compiled plan's unit
+// sharing, result merging, the engine's scatter over workers and shards)
+// is proven against that contract.
 //
 // The positional index of internal/index implements Matcher; attaching it
 // to a document (index.Attach) routes all evaluation over that document —

@@ -48,7 +48,7 @@ func TestAddStreamsEmptyShards(t *testing.T) {
 	qn := &twig.Node{Label: "a"}
 
 	r := NewResultMerger(set)
-	r.AddStreams(1, [][]twig.Match{nil, {}, nil})
+	r.AddStreams([]int{1}, [][]twig.Match{nil, {}, nil})
 	res := r.Finish()
 	if len(res) != 1 || res[0].MappingIndex != 1 || len(res[0].Matches) != 0 {
 		t.Fatalf("all-empty gather: %+v", res)
@@ -56,7 +56,7 @@ func TestAddStreamsEmptyShards(t *testing.T) {
 
 	r = NewResultMerger(set)
 	stream := []twig.Match{mk(qn, 16), mk(qn, 48)}
-	r.AddStreams(2, [][]twig.Match{nil, stream, nil})
+	r.AddStreams([]int{2}, [][]twig.Match{nil, stream, nil})
 	res = r.Finish()
 	if len(res) != 1 || &res[0].Matches[0] != &stream[0] {
 		t.Fatal("single productive shard not passed through as-is")
@@ -74,7 +74,7 @@ func TestAddStreamsDisjointConcat(t *testing.T) {
 	set := mergerSet(t)
 	qn := &twig.Node{Label: "a"}
 	r := NewResultMerger(set)
-	r.AddStreams(0, [][]twig.Match{
+	r.AddStreams([]int{0}, [][]twig.Match{
 		{mk(qn, 16), mk(qn, 32)},
 		{mk(qn, 160), mk(qn, 176)},
 		{mk(qn, 320)},
@@ -93,7 +93,7 @@ func TestAddStreamsInterleaveDedup(t *testing.T) {
 	qn := &twig.Node{Label: "a"}
 	dup0, dup1 := mk(qn, 48), mk(qn, 48)
 	r := NewResultMerger(set)
-	r.AddStreams(0, [][]twig.Match{
+	r.AddStreams([]int{0}, [][]twig.Match{
 		{mk(qn, 16), dup0, mk(qn, 80)},
 		{mk(qn, 32), dup1, mk(qn, 64)},
 	})
@@ -117,10 +117,10 @@ func TestAddStreamsLazyDedupInteraction(t *testing.T) {
 	shard0 := []twig.Match{mk(qn, 16)}
 	shard1 := []twig.Match{mk(qn, 160)}
 	r := NewResultMerger(set)
-	r.AddStreams(0, [][]twig.Match{shard0, shard1})
+	r.AddStreams([]int{0}, [][]twig.Match{shard0, shard1})
 
 	// Second embedding gathers an overlapping result set.
-	r.AddStreams(0, [][]twig.Match{{mk(qn, 16), mk(qn, 96)}, {mk(qn, 160)}})
+	r.AddStreams([]int{0}, [][]twig.Match{{mk(qn, 16), mk(qn, 96)}, {mk(qn, 160)}})
 	got := starts(r.Finish()[0].Matches, qn)
 	if !reflect.DeepEqual(got, []int{16, 160, 96}) {
 		t.Fatalf("dedup across gathers: %v", got)
@@ -131,40 +131,47 @@ func TestAddStreamsLazyDedupInteraction(t *testing.T) {
 	}
 }
 
-// TestAddStreamsIdentityReuse: heavily overlapping mappings hand the
-// merger the same memo-shared shard streams; a pointer-identical stream
-// tuple must reuse the previous merged slice (one concat for the run, not
-// one per mapping), and any pointer or length difference must re-merge.
-func TestAddStreamsIdentityReuse(t *testing.T) {
+// TestAddStreamsClassSharesOneSlice: a result class gathered across shards
+// is merged once, and every mapping of the class — however many, however
+// far apart their indices — carries that one slice with one identity (the
+// renderer and AggregateByNode render and aggregate each distinct slice
+// once). Another class's gather, even of content-equal streams, is its own
+// slice.
+func TestAddStreamsClassSharesOneSlice(t *testing.T) {
 	set := mergerSet(t)
 	qn := &twig.Node{Label: "a"}
-	shard0 := []twig.Match{mk(qn, 16), mk(qn, 32)}
-	shard1 := []twig.Match{mk(qn, 160)}
+	a0, a1 := []twig.Match{mk(qn, 16), mk(qn, 32)}, []twig.Match{mk(qn, 160)}
+	b0, b1 := []twig.Match{mk(qn, 48)}, []twig.Match{mk(qn, 176), mk(qn, 192)}
 
 	r := NewResultMerger(set)
-	streams := make([][]twig.Match, 2) // caller-reused buffer, like gatherSubset's
-	streams[0], streams[1] = shard0, shard1
-	r.AddStreams(0, streams)
-	streams[0], streams[1] = shard0, shard1
-	r.AddStreams(1, streams)
+	streams := make([][]twig.Match, 2) // caller-reused buffer, like AddClasses'
+	for _, class := range []struct {
+		mis    []int
+		s0, s1 []twig.Match
+	}{
+		{[]int{0, 2, 5}, a0, a1},
+		{[]int{1, 4}, b0, b1},
+		{[]int{3}, []twig.Match{mk(qn, 16), mk(qn, 32)}, a1}, // equal content, another class
+	} {
+		streams[0], streams[1] = class.s0, class.s1
+		r.AddStreams(class.mis, streams)
+	}
 	res := r.Finish()
-	if len(res) != 2 || len(res[0].Matches) != 3 || len(res[1].Matches) != 3 {
-		t.Fatalf("reused gather results: %+v", res)
+	if len(res) != 6 {
+		t.Fatalf("%d results, want 6", len(res))
 	}
-	if &res[0].Matches[0] != &res[1].Matches[0] {
-		t.Fatal("identical stream tuples did not share the merged slice")
+	same := func(i, j int) bool {
+		return &res[i].Matches[0] == &res[j].Matches[0] && len(res[i].Matches) == len(res[j].Matches)
 	}
-
-	// A different slice with equal contents must not be mistaken for the
-	// cached tuple; a shorter window of the same backing array either.
-	other := []twig.Match{mk(qn, 16), mk(qn, 32)}
-	r.AddStreams(2, [][]twig.Match{other, shard1})
-	r.AddStreams(3, [][]twig.Match{shard0[:1], shard1})
-	res = r.Finish()
-	if &res[2].Matches[0] == &res[0].Matches[0] {
-		t.Fatal("content-equal but distinct streams falsely reused the cache")
+	if !same(0, 2) || !same(0, 5) || !same(1, 4) {
+		t.Fatal("mappings of one class do not share one merged slice")
 	}
-	if got := starts(res[3].Matches, qn); !reflect.DeepEqual(got, []int{16, 160}) {
-		t.Fatalf("shorter window re-merged wrong: %v", got)
+	if same(0, 1) || same(0, 3) {
+		t.Fatal("different classes share a merged slice")
+	}
+	for i, want := range [][]int{{16, 32, 160}, {48, 176, 192}, {16, 32, 160}, {16, 32, 160}, {48, 176, 192}, {16, 32, 160}} {
+		if got := starts(res[i].Matches, qn); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mapping %d merged to %v, want %v", i, got, want)
+		}
 	}
 }

@@ -175,33 +175,3 @@ func TestAggregateByNodeManyTies(t *testing.T) {
 		}
 	}
 }
-
-// TestAddStreamsSharesNonAdjacentTuples: mappings whose per-shard streams
-// are pointer-identical get the same merged slice even when another tuple
-// was merged in between — the merger remembers every tuple, not the last.
-func TestAddStreamsSharesNonAdjacentTuples(t *testing.T) {
-	set := mergerSet(t)
-	qn := &twig.Node{Label: "a"}
-	a0, a1 := []twig.Match{mk(qn, 16), mk(qn, 32)}, []twig.Match{mk(qn, 160)}
-	b0, b1 := []twig.Match{mk(qn, 48)}, []twig.Match{mk(qn, 176), mk(qn, 192)}
-
-	r := NewResultMerger(set)
-	streams := make([][]twig.Match, 2) // caller-reused buffer, like gatherSubset's
-	for mi, tuple := range [][2][]twig.Match{{a0, a1}, {b0, b1}, {a0, a1}, {a0, b1}, {b0, b1}, {a0, a1}} {
-		streams[0], streams[1] = tuple[0], tuple[1]
-		r.AddStreams(mi, streams)
-	}
-	res := r.Finish()
-	same := func(i, j int) bool { return &res[i].Matches[0] == &res[j].Matches[0] }
-	if !same(0, 2) || !same(0, 5) || !same(1, 4) {
-		t.Fatal("identical stream tuples apart from each other did not share one merged slice")
-	}
-	if same(0, 1) || same(0, 3) || same(1, 3) {
-		t.Fatal("different stream tuples share a merged slice")
-	}
-	for i, want := range [][]int{{16, 32, 160}, {48, 176, 192}, {16, 32, 160}, {16, 32, 176, 192}, {48, 176, 192}, {16, 32, 160}} {
-		if got := starts(res[i].Matches, qn); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mapping %d merged to %v, want %v", i, got, want)
-		}
-	}
-}

@@ -15,9 +15,8 @@ var ErrCanceled = errors.New("engine: evaluation canceled")
 
 // WithContext returns a view of the engine whose evaluations observe ctx:
 // once ctx is canceled or times out, every evaluation loop on the view —
-// including the core evaluators' per-mapping loops, reached through a
-// stop flag threaded into their memo caches — exits at its next
-// checkpoint, pool slots the view reserved are returned, and any bounded
+// including core's plan evaluation, which polls the view's stop flag
+// between units — exits at its next checkpoint, pool slots the view reserved are returned, and any bounded
 // slot wait (Options.SlotWait) is cut short. Evaluation results produced
 // after cancellation are partial; callers must check ctx.Err() before
 // trusting them.

@@ -93,11 +93,13 @@ func (e *Engine) EvaluateBasicAcross(q *core.Query, set *mapping.Set, sh Shards)
 			break
 		}
 		streams := make([][]twig.Match, len(sh.Docs))
+		one := make([]int, 1)
 		for i, mi := range relevant {
 			for s := range perShard {
 				streams[s] = perShard[s][i]
 			}
-			results.AddStreams(mi, streams)
+			one[0] = mi
+			results.AddStreams(one, streams)
 		}
 	}
 	return results.Finish()
@@ -119,127 +121,59 @@ func (e *Engine) basicMatches(q *core.Query, emb twig.Embedding, relevant []int,
 }
 
 // EvaluateAcross answers the block-tree PTQ (Algorithm 4) over a sharded
-// collection; see EvaluateBasicAcross for the scatter-gather contract.
+// collection by running the query's compiled plan (core.Plan) on every
+// member: per embedding, each shard matches the plan's leaf units — spread
+// over its sub-budget's workers — and joins them, and the shard outputs
+// are gathered once per result class, not per mapping. What a unit
+// computes depends on the query, the mapping set and the block tree only,
+// so the output is the same for every worker and shard count by
+// construction.
 func (e *Engine) EvaluateAcross(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree) []core.Result {
-	if len(sh.Docs) == 0 {
-		return core.NewResultMerger(set).Finish()
-	}
-	if len(sh.Docs) == 1 {
-		start := time.Now()
-		res := e.Evaluate(q, set, sh.Docs[0], bt)
-		sh.observe(0, time.Since(start))
-		return res
-	}
-	subs := e.shardSubs(len(sh.Docs))
-	results := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
-		if e.canceled() {
-			break
-		}
-		relevant := core.FilterMappings(set, emb)
-		if len(relevant) == 0 {
-			continue
-		}
-		e.gatherSubset(q, emb, set, sh, bt, relevant, subs, results)
-	}
-	return results.Finish()
+	return e.runPlan(q, set, sh, bt, 0)
 }
 
 // EvaluateTopKAcross answers the top-k PTQ over a sharded collection. The
-// mapping selection (TopKMappings) depends only on the query and the set —
-// never on a document — so it is computed once and shared by every shard.
+// mapping selection is compiled into the plan (it depends only on the
+// query and the set, never on a document), so every shard skips the same
+// units. k <= 0 selects nothing, whatever the shard count.
 func (e *Engine) EvaluateTopKAcross(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree, k int) []core.Result {
-	if len(sh.Docs) == 0 {
-		return core.NewResultMerger(set).Finish()
-	}
-	if len(sh.Docs) == 1 {
-		start := time.Now()
-		res := e.EvaluateTopK(q, set, sh.Docs[0], bt, k)
-		sh.observe(0, time.Since(start))
-		return res
-	}
 	if k <= 0 {
 		return nil
 	}
-	keepSet, all := core.TopKMappings(q, set, k)
-	if all {
-		return e.EvaluateAcross(q, set, sh, bt)
+	return e.runPlan(q, set, sh, bt, k)
+}
+
+// runPlan is the one block-tree evaluation path: k = 0 for the plain PTQ.
+// A canceled view returns partial results, which callers discard.
+func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree, k int) []core.Result {
+	results := core.NewResultMerger(set)
+	if len(sh.Docs) == 0 {
+		return results.Finish()
 	}
 	subs := e.shardSubs(len(sh.Docs))
-	results := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
+	for _, ep := range q.Plan(set, bt).Embeddings {
 		if e.canceled() {
 			break
 		}
-		var relevant []int
-		for _, mi := range core.FilterMappings(set, emb) {
-			if keepSet[mi] {
-				relevant = append(relevant, mi)
+		perShard := make([][][]twig.Match, len(sh.Docs))
+		e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
+			for s := lo; s < hi; s++ {
+				if e.canceled() {
+					return
+				}
+				start := time.Now()
+				perShard[s] = ep.Run(sh.Docs[s], k, e.stop, subs[s].each)
+				sh.observe(s, time.Since(start))
 			}
+		})
+		if e.canceled() {
+			// A canceled scatter may have skipped shards entirely, leaving
+			// nil per-shard outputs; the results are discarded anyway.
+			break
 		}
-		if len(relevant) == 0 {
-			continue
-		}
-		e.gatherSubset(q, emb, set, sh, bt, relevant, subs, results)
+		results.AddClasses(ep, k, perShard)
 	}
 	return results.Finish()
-}
-
-// gatherSubset scatters one embedding's relevant mappings across the
-// shards (each shard running the chunked Algorithm 4 under its own
-// sub-budget) and gathers the per-mapping shard streams in collection
-// order.
-func (e *Engine) gatherSubset(q *core.Query, emb twig.Embedding, set *mapping.Set, sh Shards,
-	bt *core.BlockTree, relevant []int, subs []*Engine, results *core.ResultMerger) {
-
-	perShard := make([]map[int][]twig.Match, len(sh.Docs))
-	e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if e.canceled() {
-				return
-			}
-			start := time.Now()
-			perShard[s] = subs[s].subsetMap(q, emb, set, sh.Docs[s], bt, relevant)
-			sh.observe(s, time.Since(start))
-		}
-	})
-	if e.canceled() {
-		return
-	}
-	streams := make([][]twig.Match, len(sh.Docs))
-	for _, mi := range relevant {
-		for s := range perShard {
-			streams[s] = perShard[s][mi]
-		}
-		results.AddStreams(mi, streams)
-	}
-}
-
-// subsetMap evaluates one embedding's relevant mappings over one document
-// with core.EvaluateSubset, chunked across the (sub-)engine's workers like
-// evalSubsetChunked but returning the merged per-mapping map instead of
-// feeding a merger — chunk outputs key disjoint mapping indices, so the
-// merge is a plain map union.
-func (e *Engine) subsetMap(q *core.Query, emb twig.Embedding, set *mapping.Set,
-	doc *xmltree.Document, bt *core.BlockTree, relevant []int) map[int][]twig.Match {
-
-	if e.workers <= 1 || len(relevant) <= 1 {
-		return core.EvaluateSubsetStop(q, emb, set, doc, bt, relevant, e.stop)
-	}
-	chunks := make([]map[int][]twig.Match, min(e.workers, len(relevant)))
-	e.parallelRanges(len(relevant), len(chunks), func(part, lo, hi int) {
-		chunks[part] = core.EvaluateSubsetStop(q, emb, set, doc, bt, relevant[lo:hi], e.stop)
-	})
-	out := chunks[0]
-	if out == nil {
-		out = map[int][]twig.Match{}
-	}
-	for _, pm := range chunks[1:] {
-		for mi, m := range pm {
-			out[mi] = m
-		}
-	}
-	return out
 }
 
 // EvaluateBatchAcross answers many queries over one sharded collection,

@@ -19,6 +19,7 @@ import (
 	"xmatch/internal/engine"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
 
@@ -201,6 +202,138 @@ func TestCollectionObserver(t *testing.T) {
 			if n == 0 {
 				t.Fatalf("shards=%d: shard %d never observed", shards, s)
 			}
+		}
+	}
+}
+
+// TestCollectionTopKEdgeCases: the top-k evaluators agree on the edges
+// whatever the shard count. k <= 0 selects nothing and returns nil — for
+// an empty collection too — and a k covering every relevant mapping is
+// the plain PTQ.
+func TestCollectionTopKEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, shards := range []int{0, 1, 4} {
+		var sh engine.Shards
+		var set *mapping.Set
+		if shards == 0 {
+			set = randomSubSet(t, newCollFixture(t, 1, 1200).base, rng)
+		} else {
+			fix := newCollFixture(t, shards, 2400)
+			set = randomSubSet(t, fix.base, rng)
+			sh.Docs = fix.members
+		}
+		bt, err := core.Build(set, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range dataset.Queries()[:4] {
+			q, err := core.PrepareQuery(spec.Text, set)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.ID, err)
+			}
+			relevant := q.Plan(set, bt).Stats().RelevantMappings
+			for _, w := range collWorkerCounts() {
+				e := engine.New(engine.Options{Workers: w})
+				label := fmt.Sprintf("shards=%d %s workers=%d", shards, spec.ID, w)
+				for _, k := range []int{0, -3} {
+					if got := e.EvaluateTopKAcross(q, set, sh, bt, k); got != nil {
+						t.Fatalf("%s k=%d: %d results (nil=%v), want nil", label, k, len(got), got == nil)
+					}
+				}
+				full := e.EvaluateAcross(q, set, sh, bt)
+				if full == nil {
+					t.Fatalf("%s: the plain PTQ returned nil, want an empty answer", label)
+				}
+				if shards > 0 && len(full) != relevant {
+					t.Fatalf("%s: %d results, %d relevant mappings", label, len(full), relevant)
+				}
+				for _, k := range []int{relevant, relevant + 1, 1 << 40} {
+					if k == 0 {
+						continue // no relevant mapping: k = |relevant| is the k <= 0 case
+					}
+					got := e.EvaluateTopKAcross(q, set, sh, bt, k)
+					if got == nil {
+						t.Fatalf("%s k=%d: nil, want the plain PTQ's answer", label, k)
+					}
+					assertSameResults(t, fmt.Sprintf("%s k=%d", label, k), full, got)
+				}
+			}
+		}
+	}
+}
+
+// TestCollectionClassesShareSlices: the gather merges each result class
+// once, so the distinct match slices of a sharded answer number no more
+// than the plan's classes — the response renderer and AggregateByNode
+// work once per distinct slice, not once per mapping.
+func TestCollectionClassesShareSlices(t *testing.T) {
+	fix := newCollFixture(t, 4, 4800)
+	bt, err := core.Build(fix.base, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := false
+	for _, spec := range dataset.Queries() {
+		q, err := core.PrepareQuery(spec.Text, fix.base)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		got := engine.New(engine.Options{Workers: 4}).EvaluateAcross(q, fix.base, engine.Shards{Docs: fix.members}, bt)
+		distinct := map[*twig.Match]bool{}
+		nonEmpty := 0
+		for _, r := range got {
+			if len(r.Matches) > 0 {
+				distinct[&r.Matches[0]] = true
+				nonEmpty++
+			}
+		}
+		classes := q.Plan(fix.base, bt).Stats().ResultClasses
+		if len(distinct) > classes {
+			t.Fatalf("%s: %d distinct match slices from %d result classes", spec.ID, len(distinct), classes)
+		}
+		shared = shared || len(distinct) < nonEmpty
+	}
+	if !shared {
+		t.Fatal("no two mappings shared a slice; fixture too weak")
+	}
+}
+
+// TestCollectionConcurrentFirstPlan: eight goroutines race a cold engine —
+// first Prepare, first plan compile — over a sharded collection (run with
+// -race) and all get the sequential answer.
+func TestCollectionConcurrentFirstPlan(t *testing.T) {
+	fix := newCollFixture(t, 4, 4800)
+	bt, err := core.Build(fix.base, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range dataset.Queries() {
+		oracle, err := core.PrepareQuery(spec.Text, fix.base)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.ID, err)
+		}
+		want := core.EvaluateBasic(oracle, fix.base, fix.corpus)
+		e := engine.New(engine.Options{Workers: 4})
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		results := make([][]core.Result, 8)
+		for g := range results {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				q, err := e.Prepare(spec.Text, fix.base)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[g] = e.EvaluateAcross(q, fix.base, engine.Shards{Docs: fix.members}, bt)
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, got := range results {
+			assertSameResults(t, fmt.Sprintf("%s goroutine %d", spec.ID, g), want, got)
 		}
 	}
 }

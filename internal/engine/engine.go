@@ -1,10 +1,12 @@
 // Package engine provides a concurrent PTQ evaluation engine on top of
 // internal/core: a bounded worker pool parallelizes per-mapping work in basic
-// PTQ answering (Algorithm 3) and per-chunk subtree work in block-tree PTQ
-// and top-k PTQ answering (Algorithm 4), a batched multi-query API evaluates
-// independent queries concurrently, and a prepared-query LRU cache (keyed by
-// pattern text and mapping-set identity) lets repeated queries skip the
-// parse/resolve step of PrepareQuery.
+// PTQ answering (Algorithm 3) and the matcher calls of the compiled plan in
+// block-tree PTQ and top-k PTQ answering (Algorithm 4, core.Plan), and
+// scatters both over the member documents of a collection; a batched
+// multi-query API evaluates independent queries concurrently; and a
+// prepared-query LRU cache (keyed by pattern text and mapping-set identity)
+// lets repeated queries skip the parse/resolve step of PrepareQuery and
+// the plan compile.
 //
 // The engine is a pure orchestration layer: every algorithmic decision stays
 // in internal/core, and for any worker count the engine returns results
@@ -43,8 +45,8 @@ type Options struct {
 	// Workers is the maximum number of goroutines evaluating concurrently,
 	// shared across every Evaluate*/EvaluateBatch call on the engine
 	// (nested parallelism never exceeds it). Workers <= 1 — including the
-	// zero value and negative values — disables parallelism: the engine
-	// delegates straight to the sequential core evaluators.
+	// zero value and negative values — disables parallelism: every
+	// evaluation runs inline on the calling goroutine.
 	Workers int
 	// CacheCapacity bounds the prepared-query cache (LRU eviction).
 	// 0 means DefaultCacheCapacity; negative disables caching. Cached
@@ -292,77 +294,20 @@ func (e *Engine) EvaluateBasic(q *core.Query, set *mapping.Set, doc *xmltree.Doc
 	return results.Finish()
 }
 
-// Evaluate answers the PTQ with a parallel Algorithm 4: the relevant
-// mappings of each embedding are split into one chunk per worker, each chunk
-// runs the block-tree evaluation independently (block results and memoized
-// subtree evaluations are shared within a chunk), and the per-mapping
-// outputs — which are disjoint across chunks — are merged. Results are
-// identical to core.Evaluate.
+// Evaluate answers the PTQ with Algorithm 4 over one document — a
+// collection of one; see EvaluateAcross. Results are identical to
+// core.Evaluate.
 func (e *Engine) Evaluate(q *core.Query, set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree) []core.Result {
-	if e.workers <= 1 && e.stop == nil {
-		return core.Evaluate(q, set, doc, bt)
-	}
-	results := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
-		if e.canceled() {
-			break
-		}
-		e.evalSubsetChunked(q, emb, set, doc, bt, core.FilterMappings(set, emb), results)
-	}
-	return results.Finish()
+	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, bt, 0)
 }
 
-// EvaluateTopK answers the top-k PTQ, parallelized like Evaluate over the k
-// most probable relevant mappings. Results are identical to
-// core.EvaluateTopK.
+// EvaluateTopK answers the top-k PTQ over one document; see
+// EvaluateTopKAcross. Results are identical to core.EvaluateTopK.
 func (e *Engine) EvaluateTopK(q *core.Query, set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree, k int) []core.Result {
-	if e.workers <= 1 && e.stop == nil {
-		return core.EvaluateTopK(q, set, doc, bt, k)
-	}
 	if k <= 0 {
 		return nil
 	}
-	keepSet, all := core.TopKMappings(q, set, k)
-	if all {
-		return e.Evaluate(q, set, doc, bt)
-	}
-	results := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
-		if e.canceled() {
-			break
-		}
-		var relevant []int
-		for _, mi := range core.FilterMappings(set, emb) {
-			if keepSet[mi] {
-				relevant = append(relevant, mi)
-			}
-		}
-		e.evalSubsetChunked(q, emb, set, doc, bt, relevant, results)
-	}
-	return results.Finish()
-}
-
-// evalSubsetChunked evaluates one embedding's relevant mappings with
-// core.EvaluateSubset across worker-count chunks and merges the chunk
-// outputs. Chunks are coarse (one per worker) because each chunk amortizes
-// its own block evaluations and memoization cache; the merge order across
-// chunks is irrelevant to the final output because chunk outputs key
-// disjoint mapping indices and ResultMerger orders by mapping index.
-func (e *Engine) evalSubsetChunked(q *core.Query, emb twig.Embedding, set *mapping.Set,
-	doc *xmltree.Document, bt *core.BlockTree, relevant []int, results *core.ResultMerger) {
-
-	if len(relevant) == 0 {
-		return
-	}
-	chunks := make([]map[int][]twig.Match, min(e.workers, len(relevant)))
-	e.parallelRanges(len(relevant), len(chunks), func(part, lo, hi int) {
-		chunks[part] = core.EvaluateSubsetStop(q, emb, set, doc, bt, relevant[lo:hi], e.stop)
-	})
-	for _, pm := range chunks {
-		for mi, matches := range pm {
-			results.Add(mi, matches)
-		}
-	}
+	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, bt, k)
 }
 
 // Request is one query of a batch.
@@ -464,4 +409,14 @@ func (e *Engine) parallelRanges(n, parts int, fn func(part, lo, hi int)) {
 		}
 	}
 	wg.Wait()
+}
+
+// each runs fn(0), ..., fn(n-1), spread over the engine's workers: the
+// scheduler core.EmbeddingPlan.Run takes for its matcher calls.
+func (e *Engine) each(n int, fn func(i int)) {
+	e.parallelRanges(n, e.workers, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
+		}
+	})
 }

@@ -65,8 +65,8 @@ func (ix *Index) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.Path
 	// a handful of distinct bindings — most evaluations over a hot index
 	// are exact repeats. The memo returns the previous result, shared;
 	// the Matcher contract already forbids callers from mutating matcher
-	// output (core's evalCache shares match slices across mappings the
-	// same way). The memo lives on the index itself, so every engine
+	// output (core's evaluation plan hands one match slice to every
+	// mapping of a result class the same way). The memo lives on the index itself, so every engine
 	// worker shares its warmth and it is collected with its epoch — a
 	// superseded snapshot is never pinned by cached results.
 	kb, hv := st.memoKey(qn, paths)

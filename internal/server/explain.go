@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"xmatch/internal/core"
 	"xmatch/internal/delta"
 	"xmatch/internal/index"
 	"xmatch/internal/obs"
@@ -12,12 +13,14 @@ import (
 
 // Query EXPLAIN: a /v1/query carrying explain (body field or ?explain=1)
 // gets its response annotated with the request's trace — the same spans
-// the slow-query log retains — plus the index matcher's internal
-// counters, per shard, measured as the delta each shard's counter chain
-// moved while the request evaluated. The counters are shared by every
-// request on the same index, so under concurrent traffic the deltas are
-// best-effort attribution (they may include a neighbor's work); on a
-// quiet server they are exact.
+// the slow-query log retains — plus the size of the evaluation plan the
+// query ran (block-tree modes) and the index matcher's internal counters,
+// per shard, measured as the delta each shard's counter chain moved while
+// the request evaluated. The counters are shared by every request on the
+// same index, so under concurrent traffic the deltas are best-effort
+// attribution (they may include a neighbor's work); on a quiet server
+// they are exact — and, a plan costing one matcher call per leaf unit per
+// shard, the same for every worker count.
 
 // ExplainShard is one shard's matcher-internals row of an EXPLAIN block.
 type ExplainShard struct {
@@ -41,8 +44,14 @@ const explainProfileCap = 16
 
 // ExplainData is the explain block of a QueryResponse.
 type ExplainData struct {
-	Trace  obs.TraceData  `json:"trace"`
-	Shards []ExplainShard `json:"shards"`
+	Trace obs.TraceData `json:"trace"`
+	// Plan is the size of the compiled evaluation plan (core.Plan) the
+	// compact and topk modes run: relevant mappings, matcher calls (leaf
+	// units, of which c-block units) and structural joins per shard, and
+	// the distinct result classes the mappings share. Absent in basic
+	// mode, which evaluates every mapping on its own.
+	Plan   *core.PlanStats `json:"plan,omitempty"`
+	Shards []ExplainShard  `json:"shards"`
 }
 
 // shardCounters snapshots every pinned shard's matcher counters — the
@@ -56,9 +65,9 @@ func shardCounters(snaps []*delta.Snapshot) []index.CountersSnapshot {
 }
 
 // buildExplain closes the counter deltas over the pinned snapshots and
-// packages them with the trace so far.
-func buildExplain(tr *obs.Trace, snaps []*delta.Snapshot, before []index.CountersSnapshot) *ExplainData {
-	ex := &ExplainData{Trace: tr.Data(time.Since(tr.Start()))}
+// packages them with the plan's size and the trace so far.
+func buildExplain(tr *obs.Trace, plan *core.PlanStats, snaps []*delta.Snapshot, before []index.CountersSnapshot) *ExplainData {
+	ex := &ExplainData{Trace: tr.Data(time.Since(tr.Start())), Plan: plan}
 	for i, sn := range snaps {
 		profiles := sn.Index.PathProfiles()
 		if len(profiles) > explainProfileCap {

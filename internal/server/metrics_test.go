@@ -187,6 +187,29 @@ func TestQueryExplain(t *testing.T) {
 			t.Errorf("shard %d matcher counters did not move: %+v", sh.Shard, sh.Counters)
 		}
 	}
+	// The plan block: the default (compact) mode ran a compiled plan, and
+	// evaluating a shard cost at most one matcher call per leaf unit —
+	// whatever the worker count.
+	if ex.Plan == nil {
+		t.Fatal("explain of a compact query lacks the plan block")
+	}
+	if p := ex.Plan; p.RelevantMappings == 0 || p.LeafUnits == 0 || p.BlockUnits > p.LeafUnits ||
+		p.ResultClasses == 0 || p.ResultClasses > p.RelevantMappings {
+		t.Errorf("implausible plan block %+v", *p)
+	}
+	for _, sh := range ex.Shards {
+		if sh.Counters.Evals > uint64(ex.Plan.LeafUnits) {
+			t.Errorf("shard %d: %d matcher calls for %d leaf units", sh.Shard, sh.Counters.Evals, ex.Plan.LeafUnits)
+		}
+	}
+	// Basic mode evaluates per mapping: no plan to report.
+	resp, raw = postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern, Mode: "basic"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("basic explain status %d", resp.StatusCode)
+	}
+	if !bytes.Contains(raw, []byte(`"explain"`)) || bytes.Contains(raw, []byte(`"plan"`)) {
+		t.Error("basic-mode explain: want an explain block without a plan")
+	}
 
 	// Explain via the body field behaves identically.
 	resp, raw = postJSON(t, ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: pattern, Explain: true})

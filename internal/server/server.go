@@ -868,7 +868,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	encDone()
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
-		body.b = appendJSON(body.b, buildExplain(tr, snaps, before))
+		var plan *core.PlanStats
+		if mode != "basic" {
+			st := q.Plan(ds.Set, ds.Tree).Stats()
+			plan = &st
+		}
+		body.b = appendJSON(body.b, buildExplain(tr, plan, snaps, before))
 	}
 	body.b = append(body.b, '}', '\n')
 	// Workload accounting happens on the response the client is about to
