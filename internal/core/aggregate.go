@@ -100,15 +100,16 @@ func EvaluateAggregate(q *Query, set *mapping.Set, doc *xmltree.Document,
 	acc := map[key]float64{}
 	for _, r := range results {
 		// Distinct document nodes bound to qn across this mapping's
-		// matches.
-		seen := map[*xmltree.Node]bool{}
+		// matches — distinct by position, not by object: two matches may
+		// bind the same node through different objects (see Matcher).
+		seen := map[int]bool{}
 		var vals []float64
 		for _, m := range r.Matches {
 			d := m.Get(qn)
-			if d == nil || seen[d] {
+			if d == nil || seen[d.Start] {
 				continue
 			}
-			seen[d] = true
+			seen[d.Start] = true
 			if fn == Count {
 				continue
 			}

@@ -15,6 +15,21 @@ import (
 // sharing, result merging, the engine's scatter over workers and shards)
 // is proven against that contract.
 //
+// The contract has two sides. The matcher's output is shared and must not
+// be written: the evaluation plan hands one match slice to every mapping
+// of a result class, and the response path renders each distinct slice
+// once, by identity. And a consumer of that output may read of a bound
+// document node only its Start, End, Level, Path and Text — never compare
+// node pointers, never follow Parent or Children. Under mutation a node
+// object may have been superseded by a position-identical clone (xmltree:
+// "positional identity is stable, object identity is not"), and the indexed
+// matcher answers from results cached before the clone existed whenever the
+// write touched none of the bound paths (index: carryFrom); two matches of
+// one request may therefore bind the same position through different
+// objects. StructuralJoin, Match.Key, AppendResultsJSON, ToWire,
+// AggregateByNode and EvaluateAggregate read nothing else; where one of
+// them needs node identity it is the Start number.
+//
 // The positional index of internal/index implements Matcher; attaching it
 // to a document (index.Attach) routes all evaluation over that document —
 // basic, block-tree, top-k, keyword-embedded and aggregate alike — through

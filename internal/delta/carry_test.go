@@ -1,0 +1,297 @@
+package delta_test
+
+// The warm-memo differential behind result-memo carry-over. The postings
+// differential (differential_test.go) parses a fresh pattern per probe, so
+// its evaluations never hit the memo; here a fixed set of patterns and
+// bindings is retained for the life of a handle, the way the engine's
+// prepared-query cache retains them, so every epoch after the first serves
+// most answers from entries carried over from its predecessor — and every
+// one of them must still equal what a from-scratch index over the snapshot
+// computes, on the fields every consumer of matcher output reads.
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"xmatch/internal/delta"
+	"xmatch/internal/index"
+	"xmatch/internal/twig"
+	"xmatch/internal/xmltree"
+)
+
+// probe is one retained evaluation: a pattern and the binding of its nodes
+// to document paths, as a mapping's rewrite would produce it.
+type probe struct {
+	name  string
+	root  *twig.Node
+	paths twig.PathBinding
+}
+
+// carryProbes binds a handful of retained patterns over carryDoc's shape:
+// header leaves (few nodes, the kind of path a selective twig binds), line
+// leaves (many nodes), a value predicate, a single-node pattern, and a path
+// that exists only after a rename.
+func carryProbes() []probe {
+	mk := func(name, pattern string, paths ...string) probe {
+		p := twig.MustParse(pattern)
+		b := twig.PathBinding{}
+		for i, n := range p.Nodes() {
+			b[n] = paths[i]
+		}
+		return probe{name: name, root: p.Root, paths: b}
+	}
+	return []probe{
+		mk("header leaf", `a/b/c`, "r", "r.h", "r.h.e"),
+		mk("header branch", `a/b[./c]/d`, "r", "r.h", "r.h.s", "r.h.c"),
+		mk("line leaf", `a/b/c`, "r", "r.l", "r.l.q"),
+		mk("line value", `a/b[./c="t1"]/d`, "r", "r.l", "r.l.p", "r.l.q"),
+		mk("deep single", `a`, "r.l.d.u"),
+		mk("deep pair", `a/b`, "r.l", "r.l.d.u"),
+		mk("renamed", `a/b/c`, "r", "r.l", "r.l.x"),
+	}
+}
+
+// carryDoc builds <r><h><e/><s/><c/></h> followed by lines of
+// <l><q/><p/><d><u/></d></l>.
+func carryDoc(lines int) *xmltree.Document {
+	var b strings.Builder
+	b.WriteString(`<r><h><e>e0</e><s>s0</s><c>c0</c></h>`)
+	for i := 0; i < lines; i++ {
+		fmt.Fprintf(&b, `<l><q>t%d</q><p>t%d</p><d><u>u%d</u></d></l>`, i%4, (i+1)%4, i)
+	}
+	b.WriteString(`</r>`)
+	doc, err := xmltree.ParseString(b.String())
+	if err != nil {
+		panic(err)
+	}
+	return doc
+}
+
+// carryEdit draws one edit against the current snapshot: settexts on and
+// off the bound header leaves, inserts (random position, and repeatedly at
+// one spot so the numbering gap there runs out and a subtree renumbers),
+// deletes and renames.
+func carryEdit(rng *rand.Rand, doc *xmltree.Document, i int) delta.Edit {
+	pick := func(path string) (int, bool) {
+		n := len(doc.NodesByPath(path))
+		if n == 0 {
+			return 0, false
+		}
+		return rng.Intn(n), true
+	}
+	text := fmt.Sprintf("t%d", rng.Intn(4))
+	switch rng.Intn(10) {
+	case 0, 1:
+		leaf := []string{"r.h.e", "r.h.s", "r.h.c"}[rng.Intn(3)]
+		return delta.Edit{Op: delta.OpSetText, Path: leaf, Text: fmt.Sprintf("h%d", i)}
+	case 2, 3:
+		leaf := []string{"r.l.q", "r.l.p", "r.l.d.u"}[rng.Intn(3)]
+		if ord, ok := pick(leaf); ok {
+			return delta.Edit{Op: delta.OpSetText, Path: leaf, Ordinal: ord, Text: text}
+		}
+	case 4:
+		line := `<l><q>` + text + `</q><p>t1</p><d><u>new</u></d></l>`
+		return delta.Edit{Op: delta.OpInsert, Path: "r", Pos: rng.Intn(len(doc.Root.Children) + 1), XML: line}
+	case 5, 6: // always right after the header: exhausts that gap
+		return delta.Edit{Op: delta.OpInsert, Path: "r", Pos: 1, XML: `<l><q>` + text + `</q></l>`}
+	case 7:
+		if n := len(doc.NodesByPath("r.l")); n > 4 {
+			return delta.Edit{Op: delta.OpDelete, Path: "r.l", Ordinal: rng.Intn(n)}
+		}
+	case 8:
+		if ord, ok := pick("r.l.p"); ok {
+			return delta.Edit{Op: delta.OpRename, Path: "r.l.p", Ordinal: ord, Label: "x"}
+		}
+	case 9:
+		if ord, ok := pick("r.l.x"); ok {
+			return delta.Edit{Op: delta.OpRename, Path: "r.l.x", Ordinal: ord, Label: "p"}
+		}
+	}
+	return delta.Edit{Op: delta.OpSetText, Path: "r.h.e", Text: fmt.Sprintf("h%d", i)}
+}
+
+// sameAnswer compares two match lists on what consumers of matcher output
+// read: Match.Key (pattern index and Start of every binding) plus the
+// region, Path and Text of every bound node — never the node objects,
+// which a carried entry and a fresh evaluation legitimately differ in.
+func sameAnswer(got, want []twig.Match) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d matches, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Key() != want[i].Key() {
+			return fmt.Errorf("match %d: key differs", i)
+		}
+		for j, g := range got[i] {
+			w := want[i][j]
+			if g.Q != w.Q || g.D.End != w.D.End || g.D.Level != w.D.Level || g.D.Path != w.D.Path || g.D.Text != w.D.Text {
+				return fmt.Errorf("match %d binding %d: %q@%d:%d %q, want %q@%d:%d %q",
+					i, j, g.D.Path, g.D.Start, g.D.End, g.D.Text, w.D.Path, w.D.Start, w.D.End, w.D.Text)
+			}
+		}
+	}
+	return nil
+}
+
+func TestCarriedMemoMatchesRebuild(t *testing.T) {
+	batches := 400
+	if testing.Short() {
+		batches = 120
+	}
+	rng := rand.New(rand.NewSource(18))
+	probes := carryProbes()
+	h := delta.Open(carryDoc(24))
+	check := func(step int, snap *delta.Snapshot) {
+		t.Helper()
+		fresh := index.Build(snap.Doc)
+		for _, p := range probes {
+			got := snap.Index.MatchTwig(snap.Doc, p.root, p.paths)
+			if err := sameAnswer(got, fresh.MatchTwig(snap.Doc, p.root, p.paths)); err != nil {
+				t.Fatalf("batch %d epoch %d, %s: memo-served answer diverged from a rebuild: %v", step, snap.Epoch, p.name, err)
+			}
+		}
+	}
+	check(-1, h.Snapshot())
+	compactions := 0
+	for b := 0; b < batches; b++ {
+		cur := h.Snapshot()
+		edits := make([]delta.Edit, 1+rng.Intn(3))
+		for i := range edits {
+			edits[i] = carryEdit(rng, cur.Doc, b)
+		}
+		snap, err := h.Apply(edits)
+		if err != nil {
+			// A later edit's ordinal can fall off the end once an earlier
+			// one deleted or renamed its neighbour; one edit always applies.
+			if snap, err = h.Apply(edits[:1]); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+		}
+		if snap.Index.Stats().Overlays == 0 {
+			compactions++
+		}
+		check(b, snap)
+	}
+	if compactions < 3 {
+		t.Fatalf("crossed %d base compactions, want at least 3", compactions)
+	}
+	c := h.Snapshot().Index.Counters()
+	if c.MemoCarried == 0 || c.MemoDropped == 0 || c.MemoHits == 0 {
+		t.Fatalf("the mechanism never fired: carried %d, dropped %d, hits %d", c.MemoCarried, c.MemoDropped, c.MemoHits)
+	}
+	// Every probe is evaluated once per epoch, so a hit is an answer served
+	// from a carried entry; the edit mix leaves at least the header probes
+	// alone most of the time.
+	if c.MemoHits < uint64(batches) {
+		t.Fatalf("%d carried answers over %d batches: carry-over is not carrying", c.MemoHits, batches)
+	}
+}
+
+// TestPinnedSnapshotKeepsItsMemo: a write that invalidates an entry for the
+// next epoch leaves the pinned epoch's own entry — and answer — alone, and
+// hands the next epoch the entries it did not touch without an evaluation.
+func TestPinnedSnapshotKeepsItsMemo(t *testing.T) {
+	probes := carryProbes()
+	header, line := probes[0], probes[2]
+	h := delta.Open(carryDoc(8))
+	s0 := h.Snapshot()
+	before := s0.Index.MatchTwig(s0.Doc, header.root, header.paths)
+	s0.Index.MatchTwig(s0.Doc, line.root, line.paths)
+	if len(before) != 1 || before[0][2].D.Text != "e0" {
+		t.Fatalf("unexpected header answer %v", before)
+	}
+
+	s1, err := h.Apply([]delta.Edit{{Op: delta.OpSetText, Path: "r.h.e", Text: "e1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := s1.Index.Counters() // one chain, one set of counters
+	if c0.MemoCarried != 1 || c0.MemoDropped != 1 {
+		t.Fatalf("the write carried %d and dropped %d entries, want 1 and 1", c0.MemoCarried, c0.MemoDropped)
+	}
+	// The pinned epoch: same answer, from its memo.
+	if err := sameAnswer(s0.Index.MatchTwig(s0.Doc, header.root, header.paths), before); err != nil {
+		t.Fatalf("pinned snapshot's answer changed under a later write: %v", err)
+	}
+	// The new epoch: the untouched entry without an evaluation, the touched
+	// one recomputed over the new text.
+	s1.Index.MatchTwig(s1.Doc, line.root, line.paths)
+	if d := s1.Index.Counters().Sub(c0); d.MemoHits != 2 || d.MemoMisses != 0 {
+		t.Fatalf("pinned header + carried line: %d hits, %d misses, want 2 and 0", d.MemoHits, d.MemoMisses)
+	}
+	after := s1.Index.MatchTwig(s1.Doc, header.root, header.paths)
+	if d := s1.Index.Counters().Sub(c0); d.MemoMisses != 1 || len(after) != 1 || after[0][2].D.Text != "e1" {
+		t.Fatalf("new epoch served a stale header answer: %v (misses %d)", after, d.MemoMisses)
+	}
+}
+
+// TestReadersRaceWriterOverCarriedMemo: eight readers evaluate the retained
+// probes over whatever snapshot is current — warming memos the writer is at
+// that moment copying from — and check every answer against the unindexed
+// evaluator over the same snapshot. Run under -race.
+func TestReadersRaceWriterOverCarriedMemo(t *testing.T) {
+	probes := carryProbes()
+	h := delta.Open(carryDoc(16))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := h.Snapshot()
+				p := probes[i%len(probes)]
+				got := snap.Index.MatchTwig(snap.Doc, p.root, p.paths)
+				if err := sameAnswer(got, twig.MatchByPaths(snap.Doc, p.root, p.paths)); err != nil {
+					t.Errorf("epoch %d, %s: %v", snap.Epoch, p.name, err)
+					return
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(8))
+	for b := 0; b < 300; b++ {
+		if _, err := h.Apply([]delta.Edit{carryEdit(rng, h.Snapshot().Doc, b)}); err != nil {
+			t.Errorf("write %d: %v", b, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestBatchResolvesAgainstPredecessors: within a batch, a path+ordinal
+// target is resolved against the state its predecessors left — the first
+// edit through the base snapshot's path index, the later ones by walking
+// the revision.
+func TestBatchResolvesAgainstPredecessors(t *testing.T) {
+	h, _ := open(t, `<r><a>old</a></r>`)
+	snap, err := h.Apply([]delta.Edit{
+		{Op: delta.OpInsert, Path: "r", Pos: 0, XML: `<a>new</a>`},
+		{Op: delta.OpSetText, Path: "r.a", Ordinal: 0, Text: "first"},
+		{Op: delta.OpSetText, Path: "r.a", Ordinal: 1, Text: "second"},
+		{Op: delta.OpDelete, Path: "r.a", Ordinal: 0},
+		{Op: delta.OpSetText, Path: "r.a", Ordinal: 0, Text: "last"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := snap.Doc.NodesByPath("r.a")
+	if len(as) != 1 || as[0].Text != "last" {
+		t.Fatalf("batch left %d r.a nodes (first text %q), want one reading %q", len(as), as[0].Text, "last")
+	}
+	if _, err := h.Apply([]delta.Edit{
+		{Op: delta.OpDelete, Path: "r.a", Ordinal: 0},
+		{Op: delta.OpSetText, Path: "r.a", Ordinal: 0, Text: "gone"},
+	}); err == nil {
+		t.Fatal("an edit resolved against a node its predecessor deleted")
+	}
+}

@@ -188,7 +188,7 @@ func (h *Handle) CollectMetrics(e *obs.Exporter, labels ...obs.Label) {
 	e.Counter("xmatch_delta_batches_total", "Edit batches applied.", float64(h.batches.Load()), labels...)
 	e.Counter("xmatch_delta_edits_total", "Edits applied across batches.", float64(h.edits.Load()), labels...)
 	e.Gauge("xmatch_delta_epoch", "Current snapshot epoch.", float64(snap.Epoch), labels...)
-	e.Gauge("xmatch_delta_overlay_depth", "Index overlay chain length above the nearest self-contained index.", float64(snap.Index.Stats().Overlays), labels...)
+	e.Gauge("xmatch_delta_overlay_depth", "Index overlays a lookup may traverse above the self-contained index; merged by size, so logarithmic in the entries spliced since the last compaction.", float64(snap.Index.Stats().Overlays), labels...)
 	e.Histogram("xmatch_delta_apply_seconds", "Per-batch apply latency, lock-wait excluded.", h.applyLat.Snapshot(), labels...)
 }
 
@@ -211,6 +211,15 @@ func (h *Handle) Apply(edits []Edit) (*Snapshot, error) {
 // and the document is unchanged, so an edit log never misses a published
 // batch and never records an unpublished one it cannot take back.
 func (h *Handle) ApplyLogged(edits []Edit, log func(epoch uint64, edits []Edit) error) (*Snapshot, error) {
+	return h.ApplyTraced(nil, edits, log)
+}
+
+// ApplyTraced is ApplyLogged recording where the write's time goes: the
+// regions resolve (locating each target and applying the edit to the
+// revision), commit (assembling the snapshot document), index (splicing
+// the index) and log (the durability hook) on tr — children of whatever
+// span the caller has open around the call. A nil trace records nothing.
+func (h *Handle) ApplyTraced(tr *obs.Trace, edits []Edit, log func(epoch uint64, edits []Edit) error) (*Snapshot, error) {
 	if len(edits) == 0 {
 		return nil, &EditError{Index: 0, Err: fmt.Errorf("empty edit batch")}
 	}
@@ -218,17 +227,27 @@ func (h *Handle) ApplyLogged(edits []Edit, log func(epoch uint64, edits []Edit) 
 	defer h.mu.Unlock()
 	start := time.Now()
 	cur := h.cur.Load()
+	done := tr.Region("resolve", "")
 	rev := cur.Doc.BeginRevision()
 	for i, e := range edits {
 		if err := applyOne(rev, e); err != nil {
+			done()
 			return nil, &EditError{Index: i, Err: err}
 		}
 	}
+	done()
+	done = tr.Region("commit", "")
 	doc, cs := rev.Commit()
+	done()
+	done = tr.Region("index", "")
 	ix := cur.Index.ApplyChanges(doc, cs)
 	doc.SetAccel(ix)
+	done()
 	if log != nil {
-		if err := log(ix.Epoch(), edits); err != nil {
+		done = tr.Region("log", "")
+		err := log(ix.Epoch(), edits)
+		done()
+		if err != nil {
 			return nil, fmt.Errorf("delta: logging batch: %w", err)
 		}
 	}

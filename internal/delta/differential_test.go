@@ -78,13 +78,12 @@ func checkAgainstRebuild(t *testing.T, trial int, snap *delta.Snapshot) {
 	}
 	st := snap.Index.Stats()
 	fresh := index.Build(snap.Doc).Stats()
-	// ResidentBytes legitimately differs between the two: overlay splices
-	// keep the flat layout until the next flatten, a fresh build
-	// compresses everything. FlatBytes is layout-independent, so it must
-	// agree exactly; the actual footprint can never exceed it.
+	// Spliced lists are compressed like built ones, so even the resident
+	// footprint — kept incrementally, through merges and compactions —
+	// agrees exactly; it can never exceed the flat layout's.
 	if st.Postings != fresh.Postings || st.DistinctPaths != fresh.DistinctPaths ||
 		st.ValueKeys != fresh.ValueKeys || st.TextKeys != fresh.TextKeys ||
-		st.FlatBytes != fresh.FlatBytes {
+		st.FlatBytes != fresh.FlatBytes || st.ResidentBytes != fresh.ResidentBytes {
 		t.Fatalf("trial %d: incremental stats diverged: %+v vs %+v", trial, st, fresh)
 	}
 	if st.ResidentBytes <= 0 || st.ResidentBytes > st.FlatBytes {
@@ -166,8 +165,8 @@ func TestRandomizedEditBatchesMatchRebuild(t *testing.T) {
 }
 
 // TestManyEpochsOneHandle drives one handle through hundreds of batches so
-// the overlay chain flattens repeatedly, and verifies old pinned snapshots
-// survive their originals being superseded.
+// the overlay chain merges and compacts repeatedly, and verifies old pinned
+// snapshots survive their originals being superseded.
 func TestManyEpochsOneHandle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	doc := randomDoc(rng, 30)
@@ -177,7 +176,8 @@ func TestManyEpochsOneHandle(t *testing.T) {
 		xml  string
 	}
 	var pins []pin
-	for b := 0; b < 120; b++ {
+	compactions, deepest := 0, 0
+	for b := 0; b < 240; b++ {
 		cur := h.Snapshot()
 		if b%10 == 0 {
 			pins = append(pins, pin{cur, cur.Doc.String()})
@@ -186,11 +186,22 @@ func TestManyEpochsOneHandle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if b%17 == 0 {
+		// Check on either side of every compaction, and now and then between.
+		depth := snap.Index.Stats().Overlays
+		if depth == 0 {
+			compactions++
+		}
+		if depth == 0 || cur.Index.Stats().Overlays == 0 || b%17 == 0 {
 			checkAgainstRebuild(t, b, snap)
 		}
+		deepest = max(deepest, depth)
 	}
 	checkAgainstRebuild(t, -1, h.Snapshot())
+	// Overlays merge by size, so the chain stays logarithmic in what it
+	// holds: a handful deep here, never a count of writes.
+	if compactions < 3 || deepest < 2 || deepest > 8 {
+		t.Fatalf("%d compactions, deepest chain %d: want at least 3, and a chain 2 to 8 deep", compactions, deepest)
+	}
 	for i, p := range pins {
 		if p.snap.Doc.String() != p.xml {
 			t.Fatalf("pinned snapshot %d changed under later mutations", i)

@@ -9,8 +9,8 @@ import (
 // Counters are the matcher-internal evaluation counters — the raw
 // selectivity and access-path data a cost-based planner (ROADMAP item 5)
 // needs and EXPLAIN exposes. One Counters instance is shared by a whole
-// overlay chain (ApplyChanges and flatten propagate the pointer), so an
-// epoch's numbers survive its flatten; a second, package-global instance
+// overlay chain (ApplyChanges propagates the pointer), so an epoch's
+// numbers survive compaction; a second, package-global instance
 // aggregates every index in the process for /metricsz, where reload must
 // not reset monotonic counters.
 //
@@ -32,6 +32,8 @@ type Counters struct {
 	usefulSurvivors atomic.Uint64
 	reachSurvivors  atomic.Uint64
 	emitted         atomic.Uint64
+	memoCarried     atomic.Uint64
+	memoDropped     atomic.Uint64
 }
 
 // CountersSnapshot is a point-in-time copy of evaluation counters, the
@@ -62,6 +64,11 @@ type CountersSnapshot struct {
 	UsefulSurvivors uint64 `json:"usefulSurvivors"`
 	ReachSurvivors  uint64 `json:"reachSurvivors"`
 	Emitted         uint64 `json:"emitted"`
+	// MemoCarried/MemoDropped count, over the chain's writes, the memo
+	// entries a new epoch inherited from its predecessor and the ones it
+	// did not — the write bound one of their paths, or compacted the index.
+	MemoCarried uint64 `json:"memoCarried"`
+	MemoDropped uint64 `json:"memoDropped"`
 }
 
 // Sub returns the counter-wise difference c - prev, the per-request
@@ -83,6 +90,8 @@ func (c CountersSnapshot) Sub(prev CountersSnapshot) CountersSnapshot {
 		UsefulSurvivors: c.UsefulSurvivors - prev.UsefulSurvivors,
 		ReachSurvivors:  c.ReachSurvivors - prev.ReachSurvivors,
 		Emitted:         c.Emitted - prev.Emitted,
+		MemoCarried:     c.MemoCarried - prev.MemoCarried,
+		MemoDropped:     c.MemoDropped - prev.MemoDropped,
 	}
 }
 
@@ -105,6 +114,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		UsefulSurvivors: c.usefulSurvivors.Load(),
 		ReachSurvivors:  c.reachSurvivors.Load(),
 		Emitted:         c.emitted.Load(),
+		MemoCarried:     c.memoCarried.Load(),
+		MemoDropped:     c.memoDropped.Load(),
 	}
 }
 
@@ -152,6 +163,15 @@ func (c *Counters) addMemoHit() {
 	c.memoHits.Add(1)
 }
 
+// addMemoCarry records what one write did to the result memo.
+func (c *Counters) addMemoCarry(carried, dropped int) {
+	if c == nil {
+		return
+	}
+	c.memoCarried.Add(uint64(carried))
+	c.memoDropped.Add(uint64(dropped))
+}
+
 // globalCounters aggregates every index in the process. Unlike the
 // per-chain counters it survives catalog reloads and replica bootstraps,
 // which is what keeps /metricsz counters monotonic.
@@ -184,4 +204,6 @@ func CollectMetrics(e *obs.Exporter) {
 	emit("useful_survivors", "Candidates surviving the bottom-up pass.", s.UsefulSurvivors)
 	emit("reach_survivors", "Candidates surviving the top-down pass.", s.ReachSurvivors)
 	emit("emitted_matches", "Matches emitted by uncached evaluations.", s.Emitted)
+	emit("memo_carried", "Result-memo entries a write handed to the next epoch.", s.MemoCarried)
+	emit("memo_dropped", "Result-memo entries a write invalidated or a compaction released.", s.MemoDropped)
 }

@@ -5,20 +5,39 @@ package index
 // its base by an explicit node-level change set; ApplyChanges turns the
 // base snapshot's index into the new snapshot's index by splicing exactly
 // the postings lists those changes touch. The result is an overlay epoch:
-// a thin Index holding only the spliced entries plus a pointer to the base
-// index, so the untouched majority of the postings — typically all but a
-// handful of paths — is shared structurally across epochs. Lookups walk
-// the overlay chain newest-first; the chain is bounded by flattenDepth,
-// after which an epoch is materialized into a self-contained index, so
-// chained lookups stay O(1) amortized and superseded epochs (and the
-// document snapshots they pin) become collectable.
+// an Index whose top layer holds only the spliced entries, resting on the
+// base index's layers, so the untouched majority of the postings —
+// typically all but a handful of paths — is shared structurally across
+// epochs. Lookups walk the layers newest-first.
 //
-// Spliced lists are kept in the flat representation: they are small,
-// freshly allocated, and short-lived (the next flatten re-compresses
-// them), so the mutate path pays no encode. The base index's lists are
-// never written, so queries running against any older snapshot proceed
-// unperturbed while new epochs are built — the copy-on-write contract the
-// delta subsystem's concurrency model rests on.
+// The chain is kept short by size, never by a count of writes, so that a
+// write pays for the entries it splices and not for the index:
+//
+//   - A new overlay absorbs the overlays below it for as long as they hold
+//     no more than twice its own entries (the logarithmic method). Sizes
+//     along the chain therefore more than double from each overlay to the
+//     one below, the chain is at most log2 of the accumulated entries
+//     long, and an entry is copied once per doubling.
+//   - When the overlays together have grown to 1/compactFraction of the
+//     complete maps at the bottom, the whole chain is folded into one fresh
+//     complete layer. That pass is O(index), and it happens once per
+//     O(index) spliced entries — a constant per entry, whatever the
+//     document's size. It also lets go of the superseded lists the older
+//     overlays still held, and of the node objects of superseded snapshots
+//     those lists point to.
+//
+// Spliced lists are block-compressed like built ones: an overlay entry
+// lives until the next compaction, which may be thousands of writes away.
+// The commonest
+// splice is cheaper than that, though: a clone that replaces its original
+// at the same (start, end, level) — every spine clone of an edit, and a
+// settext target — leaves the region encoding of its path's list as it
+// was, so the new list shares the old one's compressed blocks and takes
+// the new document's per-path node array as its pointer array.
+//
+// The base index's lists are never written, so queries running against
+// any older snapshot proceed unperturbed while new epochs are built — the
+// copy-on-write contract the delta subsystem's concurrency model rests on.
 
 import (
 	"slices"
@@ -28,121 +47,114 @@ import (
 	"xmatch/internal/xmltree"
 )
 
-// flattenDepth bounds the overlay chain: the epoch that would become the
-// flattenDepth-th overlay is materialized into a base-free index instead.
-// The flatten is O(index size), so amortized over the preceding thin
-// epochs it adds a fraction of one full rebuild — and it unpins the
-// superseded epochs' documents from memory.
-const flattenDepth = 16
+const (
+	// compactFraction sets when the overlay chain is folded into a fresh
+	// self-contained index: when the overlays hold at least 1/compactFraction
+	// of the entries the index below them holds.
+	compactFraction = 4
+	// compactMinEntries keeps a chain too small to be worth a pass from
+	// compacting at all: over a tiny index the fraction above is reached by
+	// a single write.
+	compactMinEntries = 64
+)
+
+// change is the part of a change set that falls under one index key: the
+// nodes leaving and entering that key's list, each sorted by start.
+type change struct {
+	dropped, added []*xmltree.Node
+}
+
+// changes groups a change set by index key.
+type changes[K comparable] map[K]*change
+
+func (cs changes[K]) of(k K) *change {
+	c := cs[k]
+	if c == nil {
+		c = &change{}
+		cs[k] = c
+	}
+	return c
+}
 
 // ApplyChanges derives the index of a mutated document snapshot from the
 // index of its base snapshot and the revision's change set. Postings of
 // unaffected paths are shared with the base; affected paths, value keys
-// and text-layer entries get freshly spliced lists. The receiver is not
-// modified and remains the valid index of its own document. The returned
-// index is not yet attached to newDoc; callers publish it with Install.
+// and text-layer entries get freshly spliced lists. Cached evaluation
+// results whose bound paths the change set did not touch are carried over
+// (see carryFrom). The receiver is not modified and remains the valid index
+// of its own document. The returned index is not yet attached to newDoc;
+// callers publish it with Install.
 func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *Index {
 	start := time.Now()
 	nx := &Index{
-		doc:    newDoc,
-		base:   ix,
-		epoch:  ix.epoch + 1,
-		depth:  ix.depth + 1,
-		paths:  make(map[string]*PostingList),
-		values: make(map[valueKey]*PostingList),
-		texts:  make(map[string]*textEntry),
-		ctr:    ix.ctr,
-		prof:   ix.prof,
-		stats:  ix.stats,
+		doc: newDoc,
+		layer: &layer{
+			paths:  make(map[string]*PostingList),
+			values: make(map[valueKey]*PostingList),
+			texts:  make(map[string]*textEntry),
+			below:  ix.layer,
+		},
+		epoch: ix.epoch + 1,
+		ctr:   ix.ctr,
+		prof:  ix.prof,
+		stats: ix.stats,
 	}
 	nx.stats.Epoch = nx.epoch
 
-	dropped := make(map[*xmltree.Node]bool, len(cs.Dropped))
-	affectedPaths := make(map[string]bool)
-	affectedValues := make(map[valueKey]bool)
-	for _, n := range cs.Dropped {
-		dropped[n] = true
-		affectedPaths[n.Path] = true
+	byPath := changes[string]{}
+	byValue := changes[valueKey]{}
+	byText := changes[string]{} // keyed by lowered text
+	each := func(n *xmltree.Node, f func(*change)) {
+		f(byPath.of(n.Path))
 		if n.Text != "" {
-			affectedValues[valueKey{n.Path, n.Text}] = true
+			f(byValue.of(valueKey{n.Path, n.Text}))
+			f(byText.of(strings.ToLower(n.Text)))
 		}
 	}
-	addedByPath := make(map[string][]*xmltree.Node)
-	addedByValue := make(map[valueKey][]*xmltree.Node)
-	for _, n := range cs.Added { // document order, which splice preserves
-		affectedPaths[n.Path] = true
-		addedByPath[n.Path] = append(addedByPath[n.Path], n)
-		if n.Text != "" {
-			k := valueKey{n.Path, n.Text}
-			affectedValues[k] = true
-			addedByValue[k] = append(addedByValue[k], n)
-		}
+	for _, n := range cs.Dropped { // both lists come sorted by start
+		each(n, func(c *change) { c.dropped = append(c.dropped, n) })
+	}
+	for _, n := range cs.Added {
+		each(n, func(c *change) { c.added = append(c.added, n) })
 	}
 
-	for p := range affectedPaths {
+	for p, c := range byPath {
 		old := ix.list(p)
-		nl := splice(old, dropped, addedByPath[p])
+		nl := splicePath(old, c, newDoc.NodesByPath(p))
 		nx.paths[p] = nl
 		nx.stats.Postings += nl.Len() - old.Len()
-		nx.stats.PostingsBytes += nl.residentBytes() - old.residentBytes()
-		nx.stats.PostingsFlatBytes += nl.flatBytes() - old.flatBytes()
-		nx.stats.ResidentBytes += nl.residentBytes() - old.residentBytes()
-		nx.stats.FlatBytes += nl.flatBytes() - old.flatBytes()
+		nx.stats.addPostings(old, nl, len(p))
 		switch {
 		case old.Len() == 0 && nl.Len() > 0:
 			nx.stats.DistinctPaths++
-			nx.stats.ResidentBytes += len(p)
-			nx.stats.FlatBytes += len(p)
 		case old.Len() > 0 && nl.Len() == 0:
 			nx.stats.DistinctPaths--
-			nx.stats.ResidentBytes -= len(p)
-			nx.stats.FlatBytes -= len(p)
 		}
 	}
-	// Token-layer entries to re-splice: the lowered text of every value
-	// key a splice touched (its node list changed even when the key
-	// itself survived).
-	textChanges := make(map[string]bool)
-	for k := range affectedValues {
+	for k, c := range byValue {
 		old := ix.valueList(k)
-		nl := splice(old, dropped, addedByValue[k])
+		nl := splice(old, c)
 		nx.values[k] = nl
-		nx.stats.PostingsBytes += nl.residentBytes() - old.residentBytes()
-		nx.stats.PostingsFlatBytes += nl.flatBytes() - old.flatBytes()
-		nx.stats.ResidentBytes += nl.residentBytes() - old.residentBytes()
-		nx.stats.FlatBytes += nl.flatBytes() - old.flatBytes()
-		textChanges[strings.ToLower(k.text)] = true
+		nx.stats.addPostings(old, nl, len(k.path)+len(k.text))
 		switch {
 		case old.Len() == 0 && nl.Len() > 0:
 			nx.stats.ValueKeys++
-			nx.stats.ResidentBytes += len(k.path) + len(k.text)
-			nx.stats.FlatBytes += len(k.path) + len(k.text)
 		case old.Len() > 0 && nl.Len() == 0:
 			nx.stats.ValueKeys--
-			nx.stats.ResidentBytes -= len(k.path) + len(k.text)
-			nx.stats.FlatBytes -= len(k.path) + len(k.text)
 		}
 	}
-	// Group the epoch's spliced value keys by lowered text once, so each
-	// text entry's re-splice looks its candidates up directly instead of
-	// rescanning every spliced key.
-	splicedByLower := make(map[string][]valueKey, len(textChanges))
-	for k, pl := range nx.values {
-		if pl.Len() > 0 {
-			lt := strings.ToLower(k.text)
-			splicedByLower[lt] = append(splicedByLower[lt], k)
-		}
-	}
-	for lt := range textChanges {
+	// nx's value entries are spliced by now, which is what decides the key
+	// membership of the token-layer entries.
+	for lt, c := range byText {
 		old := ix.textEntryOf(lt)
-		nl := spliceTextEntry(old, lt, nx, splicedByLower[lt])
-		nx.texts[lt] = nl
-		db := textEntryBytes(nl) - textEntryBytes(old)
+		ne := spliceTextEntry(old, c, nx)
+		nx.texts[lt] = ne
+		db := textEntryBytes(ne) - textEntryBytes(old)
 		switch {
-		case old == nil && nl != nil:
+		case old == nil && ne != nil:
 			nx.stats.TextKeys++
 			db += len(lt)
-		case old != nil && nl == nil:
+		case old != nil && ne == nil:
 			nx.stats.TextKeys--
 			db -= len(lt)
 		}
@@ -150,50 +162,156 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 		nx.stats.FlatBytes += db
 	}
 
-	if nx.depth >= flattenDepth {
-		nx = nx.flatten()
+	carried, dropped := 0, 0
+	if nx.stats.Overlays = nx.settle(); nx.stats.Overlays == 0 {
+		// Compacted, and the memo starts empty: carried results reference
+		// node objects of superseded snapshots, and a compaction is where
+		// those are let go.
+		dropped = ix.memo.len()
+	} else {
+		carried, dropped = nx.memo.carryFrom(&ix.memo, cs.Touched)
 	}
-	nx.stats.Overlays = nx.depth
+	ix.ctr.addMemoCarry(carried, dropped)
+	globalCounters.addMemoCarry(carried, dropped)
 	nx.stats.BuildTime = time.Since(start)
 	return nx
 }
 
-// splice merges one postings list: the old postings minus those whose
-// nodes were dropped, interleaved by start number with postings for the
-// added nodes. The old list may be compressed; the result is a fresh flat
-// list in document order. A nil result is the overlay's deletion marker.
-func splice(old *PostingList, dropped map[*xmltree.Node]bool, added []*xmltree.Node) *PostingList {
-	buf := getPostingBuf()
-	olds := old.appendAll(*buf)
-	out := make([]Posting, 0, len(olds)+len(added))
-	i := 0
+// addPostings moves the byte accounting from one version of a list to the
+// next; keyBytes is the map key's string footprint, counted while the list
+// is non-empty.
+func (st *Stats) addPostings(old, nl *PostingList, keyBytes int) {
+	dr, df := nl.residentBytes()-old.residentBytes(), nl.flatBytes()-old.flatBytes()
+	st.PostingsBytes += dr
+	st.PostingsFlatBytes += df
+	switch {
+	case old.Len() == 0 && nl.Len() > 0:
+		dr, df = dr+keyBytes, df+keyBytes
+	case old.Len() > 0 && nl.Len() == 0:
+		dr, df = dr-keyBytes, df-keyBytes
+	}
+	st.ResidentBytes += dr
+	st.FlatBytes += df
+}
+
+// entries is the number of map entries the layer itself holds — for an
+// overlay, the entries it has spliced.
+func (l *layer) entries() int { return len(l.paths) + len(l.values) + len(l.texts) }
+
+// settle keeps the chain under the overlay l, not yet published, short by
+// the two rules above, and returns the number of layers left below l — 0
+// when it folded the whole chain into l.
+//
+// First l absorbs the overlays below it that are no longer much larger than
+// it is: their entries that l has not spliced again move up, and l comes to
+// rest on the first layer it left alone. How far down to go is decided
+// before anything is copied (the sum of entries stands in for the merged
+// size, which shared keys can only shrink), so each merged map is allocated
+// once at its final size.
+func (l *layer) settle() (depth int) {
+	np, nv, nt, stop := len(l.paths), len(l.values), len(l.texts), l.below
+	for stop.below != nil && stop.entries() <= 2*(np+nv+nt) {
+		np, nv, nt = np+len(stop.paths), nv+len(stop.values), nt+len(stop.texts)
+		stop = stop.below
+	}
+	if stop != l.below {
+		paths := make(map[string]*PostingList, np)
+		values := make(map[valueKey]*PostingList, nv)
+		texts := make(map[string]*textEntry, nt)
+		for x := l; x != stop; x = x.below {
+			mergeUnder(paths, x.paths)
+			mergeUnder(values, x.values)
+			mergeUnder(texts, x.texts)
+		}
+		l.paths, l.values, l.texts, l.below = paths, values, texts, stop
+	}
+	overlays, bottom := 0, l
+	for ; bottom.below != nil; bottom = bottom.below {
+		overlays += bottom.entries()
+		depth++
+	}
+	if overlays >= compactMinEntries && overlays*compactFraction >= bottom.entries() {
+		l.paths, l.values, l.texts = l.materialize()
+		l.below, depth = nil, 0
+	}
+	return depth
+}
+
+// mergeUnder copies into dst the entries of an older overlay that dst does
+// not hold yet.
+func mergeUnder[K comparable, V any](dst, older map[K]V) {
+	for k, v := range older {
+		if _, ok := dst[k]; !ok {
+			dst[k] = v
+		}
+	}
+}
+
+// splicePath splices one path's postings list. nodes is the path's node
+// list in the new document. When every change under the path is a clone
+// standing at its original's (start, end, level), the list's region
+// encoding is unchanged: the result shares old's compressed blocks and
+// takes nodes — the same nodes in the same order, by definition — as its
+// pointer array, allocating nothing per posting.
+func splicePath(old *PostingList, c *change, nodes []*xmltree.Node) *PostingList {
+	if !old.compressed() || len(c.dropped) != len(c.added) || len(nodes) != old.count {
+		return splice(old, c)
+	}
+	for i, n := range c.added {
+		if o := c.dropped[i]; o.Start != n.Start || o.End != n.End || o.Level != n.Level {
+			return splice(old, c)
+		}
+	}
+	// The id is kept: the new list takes over the old one's decode-cache
+	// slot (entries verify the list pointer, so the stale decode is evicted,
+	// not served).
+	nl := *old
+	nl.nodes = nodes
+	return &nl
+}
+
+// splice merges one postings list: the old postings minus those of the
+// dropped nodes, interleaved by start number with postings for the added
+// nodes. The result is a fresh compressed list in document order, or nil —
+// the overlay's deletion marker — when nothing is left.
+func splice(old *PostingList, c *change) *PostingList {
+	dropped, added := c.dropped, c.added
+	obuf, nbuf := getPostingBuf(), getPostingBuf()
+	olds := old.appendAll(*obuf)
+	out := (*nbuf)[:0]
+	for _, p := range olds {
+		for len(added) > 0 && added[0].Start < int(p.Start) {
+			out = append(out, postingOf(added[0]))
+			added = added[1:]
+		}
+		for len(dropped) > 0 && dropped[0].Start < int(p.Start) {
+			dropped = dropped[1:]
+		}
+		if len(dropped) > 0 && dropped[0] == p.Node {
+			dropped = dropped[1:]
+			continue
+		}
+		out = append(out, p)
+	}
 	for _, n := range added {
-		for ; i < len(olds); i++ {
-			if dropped[olds[i].Node] {
-				continue
-			}
-			if int(olds[i].Start) > n.Start {
-				break
-			}
-			out = append(out, olds[i])
-		}
-		out = append(out, Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n})
+		out = append(out, postingOf(n))
 	}
-	for ; i < len(olds); i++ {
-		if !dropped[olds[i].Node] {
-			out = append(out, olds[i])
-		}
-	}
-	*buf = olds
-	putPostingBuf(buf)
-	return newFlatList(out)
+	nl := compressPostings(out)
+	*obuf, *nbuf = olds, out
+	putPostingBuf(obuf)
+	putPostingBuf(nbuf)
+	return nl
+}
+
+func postingOf(n *xmltree.Node) Posting {
+	return Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n}
 }
 
 // textEntryOf returns the effective token-layer entry for one lowered
 // text.
 func (ix *Index) textEntryOf(lt string) *textEntry {
-	for x := ix; x != nil; x = x.base {
-		if e, ok := x.texts[lt]; ok {
+	for l := ix.layer; l != nil; l = l.below {
+		if e, ok := l.texts[lt]; ok {
 			return e
 		}
 	}
@@ -209,51 +327,35 @@ func textEntryBytes(e *textEntry) int {
 	return len(e.keys)*valueKeyBytes + len(e.nodes)*8
 }
 
-// spliceTextEntry recomputes the token-layer entry for one lowered text
-// after the epoch's value splices: the surviving old keys plus the
-// epoch's newly non-empty keys with that lowered text (spliced,
-// pre-grouped by the caller), with their nodes re-merged from the new
-// epoch's value lists. nx's value entries are already spliced, so
-// membership and node sets are decided by the new epoch.
-func spliceTextEntry(old *textEntry, lt string, nx *Index, spliced []valueKey) *textEntry {
-	var keep []valueKey
+// spliceTextEntry updates the token-layer entry of one lowered text: the
+// sorted node array loses the dropped nodes and gains the added ones in
+// place (xmltree.SpliceNodes — no value list is re-read), and the key set
+// loses the dropped nodes' keys whose value list nx has spliced empty and
+// gains the added nodes' keys. Only those keys are looked up: a common text
+// is carried by hundreds of value keys the change never touched.
+func spliceTextEntry(old *textEntry, c *change, nx *Index) *textEntry {
+	var keys []valueKey
+	var nodes []*xmltree.Node
 	if old != nil {
-		keep = make([]valueKey, 0, len(old.keys)+len(spliced))
-		for _, k := range old.keys {
-			if nx.valueList(k).Len() > 0 {
-				keep = append(keep, k)
-			}
+		keys, nodes = old.keys, old.nodes
+	}
+	keep := keys // shared with old until a key leaves or joins
+	for _, n := range c.dropped {
+		k := valueKey{n.Path, n.Text}
+		if i := slices.Index(keep, k); i >= 0 && nx.valueList(k).Len() == 0 {
+			keep = slices.Delete(slices.Clone(keep), i, i+1)
 		}
 	}
-	for _, k := range spliced {
-		dup := false
-		for _, kk := range keep {
-			if kk == k {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			keep = append(keep, k)
+	for _, n := range c.added {
+		if k := (valueKey{n.Path, n.Text}); !slices.Contains(keep, k) {
+			keep = append(slices.Clone(keep), k)
+			sortValueKeys(keep)
 		}
 	}
 	if len(keep) == 0 {
 		return nil
 	}
-	sortValueKeys(keep)
-	buf := getPostingBuf()
-	ps := (*buf)[:0]
-	for _, k := range keep {
-		ps = nx.valueList(k).appendAll(ps)
-	}
-	slices.SortFunc(ps, func(a, b Posting) int { return int(a.Start) - int(b.Start) })
-	e := &textEntry{keys: keep, nodes: make([]*xmltree.Node, len(ps))}
-	for i := range ps {
-		e.nodes[i] = ps[i].Node
-	}
-	*buf = ps
-	putPostingBuf(buf)
-	return e
+	return &textEntry{keys: keep, nodes: xmltree.SpliceNodes(nodes, c.dropped, c.added)}
 }
 
 func sortValueKeys(keys []valueKey) {
@@ -271,27 +373,21 @@ func valueKeyLess(a, b valueKey) bool {
 	return a.text < b.text
 }
 
-// chainDown returns the overlay chain oldest-first.
-func (ix *Index) chainDown() []*Index {
-	var chain []*Index
-	for x := ix; x != nil; x = x.base {
+// materialize returns the effective maps of the layer chain: the bottom
+// layer's complete maps with each overlay applied on top, oldest first (nil
+// entries delete). The returned maps are fresh even for a single layer, so
+// callers may keep them.
+func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingList, map[string]*textEntry) {
+	var chain []*layer
+	for x := l; x != nil; x = x.below {
 		chain = append(chain, x)
 	}
-	for l, r := 0, len(chain)-1; l < r; l, r = l+1, r-1 {
-		chain[l], chain[r] = chain[r], chain[l]
-	}
-	return chain
-}
-
-// materialize returns the effective maps of the overlay chain: the oldest
-// epoch's full maps with each newer overlay applied on top (nil entries
-// delete). The returned maps are fresh even for a base-free index, so
-// callers may keep them.
-func (ix *Index) materialize() (map[string]*PostingList, map[valueKey]*PostingList, map[string]*textEntry) {
-	paths := make(map[string]*PostingList, len(ix.paths))
-	values := make(map[valueKey]*PostingList, len(ix.values))
-	texts := make(map[string]*textEntry, len(ix.texts))
-	for _, x := range ix.chainDown() {
+	slices.Reverse(chain)
+	bottom := chain[0] // nearly every entry is the bottom layer's
+	paths := make(map[string]*PostingList, len(bottom.paths))
+	values := make(map[valueKey]*PostingList, len(bottom.values))
+	texts := make(map[string]*textEntry, len(bottom.texts))
+	for _, x := range chain {
 		for p, pl := range x.paths {
 			if pl.Len() == 0 {
 				delete(paths, p)
@@ -315,32 +411,4 @@ func (ix *Index) materialize() (map[string]*PostingList, map[valueKey]*PostingLi
 		}
 	}
 	return paths, values, texts
-}
-
-// flatten materializes an overlay index into a self-contained one,
-// releasing the base chain. Flat overlay splices are re-compressed, so
-// the long-lived form always carries the compact layout.
-func (ix *Index) flatten() *Index {
-	if ix.base == nil {
-		return ix
-	}
-	paths, values, texts := ix.materialize()
-	buf := getPostingBuf()
-	for p, pl := range paths {
-		if !pl.compressed() {
-			*buf = pl.appendAll((*buf)[:0])
-			paths[p] = compressPostings(*buf)
-		}
-	}
-	for k, pl := range values {
-		if !pl.compressed() {
-			*buf = pl.appendAll((*buf)[:0])
-			values[k] = compressPostings(*buf)
-		}
-	}
-	putPostingBuf(buf)
-	nx := &Index{doc: ix.doc, epoch: ix.epoch, paths: paths, values: values, texts: texts, ctr: ix.ctr, prof: ix.prof}
-	nx.stats = nx.computeStats()
-	nx.stats.Epoch = ix.epoch
-	return nx
 }

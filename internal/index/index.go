@@ -58,14 +58,40 @@ type valueKey struct {
 // Index is an immutable positional index over one document snapshot.
 //
 // An index is either self-contained (Build, FromSnapshot) or an overlay
-// epoch derived from a base index by ApplyChanges: then paths, values and
-// texts hold only the entries the mutation spliced — a nil entry marks a
-// deleted one — and lookups fall through to the base chain. Either way the
-// index never changes after construction and is safe for unsynchronized
-// concurrent readers; document mutation produces a new Index for the new
-// snapshot rather than touching this one.
+// epoch derived from a base index by ApplyChanges: then its top layer holds
+// only the entries mutations spliced — a nil entry marks a deleted one —
+// and lookups fall through the layers below. Either way the index never
+// changes after construction and is safe for unsynchronized concurrent
+// readers; document mutation produces a new Index for the new snapshot
+// rather than touching this one.
 type Index struct {
-	doc    *xmltree.Document
+	doc *xmltree.Document
+
+	// The top layer of the index's maps; paths, values, texts and below are
+	// its fields. A self-contained index has a single layer.
+	*layer
+
+	epoch uint64
+
+	// memo caches whole evaluations over this epoch (see resultMemo).
+	memo resultMemo
+
+	// ctr accumulates the chain's matcher counters (see Counters); shared
+	// by every epoch ApplyChanges derives from this one.
+	ctr *Counters
+
+	// prof accumulates the chain's per-path observed selectivity (see
+	// pathProfiles); shared exactly like ctr.
+	prof *pathProfiles
+
+	stats Stats
+}
+
+// layer is one level of an index's maps. Epochs share layers, never each
+// other: a superseded epoch — its document, its result memo — is reachable
+// from nothing a newer epoch holds, so it is collected as soon as the last
+// reader that pinned it lets go.
+type layer struct {
 	paths  map[string]*PostingList   // dotted path -> postings in document order
 	values map[valueKey]*PostingList // (path, text) -> postings in document order
 
@@ -77,24 +103,9 @@ type Index struct {
 	// Region postings are not duplicated here, only node pointers.
 	texts map[string]*textEntry
 
-	// base is the previous epoch's index for an overlay, nil otherwise.
-	base  *Index
-	epoch uint64
-	depth int // overlay chain length above the nearest self-contained index
-
-	// memo caches whole evaluations over this epoch (see resultMemo); it
-	// is collected together with the epoch.
-	memo resultMemo
-
-	// ctr accumulates the chain's matcher counters (see Counters); shared
-	// across overlay epochs and their flattened successors.
-	ctr *Counters
-
-	// prof accumulates the chain's per-path observed selectivity (see
-	// pathProfiles); shared exactly like ctr.
-	prof *pathProfiles
-
-	stats Stats
+	// below is the next layer down — an older, larger overlay or the
+	// complete maps at the bottom — nil for the bottom itself.
+	below *layer
 }
 
 // Stats describes an index for observability (/statsz, the CLI's index
@@ -112,11 +123,10 @@ type Stats struct {
 	// posting layer (the keyword-term vocabulary).
 	TextKeys int
 	// ResidentBytes estimates the index's actual in-memory footprint:
-	// compressed postings blocks, node-pointer arrays, flat overlay
-	// splices, and map-key string bytes. The document itself is not
-	// counted. For an overlay epoch this is the effective
-	// (as-if-flattened) footprint; entries shared with the base chain are
-	// counted once.
+	// compressed postings blocks, node-pointer arrays, and map-key string
+	// bytes. The document itself is not counted. For an overlay epoch this
+	// is the effective (as-if-compacted) footprint; entries shared with
+	// the base chain are counted once.
 	ResidentBytes int
 	// FlatBytes is the footprint the same index would have in the
 	// uncompressed flat-[]Posting layout, key strings included.
@@ -133,7 +143,10 @@ type Stats struct {
 	// ApplyChanges.
 	Epoch uint64
 	// Overlays is the current overlay chain length (0 for a
-	// self-contained index) — the number of epochs a lookup may traverse.
+	// self-contained index) — the number of overlays a lookup may traverse
+	// before it reaches the self-contained index. Overlays merge by size
+	// (see ApplyChanges), so the length is logarithmic in the entries
+	// spliced since the last compaction, not a count of writes.
 	Overlays int
 }
 
@@ -178,11 +191,13 @@ func build(doc *xmltree.Document, compress bool) *Index {
 		paths, values = collectSerial(nodes)
 	}
 	ix := &Index{
-		doc:    doc,
-		paths:  make(map[string]*PostingList, len(paths)),
-		values: make(map[valueKey]*PostingList, len(values)),
-		ctr:    &Counters{},
-		prof:   &pathProfiles{},
+		doc: doc,
+		layer: &layer{
+			paths:  make(map[string]*PostingList, len(paths)),
+			values: make(map[valueKey]*PostingList, len(values)),
+		},
+		ctr:  &Counters{},
+		prof: &pathProfiles{},
 	}
 	if compress && len(nodes) >= parallelBuildThreshold && workers > 1 {
 		compressParallel(ix, paths, values, workers)
@@ -410,8 +425,8 @@ func (ix *Index) SetEpoch(e uint64) {
 // epoch answers from its own spliced entries first and falls through to
 // the base chain; a self-contained index answers in one lookup.
 func (ix *Index) list(path string) *PostingList {
-	for x := ix; x != nil; x = x.base {
-		if pl, ok := x.paths[path]; ok {
+	for l := ix.layer; l != nil; l = l.below {
+		if pl, ok := l.paths[path]; ok {
 			return pl
 		}
 	}
@@ -420,8 +435,8 @@ func (ix *Index) list(path string) *PostingList {
 
 // valueList returns the postings list of one (path, text) value key.
 func (ix *Index) valueList(k valueKey) *PostingList {
-	for x := ix; x != nil; x = x.base {
-		if pl, ok := x.values[k]; ok {
+	for l := ix.layer; l != nil; l = l.below {
+		if pl, ok := l.values[k]; ok {
 			return pl
 		}
 	}
@@ -454,7 +469,7 @@ func (ix *Index) ValuePostings(path, value string) []Posting {
 func (ix *Index) NodesWithTextContaining(lowered string) []*xmltree.Node {
 	var entries []*textEntry
 	total := 0
-	if ix.base == nil {
+	if ix.below == nil {
 		for lt, e := range ix.texts {
 			if strings.Contains(lt, lowered) {
 				entries = append(entries, e)
@@ -463,8 +478,8 @@ func (ix *Index) NodesWithTextContaining(lowered string) []*xmltree.Node {
 		}
 	} else {
 		seen := make(map[string]bool)
-		for x := ix; x != nil; x = x.base {
-			for lt, e := range x.texts {
+		for l := ix.layer; l != nil; l = l.below {
+			for lt, e := range l.texts {
 				if seen[lt] {
 					continue
 				}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"hash/maphash"
+	"strings"
 	"sync"
 
 	"xmatch/internal/twig"
@@ -66,9 +67,9 @@ func (ix *Index) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.Path
 	// are exact repeats. The memo returns the previous result, shared;
 	// the Matcher contract already forbids callers from mutating matcher
 	// output (core's evaluation plan hands one match slice to every
-	// mapping of a result class the same way). The memo lives on the index itself, so every engine
-	// worker shares its warmth and it is collected with its epoch — a
-	// superseded snapshot is never pinned by cached results.
+	// mapping of a result class the same way). The memo lives on the index
+	// itself, so every engine worker shares its warmth, and a write hands
+	// the next epoch every entry it did not invalidate (see carryFrom).
 	kb, hv := st.memoKey(qn, paths)
 	shard := &ix.memo.shards[hv%memoShards]
 	shard.mu.RLock()
@@ -254,10 +255,10 @@ const (
 )
 
 // resultMemo is one index's evaluation cache: pattern -> binding key ->
-// result, sharded under read-write locks. It lives on the Index, so its
-// entries — and the epoch's document they reference — are collected
-// exactly when the epoch itself is, and every goroutine querying the
-// epoch shares one warm cache.
+// result, sharded under read-write locks. It lives on the Index, so every
+// goroutine querying the epoch shares one warm cache, and a snapshot a
+// reader pinned keeps answering from its own memo whatever is written
+// afterwards.
 type resultMemo struct {
 	shards [memoShards]struct {
 		mu sync.RWMutex
@@ -265,21 +266,92 @@ type resultMemo struct {
 	}
 }
 
-// PurgeMemo drops the cached evaluation results of this index and every
-// base index below it in the overlay chain. The server calls it on the
-// outgoing catalog after an admin reload so a retired epoch's memo — which
-// pins match slices over the old document — is released even while
-// in-flight queries still hold the old snapshot. It is safe to call
-// concurrently with MatchTwig: readers see a nil map as a miss and the
-// write path recreates the map before inserting.
-func (ix *Index) PurgeMemo() {
-	for x := ix; x != nil; x = x.base {
-		for i := range x.memo.shards {
-			shard := &x.memo.shards[i]
-			shard.mu.Lock()
-			shard.m = nil
-			shard.mu.Unlock()
+// carryFrom seeds the memo of a new overlay epoch, not yet published, with
+// every entry of its predecessor's memo whose bound paths — spelled out in
+// the entry's key — miss the touched paths of the change set between the
+// two, and reports how many entries it carried and how many it left.
+//
+// This is sound because a result is a function of the (Start, End, Level,
+// Text) of the nodes on its bound paths and nothing else, which is exactly
+// what an untouched path keeps (xmltree.ChangeSet.Touched). The carried
+// matches may bind node objects that a position-identical clone has since
+// replaced; the Matcher contract (internal/core) is what makes such a node
+// as good as its replacement. Compaction starts from an empty memo, so a
+// superseded node object is pinned for one compaction interval at most.
+func (m *resultMemo) carryFrom(old *resultMemo, touched []string) (carried, dropped int) {
+	for i := range old.shards {
+		from, to := &old.shards[i], &m.shards[i]
+		from.mu.RLock()
+		for qn, byKey := range from.m {
+			var kept map[string][]twig.Match
+			for key, res := range byKey {
+				if bindsAny(key, touched) {
+					dropped++
+					continue
+				}
+				if kept == nil {
+					kept = make(map[string][]twig.Match, len(byKey))
+				}
+				kept[key] = res
+				carried++
+			}
+			if kept != nil {
+				if to.m == nil {
+					to.m = make(map[*twig.Node]map[string][]twig.Match, len(from.m))
+				}
+				to.m[qn] = kept
+			}
 		}
+		from.mu.RUnlock()
+	}
+	return carried, dropped
+}
+
+// bindsAny reports whether a memo key — bound paths, each NUL-terminated —
+// names any of the given paths.
+func bindsAny(key string, paths []string) bool {
+	for _, p := range paths {
+		for rest := key; len(rest) > len(p); {
+			i := strings.Index(rest, p)
+			if i < 0 {
+				break
+			}
+			if rest[i+len(p)] == 0 && (i == 0 || rest[i-1] == 0) {
+				return true
+			}
+			rest = rest[i+1:]
+		}
+	}
+	return false
+}
+
+// len counts the memo's entries.
+func (m *resultMemo) len() int {
+	n := 0
+	for i := range m.shards {
+		shard := &m.shards[i]
+		shard.mu.RLock()
+		for _, byKey := range shard.m {
+			n += len(byKey)
+		}
+		shard.mu.RUnlock()
+	}
+	return n
+}
+
+// PurgeMemo drops the cached evaluation results of this index. The server
+// calls it on the outgoing catalog after an admin reload so a retired
+// epoch's memo — which pins match slices over the old document — is
+// released even while in-flight queries still hold the old snapshot.
+// (Older epochs need no purging: nothing a newer one holds refers to them.)
+// It is safe to call concurrently with MatchTwig: readers see a nil map as
+// a miss and the write path recreates the map before inserting.
+func (ix *Index) PurgeMemo() {
+	for i := range ix.memo.shards {
+		shard := &ix.memo.shards[i]
+		shard.mu.Lock()
+		shard.m = nil
+		shard.mu.Unlock()
 	}
 }
 

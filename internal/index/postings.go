@@ -20,11 +20,8 @@ package index
 //     every node of one dotted path sits at the same depth, so one level
 //     per list suffices.
 //
-//   - flat: a plain []Posting. Overlay epochs spliced by ApplyChanges stay
-//     flat (they are small, short-lived until the next flatten, and the
-//     mutate path should not pay an encode), as does an index built with
-//     BuildFlat — the reference layout the differential fuzzer compares
-//     against.
+//   - flat: a plain []Posting, the layout of an index built with
+//     BuildFlat — the reference the differential fuzzer compares against.
 //
 // Node pointers are kept in a parallel array (they cannot be compressed
 // and are touched only at emission), so a compressed list costs

@@ -8,9 +8,9 @@ import (
 // pathProfiles accumulates per-path observed selectivity: for every
 // dotted path a twig evaluation bound, how many postings the initial
 // candidate load admitted and how many survived each pruning pass. One
-// instance is shared by a whole overlay chain (ApplyChanges and flatten
-// propagate the pointer, like Counters), so an epoch's observations
-// survive its flatten and the numbers describe the shard's workload
+// instance is shared by a whole overlay chain (ApplyChanges propagates
+// the pointer, like Counters), so an epoch's observations
+// survive compaction and the numbers describe the shard's workload
 // since its index was built.
 //
 // The hot path never touches the map: each evaluation records per-node

@@ -1,10 +1,10 @@
 package index_test
 
-// PurgeMemo lifecycle tests: purging drops the cached evaluations across
-// the whole overlay chain, later queries still answer correctly (and
-// repopulate the cache), and purging races cleanly against concurrent
-// MatchTwig callers — the reload path the server exercises. Run under
-// -race in CI.
+// PurgeMemo lifecycle tests: purging drops an epoch's cached evaluations —
+// the ones it inherited from its predecessor included — later queries still
+// answer correctly (and repopulate the cache), and purging races cleanly
+// against concurrent MatchTwig callers — the reload path the server
+// exercises. Run under -race in CI.
 
 import (
 	"reflect"
@@ -75,9 +75,9 @@ func TestPurgeMemoConcurrentMatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPurgeMemoOverlayChain: purging the tip of an overlay chain reaches
-// the base indexes too — the server purges whatever index the retired
-// snapshot holds, which after mutations is an overlay over older epochs.
+// TestPurgeMemoOverlayChain: the server purges whatever index the retired
+// snapshot holds, which after mutations is an overlay epoch; purging one
+// must leave it answering correctly.
 func TestPurgeMemoOverlayChain(t *testing.T) {
 	doc, err := xmltree.ParseString(`<r><a><b>x</b></a><a><b>y</b></a></r>`)
 	if err != nil {
@@ -105,8 +105,46 @@ func TestPurgeMemoOverlayChain(t *testing.T) {
 		t.Fatalf("expected an overlay tip, got epoch %d overlays %d", tip.Epoch(), tip.Stats().Overlays)
 	}
 	wantTip := tip.MatchTwig(newDoc, p.Root, paths)
-	tip.PurgeMemo() // must walk down to the base without panicking
+	tip.PurgeMemo()
 	if got := tip.MatchTwig(newDoc, p.Root, paths); !reflect.DeepEqual(got, wantTip) {
 		t.Fatal("overlay evaluation diverged after chain purge")
+	}
+}
+
+// TestPurgeMemoDropsCarriedEntries: a write hands the next epoch the memo
+// entries it did not invalidate. Purging that epoch empties them too — and
+// nothing else: an older epoch a reader still pins keeps its own memo,
+// which no newer epoch refers to.
+func TestPurgeMemoDropsCarriedEntries(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><b>x</b></a><c>y</c></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	p := twig.MustParse(`r/a/b`)
+	n := p.Nodes()
+	paths := twig.PathBinding{n[0]: "r", n[1]: "r.a", n[2]: "r.a.b"}
+	ix.MatchTwig(doc, p.Root, paths)
+
+	rev := doc.BeginRevision()
+	if err := rev.SetText(rev.LocateByPath("r.c", 0).Start, "z"); err != nil {
+		t.Fatal(err)
+	}
+	newDoc, cs := rev.Commit()
+	tip := ix.ApplyChanges(newDoc, cs)
+	before := tip.Counters()
+	if before.MemoCarried != 1 {
+		t.Fatalf("the write carried %d entries, want 1", before.MemoCarried)
+	}
+	tip.MatchTwig(newDoc, p.Root, paths)
+	if d := tip.Counters().Sub(before); d.MemoHits != 1 {
+		t.Fatalf("carried entry: %d memo hits, want 1", d.MemoHits)
+	}
+	tip.PurgeMemo()
+	before = tip.Counters()
+	tip.MatchTwig(newDoc, p.Root, paths)
+	ix.MatchTwig(doc, p.Root, paths)
+	if d := tip.Counters().Sub(before); d.MemoMisses != 1 || d.MemoHits != 1 {
+		t.Fatalf("after purging the tip: %d misses and %d hits, want the tip to miss and the pinned epoch to hit", d.MemoMisses, d.MemoHits)
 	}
 }

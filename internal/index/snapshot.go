@@ -104,11 +104,13 @@ func FromSnapshot(doc *xmltree.Document, snap *Snapshot) (*Index, error) {
 		byStart[int32(n.Start)] = n
 	}
 	ix := &Index{
-		doc:    doc,
-		paths:  make(map[string]*PostingList, len(snap.Paths)),
-		values: make(map[valueKey]*PostingList, len(snap.Values)),
-		ctr:    &Counters{},
-		prof:   &pathProfiles{},
+		doc: doc,
+		layer: &layer{
+			paths:  make(map[string]*PostingList, len(snap.Paths)),
+			values: make(map[valueKey]*PostingList, len(snap.Values)),
+		},
+		ctr:  &Counters{},
+		prof: &pathProfiles{},
 	}
 	total := 0
 	for _, sp := range snap.Paths {

@@ -182,7 +182,7 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 			l.repair = false
 		}
 		start := time.Now()
-		if err := store.AppendEditRecordFile(l.path, rec, l.sync); err != nil {
+		if err := store.AppendEditFrameFile(l.path, epoch, frame, l.sync); err != nil {
 			l.repair = true
 			return err
 		}

@@ -267,6 +267,55 @@ func TestTracesTailSampling(t *testing.T) {
 	}
 }
 
+// TestMutateTraceRegions: a traced write says where its time went — the
+// apply span carries the child regions resolve, commit, index and log,
+// each inside apply's interval and in that order.
+func TestMutateTraceRegions(t *testing.T) {
+	env := newTestEnv(t, server.Options{TraceThreshold: time.Nanosecond})
+	f := env.fixtures[0]
+	path := textPath(t, env.srv.Catalog().Get(f.name))
+	resp, _, errMsg := mutateBody(t, env.ts.URL, server.MutateRequest{
+		Dataset: f.name,
+		Edits:   []delta.Edit{{Op: delta.OpSetText, Path: path, Text: "traced"}},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: %d %s", resp.StatusCode, errMsg)
+	}
+	_, raw := getJSON(t, env.ts.URL+"/v1/debug/traces")
+	var body struct {
+		Traces []obs.TraceData `json:"traces"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range body.Traces {
+		if tr.Endpoint != "mutate" {
+			continue
+		}
+		spans := map[string]obs.Span{}
+		for _, sp := range tr.Spans {
+			spans[sp.Name] = sp
+		}
+		apply, ok := spans["apply"]
+		if !ok {
+			t.Fatalf("mutate trace has no apply span: %+v", tr.Spans)
+		}
+		at := apply.StartUs
+		for _, name := range []string{"resolve", "commit", "index", "log"} {
+			sp, ok := spans[name]
+			if !ok {
+				t.Fatalf("mutate trace has no %s region: %+v", name, tr.Spans)
+			}
+			if sp.StartUs < at || sp.StartUs+sp.DurUs > apply.StartUs+apply.DurUs+2 { // offsets are floored to the microsecond
+				t.Fatalf("%s region [%d,+%d] out of order or outside apply [%d,+%d]", name, sp.StartUs, sp.DurUs, apply.StartUs, apply.DurUs)
+			}
+			at = sp.StartUs
+		}
+		return
+	}
+	t.Fatalf("no mutate trace retained: %s", raw)
+}
+
 // TestFollowerHealthzDegraded asserts the follower liveness contract:
 // /healthz answers 503 with lag detail when the worst shard's revealed
 // lag exceeds MaxLagEpochs, and recovers to 200 once a sync catches up.

@@ -1105,7 +1105,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// append, failing the mutate instead of writing to a file the new
 	// catalog generation now owns.
 	applyDone := tr.Region("apply", "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits)))
-	snap, err := shard.Live.ApplyLogged(req.Edits, shard.Log.Append)
+	snap, err := shard.Live.ApplyTraced(tr, req.Edits, shard.Log.Append)
 	applyDone()
 	s.reloadMu.RUnlock()
 	if err != nil {

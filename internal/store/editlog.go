@@ -211,6 +211,22 @@ func LoadEditLog(r io.Reader) (*EditLog, error) {
 // intact record behind undecodable bytes, which LoadEditLog rightly
 // refuses as mid-log corruption.
 func AppendEditRecordFile(path string, rec EditRecord, sync bool) error {
+	return appendEditFrame(path, rec.Epoch, sync, func() ([]byte, error) { return EncodeEditRecord(rec) })
+}
+
+// AppendEditFrameFile is AppendEditRecordFile for a record already framed
+// by EncodeEditRecord — a caller that keeps the frame (the replication log
+// retains it for streaming) encodes once and hands it down. epoch is the
+// record's epoch, which bases the envelope when the file is new.
+func AppendEditFrameFile(path string, epoch uint64, frame []byte, sync bool) error {
+	return appendEditFrame(path, epoch, sync, func() ([]byte, error) { return frame, nil })
+}
+
+// appendEditFrame appends the frame that encode yields. encode runs where
+// AppendEditRecordFile has always encoded — after the envelope of a new
+// file is written — so that entry point writes the bytes it always wrote
+// (gob numbers types in order of first use within a process).
+func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte, error)) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -222,17 +238,17 @@ func AppendEditRecordFile(path string, rec EditRecord, sync bool) error {
 	}
 	pre := st.Size()
 	if pre == 0 {
-		if rec.Epoch == 0 {
+		if epoch == 0 {
 			return fmt.Errorf("store: edit log %s: record carries no epoch", path)
 		}
-		if err := CreateEditLogAt(f, rec.Epoch-1); err != nil {
+		if err := CreateEditLogAt(f, epoch-1); err != nil {
 			return err
 		}
 		if st, err := f.Stat(); err == nil {
 			pre = st.Size()
 		}
 	}
-	frame, err := EncodeEditRecord(rec)
+	frame, err := encode()
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,8 @@ import "sync/atomic"
 // per file operation.
 type Hooks struct {
 	// AppendFrame is consulted with the target path and the encoded
-	// edit-record frame before AppendEditRecordFile writes it. Returning
+	// edit-record frame before it is appended (AppendEditRecordFile,
+	// AppendEditFrameFile). Returning
 	// (len(frame), nil) passes. Returning an error with keep == 0 injects
 	// a clean failure: nothing is written and the append fails as a disk
 	// error would. Returning an error with keep > 0 injects a torn write:

@@ -70,10 +70,11 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 		}
 		nodes[i] = n
 	}
-	d := &Document{Root: nodes[0], nodes: nodes, numBase: numBase}
-	d.byPath = make(map[string][]*Node, len(nodes))
+	d := &Document{Root: nodes[0], count: len(nodes), nodes: nodes, numBase: numBase}
+	byPath := make(map[string][]*Node, len(nodes))
 	for _, n := range nodes {
-		d.byPath[n.Path] = append(d.byPath[n.Path], n)
+		byPath[n.Path] = append(byPath[n.Path], n)
 	}
+	d.paths = &pathLayer{byPath: byPath}
 	return d, nil
 }

@@ -49,13 +49,15 @@ func Corpus(members ...*Document) (*Document, error) {
 	d := &Document{Root: super}
 	d.nodes = make([]*Node, 0, total)
 	d.nodes = append(d.nodes, super)
-	d.byPath = map[string][]*Node{CorpusRootLabel: {super}}
+	byPath := map[string][]*Node{CorpusRootLabel: {super}}
+	d.paths = &pathLayer{byPath: byPath}
 	for _, m := range members {
 		super.Children = append(super.Children, m.Root)
 		d.nodes = append(d.nodes, m.Nodes()...)
 		for _, p := range m.Paths() {
-			d.byPath[p] = append(d.byPath[p], m.NodesByPath(p)...)
+			byPath[p] = append(byPath[p], m.NodesByPath(p)...)
 		}
 	}
+	d.count = len(d.nodes)
 	return d, nil
 }

@@ -30,6 +30,7 @@ package xmltree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -42,25 +43,49 @@ type Revision struct {
 	base *Document
 	root *Node // current root (cloned lazily)
 
-	owned   map[*Node]bool // nodes created by this revision
-	dropped []*Node        // base-snapshot nodes no longer in the document
+	// owned holds the nodes created by this revision, each mapped to the
+	// base-snapshot node it is a clone of (nil for an inserted node).
+	owned   map[*Node]*Node
+	dropped []*Node // base-snapshot nodes no longer in the document
 }
 
 // ChangeSet reports a committed revision's node-level delta: the node
 // objects that left the document (deleted nodes, plus originals superseded
 // by clones) and those that entered it (clones, plus inserted nodes). A
 // node whose position, label, path, and text are all unchanged appears in
-// neither list. Added is in the new snapshot's document order; Dropped is
-// unordered (consumers treat it as a set).
+// neither list. Added is in the new snapshot's document order, Dropped in
+// the base snapshot's (the start numbers the nodes carry).
+//
+// Most entries of a change set are not changes a query can observe: every
+// edit clones the spine from the root to its target, and a clone that
+// equals its original in Start, End, Level, Path, Label and Text is a
+// position-identical replacement — a new object standing exactly where the
+// old one stood. Touched lists, sorted, the dotted paths that changed
+// semantically: the paths of every added or dropped node that is not such
+// a replacement (a settext target, inserted, deleted, renamed and
+// renumbered nodes; a rename touches the old path and the new one). The
+// nodes of every other path have, position by position, the fields above
+// unchanged — the guarantee a cache of per-path results needs to outlive
+// the write.
 type ChangeSet struct {
 	Dropped []*Node
 	Added   []*Node
+	Touched []string
+}
+
+// samePosition reports whether clone c is a position-identical replacement
+// of its original o: equal in every field a consumer of query results may
+// read. Parent and Children are deliberately not compared — see the
+// package comment on positional identity.
+func samePosition(c, o *Node) bool {
+	return c.Start == o.Start && c.End == o.End && c.Level == o.Level &&
+		c.Path == o.Path && c.Label == o.Label && c.Text == o.Text
 }
 
 // BeginRevision opens a copy-on-write edit session over the document. The
 // document itself is never modified.
 func (d *Document) BeginRevision() *Revision {
-	return &Revision{base: d, root: d.Root, owned: make(map[*Node]bool)}
+	return &Revision{base: d, root: d.Root, owned: make(map[*Node]*Node)}
 }
 
 // clone makes an owned copy of n attached under parent (an owned node, or
@@ -76,9 +101,14 @@ func (r *Revision) clone(n *Node, parent *Node) *Node {
 		Level:    n.Level,
 		Path:     n.Path,
 	}
-	r.owned[c] = true
+	r.owned[c] = n
 	r.dropped = append(r.dropped, n)
 	return c
+}
+
+func (r *Revision) isOwned(n *Node) bool {
+	_, ok := r.owned[n]
+	return ok
 }
 
 // childIndex returns the index of the child of p whose interval contains
@@ -127,8 +157,16 @@ func (r *Revision) Locate(start int) *Node {
 
 // LocateByPath returns the ordinal-th node (0-based, document order) whose
 // dotted label path equals path in the revision's current tree, or nil.
+// Until the revision's first edit its tree is the base snapshot's, whose
+// path index answers directly; afterwards the tree is walked.
 func (r *Revision) LocateByPath(path string, ordinal int) *Node {
 	if ordinal < 0 {
+		return nil
+	}
+	if len(r.owned) == 0 && len(r.dropped) == 0 {
+		if list := r.base.NodesByPath(path); ordinal < len(list) {
+			return list[ordinal]
+		}
 		return nil
 	}
 	var found *Node
@@ -169,7 +207,7 @@ func (r *Revision) own(start int) []*Node {
 		return nil
 	}
 	for i, n := range chain {
-		if r.owned[n] {
+		if r.isOwned(n) {
 			continue
 		}
 		var parent *Node
@@ -191,7 +229,7 @@ func (r *Revision) own(start int) []*Node {
 // owned, cloning shared descendants in place.
 func (r *Revision) ownSubtree(n *Node) {
 	for i, c := range n.Children {
-		if !r.owned[c] {
+		if !r.isOwned(c) {
 			c = r.clone(c, n)
 			n.Children[i] = c
 		} else {
@@ -271,7 +309,7 @@ func (r *Revision) DeleteSubtree(start int) error {
 // nodes are dropped from the document, revision-owned nodes simply cease
 // to be additions.
 func (r *Revision) dropSubtree(n *Node) {
-	if r.owned[n] {
+	if r.isOwned(n) {
 		delete(r.owned, n)
 	} else {
 		r.dropped = append(r.dropped, n)
@@ -310,7 +348,7 @@ func (r *Revision) InsertSubtree(parentStart, pos int, sub *Node) error {
 		} else {
 			n.Path = p.Path + "." + n.Label
 		}
-		r.owned[n] = true
+		r.owned[n] = nil
 		for _, c := range n.Children {
 			adopt(c, n)
 		}
@@ -432,89 +470,139 @@ func renumberChildren(a *Node) {
 // from it remain fully usable. Committing a revision twice, or using it
 // after Commit, is invalid.
 func (r *Revision) Commit() (*Document, *ChangeSet) {
-	// The new preorder is a three-way pointer merge: the base snapshot's
-	// preorder minus the dropped nodes, interleaved by start number with
-	// the owned (added) nodes. Preorder and start order coincide in every
-	// snapshot, and edits never reorder surviving shared nodes, so the
-	// merge never needs a tree walk — the per-node cost is a pointer
-	// comparison, not a hash lookup.
 	cs := &ChangeSet{Dropped: r.dropped}
+	slices.SortFunc(cs.Dropped, byStart)
 	cs.Added = make([]*Node, 0, len(r.owned))
-	for n := range r.owned {
+	touched := make(map[string]bool)
+	replaced := make(map[*Node]bool, len(r.owned)) // originals a position-identical clone stands in for
+	for n, orig := range r.owned {
 		cs.Added = append(cs.Added, n)
-	}
-	sort.Slice(cs.Added, func(i, j int) bool { return cs.Added[i].Start < cs.Added[j].Start })
-	droppedSorted := append([]*Node(nil), r.dropped...)
-	sort.Slice(droppedSorted, func(i, j int) bool { return droppedSorted[i].Start < droppedSorted[j].Start })
-
-	nd := &Document{Root: r.root, numBase: r.base.numBase}
-	nd.nodes = make([]*Node, 0, len(r.base.nodes)+len(cs.Added)-len(cs.Dropped))
-	ai, di := 0, 0
-	for _, n := range r.base.nodes {
-		// A clone carries its original's start, so emitting added nodes
-		// on strict < keeps each clone in exactly its original's slot.
-		for ai < len(cs.Added) && cs.Added[ai].Start < n.Start {
-			nd.nodes = append(nd.nodes, cs.Added[ai])
-			ai++
+		if orig != nil && samePosition(n, orig) {
+			replaced[orig] = true
+		} else {
+			touched[n.Path] = true
 		}
-		for di < len(droppedSorted) && droppedSorted[di].Start < n.Start {
-			di++
-		}
-		if di < len(droppedSorted) && droppedSorted[di] == n {
-			di++
-			continue
-		}
-		nd.nodes = append(nd.nodes, n)
 	}
-	for ; ai < len(cs.Added); ai++ {
-		nd.nodes = append(nd.nodes, cs.Added[ai])
-	}
+	slices.SortFunc(cs.Added, byStart)
 
 	// The path index becomes an overlay over the base document's: only
-	// the affected paths get freshly merged lists (nil marks a path that
-	// disappeared); every other lookup falls through the chain. The
-	// chain is materialized once it grows past maxPathDepth.
-	affected := make(map[string]bool, len(cs.Dropped)+len(cs.Added))
-	droppedSet := make(map[*Node]bool, len(cs.Dropped))
+	// the affected paths get freshly spliced lists (nil marks a path that
+	// disappeared); every other lookup falls through the chain.
+	droppedBy := make(map[string][]*Node) // sorted by start, like cs.Dropped
 	for _, n := range cs.Dropped {
-		affected[n.Path] = true
-		droppedSet[n] = true
+		droppedBy[n.Path] = append(droppedBy[n.Path], n)
+		if !replaced[n] {
+			touched[n.Path] = true
+		}
 	}
+	addedBy := make(map[string][]*Node) // document order, like cs.Added
 	for _, n := range cs.Added {
-		affected[n.Path] = true
-	}
-	nd.base, nd.pathDepth = r.base, r.base.pathDepth+1
-	nd.byPath = make(map[string][]*Node, len(affected))
-	for p := range affected {
-		var list []*Node
-		old := r.base.NodesByPath(p)
-		i := 0
-		// Merge the surviving old nodes with the added ones by Start; both
-		// sequences are in document order.
-		for _, n := range cs.Added {
-			if n.Path != p {
-				continue
-			}
-			for ; i < len(old); i++ {
-				if droppedSet[old[i]] {
-					continue
-				}
-				if old[i].Start > n.Start {
-					break
-				}
-				list = append(list, old[i])
-			}
-			list = append(list, n)
+		addedBy[n.Path] = append(addedBy[n.Path], n)
+		if _, ok := droppedBy[n.Path]; !ok {
+			droppedBy[n.Path] = nil // a path that only gained nodes is affected too
 		}
-		for ; i < len(old); i++ {
-			if !droppedSet[old[i]] {
-				list = append(list, old[i])
+	}
+	cs.Touched = make([]string, 0, len(touched))
+	for p := range touched {
+		cs.Touched = append(cs.Touched, p)
+	}
+	sort.Strings(cs.Touched)
+
+	top := &pathLayer{byPath: make(map[string][]*Node, len(droppedBy)), below: r.base.paths}
+	for p, dropped := range droppedBy {
+		list := SpliceNodes(r.base.NodesByPath(p), dropped, addedBy[p])
+		if len(list) == 0 {
+			list = nil // the path disappeared
+		}
+		top.byPath[p] = list
+	}
+	top.settle()
+	return &Document{
+		Root:    r.root,
+		count:   r.base.count + len(cs.Added) - len(cs.Dropped),
+		numBase: r.base.numBase,
+		paths:   top,
+	}, cs
+}
+
+// pathCompactFraction sets when a snapshot's path-index overlays are folded
+// into one complete layer: when they hold at least 1/pathCompactFraction of
+// the entries the complete layer at the bottom holds.
+const pathCompactFraction = 4
+
+// settle keeps the layers under a fresh top layer few by size, so that a
+// commit pays for the paths it touched and not for every path the document
+// has: the new overlay absorbs the overlays below it for as long as they
+// hold no more than twice its entries (sizes then more than double down the
+// chain, which bounds its length by a logarithm and copies an entry once
+// per doubling), and the chain is folded into one complete layer only when
+// the overlays have grown to a fixed fraction of the bottom one — once per
+// that many touched paths, not once per so many commits. (internal/index
+// keeps its overlay chain by the same two rules.)
+func (l *pathLayer) settle() {
+	// How far down to absorb is decided before anything is copied (the sum
+	// stands in for the merged size, which shared paths can only shrink),
+	// so the merged map is allocated once at its final size.
+	n, stop := len(l.byPath), l.below
+	for stop.below != nil && len(stop.byPath) <= 2*n {
+		n += len(stop.byPath)
+		stop = stop.below
+	}
+	if stop != l.below {
+		merged := make(map[string][]*Node, n)
+		for x := l; x != stop; x = x.below {
+			for p, list := range x.byPath {
+				if _, ok := merged[p]; !ok { // the newer overlay's entry stands
+					merged[p] = list
+				}
 			}
 		}
-		nd.byPath[p] = list // nil when the path disappeared
+		l.byPath, l.below = merged, stop
 	}
-	if nd.pathDepth >= maxPathDepth {
-		nd.byPath, nd.base, nd.pathDepth = nd.pathMap(), nil, 0
+	overlays, bottom := 0, l
+	for ; bottom.below != nil; bottom = bottom.below {
+		overlays += len(bottom.byPath)
 	}
-	return nd, cs
+	if overlays*pathCompactFraction >= len(bottom.byPath) {
+		l.byPath, l.below = l.materialize(), nil
+	}
+}
+
+func byStart(a, b *Node) int { return a.Start - b.Start }
+
+// SpliceNodes returns list — nodes in document order — without the nodes
+// of dropped and with the nodes of added, in document order: the update of
+// one per-path (or per-text) node list under a change set. dropped and
+// added must each be sorted by Start; a dropped node is removed by object
+// identity at its start number, so a clone in added takes exactly its
+// original's slot. The positions are found by binary search and the runs
+// between them copied whole, so the cost is the fresh array plus a few
+// probes, not a comparison per node. list is not modified.
+func SpliceNodes(list, dropped, added []*Node) []*Node {
+	out := make([]*Node, 0, max(0, len(list)-len(dropped))+len(added))
+	// upTo copies the run of list below the given start (through it, when
+	// inclusive) and leaves list at the first node past the run.
+	upTo := func(start int, inclusive bool) {
+		j := sort.Search(len(list), func(k int) bool {
+			return list[k].Start > start || (!inclusive && list[k].Start == start)
+		})
+		out = append(out, list[:j]...)
+		list = list[j:]
+	}
+	for len(dropped) > 0 || len(added) > 0 {
+		// A drop at the same start as an add goes first: it is the original
+		// the added clone replaces (or a renumbered neighbour's old slot).
+		if len(added) == 0 || (len(dropped) > 0 && dropped[0].Start <= added[0].Start) {
+			upTo(dropped[0].Start, false)
+			if len(list) > 0 && list[0] == dropped[0] {
+				list = list[1:]
+			}
+			dropped = dropped[1:]
+		} else {
+			upTo(added[0].Start, true)
+			out = append(out, added[0])
+			added = added[1:]
+		}
+	}
+	return append(out, list...)
 }

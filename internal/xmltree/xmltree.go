@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Node is a single element node of an XML document tree.
@@ -79,17 +80,17 @@ func (n *Node) AddText(text string) *Node {
 type Document struct {
 	Root *Node
 
-	nodes  []*Node            // preorder
-	byPath map[string][]*Node // dotted path -> nodes in preorder
+	// count is the number of element nodes. nodes is the preorder array: a
+	// parsed, built or assembled document carries it from construction; a
+	// revision snapshot (see Revision.Commit) knows only its count and
+	// derives the array on the first Nodes call, so that committing an edit
+	// never costs a pass over the document.
+	count     int
+	nodes     []*Node
+	nodesOnce sync.Once
 
-	// base chains the path index of a revision snapshot to its
-	// predecessor's: byPath then holds only the entries the revision
-	// changed (nil marking a path that disappeared) and lookups fall
-	// through the chain. pathDepth bounds the chain; Commit materializes
-	// a full map when it grows past maxPathDepth. A parsed or built
-	// document has base == nil and a complete byPath.
-	base      *Document
-	pathDepth int
+	// paths is the top layer of the path index (see pathLayer).
+	paths *pathLayer
 
 	// accel is an opaque accelerator attached by a higher layer (the
 	// positional index of internal/index); consumers type-assert against
@@ -106,8 +107,18 @@ type Document struct {
 	numBase int
 }
 
-// maxPathDepth bounds the byPath overlay chain of revision snapshots.
-const maxPathDepth = 12
+// pathLayer is one level of a document's path index: dotted path -> nodes
+// in preorder. A parsed or built document has a single, complete layer. A
+// revision snapshot's top layer holds only the entries revisions changed
+// (nil marking a path that disappeared) and lookups fall through the layers
+// below, which Commit keeps few by size (see settle). Snapshots share
+// layers, never each other: nothing a newer document holds refers to an
+// older Document, so a superseded snapshot is collected as soon as its last
+// reader lets go.
+type pathLayer struct {
+	byPath map[string][]*Node
+	below  *pathLayer
+}
 
 // SetAccel attaches an opaque accelerator to the document (nil detaches).
 // Attachment is not synchronized: it must happen before the document is
@@ -156,8 +167,8 @@ func NewRoot(label string) *Node {
 
 func (d *Document) renumber() {
 	d.nodes = d.nodes[:0]
-	d.byPath = make(map[string][]*Node)
-	d.base, d.pathDepth = nil, 0
+	byPath := make(map[string][]*Node)
+	d.paths = &pathLayer{byPath: byPath}
 	counter := d.numBase
 	var walk func(n *Node, level int, prefix string)
 	walk = func(n *Node, level int, prefix string) {
@@ -170,7 +181,7 @@ func (d *Document) renumber() {
 			n.Path = prefix + "." + n.Label
 		}
 		d.nodes = append(d.nodes, n)
-		d.byPath[n.Path] = append(d.byPath[n.Path], n)
+		byPath[n.Path] = append(byPath[n.Path], n)
 		for _, c := range n.Children {
 			c.Parent = n
 			walk(c, level+1, n.Path)
@@ -181,41 +192,60 @@ func (d *Document) renumber() {
 	if d.Root != nil {
 		walk(d.Root, 0, "")
 	}
+	d.count = len(d.nodes)
 }
 
 // Len returns the number of element nodes in the document.
-func (d *Document) Len() int { return len(d.nodes) }
+func (d *Document) Len() int { return d.count }
 
 // Nodes returns all nodes in preorder. The returned slice must not be
-// modified.
-func (d *Document) Nodes() []*Node { return d.nodes }
+// modified. On a revision snapshot the first call walks the tree — the
+// callers that really scan a mutated document (checkpoint save, a fresh
+// index build, Corpus, unindexed keyword search) pay for the array, the
+// write that produced the snapshot does not — and concurrent first calls
+// are safe.
+func (d *Document) Nodes() []*Node {
+	d.nodesOnce.Do(func() {
+		if d.nodes != nil || d.Root == nil {
+			return
+		}
+		nodes := make([]*Node, 0, d.count)
+		d.Walk(func(n *Node) bool {
+			nodes = append(nodes, n)
+			return true
+		})
+		d.nodes = nodes
+	})
+	return d.nodes
+}
 
 // NodesByPath returns the nodes whose dotted label path from the root equals
 // path, in document (preorder) order. The returned slice must not be
 // modified.
 func (d *Document) NodesByPath(path string) []*Node {
-	for x := d; x != nil; x = x.base {
-		if l, ok := x.byPath[path]; ok {
-			return l
+	for l := d.paths; l != nil; l = l.below {
+		if list, ok := l.byPath[path]; ok {
+			return list
 		}
 	}
 	return nil
 }
 
-// pathMap materializes the effective path index: the oldest snapshot's
-// full map with each overlay applied on top. The returned map is fresh.
-func (d *Document) pathMap() map[string][]*Node {
-	var chain []*Document
-	for x := d; x != nil; x = x.base {
+// materialize returns the effective path index of the layer chain: the
+// bottom layer's complete map with each overlay applied on top. The
+// returned map is fresh.
+func (l *pathLayer) materialize() map[string][]*Node {
+	var chain []*pathLayer
+	for x := l; x != nil; x = x.below {
 		chain = append(chain, x)
 	}
 	m := make(map[string][]*Node, len(chain[len(chain)-1].byPath))
 	for i := len(chain) - 1; i >= 0; i-- {
-		for p, l := range chain[i].byPath {
-			if l == nil {
+		for p, list := range chain[i].byPath {
+			if list == nil {
 				delete(m, p)
 			} else {
-				m[p] = l
+				m[p] = list
 			}
 		}
 	}
@@ -224,9 +254,9 @@ func (d *Document) pathMap() map[string][]*Node {
 
 // Paths returns the distinct dotted paths present in the document, sorted.
 func (d *Document) Paths() []string {
-	m := d.byPath
-	if d.base != nil {
-		m = d.pathMap()
+	m := d.paths.byPath
+	if d.paths.below != nil {
+		m = d.paths.materialize()
 	}
 	ps := make([]string, 0, len(m))
 	for p := range m {
