@@ -175,3 +175,42 @@ func TestAddStreamsClassSharesOneSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestMergerTablesReused: Finish hands a merger's tables to the next
+// evaluation, whatever the size of its mapping set. Nothing of a finished
+// answer — a registered mapping, a match slice, a dedup set — may show in
+// a later one.
+func TestMergerTablesReused(t *testing.T) {
+	small := mergerSet(t)
+	rng := rand.New(rand.NewSource(9))
+	big, err := mapgen.TopH(randomMatching(rng, randomSchema(rng, "S", 14), randomSchema(rng, "T", 12), 0.9), 40, mapgen.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Len() <= small.Len() {
+		t.Fatalf("fixture: big set has %d mappings, small %d", big.Len(), small.Len())
+	}
+	qn := &twig.Node{Label: "a"}
+	for round := 0; round < 4; round++ {
+		for _, set := range []*mapping.Set{big, small, big} {
+			r := NewResultMerger(set)
+			if res := r.Finish(); len(res) != 0 {
+				t.Fatalf("round %d: an untouched merger over %d mappings finished with %d results", round, set.Len(), len(res))
+			}
+			r = NewResultMerger(set)
+			for mi := 0; mi < set.Len(); mi += 2 {
+				r.Add(mi, []twig.Match{mk(qn, 16*(mi+1))})
+				r.Add(mi, []twig.Match{mk(qn, 16*(mi+1)), mk(qn, 16*(mi+1)+8)}) // second Add: dedup set
+			}
+			res := r.Finish()
+			if want := (set.Len() + 1) / 2; len(res) != want {
+				t.Fatalf("round %d: %d results over %d mappings, want %d", round, len(res), set.Len(), want)
+			}
+			for i, rr := range res {
+				if rr.MappingIndex != 2*i || !reflect.DeepEqual(starts(rr.Matches, qn), []int{16 * (2*i + 1), 16*(2*i+1) + 8}) {
+					t.Fatalf("round %d: result %d is mapping %d with starts %v", round, i, rr.MappingIndex, starts(rr.Matches, qn))
+				}
+			}
+		}
+	}
+}

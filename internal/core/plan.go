@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"sync/atomic"
 
 	"xmatch/internal/mapping"
 	"xmatch/internal/twig"
@@ -161,47 +160,59 @@ func (p *Plan) Stats() PlanStats {
 // each, when non-nil, runs fn(0..n-1) and may do so concurrently: it is
 // how internal/engine spreads the matcher calls over its workers. The
 // output does not depend on it. stop, when non-nil, is polled between
-// units; once it is set Run returns early and the output is partial — the
-// caller must discard it.
-func (ep *EmbeddingPlan) Run(doc *xmltree.Document, k int, stop *atomic.Bool, each func(n int, fn func(i int))) [][]twig.Match {
+// units; once it is closed Run returns early and the output is partial —
+// the caller must discard it.
+func (ep *EmbeddingPlan) Run(doc *xmltree.Document, k int, stop <-chan struct{}, each func(n int, fn func(i int))) [][]twig.Match {
 	limit := rankLimit(k)
 	out := make([][]twig.Match, len(ep.leaves)+len(ep.joins))
-	matchLeaf := func(i int) {
-		u := &ep.leaves[i]
-		if u.minRank >= limit || u.paths == nil || (stop != nil && stop.Load()) {
-			return
-		}
-		matches := matchPattern(doc, u.qn, u.paths)
-		if u.rekey != nil {
-			// One backing array for all the single-binding matches.
-			bindings := make([]twig.Binding, len(matches))
-			rekeyed := make([]twig.Match, len(matches))
-			for j, m := range matches {
-				bindings[j] = twig.Binding{Q: u.rekey, D: m.Get(u.qn)}
-				rekeyed[j] = bindings[j : j+1 : j+1]
-			}
-			matches = rekeyed
-		}
-		out[i] = matches
-	}
 	if each == nil {
 		for i := range ep.leaves {
-			matchLeaf(i)
+			ep.matchLeaf(out, i, doc, limit, stop)
 		}
 	} else {
-		each(len(ep.leaves), matchLeaf)
+		each(len(ep.leaves), func(i int) { ep.matchLeaf(out, i, doc, limit, stop) })
 	}
 	for j := range ep.joins {
 		u := &ep.joins[j]
 		if u.minRank >= limit {
 			continue
 		}
-		if stop != nil && stop.Load() {
+		if stopped(stop) {
 			break
 		}
 		out[len(ep.leaves)+j] = twig.StructuralJoin(out[u.outer], u.parent, out[u.inner], u.child)
 	}
 	return out
+}
+
+// matchLeaf runs leaf unit i into its output slot.
+func (ep *EmbeddingPlan) matchLeaf(out [][]twig.Match, i int, doc *xmltree.Document, limit int32, stop <-chan struct{}) {
+	u := &ep.leaves[i]
+	if u.minRank >= limit || u.paths == nil || stopped(stop) {
+		return
+	}
+	matches := matchPattern(doc, u.qn, u.paths)
+	if u.rekey != nil {
+		// One backing array for all the single-binding matches.
+		bindings := make([]twig.Binding, len(matches))
+		rekeyed := make([]twig.Match, len(matches))
+		for j, m := range matches {
+			bindings[j] = twig.Binding{Q: u.rekey, D: m.Get(u.qn)}
+			rekeyed[j] = bindings[j : j+1 : j+1]
+		}
+		matches = rekeyed
+	}
+	out[i] = matches
+}
+
+// stopped polls a stop channel; a nil channel never stops.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // compilePlan builds the plan of every embedding. The top-k rank of a

@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"xmatch/internal/dataset"
@@ -297,7 +296,7 @@ func TestPlanConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// TestPlanRunStops: a stop flag set before or during Run ends it at the
+// TestPlanRunStops: a stop channel closed before or during Run ends it at the
 // next unit; the output keeps its shape (callers index it before they
 // learn of the cancellation) but is partial.
 func TestPlanRunStops(t *testing.T) {
@@ -315,9 +314,9 @@ func TestPlanRunStops(t *testing.T) {
 		}
 		for _, ep := range q.Plan(set, bt).Embeddings {
 			units := len(ep.leaves) + len(ep.joins)
-			var stop atomic.Bool
-			stop.Store(true)
-			out := ep.Run(doc, 0, &stop, nil)
+			stop := make(chan struct{})
+			close(stop)
+			out := ep.Run(doc, 0, stop, nil)
 			if len(out) != units {
 				t.Fatalf("%s: stopped Run returned %d slots, want %d", spec.ID, len(out), units)
 			}
@@ -327,13 +326,14 @@ func TestPlanRunStops(t *testing.T) {
 				}
 			}
 			// Stop after the first leaf: nothing later may run.
-			stop.Store(false)
+			stop = make(chan struct{})
 			calls := 0
-			out = ep.Run(doc, 0, &stop, func(n int, fn func(int)) {
+			out = ep.Run(doc, 0, stop, func(n int, fn func(int)) {
 				for i := 0; i < n; i++ {
 					fn(i)
-					calls++
-					stop.Store(true)
+					if calls++; calls == 1 {
+						close(stop)
+					}
 				}
 			})
 			for u := 1; u < units; u++ {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"xmatch/internal/mapping"
@@ -17,6 +18,10 @@ import (
 // rewrites target elements to source paths.
 type Query struct {
 	Pattern *twig.Pattern
+	// Canonical is Pattern.String(), rendered once at preparation: the
+	// text workload fingerprints and capture records key a query by, so
+	// that requests differing only in spelling share an identity.
+	Canonical string
 	// Embeddings are the pattern's embeddings into the target schema
 	// (one per way the pattern fits the schema; typically one).
 	Embeddings []twig.Embedding
@@ -40,7 +45,7 @@ func PrepareQuery(pattern string, set *mapping.Set) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{Pattern: p, Embeddings: embs, set: set}, nil
+	return &Query{Pattern: p, Canonical: p.String(), Embeddings: embs, set: set}, nil
 }
 
 // Result is one element of a PTQ answer: the matches of the query through
@@ -180,6 +185,45 @@ func sliceIdent(s []twig.Match) ident {
 	return ident{p: &s[0], n: len(s)}
 }
 
+// smallTable maps keys to values for the per-request lookups whose key
+// count is almost always tiny — the distinct match slices of a result
+// list (a plan ends in a handful of result classes) and the answer groups
+// they fold into. The first smallTableInline entries sit in an inline
+// array searched linearly, which costs no allocation and no hashing; only
+// a list with more distinct keys (basic mode over many rewrites) spills
+// the rest into a map. The zero value is an empty table.
+type smallTable[K comparable, V any] struct {
+	keys  [smallTableInline]K
+	vals  [smallTableInline]V
+	n     int
+	spill map[K]V
+}
+
+const smallTableInline = 8
+
+func (t *smallTable[K, V]) get(k K) (v V, ok bool) {
+	for i := 0; i < t.n; i++ {
+		if t.keys[i] == k {
+			return t.vals[i], true
+		}
+	}
+	v, ok = t.spill[k]
+	return v, ok
+}
+
+// put adds a key that get did not find.
+func (t *smallTable[K, V]) put(k K, v V) {
+	if t.n < smallTableInline {
+		t.keys[t.n], t.vals[t.n] = k, v
+		t.n++
+		return
+	}
+	if t.spill == nil {
+		t.spill = make(map[K]V)
+	}
+	t.spill[k] = v
+}
+
 // ResultMerger accumulates per-mapping matches across embeddings,
 // deduplicating matches by canonical key. Adding nil matches still registers
 // the mapping, so relevant mappings with empty answers appear in the final
@@ -194,6 +238,10 @@ func sliceIdent(s []twig.Match) ident {
 // entirely. The first Add's slice is retained as-is (appends copy on
 // growth), so every mapping of a result class can be handed the same slice
 // safely.
+//
+// A merger lives from NewResultMerger to Finish: its two |M|-sized tables
+// are scratch, so Finish hands them to the next evaluation instead of to
+// the garbage collector, and the merger must not be touched afterwards.
 type ResultMerger struct {
 	set *mapping.Set
 	// All three are indexed by mapping index.
@@ -203,13 +251,20 @@ type ResultMerger struct {
 	n       int               // mappings added
 }
 
+// mergerPool recycles finished mergers. A pooled merger's tables are zero
+// over their whole capacity.
+var mergerPool = sync.Pool{New: func() any { return new(ResultMerger) }}
+
 // NewResultMerger returns an empty merger for the mapping set.
 func NewResultMerger(set *mapping.Set) *ResultMerger {
-	return &ResultMerger{
-		set:     set,
-		matches: make([][]twig.Match, set.Len()),
-		added:   make([]bool, set.Len()),
+	r := mergerPool.Get().(*ResultMerger)
+	r.set = set
+	if n := set.Len(); cap(r.matches) < n {
+		r.matches, r.added = make([][]twig.Match, n), make([]bool, n)
+	} else {
+		r.matches, r.added = r.matches[:n], r.added[:n]
 	}
+	return r
 }
 
 // Add records the matches of mapping mi, dropping duplicates of matches
@@ -259,7 +314,11 @@ func (r *ResultMerger) Add(mi int, matches []twig.Match) {
 // (k <= 0: all of them).
 func (r *ResultMerger) AddClasses(ep *EmbeddingPlan, k int, perShard [][][]twig.Match) {
 	limit := rankLimit(k)
-	streams := make([][]twig.Match, len(perShard))
+	var one [1][]twig.Match // a single document gathers without allocating
+	streams := one[:]
+	if len(perShard) != 1 {
+		streams = make([][]twig.Match, len(perShard))
+	}
 	for i := range ep.classes {
 		cl := &ep.classes[i]
 		n := cl.kept(limit)
@@ -368,14 +427,18 @@ func mergeStreams(streams [][]twig.Match) []twig.Match {
 	return merged
 }
 
-// Finish returns the accumulated results ordered by mapping index.
+// Finish returns the accumulated results ordered by mapping index and
+// retires the merger.
 func (r *ResultMerger) Finish() []Result {
 	out := make([]Result, 0, r.n)
 	for mi, ok := range r.added {
 		if ok {
 			out = append(out, Result{MappingIndex: mi, Prob: r.set.Mappings[mi].Prob, Matches: r.matches[mi]})
+			r.matches[mi], r.added[mi] = nil, false // a top-k answer wipes k entries, not |M|
 		}
 	}
+	r.set, r.seen, r.n = nil, nil, 0
+	mergerPool.Put(r)
 	return out
 }
 
@@ -398,18 +461,19 @@ type Answer struct {
 // value set is computed once per distinct slice; probabilities are still
 // summed in result order.
 func AggregateByNode(results []Result, qn *twig.Node) []Answer {
-	type group struct {
-		Answer
-		tie string // the order's tie-break, rendered once
-	}
-	byKey := map[string]*group{}
-	bySlice := map[ident]*group{}
-	var groups []*group // in order of first appearance
+	answers := make([]Answer, 0, 4)    // groups, in order of first appearance
+	var byKey smallTable[string, int]  // value set -> group
+	var bySlice smallTable[ident, int] // match slice -> group
+	var valSet map[string]bool
 	for _, r := range results {
 		id := sliceIdent(r.Matches)
-		g, fresh := bySlice[id], false
-		if g == nil {
-			valSet := map[string]bool{}
+		gi, ok := bySlice.get(id)
+		if !ok {
+			if valSet == nil {
+				valSet = map[string]bool{}
+			} else {
+				clear(valSet)
+			}
 			for _, m := range r.Matches {
 				if d := m.Get(qn); d != nil {
 					valSet[d.Text] = true
@@ -421,26 +485,51 @@ func AggregateByNode(results []Result, qn *twig.Node) []Answer {
 			}
 			sort.Strings(vals)
 			key := strings.Join(vals, "\x00")
-			if g = byKey[key]; g == nil {
-				g, fresh = &group{Answer: Answer{Values: vals, Prob: r.Prob}, tie: fmt.Sprint(vals)}, true
-				byKey[key] = g
-				groups = append(groups, g)
+			if gi, ok = byKey.get(key); !ok {
+				gi = len(answers)
+				answers = append(answers, Answer{Values: vals})
+				byKey.put(key, gi)
 			}
-			bySlice[id] = g
+			bySlice.put(id, gi)
 		}
-		if !fresh {
-			g.Prob += r.Prob
-		}
+		answers[gi].Prob += r.Prob
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		if groups[i].Prob != groups[j].Prob {
-			return groups[i].Prob > groups[j].Prob
-		}
-		return groups[i].tie < groups[j].tie
-	})
-	out := make([]Answer, len(groups))
-	for i, g := range groups {
-		out[i] = g.Answer
+	if len(answers) > 1 {
+		sort.Sort(&answerOrder{answers: answers})
 	}
-	return out
+	return answers
+}
+
+// answerOrder sorts answers by non-increasing probability, ties broken by
+// the rendered value list — which it renders, once, only for an answer
+// that ties with another on probability.
+type answerOrder struct {
+	answers []Answer
+	ties    []string // ties[i] is fmt.Sprint(answers[i].Values) once needed; never "" then
+}
+
+func (o *answerOrder) tie(i int) string {
+	if o.ties == nil {
+		o.ties = make([]string, len(o.answers))
+	}
+	if o.ties[i] == "" {
+		o.ties[i] = fmt.Sprint(o.answers[i].Values)
+	}
+	return o.ties[i]
+}
+
+func (o *answerOrder) Len() int { return len(o.answers) }
+
+func (o *answerOrder) Less(i, j int) bool {
+	if a, b := o.answers[i].Prob, o.answers[j].Prob; a != b {
+		return a > b
+	}
+	return o.tie(i) < o.tie(j)
+}
+
+func (o *answerOrder) Swap(i, j int) {
+	o.answers[i], o.answers[j] = o.answers[j], o.answers[i]
+	if o.ties != nil {
+		o.ties[i], o.ties[j] = o.ties[j], o.ties[i]
+	}
 }

@@ -28,7 +28,7 @@ import (
 func AppendResultsJSON(dst []byte, results []Result) []byte {
 	type span struct{ lo, hi int }
 	// Offsets, not sub-slices: dst may move when it grows.
-	rendered := make(map[ident]span)
+	var rendered smallTable[ident, span]
 	dst = append(dst, '[')
 	for i, r := range results {
 		if i > 0 {
@@ -40,14 +40,14 @@ func AppendResultsJSON(dst []byte, results []Result) []byte {
 		dst = appendJSONFloat(dst, r.Prob)
 		dst = append(dst, `,"matches":`...)
 		id := sliceIdent(r.Matches)
-		if sp, ok := rendered[id]; ok {
+		if sp, ok := rendered.get(id); ok {
 			// The source range lies below len(dst), so the copy is sound
 			// whether or not append reallocates.
 			dst = append(dst, dst[sp.lo:sp.hi]...)
 		} else {
 			lo := len(dst)
 			dst = appendMatchesJSON(dst, r.Matches)
-			rendered[id] = span{lo, len(dst)}
+			rendered.put(id, span{lo, len(dst)})
 		}
 		dst = append(dst, '}')
 	}

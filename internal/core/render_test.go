@@ -91,6 +91,27 @@ func TestAppendResultsJSONSelfAppendAcrossGrowth(t *testing.T) {
 	}
 }
 
+// TestAppendResultsJSONManyDistinctSlices: more distinct match slices than
+// the renderer's inline identity table holds (basic mode over many
+// rewrites), each repeated before and after the table spills into its map.
+func TestAppendResultsJSONManyDistinctSlices(t *testing.T) {
+	qn := &twig.Node{Label: "a"}
+	var slices [][]twig.Match
+	for i := 0; i < 3*smallTableInline; i++ {
+		slices = append(slices, []twig.Match{{{Q: qn, D: &xmltree.Node{Path: "p", Start: i + 1, Text: fmt.Sprint("t", i)}}}})
+	}
+	var results []Result
+	for round := 0; round < 3; round++ {
+		for i := range slices {
+			ms := slices[(i*5+round)%len(slices)]
+			results = append(results, Result{MappingIndex: len(results), Prob: 0.001 * float64(len(results)+1), Matches: ms})
+		}
+	}
+	if got, want := AppendResultsJSON(nil, results), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+		t.Fatalf("results:\ngot  %s\nwant %s", got, want)
+	}
+}
+
 // aggregateReference is AggregateByNode as it stood before value sets were
 // shared by slice identity and the tie-break rendered once: a value set per
 // result, fmt.Sprint inside the comparator.

@@ -227,26 +227,26 @@ func (h *Handle) ApplyTraced(tr *obs.Trace, edits []Edit, log func(epoch uint64,
 	defer h.mu.Unlock()
 	start := time.Now()
 	cur := h.cur.Load()
-	done := tr.Region("resolve", "")
+	reg := tr.Region("resolve", "")
 	rev := cur.Doc.BeginRevision()
 	for i, e := range edits {
 		if err := applyOne(rev, e); err != nil {
-			done()
+			reg.End()
 			return nil, &EditError{Index: i, Err: err}
 		}
 	}
-	done()
-	done = tr.Region("commit", "")
+	reg.End()
+	reg = tr.Region("commit", "")
 	doc, cs := rev.Commit()
-	done()
-	done = tr.Region("index", "")
+	reg.End()
+	reg = tr.Region("index", "")
 	ix := cur.Index.ApplyChanges(doc, cs)
 	doc.SetAccel(ix)
-	done()
+	reg.End()
 	if log != nil {
-		done = tr.Region("log", "")
+		reg = tr.Region("log", "")
 		err := log(ix.Epoch(), edits)
-		done()
+		reg.End()
 		if err != nil {
 			return nil, fmt.Errorf("delta: logging batch: %w", err)
 		}

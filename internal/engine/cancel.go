@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 )
 
 // ErrCanceled reports an evaluation unit that was abandoned because the
@@ -15,30 +14,34 @@ var ErrCanceled = errors.New("engine: evaluation canceled")
 
 // WithContext returns a view of the engine whose evaluations observe ctx:
 // once ctx is canceled or times out, every evaluation loop on the view —
-// including core's plan evaluation, which polls the view's stop flag
-// between units — exits at its next checkpoint, pool slots the view reserved are returned, and any bounded
-// slot wait (Options.SlotWait) is cut short. Evaluation results produced
-// after cancellation are partial; callers must check ctx.Err() before
-// trusting them.
+// including core's plan evaluation, which polls the view's done channel
+// between units — exits at its next checkpoint, pool slots the view
+// reserved are returned, and any bounded slot wait (Options.SlotWait) is
+// cut short. Evaluation results produced after cancellation are partial;
+// callers must check ctx.Err() before trusting them.
 //
 // The view shares the parent's worker budget, admission gates, and
-// prepared-query cache, like Sub. A context that can never be canceled
-// returns the engine unchanged, so the uncancellable path stays
-// zero-cost. The caller must eventually cancel ctx (request-scoped
-// contexts with a deferred cancel do) to release the cancellation hook.
+// prepared-query cache, like Sub. It registers nothing on ctx — a
+// checkpoint is a non-blocking receive on ctx.Done() — so there is nothing
+// to release when the request ends. A context that can never be canceled
+// returns the engine unchanged, so the uncancellable path stays zero-cost.
 func (e *Engine) WithContext(ctx context.Context) *Engine {
 	if ctx == nil || ctx.Done() == nil {
 		return e
 	}
 	view := *e
-	stop := new(atomic.Bool)
-	context.AfterFunc(ctx, func() { stop.Store(true) })
-	view.stop = stop
 	view.done = ctx.Done()
 	return &view
 }
 
 // canceled reports whether the view's context has been canceled. On an
-// engine without a context view this is a nil check — the fast path every
-// per-mapping loop pays.
-func (e *Engine) canceled() bool { return e.stop != nil && e.stop.Load() }
+// engine without a context view the channel is nil and the receive never
+// ready — the fast path every per-mapping loop pays.
+func (e *Engine) canceled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}

@@ -144,28 +144,29 @@ func (e *Engine) EvaluateTopKAcross(q *core.Query, set *mapping.Set, sh Shards, 
 }
 
 // runPlan is the one block-tree evaluation path: k = 0 for the plain PTQ.
-// A canceled view returns partial results, which callers discard.
+// A collection of one has nothing to scatter, so its plan runs on the
+// calling goroutine under the engine's own budget; several members are
+// evaluated side by side under per-shard sub-budgets. A canceled view
+// returns partial results, which callers discard.
 func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree, k int) []core.Result {
 	results := core.NewResultMerger(set)
 	if len(sh.Docs) == 0 {
 		return results.Finish()
 	}
-	subs := e.shardSubs(len(sh.Docs))
+	var subs []*Engine
+	if len(sh.Docs) > 1 {
+		subs = e.shardSubs(len(sh.Docs))
+	}
 	for _, ep := range q.Plan(set, bt).Embeddings {
 		if e.canceled() {
 			break
 		}
-		perShard := make([][][]twig.Match, len(sh.Docs))
-		e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				if e.canceled() {
-					return
-				}
-				start := time.Now()
-				perShard[s] = ep.Run(sh.Docs[s], k, e.stop, subs[s].each)
-				sh.observe(s, time.Since(start))
-			}
-		})
+		var perShard [][][]twig.Match
+		if subs == nil {
+			perShard = [][][]twig.Match{e.runShard(ep, sh, 0, k)}
+		} else {
+			perShard = e.scatter(ep, sh, subs, k)
+		}
 		if e.canceled() {
 			// A canceled scatter may have skipped shards entirely, leaving
 			// nil per-shard outputs; the results are discarded anyway.
@@ -174,6 +175,34 @@ func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.Bl
 		results.AddClasses(ep, k, perShard)
 	}
 	return results.Finish()
+}
+
+// scatter runs one embedding's plan over every member at once, member s
+// under subs[s], and returns the outputs in collection order.
+func (e *Engine) scatter(ep *core.EmbeddingPlan, sh Shards, subs []*Engine, k int) [][][]twig.Match {
+	perShard := make([][][]twig.Match, len(sh.Docs))
+	e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			if e.canceled() {
+				return
+			}
+			perShard[s] = subs[s].runShard(ep, sh, s, k)
+		}
+	})
+	return perShard
+}
+
+// runShard runs one embedding's plan over member s, its matcher calls
+// spread over e's workers, and reports the unit's wall time.
+func (e *Engine) runShard(ep *core.EmbeddingPlan, sh Shards, s, k int) [][]twig.Match {
+	var each func(n int, fn func(i int))
+	if e.workers > 1 {
+		each = e.each
+	}
+	start := time.Now()
+	out := ep.Run(sh.Docs[s], k, e.done, each)
+	sh.observe(s, time.Since(start))
+	return out
 }
 
 // EvaluateBatchAcross answers many queries over one sharded collection,

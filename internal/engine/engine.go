@@ -95,11 +95,9 @@ type Engine struct {
 	waiters  *atomic.Int64
 	waitLat  *obs.Histogram
 
-	// stop and done are set by WithContext: stop flips when the view's
-	// context ends (polled by evaluation loops), done is the context's
-	// Done channel (selected on by bounded slot waits). Both nil on an
-	// engine without a context view.
-	stop *atomic.Bool
+	// done is set by WithContext: the view's context's Done channel, polled
+	// by the evaluation loops and selected on by bounded slot waits. Nil on
+	// an engine without a context view.
 	done <-chan struct{}
 }
 
@@ -268,7 +266,7 @@ func (e *Engine) CollectMetrics(x *obs.Exporter, labels ...obs.Label) {
 // concurrently, then merged in mapping order. Results are identical to
 // core.EvaluateBasic.
 func (e *Engine) EvaluateBasic(q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
-	if e.workers <= 1 && e.stop == nil {
+	if e.workers <= 1 && e.done == nil {
 		return core.EvaluateBasic(q, set, doc)
 	}
 	results := core.NewResultMerger(set)

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"hash/fnv"
-	"io"
 	"strconv"
 
 	"xmatch/internal/core"
@@ -19,7 +17,17 @@ import (
 // Fingerprint returns the canonical workload fingerprint of a prepared
 // query evaluated in the given mode over the named dataset.
 func Fingerprint(dataset string, q *core.Query, mode string, k int) uint64 {
-	return FingerprintPattern(dataset, q.Pattern.String(), mode, k)
+	return FingerprintPattern(dataset, q.Canonical, mode, k)
+}
+
+// FingerprintK is the k a fingerprint — and every accounting row and
+// capture record filed under it — carries for a request's k: k itself in
+// topk mode, 0 in the modes whose evaluators ignore it.
+func FingerprintK(mode string, k int) int {
+	if mode != "topk" {
+		return 0
+	}
+	return k
 }
 
 // FingerprintPattern is Fingerprint over an already-canonical pattern
@@ -27,18 +35,28 @@ func Fingerprint(dataset string, q *core.Query, mode string, k int) uint64 {
 // recompute the fingerprint it is about to re-run. K participates only
 // in topk mode (the other evaluators ignore it, so it must not split
 // their fingerprints). The hash is FNV-64a over the NUL-separated
-// fields; dotted paths and pattern text never contain NUL.
+// fields, k in decimal; dotted paths and pattern text never contain NUL.
+// It is computed in place — every /v1/query pays it, so it allocates
+// nothing.
 func FingerprintPattern(dataset, canonicalPattern, mode string, k int) uint64 {
-	if mode != "topk" {
-		k = 0
+	h := uint64(fnvOffset64)
+	for _, field := range [...]string{dataset, canonicalPattern, mode} {
+		h = fnv64a(h, field)
+		h *= fnvPrime64 // the NUL separator: h ^ 0 == h
 	}
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, dataset)
-	_, _ = h.Write([]byte{0})
-	_, _ = io.WriteString(h, canonicalPattern)
-	_, _ = h.Write([]byte{0})
-	_, _ = io.WriteString(h, mode)
-	_, _ = h.Write([]byte{0})
-	_, _ = io.WriteString(h, strconv.Itoa(k))
-	return h.Sum64()
+	var kbuf [20]byte
+	return fnv64a(h, strconv.AppendInt(kbuf[:0], int64(FingerprintK(mode, k)), 10))
+}
+
+// FNV-64a, as hash/fnv computes it.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv64a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -152,7 +154,7 @@ func TestParseExpositionRejectsMalformed(t *testing.T) {
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.Add("x", "", time.Now(), time.Millisecond)
-	tr.Region("y", "")()
+	tr.Region("y", "").End()
 	if tr.ID() != "" || !tr.Start().IsZero() {
 		t.Fatal("nil trace not inert")
 	}
@@ -184,6 +186,49 @@ func TestTraceRecordsAndCaps(t *testing.T) {
 	}
 	if d.ID != "req-1" || d.DurUs != 50000 {
 		t.Fatalf("bad trace data: %+v", d)
+	}
+}
+
+// TestTraceSpansAcrossInlineArray: spans keep their order and content as
+// the list outgrows the trace's inline array, Data is a copy that later
+// spans do not reach, a Region records what Add would, and a request that
+// fits the array costs one allocation for the whole trace.
+func TestTraceSpansAcrossInlineArray(t *testing.T) {
+	tr := NewTrace("req-2")
+	var snapshots []TraceData
+	for i := 0; i < 3*inlineSpans; i++ {
+		if i%2 == 0 {
+			tr.Add("span", strconv.Itoa(i), tr.Start().Add(time.Duration(i)*time.Microsecond), time.Microsecond)
+		} else {
+			reg := tr.Region("span", strconv.Itoa(i))
+			reg.End()
+		}
+		snapshots = append(snapshots, tr.Data(time.Millisecond))
+	}
+	for n, d := range snapshots {
+		if len(d.Spans) != n+1 {
+			t.Fatalf("snapshot %d holds %d spans", n, len(d.Spans))
+		}
+		for i, sp := range d.Spans {
+			if sp.Name != "span" || sp.Detail != strconv.Itoa(i) || sp.StartUs < 0 {
+				t.Fatalf("snapshot %d span %d = %+v", n, i, sp)
+			}
+		}
+	}
+	begin := time.Now()
+	if avg := testing.AllocsPerRun(100, func() {
+		tr := NewTrace("req-3")
+		for i := 0; i < inlineSpans; i++ {
+			tr.Add("span", "", begin, time.Microsecond)
+			tr.Region("region", "").End()
+		}
+	}); avg > 2 { // the trace, and its span list's one move off the inline array
+		t.Fatalf("a trace of %d spans allocates %.1f times", 2*inlineSpans, avg)
+	}
+	// The ID's form is what fmt wrote before it was assembled by hand.
+	id := RequestID()
+	if want := fmt.Sprintf("r%x-%d", processEpoch, reqCounter.Load()); id != want || id == RequestID() {
+		t.Fatalf("request ID %q, want %q and then another", id, want)
 	}
 }
 

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,6 +24,12 @@ type Span struct {
 // over hundreds of shards truncates rather than growing without bound.
 const maxSpans = 256
 
+// inlineSpans is how many spans a trace holds before its span list moves
+// to the heap: a query over up to four shards (prepare, one shard_evaluate
+// each, evaluate, aggregate, encode) or a mutation (resolve, commit,
+// index, log, apply) fits, so the usual request's trace is one allocation.
+const inlineSpans = 8
+
 // Trace is a request-scoped span recorder. All methods are safe on a nil
 // receiver (no-ops), so instrumented code never branches on "is tracing
 // enabled" — it just records into whatever the context carries. Add is
@@ -35,13 +41,16 @@ type Trace struct {
 
 	mu      sync.Mutex
 	dataset string
-	spans   []Span
+	spans   []Span // backed by inline until it outgrows it
 	dropped int
+	inline  [inlineSpans]Span
 }
 
 // NewTrace starts a trace identified by id (usually a RequestID).
 func NewTrace(id string) *Trace {
-	return &Trace{id: id, start: time.Now()}
+	t := &Trace{id: id, start: time.Now()}
+	t.spans = t.inline[:0]
+	return t
 }
 
 // ID returns the trace's request ID ("" on nil).
@@ -102,17 +111,31 @@ func (t *Trace) Add(name, detail string, begin time.Time, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Region starts a span now and returns a func that completes it; use as
+// Region is a span in progress; End completes it. It is a plain value, so
+// opening a span allocates nothing.
+type Region struct {
+	t            *Trace
+	name, detail string
+	begin        time.Time
+}
+
+// Region starts a span now; use as
 //
-//	done := tr.Region("prepare", pattern)
+//	reg := tr.Region("prepare", pattern)
 //	... work ...
-//	done()
-func (t *Trace) Region(name, detail string) func() {
+//	reg.End()
+func (t *Trace) Region(name, detail string) Region {
 	if t == nil {
-		return func() {}
+		return Region{}
 	}
-	begin := time.Now()
-	return func() { t.Add(name, detail, begin, time.Since(begin)) }
+	return Region{t: t, name: name, detail: detail, begin: time.Now()}
+}
+
+// End records the span, from Region until now.
+func (r Region) End() {
+	if r.t != nil {
+		r.t.Add(r.name, r.detail, r.begin, time.Since(r.begin))
+	}
 }
 
 // TraceData is the JSON form of a completed trace, served by
@@ -240,7 +263,10 @@ var reqCounter atomic.Uint64
 // mint per request: a monotonic counter qualified by process start time
 // so IDs from different runs rarely collide in shared logs.
 func RequestID() string {
-	return fmt.Sprintf("r%x-%d", processEpoch, reqCounter.Add(1))
+	var buf [32]byte // "r" + 8 hex digits + "-" + 20 decimal digits at most
+	b := strconv.AppendInt(append(buf[:0], 'r'), processEpoch, 16)
+	b = strconv.AppendUint(append(b, '-'), reqCounter.Add(1), 10)
+	return string(b)
 }
 
 var processEpoch = time.Now().UnixNano() & 0xffffffff

@@ -25,14 +25,19 @@ type admission struct {
 	queueMax int64
 	queued   atomic.Int64
 	waitLat  *obs.Histogram
+	// releaseFn is the release method bound once, so admitting a request
+	// does not allocate the func it hands back.
+	releaseFn func()
 }
 
 func newAdmission(inflight, queue int) *admission {
-	return &admission{
+	a := &admission{
 		slots:    make(chan struct{}, inflight),
 		queueMax: int64(queue),
 		waitLat:  obs.NewHistogram(nil),
 	}
+	a.releaseFn = a.release
+	return a
 }
 
 // acquire admits the request, returning the release the caller must run
@@ -42,7 +47,7 @@ func newAdmission(inflight, queue int) *admission {
 func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case a.slots <- struct{}{}:
-		return a.release, nil
+		return a.releaseFn, nil
 	default:
 	}
 	if a.queued.Add(1) > a.queueMax {
@@ -54,7 +59,7 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case a.slots <- struct{}{}:
 		a.waitLat.Observe(time.Since(start))
-		return a.release, nil
+		return a.releaseFn, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"time"
 
 	"xmatch/internal/core"
@@ -40,8 +41,10 @@ type Shard struct {
 	Log *replica.ShardLog
 
 	// lat accumulates per-shard evaluation wall time, one observation per
-	// (embedding, shard) scatter unit.
-	lat *obs.Histogram
+	// (embedding, shard) scatter unit; spanDetail ("shard=N") labels the
+	// unit's span on a request trace.
+	lat        *obs.Histogram
+	spanDetail string
 }
 
 // EditLogPath returns the shard's resolved edit-log file path ("" when
@@ -106,12 +109,15 @@ func NewCollection(name string, set *mapping.Set, docs []*xmltree.Document, tau 
 		eopts.Workers = runtime.GOMAXPROCS(0)
 	}
 	c := &Collection{Name: name, Set: set, Tree: bt, Engine: engine.New(eopts)}
-	for _, doc := range docs {
+	for i, doc := range docs {
 		h := delta.Open(doc)
 		// The memory-only log starts at the document's current epoch (a
 		// checkpoint-restored document opens mid-history); durable logs
 		// replace it in buildDataset.
-		c.shards = append(c.shards, &Shard{Live: h, Log: replica.NewShardLog(h.Snapshot().Epoch), lat: obs.NewHistogram(nil)})
+		c.shards = append(c.shards, &Shard{
+			Live: h, Log: replica.NewShardLog(h.Snapshot().Epoch),
+			lat: obs.NewHistogram(nil), spanDetail: "shard=" + strconv.Itoa(i),
+		})
 	}
 	c.Live = c.shards[0].Live
 	return c, nil

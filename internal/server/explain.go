@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"xmatch/internal/core"
@@ -93,7 +92,7 @@ func traceObserver(tr *obs.Trace, ds *Dataset) func(int, time.Duration) {
 	}
 	return func(shard int, took time.Duration) {
 		ds.observeShard(shard, took)
-		tr.Add("shard_evaluate", "shard="+strconv.Itoa(shard), time.Now().Add(-took), took)
+		tr.Add("shard_evaluate", ds.shards[shard].spanDetail, time.Now().Add(-took), took)
 	}
 }
 

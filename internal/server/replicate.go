@@ -44,7 +44,7 @@ func (s *Server) resolveShard(w http.ResponseWriter, dataset string, shard int) 
 // mounted under.
 func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
 	var req replica.StreamRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r.Body, &req); err != nil {
 		s.failBody(w, err)
 		return
 	}
@@ -150,7 +150,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CheckpointRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r.Body, &req); err != nil {
 		s.failBody(w, err)
 		return
 	}

@@ -248,18 +248,19 @@ func New(loader Loader, opts Options) (*Server, error) {
 		s.capture = cl
 	}
 	// Every /v1 endpoint runs under guard (request deadline + panic
-	// recovery); the health/stats/metrics probes stay outside it so an
-	// operator can always inspect a struggling server.
+	// recovery), the traced ones through timed; the health/stats/metrics
+	// probes stay outside it so an operator can always inspect a struggling
+	// server.
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/query", s.timed("query", http.MethodPost, s.stats.latQuery, &s.stats.queries, s.guard("query", s.handleQuery)))
-	s.mux.HandleFunc("/v1/batch", s.timed("batch", http.MethodPost, s.stats.latBatch, &s.stats.batches, s.guard("batch", s.handleBatch)))
+	s.mux.HandleFunc("/v1/query", s.timed("query", http.MethodPost, s.stats.latQuery, &s.stats.queries, s.handleQuery))
+	s.mux.HandleFunc("/v1/batch", s.timed("batch", http.MethodPost, s.stats.latBatch, &s.stats.batches, s.handleBatch))
 	s.mux.HandleFunc("/v1/datasets", s.guard("datasets", s.handleDatasets))
 	s.mux.HandleFunc("/v1/admin/reload", s.guard("reload", s.handleReload))
-	s.mux.HandleFunc("/v1/admin/mutate", s.timed("mutate", http.MethodPost, s.stats.latMutate, &s.stats.mutates, s.guard("mutate", s.handleMutate)))
-	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed("checkpoint", http.MethodPost, s.stats.latCheckpoint, &s.stats.checkpoints, s.guard("checkpoint", s.handleCheckpoint)))
-	s.mux.HandleFunc(replica.StreamEndpoint, s.timed("replicate", http.MethodPost, s.stats.latReplicate, &s.stats.replicates, s.guard("replicate", s.handleReplicateStream)))
-	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.guard("replicate", s.handleReplicateCheckpoint)))
-	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.guard("replicate", s.handleReplicateManifest)))
+	s.mux.HandleFunc("/v1/admin/mutate", s.timed("mutate", http.MethodPost, s.stats.latMutate, &s.stats.mutates, s.handleMutate))
+	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed("checkpoint", http.MethodPost, s.stats.latCheckpoint, &s.stats.checkpoints, s.handleCheckpoint))
+	s.mux.HandleFunc(replica.StreamEndpoint, s.timed("replicate", http.MethodPost, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateStream))
+	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateCheckpoint))
+	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateManifest))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
@@ -468,19 +469,6 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// decodeBody decodes a JSON request body with a size cap, rejecting
-// trailing garbage.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data after JSON body")
-	}
-	return nil
-}
-
 // failBody maps a decodeBody error onto the right status: an oversized
 // body is 413 (the request was well-formed, just too big — retrying it
 // unchanged cannot help), anything else is 400. Every body-decoding
@@ -508,12 +496,12 @@ func (s *Server) method(w http.ResponseWriter, r *http.Request, want string) boo
 }
 
 // timed wraps a handler with method enforcement, the in-flight gauge, the
-// request counter, the latency histogram, and request-scoped tracing: it
-// mints a request ID, threads a span recorder through the request
-// context (handlers and the engine's shard observer record into it), and
-// finishes the trace into the tail-sampled slow-query log. A retained
-// trace also emits one structured log line carrying the request ID, so
-// logs and /v1/debug/traces correlate. The admin and replication
+// request counter, the latency histogram, request-scoped tracing and the
+// guard envelope: it mints a request ID, threads a span recorder through
+// the request context (handlers and the engine's shard observer record
+// into it), and finishes the trace into the tail-sampled slow-query log. A
+// retained trace also emits one structured log line carrying the request
+// ID, so logs and /v1/debug/traces correlate. The admin and replication
 // endpoints run under the same wrapper as the query path, so a
 // checkpoint or replica pull is as traceable as any query.
 func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic.Uint64, fn http.HandlerFunc) http.HandlerFunc {
@@ -526,7 +514,6 @@ func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic
 		id := obs.RequestID()
 		tr := obs.NewTrace(id)
 		w.Header().Set("X-Request-Id", id)
-		r = r.WithContext(obs.WithTrace(r.Context(), tr))
 		start := time.Now()
 		defer func() {
 			total := time.Since(start)
@@ -540,7 +527,7 @@ func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic
 					"ms", float64(total.Microseconds())/1e3)
 			}
 		}()
-		fn(w, r)
+		s.guarded(obs.WithTrace(r.Context(), tr), endpoint, fn, w, r)
 	}
 }
 
@@ -550,26 +537,32 @@ func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic
 // 500 carrying the request ID while the stack goes to the structured
 // log — one broken request must not take the daemon down with it.
 func (s *Server) guard(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.opts.QueryTimeout > 0 {
-			ctx, cancel := context.WithTimeout(r.Context(), s.opts.QueryTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				id := w.Header().Get("X-Request-Id")
-				s.stats.panics.Add(1)
-				s.logger.Error("handler panic",
-					"endpoint", endpoint,
-					"id", id,
-					"panic", fmt.Sprint(p),
-					"stack", string(debug.Stack()))
-				s.fail(w, http.StatusInternalServerError, "internal error serving %s (request %s)", endpoint, id)
-			}
-		}()
-		fn(w, r)
+	return func(w http.ResponseWriter, r *http.Request) { s.guarded(r.Context(), endpoint, fn, w, r) }
+}
+
+// guarded runs fn inside the guard envelope. ctx is the request's context
+// with whatever the caller layered on it (timed: the trace); the deadline
+// goes on top, and the request the handler sees is derived from r once.
+func (s *Server) guarded(ctx context.Context, endpoint string, fn http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
+	if s.opts.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
+		defer cancel()
 	}
+	r = r.WithContext(ctx)
+	defer func() {
+		if p := recover(); p != nil {
+			id := w.Header().Get("X-Request-Id")
+			s.stats.panics.Add(1)
+			s.logger.Error("handler panic",
+				"endpoint", endpoint,
+				"id", id,
+				"panic", fmt.Sprint(p),
+				"stack", string(debug.Stack()))
+			s.fail(w, http.StatusInternalServerError, "internal error serving %s (request %s)", endpoint, id)
+		}
+	}()
+	fn(w, r)
 }
 
 // TimeoutResponse is the body of a 503 produced by an expired request
@@ -709,9 +702,9 @@ func (s *Server) awaitEpoch(ctx context.Context, tr *obs.Trace, ds *Dataset, min
 			// An inline nudge replays the primary's pending records on this
 			// goroutine, so the replay shows up as a span of the request that
 			// demanded the epoch.
-			done := tr.Region("replica_sync", ds.Name)
+			reg := tr.Region("replica_sync", ds.Name)
 			_ = s.follower.Sync(ds.Name) // errors surface as lag; keep waiting
-			done()
+			reg.End()
 			if snapsEpoch(ds.Snapshots()) >= min {
 				return true
 			}
@@ -764,8 +757,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	tr := obs.TraceFrom(r.Context())
-	var req QueryRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	req, err := s.decodeQuery(w, r)
+	if err != nil {
 		s.failBody(w, err)
 		return
 	}
@@ -778,7 +771,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx = tctx
 	}
 	timeout := s.queryTimeout(req.TimeoutMs)
-	explain := req.Explain || r.URL.Query().Get("explain") == "1"
+	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
+	explain := req.Explain || (r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1")
 	ds := s.Catalog().Get(req.Dataset)
 	if ds == nil {
 		s.fail(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
@@ -803,9 +797,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.MinEpoch > 0 {
-		done := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
+		reg := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
 		ok := s.awaitEpoch(ctx, tr, ds, req.MinEpoch)
-		done()
+		reg.End()
 		if !ok {
 			if ctx.Err() != nil {
 				s.failTimeout(w, ctx, "await_epoch", timeout)
@@ -826,7 +820,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	eng := ds.Engine.Sub(s.budget(ds)).WithContext(ctx)
 	prepStart := time.Now()
 	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
-	tr.Add("prepare", "cached="+strconv.FormatBool(cached), prepStart, time.Since(prepStart))
+	prepDetail := "cached=false"
+	if cached {
+		prepDetail = "cached=true"
+	}
+	tr.Add("prepare", prepDetail, prepStart, time.Since(prepStart))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -836,7 +834,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		before = shardCounters(snaps)
 	}
 	sh := engine.Shards{Docs: shardDocs(snaps), Observe: traceObserver(tr, ds)}
-	evalDone := tr.Region("evaluate", mode)
+	evalReg := tr.Region("evaluate", mode)
 	var results []core.Result
 	switch mode {
 	case "basic":
@@ -846,26 +844,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default: // topk
 		results = eng.EvaluateTopKAcross(q, ds.Set, sh, ds.Tree, req.K)
 	}
-	evalDone()
+	evalReg.End()
 	// A fired deadline means the evaluators returned partial results;
 	// they are discarded, never served.
 	if ctx.Err() != nil {
 		s.failTimeout(w, ctx, "evaluate", timeout)
 		return
 	}
-	aggDone := tr.Region("aggregate", "")
+	aggReg := tr.Region("aggregate", "")
 	answers := core.AggregateLeaf(q, results)
-	aggDone()
+	aggReg.End()
 	epoch := snapsEpoch(snaps)
 	// The body is rendered whole before anything is accounted or written,
 	// so the latency the workload table and the capture record see includes
 	// the encode — the largest stage of a big compact answer.
 	body := getBody()
 	defer body.release()
-	encDone := tr.Region("encode", "")
+	encReg := tr.Region("encode", "")
 	var payload payloadSpans
 	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, results, answers)
-	encDone()
+	encReg.End()
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
 		var plan *core.PlanStats
@@ -880,19 +878,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// receive: the fingerprint keys the prepared query's canonical pattern
 	// (not the request text), and the capture's digest covers the exact
 	// wire results and answers, so a replay diffs against what was served.
-	canonical := q.Pattern.String()
-	fp := engine.FingerprintPattern(req.Dataset, canonical, mode, req.K)
+	// The row and the record carry the k the fingerprint hashed — the
+	// request's only in topk mode — so every request sharing a fingerprint
+	// files the same (mode, k); the response above echoes the request's.
+	k := engine.FingerprintK(mode, req.K)
+	fp := engine.FingerprintPattern(req.Dataset, q.Canonical, mode, k)
 	latency := time.Since(start)
-	s.workload.record(fp, req.Dataset, canonical, mode, req.K, cached, len(results), epoch, latency)
+	s.workload.record(fp, req.Dataset, q.Canonical, mode, k, cached, len(results), epoch, latency)
 	if s.capture.sample() {
 		// The digest is hashed from the rendered bytes before the log takes
 		// its mutex; a sampled-out request never pays for it.
 		s.capture.record(store.WorkloadRecord{
 			Fingerprint: fp,
 			Dataset:     req.Dataset,
-			Pattern:     canonical,
+			Pattern:     q.Canonical,
 			Mode:        mode,
-			K:           req.K,
+			K:           k,
 			Epoch:       epoch,
 			LatencyUs:   latency.Microseconds(),
 			Digest:      digestPayload(body.b, payload),
@@ -909,7 +910,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	tr := obs.TraceFrom(r.Context())
 	var req BatchRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r.Body, &req); err != nil {
 		s.failBody(w, err)
 		return
 	}
@@ -935,9 +936,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.MinEpoch > 0 {
-		done := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
+		reg := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
 		ok := s.awaitEpoch(ctx, tr, ds, req.MinEpoch)
-		done()
+		reg.End()
 		if !ok {
 			if ctx.Err() != nil {
 				s.failTimeout(w, ctx, "await_epoch", timeout)
@@ -957,26 +958,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, bq := range req.Queries {
 		engReqs[i] = engine.Request{Pattern: bq.Pattern, K: bq.K}
 	}
-	evalDone := tr.Region("evaluate", "queries="+strconv.Itoa(len(engReqs)))
+	evalReg := tr.Region("evaluate", "queries="+strconv.Itoa(len(engReqs)))
 	evaluated := eng.EvaluateBatchAcross(ds.Set, sh, ds.Tree, engReqs)
-	evalDone()
+	evalReg.End()
 	if ctx.Err() != nil {
 		s.failTimeout(w, ctx, "evaluate", timeout)
 		return
 	}
-	aggDone := tr.Region("aggregate", "")
+	aggReg := tr.Region("aggregate", "")
 	answers := make([][]core.Answer, len(evaluated))
 	for i, er := range evaluated {
 		if er.Err == nil {
 			answers[i] = core.AggregateLeaf(er.Query, er.Results)
 		}
 	}
-	aggDone()
+	aggReg.End()
 	body := getBody()
 	defer body.release()
-	encDone := tr.Region("encode", "")
+	encReg := tr.Region("encode", "")
 	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(snaps), evaluated, answers)
-	encDone()
+	encReg.End()
 	writeBody(w, body.b)
 }
 
@@ -1056,7 +1057,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req MutateRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeBody(w, r.Body, &req); err != nil {
 		s.failBody(w, err)
 		return
 	}
@@ -1104,9 +1105,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	// from either way. A log retired by a concurrent reload refuses the
 	// append, failing the mutate instead of writing to a file the new
 	// catalog generation now owns.
-	applyDone := tr.Region("apply", "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits)))
+	applyReg := tr.Region("apply", "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits)))
 	snap, err := shard.Live.ApplyTraced(tr, req.Edits, shard.Log.Append)
-	applyDone()
+	applyReg.End()
 	s.reloadMu.RUnlock()
 	if err != nil {
 		var ee *delta.EditError

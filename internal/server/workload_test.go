@@ -214,6 +214,67 @@ func TestWorkloadDebugEndpoint(t *testing.T) {
 	}
 }
 
+// TestWorkloadKIgnoredOutsideTopK: the evaluators ignore k outside topk
+// mode and so does the fingerprint, so the row and the capture records a
+// fingerprint files must not carry whichever k its first request happened
+// to send. The response still echoes the request's own k.
+func TestWorkloadKIgnoredOutsideTopK(t *testing.T) {
+	capPath := filepath.Join(t.TempDir(), "k.capture")
+	env := newTestEnv(t, server.Options{CapturePath: capPath})
+	f := env.fixtures[0]
+	for _, k := range []int{7, 0, 7} {
+		for _, mode := range []string{"compact", "basic"} {
+			resp, body := postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: f.name, Pattern: f.queries[0], Mode: mode, K: k})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("mode %s k=%d: status %d: %s", mode, k, resp.StatusCode, body)
+			}
+			var qr server.QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if qr.K != k {
+				t.Fatalf("mode %s: response echoes k=%d, request sent %d", mode, qr.K, k)
+			}
+		}
+	}
+	resp, body := getJSON(t, env.ts.URL+"/v1/debug/workload")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var dbg struct {
+		Entries []map[string]any `json:"entries"`
+	}
+	if err := json.Unmarshal(body, &dbg); err != nil {
+		t.Fatal(err)
+	}
+	if len(dbg.Entries) != 2 {
+		t.Fatalf("k split the fingerprints: %d rows, want one per mode: %s", len(dbg.Entries), body)
+	}
+	for _, e := range dbg.Entries {
+		if _, has := e["k"]; has || e["requests"] != float64(3) {
+			t.Fatalf("row carries a k or missed a request: %v", e)
+		}
+	}
+	if err := env.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := store.LoadWorkloadFile(capPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Records) != 6 {
+		t.Fatalf("captured %d records, want 6", len(w.Records))
+	}
+	for i, rec := range w.Records {
+		if rec.K != 0 || rec.Fingerprint != engine.FingerprintPattern(rec.Dataset, rec.Pattern, rec.Mode, 7) {
+			t.Fatalf("record %d: k=%d fingerprint %016x under mode %s", i, rec.K, rec.Fingerprint, rec.Mode)
+		}
+	}
+	if rep := server.ReplayWorkload(w.Records, server.HandlerReplayRunner(env.srv)); rep.Matched != rep.Total || len(rep.Diffs) > 0 {
+		t.Fatalf("replay: %d/%d matched, diffs %+v", rep.Matched, rep.Total, rep.Diffs)
+	}
+}
+
 func TestSLOHealthz(t *testing.T) {
 	// Objective 0.5 with a 1ms target: requests that spend ~30ms waiting
 	// for an unreachable epoch are guaranteed misses, so the budget burns
