@@ -1223,6 +1223,9 @@ func (l *handlerLoop) serve(b *testing.B, body []byte) {
 // write — cycling over the Table III twigs on the 3,473-node document with
 // |M|=100: compact (bodies of hundreds of KB, where rendering dominates)
 // and top-k with k=5 (small bodies, where the fixed per-request cost does).
+// compact-cpu1 is compact on a single P, where a sync.Pool always hands
+// back what the last request put: the difference between the two in B/op
+// is what the pooled response buffer costs when the caller migrates.
 func BenchmarkServeQuery(b *testing.B) {
 	man := &store.Catalog{Entries: []store.CatalogEntry{
 		{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 3473, DocSeed: 42, Tau: 0.2},
@@ -1233,14 +1236,17 @@ func BenchmarkServeQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name string
-		k    int
-	}{{"compact", 0}, {"topk", 5}} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, c := range []struct {
+		name, mode string
+		k, procs   int
+	}{{"compact", "compact", 0, 0}, {"compact-cpu1", "compact", 0, 1}, {"topk", "topk", 5, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			}
 			var bodies [][]byte
 			for _, q := range dataset.Queries() {
-				body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mode.name, K: mode.k})
+				body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: c.mode, K: c.k})
 				if err != nil {
 					b.Fatal(err)
 				}

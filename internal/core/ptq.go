@@ -224,6 +224,17 @@ func (t *smallTable[K, V]) put(k K, v V) {
 	t.spill[k] = v
 }
 
+// set stores v under k, replacing k's value if it has one.
+func (t *smallTable[K, V]) set(k K, v V) {
+	for i := 0; i < t.n; i++ {
+		if t.keys[i] == k {
+			t.vals[i] = v
+			return
+		}
+	}
+	t.put(k, v)
+}
+
 // ResultMerger accumulates per-mapping matches across embeddings,
 // deduplicating matches by canonical key. Adding nil matches still registers
 // the mapping, so relevant mappings with empty answers appear in the final
@@ -242,6 +253,9 @@ func (t *smallTable[K, V]) put(k K, v V) {
 // A merger lives from NewResultMerger to Finish: its two |M|-sized tables
 // are scratch, so Finish hands them to the next evaluation instead of to
 // the garbage collector, and the merger must not be touched afterwards.
+// The results Finish returns are the caller's for good — unless the caller
+// gives them up with ReleaseResults, after which it must not touch them
+// either: the next Finish fills the same array.
 type ResultMerger struct {
 	set *mapping.Set
 	// All three are indexed by mapping index.
@@ -249,6 +263,7 @@ type ResultMerger struct {
 	added   []bool            // the mapping is part of the answer, possibly with no matches
 	seen    []map[string]bool // built on the second Add for a mapping
 	n       int               // mappings added
+	out     []Result          // an array ReleaseResults handed back, all zero, for Finish to fill
 }
 
 // mergerPool recycles finished mergers. A pooled merger's tables are zero
@@ -430,7 +445,11 @@ func mergeStreams(streams [][]twig.Match) []twig.Match {
 // Finish returns the accumulated results ordered by mapping index and
 // retires the merger.
 func (r *ResultMerger) Finish() []Result {
-	out := make([]Result, 0, r.n)
+	out := r.out
+	r.out = nil
+	if out == nil || cap(out) < r.n { // an empty answer is an empty slice, never nil
+		out = make([]Result, 0, r.n)
+	}
 	for mi, ok := range r.added {
 		if ok {
 			out = append(out, Result{MappingIndex: mi, Prob: r.set.Mappings[mi].Prob, Matches: r.matches[mi]})
@@ -440,6 +459,24 @@ func (r *ResultMerger) Finish() []Result {
 	r.set, r.seen, r.n = nil, nil, 0
 	mergerPool.Put(r)
 	return out
+}
+
+// ReleaseResults gives a results slice Finish returned back for a later
+// Finish to fill. Only a caller that is done with every element — the
+// response is rendered and written — may call it, and at most once per
+// slice; nothing is lost by never calling it. The array is cleared first,
+// so a parked one pins no match slice.
+func ReleaseResults(rs []Result) {
+	if cap(rs) == 0 {
+		return
+	}
+	rs = rs[:cap(rs)]
+	clear(rs)
+	r := mergerPool.Get().(*ResultMerger)
+	if cap(r.out) < len(rs) {
+		r.out = rs[:0]
+	}
+	mergerPool.Put(r)
 }
 
 // Answer is an aggregated PTQ answer: the text values bound to one query

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
+	"xmatch/internal/mapping"
 	"xmatch/internal/twig"
 )
 
@@ -22,32 +24,105 @@ import (
 // later mapping with the same slice gets a copy of the bytes already in the
 // buffer.
 
+// ResultHeads holds, for every mapping of a set, the bytes a result object
+// for that mapping opens with — {"mapping":i,"prob":p,"matches": — which
+// are constants of the mapping set, not of a request. The nil table is
+// valid and holds no heads.
+type ResultHeads []resultHead
+
+type resultHead struct {
+	prob  float64
+	bytes []byte
+}
+
+// NewResultHeads renders the head of every mapping of the set.
+func NewResultHeads(set *mapping.Set) ResultHeads {
+	heads := make(ResultHeads, set.Len())
+	// One array for all heads; should it move while it grows, the heads
+	// already cut keep the array they were cut from.
+	buf := make([]byte, 0, 64*len(heads))
+	for mi, m := range set.Mappings {
+		lo := len(buf)
+		buf = appendResultHead(buf, mi, m.Prob)
+		heads[mi] = resultHead{prob: m.Prob, bytes: buf[lo:len(buf):len(buf)]}
+	}
+	return heads
+}
+
+// head returns the rendered head of r, or nil when the table does not hold
+// r's mapping at exactly r's probability. A head is a function of the
+// mapping index and the probability's bits, so a hit is what
+// appendResultHead would write.
+func (h ResultHeads) head(r Result) []byte {
+	if uint(r.MappingIndex) < uint(len(h)) {
+		if e := &h[r.MappingIndex]; math.Float64bits(e.prob) == math.Float64bits(r.Prob) {
+			return e.bytes
+		}
+	}
+	return nil
+}
+
+func appendResultHead(dst []byte, mi int, prob float64) []byte {
+	dst = append(dst, `{"mapping":`...)
+	dst = strconv.AppendInt(dst, int64(mi), 10)
+	dst = append(dst, `,"prob":`...)
+	dst = appendJSONFloat(dst, prob)
+	return append(dst, `,"matches":`...)
+}
+
 // AppendResultsJSON appends the JSON array of results, exactly as
 // encoding/json renders ToWire(results). Probabilities must be finite
-// (mapping probabilities and their sums are).
-func AppendResultsJSON(dst []byte, results []Result) []byte {
-	type span struct{ lo, hi int }
-	// Offsets, not sub-slices: dst may move when it grows.
-	var rendered smallTable[ident, span]
+// (mapping probabilities and their sums are). A result found in heads opens
+// with a copy of its head; any other — every one under a nil table — is
+// formatted here, to the same bytes.
+//
+// The buffer grows once per distinct match slice, not once per doubling:
+// the results carrying each slice are counted first, and when a slice's
+// fragment has been rendered and its length is known, room for its repeats
+// is reserved in one step, on top of what is already known to follow.
+func AppendResultsJSON(dst []byte, results []Result, heads ResultHeads) []byte {
+	// frag is one distinct match slice: how many results carry it and,
+	// once the first of them has rendered it (hi > 0), where its bytes lie
+	// — offsets, not a sub-slice: dst may move when it grows.
+	type frag struct{ n, lo, hi int }
+	var frags smallTable[ident, frag]
+	// ahead counts the bytes known to follow len(dst): the brackets, every
+	// result's head, comma and brace, and the repeats of rendered fragments.
+	ahead := 2
+	for _, r := range results {
+		id := sliceIdent(r.Matches)
+		f, _ := frags.get(id)
+		f.n++
+		frags.set(id, f)
+		ahead += len(heads.head(r)) + 2
+	}
+	dst = slices.Grow(dst, ahead)
 	dst = append(dst, '[')
 	for i, r := range results {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"mapping":`...)
-		dst = strconv.AppendInt(dst, int64(r.MappingIndex), 10)
-		dst = append(dst, `,"prob":`...)
-		dst = appendJSONFloat(dst, r.Prob)
-		dst = append(dst, `,"matches":`...)
+		h := heads.head(r)
+		if h != nil {
+			dst = append(dst, h...)
+		} else {
+			dst = appendResultHead(dst, r.MappingIndex, r.Prob)
+		}
+		ahead -= len(h) + 2
 		id := sliceIdent(r.Matches)
-		if sp, ok := rendered.get(id); ok {
+		f, _ := frags.get(id)
+		if f.hi > 0 {
 			// The source range lies below len(dst), so the copy is sound
 			// whether or not append reallocates.
-			dst = append(dst, dst[sp.lo:sp.hi]...)
+			dst = append(dst, dst[f.lo:f.hi]...)
+			ahead -= f.hi - f.lo
 		} else {
-			lo := len(dst)
+			f.lo = len(dst)
 			dst = appendMatchesJSON(dst, r.Matches)
-			rendered.put(id, span{lo, len(dst)})
+			f.hi = len(dst)
+			frags.set(id, f)
+			ahead += (f.n - 1) * (f.hi - f.lo)
+			dst = slices.Grow(dst, ahead)
 		}
 		dst = append(dst, '}')
 	}

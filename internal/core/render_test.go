@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"xmatch/internal/dataset"
+	"xmatch/internal/index"
+	"xmatch/internal/mapgen"
+	"xmatch/internal/mapping"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
@@ -53,11 +58,11 @@ func mustMarshal(t testing.TB, v any) []byte {
 // encoding/json's bytes for the wire forms, shared fragments included.
 func TestAppendResultsJSONMatchesEncodingJSON(t *testing.T) {
 	results := sharedResults()
-	if got, want := AppendResultsJSON(nil, results), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+	if got, want := AppendResultsJSON(nil, results, nil), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
 		t.Fatalf("results:\ngot  %s\nwant %s", got, want)
 	}
 	for _, rs := range [][]Result{nil, {}} {
-		if got := AppendResultsJSON(nil, rs); string(got) != "[]" {
+		if got := AppendResultsJSON(nil, rs, headsOf(0.5)); string(got) != "[]" {
 			t.Fatalf("empty results rendered %s", got)
 		}
 	}
@@ -81,11 +86,14 @@ func TestAppendResultsJSONMatchesEncodingJSON(t *testing.T) {
 // and in the middle of the self-append — and the bytes must never differ.
 func TestAppendResultsJSONSelfAppendAcrossGrowth(t *testing.T) {
 	results := sharedResults()
+	// Heads for some of the results, so both ways of opening a result
+	// cross a growth.
+	heads := headsOf(0.25, 1e-7, 0, 0.125)
 	prefix := []byte(`{"results":`)
 	want := append(append([]byte(nil), prefix...), mustMarshal(t, ToWire(results))...)
 	for c := len(prefix); c <= len(want); c++ {
 		dst := append(make([]byte, 0, c), prefix...)
-		if got := AppendResultsJSON(dst, results); !bytes.Equal(got, want) {
+		if got := AppendResultsJSON(dst, results, heads); !bytes.Equal(got, want) {
 			t.Fatalf("capacity %d:\ngot  %s\nwant %s", c, got, want)
 		}
 	}
@@ -107,8 +115,100 @@ func TestAppendResultsJSONManyDistinctSlices(t *testing.T) {
 			results = append(results, Result{MappingIndex: len(results), Prob: 0.001 * float64(len(results)+1), Matches: ms})
 		}
 	}
-	if got, want := AppendResultsJSON(nil, results), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+	if got, want := AppendResultsJSON(nil, results, nil), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
 		t.Fatalf("results:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// headsOf is the head table of a mapping set with these probabilities.
+func headsOf(probs ...float64) ResultHeads {
+	set := &mapping.Set{}
+	for _, p := range probs {
+		set.Mappings = append(set.Mappings, &mapping.Mapping{Prob: p})
+	}
+	return NewResultHeads(set)
+}
+
+// TestAppendResultsJSONWithHeads: with a head table the bytes are still
+// encoding/json's, whether a result's head is the table's (every float
+// form: zero, minus zero, both exponent forms, subnormals), differs from it
+// in the last bit or in the sign of zero, or names a mapping the table does
+// not hold — and only the first kind is copied.
+func TestAppendResultsJSONWithHeads(t *testing.T) {
+	probs := []float64{0, math.Copysign(0, -1), 1e-7, 1e21, 5e-324, 2.2250738585072009e-308, 0.1, 1, 123456789.125e-15, 9.999999999999999e20, 1e-6}
+	heads := headsOf(probs...)
+	ms := sharedResults()[0].Matches
+	var results []Result
+	taken := 0
+	add := func(mi int, p float64, hit bool) {
+		r := Result{MappingIndex: mi, Prob: p, Matches: ms}
+		if got := heads.head(r) != nil; got != hit {
+			t.Fatalf("mapping %d prob %v: head found %v, want %v", mi, p, got, hit)
+		}
+		if hit {
+			taken++
+		}
+		results = append(results, r)
+	}
+	for mi, p := range probs {
+		add(mi, p, true)
+		add(mi, math.Nextafter(p, 2), false)
+		add(mi, -p, false) // the sign bit alone, zero's included
+		add(mi-len(probs)-1, p, false)
+		add(mi+len(probs), p, false)
+	}
+	add(0, probs[1], false) // 0 and -0 compare equal and render differently
+	add(1, probs[0], false)
+	if taken != len(probs) {
+		t.Fatalf("%d results took a head, want %d", taken, len(probs))
+	}
+	want := mustMarshal(t, ToWire(results))
+	if got := AppendResultsJSON(nil, results, heads); !bytes.Equal(got, want) {
+		t.Fatalf("with heads:\ngot  %s\nwant %s", got, want)
+	}
+	if got := AppendResultsJSON(nil, results, nil); !bytes.Equal(got, want) {
+		t.Fatalf("without heads:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestTableIIIResultsTakeHeads: every result the evaluators produce for the
+// benchmark's collection (D7, |M| = 100, the 3,473-node document), compact
+// and top-5, opens with its mapping's head — so the equivalence tests above
+// cannot pass by always formatting.
+func TestTableIIIResultsTakeHeads(t *testing.T) {
+	d, err := dataset.Load("D7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := d.OrderDocument(3473, 42)
+	index.Attach(doc)
+	set, err := mapgen.TopH(d.Matching, 100, mapgen.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := Build(set, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heads := NewResultHeads(set)
+	for _, spec := range dataset.Queries() {
+		q, err := PrepareQuery(spec.Text, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, results := range [][]Result{Evaluate(q, set, doc, bt), EvaluateTopK(q, set, doc, bt, 5)} {
+			if len(results) == 0 {
+				t.Fatalf("%s: empty answer", spec.ID)
+			}
+			for _, r := range results {
+				if heads.head(r) == nil {
+					t.Fatalf("%s: mapping %d (prob %v) does not take its head", spec.ID, r.MappingIndex, r.Prob)
+				}
+			}
+			if got, want := AppendResultsJSON(nil, results, heads), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d results differ from encoding/json", spec.ID, len(results))
+			}
+		}
 	}
 }
 

@@ -78,6 +78,10 @@ type Collection struct {
 	Live *delta.Handle
 
 	shards []*Shard
+	// heads is what every result object of a mapping opens with on the
+	// wire. It changes only with the mapping set, so it is rendered once,
+	// beside the block tree.
+	heads core.ResultHeads
 }
 
 // Dataset is the historical name for a single-shard collection; the two
@@ -108,7 +112,7 @@ func NewCollection(name string, set *mapping.Set, docs []*xmltree.Document, tau 
 	if eopts.Workers == 0 {
 		eopts.Workers = runtime.GOMAXPROCS(0)
 	}
-	c := &Collection{Name: name, Set: set, Tree: bt, Engine: engine.New(eopts)}
+	c := &Collection{Name: name, Set: set, Tree: bt, heads: core.NewResultHeads(set), Engine: engine.New(eopts)}
 	for i, doc := range docs {
 		h := delta.Open(doc)
 		// The memory-only log starts at the document's current epoch (a

@@ -1,10 +1,11 @@
 package server_test
 
-// The fixed cost of a request: an allocation budget for the warmed top-k
-// handler that needs no clock, the per-prepared-query constants against
-// their definitions, and a hammer that sends distinct requests through
-// everything requests now share — the pooled read-ahead buffers and merger
-// tables, the inline trace spans — while the slow-query log is scraped.
+// The fixed cost of a request: allocation budgets for the warmed top-k and
+// compact handlers that need no clock, the per-prepared-query constants
+// against their definitions, and a hammer that sends distinct requests through
+// everything requests now share — the pooled read-ahead buffers, merger
+// tables and results arrays, the inline trace spans — while the slow-query
+// log is scraped.
 
 import (
 	"bytes"
@@ -15,10 +16,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
 	"xmatch/internal/obs"
@@ -74,18 +77,14 @@ func (w *statusWriter) Header() http.Header         { return w.header }
 func (w *statusWriter) WriteHeader(code int)        { w.code = code }
 func (w *statusWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// TestTopKRequestAllocBudget: a warmed top-k request (k = 5, averaged over
-// the Table III twigs) stays within 75 allocations, evaluation and
-// rendering included. The same loop measured ~120 before the request side
-// stopped paying for reflection, per-request renderings of per-query
-// constants, |M|-sized gather tables and a second context derivation; the
-// budget leaves room for the race detector's sync.Pool misses, not for any
-// of those to come back.
-func TestTopKRequestAllocBudget(t *testing.T) {
-	srv := benchServer(t, server.Options{})
+// requestCost serves the Table III twigs in one mode through the warmed
+// handler on a single P — where a sync.Pool hands back what was just put —
+// and returns what one request allocates, in objects and in bytes.
+func requestCost(t *testing.T, srv *server.Server, mode string, k int) (allocs, bytes float64) {
+	t.Helper()
 	var bodies [][]byte
 	for _, q := range dataset.Queries() {
-		body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: "topk", K: 5})
+		body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mode, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,22 +96,83 @@ func TestTopKRequestAllocBudget(t *testing.T) {
 	}
 	rr := &reusedRequest{h: srv, tmpl: tmpl}
 	w := &statusWriter{header: http.Header{}}
-	i := 0
-	serve := func() {
+	serve := func(i int) {
 		w.code = 0
 		rr.serve(w, bodies[i%len(bodies)])
 		if w.code != http.StatusOK {
 			t.Fatalf("status %d", w.code)
 		}
-		i++
 	}
-	for range bodies {
-		serve() // fill the prepared-query cache and the matcher memo
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i := range 2 * len(bodies) {
+		serve(i) // fill the prepared-query cache, the matcher memo and the pools
 	}
-	avg := testing.AllocsPerRun(20*len(bodies), serve)
-	t.Logf("allocs/op %.1f", avg)
-	if avg > 75 {
-		t.Fatalf("a warmed top-k request allocates %.1f times, budget 75", avg)
+	runs := 20 * len(bodies)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		serve(i)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestTopKRequestAllocBudget: a warmed top-k request (k = 5, averaged over
+// the Table III twigs) stays within 75 allocations, evaluation and
+// rendering included. The same loop measured ~120 before the request side
+// stopped paying for reflection, per-request renderings of per-query
+// constants, |M|-sized gather tables and a second context derivation; the
+// budget leaves room for the race detector's sync.Pool misses, not for any
+// of those to come back.
+func TestTopKRequestAllocBudget(t *testing.T) {
+	allocs, bytes := requestCost(t, benchServer(t, server.Options{}), "topk", 5)
+	t.Logf("allocs/op %.1f, %.0f B/op", allocs, bytes)
+	if allocs > 75 {
+		t.Fatalf("a warmed top-k request allocates %.1f times, budget 75", allocs)
+	}
+}
+
+// TestCompactRequestAllocBudget: a warmed compact request — |M| = 100
+// results, a body of hundreds of KB — allocates what a top-k request does:
+// its results array and its body buffer are handed back, not made. It read
+// 8.6 KB/op while Finish allocated the array. And when the buffer is not
+// there — the pool dropped it — rendering allocates little more than the
+// body: one growth per distinct match set, where append's doubling cost
+// 4.8 times the body.
+func TestCompactRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	srv := benchServer(t, server.Options{})
+	topk, _ := requestCost(t, srv, "topk", 5)
+	allocs, bytes := requestCost(t, srv, "compact", 0)
+	t.Logf("allocs/op %.1f (top-k %.1f), %.0f B/op", allocs, topk, bytes)
+	if allocs > topk+2 {
+		t.Fatalf("a warmed compact request allocates %.1f times, a top-k one %.1f", allocs, topk)
+	}
+	if bytes > 6<<10 {
+		t.Fatalf("a warmed compact request allocates %.0f bytes, budget 6 KB", bytes)
+	}
+
+	ds := srv.Catalog().Get("D7")
+	heads := core.NewResultHeads(ds.Set)
+	var body, allocated uint64
+	for _, spec := range dataset.Queries() {
+		q, err := core.PrepareQuery(spec.Text, ds.Set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := core.Evaluate(q, ds.Set, ds.Doc(), ds.Tree)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rendered := core.AppendResultsJSON(nil, results, heads)
+		runtime.ReadMemStats(&after)
+		body += uint64(len(rendered))
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	t.Logf("compact results arrays rendered from nil: %d bytes, %d allocated (%.2fx)", body, allocated, float64(allocated)/float64(body))
+	if 2*allocated > 3*body {
+		t.Fatalf("rendering %d bytes of compact results from nil allocated %d, budget 1.5x", body, allocated)
 	}
 }
 
@@ -169,40 +229,65 @@ func TestPreparedQueryConstants(t *testing.T) {
 }
 
 // TestFixedCostUnderConcurrency: eight clients, each with its own pattern
-// and mode, send requests through the pooled read-ahead buffers and merger
-// tables at once; every response must be the bytes that client's request
-// gets when it is alone. Meanwhile /v1/debug/traces is scraped with every
-// trace retained: a retained trace is a copy, so whatever a scrape showed
-// for a request ID, every later scrape that still holds the ID must show
-// again — spans of a finished request may not change under a running one.
-// Run under -race in CI.
+// and kind of request — top-k, compact, basic, and a batch of the first two
+// with a member that fails — send requests through everything requests
+// share at once: the pooled read-ahead and body buffers, the merger tables,
+// the results arrays the handlers hand back. Every response must be the
+// bytes encoding/json writes over sequential core's answer; a results array
+// refilled by one request while another still renders from it would show
+// here, or to the race detector. Meanwhile /v1/debug/traces is scraped with
+// every trace retained: a retained trace is a copy, so whatever a scrape
+// showed for a request ID, every later scrape that still holds the ID must
+// show again — spans of a finished request may not change under a running
+// one. Run under -race in CI.
 func TestFixedCostUnderConcurrency(t *testing.T) {
 	srv := benchServer(t, server.Options{TraceThreshold: time.Nanosecond, TraceBufferSize: 32})
-	serveBody := func(body []byte) (int, []byte) {
+	ds := srv.Catalog().Get("D7")
+	serveBody := func(path string, body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		return rec.Code, rec.Body.Bytes()
 	}
 	const clients = 8
+	var paths [clients]string
 	var bodies, want [clients][]byte
 	for c := range bodies {
-		req := server.QueryRequest{Dataset: "D7", Pattern: dataset.Queries()[c].Text, Mode: "topk", K: c + 1}
-		switch c % 3 {
-		case 1:
-			req.Mode, req.K = "compact", 0
-		case 2:
-			req.Mode, req.K = "basic", 0
+		pattern := dataset.Queries()[c].Text
+		var req, resp any
+		paths[c] = "/v1/query"
+		switch c % 4 {
+		case 3:
+			const bad = "Order/NoSuchElement"
+			_, err := core.PrepareQuery(bad, ds.Set)
+			if err == nil {
+				t.Fatalf("%q prepared", bad)
+			}
+			compact, compactAnswers := oracleEval(t, ds, ds.Doc(), pattern, "compact", 0)
+			topk, topkAnswers := oracleEval(t, ds, ds.Doc(), pattern, "topk", c)
+			paths[c] = "/v1/batch"
+			req = server.BatchRequest{Dataset: "D7", Queries: []server.BatchQuery{{Pattern: pattern}, {Pattern: bad}, {Pattern: pattern, K: c}}}
+			resp = server.BatchResponse{Dataset: "D7", Responses: []server.BatchAnswer{
+				{Pattern: pattern, Results: compact, Answers: compactAnswers},
+				{Pattern: bad, Error: err.Error()},
+				{Pattern: pattern, K: c, Results: topk, Answers: topkAnswers},
+			}}
+		default:
+			mode, k := [...]string{"topk", "compact", "basic"}[c%4], 0
+			if mode == "topk" {
+				k = c + 1
+			}
+			results, answers := oracleEval(t, ds, ds.Doc(), pattern, mode, k)
+			req = server.QueryRequest{Dataset: "D7", Pattern: pattern, Mode: mode, K: k}
+			resp = server.QueryResponse{Dataset: "D7", Pattern: pattern, Mode: mode, K: k, Results: results, Answers: answers}
 		}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bodies[c] = body
-		code, resp := serveBody(body)
-		if code != http.StatusOK {
-			t.Fatalf("client %d: status %d: %s", c, code, resp)
+		bodies[c], want[c] = body, encoded(t, resp)
+		if code, got := serveBody(paths[c], body); code != http.StatusOK || !bytes.Equal(got, want[c]) {
+			t.Fatalf("client %d alone: status %d, body differs from sequential core:\ngot  %.200s\nwant %.200s", c, code, got, want[c])
 		}
-		want[c] = resp
 	}
 
 	var wg sync.WaitGroup
@@ -212,8 +297,8 @@ func TestFixedCostUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if code, resp := serveBody(bodies[c]); code != http.StatusOK || !bytes.Equal(resp, want[c]) {
-					t.Errorf("client %d request %d: status %d, body differs from the one served alone:\ngot  %.200s\nwant %.200s", c, i, code, resp, want[c])
+				if code, resp := serveBody(paths[c], bodies[c]); code != http.StatusOK || !bytes.Equal(resp, want[c]) {
+					t.Errorf("client %d request %d: status %d, body differs from sequential core:\ngot  %.200s\nwant %.200s", c, i, code, resp, want[c])
 					return
 				}
 			}
@@ -233,7 +318,7 @@ func TestFixedCostUnderConcurrency(t *testing.T) {
 				return
 			}
 			for _, tr := range body.Traces {
-				if tr.Endpoint != "query" || tr.Dataset != "D7" || len(tr.Spans) < 5 {
+				if (tr.Endpoint != "query" && tr.Endpoint != "batch") || tr.Dataset != "D7" || len(tr.Spans) < 5 {
 					scraped <- fmt.Errorf("retained trace %+v lacks endpoint, dataset or spans", tr)
 					return
 				}

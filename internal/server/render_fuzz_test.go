@@ -9,6 +9,7 @@ import (
 
 	"xmatch/internal/core"
 	"xmatch/internal/engine"
+	"xmatch/internal/mapping"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
@@ -18,7 +19,9 @@ import (
 // U+2028/U+2029, invalid UTF-8), any finite floats (exponent forms, -0,
 // subnormals), k and text on both sides of omitempty, shared and unshared
 // match slices, null and empty value lists, failed batch members with and
-// without a message — a /v1/query and a /v1/batch body must equal what the
+// without a message, and a head table whose entries some results meet
+// exactly, one misses in the last bit, and two may miss by index (k and
+// start are any integers) — a /v1/query and a /v1/batch body must equal what the
 // Encoder writes for QueryResponse / BatchResponse over the ToWire forms,
 // and the digest taken from the rendered bytes must equal DigestResults.
 func FuzzRenderJSON(f *testing.F) {
@@ -29,6 +32,8 @@ func FuzzRenderJSON(f *testing.F) {
 	f.Add("q", "\"", "\\", 0, uint64(9), "a.b", "\xe2\x80", 5e-324, 3)
 	f.Add("q", "/", "m", 7, uint64(2), "a", "b", 123456789.125e-15, 4)
 	f.Add("q", "/", "m", 7, uint64(2), "a", "b", -9.999999999999999e20, 4)
+	f.Add("q", "/", "m", 1, uint64(2), "a", "b", 0.0, 3)
+	f.Add("q", "/", "m", 3, uint64(2), "a", "b", 2.2250738585072009e-308, -4)
 	f.Fuzz(func(t *testing.T, dataset, pattern, mode string, k int, epoch uint64, path, text string, prob float64, start int) {
 		if math.IsNaN(prob) || math.IsInf(prob, 0) {
 			t.Skip("encoding/json refuses non-finite numbers")
@@ -45,6 +50,14 @@ func FuzzRenderJSON(f *testing.F) {
 			{MappingIndex: start, Prob: math.Sqrt(math.Abs(prob)), Matches: []twig.Match{match(pattern, k, dataset)}},
 			{MappingIndex: 4, Prob: prob * 1e-300, Matches: shared},
 		}
+		// Heads for mappings 0-4: results 0, 2 and 4 carry their entry's
+		// probability, the fourth the next float up, and the second only
+		// what its index k happens to select.
+		set := &mapping.Set{}
+		for _, p := range []float64{prob, prob / 3, -prob, math.Nextafter(results[3].Prob, 2), prob * 1e-300} {
+			set.Mappings = append(set.Mappings, &mapping.Mapping{Prob: p})
+		}
+		heads := core.NewResultHeads(set)
 		answers := []core.Answer{
 			{Values: []string{text, path, mode}, Prob: prob},
 			{Values: nil, Prob: prob / 7},
@@ -59,7 +72,7 @@ func FuzzRenderJSON(f *testing.F) {
 		}
 		wireResults, wireAnswers := core.ToWire(results), core.AnswersToWire(answers)
 
-		got, spans := appendQueryBody([]byte("stale"), dataset, pattern, mode, k, epoch, results, answers)
+		got, spans := appendQueryBody([]byte("stale"), dataset, pattern, mode, k, epoch, heads, results, answers)
 		got = append(got, '}', '\n')
 		want := encode(QueryResponse{Dataset: dataset, Pattern: pattern, Mode: mode, K: k, Epoch: epoch, Results: wireResults, Answers: wireAnswers})
 		if !bytes.Equal(got[len("stale"):], want) {
@@ -74,7 +87,7 @@ func FuzzRenderJSON(f *testing.F) {
 			{Request: engine.Request{Pattern: text}, Err: errors.New(path)},
 			{Request: engine.Request{Pattern: path, K: start}},
 		}
-		gotBatch := appendBatchBody(nil, dataset, epoch, evaluated, [][]core.Answer{answers, nil, nil})
+		gotBatch := appendBatchBody(nil, dataset, epoch, heads, evaluated, [][]core.Answer{answers, nil, nil})
 		wantBatch := encode(BatchResponse{Dataset: dataset, Epoch: epoch, Responses: []BatchAnswer{
 			{Pattern: pattern, K: k, Results: wireResults, Answers: wireAnswers},
 			{Pattern: text, Error: path},

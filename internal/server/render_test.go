@@ -76,18 +76,23 @@ func (e *renderEnv) epoch() uint64 {
 // converts it to the wire forms.
 func (e *renderEnv) oracleEval(t *testing.T, doc *xmltree.Document, pattern, mode string, k int) ([]core.WireResult, []core.WireAnswer) {
 	t.Helper()
-	q, err := core.PrepareQuery(pattern, e.ds.Set)
+	return oracleEval(t, e.ds, doc, pattern, mode, k)
+}
+
+func oracleEval(t *testing.T, ds *server.Dataset, doc *xmltree.Document, pattern, mode string, k int) ([]core.WireResult, []core.WireAnswer) {
+	t.Helper()
+	q, err := core.PrepareQuery(pattern, ds.Set)
 	if err != nil {
 		t.Fatalf("%q: %v", pattern, err)
 	}
 	var rs []core.Result
 	switch mode {
 	case "basic":
-		rs = core.EvaluateBasic(q, e.ds.Set, doc)
+		rs = core.EvaluateBasic(q, ds.Set, doc)
 	case "compact":
-		rs = core.Evaluate(q, e.ds.Set, doc, e.ds.Tree)
+		rs = core.Evaluate(q, ds.Set, doc, ds.Tree)
 	case "topk":
-		rs = core.EvaluateTopK(q, e.ds.Set, doc, e.ds.Tree, k)
+		rs = core.EvaluateTopK(q, ds.Set, doc, ds.Tree, k)
 	default:
 		t.Fatalf("bad mode %q", mode)
 	}

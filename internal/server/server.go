@@ -845,6 +845,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		results = eng.EvaluateTopKAcross(q, ds.Set, sh, ds.Tree, req.K)
 	}
 	evalReg.End()
+	// The results are this request's alone and nothing below keeps them
+	// past the body, so their array goes back for the next evaluation.
+	defer core.ReleaseResults(results)
 	// A fired deadline means the evaluators returned partial results;
 	// they are discarded, never served.
 	if ctx.Err() != nil {
@@ -862,7 +865,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer body.release()
 	encReg := tr.Region("encode", "")
 	var payload payloadSpans
-	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, results, answers)
+	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
 	encReg.End()
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
@@ -961,6 +964,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	evalReg := tr.Region("evaluate", "queries="+strconv.Itoa(len(engReqs)))
 	evaluated := eng.EvaluateBatchAcross(ds.Set, sh, ds.Tree, engReqs)
 	evalReg.End()
+	defer func() { // as in handleQuery: once the body is written
+		for _, er := range evaluated {
+			core.ReleaseResults(er.Results)
+		}
+	}()
 	if ctx.Err() != nil {
 		s.failTimeout(w, ctx, "evaluate", timeout)
 		return
@@ -976,7 +984,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body := getBody()
 	defer body.release()
 	encReg := tr.Region("encode", "")
-	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(snaps), evaluated, answers)
+	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(snaps), ds.heads, evaluated, answers)
 	encReg.End()
 	writeBody(w, body.b)
 }
