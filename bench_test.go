@@ -531,6 +531,16 @@ func BenchmarkPTQCompactIndexed(b *testing.B) {
 			_ = eng.Evaluate(q, set, fixDocIdx, bt)
 		}
 	})
+	// cold empties the result memo before every op: the plan's units are
+	// all misses, every matcher call and join runs — the first request for
+	// a pattern, or the first after a compaction.
+	b.Run("cold", func(b *testing.B) {
+		ix := index.For(fixDocIdx)
+		for i := 0; i < b.N; i++ {
+			ix.PurgeMemo()
+			_ = core.Evaluate(q, set, fixDocIdx, bt)
+		}
+	})
 }
 
 func BenchmarkPTQTopKIndexed(b *testing.B) {
@@ -863,10 +873,11 @@ func BenchmarkTwigMatchHolistic(b *testing.B) {
 		doc, _, _ := deepTwigFixture(withValue)
 		ix := index.Build(doc)
 		// Distinct pattern clones with identical text: distinct pattern
-		// identity defeats the result memo (the clone count exceeds the
-		// memo's per-shard pattern capacity, so cycling them keeps
-		// evicting), while identical paths keep the workload constant.
-		const clones = 512
+		// identity defeats the result memo (identical keys share a memo
+		// shard, and the clone count is twice the entries a shard holds,
+		// so cycling them keeps resetting it), while identical paths keep
+		// the workload constant.
+		const clones = 2 * 4096
 		roots := make([]*twig.Node, clones)
 		bindings := make([]twig.PathBinding, clones)
 		for i := range roots {

@@ -41,6 +41,18 @@ type Matcher interface {
 	MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.PathBinding) []twig.Match
 }
 
+// UnitMemo is the evaluation plan's seam into the result memo of the
+// document's epoch, found like Matcher through the accelerator slot: a
+// plan unit's output is a function of the unit and the document, so it is
+// looked up before it is computed and stored once complete (see
+// EmbeddingPlan.entry), then shared by every later request and, like
+// matcher output, read-only. The positional index of internal/index
+// implements it.
+type UnitMemo interface {
+	LookupUnit(qn *twig.Node, key string) ([]twig.Match, bool)
+	StoreUnit(qn *twig.Node, key string, matches []twig.Match)
+}
+
 // TextSearcher is the keyword-preparation seam: an accelerator that can
 // resolve a value term — a lowered keyword — to the document nodes whose
 // lowered text contains it, in document order, without scanning every

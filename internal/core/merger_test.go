@@ -214,3 +214,181 @@ func TestMergerTablesReused(t *testing.T) {
 		}
 	}
 }
+
+// keyMergeStreams is mergeStreams as it was written over Match.Key, kept
+// as the reference the key-free gather is held to.
+func keyMergeStreams(streams [][]twig.Match) []twig.Match {
+	nonEmpty, last := 0, -1
+	for i, s := range streams {
+		if len(s) > 0 {
+			nonEmpty, last = nonEmpty+1, i
+		}
+	}
+	switch nonEmpty {
+	case 0:
+		return nil
+	case 1:
+		return streams[last]
+	}
+	total := 0
+	ordered := true
+	prevLast := ""
+	for _, s := range streams {
+		if len(s) == 0 {
+			continue
+		}
+		total += len(s)
+		if ordered {
+			if prevLast != "" && s[0].Key() <= prevLast {
+				ordered = false
+			} else {
+				prevLast = s[len(s)-1].Key()
+			}
+		}
+	}
+	merged := make([]twig.Match, 0, total)
+	if ordered {
+		for _, s := range streams {
+			merged = append(merged, s...)
+		}
+		return merged
+	}
+	idx := make([]int, len(streams))
+	keys := make([]string, len(streams))
+	for i, s := range streams {
+		if len(s) > 0 {
+			keys[i] = s[0].Key()
+		}
+	}
+	lastKey, first := "", true
+	for {
+		best := -1
+		for i, s := range streams {
+			if idx[i] >= len(s) {
+				continue
+			}
+			if best < 0 || keys[i] < keys[best] {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		m, k := streams[best][idx[best]], keys[best]
+		idx[best]++
+		if idx[best] < len(streams[best]) {
+			keys[best] = streams[best][idx[best]].Key()
+		}
+		if first || k != lastKey {
+			merged = append(merged, m)
+			lastKey, first = k, false
+		}
+	}
+	return merged
+}
+
+// TestMergeStreamsMatchesKeyReference: on random streams of two-binding
+// matches — disjoint ascending ranges, the shard layout that concatenates,
+// and overlapping ones with duplicates across streams, which interleave —
+// the key-free gather returns exactly the reference's matches, the same
+// copies in the same order.
+func TestMergeStreamsMatchesKeyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	q0, q1 := &twig.Node{Index: 0}, &twig.Node{Index: 1}
+	concats, interleaves := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		// A key-ordered pool of distinct matches; starts share prefixes.
+		var pool []twig.Match
+		for s := 0; len(pool) < 40; s += 16 * (1 + rng.Intn(2)) {
+			for c := 0; c < rng.Intn(3); c++ {
+				pool = append(pool, twig.Match{{Q: q0, D: &xmltree.Node{Start: s}}, {Q: q1, D: &xmltree.Node{Start: s + 1 + c}}})
+			}
+		}
+		streams := make([][]twig.Match, 1+rng.Intn(5))
+		if trial%2 == 0 {
+			// Disjoint ascending ranges, some empty.
+			cut := 0
+			for i := range streams {
+				next := cut + rng.Intn(len(pool)-cut+1)
+				if i == len(streams)-1 {
+					next = len(pool)
+				}
+				streams[i] = pool[cut:next]
+				cut = next
+			}
+		} else {
+			// Random key-ordered subsets: duplicates across streams.
+			for i := range streams {
+				for _, m := range pool {
+					if rng.Intn(3) == 0 {
+						streams[i] = append(streams[i], append(twig.Match(nil), m...))
+					}
+				}
+			}
+		}
+		got, want := mergeStreams(streams), keyMergeStreams(streams)
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d: %d matches (nil %v), reference %d (nil %v)", trial, len(got), got == nil, len(want), want == nil)
+		}
+		for i := range got {
+			if &got[i][0] != &want[i][0] {
+				t.Fatalf("trial %d: match %d is another copy than the reference's", trial, i)
+			}
+		}
+		if trial%2 == 0 {
+			concats++
+		} else if len(got) > 0 {
+			interleaves++
+		}
+	}
+	if concats == 0 || interleaves == 0 {
+		t.Fatal("fixtures too weak")
+	}
+}
+
+// TestUnitOutputsAreScratch: the unit-output arrays a merger hands to
+// EmbeddingPlan.Run are cleared by AddClasses once gathered, and by Finish
+// when an evaluation stopped before gathering, so a pooled merger pins no
+// match slice.
+func TestUnitOutputsAreScratch(t *testing.T) {
+	set := mergerSet(t)
+	ep := &EmbeddingPlan{leaves: make([]leafUnit, 3)}
+	ms := []twig.Match{mk(&twig.Node{}, 16)}
+	pinned := func(r *ResultMerger) bool {
+		for _, out := range r.units[:cap(r.units)] {
+			for _, m := range out[:cap(out)] {
+				if m != nil {
+					return true
+				}
+			}
+		}
+		for _, s := range r.streams[:cap(r.streams)] {
+			if s != nil {
+				return true
+			}
+		}
+		return false
+	}
+	for _, gather := range []bool{true, false} {
+		r := NewResultMerger(set)
+		outs := r.UnitOutputs(ep, 4)
+		if len(outs) != 4 || len(outs[3]) != 3 || pinned(r) {
+			t.Fatalf("UnitOutputs: %d arrays of %d slots, pinned %v", len(outs), len(outs[3]), pinned(r))
+		}
+		for _, out := range outs {
+			for u := range out {
+				out[u] = ms
+			}
+		}
+		if gather {
+			r.AddClasses(ep, 0, outs)
+			if pinned(r) {
+				t.Fatal("AddClasses left unit outputs behind")
+			}
+		}
+		r.Finish()
+		if pinned(r) {
+			t.Fatalf("a finished merger pins match slices (gathered: %v)", gather)
+		}
+	}
+}

@@ -65,6 +65,7 @@ type leafUnit struct {
 	// minRank is the best top-k rank among the mappings whose result
 	// depends on the unit: a top-k evaluation skips units with minRank >= k.
 	minRank int32
+	key     string // see EmbeddingPlan.entry
 }
 
 // joinUnit is one stack_join of the recursion: the matches of outer, which
@@ -73,6 +74,9 @@ type joinUnit struct {
 	outer, inner  int32
 	parent, child *twig.Node
 	minRank       int32
+	// unit is the join's sentinel pattern node: its memo entry's node.
+	unit *twig.Node
+	key  string
 }
 
 // resultClass is one distinct final result: the unit that produces it and
@@ -153,18 +157,29 @@ func (p *Plan) Stats() PlanStats {
 	return st
 }
 
-// Run evaluates the embedding's plan over one document and returns the
-// unit outputs, which ResultMerger.AddClasses hands to the mappings. k > 0
-// restricts the work to the units the k best-ranked mappings depend on.
+// Run evaluates the embedding's plan over one document into out, which
+// holds a nil slot per unit, for ResultMerger.AddClasses to hand to the
+// mappings. k > 0 restricts the work to the units the k best-ranked
+// mappings depend on.
+//
+// Over a document whose accelerator is a UnitMemo, Run first looks up the
+// units of the classes the request keeps, which is all a hot request does.
+// On a miss it runs the needed leaves — a matcher call answers a repeat
+// from the same memo — then looks up each needed join in dependency order
+// and computes and stores those the memo lacks. Without the seam it
+// computes them all.
 //
 // each, when non-nil, runs fn(0..n-1) and may do so concurrently: it is
 // how internal/engine spreads the matcher calls over its workers. The
 // output does not depend on it. stop, when non-nil, is polled between
-// units; once it is closed Run returns early and the output is partial —
-// the caller must discard it.
-func (ep *EmbeddingPlan) Run(doc *xmltree.Document, k int, stop <-chan struct{}, each func(n int, fn func(i int))) [][]twig.Match {
+// units; once it is closed Run returns early, stores nothing more, and the
+// output is partial — the caller must discard it.
+func (ep *EmbeddingPlan) Run(out [][]twig.Match, doc *xmltree.Document, k int, stop <-chan struct{}, each func(n int, fn func(i int))) {
 	limit := rankLimit(k)
-	out := make([][]twig.Match, len(ep.leaves)+len(ep.joins))
+	memo, _ := doc.Accel().(UnitMemo)
+	if memo != nil && ep.hit(memo, out, limit, stop) {
+		return
+	}
 	if each == nil {
 		for i := range ep.leaves {
 			ep.matchLeaf(out, i, doc, limit, stop)
@@ -173,16 +188,52 @@ func (ep *EmbeddingPlan) Run(doc *xmltree.Document, k int, stop <-chan struct{},
 		each(len(ep.leaves), func(i int) { ep.matchLeaf(out, i, doc, limit, stop) })
 	}
 	for j := range ep.joins {
-		u := &ep.joins[j]
-		if u.minRank >= limit {
+		u, slot := &ep.joins[j], int32(len(ep.leaves)+j)
+		if u.minRank >= limit || stopped(stop) || ep.lookup(memo, out, slot) {
 			continue
 		}
-		if stopped(stop) {
-			break
+		out[slot] = twig.StructuralJoin(out[u.outer], u.parent, out[u.inner], u.child)
+		if memo != nil {
+			memo.StoreUnit(u.unit, u.key, out[slot])
 		}
-		out[len(ep.leaves)+j] = twig.StructuralJoin(out[u.outer], u.parent, out[u.inner], u.child)
 	}
-	return out
+}
+
+// hit fills the slots of the classes the request keeps from the memo and
+// reports whether it held every one.
+func (ep *EmbeddingPlan) hit(memo UnitMemo, out [][]twig.Match, limit int32, stop <-chan struct{}) bool {
+	for i := range ep.classes {
+		if cl := &ep.classes[i]; cl.ranks[0] < limit && (stopped(stop) || !ep.lookup(memo, out, cl.unit)) {
+			return false
+		}
+	}
+	return true
+}
+
+// entry returns the memo entry of the unit in an output slot, fixed at
+// compile time: a pattern node and the twig.PathBinding key of the leaves
+// beneath the unit in pattern preorder, "" for a unit that matches
+// nothing. A leaf's node is the one it matches, so its entry is the one
+// its matcher call writes; a join's is a sentinel of its own, so no two
+// units share an entry. (A decomposition root re-binds its matcher call's
+// output for the joins above it; it is never a class's unit.)
+func (ep *EmbeddingPlan) entry(slot int32) (*twig.Node, string) {
+	if j := int(slot) - len(ep.leaves); j >= 0 {
+		return ep.joins[j].unit, ep.joins[j].key
+	}
+	return ep.leaves[slot].qn, ep.leaves[slot].key
+}
+
+// lookup fills a unit's slot from the memo, if there is one, and reports
+// whether it could; a unit that matches nothing needs no lookup.
+func (ep *EmbeddingPlan) lookup(memo UnitMemo, out [][]twig.Match, slot int32) bool {
+	q, key := ep.entry(slot)
+	if memo == nil || key == "" {
+		return memo != nil
+	}
+	res, ok := memo.LookupUnit(q, key)
+	out[slot] = res
+	return ok
 }
 
 // matchLeaf runs leaf unit i into its output slot.
@@ -401,6 +452,9 @@ func (c *planCompiler) subtreeUnit(qn *twig.Node, sourceFor func(t int) (int, bo
 }
 
 func (c *planCompiler) addLeaf(key string, u leafUnit) int32 {
+	if u.paths != nil {
+		u.key = string(u.paths.AppendKey(nil, u.qn))
+	}
 	c.ep.leaves = append(c.ep.leaves, u)
 	ref := int32(len(c.ep.leaves) - 1)
 	c.leafOf[key] = ref
@@ -409,8 +463,8 @@ func (c *planCompiler) addLeaf(key string, u leafUnit) int32 {
 
 // finish closes the embedding's plan over the root references: it groups
 // the relevant mappings into result classes, orders each class by rank,
-// turns unit references into output slots, and pushes every class's best
-// rank down to the units it depends on.
+// turns unit references into output slots, pushes every class's best rank
+// down to the units it depends on, and keys the joins.
 func (c *planCompiler) finish(rootRefs []int32, rank []int32) {
 	ep := c.ep
 	slot := func(ref int32) int32 {
@@ -454,5 +508,12 @@ func (c *planCompiler) finish(rootRefs []int32, rank []int32) {
 	}
 	for i := range ep.leaves {
 		ep.leaves[i].minRank = minRank[i]
+	}
+	for j := range ep.joins {
+		u := &ep.joins[j]
+		_, a := ep.entry(u.outer)
+		if _, b := ep.entry(u.inner); a != "" && b != "" {
+			u.unit, u.key = &twig.Node{}, a+b
+		}
 	}
 }

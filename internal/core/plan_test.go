@@ -52,11 +52,13 @@ func topKOfBasic(basic []Result, k int) []Result {
 }
 
 // assertPlanEqualsBasic compares the plan-driven evaluators with
-// Algorithm 3 for one query, at full k and at the given cut-offs.
-func assertPlanEqualsBasic(t *testing.T, label string, q *Query, set *mapping.Set, doc *xmltree.Document, bt *BlockTree, ks ...int) int {
+// Algorithm 3 for one query, at full k and at the given cut-offs, and
+// returns the plan's full answer.
+func assertPlanEqualsBasic(t *testing.T, label string, q *Query, set *mapping.Set, doc *xmltree.Document, bt *BlockTree, ks ...int) []Result {
 	t.Helper()
 	basic := EvaluateBasic(q, set, doc)
-	if got, want := orderedKeys(Evaluate(q, set, doc, bt)), orderedKeys(basic); !reflect.DeepEqual(got, want) {
+	plan := Evaluate(q, set, doc, bt)
+	if got, want := orderedKeys(plan), orderedKeys(basic); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: plan-driven Evaluate differs from Algorithm 3\nplan:  %v\nbasic: %v", label, got, want)
 	}
 	for _, k := range ks {
@@ -65,7 +67,7 @@ func assertPlanEqualsBasic(t *testing.T, label string, q *Query, set *mapping.Se
 			t.Fatalf("%s k=%d: plan-driven EvaluateTopK differs from Algorithm 3's top k\nplan:  %v\nbasic: %v", label, k, got, want)
 		}
 	}
-	return len(basic)
+	return plan
 }
 
 // repeatedLabelSchema is randomSchema with element names drawn from a
@@ -93,7 +95,7 @@ func TestPlanEqualsAlgorithm3(t *testing.T) {
 	if testing.Short() {
 		fixtures = 60
 	}
-	results, multi, decomposed := 0, 0, 0
+	results, multi, decomposed, shared := 0, 0, 0, 0
 	for trial := 0; trial < fixtures; trial++ {
 		src := randomSchema(rng, "S", 20+rng.Intn(20))
 		var tgt *schema.Schema
@@ -124,15 +126,27 @@ func TestPlanEqualsAlgorithm3(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("trial %d %+v %s", trial, opts, pat)
-			n := assertPlanEqualsBasic(t, label, q, set, doc, bt, 1, 2, 1+rng.Intn(set.Len()), set.Len()+1)
-			results += n
+			first := assertPlanEqualsBasic(t, label, q, set, doc, bt, 1, 2, 1+rng.Intn(set.Len()), set.Len()+1)
+			results += len(first)
+			if trial%2 == 0 && len(q.Embeddings) == 1 {
+				// A hot pass over the indexed document is answered from the
+				// epoch's memo: the very slices the first pass produced.
+				for i, r := range Evaluate(q, set, doc, bt) {
+					if sliceIdent(r.Matches) != sliceIdent(first[i].Matches) {
+						t.Fatalf("%s: hot pass re-evaluated mapping %d", label, r.MappingIndex)
+					}
+					if len(r.Matches) > 0 {
+						shared++
+					}
+				}
+			}
 			for _, ep := range q.Plan(set, bt).Embeddings {
 				decomposed += len(ep.joins)
 			}
 		}
 	}
-	if results < 1000 || multi < 10 || decomposed < 50 {
-		t.Fatalf("fixtures too weak: %d results, %d multi-embedding queries, %d join units", results, multi, decomposed)
+	if results < 1000 || multi < 10 || decomposed < 50 || shared < 100 {
+		t.Fatalf("fixtures too weak: %d results, %d multi-embedding queries, %d join units, %d hot non-empty answers", results, multi, decomposed, shared)
 	}
 }
 
@@ -261,10 +275,13 @@ func TestPlanPerBlockTree(t *testing.T) {
 }
 
 // TestPlanConcurrentFirstUse: eight goroutines race the compiling call of
-// every Table III query (run with -race) and all read Algorithm 3's answer.
+// every Table III query, and the first lookups and stores of its units in
+// the epoch's memo (run with -race), and all read Algorithm 3's answer;
+// then the memo answers the query without a miss.
 func TestPlanConcurrentFirstUse(t *testing.T) {
 	_, set, h := d7Fixture(t)
-	doc := h.Snapshot().Doc
+	snap := h.Snapshot()
+	doc := snap.Doc
 	bt, err := Build(set, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -293,15 +310,35 @@ func TestPlanConcurrentFirstUse(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
+		before := snap.Index.Counters()
+		Evaluate(q, set, doc, bt)
+		if d := snap.Index.Counters().Sub(before); d.UnitMisses != 0 || d.Evals != 0 || d.UnitHits == 0 {
+			t.Fatalf("%s: after the race a hot evaluation made %d unit lookups, %d of them misses, and %d matcher calls", spec.ID, d.UnitHits+d.UnitMisses, d.UnitMisses, d.Evals)
+		}
 	}
+}
+
+// recordingMemo is an index that counts the unit outputs stored in it.
+type recordingMemo struct {
+	*index.Index
+	stored int
+}
+
+func (r *recordingMemo) StoreUnit(qn *twig.Node, key string, ms []twig.Match) {
+	r.stored++
+	r.Index.StoreUnit(qn, key, ms)
 }
 
 // TestPlanRunStops: a stop channel closed before or during Run ends it at the
 // next unit; the output keeps its shape (callers index it before they
-// learn of the cancellation) but is partial.
+// learn of the cancellation) but is partial, and nothing incomplete reaches
+// the memo. An unstopped Run stores its units, and the next is answered by
+// lookups alone, with the same slices.
 func TestPlanRunStops(t *testing.T) {
-	_, set, h := d7Fixture(t)
-	doc := h.Snapshot().Doc
+	d, set, _ := d7Fixture(t)
+	doc := d.OrderDocument(900, 7)
+	memo := &recordingMemo{Index: index.Build(doc)}
+	doc.SetAccel(memo)
 	bt, err := Build(set, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -313,22 +350,30 @@ func TestPlanRunStops(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ep := range q.Plan(set, bt).Embeddings {
+			memo.PurgeMemo()
+			memo.stored = 0
 			units := len(ep.leaves) + len(ep.joins)
+			before := memo.Counters()
 			stop := make(chan struct{})
 			close(stop)
-			out := ep.Run(doc, 0, stop, nil)
-			if len(out) != units {
-				t.Fatalf("%s: stopped Run returned %d slots, want %d", spec.ID, len(out), units)
-			}
+			out := make([][]twig.Match, units)
+			ep.Run(out, doc, 0, stop, nil)
 			for u, ms := range out {
 				if ms != nil {
 					t.Fatalf("%s: unit %d ran after stop", spec.ID, u)
 				}
 			}
-			// Stop after the first leaf: nothing later may run.
+			if c := memo.Counters().Sub(before); c.Evals+c.UnitHits+c.UnitMisses != 0 || memo.stored != 0 {
+				t.Fatalf("%s: a Run stopped before it began touched the memo: %+v, %d stored", spec.ID, c, memo.stored)
+			}
+			// Stop after the first leaf: nothing later may run, and of what
+			// ran only the complete leaf reaches the memo, through its own
+			// matcher call; no join is stored.
+			before = memo.Counters()
 			stop = make(chan struct{})
 			calls := 0
-			out = ep.Run(doc, 0, stop, func(n int, fn func(int)) {
+			out = make([][]twig.Match, units)
+			ep.Run(out, doc, 0, stop, func(n int, fn func(int)) {
 				for i := 0; i < n; i++ {
 					fn(i)
 					if calls++; calls == 1 {
@@ -343,6 +388,25 @@ func TestPlanRunStops(t *testing.T) {
 			}
 			if calls != len(ep.leaves) {
 				t.Fatalf("%s: scheduler saw %d leaves, plan has %d", spec.ID, calls, len(ep.leaves))
+			}
+			if c := memo.Counters().Sub(before); c.Evals > 1 || memo.stored != 0 {
+				t.Fatalf("%s: a Run stopped after its first leaf made %d matcher calls and stored %d units", spec.ID, c.Evals, memo.stored)
+			}
+			full := make([][]twig.Match, units)
+			ep.Run(full, doc, 0, nil, nil)
+			stored := memo.stored
+			before = memo.Counters()
+			hot := make([][]twig.Match, units)
+			ep.Run(hot, doc, 0, nil, nil)
+			c := memo.Counters().Sub(before)
+			if c.Evals != 0 || c.UnitMisses != 0 || memo.stored != stored || c.UnitHits > uint64(len(ep.classes)) {
+				t.Fatalf("%s: a hot Run made %d matcher calls, %d lookups (%d misses) and %d stores for %d classes",
+					spec.ID, c.Evals, c.UnitHits+c.UnitMisses, c.UnitMisses, memo.stored-stored, len(ep.classes))
+			}
+			for _, cl := range ep.classes {
+				if sliceIdent(hot[cl.unit]) != sliceIdent(full[cl.unit]) {
+					t.Fatalf("%s: unit %d was not answered from the memo", spec.ID, cl.unit)
+				}
 			}
 			ran++
 		}

@@ -118,7 +118,9 @@ func EvaluateTopK(q *Query, set *mapping.Set, doc *xmltree.Document, bt *BlockTr
 func runPlan(p *Plan, doc *xmltree.Document, k int) []Result {
 	results := NewResultMerger(p.set)
 	for _, ep := range p.Embeddings {
-		results.AddClasses(ep, k, [][][]twig.Match{ep.Run(doc, k, nil, nil)})
+		outs := results.UnitOutputs(ep, 1)
+		ep.Run(outs[0], doc, k, nil, nil)
+		results.AddClasses(ep, k, outs)
 	}
 	return results.Finish()
 }
@@ -251,8 +253,9 @@ func (t *smallTable[K, V]) set(k K, v V) {
 // safely.
 //
 // A merger lives from NewResultMerger to Finish: its two |M|-sized tables
-// are scratch, so Finish hands them to the next evaluation instead of to
-// the garbage collector, and the merger must not be touched afterwards.
+// and the plan's unit outputs (UnitOutputs) are scratch, so Finish hands
+// them to the next evaluation instead of to the garbage collector, and the
+// merger must not be touched afterwards.
 // The results Finish returns are the caller's for good — unless the caller
 // gives them up with ReleaseResults, after which it must not touch them
 // either: the next Finish fills the same array.
@@ -264,10 +267,14 @@ type ResultMerger struct {
 	seen    []map[string]bool // built on the second Add for a mapping
 	n       int               // mappings added
 	out     []Result          // an array ReleaseResults handed back, all zero, for Finish to fill
+	// units holds a unit-output array per member document, streams a
+	// gathered stream per member: nil in every slot between evaluations.
+	units   [][][]twig.Match
+	streams [][]twig.Match
 }
 
 // mergerPool recycles finished mergers. A pooled merger's tables are zero
-// over their whole capacity.
+// over their whole capacity, so it pins no match slice.
 var mergerPool = sync.Pool{New: func() any { return new(ResultMerger) }}
 
 // NewResultMerger returns an empty merger for the mapping set.
@@ -321,19 +328,34 @@ func (r *ResultMerger) Add(mi int, matches []twig.Match) {
 	r.matches[mi] = existing
 }
 
+// UnitOutputs returns an array of nil unit-output slots for each of the
+// collection's member documents, for EmbeddingPlan.Run to fill (a single
+// document is a collection of one). They are the merger's scratch:
+// AddClasses gathers and clears them.
+func (r *ResultMerger) UnitOutputs(ep *EmbeddingPlan, shards int) [][][]twig.Match {
+	n := len(ep.leaves) + len(ep.joins)
+	if cap(r.units) < shards {
+		r.units, r.streams = make([][][]twig.Match, shards), make([][]twig.Match, shards)
+	}
+	r.units, r.streams = r.units[:shards], r.streams[:shards]
+	for s, out := range r.units {
+		if cap(out) < n {
+			out = make([][]twig.Match, n)
+		}
+		r.units[s] = out[:n]
+	}
+	return r.units
+}
+
 // AddClasses records one embedding's plan output: perShard holds what
-// EmbeddingPlan.Run returned for each member document of the collection,
-// in collection order (a single document is a collection of one). Each
-// result class is gathered across the shards once and the merged slice
-// handed to every mapping of the class that ranks within the top k
-// (k <= 0: all of them).
+// EmbeddingPlan.Run wrote for each member document, in collection order,
+// into the arrays UnitOutputs returned. Each result class is gathered
+// across the shards once and the merged slice handed to every mapping of
+// the class that ranks within the top k (k <= 0: all of them); then the
+// arrays are cleared.
 func (r *ResultMerger) AddClasses(ep *EmbeddingPlan, k int, perShard [][][]twig.Match) {
 	limit := rankLimit(k)
-	var one [1][]twig.Match // a single document gathers without allocating
-	streams := one[:]
-	if len(perShard) != 1 {
-		streams = make([][]twig.Match, len(perShard))
-	}
+	streams := r.streams[:len(perShard)]
 	for i := range ep.classes {
 		cl := &ep.classes[i]
 		n := cl.kept(limit)
@@ -344,6 +366,10 @@ func (r *ResultMerger) AddClasses(ep *EmbeddingPlan, k int, perShard [][][]twig.
 			streams[s] = out[cl.unit]
 		}
 		r.AddStreams(cl.members[:n], streams)
+	}
+	clear(streams)
+	for _, out := range perShard {
+		clear(out)
 	}
 }
 
@@ -383,17 +409,17 @@ func mergeStreams(streams [][]twig.Match) []twig.Match {
 	}
 	total := 0
 	ordered := true
-	prevLast := ""
+	var prevLast twig.Match
 	for _, s := range streams {
 		if len(s) == 0 {
 			continue
 		}
 		total += len(s)
 		if ordered {
-			if prevLast != "" && s[0].Key() <= prevLast {
+			if prevLast != nil && s[0].Compare(prevLast) <= 0 {
 				ordered = false
 			} else {
-				prevLast = s[len(s)-1].Key()
+				prevLast = s[len(s)-1]
 			}
 		}
 	}
@@ -409,37 +435,22 @@ func mergeStreams(streams [][]twig.Match) []twig.Match {
 	// count is the shard count, small), deduplicating adjacent equal keys
 	// — the merge emits in key order, so duplicates are always adjacent.
 	idx := make([]int, len(streams))
-	keys := make([]string, len(streams))
-	for i, s := range streams {
-		if len(s) > 0 {
-			keys[i] = s[0].Key()
-		}
-	}
-	lastKey, first := "", true
 	for {
 		best := -1
 		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best < 0 || keys[i] < keys[best] {
+			if idx[i] < len(s) && (best < 0 || s[idx[i]].Compare(streams[best][idx[best]]) < 0) {
 				best = i
 			}
 		}
 		if best < 0 {
-			break
+			return merged
 		}
-		m, k := streams[best][idx[best]], keys[best]
+		m := streams[best][idx[best]]
 		idx[best]++
-		if idx[best] < len(streams[best]) {
-			keys[best] = streams[best][idx[best]].Key()
-		}
-		if first || k != lastKey {
+		if len(merged) == 0 || m.Compare(merged[len(merged)-1]) != 0 {
 			merged = append(merged, m)
-			lastKey, first = k, false
 		}
 	}
-	return merged
 }
 
 // Finish returns the accumulated results ordered by mapping index and
@@ -456,6 +467,10 @@ func (r *ResultMerger) Finish() []Result {
 			r.matches[mi], r.added[mi] = nil, false // a top-k answer wipes k entries, not |M|
 		}
 	}
+	for _, units := range r.units {
+		clear(units)
+	}
+	clear(r.streams)
 	r.set, r.seen, r.n = nil, nil, 0
 	mergerPool.Put(r)
 	return out

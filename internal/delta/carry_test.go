@@ -10,14 +10,21 @@ package delta_test
 // computes, on the fields every consumer of matcher output reads.
 
 import (
+	"encoding/xml"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"xmatch/internal/core"
+	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
 	"xmatch/internal/index"
+	"xmatch/internal/mapgen"
+	"xmatch/internal/mapping"
+	"xmatch/internal/schema"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
@@ -294,4 +301,235 @@ func TestBatchResolvesAgainstPredecessors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("an edit resolved against a node its predecessor deleted")
 	}
+}
+
+// TestCarriedUnitsMatchRebuild is the same differential one level up: the
+// evaluation plan's units — matcher calls and joins — live in the same
+// memo under the same carry rule. Table III
+// and random twigs over D7 are prepared once, as the engine's
+// prepared-query cache keeps them, and evaluated through their plans after
+// every batch of settext, rename, insert and delete edits on and off the
+// paths the units bind, across several compactions. Every answer, full and
+// top-k, must equal sequential Algorithm 3 over a fresh index.Build of the
+// snapshot.
+func TestCarriedUnitsMatchRebuild(t *testing.T) {
+	const batches = 240
+	d, err := dataset.Load("D7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := mapgen.TopH(d.Matching, 40, mapgen.Partition)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, err := core.Build(set, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	var queries []*core.Query
+	for _, spec := range dataset.Queries() {
+		q, err := core.PrepareQuery(spec.Text, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	for len(queries) < 2*len(dataset.Queries()) {
+		if q, err := core.PrepareQuery(randomTwig(rng, set.Target.Elements()), set); err == nil {
+			queries = append(queries, q)
+		}
+	}
+	bound := map[string]bool{} // every source path a relevant rewrite binds
+	for _, q := range queries {
+		for _, emb := range q.Embeddings {
+			for _, mi := range core.FilterMappings(set, emb) {
+				for _, p := range rewrite(q, emb, set, mi) {
+					bound[p] = true
+				}
+			}
+		}
+	}
+
+	h := delta.Open(d.OrderDocument(500, 5))
+	var carriedHits uint64
+	check := func(step int, snap *delta.Snapshot) {
+		t.Helper()
+		fresh := index.Build(snap.Doc)
+		before := snap.Index.Counters()
+		for _, q := range queries {
+			want := basicThrough(fresh, q, set, snap.Doc)
+			if err := sameResults(core.Evaluate(q, set, snap.Doc, bt), want); err != nil {
+				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from a rebuild: %v", step, snap.Epoch, q.Canonical, err)
+			}
+		}
+		// An epoch's memo starts with what the write carried, so the first
+		// pass's hits are carried units.
+		carriedHits += snap.Index.Counters().Sub(before).UnitHits
+		for _, q := range queries {
+			want := topKOf(basicThrough(fresh, q, set, snap.Doc), 3)
+			if err := sameResults(core.EvaluateTopK(q, set, snap.Doc, bt, 3), want); err != nil {
+				t.Fatalf("batch %d epoch %d, %s: top-3 answer diverged from a rebuild: %v", step, snap.Epoch, q.Canonical, err)
+			}
+		}
+	}
+	check(-1, h.Snapshot())
+	compactions := 0
+	for b := 0; b < batches; b++ {
+		cur := h.Snapshot()
+		snap, err := h.Apply([]delta.Edit{unitEdit(rng, cur.Doc, bound)})
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		if snap.Index.Stats().Overlays == 0 {
+			compactions++
+		}
+		check(b, snap)
+	}
+	if compactions < 3 {
+		t.Fatalf("crossed %d base compactions, want at least 3", compactions)
+	}
+	t.Logf("%d compactions, %d carried unit hits", compactions, carriedHits)
+	c := h.Snapshot().Index.Counters()
+	if c.MemoCarried == 0 || c.MemoDropped == 0 || carriedHits < uint64(batches) {
+		t.Fatalf("the mechanism never fired: carried %d, dropped %d, %d carried unit hits over %d batches", c.MemoCarried, c.MemoDropped, carriedHits, batches)
+	}
+}
+
+// randomTwig draws a twig over the schema's elements: the root path of one
+// element, as child steps or with one descendant step, and sometimes a
+// branch on a child of one of its ancestors.
+func randomTwig(rng *rand.Rand, elems []*schema.Element) string {
+	e := elems[rng.Intn(len(elems))]
+	var chain []*schema.Element
+	for a := e; a != nil; a = a.Parent {
+		chain = append([]*schema.Element{a}, chain...)
+	}
+	var b strings.Builder
+	skip := -1
+	if len(chain) > 2 && rng.Intn(3) == 0 {
+		skip = 1 + rng.Intn(len(chain)-2)
+	}
+	for i, a := range chain {
+		switch {
+		case i == skip:
+			continue
+		case i == skip+1 && i > 0:
+			b.WriteString("//")
+		case i > 0:
+			b.WriteString("/")
+		}
+		b.WriteString(a.Name)
+		if i < len(chain)-1 && len(a.Children) > 1 && rng.Intn(3) == 0 {
+			b.WriteString("[./" + a.Children[rng.Intn(len(a.Children))].Name + "]")
+		}
+	}
+	return b.String()
+}
+
+// rewrite returns the source paths mapping mi binds the embedded query to,
+// in pattern preorder.
+func rewrite(q *core.Query, emb twig.Embedding, set *mapping.Set, mi int) []string {
+	var paths []string
+	for _, qn := range q.Pattern.Nodes() {
+		s, _ := set.Mappings[mi].SourceFor(emb[qn.Index])
+		paths = append(paths, set.Source.ByID(s).Path)
+	}
+	return paths
+}
+
+// basicThrough is sequential Algorithm 3 through the given index.
+func basicThrough(ix *index.Index, q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
+	r := core.NewResultMerger(set)
+	for _, emb := range q.Embeddings {
+		for _, mi := range core.FilterMappings(set, emb) {
+			binding := twig.PathBinding{}
+			for i, p := range rewrite(q, emb, set, mi) {
+				binding[q.Pattern.Nodes()[i]] = p
+			}
+			r.Add(mi, ix.MatchTwig(doc, q.Pattern.Root, binding))
+		}
+	}
+	return r.Finish()
+}
+
+// topKOf cuts an answer down to its k most probable mappings, ties by
+// index, in mapping order.
+func topKOf(rs []core.Result, k int) []core.Result {
+	byRank := append([]core.Result(nil), rs...)
+	sort.SliceStable(byRank, func(i, j int) bool { return byRank[i].Prob > byRank[j].Prob })
+	byRank = byRank[:min(k, len(byRank))]
+	sort.Slice(byRank, func(i, j int) bool { return byRank[i].MappingIndex < byRank[j].MappingIndex })
+	return byRank
+}
+
+func sameResults(got, want []core.Result) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].MappingIndex != want[i].MappingIndex || got[i].Prob != want[i].Prob {
+			return fmt.Errorf("result %d: mapping %d p=%v, want mapping %d p=%v", i, got[i].MappingIndex, got[i].Prob, want[i].MappingIndex, want[i].Prob)
+		}
+		if err := sameAnswer(got[i].Matches, want[i].Matches); err != nil {
+			return fmt.Errorf("mapping %d: %v", got[i].MappingIndex, err)
+		}
+	}
+	return nil
+}
+
+// unitEdit draws one edit on a node whose path a unit binds, or on one
+// whose path none does: a settext, a rename to a sibling's label, an insert
+// of a copy of a small subtree beside it, or the deletion of a small subtree.
+func unitEdit(rng *rand.Rand, doc *xmltree.Document, bound map[string]bool) delta.Edit {
+	parent := map[*xmltree.Node]*xmltree.Node{}
+	size := map[*xmltree.Node]int{}
+	var walk func(n *xmltree.Node) int
+	walk = func(n *xmltree.Node) int {
+		size[n] = 1
+		for _, c := range n.Children {
+			parent[c] = n
+			size[n] += walk(c)
+		}
+		return size[n]
+	}
+	walk(doc.Root)
+	nodes := doc.Nodes()[1:]
+	on := rng.Intn(2) == 0
+	pick := func(maxSize int) *xmltree.Node {
+		for range 100 {
+			if n := nodes[rng.Intn(len(nodes))]; bound[n.Path] == on && size[n] <= maxSize {
+				return n
+			}
+		}
+		return nodes[rng.Intn(len(nodes))]
+	}
+	switch rng.Intn(4) {
+	case 0:
+		if n := pick(8); size[n] <= 8 {
+			p := parent[n]
+			return delta.Edit{Op: delta.OpRename, Start: n.Start, Label: p.Children[rng.Intn(len(p.Children))].Label}
+		}
+	case 1:
+		if n := pick(12); size[n] <= 12 {
+			var b strings.Builder
+			writeSubtree(&b, n)
+			p := parent[n]
+			return delta.Edit{Op: delta.OpInsert, Start: p.Start, Pos: rng.Intn(len(p.Children) + 1), XML: b.String()}
+		}
+	case 2:
+		if n := pick(8); size[n] <= 8 && len(nodes) > 250 {
+			return delta.Edit{Op: delta.OpDelete, Start: n.Start}
+		}
+	}
+	return delta.Edit{Op: delta.OpSetText, Start: pick(1 << 30).Start, Text: fmt.Sprintf("v%d", rng.Intn(5))}
+}
+
+func writeSubtree(b *strings.Builder, n *xmltree.Node) {
+	b.WriteString("<" + n.Label + ">")
+	xml.EscapeText(b, []byte(n.Text))
+	for _, c := range n.Children {
+		writeSubtree(b, c)
+	}
+	b.WriteString("</" + n.Label + ">")
 }

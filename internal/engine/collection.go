@@ -55,22 +55,16 @@ func (e *Engine) shardSubs(n int) []*Engine {
 
 // EvaluateBasicAcross answers the basic PTQ (Algorithm 3) over a sharded
 // collection: per embedding, every (shard, mapping) pair is evaluated
-// independently under the per-shard sub-budgets and the shard streams are
-// gathered per mapping in collection order. A single-shard collection
-// delegates to EvaluateBasic, so the output — and the evaluation path — is
-// exactly the single-document engine's.
+// independently under the per-shard sub-budgets — each shard's relevant
+// mappings split into contiguous chunks over its workers — and the shard
+// streams are gathered per mapping in collection order. Results are
+// identical to core.EvaluateBasic over the concatenated corpus.
 func (e *Engine) EvaluateBasicAcross(q *core.Query, set *mapping.Set, sh Shards) []core.Result {
+	results := core.NewResultMerger(set)
 	if len(sh.Docs) == 0 {
-		return core.NewResultMerger(set).Finish()
-	}
-	if len(sh.Docs) == 1 {
-		start := time.Now()
-		res := e.EvaluateBasic(q, set, sh.Docs[0])
-		sh.observe(0, time.Since(start))
-		return res
+		return results.Finish()
 	}
 	subs := e.shardSubs(len(sh.Docs))
-	results := core.NewResultMerger(set)
 	for _, emb := range q.Embeddings {
 		if e.canceled() {
 			break
@@ -106,7 +100,8 @@ func (e *Engine) EvaluateBasicAcross(q *core.Query, set *mapping.Set, sh Shards)
 }
 
 // basicMatches evaluates one embedding's relevant mappings over one shard,
-// chunked across the (sub-)engine's workers like EvaluateBasic.
+// chunked across the (sub-)engine's workers; per-mapping tasks are small,
+// so it over-chunks 4x for balance.
 func (e *Engine) basicMatches(q *core.Query, emb twig.Embedding, relevant []int, set *mapping.Set, doc *xmltree.Document) [][]twig.Match {
 	matches := make([][]twig.Match, len(relevant))
 	e.parallelRanges(len(relevant), 4*e.workers, func(_, lo, hi int) {
@@ -161,11 +156,11 @@ func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.Bl
 		if e.canceled() {
 			break
 		}
-		var perShard [][][]twig.Match
+		perShard := results.UnitOutputs(ep, len(sh.Docs))
 		if subs == nil {
-			perShard = [][][]twig.Match{e.runShard(ep, sh, 0, k)}
+			e.runShard(perShard[0], ep, sh, 0, k)
 		} else {
-			perShard = e.scatter(ep, sh, subs, k)
+			e.scatter(perShard, ep, sh, subs, k)
 		}
 		if e.canceled() {
 			// A canceled scatter may have skipped shards entirely, leaving
@@ -178,38 +173,35 @@ func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.Bl
 }
 
 // scatter runs one embedding's plan over every member at once, member s
-// under subs[s], and returns the outputs in collection order.
-func (e *Engine) scatter(ep *core.EmbeddingPlan, sh Shards, subs []*Engine, k int) [][][]twig.Match {
-	perShard := make([][][]twig.Match, len(sh.Docs))
+// under subs[s] into perShard[s].
+func (e *Engine) scatter(perShard [][][]twig.Match, ep *core.EmbeddingPlan, sh Shards, subs []*Engine, k int) {
 	e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
 		for s := lo; s < hi; s++ {
 			if e.canceled() {
 				return
 			}
-			perShard[s] = subs[s].runShard(ep, sh, s, k)
+			subs[s].runShard(perShard[s], ep, sh, s, k)
 		}
 	})
-	return perShard
 }
 
-// runShard runs one embedding's plan over member s, its matcher calls
-// spread over e's workers, and reports the unit's wall time.
-func (e *Engine) runShard(ep *core.EmbeddingPlan, sh Shards, s, k int) [][]twig.Match {
+// runShard runs one embedding's plan over member s into out, its matcher
+// calls spread over e's workers, and reports the unit's wall time.
+func (e *Engine) runShard(out [][]twig.Match, ep *core.EmbeddingPlan, sh Shards, s, k int) {
 	var each func(n int, fn func(i int))
 	if e.workers > 1 {
 		each = e.each
 	}
 	start := time.Now()
-	out := ep.Run(sh.Docs[s], k, e.done, each)
+	ep.Run(out, sh.Docs[s], k, e.done, each)
 	sh.observe(s, time.Since(start))
-	return out
 }
 
 // EvaluateBatchAcross answers many queries over one sharded collection,
-// fanning the requests across the engine's worker budget like
-// EvaluateBatch; each request then scatters across the shards under the
-// same budget (nested admission, inline fallback — no deadlock, no
-// overcommit).
+// the requests concurrently under the engine's worker budget and each
+// scattered across the shards under the same budget (nested admission,
+// inline fallback — no deadlock, no overcommit). Requests are prepared
+// through the cache; a nil block tree makes every request basic (K ignored).
 func (e *Engine) EvaluateBatchAcross(set *mapping.Set, sh Shards, bt *core.BlockTree, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
 	e.parallelRanges(len(reqs), len(reqs), func(_, lo, hi int) {

@@ -36,7 +36,6 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/mapping"
 	"xmatch/internal/obs"
-	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
 
@@ -261,35 +260,11 @@ func (e *Engine) CollectMetrics(x *obs.Exporter, labels ...obs.Label) {
 	x.Histogram("xmatch_engine_slot_wait_seconds", "Wait time of pool-slot acquisitions that blocked and succeeded.", e.waitLat.Snapshot(), labels...)
 }
 
-// EvaluateBasic answers the PTQ with a parallel Algorithm 3: the relevant
-// mappings of each embedding are split into contiguous chunks evaluated
-// concurrently, then merged in mapping order. Results are identical to
-// core.EvaluateBasic.
+// EvaluateBasic answers the PTQ with a parallel Algorithm 3 over one
+// document — a collection of one; see EvaluateBasicAcross. Results are
+// identical to core.EvaluateBasic.
 func (e *Engine) EvaluateBasic(q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
-	if e.workers <= 1 && e.done == nil {
-		return core.EvaluateBasic(q, set, doc)
-	}
-	results := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
-		if e.canceled() {
-			break
-		}
-		relevant := core.FilterMappings(set, emb)
-		matches := make([][]twig.Match, len(relevant))
-		// Per-mapping tasks are small, so over-chunk 4x for balance.
-		e.parallelRanges(len(relevant), 4*e.workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if e.canceled() {
-					return
-				}
-				matches[i] = core.EvaluateBasicMapping(q, emb, relevant[i], set, doc)
-			}
-		})
-		for i, mi := range relevant {
-			results.Add(mi, matches[i])
-		}
-	}
-	return results.Finish()
+	return e.EvaluateBasicAcross(q, set, Shards{Docs: []*xmltree.Document{doc}})
 }
 
 // Evaluate answers the PTQ with Algorithm 4 over one document — a
@@ -331,40 +306,10 @@ type Response struct {
 	Err     error
 }
 
-// EvaluateBatch answers many queries over one mapping set, document, and
-// block tree, evaluating the requests concurrently under the engine's shared
-// worker budget. Each request is prepared through the cache, so a batch with
-// repeated patterns parses each distinct pattern once. A nil block tree
-// makes every request fall back to basic evaluation over all mappings
-// (top-k evaluation requires the block tree, so K is ignored then).
+// EvaluateBatch answers many queries over one document — a collection of
+// one; see EvaluateBatchAcross.
 func (e *Engine) EvaluateBatch(set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree, reqs []Request) []Response {
-	out := make([]Response, len(reqs))
-	e.parallelRanges(len(reqs), len(reqs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.answer(set, doc, bt, reqs[i])
-		}
-	})
-	return out
-}
-
-func (e *Engine) answer(set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree, req Request) Response {
-	if e.canceled() {
-		return Response{Request: req, Err: ErrCanceled}
-	}
-	q, err := e.Prepare(req.Pattern, set)
-	if err != nil {
-		return Response{Request: req, Err: err}
-	}
-	var results []core.Result
-	switch {
-	case bt == nil:
-		results = e.EvaluateBasic(q, set, doc)
-	case req.K > 0:
-		results = e.EvaluateTopK(q, set, doc, bt, req.K)
-	default:
-		results = e.Evaluate(q, set, doc, bt)
-	}
-	return Response{Request: req, Query: q, Results: results}
+	return e.EvaluateBatchAcross(set, Shards{Docs: []*xmltree.Document{doc}}, bt, reqs)
 }
 
 // parallelRanges splits [0, n) into at most parts contiguous ranges and runs

@@ -34,6 +34,8 @@ type Counters struct {
 	emitted         atomic.Uint64
 	memoCarried     atomic.Uint64
 	memoDropped     atomic.Uint64
+	unitHits        atomic.Uint64
+	unitMisses      atomic.Uint64
 }
 
 // CountersSnapshot is a point-in-time copy of evaluation counters, the
@@ -69,6 +71,10 @@ type CountersSnapshot struct {
 	// did not — the write bound one of their paths, or compacted the index.
 	MemoCarried uint64 `json:"memoCarried"`
 	MemoDropped uint64 `json:"memoDropped"`
+	// UnitHits/UnitMisses count the evaluation plan's unit lookups
+	// (LookupUnit); the matcher calls a miss needs count in Evals.
+	UnitHits   uint64 `json:"unitHits"`
+	UnitMisses uint64 `json:"unitMisses"`
 }
 
 // Sub returns the counter-wise difference c - prev, the per-request
@@ -92,6 +98,8 @@ func (c CountersSnapshot) Sub(prev CountersSnapshot) CountersSnapshot {
 		Emitted:         c.Emitted - prev.Emitted,
 		MemoCarried:     c.MemoCarried - prev.MemoCarried,
 		MemoDropped:     c.MemoDropped - prev.MemoDropped,
+		UnitHits:        c.UnitHits - prev.UnitHits,
+		UnitMisses:      c.UnitMisses - prev.UnitMisses,
 	}
 }
 
@@ -116,6 +124,8 @@ func (c *Counters) Snapshot() CountersSnapshot {
 		Emitted:         c.emitted.Load(),
 		MemoCarried:     c.memoCarried.Load(),
 		MemoDropped:     c.memoDropped.Load(),
+		UnitHits:        c.unitHits.Load(),
+		UnitMisses:      c.unitMisses.Load(),
 	}
 }
 
@@ -172,6 +182,17 @@ func (c *Counters) addMemoCarry(carried, dropped int) {
 	c.memoDropped.Add(uint64(dropped))
 }
 
+// addUnitLookup records one plan-unit lookup in the result memo.
+func (c *Counters) addUnitLookup(hit bool) {
+	switch {
+	case c == nil:
+	case hit:
+		c.unitHits.Add(1)
+	default:
+		c.unitMisses.Add(1)
+	}
+}
+
 // globalCounters aggregates every index in the process. Unlike the
 // per-chain counters it survives catalog reloads and replica bootstraps,
 // which is what keeps /metricsz counters monotonic.
@@ -206,4 +227,6 @@ func CollectMetrics(e *obs.Exporter) {
 	emit("emitted_matches", "Matches emitted by uncached evaluations.", s.Emitted)
 	emit("memo_carried", "Result-memo entries a write handed to the next epoch.", s.MemoCarried)
 	emit("memo_dropped", "Result-memo entries a write invalidated or a compaction released.", s.MemoDropped)
+	emit("unit_hits", "Evaluation-plan units answered from the result memo.", s.UnitHits)
+	emit("unit_misses", "Evaluation-plan units the result memo did not hold.", s.UnitMisses)
 }

@@ -61,53 +61,25 @@ func (ix *Index) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.Path
 	defer putTwigState(st)
 	st.tally = tally{}
 	st.pathTallies = st.pathTallies[:0]
-	// Result memo: evaluation is a pure function of (index, pattern,
-	// binding), and PTQ workloads rewrite heavily overlapping mappings to
-	// a handful of distinct bindings — most evaluations over a hot index
-	// are exact repeats. The memo returns the previous result, shared;
-	// the Matcher contract already forbids callers from mutating matcher
-	// output (core's evaluation plan hands one match slice to every
-	// mapping of a result class the same way). The memo lives on the index
-	// itself, so every engine worker shares its warmth, and a write hands
-	// the next epoch every entry it did not invalidate (see carryFrom).
-	kb, hv := st.memoKey(qn, paths)
-	shard := &ix.memo.shards[hv%memoShards]
-	shard.mu.RLock()
-	byKey := shard.m[qn]
-	res, hit := byKey[string(kb)]
-	shard.mu.RUnlock()
-	if hit {
+	// Evaluation is a pure function of (index, pattern, binding), so a
+	// repeat is answered from the epoch's result memo, shared: the Matcher
+	// contract forbids callers from mutating matcher output.
+	kb := paths.AppendKey(st.keyBuf[:0], qn)
+	st.keyBuf = kb
+	hv := maphash.Bytes(memoSeed, kb)
+	if res, hit := memoGet(&ix.memo, qn, kb, hv); hit {
 		ix.ctr.addMemoHit()
 		globalCounters.addMemoHit()
 		return res
 	}
 	st.tally.memoMisses = 1
-	res = ix.matchTwig(st, qn, paths)
+	res := ix.matchTwig(st, qn, paths)
 	st.tally.emitted = uint64(len(res))
 	st.tally.decodedBlocks += st.prc.takeDecoded() + st.enc.takeDecoded()
 	ix.ctr.addEval(&st.tally)
 	globalCounters.addEval(&st.tally)
 	ix.prof.flush(st.pathTallies)
-	shard.mu.Lock()
-	if shard.m == nil {
-		shard.m = make(map[*twig.Node]map[string][]twig.Match)
-	}
-	byKey = shard.m[qn]
-	if byKey == nil {
-		if len(shard.m) >= memoShardCap {
-			// A runaway population of distinct patterns: reset rather
-			// than grow without bound.
-			shard.m = make(map[*twig.Node]map[string][]twig.Match)
-		}
-		byKey = make(map[string][]twig.Match)
-		shard.m[qn] = byKey
-	} else if len(byKey) >= memoShardCap {
-		// Likewise for distinct bindings of one pattern.
-		byKey = make(map[string][]twig.Match)
-		shard.m[qn] = byKey
-	}
-	byKey[string(kb)] = res
-	shard.mu.Unlock()
+	ix.memo.put(qn, string(kb), hv, res)
 	return res
 }
 
@@ -177,24 +149,6 @@ func (ix *Index) matchTwig(st *twigState, qn *twig.Node, paths twig.PathBinding)
 // memoSeed keys the memo's shard hash; per-process, shared by all states.
 var memoSeed = maphash.MakeSeed()
 
-// memoKey derives the binding's memo key — the bound paths in pattern
-// preorder, NUL-separated — and a shard hash. Dotted paths never contain
-// NUL, so the key is unambiguous.
-func (st *twigState) memoKey(qn *twig.Node, paths twig.PathBinding) ([]byte, uint64) {
-	kb := st.keyBuf[:0]
-	var walk func(n *twig.Node)
-	walk = func(n *twig.Node) {
-		kb = append(kb, paths[n]...)
-		kb = append(kb, 0)
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(qn)
-	st.keyBuf = kb
-	return kb, maphash.Bytes(memoSeed, kb)
-}
-
 // loadCandidates resolves pattern node i's candidate list: the value
 // index for value predicates, the path postings otherwise. The value index
 // holds only non-empty texts (Build skips text-less nodes), so an
@@ -246,24 +200,73 @@ type decoded struct {
 }
 
 // memoShards spreads the per-index result memo across locks so parallel
-// engine workers rarely contend; memoShardCap bounds each shard's pattern
-// and per-pattern binding population (reset on overflow — the memo is a
-// cache, not a ledger).
+// engine workers rarely contend; memoShardCap bounds each shard's entries
+// (reset on overflow — the memo is a cache, not a ledger).
 const (
 	memoShards   = 8
-	memoShardCap = 256
+	memoShardCap = 4096
 )
 
-// resultMemo is one index's evaluation cache: pattern -> binding key ->
-// result, sharded under read-write locks. It lives on the Index, so every
-// goroutine querying the epoch shares one warm cache, and a snapshot a
-// reader pinned keeps answering from its own memo whatever is written
-// afterwards.
+// resultMemo is one index's evaluation cache: (pattern node, binding key)
+// -> result, sharded by key under read-write locks. It lives on
+// the Index, so every goroutine querying the epoch shares one warm cache,
+// and a snapshot a reader pinned keeps answering from its own memo
+// whatever is written afterwards. MatchTwig and the evaluation plan's units
+// (LookupUnit, StoreUnit) share it: an entry is keyed by a pattern node
+// and the twig.PathBinding key of the paths its result depends on, whoever
+// wrote it. One map per shard, not one per node: a cold request stores an
+// entry per unit, and a map per node would cost it two allocations each.
 type resultMemo struct {
-	shards [memoShards]struct {
-		mu sync.RWMutex
-		m  map[*twig.Node]map[string][]twig.Match
+	shards [memoShards]memoShard
+}
+
+type memoShard struct {
+	mu sync.RWMutex
+	m  map[memoKey][]twig.Match
+}
+
+type memoKey struct {
+	qn  *twig.Node
+	key string
+}
+
+// memoGet looks the entry (qn, key) up; hv is the key's maphash under
+// memoSeed.
+func memoGet[K string | []byte](m *resultMemo, qn *twig.Node, key K, hv uint64) ([]twig.Match, bool) {
+	shard := &m.shards[hv%memoShards]
+	shard.mu.RLock()
+	res, ok := shard.m[memoKey{qn, string(key)}]
+	shard.mu.RUnlock()
+	return res, ok
+}
+
+// put stores the entry (qn, key). A shard past memoShardCap entries is
+// reset rather than grown: a runaway population of distinct patterns or
+// bindings makes the memo start over.
+func (m *resultMemo) put(qn *twig.Node, key string, hv uint64, res []twig.Match) {
+	shard := &m.shards[hv%memoShards]
+	shard.mu.Lock()
+	if shard.m == nil || len(shard.m) >= memoShardCap {
+		shard.m = make(map[memoKey][]twig.Match)
 	}
+	shard.m[memoKey{qn, key}] = res
+	shard.mu.Unlock()
+}
+
+// LookupUnit returns the memoised output of an evaluation-plan unit — the
+// entry core's plan keyed by qn and key (see core.UnitMemo) — and counts
+// the lookup.
+func (ix *Index) LookupUnit(qn *twig.Node, key string) ([]twig.Match, bool) {
+	res, ok := memoGet(&ix.memo, qn, key, maphash.String(memoSeed, key))
+	ix.ctr.addUnitLookup(ok)
+	globalCounters.addUnitLookup(ok)
+	return res, ok
+}
+
+// StoreUnit memoises a complete unit output under (qn, key) for every
+// later request over this epoch, and for the epochs writes carry it to.
+func (ix *Index) StoreUnit(qn *twig.Node, key string, res []twig.Match) {
+	ix.memo.put(qn, key, maphash.String(memoSeed, key), res)
 }
 
 // carryFrom seeds the memo of a new overlay epoch, not yet published, with
@@ -282,25 +285,16 @@ func (m *resultMemo) carryFrom(old *resultMemo, touched []string) (carried, drop
 	for i := range old.shards {
 		from, to := &old.shards[i], &m.shards[i]
 		from.mu.RLock()
-		for qn, byKey := range from.m {
-			var kept map[string][]twig.Match
-			for key, res := range byKey {
-				if bindsAny(key, touched) {
-					dropped++
-					continue
-				}
-				if kept == nil {
-					kept = make(map[string][]twig.Match, len(byKey))
-				}
-				kept[key] = res
-				carried++
+		for k, res := range from.m {
+			if bindsAny(k.key, touched) {
+				dropped++
+				continue
 			}
-			if kept != nil {
-				if to.m == nil {
-					to.m = make(map[*twig.Node]map[string][]twig.Match, len(from.m))
-				}
-				to.m[qn] = kept
+			if to.m == nil {
+				to.m = make(map[memoKey][]twig.Match, len(from.m))
 			}
+			to.m[k] = res
+			carried++
 		}
 		from.mu.RUnlock()
 	}
@@ -331,9 +325,7 @@ func (m *resultMemo) len() int {
 	for i := range m.shards {
 		shard := &m.shards[i]
 		shard.mu.RLock()
-		for _, byKey := range shard.m {
-			n += len(byKey)
-		}
+		n += len(shard.m)
 		shard.mu.RUnlock()
 	}
 	return n

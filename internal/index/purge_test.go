@@ -7,6 +7,7 @@ package index_test
 // exercises. Run under -race in CI.
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -146,5 +147,50 @@ func TestPurgeMemoDropsCarriedEntries(t *testing.T) {
 	ix.MatchTwig(doc, p.Root, paths)
 	if d := tip.Counters().Sub(before); d.MemoMisses != 1 || d.MemoHits != 1 {
 		t.Fatalf("after purging the tip: %d misses and %d hits, want the tip to miss and the pinned epoch to hit", d.MemoMisses, d.MemoHits)
+	}
+}
+
+// TestPurgeAndCapDropUnitEntries: evaluation-plan units live in the one
+// memo, so both ways it is emptied drop them — PurgeMemo, and the reset of
+// a shard that a runaway population of entries overflows.
+func TestPurgeAndCapDropUnitEntries(t *testing.T) {
+	doc, err := xmltree.ParseString(`<r><a><b>x</b></a></r>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := index.Build(doc)
+	// A unit binding the root path, under a node of its own.
+	p := twig.MustParse(`r`)
+	unit, key := new(twig.Node), string(twig.PathBinding{p.Root: "r"}.AppendKey(nil, p.Root))
+	out := ix.MatchTwig(doc, p.Root, twig.PathBinding{p.Root: "r"})
+	stored := func() bool {
+		t.Helper()
+		got, ok := ix.LookupUnit(unit, key)
+		if ok && !reflect.DeepEqual(got, out) {
+			t.Fatal("a unit lookup returned another unit's output")
+		}
+		return ok
+	}
+	before := ix.Counters()
+	if stored() {
+		t.Fatal("an empty memo answered a unit lookup")
+	}
+	ix.StoreUnit(unit, key, out)
+	if !stored() {
+		t.Fatal("a stored unit was not found")
+	}
+	if d := ix.Counters().Sub(before); d.UnitHits != 1 || d.UnitMisses != 1 || d.Evals != 0 {
+		t.Fatalf("two lookups counted as %+v", d)
+	}
+	ix.PurgeMemo()
+	if stored() {
+		t.Fatal("PurgeMemo left a unit entry behind")
+	}
+	ix.StoreUnit(unit, key, out)
+	for i := range 2 * 8 * 4096 { // twice memoShards × memoShardCap entries
+		ix.StoreUnit(unit, fmt.Sprintf("r%d\x00", i), nil)
+	}
+	if stored() {
+		t.Fatal("the cap reset left a unit entry behind")
 	}
 }

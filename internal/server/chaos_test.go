@@ -26,7 +26,6 @@ import (
 
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
-	"xmatch/internal/fault"
 	"xmatch/internal/replica"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
@@ -147,17 +146,17 @@ func TestChaosDifferentialStoreFaults(t *testing.T) {
 		t.Fatalf("fault-free run retried %d operations", clean.retries)
 	}
 
-	inj := fault.New(1012)
-	inj.Set("editlog.append", fault.Config{
+	inj := newInjector(1012)
+	inj.Set("editlog.append", faultConfig{
 		ErrorRate: 0.2, TornRate: 0.25,
 		LatencyRate: 0.2, Latency: time.Millisecond,
 		MaxFaults: 12,
 	})
-	inj.Set("store.write", fault.Config{ErrorRate: 0.5, MaxFaults: 3})
+	inj.Set("store.write", faultConfig{ErrorRate: 0.5, MaxFaults: 3})
 	store.SetHooks(&store.Hooks{
 		AppendFrame: func(path string, frame []byte) (int, error) {
 			if keep, torn := inj.Torn("editlog.append"); torn {
-				return int(keep * float64(len(frame))), fault.ErrInjected
+				return int(keep * float64(len(frame))), errInjected
 			}
 			if err := inj.Hit("editlog.append"); err != nil {
 				return 0, err
@@ -217,7 +216,7 @@ func TestFollowerChaosRetriesConverge(t *testing.T) {
 
 	// The injector starts with no configured points, so the follower's
 	// initial sync is clean; the fault schedule arms afterwards.
-	inj := fault.New(77)
+	inj := newInjector(77)
 	rep, f, err := server.NewFollower(ts.URL, server.FollowerOptions{
 		Server: server.Options{Logger: quiet},
 		Engine: engine.Options{Workers: 2},
@@ -231,7 +230,7 @@ func TestFollowerChaosRetriesConverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	const faults = 5
-	inj.Set("replica.stream", fault.Config{ErrorRate: 1, MaxFaults: faults})
+	inj.Set("replica.stream", faultConfig{ErrorRate: 1, MaxFaults: faults})
 
 	doc := primary.Catalog().Get("small").Doc()
 	var textPath string

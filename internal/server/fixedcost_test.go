@@ -33,10 +33,12 @@ import (
 // |M| = 100 over the 3,473-node document — with the worker count pinned,
 // so that what a request allocates does not depend on the host's CPUs.
 func benchServer(t *testing.T, opts server.Options) *server.Server {
+	return d7Server(t, store.CatalogEntry{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 3473, DocSeed: 42, Tau: 0.2}, opts)
+}
+
+func d7Server(t *testing.T, entry store.CatalogEntry, opts server.Options) *server.Server {
 	t.Helper()
-	man := &store.Catalog{Entries: []store.CatalogEntry{
-		{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 3473, DocSeed: 42, Tau: 0.2},
-	}}
+	man := &store.Catalog{Entries: []store.CatalogEntry{entry}}
 	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv, err := server.New(func() (*server.Catalog, error) {
 		return server.BuildCatalog(man, ".", engine.Options{Workers: 2})
@@ -82,9 +84,19 @@ func (w *statusWriter) Write(p []byte) (int, error) { return len(p), nil }
 // and returns what one request allocates, in objects and in bytes.
 func requestCost(t *testing.T, srv *server.Server, mode string, k int) (allocs, bytes float64) {
 	t.Helper()
-	var bodies [][]byte
+	var reqs []server.QueryRequest
 	for _, q := range dataset.Queries() {
-		body, err := json.Marshal(server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mode, K: k})
+		reqs = append(reqs, server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mode, K: k})
+	}
+	return requestsCost(t, srv, reqs)
+}
+
+// requestsCost is requestCost over a cycle of requests.
+func requestsCost(t *testing.T, srv *server.Server, reqs []server.QueryRequest) (allocs, bytes float64) {
+	t.Helper()
+	var bodies [][]byte
+	for _, req := range reqs {
+		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +185,34 @@ func TestCompactRequestAllocBudget(t *testing.T) {
 	t.Logf("compact results arrays rendered from nil: %d bytes, %d allocated (%.2fx)", body, allocated, float64(allocated)/float64(body))
 	if 2*allocated > 3*body {
 		t.Fatalf("rendering %d bytes of compact results from nil allocated %d, budget 1.5x", body, allocated)
+	}
+}
+
+// TestShardedRequestAllocBudget: a warmed request shaped like bench's
+// corpus_point — Q1–Q3, compact twice to top-k once, over a four-shard
+// collection — allocates at most 3.5 KB. Every unit it needs is in its
+// shards' memos, so it makes one lookup per kept result class per shard,
+// gathers the shard streams without keying a match, and writes the unit
+// outputs into the merger's scratch. It read ~7 KB while each request
+// re-ran the plan's joins and re-keyed its decomposition roots.
+func TestShardedRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what it is given")
+	}
+	srv := d7Server(t, store.CatalogEntry{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 40000, DocSeed: 42, Shards: 4, Tau: 0.2}, server.Options{})
+	var reqs []server.QueryRequest
+	for _, mk := range []struct {
+		mode string
+		k    int
+	}{{"compact", 0}, {"compact", 0}, {"topk", 5}} {
+		for _, q := range dataset.Queries()[:3] {
+			reqs = append(reqs, server.QueryRequest{Dataset: "D7", Pattern: q.Text, Mode: mk.mode, K: mk.k})
+		}
+	}
+	allocs, bytes := requestsCost(t, srv, reqs)
+	t.Logf("allocs/op %.1f, %.0f B/op", allocs, bytes)
+	if bytes > 3.5*1024 {
+		t.Fatalf("a warmed four-shard request allocates %.0f bytes, budget 3.5 KB", bytes)
 	}
 }
 

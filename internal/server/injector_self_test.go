@@ -1,4 +1,4 @@
-package fault
+package server_test
 
 import (
 	"errors"
@@ -8,8 +8,8 @@ import (
 
 func TestInjectorDeterministic(t *testing.T) {
 	run := func() []bool {
-		in := New(42)
-		in.Set("p", Config{ErrorRate: 0.5})
+		in := newInjector(42)
+		in.Set("p", faultConfig{ErrorRate: 0.5})
 		out := make([]bool, 50)
 		for i := range out {
 			out[i] = in.Hit("p") != nil
@@ -34,10 +34,10 @@ func TestInjectorDeterministic(t *testing.T) {
 }
 
 func TestInjectorSentinelAndCounts(t *testing.T) {
-	in := New(7)
-	in.Set("p", Config{ErrorRate: 1})
+	in := newInjector(7)
+	in.Set("p", faultConfig{ErrorRate: 1})
 	err := in.Hit("p")
-	if !errors.Is(err, ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("injected error does not wrap sentinel: %v", err)
 	}
 	if err := in.Hit("unconfigured"); err != nil {
@@ -53,8 +53,8 @@ func TestInjectorSentinelAndCounts(t *testing.T) {
 }
 
 func TestInjectorMaxFaultsConverges(t *testing.T) {
-	in := New(3)
-	in.Set("p", Config{ErrorRate: 1, TornRate: 1, MaxFaults: 4})
+	in := newInjector(3)
+	in.Set("p", faultConfig{ErrorRate: 1, TornRate: 1, MaxFaults: 4})
 	faults := 0
 	for i := 0; i < 100; i++ {
 		if err := in.Hit("p"); err != nil {
@@ -75,8 +75,8 @@ func TestInjectorMaxFaultsConverges(t *testing.T) {
 }
 
 func TestInjectorTornFraction(t *testing.T) {
-	in := New(11)
-	in.Set("p", Config{TornRate: 1})
+	in := newInjector(11)
+	in.Set("p", faultConfig{TornRate: 1})
 	for i := 0; i < 20; i++ {
 		keep, torn := in.Torn("p")
 		if !torn {
@@ -89,7 +89,7 @@ func TestInjectorTornFraction(t *testing.T) {
 }
 
 func TestNilInjectorPasses(t *testing.T) {
-	var in *Injector
+	var in *injector
 	if err := in.Hit("p"); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestNilInjectorPasses(t *testing.T) {
 }
 
 func TestInjectorLatency(t *testing.T) {
-	in := New(5)
-	in.Set("p", Config{LatencyRate: 1, Latency: 5 * time.Millisecond})
+	in := newInjector(5)
+	in.Set("p", faultConfig{LatencyRate: 1, Latency: 5 * time.Millisecond})
 	start := time.Now()
 	if err := in.Hit("p"); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,18 @@
-// Package fault provides deterministic fault injection for chaos
-// testing: an Injector owns a seeded random schedule and a table of named
-// injection points, each configured with error, latency, and torn-write
-// probabilities plus a fault budget. Production code never imports this
-// package; the hooks it drives (store.SetHooks, replica.Client.Fault) are
-// plain nil-checked function pointers, so the uninjected fast path costs
-// one atomic load.
+package server_test
+
+// Deterministic fault injection for the chaos suites (chaos_test.go): an
+// injector owns a seeded random schedule and a table of named injection
+// points, each configured with error, latency, and torn-write
+// probabilities plus a fault budget. It lives with the only tests that use
+// it; the hooks it drives (store.SetHooks, replica.Client.Fault) are plain
+// nil-checked function pointers, so the uninjected fast path costs one
+// atomic load.
 //
 // The chaos differential suites lean on two properties. Determinism: one
 // seed and one call sequence produce one schedule, so a failing run can
 // be replayed exactly. Convergence: MaxFaults bounds each point's injected
 // failures, so retried operations eventually succeed and a fault-laden run
 // terminates with the same acknowledged state as a fault-free one.
-package fault
 
 import (
 	"errors"
@@ -21,13 +22,13 @@ import (
 	"time"
 )
 
-// ErrInjected is the sentinel all injected errors wrap; consumers use
+// errInjected is the sentinel all injected errors wrap; consumers use
 // errors.Is to tell an injected failure from a real one.
-var ErrInjected = errors.New("fault: injected")
+var errInjected = errors.New("fault: injected")
 
-// Config shapes one injection point's behavior. All rates are
+// faultConfig shapes one injection point's behavior. All rates are
 // probabilities in [0, 1], drawn independently per hit.
-type Config struct {
+type faultConfig struct {
 	// ErrorRate is the probability a hit fails with an injected error.
 	ErrorRate float64
 	// LatencyRate is the probability a hit first sleeps for Latency.
@@ -42,8 +43,8 @@ type Config struct {
 	MaxFaults int
 }
 
-// Counts is one injection point's ledger.
-type Counts struct {
+// faultCounts is one injection point's ledger.
+type faultCounts struct {
 	// Hits is how many times the point was consulted.
 	Hits int
 	// Errors and Torn are the injected failures, by kind.
@@ -53,41 +54,41 @@ type Counts struct {
 	Slept int
 }
 
-type pointState struct {
-	cfg Config
-	n   Counts
+type faultPoint struct {
+	cfg faultConfig
+	n   faultCounts
 }
 
-func (p *pointState) faults() int { return p.n.Errors + p.n.Torn }
+func (p *faultPoint) faults() int { return p.n.Errors + p.n.Torn }
 
-// Injector drives a chaos run's injection points from one seeded
+// injector drives a chaos run's injection points from one seeded
 // schedule. The zero value injects nothing; it is safe for concurrent use.
-type Injector struct {
+type injector struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
-	points map[string]*pointState
+	points map[string]*faultPoint
 }
 
-// New returns an injector whose schedule is fully determined by seed and
+// newInjector returns an injector whose schedule is fully determined by seed and
 // the sequence of Hit/Torn calls.
-func New(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), points: map[string]*pointState{}}
+func newInjector(seed int64) *injector {
+	return &injector{rng: rand.New(rand.NewSource(seed)), points: map[string]*faultPoint{}}
 }
 
 // Set installs (or replaces) the configuration of one injection point.
-func (in *Injector) Set(point string, cfg Config) {
+func (in *injector) Set(point string, cfg faultConfig) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.points == nil {
-		in.points = map[string]*pointState{}
+		in.points = map[string]*faultPoint{}
 	}
-	in.points[point] = &pointState{cfg: cfg}
+	in.points[point] = &faultPoint{cfg: cfg}
 }
 
 // Hit consults the schedule at a named point: it may sleep (injected
 // latency) and may return an injected error. Unconfigured points — and a
 // nil injector — always pass instantly.
-func (in *Injector) Hit(point string) error {
+func (in *injector) Hit(point string) error {
 	if in == nil {
 		return nil
 	}
@@ -107,7 +108,7 @@ func (in *Injector) Hit(point string) error {
 	if p.cfg.ErrorRate > 0 && (p.cfg.MaxFaults == 0 || p.faults() < p.cfg.MaxFaults) &&
 		in.rng.Float64() < p.cfg.ErrorRate {
 		p.n.Errors++
-		err = fmt.Errorf("%w: %s (error %d)", ErrInjected, point, p.n.Errors)
+		err = fmt.Errorf("%w: %s (error %d)", errInjected, point, p.n.Errors)
 	}
 	in.mu.Unlock()
 	if sleep > 0 {
@@ -119,7 +120,7 @@ func (in *Injector) Hit(point string) error {
 // Torn asks whether a write at the point should be torn. It returns the
 // fraction of the frame to keep — a value in (0, 1) — and true when the
 // schedule tears this write; (0, false) otherwise.
-func (in *Injector) Torn(point string) (keep float64, torn bool) {
+func (in *injector) Torn(point string) (keep float64, torn bool) {
 	if in == nil {
 		return 0, false
 	}
@@ -142,13 +143,13 @@ func (in *Injector) Torn(point string) (keep float64, torn bool) {
 }
 
 // Counts returns a snapshot of every configured point's ledger.
-func (in *Injector) Counts() map[string]Counts {
+func (in *injector) Counts() map[string]faultCounts {
 	if in == nil {
 		return nil
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make(map[string]Counts, len(in.points))
+	out := make(map[string]faultCounts, len(in.points))
 	for name, p := range in.points {
 		out[name] = p.n
 	}
@@ -156,7 +157,7 @@ func (in *Injector) Counts() map[string]Counts {
 }
 
 // TotalFaults sums injected errors and torn writes across all points.
-func (in *Injector) TotalFaults() int {
+func (in *injector) TotalFaults() int {
 	total := 0
 	for _, c := range in.Counts() {
 		total += c.Errors + c.Torn

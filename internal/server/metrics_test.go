@@ -183,24 +183,46 @@ func TestQueryExplain(t *testing.T) {
 		t.Fatalf("%d explain shard rows for %d shards", len(ex.Shards), ds.NumShards())
 	}
 	for _, sh := range ex.Shards {
-		if sh.Counters.Evals == 0 {
+		if c := sh.Counters; c.Evals+c.UnitHits+c.UnitMisses == 0 {
 			t.Errorf("shard %d matcher counters did not move: %+v", sh.Shard, sh.Counters)
 		}
 	}
 	// The plan block: the default (compact) mode ran a compiled plan, and
-	// evaluating a shard cost at most one matcher call per leaf unit —
-	// whatever the worker count.
+	// evaluating a shard cost at most one matcher call per leaf unit and
+	// one unit lookup per join unit and per result class — whatever the
+	// worker count.
 	if ex.Plan == nil {
 		t.Fatal("explain of a compact query lacks the plan block")
 	}
-	if p := ex.Plan; p.RelevantMappings == 0 || p.LeafUnits == 0 || p.BlockUnits > p.LeafUnits ||
+	p := ex.Plan
+	if p.RelevantMappings == 0 || p.LeafUnits == 0 || p.BlockUnits > p.LeafUnits ||
 		p.ResultClasses == 0 || p.ResultClasses > p.RelevantMappings {
 		t.Errorf("implausible plan block %+v", *p)
 	}
 	for _, sh := range ex.Shards {
-		if sh.Counters.Evals > uint64(ex.Plan.LeafUnits) {
-			t.Errorf("shard %d: %d matcher calls for %d leaf units", sh.Shard, sh.Counters.Evals, ex.Plan.LeafUnits)
+		if c := sh.Counters; c.Evals > uint64(p.LeafUnits) || c.UnitHits+c.UnitMisses > uint64(p.JoinUnits+p.ResultClasses) {
+			t.Errorf("shard %d: %d matcher calls and %d unit lookups for %d leaf units, %d join units and %d classes",
+				sh.Shard, c.Evals, c.UnitHits+c.UnitMisses, p.LeafUnits, p.JoinUnits, p.ResultClasses)
 		}
+	}
+	// The same request again is answered from the shards' memos: one lookup
+	// per result class at most, and no matcher call.
+	resp, raw = postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern})
+	var hot server.QueryResponse
+	if err := json.Unmarshal(raw, &hot); err != nil || resp.StatusCode != http.StatusOK || hot.Explain == nil {
+		t.Fatalf("hot explain query: status %d, %v", resp.StatusCode, err)
+	}
+	var hits uint64
+	for _, sh := range hot.Explain.Shards {
+		c := sh.Counters
+		if c.Evals != 0 || c.UnitMisses != 0 || c.UnitHits > uint64(p.ResultClasses) {
+			t.Errorf("hot request, shard %d: %d matcher calls, %d unit lookups (%d misses) for %d result classes",
+				sh.Shard, c.Evals, c.UnitHits+c.UnitMisses, c.UnitMisses, p.ResultClasses)
+		}
+		hits += c.UnitHits
+	}
+	if hits == 0 {
+		t.Error("hot request made no unit lookup")
 	}
 	// Basic mode evaluates per mapping: no plan to report.
 	resp, raw = postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern, Mode: "basic"})

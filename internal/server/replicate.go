@@ -189,7 +189,7 @@ type FollowerOptions struct {
 	// with a 30s timeout).
 	HTTP *http.Client
 	// Fault, when set, is consulted before every primary RPC — the
-	// replication fault-injection hook (see internal/fault): a returned
+	// replication fault-injection hook (the chaos suite drives it): a returned
 	// error fails the call before it touches the network, exercising the
 	// follower's retry/backoff/breaker path deterministically.
 	Fault func(op string) error

@@ -3,7 +3,7 @@ package store
 import "sync/atomic"
 
 // Hooks intercept the store's file I/O for fault injection — the chaos
-// suites (driven by internal/fault) wire them to simulate disk errors and
+// suites (internal/server/chaos_test.go) wire them to simulate disk errors and
 // crash-torn writes without build tags or filesystem tricks. Production
 // code leaves them uninstalled; the cost of the probe is one atomic load
 // per file operation.

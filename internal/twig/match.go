@@ -1,6 +1,7 @@
 package twig
 
 import (
+	"cmp"
 	"sort"
 
 	"xmatch/internal/xmltree"
@@ -78,11 +79,40 @@ func (m Match) Key() string {
 	return string(buf)
 }
 
+// Compare orders matches exactly as comparing their keys would —
+// strings.Compare(m.Key(), o.Key()): binding by binding, the pattern index
+// byte, then the start as uint64, and a prefix first — without building
+// either key.
+func (m Match) Compare(o Match) int {
+	for i := 0; i < len(m) && i < len(o); i++ {
+		if c := cmp.Compare(byte(m[i].Q.Index), byte(o[i].Q.Index)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(uint64(m[i].D.Start), uint64(o[i].D.Start)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(m), len(o))
+}
+
 // PathBinding assigns every node of a pattern subtree the dotted document
 // path its bindings must carry. In PTQ evaluation the paths are the
 // source-schema paths obtained by rewriting the embedded target query
 // through one mapping (or one block's correspondence set).
 type PathBinding map[*Node]string
+
+// AppendKey appends the binding's key over the pattern subtree rooted at
+// qn: the bound paths in pattern preorder, each NUL-terminated. Dotted
+// paths never contain NUL, so the key is unambiguous, and the key of a
+// subtree is the concatenation of its parts' keys in preorder — the form
+// the index's result memo keys its entries by and parses back.
+func (b PathBinding) AppendKey(dst []byte, qn *Node) []byte {
+	dst = append(append(dst, b[qn]...), 0)
+	for _, c := range qn.Children {
+		dst = b.AppendKey(dst, c)
+	}
+	return dst
+}
 
 // MatchByPaths evaluates the pattern subtree rooted at qn over the
 // document: each pattern node binds a document node whose path equals

@@ -392,6 +392,57 @@ func TestMatchKeyDistinguishesBindings(t *testing.T) {
 	}
 }
 
+// TestMatchCompareOrdersAsKey: Compare is strings.Compare over the two
+// keys, on random matches drawn to collide — shared prefixes, one a prefix
+// of the other, pattern indexes 0 and 63, starts around 2^31 as well as
+// small ones.
+func TestMatchCompareOrdersAsKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var qs [64]*Node
+	for i := range qs {
+		qs[i] = &Node{Index: i}
+	}
+	starts := []int{0, 1, 15, 16, 1<<31 - 1, 1 << 31, 1<<31 + 1, 1<<32 - 1, 1 << 32, 1 << 40}
+	binding := func() Binding {
+		q := qs[[]int{0, 63, rng.Intn(64)}[rng.Intn(3)]]
+		s := starts[rng.Intn(len(starts))]
+		if rng.Intn(3) == 0 {
+			s = rng.Intn(1 << 20)
+		}
+		return Binding{Q: q, D: &xmltree.Node{Start: s}}
+	}
+	random := func() Match {
+		m := make(Match, rng.Intn(4))
+		for i := range m {
+			m[i] = binding()
+		}
+		return m
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := random()
+		var b Match
+		switch rng.Intn(4) {
+		case 0: // a prefix of a, or a itself
+			b = append(Match(nil), a[:rng.Intn(len(a)+1)]...)
+		case 1: // a's prefix, then something else
+			b = append(append(Match(nil), a[:rng.Intn(len(a)+1)]...), random()...)
+		case 2: // one binding changed in place
+			b = append(Match(nil), a...)
+			if len(b) > 0 {
+				b[rng.Intn(len(b))] = binding()
+			}
+		default:
+			b = random()
+		}
+		if got, want := a.Compare(b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, keys compare %d", a, b, got, want)
+		}
+		if got, want := b.Compare(a), strings.Compare(b.Key(), a.Key()); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, keys compare %d", b, a, got, want)
+		}
+	}
+}
+
 func TestMatchByPathsFilteredAgainstBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 300; trial++ {
