@@ -404,36 +404,38 @@ func BenchmarkAblationIntersectionPruning(b *testing.B) {
 	})
 }
 
-// Paired sequential-vs-parallel PTQ benchmarks on the largest generated
-// mapping set (|M|=500). Compare seq vs par sub-benchmarks to read the
-// speedup; par uses every available CPU through internal/engine, so on a
-// single-core machine the pair measures the engine's orchestration overhead
-// instead.
+// PTQ benchmarks on the largest generated mapping set (|M|=500), each
+// evaluating one document on the calling goroutine. The engine runs a
+// single document through the same plan as core, so no engine twin is
+// timed beside core's evaluators.
 
-// BenchmarkPTQBasic pairs core.EvaluateBasic with the engine's parallel
-// Algorithm 3.
+// BenchmarkPTQBasic measures basic mode as the engine serves it: the plan
+// over no c-blocks, one matcher call per distinct rewrite (core.EvaluateBasic
+// is Algorithm 3 itself, one call per mapping: the oracle).
 func BenchmarkPTQBasic(b *testing.B) {
+	benchmarkPTQBasic(b, false)
+}
+
+func benchmarkPTQBasic(b *testing.B, indexed bool) {
 	setup(b)
-	set := fixSets[500]
+	doc, set := fixDoc, fixSets[500]
+	if indexed {
+		doc = fixDocIdx
+	}
 	q, err := core.PrepareQuery(dataset.Queries()[9].Text, set)
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng := engine.New(engine.Options{})
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = core.EvaluateBasic(q, set, fixDoc)
-		}
-	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateBasic(q, set, fixDoc)
+			_ = eng.EvaluateBasic(q, set, doc)
 		}
 	})
 }
 
-// BenchmarkPTQCompact pairs core.Evaluate with the engine's parallel
-// Algorithm 4 (block-tree evaluation).
+// BenchmarkPTQCompact measures core.Evaluate, Algorithm 4 (block-tree
+// evaluation).
 func BenchmarkPTQCompact(b *testing.B) {
 	setup(b)
 	set := fixSets[500]
@@ -450,16 +452,9 @@ func BenchmarkPTQCompact(b *testing.B) {
 			_ = core.Evaluate(q, set, fixDoc, bt)
 		}
 	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.Evaluate(q, set, fixDoc, bt)
-		}
-	})
 }
 
-// BenchmarkPTQTopK pairs core.EvaluateTopK with the engine's parallel top-k
-// evaluation at k = |M|/10.
+// BenchmarkPTQTopK measures core.EvaluateTopK at k = |M|/10.
 func BenchmarkPTQTopK(b *testing.B) {
 	setup(b)
 	set := fixSets[500]
@@ -477,36 +472,13 @@ func BenchmarkPTQTopK(b *testing.B) {
 			_ = core.EvaluateTopK(q, set, fixDoc, bt, k)
 		}
 	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateTopK(q, set, fixDoc, bt, k)
-		}
-	})
 }
 
-// BenchmarkPTQ*Indexed mirror the sequential/parallel PTQ pairs with the
-// positional index attached to the document, so the trajectory tracks all
-// four corners: {joined, holistic} × {seq, par}.
+// BenchmarkPTQ*Indexed mirror the PTQ benchmarks with the positional index
+// attached to the document: the holistic matcher and the result memo.
 
 func BenchmarkPTQBasicIndexed(b *testing.B) {
-	setup(b)
-	set := fixSets[500]
-	q, err := core.PrepareQuery(dataset.Queries()[9].Text, set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("seq", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = core.EvaluateBasic(q, set, fixDocIdx)
-		}
-	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateBasic(q, set, fixDocIdx)
-		}
-	})
+	benchmarkPTQBasic(b, true)
 }
 
 func BenchmarkPTQCompactIndexed(b *testing.B) {
@@ -523,12 +495,6 @@ func BenchmarkPTQCompactIndexed(b *testing.B) {
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = core.Evaluate(q, set, fixDocIdx, bt)
-		}
-	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.Evaluate(q, set, fixDocIdx, bt)
 		}
 	})
 	// cold empties the result memo before every op: the plan's units are
@@ -558,12 +524,6 @@ func BenchmarkPTQTopKIndexed(b *testing.B) {
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = core.EvaluateTopK(q, set, fixDocIdx, bt, k)
-		}
-	})
-	b.Run("par", func(b *testing.B) {
-		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateTopK(q, set, fixDocIdx, bt, k)
 		}
 	})
 }
@@ -773,9 +733,8 @@ func BenchmarkAggregateQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTwigEngine compares the direct twig evaluator against
-// the TwigList-style two-phase (filter, then enumerate) evaluator on a
-// selective query, where early pruning pays.
+// BenchmarkAblationTwigEngine measures the direct twig evaluator on a
+// selective query.
 func BenchmarkAblationTwigEngine(b *testing.B) {
 	setup(b)
 	set := fixSets[100]
@@ -806,11 +765,6 @@ func BenchmarkAblationTwigEngine(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = twig.MatchByPaths(fixDoc, q.Pattern.Root, binding)
-		}
-	})
-	b.Run("twiglist", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = twig.MatchByPathsFiltered(fixDoc, q.Pattern.Root, binding)
 		}
 	})
 }

@@ -29,13 +29,12 @@ func main() {
 		maxH     = flag.Int("maxh", 1000, "largest h in the fig10f sweep")
 		format   = flag.String("format", "text", "output format: text or csv")
 		genReps  = flag.Int("genrepeats", 0, "repeats for the generation experiments (0 = same as -repeats)")
-		workers  = flag.Int("workers", 0, "worker-sweep cap for the scale experiment (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
 	suite := experiments.NewSuite(experiments.Config{
 		M: *m, Repeats: *repeats, DocNodes: *docNodes, GenH: *genH, MaxH: *maxH,
-		GenRepeats: *genReps, MaxWorkers: *workers,
+		GenRepeats: *genReps,
 	})
 	if *list {
 		for _, n := range suite.Names() {

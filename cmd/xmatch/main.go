@@ -17,7 +17,7 @@
 //	xmatch workload replay -f queries.capture -remote http://localhost:8777
 //
 // Queries run on the concurrent engine of internal/engine; -workers bounds
-// its pool (0 = all cores) and -parallel=false forces sequential evaluation.
+// its pool (0 = all cores, 1 = sequential).
 // With -remote the query subcommand becomes a client of the xmatchd daemon
 // (cmd/xmatchd): -d names the daemon's serving dataset, batches go through
 // /v1/batch, and the printed answers match local evaluation exactly.
@@ -93,7 +93,7 @@ func usage() {
   stats    -d <D1..D10>                     matching and block-tree statistics
   mappings -d <D1..D10> [-n 10] [-m 100]    most probable mappings
   query    -d <D1..D10> -q <twig> [-k 0]    answer a PTQ (k>0 for top-k);
-           [-workers N] [-parallel=false]   ';'-separated twigs run as a batch
+           [-workers N]                     ';'-separated twigs run as a batch
            [-indexed=false]                 skip positional-index discovery:
                                             evaluate through the joined
                                             matcher (local only; a remote
@@ -244,7 +244,6 @@ func runQuery(args []string) error {
 	k := fs.Int("k", 0, "top-k PTQ; 0 evaluates all mappings")
 	docNodes := fs.Int("doc", 3473, "source document size")
 	workers := fs.Int("workers", 0, "parallel evaluation workers (0 = all cores, 1 = sequential)")
-	parallel := fs.Bool("parallel", true, "enable parallel evaluation (-parallel=false forces sequential)")
 	indexed := fs.Bool("indexed", true, "evaluate through the positional document index; false skips accelerator discovery entirely, forcing the joined matcher (local evaluation only: with -remote the daemon's catalog fixes indexing, so the flag is rejected rather than silently ignored)")
 	remote := fs.String("remote", "", "xmatchd base URL (e.g. http://localhost:8777); query the daemon's dataset named by -d instead of evaluating locally")
 	explain := fs.Bool("explain", false, "print evaluation internals after the answers: the request trace and the index matcher's counters (single query only)")
@@ -255,9 +254,6 @@ func runQuery(args []string) error {
 	w := *workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
-	}
-	if !*parallel {
-		w = 1
 	}
 
 	var queries []string
@@ -278,7 +274,7 @@ func runQuery(args []string) error {
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "m", "doc", "workers", "parallel", "indexed":
+			case "m", "doc", "workers", "indexed":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})

@@ -67,14 +67,14 @@ func TestCLISmoke(t *testing.T) {
 	})
 
 	t.Run("query-parallel", func(t *testing.T) {
-		// -workers and sequential fallback must print the same answers.
+		// A parallel and a sequential engine must print the same answers.
 		par, err := run(t, bin, "query", "-d", "D7", "-m", "20", "-doc", "1200",
 			"-workers", "8", "-q", "Order/DeliverTo/Contact/EMail")
 		if err != nil {
 			t.Fatalf("%v\n%s", err, par)
 		}
 		seq, err := run(t, bin, "query", "-d", "D7", "-m", "20", "-doc", "1200",
-			"-parallel=false", "-q", "Order/DeliverTo/Contact/EMail")
+			"-workers", "1", "-q", "Order/DeliverTo/Contact/EMail")
 		if err != nil {
 			t.Fatalf("%v\n%s", err, seq)
 		}

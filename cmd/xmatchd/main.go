@@ -83,7 +83,6 @@ type config struct {
 	shards         int
 	tau            float64
 	workers        int
-	reqWorkers     int
 	cache          int
 	editlogDir     string
 	fsync          bool
@@ -117,7 +116,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "member documents per built-in dataset (-doc nodes total across them); >1 serves a scatter-gather collection")
 	flag.Float64Var(&cfg.tau, "tau", 0.2, "block-tree confidence threshold")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker-pool size per dataset engine (0 = all cores)")
-	flag.IntVar(&cfg.reqWorkers, "request-workers", 0, "per-request worker budget (0 = half the pool, <0 = sequential)")
 	flag.IntVar(&cfg.cache, "cache", engine.DefaultCacheCapacity, "prepared-query cache capacity per dataset")
 	flag.StringVar(&cfg.editlogDir, "editlog-dir", "", "persist /v1/admin/mutate batches per built-in dataset as <dir>/<name>.editlog, replayed on start and reload (built-in -datasets mode only; manifests carry their own EditLogPath)")
 	flag.BoolVar(&cfg.fsync, "fsync", true, "fsync durable edit-log appends before acknowledging a mutation; -fsync=false trades crash durability of the latest batches for write latency")
@@ -249,7 +247,6 @@ func run(cfg config) error {
 		traceThreshold = time.Nanosecond
 	}
 	sopts := server.Options{
-		RequestWorkers:     cfg.reqWorkers,
 		TraceThreshold:     traceThreshold,
 		MaxLagEpochs:       cfg.maxLag,
 		Logger:             logger,

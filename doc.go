@@ -6,14 +6,13 @@
 // evaluation, including top-k PTQ.
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
-// map and the engine architecture); internal/engine wraps the sequential
-// evaluators of internal/core in a concurrent engine — worker pool, batched
-// multi-query API, prepared-query cache, per-request Sub budgets — that
-// returns byte-identical results at any worker count. cmd/experiments
-// regenerates every table and figure of the paper's evaluation plus an
-// engine scalability experiment, and bench_test.go in this package provides
-// testing.B benchmarks mirroring each experiment, including paired
-// sequential-vs-parallel PTQ benchmarks.
+// map and the engine architecture); internal/engine runs the compiled
+// evaluation plans of internal/core in a concurrent engine — shards and
+// batch members on one worker pool, prepared-query cache, per-request Sub
+// views — that returns byte-identical results at any worker count.
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation, and bench_test.go in this package provides testing.B
+// benchmarks mirroring each experiment.
 //
 // The xmatchd daemon (cmd/xmatchd over internal/server) serves a
 // multi-tenant catalog of prepared datasets over HTTP/JSON:

@@ -110,18 +110,25 @@ func (c *resultClass) kept(limit int32) int {
 }
 
 // Plan returns the query's evaluation plan against the mapping set and its
-// block tree, compiling it on first use. The plan lives on the prepared
-// query, so whatever owns the query (internal/engine's prepared-query
-// cache) bounds the plan's lifetime too. A query keeps the plan of the
-// block tree it met last: alternating trees recompile, they never share.
+// block tree, compiling it on first use. A nil tree has no c-blocks, so
+// its plan is Algorithm 3's: each relevant mapping's whole-query rewrite
+// is one leaf unit, shared by the mappings with the same rewrite. The plan
+// lives on the prepared query, so whatever owns the query
+// (internal/engine's prepared-query cache) bounds the plan's lifetime too.
+// A query keeps the plan of no tree beside the plan of the tree it met
+// last: alternating trees recompile, they never share.
 func (q *Query) Plan(set *mapping.Set, bt *BlockTree) *Plan {
-	if p := q.plan.Load(); p != nil && p.bt == bt && p.set == set {
+	slot := &q.plan
+	if bt == nil {
+		slot = &q.basic
+	}
+	if p := slot.Load(); p != nil && p.bt == bt && p.set == set {
 		return p
 	}
 	// Concurrent first calls each compile; the plans are equal and
 	// immutable, so whichever is stored last serves later calls.
 	p := compilePlan(q, set, bt)
-	q.plan.Store(p)
+	slot.Store(p)
 	return p
 }
 
@@ -169,23 +176,17 @@ func (p *Plan) Stats() PlanStats {
 // and computes and stores those the memo lacks. Without the seam it
 // computes them all.
 //
-// each, when non-nil, runs fn(0..n-1) and may do so concurrently: it is
-// how internal/engine spreads the matcher calls over its workers. The
-// output does not depend on it. stop, when non-nil, is polled between
-// units; once it is closed Run returns early, stores nothing more, and the
-// output is partial — the caller must discard it.
-func (ep *EmbeddingPlan) Run(out [][]twig.Match, doc *xmltree.Document, k int, stop <-chan struct{}, each func(n int, fn func(i int))) {
+// stop, when non-nil, is polled between units; once it is closed Run
+// returns early, stores nothing more, and the output is partial — the
+// caller must discard it.
+func (ep *EmbeddingPlan) Run(out [][]twig.Match, doc *xmltree.Document, k int, stop <-chan struct{}) {
 	limit := rankLimit(k)
 	memo, _ := doc.Accel().(UnitMemo)
 	if memo != nil && ep.hit(memo, out, limit, stop) {
 		return
 	}
-	if each == nil {
-		for i := range ep.leaves {
-			ep.matchLeaf(out, i, doc, limit, stop)
-		}
-	} else {
-		each(len(ep.leaves), func(i int) { ep.matchLeaf(out, i, doc, limit, stop) })
+	for i := range ep.leaves {
+		ep.matchLeaf(out, i, doc, limit, stop)
 	}
 	for j := range ep.joins {
 		u, slot := &ep.joins[j], int32(len(ep.leaves)+j)
@@ -324,8 +325,11 @@ type planCompiler struct {
 }
 
 // anchorsBlocks reports whether the block tree holds c-blocks anchored at
-// the query node's target element.
+// the query node's target element; no tree holds none.
 func (c *planCompiler) anchorsBlocks(qn *twig.Node) bool {
+	if c.bt == nil {
+		return false
+	}
 	t := c.emb[qn.Index]
 	return c.bt.FindNode(c.set.Target.ByID(t).Path) == t && len(c.bt.Blocks[t]) > 0
 }

@@ -70,6 +70,37 @@ func assertPlanEqualsBasic(t *testing.T, label string, q *Query, set *mapping.Se
 	return plan
 }
 
+// assertBasicPlanEqualsBasic compares the plan of no block tree with
+// Algorithm 3, at full k and at the given cut-offs. The plan has one leaf
+// unit per distinct rewrite and nothing else, and over an indexed document
+// a second pass returns the first pass's slices.
+func assertBasicPlanEqualsBasic(t *testing.T, label string, q *Query, set *mapping.Set, doc *xmltree.Document, ks ...int) {
+	t.Helper()
+	basic := EvaluateBasic(q, set, doc)
+	p := q.Plan(set, nil)
+	first := runPlan(p, doc, 0)
+	if got, want := orderedKeys(first), orderedKeys(basic); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the basic plan differs from Algorithm 3\nplan:  %v\nbasic: %v", label, got, want)
+	}
+	if st := p.Stats(); st.JoinUnits != 0 || st.BlockUnits != 0 || st.ResultClasses != st.LeafUnits {
+		t.Fatalf("%s: the basic plan is not one leaf unit per rewrite: %+v", label, st)
+	}
+	for _, k := range ks {
+		got, want := orderedKeys(runPlan(p, doc, k)), orderedKeys(topKOfBasic(basic, k))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s k=%d: the basic plan differs from Algorithm 3's top k\nplan:  %v\nbasic: %v", label, k, got, want)
+		}
+	}
+	if doc.Accel() == nil || len(q.Embeddings) > 1 {
+		return
+	}
+	for i, r := range runPlan(p, doc, 0) {
+		if sliceIdent(r.Matches) != sliceIdent(first[i].Matches) {
+			t.Fatalf("%s: a hot basic pass re-evaluated mapping %d", label, r.MappingIndex)
+		}
+	}
+}
+
 // repeatedLabelSchema is randomSchema with element names drawn from a
 // small pool, so that patterns have several embeddings.
 func repeatedLabelSchema(rng *rand.Rand, name string, size int) *schema.Schema {
@@ -120,6 +151,7 @@ func TestPlanEqualsAlgorithm3(t *testing.T) {
 		if len(q.Embeddings) > 1 {
 			multi++
 		}
+		assertBasicPlanEqualsBasic(t, fmt.Sprintf("trial %d %s", trial, pat), q, set, doc, 1, 1+rng.Intn(set.Len()))
 		for _, opts := range []Options{{Tau: 0.05}, {Tau: 0.2}, {Tau: 0.5}, {Tau: 0.2, MaxB: 1 + rng.Intn(4)}} {
 			bt, err := Build(set, opts)
 			if err != nil {
@@ -175,7 +207,9 @@ func TestPlanEqualsAlgorithm3TableIII(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertPlanEqualsBasic(t, fmt.Sprintf("|M|=%d %s", m, spec.ID), q, set, doc, bt, 1, 5, 100)
+			label := fmt.Sprintf("|M|=%d %s", m, spec.ID)
+			assertPlanEqualsBasic(t, label, q, set, doc, bt, 1, 5, 100)
+			assertBasicPlanEqualsBasic(t, label, q, set, doc, 5)
 		}
 	}
 }
@@ -318,10 +352,20 @@ func TestPlanConcurrentFirstUse(t *testing.T) {
 	}
 }
 
-// recordingMemo is an index that counts the unit outputs stored in it.
+// recordingMemo is an index that counts the unit outputs stored in it and
+// calls matched, when set, after each matcher call.
 type recordingMemo struct {
 	*index.Index
-	stored int
+	stored  int
+	matched func()
+}
+
+func (r *recordingMemo) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.PathBinding) []twig.Match {
+	ms := r.Index.MatchTwig(doc, qn, paths)
+	if r.matched != nil {
+		r.matched()
+	}
+	return ms
 }
 
 func (r *recordingMemo) StoreUnit(qn *twig.Node, key string, ms []twig.Match) {
@@ -357,7 +401,7 @@ func TestPlanRunStops(t *testing.T) {
 			stop := make(chan struct{})
 			close(stop)
 			out := make([][]twig.Match, units)
-			ep.Run(out, doc, 0, stop, nil)
+			ep.Run(out, doc, 0, stop)
 			for u, ms := range out {
 				if ms != nil {
 					t.Fatalf("%s: unit %d ran after stop", spec.ID, u)
@@ -366,38 +410,37 @@ func TestPlanRunStops(t *testing.T) {
 			if c := memo.Counters().Sub(before); c.Evals+c.UnitHits+c.UnitMisses != 0 || memo.stored != 0 {
 				t.Fatalf("%s: a Run stopped before it began touched the memo: %+v, %d stored", spec.ID, c, memo.stored)
 			}
-			// Stop after the first leaf: nothing later may run, and of what
-			// ran only the complete leaf reaches the memo, through its own
-			// matcher call; no join is stored.
+			// Stop after the first matcher call: nothing later may run, and of
+			// what ran only the complete leaf reaches the memo, through its
+			// own matcher call; no join is stored.
 			before = memo.Counters()
 			stop = make(chan struct{})
-			calls := 0
-			out = make([][]twig.Match, units)
-			ep.Run(out, doc, 0, stop, func(n int, fn func(int)) {
-				for i := 0; i < n; i++ {
-					fn(i)
-					if calls++; calls == 1 {
-						close(stop)
-					}
-				}
-			})
-			for u := 1; u < units; u++ {
-				if out[u] != nil {
-					t.Fatalf("%s: unit %d ran after a mid-plan stop", spec.ID, u)
+			memo.matched = func() {
+				if !stopped(stop) {
+					close(stop)
 				}
 			}
-			if calls != len(ep.leaves) {
-				t.Fatalf("%s: scheduler saw %d leaves, plan has %d", spec.ID, calls, len(ep.leaves))
+			out = make([][]twig.Match, units)
+			ep.Run(out, doc, 0, stop)
+			memo.matched = nil
+			filled := 0
+			for _, ms := range out {
+				if ms != nil {
+					filled++
+				}
+			}
+			if filled > 1 {
+				t.Fatalf("%s: %d units ran, though Run stopped at its first matcher call", spec.ID, filled)
 			}
 			if c := memo.Counters().Sub(before); c.Evals > 1 || memo.stored != 0 {
 				t.Fatalf("%s: a Run stopped after its first leaf made %d matcher calls and stored %d units", spec.ID, c.Evals, memo.stored)
 			}
 			full := make([][]twig.Match, units)
-			ep.Run(full, doc, 0, nil, nil)
+			ep.Run(full, doc, 0, nil)
 			stored := memo.stored
 			before = memo.Counters()
 			hot := make([][]twig.Match, units)
-			ep.Run(hot, doc, 0, nil, nil)
+			ep.Run(hot, doc, 0, nil)
 			c := memo.Counters().Sub(before)
 			if c.Evals != 0 || c.UnitMisses != 0 || memo.stored != stored || c.UnitHits > uint64(len(ep.classes)) {
 				t.Fatalf("%s: a hot Run made %d matcher calls, %d lookups (%d misses) and %d stores for %d classes",

@@ -29,8 +29,8 @@ type Query struct {
 	set *mapping.Set // the mapping set the query was prepared against
 
 	// plan caches the compiled evaluation plan of the block tree the query
-	// last met; see Plan.
-	plan atomic.Pointer[Plan]
+	// last met, basic the plan of no block tree (Algorithm 3); see Plan.
+	plan, basic atomic.Pointer[Plan]
 }
 
 // PrepareQuery parses the pattern text and resolves it against the target
@@ -66,7 +66,9 @@ type Result struct {
 // irrelevant mappings — those lacking a correspondence for some query node —
 // then, for every remaining mapping independently, rewrites the query to
 // source-schema paths and matches it against the document. Results are
-// ordered by mapping index.
+// ordered by mapping index. It is the sequential oracle of the plan over
+// no block tree (Plan(set, nil)), which internal/engine serves basic mode
+// with.
 func EvaluateBasic(q *Query, set *mapping.Set, doc *xmltree.Document) []Result {
 	results := NewResultMerger(set)
 	for _, emb := range q.Embeddings {
@@ -81,9 +83,7 @@ func EvaluateBasic(q *Query, set *mapping.Set, doc *xmltree.Document) []Result {
 // EvaluateBasicMapping is the per-mapping unit of work of Algorithm 3: it
 // rewrites the embedded query through mapping mi into source-schema paths and
 // matches it against the document. It returns nil when the rewritten paths
-// cannot nest (the mapping yields no matches). Mappings are evaluated
-// completely independently, which makes this the natural grain for parallel
-// basic PTQ answering (internal/engine).
+// cannot nest (the mapping yields no matches).
 func EvaluateBasicMapping(q *Query, emb twig.Embedding, mi int, set *mapping.Set, doc *xmltree.Document) []twig.Match {
 	binding, ok := rewriteFull(q, emb, set.Mappings[mi])
 	if !ok {
@@ -119,7 +119,7 @@ func runPlan(p *Plan, doc *xmltree.Document, k int) []Result {
 	results := NewResultMerger(p.set)
 	for _, ep := range p.Embeddings {
 		outs := results.UnitOutputs(ep, 1)
-		ep.Run(outs[0], doc, k, nil, nil)
+		ep.Run(outs[0], doc, k, nil)
 		results.AddClasses(ep, k, outs)
 	}
 	return results.Finish()

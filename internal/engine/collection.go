@@ -36,92 +36,23 @@ func (sh Shards) observe(shard int, took time.Duration) {
 	}
 }
 
-// shardSubs derives one sub-engine per shard: each holds roughly an equal
-// share of the engine's worker budget for its own nested parallelism, and
-// every slot it takes still counts against the engine's budget (Sub chains
-// admission gates), so scattering over many shards cannot exceed the
-// engine's — and hence the request's — total.
-func (e *Engine) shardSubs(n int) []*Engine {
-	per := e.workers / n
-	if per < 1 {
-		per = 1
-	}
-	subs := make([]*Engine, n)
-	for i := range subs {
-		subs[i] = e.Sub(per)
-	}
-	return subs
-}
-
 // EvaluateBasicAcross answers the basic PTQ (Algorithm 3) over a sharded
-// collection: per embedding, every (shard, mapping) pair is evaluated
-// independently under the per-shard sub-budgets — each shard's relevant
-// mappings split into contiguous chunks over its workers — and the shard
-// streams are gathered per mapping in collection order. Results are
-// identical to core.EvaluateBasic over the concatenated corpus.
+// collection. Algorithm 3 is the plan over a tree with no c-blocks
+// (core.Query.Plan with a nil tree): each relevant mapping's whole-query
+// rewrite is one leaf unit, mappings with the same rewrite share it, and
+// the shard outputs are gathered once per rewrite. Results are identical
+// to core.EvaluateBasic over the concatenated corpus.
 func (e *Engine) EvaluateBasicAcross(q *core.Query, set *mapping.Set, sh Shards) []core.Result {
-	results := core.NewResultMerger(set)
-	if len(sh.Docs) == 0 {
-		return results.Finish()
-	}
-	subs := e.shardSubs(len(sh.Docs))
-	for _, emb := range q.Embeddings {
-		if e.canceled() {
-			break
-		}
-		relevant := core.FilterMappings(set, emb)
-		perShard := make([][][]twig.Match, len(sh.Docs))
-		e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
-			for s := lo; s < hi; s++ {
-				if e.canceled() {
-					return
-				}
-				start := time.Now()
-				perShard[s] = subs[s].basicMatches(q, emb, relevant, set, sh.Docs[s])
-				sh.observe(s, time.Since(start))
-			}
-		})
-		if e.canceled() {
-			// A canceled scatter may have skipped shards entirely, leaving
-			// nil per-shard slices; the output is discarded anyway.
-			break
-		}
-		streams := make([][]twig.Match, len(sh.Docs))
-		one := make([]int, 1)
-		for i, mi := range relevant {
-			for s := range perShard {
-				streams[s] = perShard[s][i]
-			}
-			one[0] = mi
-			results.AddStreams(one, streams)
-		}
-	}
-	return results.Finish()
-}
-
-// basicMatches evaluates one embedding's relevant mappings over one shard,
-// chunked across the (sub-)engine's workers; per-mapping tasks are small,
-// so it over-chunks 4x for balance.
-func (e *Engine) basicMatches(q *core.Query, emb twig.Embedding, relevant []int, set *mapping.Set, doc *xmltree.Document) [][]twig.Match {
-	matches := make([][]twig.Match, len(relevant))
-	e.parallelRanges(len(relevant), 4*e.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if e.canceled() {
-				return
-			}
-			matches[i] = core.EvaluateBasicMapping(q, emb, relevant[i], set, doc)
-		}
-	})
-	return matches
+	return e.runPlan(q, set, sh, nil, 0)
 }
 
 // EvaluateAcross answers the block-tree PTQ (Algorithm 4) over a sharded
 // collection by running the query's compiled plan (core.Plan) on every
-// member: per embedding, each shard matches the plan's leaf units — spread
-// over its sub-budget's workers — and joins them, and the shard outputs
-// are gathered once per result class, not per mapping. What a unit
-// computes depends on the query, the mapping set and the block tree only,
-// so the output is the same for every worker and shard count by
+// member: per embedding, each shard matches the plan's leaf units and
+// joins them, the shards side by side on the engine's pool, and the shard
+// outputs are gathered once per result class, not per mapping. What a
+// unit computes depends on the query, the mapping set and the block tree
+// only, so the output is the same for every worker and shard count by
 // construction.
 func (e *Engine) EvaluateAcross(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree) []core.Result {
 	return e.runPlan(q, set, sh, bt, 0)
@@ -138,29 +69,29 @@ func (e *Engine) EvaluateTopKAcross(q *core.Query, set *mapping.Set, sh Shards, 
 	return e.runPlan(q, set, sh, bt, k)
 }
 
-// runPlan is the one block-tree evaluation path: k = 0 for the plain PTQ.
-// A collection of one has nothing to scatter, so its plan runs on the
-// calling goroutine under the engine's own budget; several members are
-// evaluated side by side under per-shard sub-budgets. A canceled view
-// returns partial results, which callers discard.
+// runPlan is the engine's one evaluation path: the plan of the block tree,
+// or Algorithm 3's for a nil tree, with k = 0 for the plain PTQ. A
+// collection of one runs on the calling goroutine, without the closure
+// spread takes; several members are spread over the engine's pool. A
+// canceled view returns partial results, which callers discard.
 func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.BlockTree, k int) []core.Result {
 	results := core.NewResultMerger(set)
 	if len(sh.Docs) == 0 {
 		return results.Finish()
-	}
-	var subs []*Engine
-	if len(sh.Docs) > 1 {
-		subs = e.shardSubs(len(sh.Docs))
 	}
 	for _, ep := range q.Plan(set, bt).Embeddings {
 		if e.canceled() {
 			break
 		}
 		perShard := results.UnitOutputs(ep, len(sh.Docs))
-		if subs == nil {
+		if len(sh.Docs) == 1 {
 			e.runShard(perShard[0], ep, sh, 0, k)
 		} else {
-			e.scatter(perShard, ep, sh, subs, k)
+			e.spread(len(sh.Docs), func(s int) {
+				if !e.canceled() {
+					e.runShard(perShard[s], ep, sh, s, k)
+				}
+			})
 		}
 		if e.canceled() {
 			// A canceled scatter may have skipped shards entirely, leaving
@@ -172,43 +103,22 @@ func (e *Engine) runPlan(q *core.Query, set *mapping.Set, sh Shards, bt *core.Bl
 	return results.Finish()
 }
 
-// scatter runs one embedding's plan over every member at once, member s
-// under subs[s] into perShard[s].
-func (e *Engine) scatter(perShard [][][]twig.Match, ep *core.EmbeddingPlan, sh Shards, subs []*Engine, k int) {
-	e.parallelRanges(len(sh.Docs), len(sh.Docs), func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			if e.canceled() {
-				return
-			}
-			subs[s].runShard(perShard[s], ep, sh, s, k)
-		}
-	})
-}
-
-// runShard runs one embedding's plan over member s into out, its matcher
-// calls spread over e's workers, and reports the unit's wall time.
+// runShard runs one embedding's plan over member s into out and reports
+// the unit's wall time.
 func (e *Engine) runShard(out [][]twig.Match, ep *core.EmbeddingPlan, sh Shards, s, k int) {
-	var each func(n int, fn func(i int))
-	if e.workers > 1 {
-		each = e.each
-	}
 	start := time.Now()
-	ep.Run(out, sh.Docs[s], k, e.done, each)
+	ep.Run(out, sh.Docs[s], k, e.done)
 	sh.observe(s, time.Since(start))
 }
 
 // EvaluateBatchAcross answers many queries over one sharded collection,
-// the requests concurrently under the engine's worker budget and each
-// scattered across the shards under the same budget (nested admission,
-// inline fallback — no deadlock, no overcommit). Requests are prepared
-// through the cache; a nil block tree makes every request basic (K ignored).
+// the requests and each request's shards spread over the engine's one
+// pool (inline fallback — no deadlock, no overcommit). Requests are
+// prepared through the cache; a nil block tree makes every request basic
+// (K ignored).
 func (e *Engine) EvaluateBatchAcross(set *mapping.Set, sh Shards, bt *core.BlockTree, reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	e.parallelRanges(len(reqs), len(reqs), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = e.answerAcross(set, sh, bt, reqs[i])
-		}
-	})
+	e.spread(len(reqs), func(i int) { out[i] = e.answerAcross(set, sh, bt, reqs[i]) })
 	return out
 }
 
@@ -220,14 +130,9 @@ func (e *Engine) answerAcross(set *mapping.Set, sh Shards, bt *core.BlockTree, r
 	if err != nil {
 		return Response{Request: req, Err: err}
 	}
-	var results []core.Result
-	switch {
-	case bt == nil:
-		results = e.EvaluateBasicAcross(q, set, sh)
-	case req.K > 0:
-		results = e.EvaluateTopKAcross(q, set, sh, bt, req.K)
-	default:
-		results = e.EvaluateAcross(q, set, sh, bt)
+	k := req.K
+	if bt == nil {
+		k = 0
 	}
-	return Response{Request: req, Query: q, Results: results}
+	return Response{Request: req, Query: q, Results: e.runPlan(q, set, sh, bt, k)}
 }

@@ -1,21 +1,22 @@
 // Package engine provides a concurrent PTQ evaluation engine on top of
-// internal/core: a bounded worker pool parallelizes per-mapping work in basic
-// PTQ answering (Algorithm 3) and the matcher calls of the compiled plan in
-// block-tree PTQ and top-k PTQ answering (Algorithm 4, core.Plan), and
-// scatters both over the member documents of a collection; a batched
-// multi-query API evaluates independent queries concurrently; and a
-// prepared-query LRU cache (keyed by pattern text and mapping-set identity)
-// lets repeated queries skip the parse/resolve step of PrepareQuery and
-// the plan compile.
+// internal/core. Every mode runs the query's compiled plan (core.Plan):
+// Algorithm 4's for block-tree and top-k PTQ answering, and for basic PTQ
+// answering Algorithm 3's, the plan over no c-blocks. The engine scatters
+// the plan over the member documents of a collection, and a batched
+// multi-query API evaluates independent queries side by side; shards and
+// batch members are its only units of parallelism, and they share one
+// bounded worker pool. A prepared-query LRU cache (keyed by pattern text
+// and mapping-set identity) lets repeated queries skip the parse/resolve
+// step of PrepareQuery and the plan compile.
 //
 // The engine is a pure orchestration layer: every algorithmic decision stays
 // in internal/core, and for any worker count the engine returns results
 // byte-identical to the sequential core evaluators — same mapping order,
 // same match order, same probabilities (see the differential tests). That
 // includes the matching backend: when a positional index (internal/index)
-// is attached to the document, every worker evaluates through it — the
-// index is immutable, so the workers share it with zero synchronization
-// (indexed_test.go runs this composition under -race).
+// is attached to a document, every evaluation over it goes through the
+// index, which concurrent workers share (indexed_test.go runs this
+// composition under -race).
 //
 // Live documents (internal/delta) compose with the engine by snapshot
 // pinning: every Evaluate*/EvaluateBatch call takes one document and uses
@@ -30,8 +31,6 @@ package engine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"xmatch/internal/core"
 	"xmatch/internal/mapping"
@@ -41,11 +40,11 @@ import (
 
 // Options configure an Engine.
 type Options struct {
-	// Workers is the maximum number of goroutines evaluating concurrently,
-	// shared across every Evaluate*/EvaluateBatch call on the engine
-	// (nested parallelism never exceeds it). Workers <= 1 — including the
-	// zero value and negative values — disables parallelism: every
-	// evaluation runs inline on the calling goroutine.
+	// Workers sizes the engine's pool: a call splits into at most Workers
+	// parts, run by the calling goroutine and by up to Workers-1 pool
+	// goroutines that every call on the engine shares. Workers <= 1 —
+	// including the zero value and negative values — disables parallelism:
+	// every evaluation runs inline on the calling goroutine.
 	Workers int
 	// CacheCapacity bounds the prepared-query cache (LRU eviction).
 	// 0 means DefaultCacheCapacity; negative disables caching. Cached
@@ -53,15 +52,6 @@ type Options struct {
 	// evicted, so a long-lived engine serving many short-lived sets
 	// should use a small capacity or disable caching.
 	CacheCapacity int
-	// SlotWait bounds how long a spawn may wait for a free pool slot
-	// before falling back to inline execution on the calling goroutine.
-	// 0 (the default) keeps the instant fallback — a spawn that finds the
-	// pool exhausted immediately does the work itself. A positive wait
-	// smooths admission under load bursts without risking deadlock: the
-	// inline fallback still guarantees progress, waits are cut short when
-	// a WithContext view's context is canceled, and the wait time and
-	// waiter count are exported by CollectMetrics.
-	SlotWait time.Duration
 }
 
 // DefaultCacheCapacity is the prepared-query cache capacity when Options
@@ -76,45 +66,29 @@ func DefaultOptions() Options {
 
 // Engine evaluates probabilistic twig queries concurrently. It is safe for
 // concurrent use: any number of goroutines may share one engine (and hence
-// one prepared-query cache and one worker budget).
+// one prepared-query cache and one worker pool).
 type Engine struct {
+	// workers caps the parts one call splits into: the engine's worker
+	// count, or a Sub view's n.
 	workers int
-	// gates are the pool admission gates a spawn must pass, innermost
-	// budget first: gates[0] has workers-1 slots (the calling goroutine is
-	// the extra worker) and, for a Sub view, the remaining gates are the
-	// parents' — a goroutine counts against every enclosing budget.
-	gates []chan struct{}
+	// gate is the engine's pool: Workers-1 slots (the calling goroutine is
+	// the extra worker), shared by every Sub and WithContext view. A spawn
+	// takes a slot without waiting; with none free, the caller does the
+	// part itself. Nil on a sequential engine.
+	gate  chan struct{}
 	cache *queryCache
 
-	// slotWait is Options.SlotWait; waiters counts goroutines currently
-	// blocked in acquireWait and waitLat records how long successful
-	// waited acquisitions took. Both are owned by the root engine and
-	// shared (by pointer) with every Sub/WithContext view.
-	slotWait time.Duration
-	waiters  *atomic.Int64
-	waitLat  *obs.Histogram
-
 	// done is set by WithContext: the view's context's Done channel, polled
-	// by the evaluation loops and selected on by bounded slot waits. Nil on
-	// an engine without a context view.
+	// by the evaluation loops. Nil on an engine without a context view.
 	done <-chan struct{}
 }
 
 // New returns an engine with the given options.
 func New(opts Options) *Engine {
-	w := opts.Workers
-	if w < 1 {
-		w = 1
-	}
-	e := &Engine{
-		workers:  w,
-		cache:    newQueryCache(opts.CacheCapacity),
-		slotWait: opts.SlotWait,
-		waiters:  new(atomic.Int64),
-		waitLat:  obs.NewHistogram(nil),
-	}
+	w := max(opts.Workers, 1)
+	e := &Engine{workers: w, cache: newQueryCache(opts.CacheCapacity)}
 	if w > 1 {
-		e.gates = []chan struct{}{make(chan struct{}, w-1)}
+		e.gate = make(chan struct{}, w-1)
 	}
 	return e
 }
@@ -122,90 +96,20 @@ func New(opts Options) *Engine {
 // Workers returns the effective worker count (at least 1).
 func (e *Engine) Workers() int { return e.workers }
 
-// Sub returns a view of the engine whose parallel evaluation holds at most
-// n pool slots concurrently while still drawing them from the parent's
-// budget — admission control for multi-tenant callers: a server can hand
-// each request a Sub so one fat batch cannot starve the shared pool. The
-// view shares the parent's prepared-query cache; results are identical to
-// the parent's at any n (a starved view just evaluates inline). n >= the
-// engine's worker count (or n <= 0) returns the engine unchanged; n == 1
-// returns a sequential view.
+// Sub returns a view of the engine that splits one call into at most n
+// parts, every spawned part still taking a slot from the engine's pool —
+// admission control for multi-tenant callers: a server hands each request
+// a Sub so one fat batch cannot claim the whole pool. The view shares the
+// parent's pool and prepared-query cache; results are identical to the
+// parent's at any n. n >= the engine's worker count (or n <= 0) returns
+// the engine unchanged; n == 1 returns a sequential view.
 func (e *Engine) Sub(n int) *Engine {
 	if n <= 0 || n >= e.workers {
 		return e
 	}
 	sub := *e
 	sub.workers = n
-	sub.gates = nil
-	if n > 1 {
-		sub.gates = append([]chan struct{}{make(chan struct{}, n-1)}, e.gates...)
-	}
 	return &sub
-}
-
-// acquire reserves one slot in every gate, releasing any partial
-// reservation on failure. Without a slot-wait budget it never blocks; with
-// one it waits up to the budget — cut short when the view's context ends —
-// before giving up, so admission can slow a spawn but never wedge it (the
-// caller falls back to running the work inline either way).
-func (e *Engine) acquire() bool {
-	if e.acquireFast() {
-		return true
-	}
-	if e.slotWait <= 0 || e.canceled() {
-		return false
-	}
-	return e.acquireWait()
-}
-
-// acquireFast is the non-blocking admission pass.
-func (e *Engine) acquireFast() bool {
-	for i, g := range e.gates {
-		select {
-		case g <- struct{}{}:
-		default:
-			for j := 0; j < i; j++ {
-				<-e.gates[j]
-			}
-			return false
-		}
-	}
-	return true
-}
-
-// acquireWait is the bounded blocking admission pass: one timer spans all
-// gates, so the total wait never exceeds slotWait even on a Sub view's
-// chained gates.
-func (e *Engine) acquireWait() bool {
-	e.waiters.Add(1)
-	defer e.waiters.Add(-1)
-	start := time.Now()
-	timer := time.NewTimer(e.slotWait)
-	defer timer.Stop()
-	for i, g := range e.gates {
-		select {
-		case g <- struct{}{}:
-		case <-timer.C:
-			for j := 0; j < i; j++ {
-				<-e.gates[j]
-			}
-			return false
-		case <-e.done:
-			for j := 0; j < i; j++ {
-				<-e.gates[j]
-			}
-			return false
-		}
-	}
-	e.waitLat.Observe(time.Since(start))
-	return true
-}
-
-// release returns the slots taken by acquire.
-func (e *Engine) release() {
-	for _, g := range e.gates {
-		<-g
-	}
 }
 
 // Prepare returns a prepared query for the pattern against the mapping set,
@@ -235,15 +139,10 @@ func (e *Engine) PrepareCached(pattern string, set *mapping.Set) (*core.Query, b
 // CacheStats returns a snapshot of the prepared-query cache counters.
 func (e *Engine) CacheStats() CacheStats { return e.cache.stats() }
 
-// Busy returns how many pool slots are currently reserved on the
-// engine's own admission gate (0 for a sequential engine) — together
-// with Workers, the admission-queue depth gauge /metricsz exposes.
-func (e *Engine) Busy() int {
-	if len(e.gates) == 0 {
-		return 0
-	}
-	return len(e.gates[0])
-}
+// Busy returns how many of the engine's pool slots are currently taken
+// (0 for a sequential engine) — together with Workers, the pool gauge
+// /metricsz exposes.
+func (e *Engine) Busy() int { return len(e.gate) }
 
 // CollectMetrics emits the engine's pool and prepared-query-cache
 // metrics onto x under the given labels (typically the owning dataset's
@@ -256,15 +155,13 @@ func (e *Engine) CollectMetrics(x *obs.Exporter, labels ...obs.Label) {
 	x.Counter("xmatch_engine_prepare_cache_misses_total", "Prepared-query cache misses.", float64(cs.Misses), labels...)
 	x.Counter("xmatch_engine_prepare_cache_evictions_total", "Prepared-query cache evictions.", float64(cs.Evictions), labels...)
 	x.Gauge("xmatch_engine_prepare_cache_entries", "Prepared queries currently cached.", float64(cs.Entries), labels...)
-	x.Gauge("xmatch_engine_slot_waiters", "Goroutines currently waiting for a pool slot.", float64(e.waiters.Load()), labels...)
-	x.Histogram("xmatch_engine_slot_wait_seconds", "Wait time of pool-slot acquisitions that blocked and succeeded.", e.waitLat.Snapshot(), labels...)
 }
 
-// EvaluateBasic answers the PTQ with a parallel Algorithm 3 over one
-// document — a collection of one; see EvaluateBasicAcross. Results are
-// identical to core.EvaluateBasic.
+// EvaluateBasic answers the PTQ with Algorithm 3 over one document — a
+// collection of one; see EvaluateBasicAcross. Results are identical to
+// core.EvaluateBasic.
 func (e *Engine) EvaluateBasic(q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
-	return e.EvaluateBasicAcross(q, set, Shards{Docs: []*xmltree.Document{doc}})
+	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, nil, 0)
 }
 
 // Evaluate answers the PTQ with Algorithm 4 over one document — a
@@ -312,54 +209,39 @@ func (e *Engine) EvaluateBatch(set *mapping.Set, doc *xmltree.Document, bt *core
 	return e.EvaluateBatchAcross(set, Shards{Docs: []*xmltree.Document{doc}}, bt, reqs)
 }
 
-// parallelRanges splits [0, n) into at most parts contiguous ranges and runs
-// fn on each. Ranges beyond the first run on pool goroutines when a worker
-// slot is free and inline on the calling goroutine otherwise, so concurrency
-// never exceeds the engine's worker budget and nested calls (a batch whose
-// requests each parallelize their evaluation) cannot deadlock: a caller that
-// finds the pool exhausted simply does the work itself. fn receives the part
-// index alongside its range; part indices are dense in [0, parts').
-func (e *Engine) parallelRanges(n, parts int, fn func(part, lo, hi int)) {
-	if parts > n {
-		parts = n
-	}
-	if e.workers <= 1 || parts <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
+// spread runs fn(0), ..., fn(n-1) in at most e.workers contiguous ranges.
+// A range runs on a pool goroutine when the engine's gate has a free slot
+// and inline on the calling goroutine otherwise, so the pool never exceeds
+// its slots and nested calls (a batch whose members each scatter over
+// shards) cannot deadlock: a caller that finds the pool taken simply does
+// the work itself. fn polls the view's context itself.
+func (e *Engine) spread(n int, fn func(i int)) {
+	parts := min(n, e.workers)
+	run := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(i)
 		}
+	}
+	if parts <= 1 {
+		run(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for p := 0; p < parts; p++ {
-		if e.canceled() {
-			break
-		}
-		p, lo, hi := p, p*n/parts, (p+1)*n/parts
-		if lo == hi {
-			continue
-		}
-		if e.acquire() {
+		lo, hi := p*n/parts, (p+1)*n/parts
+		select {
+		case e.gate <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer func() {
-					e.release()
+					<-e.gate
 					wg.Done()
 				}()
-				fn(p, lo, hi)
+				run(lo, hi)
 			}()
-		} else {
-			fn(p, lo, hi)
+		default:
+			run(lo, hi)
 		}
 	}
 	wg.Wait()
-}
-
-// each runs fn(0), ..., fn(n-1), spread over the engine's workers: the
-// scheduler core.EmbeddingPlan.Run takes for its matcher calls.
-func (e *Engine) each(n int, fn func(i int)) {
-	e.parallelRanges(n, e.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
 }

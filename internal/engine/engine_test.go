@@ -190,8 +190,7 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 }
 
 // TestConcurrentBatches runs overlapping EvaluateBatch calls on one engine,
-// another -race target exercising nested parallelism (batch fan-out on top
-// of per-query fan-out) against the bounded pool.
+// another -race target exercising batch fan-out against the bounded pool.
 func TestConcurrentBatches(t *testing.T) {
 	fix := newDiffFixture(t)
 	set := randomSubSet(t, fix.base, newRng(7))

@@ -1,18 +1,22 @@
 package engine_test
 
-// Tests for Engine.Sub, the per-request worker-budget admission control
-// used by the serving layer: a Sub view must never hold more pool slots
-// than its budget, must still return byte-identical results, and must share
-// the parent's prepared-query cache.
+// Tests for Engine.Sub, the per-request view the serving layer evaluates
+// on, and for the engine's one pool: a view must return byte-identical
+// results and share the parent's prepared-query cache, and however many
+// views call at once, the pool never runs more than its slots.
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
+	"xmatch/internal/twig"
+	"xmatch/internal/xmltree"
 )
 
 func TestSubDifferential(t *testing.T) {
@@ -75,9 +79,9 @@ func TestSubSharesCache(t *testing.T) {
 }
 
 // TestSubConcurrentBatches runs many concurrent batches, each through its
-// own small Sub budget, against one shared parent pool — the serving
+// own small Sub view, against one shared parent pool — the serving
 // pattern — and checks every response against the sequential answer. Run
-// with -race this also exercises the gate-chain admission path.
+// with -race this also exercises the pool's admission path.
 func TestSubConcurrentBatches(t *testing.T) {
 	fix := newDiffFixture(t)
 	set := fix.base
@@ -115,4 +119,64 @@ func TestSubConcurrentBatches(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// inflightMatcher is a counting accelerator: it records the most matcher
+// calls running at once over every document it is attached to.
+type inflightMatcher struct{ now, peak atomic.Int64 }
+
+func (m *inflightMatcher) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.PathBinding) []twig.Match {
+	n := m.now.Add(1)
+	defer m.now.Add(-1)
+	for p := m.peak.Load(); n > p && !m.peak.CompareAndSwap(p, n); p = m.peak.Load() {
+	}
+	time.Sleep(20 * time.Microsecond) // hold the call open so that overlaps show
+	return twig.MatchByPaths(doc, qn, paths)
+}
+
+// TestPoolBound: concurrent batches, each through a Sub(2) view of a
+// 4-worker engine and each member scattered over 8 shards, never run more
+// matcher calls at once than the calling goroutines plus the engine's 3
+// pool slots — a view caps how one call splits, every spawn takes a slot
+// from the one pool — and leave no slot taken.
+func TestPoolBound(t *testing.T) {
+	const workers, callers = 4, 2
+	fix := newCollFixture(t, 8, 4000)
+	m := &inflightMatcher{}
+	for _, doc := range fix.members {
+		doc.SetAccel(m)
+	}
+	set := fix.base
+	bt, err := core.Build(set, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]engine.Request, len(dataset.Queries()))
+	for i, spec := range dataset.Queries() {
+		reqs[i] = engine.Request{Pattern: spec.Text, K: (i % 2) * 5}
+	}
+	root := engine.New(engine.Options{Workers: workers})
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, tree := range []*core.BlockTree{bt, nil, bt} {
+				for _, r := range root.Sub(2).EvaluateBatchAcross(set, engine.Shards{Docs: fix.members}, tree, reqs) {
+					if r.Err != nil {
+						t.Error(r.Err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	peak := m.peak.Load()
+	t.Logf("at most %d matcher calls ran at once", peak)
+	if peak > callers+workers-1 {
+		t.Fatalf("%d matcher calls ran at once; %d callers and %d pool slots allow %d", peak, callers, workers-1, callers+workers-1)
+	}
+	if busy := root.Busy(); busy != 0 {
+		t.Fatalf("%d pool slots still taken after every batch returned", busy)
+	}
 }

@@ -3,9 +3,7 @@
 // Table II datasets: mapping overlap (Table II), block-tree spatial
 // efficiency and construction (Figures 9a–9e), PTQ and top-k PTQ query
 // performance (Figures 9f, 10a–10d), and top-h mapping generation
-// (Figures 10e, 10f). Beyond the paper, the "scale" experiment measures the
-// concurrent PTQ engine of internal/engine: speedup versus worker count for
-// basic, block-tree, and top-k evaluation.
+// (Figures 10e, 10f).
 //
 // Each experiment returns a Table that prints the same rows/series the
 // paper reports; cmd/experiments renders them and EXPERIMENTS.md records
@@ -16,14 +14,12 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
-	"xmatch/internal/engine"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
 	"xmatch/internal/xmltree"
@@ -113,9 +109,6 @@ type Config struct {
 	GenRepeats int
 	// MaxH is the largest h in the Figure 10(f) sweep (paper: 1000).
 	MaxH int
-	// MaxWorkers caps the worker sweep of the engine scalability
-	// experiment (beyond the paper); 0 means GOMAXPROCS.
-	MaxWorkers int
 }
 
 // DefaultConfig returns paper-equivalent parameters except for fewer
@@ -601,69 +594,6 @@ func (s *Suite) Fig10f() (*Table, error) {
 	return t, nil
 }
 
-// Scale measures the parallel PTQ engine beyond the paper: speedup of
-// basic, block-tree, and top-k evaluation versus worker count on D7's query
-// workload (the Table III queries are posed against D7's target schema) at
-// both |M| and 5|M|.
-func (s *Suite) Scale() (*Table, error) {
-	doc, err := s.document()
-	if err != nil {
-		return nil, err
-	}
-	maxW := s.Cfg.MaxWorkers
-	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-	}
-	var sweep []int
-	for w := 1; w < maxW; w *= 2 {
-		sweep = append(sweep, w)
-	}
-	sweep = append(sweep, maxW)
-	t := &Table{
-		ID:    "scale",
-		Title: fmt.Sprintf("Parallel engine speedup vs workers (D7, Q10, GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)),
-		Note:  "expected shape: near-linear basic speedup up to the core count; block-tree and top-k scale less because c-block sharing already removed work",
-		Header: []string{"|M|", "workers", "basic(ms)", "speedup",
-			"block-tree(ms)", "speedup", "top-k(ms)", "speedup"},
-	}
-	q10 := dataset.Queries()[9]
-	for _, m := range []int{s.Cfg.M, 5 * s.Cfg.M} {
-		set, err := s.mappingSet("D7", m)
-		if err != nil {
-			return nil, err
-		}
-		bt, err := core.Build(set, core.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		k := m / 10
-		if k < 1 {
-			k = 1
-		}
-		var seqBasic, seqTree, seqTopK time.Duration
-		for _, w := range sweep {
-			eng := engine.New(engine.Options{Workers: w})
-			q, err := eng.Prepare(q10.Text, set)
-			if err != nil {
-				return nil, err
-			}
-			basic := s.timeIt(func() { eng.EvaluateBasic(q, set, doc) })
-			tree := s.timeIt(func() { eng.Evaluate(q, set, doc, bt) })
-			topk := s.timeIt(func() { eng.EvaluateTopK(q, set, doc, bt, k) })
-			if w == 1 {
-				seqBasic, seqTree, seqTopK = basic, tree, topk
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(m), fmt.Sprint(w),
-				ms(basic), speedup(seqBasic, basic),
-				ms(tree), speedup(seqTree, tree),
-				ms(topk), speedup(seqTopK, topk),
-			})
-		}
-	}
-	return t, nil
-}
-
 // registry maps experiment names to suite methods.
 func (s *Suite) registry() []struct {
 	Name string
@@ -686,7 +616,6 @@ func (s *Suite) registry() []struct {
 		{"fig10d", s.Fig10d},
 		{"fig10e", s.Fig10e},
 		{"fig10f", s.Fig10f},
-		{"scale", s.Scale},
 	}
 }
 

@@ -56,31 +56,6 @@ func TestFig9bMonotone(t *testing.T) {
 	}
 }
 
-func TestScaleShape(t *testing.T) {
-	s := NewSuite(Config{M: 20, Repeats: 1, DocNodes: 1200, GenH: 5, MaxH: 100, MaxWorkers: 4})
-	tbl, err := s.Scale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sweep {1, 2, 4} at |M| and 5|M|.
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6:\n%v", len(tbl.Rows), tbl.Rows)
-	}
-	wantWorkers := []string{"1", "2", "4", "1", "2", "4"}
-	for i, row := range tbl.Rows {
-		if row[1] != wantWorkers[i] {
-			t.Errorf("row %d workers = %s, want %s", i, row[1], wantWorkers[i])
-		}
-		if row[1] == "1" {
-			for _, col := range []int{3, 5, 7} {
-				if row[col] != "1.00x" {
-					t.Errorf("row %d col %d = %s, want 1.00x at workers=1", i, col, row[col])
-				}
-			}
-		}
-	}
-}
-
 func TestTable2CapacitiesMatchPaper(t *testing.T) {
 	s := tinySuite()
 	tbl, err := s.Table2()

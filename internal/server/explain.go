@@ -13,7 +13,7 @@ import (
 // Query EXPLAIN: a /v1/query carrying explain (body field or ?explain=1)
 // gets its response annotated with the request's trace — the same spans
 // the slow-query log retains — plus the size of the evaluation plan the
-// query ran (block-tree modes) and the index matcher's internal counters,
+// query ran and the index matcher's internal counters,
 // per shard, measured as the delta each shard's counter chain moved while
 // the request evaluated. The counters are shared by every request on the
 // same index, so under concurrent traffic the deltas are best-effort
@@ -45,10 +45,10 @@ const explainProfileCap = 16
 type ExplainData struct {
 	Trace obs.TraceData `json:"trace"`
 	// Plan is the size of the compiled evaluation plan (core.Plan) the
-	// compact and topk modes run: relevant mappings, matcher calls (leaf
-	// units, of which c-block units) and structural joins per shard, and
-	// the distinct result classes the mappings share. Absent in basic
-	// mode, which evaluates every mapping on its own.
+	// request ran: relevant mappings, matcher calls (leaf units, of which
+	// c-block units) and structural joins per shard, and the distinct
+	// result classes the mappings share. Basic mode's plan has no c-blocks:
+	// one leaf unit per distinct whole-query rewrite.
 	Plan   *core.PlanStats `json:"plan,omitempty"`
 	Shards []ExplainShard  `json:"shards"`
 }

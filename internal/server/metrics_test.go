@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"xmatch/internal/core"
 	"xmatch/internal/delta"
 	"xmatch/internal/obs"
 	"xmatch/internal/server"
@@ -224,13 +225,39 @@ func TestQueryExplain(t *testing.T) {
 	if hits == 0 {
 		t.Error("hot request made no unit lookup")
 	}
-	// Basic mode evaluates per mapping: no plan to report.
-	resp, raw = postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern, Mode: "basic"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("basic explain status %d", resp.StatusCode)
+	// Basic mode runs the plan over no c-blocks: one leaf unit per distinct
+	// whole-query rewrite, and a repeat is answered from the memo.
+	q, err := core.PrepareQuery(pattern, ds.Set)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Contains(raw, []byte(`"explain"`)) || bytes.Contains(raw, []byte(`"plan"`)) {
-		t.Error("basic-mode explain: want an explain block without a plan")
+	rewrites := 0
+	for _, emb := range q.Embeddings {
+		seen := map[string]bool{}
+		for _, mi := range core.FilterMappings(ds.Set, emb) {
+			key := ""
+			for _, qn := range q.Pattern.Nodes() {
+				s, _ := ds.Set.Mappings[mi].SourceFor(emb[qn.Index])
+				key += fmt.Sprint(s, " ")
+			}
+			seen[key] = true
+		}
+		rewrites += len(seen)
+	}
+	for pass := 0; pass < 2; pass++ {
+		resp, raw = postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern, Mode: "basic"})
+		var basic server.QueryResponse
+		if err := json.Unmarshal(raw, &basic); err != nil || resp.StatusCode != http.StatusOK || basic.Explain == nil || basic.Explain.Plan == nil {
+			t.Fatalf("basic explain: status %d, %v, want an explain block with a plan", resp.StatusCode, err)
+		}
+		if p := basic.Explain.Plan; p.LeafUnits != rewrites || p.JoinUnits != 0 || p.ResultClasses != rewrites {
+			t.Errorf("basic plan %+v, want %d leaf units and classes, one per distinct rewrite", *p, rewrites)
+		}
+		for _, sh := range basic.Explain.Shards {
+			if c := sh.Counters; pass == 1 && (c.Evals != 0 || c.UnitMisses != 0) {
+				t.Errorf("hot basic request, shard %d: %d matcher calls, %d unit misses", sh.Shard, c.Evals, c.UnitMisses)
+			}
+		}
 	}
 
 	// Explain via the body field behaves identically.

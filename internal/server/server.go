@@ -11,8 +11,8 @@
 //	POST /v1/admin/reload  rebuild the catalog and swap it atomically
 //	POST /v1/admin/mutate  apply an edit batch to one dataset's document
 //
-// Every query runs through a per-request engine.Sub budget, so one fat
-// batch cannot starve the dataset's worker pool, and every response's
+// Every query runs through a per-request engine.Sub view, so one fat
+// batch cannot claim the dataset's whole worker pool, and every response's
 // results decode byte-identically to the sequential internal/core
 // evaluators (asserted end-to-end by server_test.go).
 //
@@ -50,11 +50,6 @@ import (
 
 // Options configure the HTTP layer. The zero value is serviceable.
 type Options struct {
-	// RequestWorkers caps the pool slots any single request's evaluation
-	// may hold (admission control). 0 means half the dataset's pool
-	// (rounded up), so two concurrent requests can always make progress;
-	// negative forces sequential evaluation per request.
-	RequestWorkers int
 	// MaxBodyBytes bounds request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
 	// MaxBatchQueries bounds the queries one /v1/batch request may carry
@@ -335,16 +330,11 @@ func (s *Server) Reload() ([]string, error) {
 	return names, nil
 }
 
-// budget resolves the per-request worker cap against a dataset's pool.
-func (s *Server) budget(d *Dataset) int {
-	switch {
-	case s.opts.RequestWorkers > 0:
-		return s.opts.RequestWorkers
-	case s.opts.RequestWorkers < 0:
-		return 1
-	default:
-		return (d.Engine.Workers() + 1) / 2
-	}
+// requestEngine is the engine view a request evaluates on: it observes
+// the request's context, and one call on it splits into at most half the
+// dataset's pool (rounded up), so one request cannot claim every slot.
+func requestEngine(ctx context.Context, d *Dataset) *engine.Engine {
+	return d.Engine.Sub((d.Engine.Workers() + 1) / 2).WithContext(ctx)
 }
 
 // Wire types of the query API. The server decodes requests into them; the
@@ -812,12 +802,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Pin every shard's snapshot once: each evaluation below sees these
 	// exact (document, index) pairs even if a mutation lands mid-request.
-	// The scatter runs under one Sub budget, so a sharded collection holds
-	// no more pool slots than a single-document dataset would; the context
-	// view makes the evaluators abandon work promptly once the deadline
-	// fires or the client goes away.
+	// The context view makes the evaluators abandon work promptly once the
+	// deadline fires or the client goes away.
 	snaps := ds.Snapshots()
-	eng := ds.Engine.Sub(s.budget(ds)).WithContext(ctx)
+	eng := requestEngine(ctx, ds)
 	prepStart := time.Now()
 	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
 	prepDetail := "cached=false"
@@ -869,12 +857,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	encReg.End()
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
-		var plan *core.PlanStats
-		if mode != "basic" {
-			st := q.Plan(ds.Set, ds.Tree).Stats()
-			plan = &st
+		tree := ds.Tree
+		if mode == "basic" {
+			tree = nil // Algorithm 3 is the plan over no c-blocks
 		}
-		body.b = appendJSON(body.b, buildExplain(tr, plan, snaps, before))
+		plan := q.Plan(ds.Set, tree).Stats()
+		body.b = appendJSON(body.b, buildExplain(tr, &plan, snaps, before))
 	}
 	body.b = append(body.b, '}', '\n')
 	// Workload accounting happens on the response the client is about to
@@ -955,7 +943,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One snapshot pin per shard for the whole batch: its queries are
 	// answered over a single consistent per-shard document state.
 	snaps := ds.Snapshots()
-	eng := ds.Engine.Sub(s.budget(ds)).WithContext(ctx)
+	eng := requestEngine(ctx, ds)
 	sh := engine.Shards{Docs: shardDocs(snaps), Observe: traceObserver(tr, ds)}
 	engReqs := make([]engine.Request, len(req.Queries))
 	for i, bq := range req.Queries {

@@ -279,7 +279,7 @@ func TestBatchDifferentialOverTheWire(t *testing.T) {
 // and requires every response to stay byte-identical to the precomputed
 // sequential answers; meaningful under -race.
 func TestConcurrentClients(t *testing.T) {
-	env := newTestEnv(t, server.Options{RequestWorkers: 2})
+	env := newTestEnv(t, server.Options{})
 	type expectation struct {
 		f       fixture
 		pattern string

@@ -443,36 +443,6 @@ func TestMatchCompareOrdersAsKey(t *testing.T) {
 	}
 }
 
-func TestMatchByPathsFilteredAgainstBase(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 300; trial++ {
-		doc := randomDoc(rng)
-		if doc.Len() < 2 {
-			continue
-		}
-		pat, binding := randomPattern(rng, doc)
-		base := MatchByPaths(doc, pat.Root, binding)
-		filtered := MatchByPathsFiltered(doc, pat.Root, binding)
-		bk, fk := sortedKeys(base), sortedKeys(filtered)
-		if !reflect.DeepEqual(bk, fk) {
-			t.Fatalf("trial %d: base %d matches, filtered %d\npattern: %s",
-				trial, len(base), len(filtered), pat)
-		}
-	}
-}
-
-func TestMatchByPathsFilteredPrunes(t *testing.T) {
-	// A value predicate at the root kills everything; the filtered
-	// evaluator must return nil without enumerating children.
-	doc := buildDoc()
-	p := MustParse(`Order[.="nope"]/POLine/Quantity`)
-	n := p.Nodes()
-	paths := PathBinding{n[0]: "PO", n[1]: "PO.Line", n[2]: "PO.Line.Qty"}
-	if got := MatchByPathsFiltered(doc, p.Root, paths); got != nil {
-		t.Fatalf("expected nil, got %d matches", len(got))
-	}
-}
-
 func TestParseNeverPanics(t *testing.T) {
 	// Fuzz-ish robustness: Parse must return an error, never panic, on
 	// arbitrary input.
