@@ -1036,34 +1036,38 @@ func BenchmarkReplicaReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint prices both halves of compaction on the large Order
-// document: save is what the primary pays to truncate a shard's log (and
-// bounds how often checkpointing is worth triggering); load is what a
+// BenchmarkCheckpoint prices both halves of compaction: save is what the
+// primary pays to truncate a shard's log, under the shard's write lock
+// (and bounds how often checkpointing is worth triggering); load is what a
 // lagging follower pays to bootstrap — reassembling the document with its
-// exact numbering and rebuilding the verified index from the compact
-// snapshot.
+// exact numbering and building its index. save/load run on the large
+// Order document; shard-save/shard-load on one member of the 200,000-node
+// four-shard corpus, the size a serving shard has.
 func BenchmarkCheckpoint(b *testing.B) {
 	setup(b)
-	doc := fixD7.OrderDocument(3473, 43)
-	h := delta.Open(doc)
-	snap := h.Snapshot()
+	benchCheckpoint(b, "", fixD7.OrderDocument(3473, 43))
+	benchCheckpoint(b, "shard-", fixD7.OrderCorpus(4, 200000, 43)[1])
+}
+
+func benchCheckpoint(b *testing.B, prefix string, doc *xmltree.Document) {
+	snap := delta.Open(doc).Snapshot()
 	var ref bytes.Buffer
-	if err := store.SaveCheckpoint(&ref, snap.Doc, snap.Index, snap.Epoch); err != nil {
+	if err := store.SaveCheckpoint(&ref, snap.Doc, snap.Epoch); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("save", func(b *testing.B) {
+	b.Run(prefix+"save", func(b *testing.B) {
 		var buf bytes.Buffer
 		b.SetBytes(int64(ref.Len()))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
-			if err := store.SaveCheckpoint(&buf, snap.Doc, snap.Index, snap.Epoch); err != nil {
+			if err := store.SaveCheckpoint(&buf, snap.Doc, snap.Epoch); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("load", func(b *testing.B) {
+	b.Run(prefix+"load", func(b *testing.B) {
 		blob := ref.Bytes()
 		b.SetBytes(int64(len(blob)))
 		b.ReportAllocs()

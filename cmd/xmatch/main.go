@@ -102,13 +102,10 @@ func usage() {
                                             flag is rejected, not a no-op)
            [-remote http://host:port]       ask a running xmatchd instead
   index    -d <D1..D10> | -xml <file>       build the positional index, print
-           | -manifest <cat> -name <entry>  its stats; -o persists it as a
-           [-o <blob>] [-check] [-stats]    store blob (format v4, compressed
-                                            postings), -check verifies a
-                                            save/load round trip, -stats prints
-                                            the per-path postings table
-                                            (counts, compressed vs flat bytes,
-                                            ratio); -manifest indexes a catalog
+           | -manifest <cat> -name <entry>  its stats; -stats prints the
+           [-stats]                         per-path postings table (counts,
+                                            compressed vs flat bytes, ratio);
+                                            -manifest indexes a catalog
                                             entry's document (the entry must
                                             have one)
   mutate   -d <name> -edits <json|@file>    apply an edit batch to a live
@@ -443,8 +440,7 @@ func postJSON(client *http.Client, url string, in, out any) error {
 
 // runIndex builds the positional index over a dataset's generated document,
 // an XML file, or a catalog manifest entry's document, and prints its
-// statistics; -o persists it as a store blob for catalog manifests, -check
-// round-trips the blob through save/load verification.
+// statistics.
 func runIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	id := fs.String("d", "D7", "dataset ID (ignored with -xml or -manifest)")
@@ -454,8 +450,6 @@ func runIndex(args []string) error {
 	docNodes := fs.Int("doc", 3473, "generated document size (total across -shards members)")
 	seed := fs.Int64("seed", 42, "document generator seed")
 	shards := fs.Int("shards", 1, "member documents for a generated collection (-d mode); manifest entries carry their own shard count")
-	out := fs.String("o", "", "write the index as a store blob to this path")
-	check := fs.Bool("check", false, "verify a save/load round trip of the blob")
 	stats := fs.Bool("stats", false, "print the per-path postings table: counts, compressed vs flat bytes, ratio")
 	fs.Parse(args)
 
@@ -495,7 +489,7 @@ func runIndex(args []string) error {
 	}
 
 	if len(docs) > 1 {
-		return indexCollection(docs, source, *stats, *out, *check)
+		return indexCollection(docs, source, *stats)
 	}
 	doc := docs[0]
 	ix := index.Build(doc)
@@ -516,35 +510,13 @@ func runIndex(args []string) error {
 			fmt.Printf("%9d %11dB %9dB %7.2f  %s\n", ps.Postings, ps.ResidentBytes, ps.FlatBytes, ratio, ps.Path)
 		}
 	}
-
-	var blob bytes.Buffer
-	if err := store.SaveIndex(&blob, ix); err != nil {
-		return err
-	}
-	fmt.Printf("blob: %dB\n", blob.Len())
-	if *check {
-		if _, err := store.LoadIndex(bytes.NewReader(blob.Bytes()), doc); err != nil {
-			return fmt.Errorf("index: round-trip verification failed: %w", err)
-		}
-		fmt.Println("round trip: ok")
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, blob.Bytes(), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
 	return nil
 }
 
 // indexCollection indexes every member of a sharded collection and prints
 // a per-shard stats table plus aggregates — the offline view of the
-// per-shard rows /statsz serves. Blob output is per-document, so -o and
-// -check are single-document operations and are refused here.
-func indexCollection(docs []*xmltree.Document, source string, stats bool, out string, check bool) error {
-	if out != "" || check {
-		return fmt.Errorf("index: -o and -check operate on a single document; index a member's blob individually")
-	}
+// per-shard rows /statsz serves.
+func indexCollection(docs []*xmltree.Document, source string, stats bool) error {
 	fmt.Printf("index %s: %d member shards\n", source, len(docs))
 	fmt.Printf("%5s %9s %9s %8s %12s %12s  %s\n", "shard", "nodes", "postings", "paths", "resident", "built", "range")
 	var nodes, postings, resident int
@@ -660,9 +632,8 @@ func loadSpec(path string) (*schema.Schema, error) {
 // regenerates the whole collection), blob-backed entries must name a
 // concrete XML file. An entry without a document — a blob-backed entry
 // whose DocPath is empty, meaning the daemon instantiates a synthetic
-// single-instance document at serve time — is a hard error: indexing a
-// document that only exists inside a running daemon would produce a blob
-// nothing can verify against.
+// single-instance document at serve time — is a hard error: that
+// document exists only inside a running daemon.
 func manifestDocuments(manifestPath, name string) ([]*xmltree.Document, string, error) {
 	if name == "" {
 		return nil, "", fmt.Errorf("index: -manifest requires -name (which catalog entry to index)")

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -38,6 +39,24 @@ func run(t *testing.T, bin string, args ...string) (string, error) {
 	cmd.Stderr = &buf
 	err := cmd.Run()
 	return buf.String(), err
+}
+
+// indexStats matches the stats block `xmatch index` prints for one
+// document: the source line, then one posting per document node.
+var indexStats = regexp.MustCompile(`(?m)^index .*?(\S+ \(doc=\d+ seed=\d+\)): (\d+) nodes
+postings: (\d+) over \d+ distinct paths, \d+ value keys, \d+ text keys
+resident: \d+B, built in \S+
+postings bytes: \d+B compressed vs \d+B flat \(ratio [\d.]+\)
+$`)
+
+// checkIndexStats asserts that out is exactly one stats block for source,
+// with as many postings as the document has nodes.
+func checkIndexStats(t *testing.T, out, source string) {
+	t.Helper()
+	m := indexStats.FindStringSubmatch(out)
+	if m == nil || !strings.HasSuffix(m[1], source) || m[2] != m[3] || len(m[0]) != len(out) {
+		t.Errorf("index output is not the stats block of %s:\n%s", source, out)
+	}
 }
 
 func TestCLISmoke(t *testing.T) {
@@ -112,19 +131,11 @@ func TestCLISmoke(t *testing.T) {
 	})
 
 	t.Run("index", func(t *testing.T) {
-		blob := filepath.Join(t.TempDir(), "d7.idx")
-		out, err := run(t, bin, "index", "-d", "D7", "-doc", "1200", "-check", "-o", blob)
+		out, err := run(t, bin, "index", "-d", "D7", "-doc", "1200")
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		for _, want := range []string{"postings:", "resident:", "round trip: ok", "wrote " + blob} {
-			if !strings.Contains(out, want) {
-				t.Errorf("index output missing %q:\n%s", want, out)
-			}
-		}
-		if fi, err := os.Stat(blob); err != nil || fi.Size() == 0 {
-			t.Errorf("index blob not written: %v", err)
-		}
+		checkIndexStats(t, out, "D7 (doc=1200 seed=42)")
 	})
 
 	t.Run("keywords", func(t *testing.T) {
@@ -354,12 +365,10 @@ func TestCLIMutate(t *testing.T) {
 		if out, err := run(t, bin, "index", "-manifest", manPath); err == nil || !strings.Contains(out, "-name") {
 			t.Errorf("missing -name error unclear: %v\n%s", err, out)
 		}
-		out, err = run(t, bin, "index", "-manifest", manPath, "-name", "gen", "-check")
+		out, err = run(t, bin, "index", "-manifest", manPath, "-name", "gen")
 		if err != nil {
 			t.Fatalf("built-in manifest entry: %v\n%s", err, out)
 		}
-		if !strings.Contains(out, "round trip: ok") {
-			t.Errorf("manifest index output missing round trip:\n%s", out)
-		}
+		checkIndexStats(t, out, "[gen] (doc=300 seed=0)")
 	})
 }

@@ -133,7 +133,7 @@ type Handle struct {
 }
 
 // Open wraps a document in a live handle. An index already attached to
-// the document (built, or loaded from a store blob) is adopted; otherwise
+// the document (such as a restored checkpoint's) is adopted; otherwise
 // one is built and attached. The caller must not mutate the document
 // afterwards except through the handle.
 func Open(doc *xmltree.Document) *Handle {

@@ -1,4 +1,4 @@
-// Package index provides a persisted positional document index and a
+// Package index provides a positional document index and a
 // holistic twig-pattern matcher over it — the document-side complement of
 // the block tree of Cheng, Gong and Cheung (ICDE 2010). The block tree
 // shares query work *across mappings*; the index shares document access
@@ -25,7 +25,9 @@
 //
 // An Index is immutable after Build and safe for unsynchronized concurrent
 // readers; Attach hangs it off its document's accelerator slot, which is
-// how internal/core's Matcher seam discovers it.
+// how internal/core's Matcher seam discovers it. The index is derived
+// state: nothing persists it, and every load path (catalog, checkpoint)
+// rebuilds it from its document.
 package index
 
 import (
@@ -57,10 +59,10 @@ type valueKey struct {
 
 // Index is an immutable positional index over one document snapshot.
 //
-// An index is either self-contained (Build, FromSnapshot) or an overlay
-// epoch derived from a base index by ApplyChanges: then its top layer holds
-// only the entries mutations spliced — a nil entry marks a deleted one —
-// and lookups fall through the layers below. Either way the index never
+// An index is either self-contained (Build) or an overlay epoch derived
+// from a base index by ApplyChanges: then its top layer holds only the
+// entries mutations spliced — a nil entry marks a deleted one — and
+// lookups fall through the layers below. Either way the index never
 // changes after construction and is safe for unsynchronized concurrent
 // readers; document mutation produces a new Index for the new snapshot
 // rather than touching this one.
@@ -139,8 +141,7 @@ type Stats struct {
 	// (postingBytes per posting): the denominator of CompressionRatio.
 	PostingsFlatBytes int
 	// Epoch counts the mutations applied since the index was built: 0 for
-	// a fresh Build or a loaded snapshot, incremented by every
-	// ApplyChanges.
+	// a fresh Build, incremented by every ApplyChanges.
 	Epoch uint64
 	// Overlays is the current overlay chain length (0 for a
 	// self-contained index) — the number of overlays a lookup may traverse
@@ -393,8 +394,8 @@ func For(doc *xmltree.Document) *Index {
 }
 
 // Install attaches an already-built index to its own document's
-// accelerator slot — the counterpart of Attach for an index loaded from a
-// store blob.
+// accelerator slot — the counterpart of Attach for an index built apart
+// from its document, such as a restored checkpoint's.
 func (ix *Index) Install() { ix.doc.SetAccel(ix) }
 
 // Detach removes any index from the document's accelerator slot, so
@@ -408,11 +409,11 @@ func (ix *Index) Document() *xmltree.Document { return ix.doc }
 func (ix *Index) Stats() Stats { return ix.stats }
 
 // Epoch returns the number of mutations applied since the index was
-// built: 0 for a fresh Build or loaded snapshot.
+// built: 0 for a fresh Build.
 func (ix *Index) Epoch() uint64 { return ix.epoch }
 
 // SetEpoch overrides the epoch counter. An index restored from a
-// checkpoint is rebuilt from a snapshot — epoch 0 by construction — but
+// checkpoint is rebuilt from its document — epoch 0 by construction — but
 // must resume the mutation history at the epoch the checkpoint captured,
 // so the consistency tokens handed to clients stay monotonic across a
 // restart or a replica bootstrap. Call before the index is shared.
@@ -507,8 +508,8 @@ func (ix *Index) NodesWithTextContaining(lowered string) []*xmltree.Node {
 	return out
 }
 
-// Paths returns the indexed dotted paths, sorted. Used by persistence and
-// diagnostics; the hot path never calls it.
+// Paths returns the indexed dotted paths, sorted. Used by tests and
+// benchmarks; the hot path never calls it.
 func (ix *Index) Paths() []string {
 	paths, _, _ := ix.materialize()
 	out := make([]string, 0, len(paths))

@@ -344,20 +344,6 @@ func TestBuildLargeDocument(t *testing.T) {
 	}
 }
 
-// TestCompactSnapshotRoundTrip pins the v4 wire codec: Compact then
-// Expand reproduces the snapshot exactly, deterministically.
-func TestCompactSnapshotRoundTrip(t *testing.T) {
-	doc := buildDoc()
-	snap := index.Build(doc).Snapshot()
-	got, err := snap.Compact().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, snap) {
-		t.Fatalf("compact round trip diverged:\ngot  %+v\nwant %+v", got, snap)
-	}
-}
-
 // TestNodesWithTextContaining pins the token posting layer against the
 // document scan it replaces — case folding, substrings spanning spaces
 // inside one text, absent terms — including after mutations re-splice the

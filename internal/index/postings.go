@@ -156,9 +156,8 @@ func (pl *PostingList) blockFirstStart(b int) int32 {
 // arrays and returns the number of postings decoded. Node pointers are
 // deliberately not touched: decoding into plain int32 arrays keeps GC
 // write barriers out of the merge hot loop, and emission fetches nodes
-// straight from pl.nodes. The data is trusted (produced by
-// compressPostings or validated by CompactSnapshot.Expand), so the decode
-// loop has no error paths.
+// straight from pl.nodes. The data is trusted (only compressPostings
+// produces it), so the decode loop has no error paths.
 func (pl *PostingList) decodeBlock(b int, starts, ends *[blockSize]int32) int {
 	base := b << blockShift
 	n := pl.count - base

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"xmatch/internal/delta"
-	"xmatch/internal/index"
 	"xmatch/internal/obs"
 	"xmatch/internal/store"
 	"xmatch/internal/xmltree"
@@ -235,7 +234,7 @@ func (l *ShardLog) StreamFrom(from uint64) Stream {
 // two leaves a checkpoint plus a stale log, which OpenShardLog heals on
 // the next start. On a memory-only log, Checkpoint just compacts the
 // retained records (followers further behind re-bootstrap).
-func (l *ShardLog) Checkpoint(doc *xmltree.Document, ix *index.Index, epoch uint64) (int64, error) {
+func (l *ShardLog) Checkpoint(doc *xmltree.Document, epoch uint64) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.retired {
@@ -246,7 +245,7 @@ func (l *ShardLog) Checkpoint(doc *xmltree.Document, ix *index.Index, epoch uint
 	}
 	freed := l.bytes
 	if l.path != "" {
-		if err := store.SaveCheckpointFile(l.ckpt, doc, ix, epoch); err != nil {
+		if err := store.SaveCheckpointFile(l.ckpt, doc, nil, epoch); err != nil {
 			return 0, err
 		}
 		if err := store.WriteEditLogFile(l.path, epoch, nil); err != nil {

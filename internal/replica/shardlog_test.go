@@ -112,7 +112,7 @@ func TestShardLogDurableCycle(t *testing.T) {
 	var freed int64
 	if err := h.Freeze(func(s *delta.Snapshot) error {
 		var ferr error
-		freed, ferr = l.Checkpoint(s.Doc, s.Index, s.Epoch)
+		freed, ferr = l.Checkpoint(s.Doc, s.Epoch)
 		return ferr
 	}); err != nil {
 		t.Fatal(err)

@@ -95,9 +95,9 @@ func NewDataset(name string, set *mapping.Set, doc *xmltree.Document, tau float6
 
 // NewCollection builds a serving collection over the member documents:
 // block tree (tau 0 = default 0.2), one positional index per member
-// (built by delta.Open unless one — typically loaded from a store blob —
-// is already attached), plus a dedicated engine. The documents must not
-// be mutated afterwards except through the shards' handles.
+// (built by delta.Open unless one — a restored checkpoint's — is already
+// attached), plus a dedicated engine. The documents must not be mutated
+// afterwards except through the shards' handles.
 func NewCollection(name string, set *mapping.Set, docs []*xmltree.Document, tau float64, eopts engine.Options) (*Collection, error) {
 	if name == "" {
 		return nil, fmt.Errorf("server: dataset has no name")
@@ -208,7 +208,7 @@ func (d *Collection) CheckpointShard(shard int) (epoch uint64, freed int64, err 
 	s := d.shards[shard]
 	err = s.Live.Freeze(func(snap *delta.Snapshot) error {
 		var ferr error
-		freed, ferr = s.Log.Checkpoint(snap.Doc, snap.Index, snap.Epoch)
+		freed, ferr = s.Log.Checkpoint(snap.Doc, snap.Epoch)
 		epoch = snap.Epoch
 		return ferr
 	})
@@ -346,21 +346,6 @@ func buildDataset(e store.CatalogEntry, baseDir string, eopts engine.Options, co
 		} else {
 			doc = instantiateSchema(set.Source, e.DocSeed)
 		}
-		if e.IndexPath != "" {
-			// A persisted index skips the build; LoadIndex verifies it
-			// against the document, so a stale blob fails the (re)load
-			// instead of serving wrong answers.
-			xf, err := os.Open(filepath.Join(baseDir, e.IndexPath))
-			if err != nil {
-				return nil, fmt.Errorf("server: dataset %s: %w", e.Name, err)
-			}
-			ix, err := store.LoadIndex(xf, doc)
-			xf.Close()
-			if err != nil {
-				return nil, fmt.Errorf("server: dataset %s: index %s: %w", e.Name, e.IndexPath, err)
-			}
-			ix.Install()
-		}
 		docs = []*xmltree.Document{doc}
 	}
 	logPath := ""
@@ -368,7 +353,7 @@ func buildDataset(e store.CatalogEntry, baseDir string, eopts engine.Options, co
 		logPath = filepath.Join(baseDir, e.EditLogPath)
 		// A shard with a checkpoint restarts from it instead of the
 		// pristine document: the checkpoint document comes back with its
-		// exact interval numbering and a verified, epoch-stamped index
+		// exact interval numbering and a rebuilt, epoch-stamped index
 		// installed, so delta.Open below adopts it mid-history and the
 		// (truncated) edit log replays only the records after it.
 		for i := range docs {

@@ -96,7 +96,7 @@ func (s *Server) handleReplicateCheckpoint(w http.ResponseWriter, r *http.Reques
 	w.Header().Set(replica.EpochHeader, strconv.FormatUint(snap.Epoch, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_ = store.SaveCheckpoint(w, snap.Doc, snap.Index, snap.Epoch)
+	_ = store.SaveCheckpoint(w, snap.Doc, snap.Epoch)
 }
 
 // handleReplicateManifest serves the manifest this server's catalog was
@@ -222,7 +222,6 @@ func NewFollower(primary string, fopts FollowerOptions) (*Server, *replica.Follo
 			// The replica regenerates the pristine dataset and replays the
 			// primary's stream over it; it keeps no durable log of its own.
 			e.EditLogPath = ""
-			e.IndexPath = ""
 		}
 		return BuildCatalog(man, ".", fopts.Engine)
 	}

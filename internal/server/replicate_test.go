@@ -123,7 +123,7 @@ func stateBytes(t *testing.T, sh *server.Shard) []byte {
 	t.Helper()
 	snap := sh.Live.Snapshot()
 	var buf bytes.Buffer
-	if err := store.SaveCheckpoint(&buf, snap.Doc, snap.Index, snap.Epoch); err != nil {
+	if err := store.SaveCheckpoint(&buf, snap.Doc, snap.Epoch); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -15,7 +15,9 @@ type Catalog struct {
 }
 
 // CatalogEntry describes one serving dataset. Exactly one of Dataset and
-// SetPath must be set.
+// SetPath must be set. No entry names an index: the index is built from
+// the entry's document at load. Older manifests whose entries name an
+// index blob (IndexPath) still decode; gob skips the field.
 type CatalogEntry struct {
 	// Name is the dataset's serving name, unique within the catalog.
 	Name string
@@ -33,11 +35,6 @@ type CatalogEntry struct {
 	// when empty a deterministic single-instance document is generated
 	// from the set's source schema.
 	DocPath string
-	// IndexPath optionally locates a positional-index blob (SaveIndex
-	// format) built over the entry's document, relative to the manifest's
-	// directory; when empty the index is built at catalog-prepare time.
-	// Manifest format v2; v1 manifests decode with it empty.
-	IndexPath string
 	// EditLogPath optionally locates the entry's append-only edit log
 	// (CreateEditLog/AppendEditBatch format), relative to the manifest's
 	// directory. At catalog-prepare time the log — if the file exists —
@@ -85,11 +82,6 @@ func (c *Catalog) Validate() error {
 		}
 		if e.Mappings < 0 || e.DocNodes < 0 || e.Tau < 0 || e.Tau > 1 {
 			return formatErrorf("catalog entry %q: negative size or tau outside [0,1]", e.Name)
-		}
-		if e.IndexPath != "" && e.Dataset != "" {
-			// A built-in entry regenerates its document at load time, so a
-			// persisted index could only ever match by accident.
-			return formatErrorf("catalog entry %q: IndexPath requires a blob-backed entry", e.Name)
 		}
 		if e.Shards < 0 {
 			return formatErrorf("catalog entry %q: negative shard count", e.Name)

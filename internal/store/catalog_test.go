@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"reflect"
@@ -38,6 +39,78 @@ func TestCatalogGoldenRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestCatalogV1Compatibility: a manifest written with the version-1
+// envelope must still load unchanged, and future versions must be
+// rejected.
+func TestCatalogV1Compatibility(t *testing.T) {
+	man := &Catalog{Entries: []CatalogEntry{
+		{Name: "orders", Dataset: "D7", Mappings: 100},
+		{Name: "frozen", SetPath: "blobs/frozen.set"},
+	}}
+	var buf bytes.Buffer
+	if err := writeHeaderVersion(&buf, "catalog", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCatalog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("v1 manifest rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got, man) {
+		t.Errorf("v1 manifest round trip mismatch: %+v", got)
+	}
+
+	var future bytes.Buffer
+	if err := writeHeaderVersion(&future, "catalog", version+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&future).Encode(man); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCatalog(bytes.NewReader(future.Bytes()))
+	var fe *FormatError
+	if err == nil || !errors.As(err, &fe) {
+		t.Errorf("future version accepted or misclassified: %v", err)
+	}
+}
+
+// TestCatalogIndexPathValidation: an index path in an older manifest is
+// never validated or kept, since the index is always built from the
+// entry's document. A built-in entry naming an index — once rejected —
+// now loads; the entry's other rules still hold.
+func TestCatalogIndexPathValidation(t *testing.T) {
+	type legacyEntry struct{ Name, Dataset, SetPath, IndexPath string }
+	encode := func(entries ...legacyEntry) []byte {
+		var buf bytes.Buffer
+		if err := writeHeader(&buf, "catalog"); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&buf).Encode(struct{ Entries []legacyEntry }{entries}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got, err := LoadCatalog(bytes.NewReader(encode(
+		legacyEntry{Name: "a", Dataset: "D1", IndexPath: "a.idx"},
+		legacyEntry{Name: "b", SetPath: "b.set", IndexPath: "../b.idx"},
+	)))
+	if err != nil {
+		t.Fatalf("manifest naming index blobs rejected: %v", err)
+	}
+	want := &Catalog{Entries: []CatalogEntry{{Name: "a", Dataset: "D1"}, {Name: "b", SetPath: "b.set"}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("entries diverged: %+v", got.Entries)
+	}
+	// Both a built-in dataset and a set blob: invalid whatever the index.
+	_, err = LoadCatalog(bytes.NewReader(encode(legacyEntry{Name: "c", Dataset: "D1", SetPath: "c.set", IndexPath: "c.idx"})))
+	var fe *FormatError
+	if err == nil || !errors.As(err, &fe) {
+		t.Errorf("invalid entry naming an index accepted or misclassified: %v", err)
 	}
 }
 

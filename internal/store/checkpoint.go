@@ -12,15 +12,18 @@ import (
 )
 
 // Checkpoint blobs (format version 6) persist one shard's mutated state
-// as a single self-verifying file: the document in its persisted preorder
-// form — labels, texts, parents, and crucially the exact interval numbers
-// plus the numbering base — together with the compact index payload and
-// the epoch the state sits at. Reloading re-parses nothing: the document
-// is reassembled with its recorded numbering (xmltree.Assemble; a fresh
-// parse would renumber, breaking Start-addressed edits, collection
-// ordering, and byte-identical replication), the index is rebuilt through
-// the same verified FromSnapshot path index blobs use, and the epoch is
-// stamped back so consistency tokens stay monotonic.
+// as a single file: the document in its persisted preorder form — labels,
+// texts, parents, and crucially the exact interval numbers plus the
+// numbering base — and the epoch the state sits at. The index is not in
+// the blob: it is derived state, and index.Build over the reassembled
+// document is cheaper than decoding and verifying a persisted copy would
+// be. Reloading re-parses nothing: the document is reassembled with its
+// recorded numbering (xmltree.Assemble; a fresh parse would renumber,
+// breaking Start-addressed edits, collection ordering, and byte-identical
+// replication), the index is rebuilt over it, and the epoch is stamped
+// back so consistency tokens stay monotonic. Version 6 and 7 checkpoints
+// written while the blob still carried an index payload load unchanged:
+// gob skips the field the DTO no longer declares.
 //
 // Checkpoints are what lets an edit log be truncated: a log reset to base
 // epoch E plus a checkpoint at E reproduce the same state as the full
@@ -39,11 +42,10 @@ type checkpointDTO struct {
 	Parents []int32
 	Starts  []int32
 	Ends    []int32
-	Index   index.CompactSnapshot
 }
 
 // Checkpoint is a restored checkpoint: the reassembled document with its
-// verified index installed (epoch already stamped), ready for delta.Open
+// rebuilt index installed (epoch already stamped), ready for delta.Open
 // or Handle.Adopt.
 type Checkpoint struct {
 	Epoch uint64
@@ -52,9 +54,9 @@ type Checkpoint struct {
 }
 
 // SaveCheckpoint writes a checkpoint blob for one shard's state: the
-// document, its index, and the epoch the pair sits at. The caller must
-// hold the state still for the duration (delta.Handle.Freeze).
-func SaveCheckpoint(w io.Writer, doc *xmltree.Document, ix *index.Index, epoch uint64) error {
+// document and the epoch it sits at. The caller must hold the state still
+// for the duration (delta.Handle.Freeze).
+func SaveCheckpoint(w io.Writer, doc *xmltree.Document, epoch uint64) error {
 	if err := writeHeader(w, "checkpoint"); err != nil {
 		return err
 	}
@@ -67,7 +69,6 @@ func SaveCheckpoint(w io.Writer, doc *xmltree.Document, ix *index.Index, epoch u
 		Parents: make([]int32, len(nodes)),
 		Starts:  make([]int32, len(nodes)),
 		Ends:    make([]int32, len(nodes)),
-		Index:   *ix.Snapshot().Compact(),
 	}
 	// Parents are resolved by Start, not pointer: a copy-on-write snapshot
 	// shares nodes whose Parent pointers refer to superseded clones, and
@@ -96,10 +97,9 @@ func SaveCheckpoint(w io.Writer, doc *xmltree.Document, ix *index.Index, epoch u
 }
 
 // LoadCheckpoint reads a checkpoint blob, reassembles the document with
-// its persisted numbering, rebuilds and verifies the index against it,
-// stamps the epoch, and installs the index on the document. Structural
-// damage anywhere — envelope, node arrays, interval invariants, index
-// payload, index/document disagreement — is a *FormatError.
+// its persisted numbering, builds the index over it, stamps the epoch,
+// and installs the index on the document. Structural damage anywhere —
+// envelope, node arrays, interval invariants — is a *FormatError.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	dec, err := readHeader(r, "checkpoint")
 	if err != nil {
@@ -128,14 +128,7 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err != nil {
 		return nil, &FormatError{Msg: "checkpoint document: " + err.Error(), Err: err}
 	}
-	snap, err := d.Index.Expand()
-	if err != nil {
-		return nil, &FormatError{Msg: "checkpoint index: " + err.Error(), Err: err}
-	}
-	ix, err := index.FromSnapshot(doc, snap)
-	if err != nil {
-		return nil, &FormatError{Msg: "checkpoint index disagrees with document: " + err.Error(), Err: err}
-	}
+	ix := index.Build(doc)
 	ix.SetEpoch(d.Epoch)
 	ix.Install()
 	return &Checkpoint{Epoch: d.Epoch, Doc: doc, Index: ix}, nil
@@ -143,8 +136,10 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 
 // SaveCheckpointFile atomically writes a checkpoint blob to path via a
 // temporary file, fsync, and rename — a crash leaves either the old
-// checkpoint or the new one, never a torn hybrid.
-func SaveCheckpointFile(path string, doc *xmltree.Document, ix *index.Index, epoch uint64) error {
+// checkpoint or the new one, never a torn hybrid. The index argument is
+// ignored (the blob holds no index); it stays so that existing callers
+// which pass a snapshot's index keep compiling.
+func SaveCheckpointFile(path string, doc *xmltree.Document, _ *index.Index, epoch uint64) error {
 	if err := hookWriteFile(path); err != nil {
 		return err
 	}
@@ -153,7 +148,7 @@ func SaveCheckpointFile(path string, doc *xmltree.Document, ix *index.Index, epo
 	if err != nil {
 		return err
 	}
-	err = SaveCheckpoint(f, doc, ix, epoch)
+	err = SaveCheckpoint(f, doc, epoch)
 	if err == nil {
 		err = f.Sync()
 	}

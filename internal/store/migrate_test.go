@@ -3,25 +3,22 @@ package store
 // Cross-version blob migration coverage: every blob kind written under an
 // older format envelope must still load under the current reader
 // (minVersion = 1), with fields that post-date the envelope decoding as
-// zero values — and every corruption branch of LoadIndex must surface as
-// a *FormatError, never as a silent misload.
+// zero values and fields the reader no longer declares skipped.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
-	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
-	"xmatch/internal/index"
 	"xmatch/internal/mapgen"
-	"xmatch/internal/xmltree"
 )
 
 // saveEditLogLegacy writes an edit-log blob in the pre-v6 payload layout:
@@ -85,11 +82,6 @@ func TestStoreMigrateAcrossVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := xmltree.New(xmltree.NewRoot("r"))
-	doc.Root.AddChild("a").AddText("1")
-	doc = xmltree.New(doc.Root)
-	ix := index.Build(doc)
-
 	kinds := map[string]struct {
 		save func(*bytes.Buffer) error
 		load func([]byte) error
@@ -112,10 +104,6 @@ func TestStoreMigrateAcrossVersions(t *testing.T) {
 			},
 			func(p []byte) error { _, err := LoadCatalog(bytes.NewReader(p)); return err },
 		},
-		"index": {
-			func(b *bytes.Buffer) error { return SaveIndex(b, ix) },
-			func(p []byte) error { _, err := LoadIndex(bytes.NewReader(p), doc); return err },
-		},
 		"editlog": {
 			func(b *bytes.Buffer) error { return CreateEditLog(b) },
 			func(p []byte) error { _, err := LoadEditLog(bytes.NewReader(p)); return err },
@@ -128,20 +116,10 @@ func TestStoreMigrateAcrossVersions(t *testing.T) {
 		}
 		for v := minVersion; v <= version; v++ {
 			blob := reversion(t, buf.Bytes(), kind, v)
-			if kind == "index" && v < 4 {
-				// Index payloads changed layout in v4; an old-version
-				// index blob carries the legacy flat payload, written by
-				// the legacy writer rather than by envelope rewriting.
-				var legacy bytes.Buffer
-				if err := saveIndexLegacy(&legacy, ix, v); err != nil {
-					t.Fatalf("index: legacy v%d save: %v", v, err)
-				}
-				blob = legacy.Bytes()
-			}
 			if kind == "editlog" && v < 6 {
 				// Edit-log payloads gained the base-epoch meta message in
-				// v6; an old-version log has no meta, so it too needs the
-				// legacy writer.
+				// v6; an old-version log has no meta, so it needs the
+				// legacy writer rather than envelope rewriting.
 				var legacy bytes.Buffer
 				if err := saveEditLogLegacy(&legacy, nil, v); err != nil {
 					t.Fatalf("editlog: legacy v%d save: %v", v, err)
@@ -196,65 +174,45 @@ func TestStoreMigrateEditLogV5(t *testing.T) {
 	}
 }
 
-// TestStoreMigrateIndexV2V3 proves old flat-payload index blobs (the
-// v2/v3 on-disk format) load under the v4 reader and reconstruct exactly
-// the index a current save/load round trip produces.
-func TestStoreMigrateIndexV2V3(t *testing.T) {
-	d := dataset.MustLoad("D7")
-	doc := d.OrderDocument(600, 42)
-	ix := index.Build(doc)
-
-	var current bytes.Buffer
-	if err := SaveIndex(&current, ix); err != nil {
+// TestStoreMigrateCatalogFields: the fields that arrived after v1 decode
+// from a manifest under every envelope version. One input is a v7
+// manifest checked in from a build whose entries could still name an
+// index blob (IndexPath); gob skips that field, and every other field of
+// the entry loads intact.
+func TestStoreMigrateCatalogFields(t *testing.T) {
+	want := &Catalog{Entries: []CatalogEntry{
+		{Name: "orders", Dataset: "D7", Mappings: 100, Shards: 4, DocNodes: 20000, DocSeed: 42, Tau: 0.2},
+		{Name: "frozen", SetPath: "blobs/frozen.set", DocPath: "blobs/frozen.xml", EditLogPath: "blobs/frozen.editlog", Tau: 0.35},
+	}}
+	var buf bytes.Buffer
+	if err := SaveCatalog(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	want, err := LoadIndex(bytes.NewReader(current.Bytes()), doc)
-	if err != nil {
-		t.Fatalf("current blob: %v", err)
+	inputs := map[string][]byte{
+		"current":       buf.Bytes(),
+		"v7 with index": testdataBlob(t, "catalog-v7-indexpath.blob"),
 	}
-	for _, v := range []int{2, 3} {
-		var legacy bytes.Buffer
-		if err := saveIndexLegacy(&legacy, ix, v); err != nil {
-			t.Fatalf("v%d: save: %v", v, err)
-		}
-		if legacy.Len() <= current.Len() {
-			t.Errorf("v%d legacy blob (%dB) not larger than compressed v4 blob (%dB)", v, legacy.Len(), current.Len())
-		}
-		got, err := LoadIndex(bytes.NewReader(legacy.Bytes()), doc)
-		if err != nil {
-			t.Fatalf("v%d: load: %v", v, err)
-		}
-		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
-			t.Errorf("v%d: migrated index disagrees with v4 round trip", v)
-		}
-		for _, p := range got.Paths() {
-			if !reflect.DeepEqual(got.Postings(p), want.Postings(p)) {
-				t.Errorf("v%d: postings of %q diverged after migration", v, p)
+	for name, blob := range inputs {
+		for v := minVersion; v <= version; v++ {
+			got, err := LoadCatalog(bytes.NewReader(reversion(t, blob, "catalog", v)))
+			if err != nil {
+				t.Fatalf("%s as v%d: %v", name, v, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s as v%d: entries diverged:\ngot  %+v\nwant %+v", name, v, got.Entries, want.Entries)
 			}
 		}
 	}
 }
 
-// TestStoreMigrateCatalogFields: the fields that arrived after v1 decode
-// as empty from a v1 manifest and round-trip under the current version.
-func TestStoreMigrateCatalogFields(t *testing.T) {
-	man := &Catalog{Entries: []CatalogEntry{
-		{Name: "frozen", SetPath: "blobs/frozen.set", IndexPath: "blobs/frozen.idx", EditLogPath: "blobs/frozen.editlog"},
-	}}
-	var buf bytes.Buffer
-	if err := SaveCatalog(&buf, man); err != nil {
+// testdataBlob reads a blob checked in under testdata/.
+func testdataBlob(t testing.TB, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for v := minVersion; v <= version; v++ {
-		got, err := LoadCatalog(bytes.NewReader(reversion(t, buf.Bytes(), "catalog", v)))
-		if err != nil {
-			t.Fatalf("v%d: %v", v, err)
-		}
-		e := got.Entries[0]
-		if e.IndexPath != "blobs/frozen.idx" || e.EditLogPath != "blobs/frozen.editlog" {
-			t.Errorf("v%d: path fields lost: %+v", v, e)
-		}
-	}
+	return blob
 }
 
 // TestStoreMigrateCatalogV4Shards: the shard count arrived with manifest
@@ -305,213 +263,5 @@ func TestStoreMigrateCatalogV4Shards(t *testing.T) {
 		if err == nil || !errors.As(err, &fe) {
 			t.Errorf("%s: accepted or misclassified: %v", name, err)
 		}
-	}
-}
-
-// indexBlobWithSnapshot encodes an arbitrary flat snapshot payload under
-// a v3 envelope (the last flat-payload version), so each document
-// verification branch of LoadIndex can be driven directly.
-func indexBlobWithSnapshot(t *testing.T, snap *index.Snapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := writeHeaderVersion(&buf, "index", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// indexBlobWithCompact encodes an arbitrary compact payload under the
-// current (v4) envelope, for driving the compressed-structure validation
-// branches.
-func indexBlobWithCompact(t *testing.T, cs *index.CompactSnapshot) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := writeHeader(&buf, "index"); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(&buf).Encode(cs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestLoadIndexV4CorruptionBranches drives the v4 payload validation: a
-// truncated delta block, a malformed varint, and a skip pointer outside
-// the data must each surface as *FormatError — never a panic, never a
-// silent misload.
-func TestLoadIndexV4CorruptionBranches(t *testing.T) {
-	// A document with one long same-path list, so the compact payload has
-	// real multi-block structure (skip pointers) to corrupt.
-	root := xmltree.NewRoot("PO")
-	for i := 0; i < 200; i++ {
-		root.AddChild("Line").AddText(fmt.Sprintf("v%d", i%9))
-	}
-	doc := xmltree.New(root)
-	good := index.Build(doc).Snapshot().Compact()
-
-	perturb := func(f func(*index.CompactSnapshot)) []byte {
-		c := *good
-		c.Paths = append([]index.CompactPath(nil), good.Paths...)
-		for i := range c.Paths {
-			c.Paths[i].BlockOffs = append([]uint32(nil), good.Paths[i].BlockOffs...)
-			c.Paths[i].Data = append([]byte(nil), good.Paths[i].Data...)
-		}
-		c.Values = append([]index.CompactValue(nil), good.Values...)
-		for i := range c.Values {
-			c.Values[i].Deltas = append([]byte(nil), good.Values[i].Deltas...)
-		}
-		f(&c)
-		return indexBlobWithCompact(t, &c)
-	}
-	// The multi-block path (the 200 Line postings).
-	pi := -1
-	for i, p := range good.Paths {
-		if len(p.BlockOffs) > 0 {
-			pi = i
-			break
-		}
-	}
-	if pi < 0 {
-		t.Fatal("fixture has no multi-block path")
-	}
-
-	cases := map[string][]byte{
-		"truncated block": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].Data = c.Paths[pi].Data[:len(c.Paths[pi].Data)-1]
-		}),
-		"bad varint": perturb(func(c *index.CompactSnapshot) {
-			// An unterminated continuation run overflows int32 range.
-			d := c.Paths[pi].Data
-			for i := range d {
-				d[i] = 0xff
-			}
-		}),
-		"skip pointer out of range": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].BlockOffs[0] = uint32(len(c.Paths[pi].Data)) + 17
-		}),
-		"skip pointer misaligned": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].BlockOffs[0]++
-		}),
-		"skip pointer count mismatch": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].BlockOffs = c.Paths[pi].BlockOffs[:0]
-		}),
-		"trailing bytes": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].Data = append(c.Paths[pi].Data, 0x01, 0x01)
-		}),
-		"negative count": perturb(func(c *index.CompactSnapshot) {
-			c.Paths[pi].Count = -4
-		}),
-		"value bad varint": perturb(func(c *index.CompactSnapshot) {
-			c.Values[0].Deltas = []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-		}),
-		"value truncated": perturb(func(c *index.CompactSnapshot) {
-			c.Values[0].Deltas = c.Values[0].Deltas[:0]
-		}),
-	}
-	for name, blob := range cases {
-		_, err := LoadIndex(bytes.NewReader(blob), doc)
-		if err == nil {
-			t.Errorf("%s: load succeeded", name)
-			continue
-		}
-		var fe *FormatError
-		if !errors.As(err, &fe) {
-			t.Errorf("%s: error %v (%T) is not *FormatError", name, err, err)
-		}
-	}
-
-	// Sanity: the unperturbed compact payload still loads and answers.
-	if _, err := LoadIndex(bytes.NewReader(indexBlobWithCompact(t, good)), doc); err != nil {
-		t.Fatalf("good v4 blob rejected: %v", err)
-	}
-}
-
-func TestLoadIndexFormatErrorBranches(t *testing.T) {
-	doc, err := xmltree.ParseString(`<PO><Line><Num>1</Num></Line><Line><Num>2</Num></Line></PO>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := index.Build(doc).Snapshot()
-
-	var goodBlob bytes.Buffer
-	if err := SaveIndex(&goodBlob, index.Build(doc)); err != nil {
-		t.Fatal(err)
-	}
-
-	perturb := func(f func(*index.Snapshot)) []byte {
-		s := *good
-		s.Paths = append([]index.SnapshotPath(nil), good.Paths...)
-		for i := range s.Paths {
-			s.Paths[i].Starts = append([]int32(nil), good.Paths[i].Starts...)
-			s.Paths[i].Ends = append([]int32(nil), good.Paths[i].Ends...)
-			s.Paths[i].Levels = append([]int32(nil), good.Paths[i].Levels...)
-		}
-		s.Values = append([]index.SnapshotValue(nil), good.Values...)
-		f(&s)
-		return indexBlobWithSnapshot(t, &s)
-	}
-
-	cases := map[string][]byte{
-		"bad magic":        append([]byte("YMATCH1\n"), goodBlob.Bytes()[len(magic):]...),
-		"truncated magic":  goodBlob.Bytes()[:5],
-		"truncated header": goodBlob.Bytes()[:len(magic)+2],
-		"truncated payload": func() []byte {
-			b := goodBlob.Bytes()
-			return b[:len(b)-9]
-		}(),
-		"document size mismatch": perturb(func(s *index.Snapshot) { s.DocNodes++ }),
-		"region arrays disagree": perturb(func(s *index.Snapshot) { s.Paths[0].Ends = s.Paths[0].Ends[:0] }),
-		"posting disagrees": perturb(func(s *index.Snapshot) {
-			s.Paths[0].Levels[0]++
-		}),
-		"unresolvable start": perturb(func(s *index.Snapshot) {
-			s.Paths[0].Starts[0] += 3 // between boundaries: no such node
-		}),
-		"postings out of order": perturb(func(s *index.Snapshot) {
-			p := &s.Paths[1]
-			if len(p.Starts) < 2 {
-				for i := range s.Paths {
-					if len(s.Paths[i].Starts) >= 2 {
-						p = &s.Paths[i]
-						break
-					}
-				}
-			}
-			p.Starts[0], p.Starts[1] = p.Starts[1], p.Starts[0]
-			p.Ends[0], p.Ends[1] = p.Ends[1], p.Ends[0]
-			p.Levels[0], p.Levels[1] = p.Levels[1], p.Levels[0]
-		}),
-		"posting/document count mismatch": perturb(func(s *index.Snapshot) {
-			// Drop one whole path entry: fewer postings than nodes.
-			s.Paths = s.Paths[1:]
-		}),
-		"value disagrees": perturb(func(s *index.Snapshot) { s.Values[0].Text += "!" }),
-		"missing value entry": perturb(func(s *index.Snapshot) {
-			s.Values = s.Values[:len(s.Values)-1]
-		}),
-	}
-	for name, blob := range cases {
-		_, err := LoadIndex(bytes.NewReader(blob), doc)
-		if err == nil {
-			t.Errorf("%s: load succeeded", name)
-			continue
-		}
-		var fe *FormatError
-		if !errors.As(err, &fe) {
-			t.Errorf("%s: error %v (%T) is not *FormatError", name, err, err)
-		}
-	}
-
-	// Sanity: the unperturbed snapshot still loads.
-	if _, err := LoadIndex(bytes.NewReader(goodBlob.Bytes()), doc); err != nil {
-		t.Fatalf("good blob rejected: %v", err)
-	}
-	// And the branch messages stay distinguishable for operators.
-	_, err = LoadIndex(bytes.NewReader(perturb(func(s *index.Snapshot) { s.DocNodes++ })), doc)
-	if err == nil || !strings.Contains(err.Error(), "nodes") {
-		t.Errorf("mismatch error lost its detail: %v", err)
 	}
 }

@@ -2,9 +2,11 @@
 // matchings, and possible-mapping sets — in a versioned binary format
 // (gob-encoded with a magic header), so that expensive steps of the
 // pipeline (matching, top-h generation) can be computed once and reloaded.
-// Block trees are deliberately not persisted: construction from a mapping
-// set is deterministic and takes well under a millisecond (Figure 9(d)),
-// so they are rebuilt on load.
+// Derived state is deliberately not persisted. Block trees are rebuilt
+// from the mapping set on load: construction is deterministic and takes
+// well under a millisecond (Figure 9(d)). Positional indexes are rebuilt
+// from the document on load (index.Build), which costs less than
+// decoding and verifying a persisted copy did.
 package store
 
 import (
@@ -22,22 +24,22 @@ const (
 	// version is the blob format written by this build. Version 2 added
 	// index blobs and the optional index-blob reference on catalog
 	// entries; version 3 added edit-log blobs and the optional edit-log
-	// reference; version 4 switched index blobs to the delta-compressed
-	// postings payload (varint blocks with persisted skip pointers —
-	// index.CompactSnapshot); version 5 added the per-entry shard count on
-	// catalog manifests (CatalogEntry.Shards); version 6 added checkpoint
-	// blobs and made edit logs epoch-aware (a base-epoch meta message
-	// after the envelope, and an explicit epoch on every record — the
-	// replication substrate); version 7 added workload-capture blobs (a
-	// sampled request log reusing the edit log's appendable framing) and
-	// selectivity-profile blobs (observed per-path candidate/survivor
-	// ratios persisted alongside a capture). Readers accept every version
-	// back to minVersion: v2/v3 index blobs still decode through the
-	// legacy snapshot payload, and gob ignores fields a payload lacks, so
-	// older blobs of the other kinds decode with the new fields
-	// zero-valued — a v4 manifest loads with Shards 0, meaning a
-	// single-document collection, and a v5 edit log loads with base 0 and
-	// its record epochs implicitly numbered 1..n.
+	// reference; version 4 delta-compressed the index payload; version 5
+	// added the per-entry shard count on catalog manifests
+	// (CatalogEntry.Shards); version 6 added checkpoint blobs and made
+	// edit logs epoch-aware (a base-epoch meta message after the envelope,
+	// and an explicit epoch on every record — the replication substrate);
+	// version 7 added workload-capture blobs (a sampled request log reusing
+	// the edit log's appendable framing) and selectivity-profile blobs
+	// (observed per-path candidate/survivor ratios persisted alongside a
+	// capture). Index blobs are no longer read or written: the index is
+	// rebuilt from its document. Readers accept every version back to
+	// minVersion. gob ignores fields a payload lacks, so older blobs decode
+	// with the new fields zero-valued — a v4 manifest loads with Shards 0,
+	// meaning a single-document collection, and a v5 edit log loads with
+	// base 0 and its record epochs implicitly numbered 1..n. gob also skips
+	// fields the reader no longer declares: a manifest entry's index-blob
+	// reference, and the index payload of v6/v7 checkpoints.
 	version    = 7
 	minVersion = 1
 )
@@ -64,7 +66,7 @@ func formatErrorf(format string, args ...any) error {
 
 type header struct {
 	Version int
-	Kind    string // "schema", "matching", "mappingset", "catalog", "index", "editlog", "checkpoint", "workload", "profiles"
+	Kind    string // "schema", "matching", "mappingset", "catalog", "editlog", "checkpoint", "workload", "profiles"
 }
 
 type schemaDTO struct {
@@ -171,7 +173,7 @@ func (t *trackingReader) ReadByte() (byte, error) {
 
 // blobReader decodes a store blob's payload after readHeader validated the
 // envelope. version is the envelope's format version, for kinds whose
-// payload layout changed across versions (index blobs).
+// payload layout changed across versions (edit logs).
 type blobReader struct {
 	*gob.Decoder
 	tr      *trackingReader
