@@ -515,7 +515,7 @@ func runIndex(args []string) error {
 
 // indexCollection indexes every member of a sharded collection and prints
 // a per-shard stats table plus aggregates — the offline view of the
-// per-shard rows /statsz serves.
+// per-shard xmatch_index_* series a daemon serves.
 func indexCollection(docs []*xmltree.Document, source string, stats bool) error {
 	fmt.Printf("index %s: %d member shards\n", source, len(docs))
 	fmt.Printf("%5s %9s %9s %8s %12s %12s  %s\n", "shard", "nodes", "postings", "paths", "resident", "built", "range")

@@ -11,8 +11,8 @@
 //	xmatchd -follow http://primary:8777          # read replica of a primary
 //
 // Endpoints: POST /v1/query, POST /v1/batch, GET /v1/datasets, GET
-// /healthz, GET /readyz (503 while draining for shutdown), GET /statsz,
-// GET /metricsz (Prometheus text exposition), GET
+// /healthz, GET /readyz (503 while draining for shutdown), GET /metricsz
+// (Prometheus text exposition), GET /statsz (the same series as JSON), GET
 // /v1/debug/traces (tail-sampled slow-query traces), POST /v1/admin/reload
 // (rebuilds the catalog from the manifest — edit the file, hit the
 // endpoint, no restart), POST /v1/admin/mutate, POST /v1/admin/checkpoint
@@ -26,7 +26,7 @@
 // is byte-identical at every epoch. When the primary has compacted the
 // history away, the follower bootstraps from a checkpoint blob instead.
 // Followers are read-only (admin endpoints answer 403), report per-shard
-// replication lag on /statsz and /metricsz, and degrade /healthz (503)
+// replication lag as xmatch_replica_* series, and degrade /healthz (503)
 // when the worst shard falls more than -max-lag epochs behind.
 //
 // Logs are structured (log/slog): -log-format picks text or json,
@@ -128,7 +128,7 @@ func main() {
 	flag.DurationVar(&cfg.traceThreshold, "trace-threshold", 100*time.Millisecond, "retain a request's trace on /v1/debug/traces when its latency reaches this threshold; 0 retains every trace, negative disables retention")
 	flag.Int64Var(&cfg.maxLag, "max-lag", 1000, "in -follow mode, epochs behind the primary (worst shard) before /healthz reports degraded; negative disables the check")
 	flag.DurationVar(&cfg.sloTarget, "slo-target", 0, "query latency SLO target (e.g. 50ms): /metricsz exposes the error-budget burn rate and /healthz degrades while the budget burns hot; 0 disables")
-	flag.Float64Var(&cfg.sloObjective, "slo-objective", 0.99, "fraction of queries that must meet -slo-target")
+	flag.Float64Var(&cfg.sloObjective, "slo-objective", 0.99, "fraction of queries that must meet -slo-target, strictly between 0 and 1")
 	flag.DurationVar(&cfg.sloWindow, "slo-window", 5*time.Minute, "sliding window behind the SLO burn rate and windowed latency quantiles")
 	flag.StringVar(&cfg.capture, "capture", "", "append a sampled binary log of served queries (fingerprint, pattern, epoch, latency, result digest) to this file for `xmatch workload replay`; truncated at start, empty disables")
 	flag.IntVar(&cfg.captureSample, "capture-sample", 1, "capture 1 in N queries")

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -23,6 +24,7 @@ import (
 
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
+	"xmatch/internal/obs"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 )
@@ -96,17 +98,28 @@ func daemonEpoch(t *testing.T, addr string) uint64 {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st server.Stats
+	var st struct {
+		Series []obs.ExpositionMetric `json:"series"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	for _, ds := range st.Datasets {
-		if ds.Name == "D1" {
-			return ds.Epoch
+	for _, m := range st.Series {
+		if m.Name == "xmatch_delta_epoch" && slices.Contains(m.Labels, obs.Label{Name: "dataset", Value: "D1"}) {
+			return uint64(m.Value)
 		}
 	}
-	t.Fatal("statsz has no D1 dataset")
+	t.Fatal("statsz has no D1 epoch")
 	return 0
+}
+
+// TestSLOObjectiveOneRefused: an objective of 1 leaves no error budget,
+// so the daemon refuses it at startup instead of serving it.
+func TestSLOObjectiveOneRefused(t *testing.T) {
+	err := run(config{datasets: "D1", sloObjective: 1, logFormat: "text", logLevel: "error"})
+	if err == nil || !strings.Contains(err.Error(), "SLO objective") {
+		t.Fatalf("run with -slo-objective 1: %v, want a refusal", err)
+	}
 }
 
 func TestCrashRecoveryAfterSIGKILL(t *testing.T) {

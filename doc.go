@@ -24,8 +24,9 @@
 //
 // Catalogs load from store manifests (xmatchd -manifest catalog.xm,
 // authored with -write-manifest) or built-in dataset IDs, hot-reload via
-// POST /v1/admin/reload, and expose health and stats at /healthz and
-// /statsz. Every response's results decode byte-identically to sequential
+// POST /v1/admin/reload, and expose health at /healthz and every metric
+// at /metricsz (Prometheus text) and /statsz (the same series as JSON).
+// Every response's results decode byte-identically to sequential
 // internal/core evaluation — the engine's differential guarantee holds
 // over the wire.
 package xmatch

@@ -178,18 +178,25 @@ func (h *Handle) Stats() Stats {
 	}
 }
 
-// ApplyLatency snapshots the handle's per-batch apply-latency histogram.
-func (h *Handle) ApplyLatency() obs.HistogramSnapshot { return h.applyLat.Snapshot() }
-
-// CollectMetrics emits the handle's mutation metrics onto e under the
-// given labels — the delta subsystem's contribution to /metricsz.
+// CollectMetrics emits the handle's mutation metrics and its current
+// snapshot's document and index sizes onto e under the given labels — the
+// delta subsystem's contribution to /metricsz.
 func (h *Handle) CollectMetrics(e *obs.Exporter, labels ...obs.Label) {
 	snap := h.Snapshot()
+	xs := snap.Index.Stats()
 	e.Counter("xmatch_delta_batches_total", "Edit batches applied.", float64(h.batches.Load()), labels...)
 	e.Counter("xmatch_delta_edits_total", "Edits applied across batches.", float64(h.edits.Load()), labels...)
 	e.Gauge("xmatch_delta_epoch", "Current snapshot epoch.", float64(snap.Epoch), labels...)
-	e.Gauge("xmatch_delta_overlay_depth", "Index overlays a lookup may traverse above the self-contained index; merged by size, so logarithmic in the entries spliced since the last compaction.", float64(snap.Index.Stats().Overlays), labels...)
+	e.Gauge("xmatch_delta_overlay_depth", "Index overlays a lookup may traverse above the self-contained index; merged by size, so logarithmic in the entries spliced since the last compaction.", float64(xs.Overlays), labels...)
 	e.Histogram("xmatch_delta_apply_seconds", "Per-batch apply latency, lock-wait excluded.", h.applyLat.Snapshot(), labels...)
+	e.Gauge("xmatch_delta_doc_nodes", "Nodes of the current snapshot's document.", float64(snap.Doc.Len()), labels...)
+	e.Gauge("xmatch_index_build_seconds", "Wall time the current snapshot's index took to build (or splice).", xs.BuildTime.Seconds(), labels...)
+	e.Gauge("xmatch_index_resident_bytes", "Estimated in-memory footprint of the current index, document excluded.", float64(xs.ResidentBytes), labels...)
+	e.Gauge("xmatch_index_postings", "Region postings in the current index (one per document node).", float64(xs.Postings), labels...)
+	e.Gauge("xmatch_index_postings_bytes", "Resident bytes of the compressed postings lists alone.", float64(xs.PostingsBytes), labels...)
+	e.Gauge("xmatch_index_postings_flat_bytes", "Bytes the same postings would take in the flat layout.", float64(xs.PostingsFlatBytes), labels...)
+	e.Gauge("xmatch_index_paths", "Distinct dotted paths indexed.", float64(xs.DistinctPaths), labels...)
+	e.Gauge("xmatch_index_text_keys", "Distinct lowered texts in the keyword-term vocabulary.", float64(xs.TextKeys), labels...)
 }
 
 // Apply applies one batch of edits atomically: either every edit applies

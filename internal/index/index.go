@@ -110,8 +110,8 @@ type layer struct {
 	below *layer
 }
 
-// Stats describes an index for observability (/statsz, the CLI's index
-// subcommand) and capacity planning.
+// Stats describes an index for observability (the per-shard xmatch_index_*
+// gauges on /metricsz, the CLI's index subcommand) and capacity planning.
 type Stats struct {
 	// BuildTime is the wall time Build took.
 	BuildTime time.Duration

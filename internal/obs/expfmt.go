@@ -12,9 +12,9 @@ import (
 // ExpositionMetric is one parsed sample line from the text exposition
 // format: bare metric name, its labels in order, and the value.
 type ExpositionMetric struct {
-	Name   string
-	Labels []Label
-	Value  float64
+	Name   string  `json:"name"`
+	Labels []Label `json:"labels,omitempty"`
+	Value  float64 `json:"value"`
 }
 
 // ParseExposition validates r against the Prometheus text exposition

@@ -19,22 +19,21 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // DefaultLatencyBucketsMs are the fixed histogram bucket upper bounds (in
 // milliseconds) the serving layer uses for request latencies; the
-// implicit final bucket is +Inf. They are the /statsz buckets the server
-// has always exposed, now shared by every obs.Histogram user.
+// implicit final bucket is +Inf. Every obs.Histogram built without bounds
+// of its own uses them.
 var DefaultLatencyBucketsMs = []float64{0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
 
 // Histogram is a fixed-bucket duration histogram safe for concurrent
-// observation — the generalization of the server's original /statsz
-// latency histogram, extended so any subsystem can pick its own bucket
-// bounds. The sum is kept in integer microseconds so the hot path never
-// does floating-point atomics.
+// observation; any subsystem can pick its own bucket bounds. The sum is
+// kept in integer microseconds so the hot path never does floating-point
+// atomics.
 //
 // Observe increments the bucket before the total, and Snapshot reads the
 // total before the buckets, so a snapshot taken concurrently with
 // observations always satisfies Count <= sum(Counts): snapshots may be
-// momentarily behind, never torn into an impossible state (the
-// concurrency test in internal/server asserts exactly this invariant
-// while hammering the histogram).
+// momentarily behind, never torn into an impossible state
+// (TestHistogramSnapshotNotTorn asserts exactly this invariant while
+// hammering the histogram).
 type Histogram struct {
 	bucketsMs []float64
 	counts    []atomic.Uint64 // len(bucketsMs)+1; last is the +Inf overflow
@@ -106,7 +105,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // Label is one metric label pair.
-type Label struct{ Name, Value string }
+type Label struct {
+	Name  string `json:"name"`
+	Value string `json:"value"`
+}
 
 // Registry is a scrape-time metrics registry: collectors registered with
 // Collect run on every WriteText call and emit whatever the system's
@@ -262,6 +264,14 @@ func formatValue(v float64) string {
 		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// Bool is a gauge's value for a yes/no state: 1 or 0.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Counter emits one monotonically increasing sample.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -215,6 +214,8 @@ func (o SLO) EffectiveTargetMs(bucketsMs []float64) float64 {
 // error-budget burn rate: badFraction / (1 - Objective). A burn rate of
 // 1 means the budget is being spent exactly as fast as it accrues;
 // above 1 the budget is burning hot. An empty snapshot burns nothing.
+// Objective must lie in (0, 1) — server.New refuses any other — so the
+// rate is always finite.
 func (o SLO) Burn(s HistogramSnapshot) (badFraction, burnRate float64) {
 	var total, good uint64
 	target := o.EffectiveTargetMs(s.BucketsMs)
@@ -228,12 +229,5 @@ func (o SLO) Burn(s HistogramSnapshot) (badFraction, burnRate float64) {
 		return 0, 0
 	}
 	badFraction = float64(total-good) / float64(total)
-	budget := 1 - o.Objective
-	if budget <= 0 {
-		if badFraction > 0 {
-			return badFraction, math.Inf(1)
-		}
-		return 0, 0
-	}
-	return badFraction, badFraction / budget
+	return badFraction, badFraction / (1 - o.Objective)
 }

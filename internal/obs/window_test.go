@@ -143,10 +143,11 @@ func TestSLOBurn(t *testing.T) {
 		t.Fatalf("empty burn = %v/%v, want 0/0", bad, burn)
 	}
 
-	// Objective of exactly 1 leaves no budget: any miss is infinite burn.
-	strict := SLO{Target: 10 * time.Millisecond, Objective: 1}
-	if _, burn := strict.Burn(s); !math.IsInf(burn, 1) {
-		t.Fatalf("zero-budget burn = %v, want +Inf", burn)
+	// A tight objective burns fast but finitely: 0.2 bad against a 0.001
+	// budget is 200x.
+	strict := SLO{Target: 10 * time.Millisecond, Objective: 0.999}
+	if _, burn := strict.Burn(s); math.Abs(burn-200) > 1e-6 {
+		t.Fatalf("tight-objective burn = %v, want 200", burn)
 	}
 }
 

@@ -75,8 +75,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// BreakerStatus is a point-in-time view of one breaker, shaped for the
-// /statsz lag rows and /metricsz gauges.
+// BreakerStatus is a point-in-time view of one breaker: Follower.Lags
+// reports it whole, and the xmatch_replica_breaker_* series export its
+// state and opens.
 type BreakerStatus struct {
 	State               string  `json:"state"`
 	ConsecutiveFailures int     `json:"consecutiveFailures,omitempty"`

@@ -150,7 +150,7 @@ func (c *Client) Stream(dataset string, shard int, from uint64) (*StreamResult, 
 	}
 	// An empty suffix still carries the ~100-byte edit-log envelope;
 	// reporting that as pending volume would make an idle, caught-up
-	// follower look permanently behind on /statsz.
+	// follower look permanently behind on xmatch_replica_pending_bytes.
 	wire := int64(len(body))
 	if len(lg.Records) == 0 {
 		wire = 0

@@ -318,6 +318,8 @@ func (f *Follower) CollectMetrics(e *obs.Exporter) {
 			labels := []obs.Label{{Name: "dataset", Value: name}, {Name: "shard", Value: fmt.Sprint(i)}}
 			e.Gauge("xmatch_replica_lag_epochs", "Epochs the follower shard is behind the primary.", float64(l.EpochsBehind), labels...)
 			e.Gauge("xmatch_replica_local_epoch", "Follower shard's current epoch.", float64(l.LocalEpoch), labels...)
+			e.Gauge("xmatch_replica_primary_epoch", "Primary shard's epoch as of the last successful stream response.", float64(l.PrimaryEpoch), labels...)
+			e.Gauge("xmatch_replica_pending_bytes", "Wire bytes the last stream response fetched to close the gap; 0 when caught up.", float64(l.BytesPending), labels...)
 			e.Counter("xmatch_replica_bootstraps_total", "Checkpoint bootstraps taken.", float64(l.Bootstraps), labels...)
 			e.Counter("xmatch_replica_sync_errors_total", "Failed sync attempts.", float64(l.SyncErrors), labels...)
 			st := f.breaker(name, i).Status(now)

@@ -51,7 +51,7 @@ type ShardLog struct {
 	appendLat *obs.Histogram
 }
 
-// Status is a point-in-time summary of a shard log, for /statsz.
+// Status is a point-in-time summary of a shard log, for its collector.
 type Status struct {
 	Base            uint64
 	Epoch           uint64
@@ -112,9 +112,6 @@ func OpenShardLog(path string, syncEach bool, ckptEpoch uint64) (*ShardLog, erro
 	}
 	return l, nil
 }
-
-// Path returns the durable edit-log file path ("" for memory-only).
-func (l *ShardLog) Path() string { return l.path }
 
 // Durable reports whether appended records are persisted to a file.
 func (l *ShardLog) Durable() bool { return l.path != "" }
@@ -268,10 +265,6 @@ func (l *ShardLog) ResetTo(epoch uint64) {
 	l.recs, l.frames, l.bytes = nil, nil, 0
 }
 
-// AppendLatency snapshots the durable-append latency histogram (fsync
-// included); empty on memory-only logs.
-func (l *ShardLog) AppendLatency() obs.HistogramSnapshot { return l.appendLat.Snapshot() }
-
 // CollectMetrics emits the log's retention state and append latency onto
 // e under the given labels — the replica subsystem's primary-side
 // contribution to /metricsz.
@@ -280,6 +273,8 @@ func (l *ShardLog) CollectMetrics(e *obs.Exporter, labels ...obs.Label) {
 	e.Gauge("xmatch_replica_log_epoch", "Shard log's current epoch.", float64(st.Epoch), labels...)
 	e.Gauge("xmatch_replica_log_retained_records", "Records retained since the last checkpoint.", float64(st.RetainedRecords), labels...)
 	e.Gauge("xmatch_replica_log_retained_bytes", "Framed bytes retained since the last checkpoint.", float64(st.RetainedBytes), labels...)
+	e.Gauge("xmatch_replica_log_checkpoint_epoch", "Epoch of the latest checkpoint, the base of the retained log; a follower further behind must bootstrap.", float64(st.Base), labels...)
+	e.Gauge("xmatch_replica_log_durable", "Whether appended records are persisted to an edit-log file.", obs.Bool(st.Durable), labels...)
 	if st.Durable {
 		e.Histogram("xmatch_replica_log_append_seconds", "Durable edit-log append latency, fsync included.", l.appendLat.Snapshot(), labels...)
 	}

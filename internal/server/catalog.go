@@ -47,15 +47,6 @@ type Shard struct {
 	spanDetail string
 }
 
-// EditLogPath returns the shard's resolved edit-log file path ("" when
-// mutations are not persisted).
-func (s *Shard) EditLogPath() string {
-	if s.Log == nil {
-		return ""
-	}
-	return s.Log.Path()
-}
-
 // Collection is one prepared serving tenant: a mapping set, the block
 // tree, a per-collection engine (own worker pool and prepared-query
 // cache), and one or more member document shards queried together.
@@ -157,10 +148,6 @@ func (d *Collection) Doc() *xmltree.Document { return d.shards[0].Live.Snapshot(
 
 // Index returns shard 0's current positional index.
 func (d *Collection) Index() *index.Index { return d.shards[0].Live.Snapshot().Index }
-
-// EditLogPath returns shard 0's resolved edit-log file path ("" when
-// mutations are not persisted).
-func (d *Collection) EditLogPath() string { return d.shards[0].EditLogPath() }
 
 // shardLogPath resolves one shard's edit-log file: shard 0 appends to
 // the entry's path itself, shard i > 0 to path+".s<i>".

@@ -14,12 +14,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
+	"xmatch/internal/obs"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 	"xmatch/internal/xmltree"
@@ -246,8 +248,9 @@ func TestCollectionMutateShardRouting(t *testing.T) {
 }
 
 // TestCollectionObservability: /v1/datasets reports the shard count and
-// summed node totals, and /statsz carries one row per shard whose latency
-// histograms fill as scatter-gather queries run.
+// summed node totals, and /statsz carries series per shard — index and
+// document sizes that sum to the listing's totals, and latency histograms
+// that fill as scatter-gather queries run.
 func TestCollectionObservability(t *testing.T) {
 	env := newShardedEnv(t, server.Options{})
 
@@ -280,37 +283,25 @@ func TestCollectionObservability(t *testing.T) {
 		t.Fatalf("DocNodes %d, want summed %d", dl.Datasets[0].DocNodes, wantNodes)
 	}
 
-	sresp, sbody := getBody(t, env.ts.URL+"/statsz")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz status %d", sresp.StatusCode)
+	ms := scrapeStatsz(t, env.ts.URL)
+	if _, n := metricSum(ms, "xmatch_delta_doc_nodes"); n != collShards {
+		t.Fatalf("%d shard node series, want %d", n, collShards)
 	}
-	var st server.Stats
-	if err := json.Unmarshal(sbody, &st); err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Datasets) != 1 {
-		t.Fatalf("statsz datasets %+v", st.Datasets)
-	}
-	row := st.Datasets[0]
-	if len(row.Shards) != collShards {
-		t.Fatalf("%d shard rows, want %d", len(row.Shards), collShards)
-	}
-	var postings, nodes int
-	for i, sr := range row.Shards {
-		if sr.Shard != i {
-			t.Fatalf("shard row %d labelled %d", i, sr.Shard)
+	for i := 0; i < collShards; i++ {
+		labels := []obs.Label{dsLabel("corpus"), {Name: "shard", Value: strconv.Itoa(i)}}
+		postings := mustValue(t, ms, "xmatch_index_postings", labels...)
+		nodes := mustValue(t, ms, "xmatch_delta_doc_nodes", labels...)
+		if postings != nodes {
+			t.Errorf("shard %d: %v postings over %v nodes", i, postings, nodes)
 		}
-		if sr.IndexPostings != sr.DocNodes {
-			t.Errorf("shard %d: %d postings over %d nodes", i, sr.IndexPostings, sr.DocNodes)
-		}
-		if sr.Latency.Count == 0 {
+		if mustValue(t, ms, "xmatch_shard_evaluate_seconds_count", labels...) == 0 {
 			t.Errorf("shard %d: latency histogram empty after scatter-gather queries", i)
 		}
-		postings += sr.IndexPostings
-		nodes += sr.DocNodes
 	}
-	if row.IndexPostings != postings || row.DocNodes != nodes {
-		t.Fatalf("aggregates postings=%d nodes=%d, want %d/%d", row.IndexPostings, row.DocNodes, postings, nodes)
+	postings, _ := metricSum(ms, "xmatch_index_postings", dsLabel("corpus"))
+	nodes, _ := metricSum(ms, "xmatch_delta_doc_nodes", dsLabel("corpus"))
+	if postings != float64(wantNodes) || nodes != float64(wantNodes) {
+		t.Fatalf("shard sums postings=%v nodes=%v, want the listing's %d", postings, nodes, wantNodes)
 	}
 }
 

@@ -17,20 +17,14 @@ import (
 	"testing"
 	"time"
 
+	"xmatch/internal/obs"
 	"xmatch/internal/server"
 )
 
-func serverStats(t *testing.T, env *testEnv) server.Stats {
+// admission reads the gate's occupancy off a scrape.
+func admission(t *testing.T, ms []obs.ExpositionMetric) (inFlight, queued float64) {
 	t.Helper()
-	resp, body := getJSON(t, env.ts.URL+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/statsz: %d", resp.StatusCode)
-	}
-	var st server.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return mustValue(t, ms, "xmatch_admission_in_flight"), mustValue(t, ms, "xmatch_admission_queue_depth")
 }
 
 // TestQueryTimeoutAnswers503 drives a query into the epoch-wait path with
@@ -61,8 +55,8 @@ func TestQueryTimeoutAnswers503(t *testing.T) {
 	if tr.RequestID == "" {
 		t.Fatal("timeout response lost its request ID")
 	}
-	if st := serverStats(t, env); st.Timeouts < 1 {
-		t.Fatalf("stats timeouts %d, want >= 1", st.Timeouts)
+	if v := mustValue(t, scrapeStatsz(t, env.ts.URL), "xmatch_requests_timeout"); v < 1 {
+		t.Fatalf("stats timeouts %v, want >= 1", v)
 	}
 	mresp, err := http.Get(env.ts.URL + "/metricsz")
 	if err != nil {
@@ -132,8 +126,9 @@ func TestOverloadSheds429(t *testing.T) {
 			}
 		}()
 	}
-	waitForStats(t, env, func(st server.Stats) bool {
-		return st.AdmissionInFlight == 1 && st.AdmissionQueued == 1
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		inFlight, queued := admission(t, ms)
+		return inFlight == 1 && queued == 1
 	})
 
 	resp, body := postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{
@@ -149,14 +144,15 @@ func TestOverloadSheds429(t *testing.T) {
 	if !bytes.Contains(body, []byte("overloaded")) {
 		t.Fatalf("shed body: %s", body)
 	}
-	if st := serverStats(t, env); st.Shed < 1 {
-		t.Fatalf("stats shed %d, want >= 1", st.Shed)
+	if v := mustValue(t, scrapeStatsz(t, env.ts.URL), "xmatch_requests_shed_total"); v < 1 {
+		t.Fatalf("stats shed %v, want >= 1", v)
 	}
 
 	cancel()
 	wg.Wait()
-	waitForStats(t, env, func(st server.Stats) bool {
-		return st.AdmissionInFlight == 0 && st.AdmissionQueued == 0
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		inFlight, queued := admission(t, ms)
+		return inFlight == 0 && queued == 0
 	})
 }
 
@@ -208,8 +204,9 @@ func TestCancelStormDrainsAdmission(t *testing.T) {
 	}
 	t.Logf("storm: %d timed out, %d shed", timedOut, shed)
 
-	waitForStats(t, env, func(st server.Stats) bool {
-		return st.AdmissionInFlight == 0 && st.AdmissionQueued == 0
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		inFlight, queued := admission(t, ms)
+		return inFlight == 0 && queued == 0
 	})
 	for _, fx := range env.fixtures {
 		if busy := fx.ds.Engine.Busy(); busy != 0 {
@@ -243,7 +240,7 @@ func TestReadyzFlipsForShutdown(t *testing.T) {
 	if code, _ := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("liveness went red during drain: %d", code)
 	}
-	if st := serverStats(t, env); st.Ready {
+	if mustValue(t, scrapeStatsz(t, env.ts.URL), "xmatch_ready") != 0 {
 		t.Fatal("statsz still reports ready during drain")
 	}
 	env.srv.SetReady(true)
@@ -252,15 +249,15 @@ func TestReadyzFlipsForShutdown(t *testing.T) {
 	}
 }
 
-func waitForStats(t *testing.T, env *testEnv, cond func(server.Stats) bool) {
+func waitForStats(t *testing.T, env *testEnv, cond func([]obs.ExpositionMetric) bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if cond(serverStats(t, env)) {
+		if cond(scrapeStatsz(t, env.ts.URL)) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stats condition not reached: %+v", serverStats(t, env))
+			t.Fatalf("stats condition not reached: %+v", scrapeStatsz(t, env.ts.URL))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

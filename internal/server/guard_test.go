@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +16,7 @@ import (
 // newBareServer builds just enough Server for middleware unit tests: no
 // catalog, no mux — guard and the admission gate don't touch either.
 func newBareServer(opts Options) *Server {
-	s := &Server{opts: opts, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
-	s.stats.init(time.Minute)
-	return s
+	return &Server{opts: opts, logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 }
 
 func TestGuardRecoversPanic(t *testing.T) {
@@ -60,6 +60,23 @@ func TestGuardAppliesDeadline(t *testing.T) {
 	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/datasets", nil))
 	if hasDeadline {
 		t.Fatal("disabled deadline still set one")
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value JSON cannot carry (an
+// infinite burn rate, say) answers 500 with an error body, never a 200
+// whose body the encoder silently dropped.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, map[string]any{"burnRate": math.Inf(1)})
+	var body errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || w.Code != http.StatusInternalServerError || body.Error == "" {
+		t.Fatalf("unencodable value: status %d body %q (%v), want a 500 with an error", w.Code, w.Body.String(), err)
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, http.StatusAccepted, map[string]any{"ok": true})
+	if w.Code != http.StatusAccepted || w.Body.String() != "{\"ok\":true}\n" {
+		t.Fatalf("plain value: status %d body %q", w.Code, w.Body.String())
 	}
 }
 

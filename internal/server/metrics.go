@@ -10,12 +10,13 @@ import (
 	"xmatch/internal/obs"
 )
 
-// /metricsz: Prometheus text exposition over the same live state /statsz
-// reports, plus every subsystem's own collectors. The registry runs its
-// collectors at scrape time against the current catalog, so datasets that
-// appear or vanish on reload need no metric lifecycle management — and
-// the serving hot paths touch nothing but their existing atomics between
-// scrapes.
+// /metricsz and /statsz: one registry of scrape-time collectors, rendered
+// as Prometheus text exposition and as JSON. Every subsystem emits its own
+// series; DESIGN.md's metric catalogue lists them all. The registry runs
+// its collectors at scrape time against the current catalog, so datasets
+// that appear or vanish on reload need no metric lifecycle management —
+// and the serving hot paths touch nothing but their existing atomics
+// between scrapes.
 
 // newRegistry wires the server's scrape-time collectors: the HTTP layer's
 // own counters and latency histograms, the global index-matcher counters,
@@ -37,21 +38,16 @@ func (s *Server) newRegistry() *obs.Registry {
 
 func (s *Server) collectServer(e *obs.Exporter) {
 	e.Gauge("xmatch_uptime_seconds", "Seconds since the server started.", time.Since(s.stats.start).Seconds())
-	e.Gauge("xmatch_http_in_flight", "Requests currently being served on the timed endpoints.", float64(s.stats.inFlight.Load()))
-	endpoints := []struct {
-		name    string
-		counter uint64
-		lat     *obs.Windowed
-	}{
-		{"query", s.stats.queries.Load(), s.stats.latQuery},
-		{"batch", s.stats.batches.Load(), s.stats.latBatch},
-		{"mutate", s.stats.mutates.Load(), s.stats.latMutate},
-		{"checkpoint", s.stats.checkpoints.Load(), s.stats.latCheckpoint},
-		{"replicate", s.stats.replicates.Load(), s.stats.latReplicate},
+	role, primary := "primary", ""
+	if s.follower != nil {
+		role, primary = "follower", s.follower.Primary()
 	}
-	for _, ep := range endpoints {
+	e.Gauge("xmatch_role", "Always 1; the labels name the server's role and, on a follower, its primary's base URL.", 1,
+		obs.Label{Name: "role", Value: role}, obs.Label{Name: "primary", Value: primary})
+	e.Gauge("xmatch_http_in_flight", "Requests currently being served on the timed endpoints.", float64(s.stats.inFlight.Load()))
+	for _, ep := range s.stats.endpoints {
 		label := obs.Label{Name: "endpoint", Value: ep.name}
-		e.Counter("xmatch_http_requests_total", "Requests accepted per endpoint.", float64(ep.counter), label)
+		e.Counter("xmatch_http_requests_total", "Requests accepted per endpoint.", float64(ep.requests.Load()), label)
 		e.Histogram("xmatch_http_request_seconds", "Request latency per endpoint.", ep.lat.Snapshot(), label)
 		win := ep.lat.Window()
 		for _, q := range []struct {
@@ -66,7 +62,7 @@ func (s *Server) collectServer(e *obs.Exporter) {
 	e.Counter("xmatch_requests_timeout", "Requests answered 503 because their deadline fired before the work finished.", float64(s.stats.timeouts.Load()))
 	e.Counter("xmatch_requests_shed_total", "Requests answered 429 by the admission gate (queue full).", float64(s.stats.shed.Load()))
 	e.Counter("xmatch_http_panics_total", "Handler panics recovered into 500 responses.", float64(s.stats.panics.Load()))
-	e.Gauge("xmatch_ready", "Whether /readyz reports ready (0 while draining for shutdown).", boolGauge(s.ready.Load()))
+	e.Gauge("xmatch_ready", "Whether /readyz reports ready (0 while draining for shutdown).", obs.Bool(s.ready.Load()))
 	if s.adm != nil {
 		e.Gauge("xmatch_admission_in_flight", "Admitted query/batch evaluations currently holding a slot.", float64(s.adm.inFlight()))
 		e.Gauge("xmatch_admission_queue_depth", "Requests currently waiting for an admission slot.", float64(s.adm.queueDepth()))
@@ -78,7 +74,7 @@ func (s *Server) collectServer(e *obs.Exporter) {
 	e.Counter("xmatch_traces_finished_total", "Requests that finished through the trace middleware.", float64(finished))
 	e.Counter("xmatch_traces_sampled_total", "Traces retained by the slow-query tail sampler.", float64(sampled))
 	if s.opts.SLOTarget > 0 {
-		win := s.stats.latQuery.Window()
+		win := s.stats.query.lat.Window()
 		slo := obs.SLO{Target: s.opts.SLOTarget, Objective: s.opts.SLOObjective}
 		bad, burn := slo.Burn(win)
 		e.Gauge("xmatch_slo_target_seconds", "Configured query latency SLO target.", s.opts.SLOTarget.Seconds())
@@ -114,15 +110,8 @@ func (s *Server) collectWorkload(e *obs.Exporter) {
 		e.Counter("xmatch_capture_dropped_total", "Requests dropped because the capture budget was exhausted.", float64(st.DroppedOver))
 		e.Gauge("xmatch_capture_bytes", "Bytes written to the capture log.", float64(st.BytesWritten))
 		e.Gauge("xmatch_capture_budget_bytes", "Configured capture disk budget.", float64(st.BudgetBytes))
-		e.Gauge("xmatch_capture_disabled", "Whether a write error permanently disabled the capture log.", boolGauge(st.Disabled))
+		e.Gauge("xmatch_capture_disabled", "Whether a write error permanently disabled the capture log.", obs.Bool(st.Disabled))
 	}
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (s *Server) collectCatalog(e *obs.Exporter) {
@@ -154,4 +143,27 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.TextContentType)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
+}
+
+// handleStatsz is the JSON view of the same registry: the exposition is
+// rendered, parsed back by the exposition lint, and served as one series
+// list in exposition order, so a malformed or duplicate series fails
+// /statsz exactly as it fails the lint.
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	if !s.method(w, r, http.MethodGet) {
+		return
+	}
+	var buf bytes.Buffer
+	if err := s.registry.WriteText(&buf); err != nil {
+		s.fail(w, http.StatusInternalServerError, "metrics: %v", err)
+		return
+	}
+	series, err := obs.ParseExposition(&buf)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, "metrics: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, struct {
+		Series []obs.ExpositionMetric `json:"series"`
+	}{series})
 }

@@ -1,18 +1,21 @@
 package server_test
 
 // The observability surface: /metricsz exposition-format lint over a live
-// server (every subsystem's collectors render valid Prometheus text),
-// query EXPLAIN over an indexed sharded collection, slow-query trace
-// retention, follower /healthz lag degradation, and a concurrency hammer
-// that scrapes /metricsz and /statsz while queries, mutations, and
-// reloads race — asserting counters stay monotonic and histogram
-// snapshots are never torn. Run under -race in CI.
+// server (every subsystem's collectors render valid Prometheus text) and
+// /statsz serving the same series as JSON in the same order, query
+// EXPLAIN over an indexed sharded collection, slow-query trace retention,
+// follower /healthz lag degradation, and a concurrency hammer that
+// scrapes /metricsz and /statsz while queries, mutations, and reloads
+// race — asserting counters stay monotonic and histograms are never
+// torn. Run under -race in CI. DESIGN.md's metric catalogue is held to
+// the code in catalogue_test.go.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,29 +53,107 @@ func scrapeMetrics(t *testing.T, base string) []obs.ExpositionMetric {
 	return ms
 }
 
+// scrapeStatsz fetches /statsz, the JSON view of the same registry.
+func scrapeStatsz(t *testing.T, base string) []obs.ExpositionMetric {
+	t.Helper()
+	resp, raw := getJSON(t, base+"/statsz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("statsz status %d: %s", resp.StatusCode, raw)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("statsz Content-Type %q", ct)
+	}
+	var body struct {
+		Series []obs.ExpositionMetric `json:"series"`
+	}
+	if err := json.Unmarshal(raw, &body); err != nil {
+		t.Fatalf("statsz body: %v\n%s", err, raw)
+	}
+	return body.Series
+}
+
+// hasLabels reports whether m carries every wanted label pair.
+func hasLabels(m obs.ExpositionMetric, want []obs.Label) bool {
+	for _, l := range want {
+		if !slices.Contains(m.Labels, l) {
+			return false
+		}
+	}
+	return true
+}
+
 // metricValue finds one sample by name and label subset; ok is false when
 // absent.
 func metricValue(ms []obs.ExpositionMetric, name string, labels ...obs.Label) (float64, bool) {
-outer:
 	for _, m := range ms {
-		if m.Name != name {
-			continue
+		if m.Name == name && hasLabels(m, labels) {
+			return m.Value, true
 		}
-		for _, want := range labels {
-			found := false
-			for _, l := range m.Labels {
-				if l == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				continue outer
-			}
-		}
-		return m.Value, true
 	}
 	return 0, false
+}
+
+// mustValue is metricValue for a sample the test requires.
+func mustValue(t *testing.T, ms []obs.ExpositionMetric, name string, labels ...obs.Label) float64 {
+	t.Helper()
+	v, ok := metricValue(ms, name, labels...)
+	if !ok {
+		t.Fatalf("no %s sample with labels %v", name, labels)
+	}
+	return v
+}
+
+// metricSum totals every sample of name carrying the labels — a dataset's
+// shards, say — and counts them.
+func metricSum(ms []obs.ExpositionMetric, name string, labels ...obs.Label) (sum float64, n int) {
+	for _, m := range ms {
+		if m.Name == name && hasLabels(m, labels) {
+			sum += m.Value
+			n++
+		}
+	}
+	return sum, n
+}
+
+func dsLabel(name string) obs.Label { return obs.Label{Name: "dataset", Value: name} }
+func epLabel(name string) obs.Label { return obs.Label{Name: "endpoint", Value: name} }
+
+// checkHistograms asserts every histogram of a scrape is whole: its
+// cumulative buckets never decrease, and its _count equals its +Inf
+// bucket.
+func checkHistograms(t *testing.T, ms []obs.ExpositionMetric) {
+	t.Helper()
+	last := map[string]float64{} // series -> previous cumulative bucket
+	inf := map[string]float64{}  // series -> +Inf bucket
+	for _, m := range ms {
+		if base, ok := strings.CutSuffix(m.Name, "_bucket"); ok {
+			var le string
+			var rest []obs.Label
+			for _, l := range m.Labels {
+				if l.Name == "le" {
+					le = l.Value
+				} else {
+					rest = append(rest, l)
+				}
+			}
+			key := fmt.Sprint(base, rest)
+			if prev, seen := last[key]; seen && m.Value < prev {
+				t.Errorf("torn histogram %s: bucket le=%s holds %v, below the previous bucket's %v", key, le, m.Value, prev)
+			}
+			last[key] = m.Value
+			if le == "+Inf" {
+				inf[key] = m.Value
+			}
+		} else if base, ok := strings.CutSuffix(m.Name, "_count"); ok {
+			key := fmt.Sprint(base, m.Labels)
+			if _, isHist := last[key]; isHist && inf[key] != m.Value {
+				t.Errorf("torn histogram %s: _count %v, +Inf bucket %v", key, m.Value, inf[key])
+			}
+		}
+	}
+	if len(inf) == 0 {
+		t.Error("scrape holds no histogram")
+	}
 }
 
 // textPath returns a text-bearing path of the dataset's document, for
@@ -141,6 +222,18 @@ func TestMetricszExposition(t *testing.T) {
 	}
 	if v, ok := metricValue(ms, "xmatch_index_evals_total"); !ok || v == 0 {
 		t.Errorf("index evals counter %v (present %v) after queries", v, ok)
+	}
+
+	// /statsz is the same registry as JSON: on the quiesced server it
+	// serves exactly /metricsz's series, in exposition order.
+	js := scrapeStatsz(t, env.ts.URL)
+	if len(js) != len(ms) {
+		t.Fatalf("metricsz has %d samples, statsz %d", len(ms), len(js))
+	}
+	for i := range ms {
+		if ms[i].Name != js[i].Name || !slices.Equal(ms[i].Labels, js[i].Labels) {
+			t.Fatalf("sample %d: metricsz %s%v, statsz %s%v", i, ms[i].Name, ms[i].Labels, js[i].Name, js[i].Labels)
+		}
 	}
 }
 
@@ -420,8 +513,9 @@ func TestFollowerHealthzDegraded(t *testing.T) {
 // while scraping /metricsz and /statsz, asserting on every scrape that
 // (a) the exposition parses, (b) counters are monotonic across scrapes —
 // including the index matcher counters, which must survive the reloads
-// swapping in fresh indexes — and (c) no histogram snapshot is torn
-// (count never exceeds the bucket total; see obs.Histogram).
+// swapping in fresh indexes — and (c) no histogram is torn on either
+// endpoint (cumulative buckets never decrease, _count is the +Inf
+// bucket).
 func TestMetricsUnderConcurrency(t *testing.T) {
 	env := newTestEnv(t, server.Options{})
 	f := env.fixtures[0]
@@ -476,15 +570,6 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 		}
 	}()
 
-	checkHistogram := func(name string, h server.HistogramStats) {
-		var sum uint64
-		for _, b := range h.Buckets {
-			sum += b.Count
-		}
-		if h.Count > sum {
-			t.Errorf("torn %s histogram: count %d > bucket total %d", name, h.Count, sum)
-		}
-	}
 	prev := map[string]float64{}
 	monotonic := []struct {
 		name   string
@@ -509,22 +594,8 @@ func TestMetricsUnderConcurrency(t *testing.T) {
 			}
 			prev[key] = v
 		}
-		resp, raw := getJSON(t, env.ts.URL+"/statsz")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("statsz status %d", resp.StatusCode)
-		}
-		var st server.Stats
-		if err := json.Unmarshal(raw, &st); err != nil {
-			t.Fatal(err)
-		}
-		for name, h := range st.Latency {
-			checkHistogram(name, h)
-		}
-		for _, d := range st.Datasets {
-			for _, sh := range d.Shards {
-				checkHistogram(fmt.Sprintf("%s/%d", d.Name, sh.Shard), sh.Latency)
-			}
-		}
+		checkHistograms(t, ms)
+		checkHistograms(t, scrapeStatsz(t, env.ts.URL))
 	}
 	close(stop)
 	wg.Wait()

@@ -80,27 +80,21 @@ func TestMutateEndpoint(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"epoch":1`) {
 		t.Fatalf("datasets after mutate: %d %s", dresp.StatusCode, raw)
 	}
-	sresp, raw := getJSON(t, env.ts.URL+"/statsz")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz status %d", sresp.StatusCode)
+	ms := scrapeStatsz(t, env.ts.URL)
+	mutations := mustValue(t, ms, "xmatch_http_requests_total", epLabel("mutate"))
+	edits := mustValue(t, ms, "xmatch_edits_applied_total")
+	if mutations != 1 || edits != 1 {
+		t.Fatalf("statsz mutations=%v edits=%v", mutations, edits)
 	}
-	var st server.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
+	orders := dsLabel("orders")
+	epoch := mustValue(t, ms, "xmatch_delta_epoch", orders)
+	batches, _ := metricSum(ms, "xmatch_delta_batches_total", orders)
+	applied, _ := metricSum(ms, "xmatch_delta_edits_total", orders)
+	durable, _ := metricSum(ms, "xmatch_replica_log_durable", orders)
+	if epoch != 1 || batches != 1 || applied != 1 || durable != 0 {
+		t.Fatalf("orders statsz: epoch %v batches %v edits %v durable shards %v", epoch, batches, applied, durable)
 	}
-	if st.Mutations != 1 || st.Edits != 1 {
-		t.Fatalf("statsz mutations=%d edits=%d", st.Mutations, st.Edits)
-	}
-	var row *server.DatasetStats
-	for i := range st.Datasets {
-		if st.Datasets[i].Name == "orders" {
-			row = &st.Datasets[i]
-		}
-	}
-	if row == nil || row.Epoch != 1 || row.EditBatches != 1 || row.EditsApplied != 1 || row.EditLog {
-		t.Fatalf("orders statsz row %+v", row)
-	}
-	if _, ok := st.Latency["mutate"]; !ok {
+	if _, ok := metricValue(ms, "xmatch_http_request_seconds_count", epLabel("mutate")); !ok {
 		t.Fatal("statsz lacks mutate latency histogram")
 	}
 

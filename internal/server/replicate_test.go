@@ -21,6 +21,7 @@ import (
 
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
+	"xmatch/internal/obs"
 	"xmatch/internal/replica"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
@@ -153,21 +154,14 @@ func assertStateIdentical(t *testing.T, label string, p, f *server.Server) {
 	}
 }
 
-// shardEpochs extracts per-dataset shard epochs from a /statsz response.
-func shardEpochs(t *testing.T, url string) map[string][]uint64 {
+// shardEpochs extracts per-dataset shard epochs from a /statsz response,
+// keyed "dataset/shard".
+func shardEpochs(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, raw := getJSON(t, url+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d %s", resp.StatusCode, raw)
-	}
-	var st server.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string][]uint64)
-	for _, d := range st.Datasets {
-		for _, sh := range d.Shards {
-			out[d.Name] = append(out[d.Name], sh.Epoch)
+	out := make(map[string]float64)
+	for _, m := range scrapeStatsz(t, url) {
+		if m.Name == "xmatch_delta_epoch" {
+			out[fmt.Sprint(m.Labels)] = m.Value
 		}
 	}
 	return out
@@ -266,11 +260,12 @@ func TestReplicaReplayEquivalence(t *testing.T) {
 				}
 			}
 			pe, fe := shardEpochs(t, pts.URL), shardEpochs(t, fts.URL)
-			for name, eps := range pe {
-				for i, e := range eps {
-					if fe[name][i] != e {
-						t.Fatalf("round %d: /statsz epoch %s/%d: primary %d, follower %d", round, name, i, e, fe[name][i])
-					}
+			if len(pe) != 4 || len(fe) != len(pe) {
+				t.Fatalf("round %d: /statsz epochs for %d primary and %d follower shards, want 4", round, len(pe), len(fe))
+			}
+			for shard, e := range pe {
+				if f, ok := fe[shard]; !ok || f != e {
+					t.Fatalf("round %d: /statsz epoch %s: primary %v, follower %v", round, shard, e, f)
 				}
 			}
 		}
@@ -362,7 +357,8 @@ func TestMinEpochReadYourWrites(t *testing.T) {
 }
 
 // TestFollowerReadOnly: every state-changing endpoint answers 403 on a
-// follower, and /statsz reports the follower role with replication rows.
+// follower, and /statsz reports the follower role with replication series
+// for every shard.
 func TestFollowerReadOnly(t *testing.T) {
 	pts, _ := newPrimary(t)
 	fts, _, _ := newReplica(t, pts.URL, server.Options{})
@@ -384,36 +380,29 @@ func TestFollowerReadOnly(t *testing.T) {
 		}
 	}
 
-	resp, raw := getJSON(t, fts.URL+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", resp.StatusCode)
+	ms := scrapeStatsz(t, fts.URL)
+	if v, ok := metricValue(ms, "xmatch_role", obs.Label{Name: "role", Value: "follower"}, obs.Label{Name: "primary", Value: pts.URL}); !ok || v != 1 {
+		t.Fatalf("follower statsz lacks xmatch_role{role=follower,primary=%s}", pts.URL)
 	}
-	var st server.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Role != "follower" || st.Primary != pts.URL {
-		t.Fatalf("follower statsz role %q primary %q", st.Role, st.Primary)
-	}
-	for _, d := range st.Datasets {
-		for _, sh := range d.Shards {
-			if sh.Replication == nil {
-				t.Fatalf("follower statsz %s/%d lacks a replication row", d.Name, sh.Shard)
+	shards := 0
+	for _, m := range ms {
+		if m.Name != "xmatch_delta_epoch" {
+			continue
+		}
+		shards++
+		for _, family := range []string{"xmatch_replica_log_checkpoint_epoch", "xmatch_replica_primary_epoch", "xmatch_replica_pending_bytes"} {
+			if _, ok := metricValue(ms, family, m.Labels...); !ok {
+				t.Fatalf("follower statsz %v lacks %s", m.Labels, family)
 			}
 		}
 	}
+	if shards != 4 {
+		t.Fatalf("follower statsz epochs for %d shards, want 4", shards)
+	}
 
 	// The primary reports its own role.
-	resp, raw = getJSON(t, pts.URL+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("primary statsz: %d", resp.StatusCode)
-	}
-	var pst server.Stats
-	if err := json.Unmarshal(raw, &pst); err != nil {
-		t.Fatal(err)
-	}
-	if pst.Role != "primary" || pst.Primary != "" {
-		t.Fatalf("primary statsz role %q primary %q", pst.Role, pst.Primary)
+	if v, ok := metricValue(scrapeStatsz(t, pts.URL), "xmatch_role", obs.Label{Name: "role", Value: "primary"}, obs.Label{Name: "primary", Value: ""}); !ok || v != 1 {
+		t.Fatal("primary statsz lacks xmatch_role{role=primary,primary=\"\"}")
 	}
 }
 

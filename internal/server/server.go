@@ -7,7 +7,8 @@
 //	POST /v1/batch         many PTQs over one dataset, engine-fanned
 //	GET  /v1/datasets      catalog listing
 //	GET  /healthz          liveness
-//	GET  /statsz           cache, in-flight, mutation, and latency counters
+//	GET  /metricsz         every counter, gauge and histogram (Prometheus text)
+//	GET  /statsz           the same series as JSON
 //	POST /v1/admin/reload  rebuild the catalog and swap it atomically
 //	POST /v1/admin/mutate  apply an edit batch to one dataset's document
 //
@@ -91,8 +92,8 @@ type Options struct {
 	// /healthz (which reports "degraded" detail while the budget burns
 	// hotter than it accrues). 0 disables SLO evaluation.
 	SLOTarget time.Duration
-	// SLOObjective is the fraction of queries that must meet SLOTarget;
-	// 0 means 0.99.
+	// SLOObjective is the fraction of queries that must meet SLOTarget,
+	// strictly between 0 and 1 (New refuses any other); 0 means 0.99.
 	SLOObjective float64
 	// SLOWindow is the sliding window behind the burn rate and the
 	// windowed latency quantiles; 0 means 5m.
@@ -179,6 +180,9 @@ type Server struct {
 
 // New builds a server over the loader's initial catalog.
 func New(loader Loader, opts Options) (*Server, error) {
+	if o := opts.SLOObjective; o < 0 || o >= 1 {
+		return nil, fmt.Errorf("server: SLO objective %v outside (0, 1)", o)
+	}
 	cat, err := loader()
 	if err != nil {
 		return nil, err
@@ -230,7 +234,12 @@ func New(loader Loader, opts Options) (*Server, error) {
 		s.adm = newAdmission(opts.MaxInflight, opts.MaxQueue)
 	}
 	s.ready.Store(true)
-	s.stats.init(opts.SLOWindow)
+	s.stats.start = time.Now()
+	// The timed endpoints, each declared once; replicate covers the three
+	// replication routes.
+	ep := func(name string) *endpoint { return s.stats.declare(name, opts.SLOWindow) }
+	s.stats.query = ep("query")
+	batch, mutate, checkpoint, replicate := ep("batch"), ep("mutate"), ep("checkpoint"), ep("replicate")
 	s.workload = newWorkloadStats(opts.WorkloadFingerprints, opts.SLOWindow)
 	s.traces = obs.NewTraceLog(opts.TraceBufferSize, opts.TraceThreshold)
 	s.registry = s.newRegistry()
@@ -247,15 +256,15 @@ func New(loader Loader, opts Options) (*Server, error) {
 	// probes stay outside it so an operator can always inspect a struggling
 	// server.
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/query", s.timed("query", http.MethodPost, s.stats.latQuery, &s.stats.queries, s.handleQuery))
-	s.mux.HandleFunc("/v1/batch", s.timed("batch", http.MethodPost, s.stats.latBatch, &s.stats.batches, s.handleBatch))
+	s.mux.HandleFunc("/v1/query", s.timed(s.stats.query, http.MethodPost, s.handleQuery))
+	s.mux.HandleFunc("/v1/batch", s.timed(batch, http.MethodPost, s.handleBatch))
 	s.mux.HandleFunc("/v1/datasets", s.guard("datasets", s.handleDatasets))
 	s.mux.HandleFunc("/v1/admin/reload", s.guard("reload", s.handleReload))
-	s.mux.HandleFunc("/v1/admin/mutate", s.timed("mutate", http.MethodPost, s.stats.latMutate, &s.stats.mutates, s.handleMutate))
-	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed("checkpoint", http.MethodPost, s.stats.latCheckpoint, &s.stats.checkpoints, s.handleCheckpoint))
-	s.mux.HandleFunc(replica.StreamEndpoint, s.timed("replicate", http.MethodPost, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateStream))
-	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateCheckpoint))
-	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed("replicate", http.MethodGet, s.stats.latReplicate, &s.stats.replicates, s.handleReplicateManifest))
+	s.mux.HandleFunc("/v1/admin/mutate", s.timed(mutate, http.MethodPost, s.handleMutate))
+	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed(checkpoint, http.MethodPost, s.handleCheckpoint))
+	s.mux.HandleFunc(replica.StreamEndpoint, s.timed(replicate, http.MethodPost, s.handleReplicateStream))
+	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed(replicate, http.MethodGet, s.handleReplicateCheckpoint))
+	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed(replicate, http.MethodGet, s.handleReplicateManifest))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/statsz", s.handleStatsz)
@@ -447,11 +456,17 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// writeJSON encodes v before it commits the status, so a value JSON cannot
+// carry (a NaN or infinite float) answers 500 instead of an empty 200.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
@@ -486,20 +501,20 @@ func (s *Server) method(w http.ResponseWriter, r *http.Request, want string) boo
 }
 
 // timed wraps a handler with method enforcement, the in-flight gauge, the
-// request counter, the latency histogram, request-scoped tracing and the
-// guard envelope: it mints a request ID, threads a span recorder through
-// the request context (handlers and the engine's shard observer record
-// into it), and finishes the trace into the tail-sampled slow-query log. A
-// retained trace also emits one structured log line carrying the request
-// ID, so logs and /v1/debug/traces correlate. The admin and replication
+// endpoint's request counter and latency histogram, request-scoped
+// tracing and the guard envelope: it mints a request ID, threads a span
+// recorder through the request context (handlers and the engine's shard
+// observer record into it), and finishes the trace into the tail-sampled
+// slow-query log. A retained trace also emits one structured log line
+// carrying the request ID, so logs and /v1/debug/traces correlate. The admin and replication
 // endpoints run under the same wrapper as the query path, so a
 // checkpoint or replica pull is as traceable as any query.
-func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic.Uint64, fn http.HandlerFunc) http.HandlerFunc {
+func (s *Server) timed(ep *endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.method(w, r, method) {
 			return
 		}
-		counter.Add(1)
+		ep.requests.Add(1)
 		s.stats.inFlight.Add(1)
 		id := obs.RequestID()
 		tr := obs.NewTrace(id)
@@ -507,17 +522,17 @@ func (s *Server) timed(endpoint, method string, h *obs.Windowed, counter *atomic
 		start := time.Now()
 		defer func() {
 			total := time.Since(start)
-			h.Observe(total)
+			ep.lat.Observe(total)
 			s.stats.inFlight.Add(-1)
-			if s.traces.Finish(tr, total, tr.Dataset(), endpoint) {
+			if s.traces.Finish(tr, total, tr.Dataset(), ep.name) {
 				s.logger.Info("slow request",
 					"id", id,
-					"endpoint", endpoint,
+					"endpoint", ep.name,
 					"dataset", tr.Dataset(),
 					"ms", float64(total.Microseconds())/1e3)
 			}
 		}()
-		s.guarded(obs.WithTrace(r.Context(), tr), endpoint, fn, w, r)
+		s.guarded(obs.WithTrace(r.Context(), tr), ep.name, fn, w, r)
 	}
 }
 
@@ -1170,7 +1185,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// is an alert for operators, not a liveness failure — ejecting the
 	// replica from rotation would convert slow answers into no answers.
 	if s.opts.SLOTarget > 0 {
-		win := s.stats.latQuery.Window()
+		win := s.stats.query.lat.Window()
 		slo := obs.SLO{Target: s.opts.SLOTarget, Objective: s.opts.SLOObjective}
 		bad, burn := slo.Burn(win)
 		detail := map[string]any{
@@ -1213,238 +1228,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, body)
-}
-
-// DatasetStats is one dataset's /statsz row. The index fields describe the
-// dataset's positional index: how long the current snapshot's index took
-// to build (or verify-load, or splice), its resident footprint, and its
-// postings volume — the capacity signals for sizing a multi-tenant
-// deployment. The epoch fields track the live mutation subsystem: the
-// current document epoch, the batches and edits absorbed since the
-// catalog snapshot was prepared, and the index's current overlay depth
-// (how many spliced epochs a postings lookup may traverse before the next
-// flatten).
-type DatasetStats struct {
-	Name           string `json:"name"`
-	CacheHits      uint64 `json:"cacheHits"`
-	CacheMisses    uint64 `json:"cacheMisses"`
-	CacheEvictions uint64 `json:"cacheEvictions"`
-	CacheEntries   int    `json:"cacheEntries"`
-
-	IndexBuildMs  float64 `json:"indexBuildMs"`
-	IndexBytes    int     `json:"indexBytes"`
-	IndexPostings int     `json:"indexPostings"`
-	IndexPaths    int     `json:"indexPaths"`
-	// The compressed-postings accounting (store format v4 layout):
-	// resident compressed postings bytes, the same postings in the flat
-	// int32 layout, their ratio, and the keyword-term vocabulary size.
-	IndexPostingsBytes     int     `json:"indexPostingsBytes"`
-	IndexPostingsFlatBytes int     `json:"indexPostingsFlatBytes"`
-	IndexCompression       float64 `json:"indexCompression"`
-	IndexTextKeys          int     `json:"indexTextKeys"`
-
-	Epoch         uint64 `json:"epoch"`
-	EditBatches   uint64 `json:"editBatches"`
-	EditsApplied  uint64 `json:"editsApplied"`
-	IndexOverlays int    `json:"indexOverlays"`
-	DocNodes      int    `json:"docNodes"`
-	EditLog       bool   `json:"editLog"`
-
-	// Shards breaks the collection down per member document. For a
-	// single-shard dataset the one row repeats the aggregate index/epoch
-	// fields above (which are sums across shards, Epoch and overlay depth
-	// excepted — those are maxima).
-	Shards []ShardStats `json:"shards"`
-}
-
-// ShardStats is one member document's row within a DatasetStats entry:
-// its own index footprint, mutation history, and the scatter-gather
-// latency histogram fed by the engine's per-shard observer (one
-// observation per (embedding, shard) evaluation unit, so a shard that
-// drags the gather down is visible directly).
-type ShardStats struct {
-	Shard         int            `json:"shard"`
-	DocNodes      int            `json:"docNodes"`
-	Epoch         uint64         `json:"epoch"`
-	IndexPostings int            `json:"indexPostings"`
-	IndexBytes    int            `json:"indexBytes"`
-	IndexOverlays int            `json:"indexOverlays"`
-	EditBatches   uint64         `json:"editBatches"`
-	EditsApplied  uint64         `json:"editsApplied"`
-	EditLog       bool           `json:"editLog"`
-	Latency       HistogramStats `json:"latency"`
-	// Replication is the shard's replication-log state, plus — on a
-	// follower — its lag behind the primary as of the last sync.
-	Replication *ReplicationStats `json:"replication,omitempty"`
-}
-
-// ReplicationStats is one shard's replication row. The log fields
-// describe the shard's own replication log (what a follower could stream
-// right now); the lag fields are filled on a follower only.
-type ReplicationStats struct {
-	// CheckpointEpoch is the epoch of the latest checkpoint — the base of
-	// the retained log; a follower further behind must bootstrap.
-	CheckpointEpoch uint64 `json:"checkpointEpoch"`
-	// RetainedRecords/RetainedBytes measure the retained (shippable) log.
-	RetainedRecords int   `json:"retainedRecords"`
-	RetainedBytes   int64 `json:"retainedBytes"`
-
-	// Follower-side lag, as of the last sync attempt (see replica.Lag).
-	PrimaryEpoch uint64 `json:"primaryEpoch,omitempty"`
-	EpochsBehind uint64 `json:"epochsBehind,omitempty"`
-	BytesPending int64  `json:"bytesPending,omitempty"`
-	Bootstraps   uint64 `json:"bootstraps,omitempty"`
-	SyncErrors   uint64 `json:"syncErrors,omitempty"`
-	LastError    string `json:"lastError,omitempty"`
-
-	// Breaker is the shard's sync circuit breaker position (follower
-	// only): closed shards sync normally, open shards are skipping sync
-	// attempts until their cooldown elapses.
-	Breaker *replica.BreakerStatus `json:"breaker,omitempty"`
-}
-
-// Stats is the /statsz payload.
-type Stats struct {
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Role is "primary" or "follower"; Primary carries the upstream base
-	// URL on a follower.
-	Role        string `json:"role"`
-	Primary     string `json:"primary,omitempty"`
-	Ready       bool   `json:"ready"`
-	InFlight    int64  `json:"inFlight"`
-	Queries     uint64 `json:"queries"`
-	Batches     uint64 `json:"batches"`
-	Reloads     uint64 `json:"reloads"`
-	Mutations   uint64 `json:"mutations"`
-	Checkpoints uint64 `json:"checkpoints"`
-	Replicates  uint64 `json:"replicates"`
-	Edits       uint64 `json:"edits"`
-	Errors      uint64 `json:"errors"`
-	// Timeouts counts requests answered 503 because their deadline fired
-	// (or their client vanished) before the work finished; Shed counts
-	// requests answered 429 by the admission gate; Panics counts handler
-	// panics converted into 500s.
-	Timeouts uint64 `json:"timeouts"`
-	Shed     uint64 `json:"shed"`
-	Panics   uint64 `json:"panics"`
-	// AdmissionInFlight/AdmissionQueued are the overload gate's live
-	// occupancy (admitted evaluations and requests waiting for a slot).
-	AdmissionInFlight int                       `json:"admissionInFlight"`
-	AdmissionQueued   int64                     `json:"admissionQueued"`
-	Latency           map[string]HistogramStats `json:"latency"`
-	Datasets          []DatasetStats            `json:"datasets"`
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
-	st := Stats{
-		UptimeSeconds: time.Since(s.stats.start).Seconds(),
-		Role:          "primary",
-		Ready:         s.ready.Load(),
-		InFlight:      s.stats.inFlight.Load(),
-		Queries:       s.stats.queries.Load(),
-		Batches:       s.stats.batches.Load(),
-		Reloads:       s.stats.reloads.Load(),
-		Mutations:     s.stats.mutates.Load(),
-		Checkpoints:   s.stats.checkpoints.Load(),
-		Replicates:    s.stats.replicates.Load(),
-		Edits:         s.stats.edits.Load(),
-		Errors:        s.stats.errors.Load(),
-		Timeouts:      s.stats.timeouts.Load(),
-		Shed:          s.stats.shed.Load(),
-		Panics:        s.stats.panics.Load(),
-		Latency: map[string]HistogramStats{
-			"query":      histogramStats(s.stats.latQuery.Snapshot()),
-			"batch":      histogramStats(s.stats.latBatch.Snapshot()),
-			"mutate":     histogramStats(s.stats.latMutate.Snapshot()),
-			"checkpoint": histogramStats(s.stats.latCheckpoint.Snapshot()),
-			"replicate":  histogramStats(s.stats.latReplicate.Snapshot()),
-		},
-	}
-	if s.adm != nil {
-		st.AdmissionInFlight = s.adm.inFlight()
-		st.AdmissionQueued = s.adm.queueDepth()
-	}
-	if s.follower != nil {
-		st.Role = "follower"
-		st.Primary = s.follower.Primary()
-	}
-	for _, d := range s.Catalog().Datasets() {
-		cs := d.Engine.CacheStats()
-		row := DatasetStats{
-			Name:           d.Name,
-			CacheHits:      cs.Hits,
-			CacheMisses:    cs.Misses,
-			CacheEvictions: cs.Evictions,
-			CacheEntries:   cs.Entries,
-			EditLog:        d.EditLogPath() != "",
-		}
-		var lags []replica.Lag
-		if s.follower != nil {
-			lags = s.follower.Lags(d.Name)
-		}
-		for i, sh := range d.Shards() {
-			snap := sh.Live.Snapshot()
-			xs := snap.Index.Stats()
-			ls := sh.Live.Stats()
-			var rep *ReplicationStats
-			if sh.Log != nil {
-				lst := sh.Log.Status()
-				rep = &ReplicationStats{
-					CheckpointEpoch: lst.Base,
-					RetainedRecords: lst.RetainedRecords,
-					RetainedBytes:   lst.RetainedBytes,
-				}
-				if i < len(lags) {
-					lag := lags[i]
-					rep.PrimaryEpoch = lag.PrimaryEpoch
-					rep.EpochsBehind = lag.EpochsBehind
-					rep.BytesPending = lag.BytesPending
-					rep.Bootstraps = lag.Bootstraps
-					rep.SyncErrors = lag.SyncErrors
-					rep.LastError = lag.LastError
-					rep.Breaker = lag.Breaker
-				}
-			}
-			row.Shards = append(row.Shards, ShardStats{
-				Shard:         i,
-				DocNodes:      snap.Doc.Len(),
-				Epoch:         snap.Epoch,
-				IndexPostings: xs.Postings,
-				IndexBytes:    xs.ResidentBytes,
-				IndexOverlays: xs.Overlays,
-				EditBatches:   ls.Batches,
-				EditsApplied:  ls.Edits,
-				EditLog:       sh.EditLogPath() != "",
-				Latency:       histogramStats(sh.lat.Snapshot()),
-				Replication:   rep,
-			})
-			// Dataset-level index and mutation fields aggregate across
-			// shards: capacity-style numbers (bytes, postings, nodes,
-			// batches) sum; Epoch and overlay depth are per-shard maxima;
-			// DistinctPaths and TextKeys are schema-shaped — near-identical
-			// across members — so the maximum reads as "the" value.
-			row.IndexBuildMs += float64(xs.BuildTime.Microseconds()) / 1e3
-			row.IndexBytes += xs.ResidentBytes
-			row.IndexPostings += xs.Postings
-			row.IndexPostingsBytes += xs.PostingsBytes
-			row.IndexPostingsFlatBytes += xs.PostingsFlatBytes
-			row.DocNodes += snap.Doc.Len()
-			row.EditBatches += ls.Batches
-			row.EditsApplied += ls.Edits
-			row.IndexPaths = max(row.IndexPaths, xs.DistinctPaths)
-			row.IndexTextKeys = max(row.IndexTextKeys, xs.TextKeys)
-			row.Epoch = max(row.Epoch, snap.Epoch)
-			row.IndexOverlays = max(row.IndexOverlays, xs.Overlays)
-		}
-		if row.IndexPostingsFlatBytes == 0 {
-			row.IndexCompression = 1
-		} else {
-			row.IndexCompression = float64(row.IndexPostingsBytes) / float64(row.IndexPostingsFlatBytes)
-		}
-		st.Datasets = append(st.Datasets, row)
-	}
-	writeJSON(w, http.StatusOK, st)
 }

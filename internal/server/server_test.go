@@ -21,6 +21,7 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
+	"xmatch/internal/obs"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 )
@@ -329,34 +330,30 @@ func TestConcurrentClients(t *testing.T) {
 	// A handler's bookkeeping — the in-flight gauge and the latency
 	// histogram — lands after its body reaches the client, so wait for the
 	// last request's deferred update before reading the counters.
-	waitForStats(t, env, func(st server.Stats) bool {
-		return st.InFlight == 0 && st.Latency["query"].Count == st.Queries
+	queryCount := func(ms []obs.ExpositionMetric) (hist, requests float64) {
+		return mustValue(t, ms, "xmatch_http_request_seconds_count", epLabel("query")),
+			mustValue(t, ms, "xmatch_http_requests_total", epLabel("query"))
+	}
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		hist, requests := queryCount(ms)
+		return mustValue(t, ms, "xmatch_http_in_flight") == 0 && hist == requests
 	})
 
 	// After the storm: the gauge must be back to zero and the caches warm.
-	resp, body := getJSON(t, env.ts.URL+"/statsz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("statsz: %d", resp.StatusCode)
+	ms := scrapeStatsz(t, env.ts.URL)
+	if v := mustValue(t, ms, "xmatch_http_in_flight"); v != 0 {
+		t.Errorf("inFlight = %v after all clients finished", v)
 	}
-	var st server.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	queries := mustValue(t, ms, "xmatch_http_requests_total", epLabel("query"))
+	batches := mustValue(t, ms, "xmatch_http_requests_total", epLabel("batch"))
+	if queries == 0 || batches == 0 {
+		t.Errorf("request counters not incremented: queries %v batches %v", queries, batches)
 	}
-	if st.InFlight != 0 {
-		t.Errorf("inFlight = %d after all clients finished", st.InFlight)
+	if hits, _ := metricSum(ms, "xmatch_engine_prepare_cache_hits_total"); hits == 0 {
+		t.Errorf("no prepared-query cache hits across %v requests", queries+batches)
 	}
-	if st.Queries == 0 || st.Batches == 0 {
-		t.Errorf("request counters not incremented: %+v", st)
-	}
-	var hits uint64
-	for _, d := range st.Datasets {
-		hits += d.CacheHits
-	}
-	if hits == 0 {
-		t.Errorf("no prepared-query cache hits across %d requests", st.Queries+st.Batches)
-	}
-	if st.Latency["query"].Count != st.Queries {
-		t.Errorf("query latency histogram count %d != queries %d", st.Latency["query"].Count, st.Queries)
+	if hist, requests := queryCount(ms); hist != requests {
+		t.Errorf("query latency histogram count %v != queries %v", hist, requests)
 	}
 }
 
@@ -482,12 +479,7 @@ func TestErrorPaths(t *testing.T) {
 		}
 	}
 	// Errors must be counted.
-	_, body := getJSON(t, env.ts.URL+"/statsz")
-	var st server.Stats
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors == 0 {
+	if mustValue(t, scrapeStatsz(t, env.ts.URL), "xmatch_http_errors_total") == 0 {
 		t.Error("error counter not incremented")
 	}
 }
@@ -531,37 +523,45 @@ func TestBatchAnswersWithColdCache(t *testing.T) {
 	}
 }
 
-// TestStatszIndexStats asserts the per-dataset positional-index rows of
+// TestStatszIndexStats asserts the per-shard positional-index series of
 // /statsz: present at startup, and refreshed (still present and sane)
 // after a reload rebuilds the catalog.
 func TestStatszIndexStats(t *testing.T) {
 	env := newTestEnv(t, server.Options{})
 	check := func(phase string) {
 		t.Helper()
-		resp, body := getJSON(t, env.ts.URL+"/statsz")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: statsz status %d", phase, resp.StatusCode)
+		ms := scrapeStatsz(t, env.ts.URL)
+		names := map[string]bool{}
+		for _, m := range ms {
+			if m.Name == "xmatch_index_postings" {
+				for _, l := range m.Labels {
+					if l.Name == "dataset" {
+						names[l.Value] = true
+					}
+				}
+			}
 		}
-		var st server.Stats
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
+		if len(names) != 2 {
+			t.Fatalf("%s: index series for datasets %v, want 2", phase, names)
 		}
-		if len(st.Datasets) != 2 {
-			t.Fatalf("%s: %d dataset rows, want 2", phase, len(st.Datasets))
-		}
-		for _, ds := range st.Datasets {
-			d := env.srv.Catalog().Get(ds.Name)
+		for name := range names {
+			d := env.srv.Catalog().Get(name)
 			if d == nil {
-				t.Fatalf("%s: statsz row for unknown dataset %q", phase, ds.Name)
+				t.Fatalf("%s: statsz series for unknown dataset %q", phase, name)
 			}
-			if ds.IndexPostings != d.Doc().Len() {
-				t.Errorf("%s %s: indexPostings = %d, want one per node = %d", phase, ds.Name, ds.IndexPostings, d.Doc().Len())
+			sum := func(family string) float64 {
+				v, _ := metricSum(ms, family, dsLabel(name))
+				return v
 			}
-			if ds.IndexBytes <= 0 || ds.IndexPaths <= 0 {
-				t.Errorf("%s %s: implausible index stats %+v", phase, ds.Name, ds)
+			if postings := sum("xmatch_index_postings"); postings != float64(d.Doc().Len()) {
+				t.Errorf("%s %s: index postings = %v, want one per node = %d", phase, name, postings, d.Doc().Len())
 			}
-			if ds.IndexBuildMs <= 0 {
-				t.Errorf("%s %s: indexBuildMs = %v, want > 0", phase, ds.Name, ds.IndexBuildMs)
+			if sum("xmatch_index_resident_bytes") <= 0 || sum("xmatch_index_paths") <= 0 {
+				t.Errorf("%s %s: implausible index stats: %v resident bytes, %v paths", phase, name,
+					sum("xmatch_index_resident_bytes"), sum("xmatch_index_paths"))
+			}
+			if build := sum("xmatch_index_build_seconds"); build <= 0 {
+				t.Errorf("%s %s: index build seconds = %v, want > 0", phase, name, build)
 			}
 		}
 	}

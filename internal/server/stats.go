@@ -7,62 +7,16 @@ import (
 	"xmatch/internal/obs"
 )
 
-// The server's latency histograms are obs.Histograms over the default
-// bucket bounds (obs.DefaultLatencyBucketsMs — the bounds /statsz has
-// always exposed); /statsz renders their snapshots through
-// histogramStats, /metricsz through the exposition exporter.
-
-// HistogramBucket is one cumulative-free histogram bucket in the /statsz
-// payload: the count of observations at most LeMs milliseconds (the last
-// bucket has LeMs 0 and holds the overflow).
-type HistogramBucket struct {
-	LeMs  float64 `json:"leMs,omitempty"`
-	Count uint64  `json:"count"`
-}
-
-// HistogramStats is the wire form of one endpoint's latency histogram.
-type HistogramStats struct {
-	Count   uint64            `json:"count"`
-	SumMs   float64           `json:"sumMs"`
-	Buckets []HistogramBucket `json:"buckets"`
-}
-
-// histogramStats converts an obs snapshot into the /statsz wire form the
-// server has always emitted: count, sum in milliseconds, and per-bucket
-// (non-cumulative) counts with the overflow bucket last at LeMs 0.
-func histogramStats(s obs.HistogramSnapshot) HistogramStats {
-	out := HistogramStats{
-		Count:   s.Count,
-		SumMs:   s.SumMs,
-		Buckets: make([]HistogramBucket, len(s.Counts)),
-	}
-	for i, c := range s.Counts {
-		b := HistogramBucket{Count: c}
-		if i < len(s.BucketsMs) {
-			b.LeMs = s.BucketsMs[i]
-		}
-		out.Buckets[i] = b
-	}
-	return out
-}
-
-// serverStats aggregates the daemon's operational counters. The latency
-// histograms are allocated by init (called once from New) so the hot
-// paths can Observe without nil checks. Each is an obs.Windowed: the
-// embedded Histogram keeps the cumulative totals /statsz and /metricsz
-// have always exposed, while Window() gives the sliding view the SLO
-// burn rate and the windowed quantile gauges read.
+// serverStats aggregates the daemon's operational counters. The collectors
+// on the metrics registry read them at scrape time; /metricsz renders that
+// registry as text and /statsz as JSON, so nothing here has a second
+// reader.
 type serverStats struct {
-	start       time.Time
-	inFlight    atomic.Int64
-	queries     atomic.Uint64
-	batches     atomic.Uint64
-	reloads     atomic.Uint64
-	mutates     atomic.Uint64
-	checkpoints atomic.Uint64
-	replicates  atomic.Uint64
-	edits       atomic.Uint64
-	errors      atomic.Uint64
+	start    time.Time
+	inFlight atomic.Int64
+	reloads  atomic.Uint64
+	edits    atomic.Uint64
+	errors   atomic.Uint64
 	// timeouts counts 503s from fired request deadlines (or clients that
 	// went away mid-request); shed counts 429s from the admission gate;
 	// panics counts handler panics converted into 500s.
@@ -70,11 +24,22 @@ type serverStats struct {
 	shed     atomic.Uint64
 	panics   atomic.Uint64
 
-	latQuery      *obs.Windowed
-	latBatch      *obs.Windowed
-	latMutate     *obs.Windowed
-	latCheckpoint *obs.Windowed
-	latReplicate  *obs.Windowed
+	// endpoints are the timed endpoints in declaration order; query is the
+	// first of them, the one the SLO reads.
+	endpoints []*endpoint
+	query     *endpoint
+}
+
+// endpoint is one timed endpoint's accounting. Each is declared once (in
+// New) and read from there: timed counts and times its requests,
+// collectServer exports it, and the SLO reads the query endpoint's window.
+type endpoint struct {
+	name     string
+	requests atomic.Uint64
+	// lat is windowed: the embedded Histogram keeps the cumulative totals
+	// /metricsz exposes, while Window() gives the sliding view the SLO
+	// burn rate and the windowed quantile gauges read.
+	lat *obs.Windowed
 }
 
 // windowSlots is the ring resolution of every windowed histogram: the
@@ -83,12 +48,9 @@ type serverStats struct {
 // rate reacts within a minute.
 const windowSlots = 6
 
-func (st *serverStats) init(window time.Duration) {
-	st.start = time.Now()
-	mk := func() *obs.Windowed { return obs.NewWindowed(nil, window, windowSlots) }
-	st.latQuery = mk()
-	st.latBatch = mk()
-	st.latMutate = mk()
-	st.latCheckpoint = mk()
-	st.latReplicate = mk()
+// declare adds a timed endpoint whose latency window spans window.
+func (st *serverStats) declare(name string, window time.Duration) *endpoint {
+	ep := &endpoint{name: name, lat: obs.NewWindowed(nil, window, windowSlots)}
+	st.endpoints = append(st.endpoints, ep)
+	return ep
 }

@@ -10,6 +10,7 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"mime"
 	"net/http"
 	"path/filepath"
@@ -398,6 +399,50 @@ func TestMetricszContentType(t *testing.T) {
 	}
 }
 
+// TestSLOHealthzObjectiveBounds: an objective outside (0, 1) leaves no
+// error budget (or a negative one), so New refuses it before loading
+// anything. The tightest objective it accepts burns fast but finitely,
+// and /healthz and /statsz keep serving whole bodies.
+func TestSLOHealthzObjectiveBounds(t *testing.T) {
+	loader := func() (*server.Catalog, error) {
+		t.Error("loader ran for a refused configuration")
+		return nil, nil
+	}
+	for _, o := range []float64{1, 1.5, -0.1} {
+		if _, err := server.New(loader, server.Options{SLOTarget: time.Nanosecond, SLOObjective: o}); err == nil {
+			t.Errorf("New accepted SLO objective %v", o)
+		}
+	}
+
+	env := newTestEnv(t, server.Options{
+		SLOTarget:    time.Nanosecond,
+		SLOObjective: 0.999,
+		MinEpochWait: 30 * time.Millisecond,
+	})
+	f := env.fixtures[0]
+	for i := 0; i < 3; i++ {
+		// An unreachable epoch holds each request past every bucket bound
+		// the 1ns target could round up to: three sure misses.
+		postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: f.name, Pattern: f.queries[0], MinEpoch: 1 << 40})
+	}
+	resp, raw := getJSON(t, env.ts.URL+"/healthz")
+	var b struct {
+		Status string `json:"status"`
+		SLO    struct {
+			BurnRate float64 `json:"burnRate"`
+		} `json:"slo"`
+	}
+	if err := json.Unmarshal(raw, &b); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: status %d body %q (%v)", resp.StatusCode, raw, err)
+	}
+	if b.Status != "degraded" || math.Abs(b.SLO.BurnRate-1000) > 1e-6 {
+		t.Fatalf("healthz status %q burn %v, want degraded at 1000 (every request bad, 0.001 budget)", b.Status, b.SLO.BurnRate)
+	}
+	if v := mustValue(t, scrapeStatsz(t, env.ts.URL), "xmatch_slo_burn_rate"); v != b.SLO.BurnRate {
+		t.Fatalf("statsz burn rate %v, healthz %v", v, b.SLO.BurnRate)
+	}
+}
+
 func TestTimedReplication(t *testing.T) {
 	man := manifest()
 	env := newTestEnv(t, server.Options{
@@ -438,23 +483,13 @@ func TestTimedReplication(t *testing.T) {
 		t.Fatal("checkpoint response lacks X-Request-Id")
 	}
 
-	resp, raw := getJSON(t, env.ts.URL+"/statsz")
-	resp.Body.Close()
-	var st server.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Replicates != 1 || st.Checkpoints != 1 {
-		t.Fatalf("statsz replicates=%d checkpoints=%d, want 1/1", st.Replicates, st.Checkpoints)
-	}
-	if st.Latency["replicate"].Count != 1 || st.Latency["checkpoint"].Count != 1 {
-		t.Fatalf("latency histograms: replicate=%d checkpoint=%d, want 1/1",
-			st.Latency["replicate"].Count, st.Latency["checkpoint"].Count)
-	}
 	ms := scrapeMetrics(t, env.ts.URL)
 	for _, ep := range []string{"replicate", "checkpoint"} {
-		if v, ok := metricValue(ms, "xmatch_http_requests_total", obs.Label{Name: "endpoint", Value: ep}); !ok || v != 1 {
+		if v, ok := metricValue(ms, "xmatch_http_requests_total", epLabel(ep)); !ok || v != 1 {
 			t.Fatalf("xmatch_http_requests_total{endpoint=%q} = %v (present %v), want 1", ep, v, ok)
+		}
+		if v, ok := metricValue(ms, "xmatch_http_request_seconds_count", epLabel(ep)); !ok || v != 1 {
+			t.Fatalf("%s latency histogram count %v (present %v), want 1", ep, v, ok)
 		}
 	}
 }
