@@ -658,41 +658,6 @@ func BenchmarkPTQCollectionIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkKeywordQuery measures probabilistic keyword query evaluation
-// (the future-work extension) on the D7 workload.
-func BenchmarkKeywordQuery(b *testing.B) {
-	setup(b)
-	set := fixSets[100]
-	q := core.PrepareKeywordQuery([]string{"Quantity", "UP"}, set, fixDoc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateKeywords(q, set, fixDoc)
-	}
-}
-
-// BenchmarkKeywordPrepare pairs keyword-query preparation through the
-// index's token posting layer (a scan of the distinct-text vocabulary)
-// against the unindexed doc.Nodes() scan. The keyword mixes a schema term
-// with value terms, so both the element resolution and the value-term
-// resolution are exercised.
-func BenchmarkKeywordPrepare(b *testing.B) {
-	setup(b)
-	set := fixSets[100]
-	keywords := []string{"Quantity", "7", "3"}
-	b.Run("indexed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.PrepareKeywordQuery(keywords, set, fixDocIdx)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = core.PrepareKeywordQuery(keywords, set, fixDoc)
-		}
-	})
-}
-
 // BenchmarkPostingsDecode measures full postings materialization — every
 // path list of the Order document decoded into fresh slices — for the
 // block-compressed layout against the flat reference layout, the raw cost
@@ -714,22 +679,6 @@ func BenchmarkPostingsDecode(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkAggregateQuery measures aggregate PTQ evaluation (the ICDE 2009
-// aggregate semantics extension) on the D7 workload.
-func BenchmarkAggregateQuery(b *testing.B) {
-	setup(b)
-	set := fixSets[100]
-	q, err := core.PrepareQuery(dataset.Queries()[4].Text, set) // Q5 -> Quantity
-	if err != nil {
-		b.Fatal(err)
-	}
-	leaf := q.Pattern.Nodes()[q.Pattern.Size()-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EvaluateAggregate(q, set, fixDoc, fixTree, leaf, core.Sum)
 	}
 }
 

@@ -74,8 +74,6 @@ func main() {
 		err = runCheckpoint(os.Args[2:])
 	case "match":
 		err = runMatch(os.Args[2:])
-	case "keywords":
-		err = runKeywords(os.Args[2:])
 	case "workload":
 		err = runWorkload(os.Args[2:])
 	default:
@@ -133,8 +131,6 @@ func usage() {
                                             handler; exits non-zero on any diff
   workload info -f <capture>                summarize a capture file (records,
                                             sampling, fingerprints, torn tail)
-                                            and its .profiles sidecar
-  keywords -d <D1..D10> -w "a,b,c"          probabilistic keyword query
   match    -src <spec> -tgt <spec>          run the built-in matcher
            (files ending in .xsd are parsed as XML Schema)`)
 }
@@ -495,8 +491,8 @@ func runIndex(args []string) error {
 	ix := index.Build(doc)
 	st := ix.Stats()
 	fmt.Printf("index %s: %d nodes\n", source, doc.Len())
-	fmt.Printf("postings: %d over %d distinct paths, %d value keys, %d text keys\n",
-		st.Postings, st.DistinctPaths, st.ValueKeys, st.TextKeys)
+	fmt.Printf("postings: %d over %d distinct paths, %d value keys\n",
+		st.Postings, st.DistinctPaths, st.ValueKeys)
 	fmt.Printf("resident: %dB, built in %v\n", st.ResidentBytes, st.BuildTime.Round(time.Microsecond))
 	fmt.Printf("postings bytes: %dB compressed vs %dB flat (ratio %.2f)\n",
 		st.PostingsBytes, st.PostingsFlatBytes, st.CompressionRatio())
@@ -576,38 +572,6 @@ func runMatch(args []string) error {
 		src.Name, src.Len(), tgt.Name, tgt.Len(), u.Capacity())
 	for _, c := range u.Corrs {
 		fmt.Printf("  %.3f  %s ~ %s\n", c.Score, src.ByID(c.S).Path, tgt.ByID(c.T).Path)
-	}
-	return nil
-}
-
-func runKeywords(args []string) error {
-	fs := flag.NewFlagSet("keywords", flag.ExitOnError)
-	id := fs.String("d", "D7", "dataset ID")
-	m := fs.Int("m", 100, "number of possible mappings")
-	words := fs.String("w", "", "comma-separated keywords (required)")
-	docNodes := fs.Int("doc", 3473, "source document size")
-	fs.Parse(args)
-	if *words == "" {
-		return fmt.Errorf("keywords: -w is required")
-	}
-	d, set, err := loadSet(*id, *m)
-	if err != nil {
-		return err
-	}
-	doc := d.OrderDocument(*docNodes, 42)
-	keywords := strings.Split(*words, ",")
-	for i := range keywords {
-		keywords[i] = strings.TrimSpace(keywords[i])
-	}
-	q := core.PrepareKeywordQuery(keywords, set, doc)
-	results := core.EvaluateKeywords(q, set, doc)
-	fmt.Printf("keywords %v: %d relevant mapping(s)\n", keywords, len(results))
-	for _, a := range core.AggregateKeywordAnswers(results) {
-		paths := a.Values
-		if len(paths) > 5 {
-			paths = paths[:5]
-		}
-		fmt.Printf("  p=%.4f SLCA %v (%d total)\n", a.Prob, paths, len(a.Values))
 	}
 	return nil
 }

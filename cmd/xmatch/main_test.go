@@ -44,7 +44,7 @@ func run(t *testing.T, bin string, args ...string) (string, error) {
 // indexStats matches the stats block `xmatch index` prints for one
 // document: the source line, then one posting per document node.
 var indexStats = regexp.MustCompile(`(?m)^index .*?(\S+ \(doc=\d+ seed=\d+\)): (\d+) nodes
-postings: (\d+) over \d+ distinct paths, \d+ value keys, \d+ text keys
+postings: (\d+) over \d+ distinct paths, \d+ value keys
 resident: \d+B, built in \S+
 postings bytes: \d+B compressed vs \d+B flat \(ratio [\d.]+\)
 $`)
@@ -136,16 +136,6 @@ func TestCLISmoke(t *testing.T) {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		checkIndexStats(t, out, "D7 (doc=1200 seed=42)")
-	})
-
-	t.Run("keywords", func(t *testing.T) {
-		out, err := run(t, bin, "keywords", "-d", "D7", "-m", "20", "-doc", "1200", "-w", "Street,City")
-		if err != nil {
-			t.Fatalf("%v\n%s", err, out)
-		}
-		if !strings.Contains(out, "SLCA") {
-			t.Errorf("keywords output unexpected:\n%s", out)
-		}
 	})
 
 	t.Run("match-spec-and-xsd", func(t *testing.T) {

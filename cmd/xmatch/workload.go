@@ -219,21 +219,5 @@ func runWorkloadInfo(args []string) error {
 	if w.Torn {
 		fmt.Printf("  torn tail after %d valid byte(s)\n", w.ValidSize)
 	}
-	if entries, err := store.LoadProfilesFile(*path + ".profiles"); err == nil {
-		fmt.Printf("  profiles sidecar: %d path row(s)\n", len(entries))
-		top := entries
-		sort.Slice(top, func(i, j int) bool { return top[i].Candidates > top[j].Candidates })
-		if len(top) > 10 {
-			top = top[:10]
-		}
-		for _, pe := range top {
-			sel := float64(-1)
-			if pe.Candidates > 0 {
-				sel = float64(pe.ReachSurvivors) / float64(pe.Candidates)
-			}
-			fmt.Printf("    %s shard %d %s: evals=%d candidates=%d survivors=%d selectivity=%.3f\n",
-				pe.Dataset, pe.Shard, pe.Path, pe.Evals, pe.Candidates, pe.ReachSurvivors, sel)
-		}
-	}
 	return nil
 }

@@ -41,8 +41,8 @@
 // gains burn-rate gauges and /healthz reports "degraded" detail while
 // the error budget burns faster than it accrues (-slo-objective,
 // -slo-window tune it). -capture appends a sampled (-capture-sample),
-// disk-budgeted (-capture-budget) binary log of served queries — with a
-// selectivity-profile sidecar — that `xmatch workload replay` re-runs
+// disk-budgeted (-capture-budget) binary log of served queries that
+// `xmatch workload replay` re-runs
 // against a daemon or a local catalog and byte-diffs.
 //
 // Query it with curl or the bundled client:
@@ -354,8 +354,7 @@ func run(cfg config) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := hs.Shutdown(ctx)
-		// Closing the server flushes the workload capture's final
-		// selectivity-profile sidecar.
+		// Closing the server closes the workload capture.
 		if cerr := srv.Close(); err == nil {
 			err = cerr
 		}

@@ -3,10 +3,14 @@ package core
 import (
 	"math"
 	"testing"
+
+	"xmatch/internal/mapping"
+	"xmatch/internal/schema"
+	"xmatch/internal/xmltree"
 )
 
 func TestByTupleAnswers(t *testing.T) {
-	set, doc := keywordFixture(t) // two mappings, probs 0.6 and 0.4
+	set, doc := invoiceFixture(t) // two mappings, probs 0.6 and 0.4
 	q, err := PrepareQuery("//INVOICE_PARTY//CONTACT_NAME", set)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +50,7 @@ func TestByTupleAnswers(t *testing.T) {
 func TestByTupleSharedMatchAccumulates(t *testing.T) {
 	// Two mappings that agree on the query subtree produce the same match;
 	// by-tuple must sum their probabilities.
-	set, doc := keywordFixture(t)
+	set, doc := invoiceFixture(t)
 	q, err := PrepareQuery("//INVOICE_PARTY", set)
 	if err != nil {
 		t.Fatal(err)
@@ -72,4 +76,49 @@ func TestByTupleEmptyResults(t *testing.T) {
 	if got := ValueDistribution(nil, nil); len(got) != 0 {
 		t.Fatalf("empty results produced %d values", len(got))
 	}
+}
+
+// invoiceFixture builds the introduction's scenario: one invoice party
+// whose contact name two mappings bind to different source elements.
+func invoiceFixture(t *testing.T) (*mapping.Set, *xmltree.Document) {
+	t.Helper()
+	src, err := schema.ParseSpec("S", `
+Order
+  BP
+    BOC
+      BCN
+    ROC
+      RCN
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := schema.ParseSpec("T", `
+ORDER
+  INVOICE_PARTY
+    CONTACT_NAME
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(s *schema.Schema, path string) int { return s.ByPath(path).ID }
+	mk := func(cn string, score float64) *mapping.Mapping {
+		return &mapping.Mapping{
+			Pairs: []mapping.Pair{
+				{S: ids(src, "Order"), T: ids(tgt, "ORDER")},
+				{S: ids(src, "Order.BP"), T: ids(tgt, "ORDER.INVOICE_PARTY")},
+				{S: ids(src, cn), T: ids(tgt, "ORDER.INVOICE_PARTY.CONTACT_NAME")},
+			},
+			Score: score,
+		}
+	}
+	set := mapping.MustNewSet(src, tgt, []*mapping.Mapping{
+		mk("Order.BP.BOC.BCN", 0.6),
+		mk("Order.BP.ROC.RCN", 0.4),
+	})
+	root := xmltree.NewRoot("Order")
+	bp := root.AddChild("BP")
+	bp.AddChild("BOC").AddChild("BCN").AddText("Cathy")
+	bp.AddChild("ROC").AddChild("RCN").AddText("Bob")
+	return set, xmltree.New(root)
 }

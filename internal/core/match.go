@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
@@ -26,17 +24,17 @@ import (
 // matcher answers from results cached before the clone existed whenever the
 // write touched none of the bound paths (index: carryFrom); two matches of
 // one request may therefore bind the same position through different
-// objects. StructuralJoin, Match.Key, AppendResultsJSON, ToWire,
-// AggregateByNode and EvaluateAggregate read nothing else; where one of
-// them needs node identity it is the Start number.
+// objects. StructuralJoin, Match.Key, AppendResultsJSON, ToWire and
+// AggregateByNode read nothing else; where one of them needs node identity
+// it is the Start number.
 //
 // The positional index of internal/index implements Matcher; attaching it
 // to a document (index.Attach) routes all evaluation over that document —
-// basic, block-tree, top-k, keyword-embedded and aggregate alike — through
-// the holistic indexed matcher. The index is discovered through the
-// document's accelerator slot rather than passed parameter-by-parameter,
-// so one dataset-wide index built at prepare time serves every mapping of
-// the set with zero per-query plumbing and zero synchronization.
+// basic, block-tree and top-k alike — through the holistic indexed
+// matcher. The index is discovered through the document's accelerator slot
+// rather than passed parameter-by-parameter, so one dataset-wide index
+// built at prepare time serves every mapping of the set with zero
+// per-query plumbing and zero synchronization.
 type Matcher interface {
 	MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.PathBinding) []twig.Match
 }
@@ -51,35 +49,6 @@ type Matcher interface {
 type UnitMemo interface {
 	LookupUnit(qn *twig.Node, key string) ([]twig.Match, bool)
 	StoreUnit(qn *twig.Node, key string, matches []twig.Match)
-}
-
-// TextSearcher is the keyword-preparation seam: an accelerator that can
-// resolve a value term — a lowered keyword — to the document nodes whose
-// lowered text contains it, in document order, without scanning every
-// node. The positional index implements it over its token posting layer
-// (distinct lowered texts -> value keys), making keyword preparation
-// O(vocabulary) instead of O(document). Implementations must return
-// exactly the nodes a doc.Nodes() scan with strings.Contains on lowered
-// texts would, in the same order; the randomized keyword differential
-// pins that contract. Returned slices are owned by the caller.
-type TextSearcher interface {
-	NodesWithTextContaining(lowered string) []*xmltree.Node
-}
-
-// matchingTextNodes resolves one lowered value term against the document:
-// through the attached TextSearcher when present, by scanning the
-// document's nodes otherwise.
-func matchingTextNodes(doc *xmltree.Document, lowered string) []*xmltree.Node {
-	if ts, ok := doc.Accel().(TextSearcher); ok {
-		return ts.NodesWithTextContaining(lowered)
-	}
-	var out []*xmltree.Node
-	for _, n := range doc.Nodes() {
-		if n.Text != "" && strings.Contains(strings.ToLower(n.Text), lowered) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // matchPattern evaluates one rewritten pattern subtree over the document:

@@ -196,7 +196,6 @@ func (h *Handle) CollectMetrics(e *obs.Exporter, labels ...obs.Label) {
 	e.Gauge("xmatch_index_postings_bytes", "Resident bytes of the compressed postings lists alone.", float64(xs.PostingsBytes), labels...)
 	e.Gauge("xmatch_index_postings_flat_bytes", "Bytes the same postings would take in the flat layout.", float64(xs.PostingsFlatBytes), labels...)
 	e.Gauge("xmatch_index_paths", "Distinct dotted paths indexed.", float64(xs.DistinctPaths), labels...)
-	e.Gauge("xmatch_index_text_keys", "Distinct lowered texts in the keyword-term vocabulary.", float64(xs.TextKeys), labels...)
 }
 
 // Apply applies one batch of edits atomically: either every edit applies

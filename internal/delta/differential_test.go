@@ -82,7 +82,7 @@ func checkAgainstRebuild(t *testing.T, trial int, snap *delta.Snapshot) {
 	// footprint — kept incrementally, through merges and compactions —
 	// agrees exactly; it can never exceed the flat layout's.
 	if st.Postings != fresh.Postings || st.DistinctPaths != fresh.DistinctPaths ||
-		st.ValueKeys != fresh.ValueKeys || st.TextKeys != fresh.TextKeys ||
+		st.ValueKeys != fresh.ValueKeys ||
 		st.FlatBytes != fresh.FlatBytes || st.ResidentBytes != fresh.ResidentBytes {
 		t.Fatalf("trial %d: incremental stats diverged: %+v vs %+v", trial, st, fresh)
 	}

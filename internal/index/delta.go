@@ -41,7 +41,6 @@ package index
 
 import (
 	"slices"
-	"strings"
 	"time"
 
 	"xmatch/internal/xmltree"
@@ -78,12 +77,12 @@ func (cs changes[K]) of(k K) *change {
 
 // ApplyChanges derives the index of a mutated document snapshot from the
 // index of its base snapshot and the revision's change set. Postings of
-// unaffected paths are shared with the base; affected paths, value keys
-// and text-layer entries get freshly spliced lists. Cached evaluation
-// results whose bound paths the change set did not touch are carried over
-// (see carryFrom). The receiver is not modified and remains the valid index
-// of its own document. The returned index is not yet attached to newDoc;
-// callers publish it with Install.
+// unaffected paths are shared with the base; affected paths and value
+// keys get freshly spliced lists. Cached evaluation results whose bound
+// paths the change set did not touch are carried over (see carryFrom). The
+// receiver is not modified and remains the valid index of its own
+// document. The returned index is not yet attached to newDoc; callers
+// publish it with Install.
 func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *Index {
 	start := time.Now()
 	nx := &Index{
@@ -91,7 +90,6 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 		layer: &layer{
 			paths:  make(map[string]*PostingList),
 			values: make(map[valueKey]*PostingList),
-			texts:  make(map[string]*textEntry),
 			below:  ix.layer,
 		},
 		epoch: ix.epoch + 1,
@@ -103,12 +101,10 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 
 	byPath := changes[string]{}
 	byValue := changes[valueKey]{}
-	byText := changes[string]{} // keyed by lowered text
 	each := func(n *xmltree.Node, f func(*change)) {
 		f(byPath.of(n.Path))
 		if n.Text != "" {
 			f(byValue.of(valueKey{n.Path, n.Text}))
-			f(byText.of(strings.ToLower(n.Text)))
 		}
 	}
 	for _, n := range cs.Dropped { // both lists come sorted by start
@@ -142,24 +138,6 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 		case old.Len() > 0 && nl.Len() == 0:
 			nx.stats.ValueKeys--
 		}
-	}
-	// nx's value entries are spliced by now, which is what decides the key
-	// membership of the token-layer entries.
-	for lt, c := range byText {
-		old := ix.textEntryOf(lt)
-		ne := spliceTextEntry(old, c, nx)
-		nx.texts[lt] = ne
-		db := textEntryBytes(ne) - textEntryBytes(old)
-		switch {
-		case old == nil && ne != nil:
-			nx.stats.TextKeys++
-			db += len(lt)
-		case old != nil && ne == nil:
-			nx.stats.TextKeys--
-			db -= len(lt)
-		}
-		nx.stats.ResidentBytes += db
-		nx.stats.FlatBytes += db
 	}
 
 	carried, dropped := 0, 0
@@ -196,7 +174,7 @@ func (st *Stats) addPostings(old, nl *PostingList, keyBytes int) {
 
 // entries is the number of map entries the layer itself holds — for an
 // overlay, the entries it has spliced.
-func (l *layer) entries() int { return len(l.paths) + len(l.values) + len(l.texts) }
+func (l *layer) entries() int { return len(l.paths) + len(l.values) }
 
 // settle keeps the chain under the overlay l, not yet published, short by
 // the two rules above, and returns the number of layers left below l — 0
@@ -209,21 +187,19 @@ func (l *layer) entries() int { return len(l.paths) + len(l.values) + len(l.text
 // size, which shared keys can only shrink), so each merged map is allocated
 // once at its final size.
 func (l *layer) settle() (depth int) {
-	np, nv, nt, stop := len(l.paths), len(l.values), len(l.texts), l.below
-	for stop.below != nil && stop.entries() <= 2*(np+nv+nt) {
-		np, nv, nt = np+len(stop.paths), nv+len(stop.values), nt+len(stop.texts)
+	np, nv, stop := len(l.paths), len(l.values), l.below
+	for stop.below != nil && stop.entries() <= 2*(np+nv) {
+		np, nv = np+len(stop.paths), nv+len(stop.values)
 		stop = stop.below
 	}
 	if stop != l.below {
 		paths := make(map[string]*PostingList, np)
 		values := make(map[valueKey]*PostingList, nv)
-		texts := make(map[string]*textEntry, nt)
 		for x := l; x != stop; x = x.below {
 			mergeUnder(paths, x.paths)
 			mergeUnder(values, x.values)
-			mergeUnder(texts, x.texts)
 		}
-		l.paths, l.values, l.texts, l.below = paths, values, texts, stop
+		l.paths, l.values, l.below = paths, values, stop
 	}
 	overlays, bottom := 0, l
 	for ; bottom.below != nil; bottom = bottom.below {
@@ -231,7 +207,7 @@ func (l *layer) settle() (depth int) {
 		depth++
 	}
 	if overlays >= compactMinEntries && overlays*compactFraction >= bottom.entries() {
-		l.paths, l.values, l.texts = l.materialize()
+		l.paths, l.values = l.materialize()
 		l.below, depth = nil, 0
 	}
 	return depth
@@ -307,65 +283,6 @@ func postingOf(n *xmltree.Node) Posting {
 	return Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n}
 }
 
-// textEntryOf returns the effective token-layer entry for one lowered
-// text.
-func (ix *Index) textEntryOf(lt string) *textEntry {
-	for l := ix.layer; l != nil; l = l.below {
-		if e, ok := l.texts[lt]; ok {
-			return e
-		}
-	}
-	return nil
-}
-
-// textEntryBytes is one entry's bookkeeping footprint (key string
-// excluded; the caller accounts it).
-func textEntryBytes(e *textEntry) int {
-	if e == nil {
-		return 0
-	}
-	return len(e.keys)*valueKeyBytes + len(e.nodes)*8
-}
-
-// spliceTextEntry updates the token-layer entry of one lowered text: the
-// sorted node array loses the dropped nodes and gains the added ones in
-// place (xmltree.SpliceNodes — no value list is re-read), and the key set
-// loses the dropped nodes' keys whose value list nx has spliced empty and
-// gains the added nodes' keys. Only those keys are looked up: a common text
-// is carried by hundreds of value keys the change never touched.
-func spliceTextEntry(old *textEntry, c *change, nx *Index) *textEntry {
-	var keys []valueKey
-	var nodes []*xmltree.Node
-	if old != nil {
-		keys, nodes = old.keys, old.nodes
-	}
-	keep := keys // shared with old until a key leaves or joins
-	for _, n := range c.dropped {
-		k := valueKey{n.Path, n.Text}
-		if i := slices.Index(keep, k); i >= 0 && nx.valueList(k).Len() == 0 {
-			keep = slices.Delete(slices.Clone(keep), i, i+1)
-		}
-	}
-	for _, n := range c.added {
-		if k := (valueKey{n.Path, n.Text}); !slices.Contains(keep, k) {
-			keep = append(slices.Clone(keep), k)
-			sortValueKeys(keep)
-		}
-	}
-	if len(keep) == 0 {
-		return nil
-	}
-	return &textEntry{keys: keep, nodes: xmltree.SpliceNodes(nodes, c.dropped, c.added)}
-}
-
-func sortValueKeys(keys []valueKey) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && valueKeyLess(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
 func valueKeyLess(a, b valueKey) bool {
 	if a.path != b.path {
 		return a.path < b.path
@@ -377,7 +294,7 @@ func valueKeyLess(a, b valueKey) bool {
 // layer's complete maps with each overlay applied on top, oldest first (nil
 // entries delete). The returned maps are fresh even for a single layer, so
 // callers may keep them.
-func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingList, map[string]*textEntry) {
+func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingList) {
 	var chain []*layer
 	for x := l; x != nil; x = x.below {
 		chain = append(chain, x)
@@ -386,7 +303,6 @@ func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingLis
 	bottom := chain[0] // nearly every entry is the bottom layer's
 	paths := make(map[string]*PostingList, len(bottom.paths))
 	values := make(map[valueKey]*PostingList, len(bottom.values))
-	texts := make(map[string]*textEntry, len(bottom.texts))
 	for _, x := range chain {
 		for p, pl := range x.paths {
 			if pl.Len() == 0 {
@@ -402,13 +318,6 @@ func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingLis
 				values[k] = pl
 			}
 		}
-		for lt, e := range x.texts {
-			if e == nil || len(e.keys) == 0 {
-				delete(texts, lt)
-			} else {
-				texts[lt] = e
-			}
-		}
 	}
-	return paths, values, texts
+	return paths, values
 }

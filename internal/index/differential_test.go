@@ -116,25 +116,3 @@ func TestIndexedEvaluationDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexedAggregateDifferential covers the aggregate extension: the
-// distribution computed over an indexed document must equal the unindexed
-// one exactly.
-func TestIndexedAggregateDifferential(t *testing.T) {
-	f := loadFixture(t, "D7", 50, 1800, []string{dataset.Queries()[4].Text}) // Q5 -> Quantity
-	q, err := core.PrepareQuery(f.queries[0], f.set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := q.Pattern.Nodes()[q.Pattern.Size()-1]
-	for _, fn := range []core.AggFunc{core.Count, core.Sum, core.Min, core.Max, core.Avg} {
-		index.Detach(f.doc)
-		want, _ := json.Marshal(core.EvaluateAggregate(q, f.set, f.doc, f.tree, leaf, fn).Values)
-		index.Attach(f.doc)
-		got, _ := json.Marshal(core.EvaluateAggregate(q, f.set, f.doc, f.tree, leaf, fn).Values)
-		index.Detach(f.doc)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: indexed aggregate diverged:\ngot  %s\nwant %s", fn, got, want)
-		}
-	}
-}

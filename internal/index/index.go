@@ -12,16 +12,13 @@
 // postings lists (see postings.go: delta-encoded uvarint blocks with
 // per-block skip pointers, decoded lazily per block), plus a value index
 // keyed by (path, text) so value predicates become O(1) lookups instead
-// of candidate-list scans, plus a token posting layer keyed by lowered
-// text so keyword-query preparation resolves value terms against the
-// distinct-text vocabulary instead of scanning every document node.
-// MatchTwig evaluates a rewritten twig pattern over these postings with a
-// holistic two-phase join (TwigStack/TwigList family): block-galloping
-// postings merges prune every candidate that cannot appear in a complete
-// match before any intermediate match list is materialized, and the final
-// enumeration emits twig.Match lists byte-identical in content and order
-// to twig.MatchByPaths (the ordering contract the differential tests and
-// FuzzMatchTwig pin down).
+// of candidate-list scans. MatchTwig evaluates a rewritten twig pattern
+// over these postings with a holistic two-phase join (TwigStack/TwigList
+// family): block-galloping postings merges prune every candidate that
+// cannot appear in a complete match before any intermediate match list is
+// materialized, and the final enumeration emits twig.Match lists
+// byte-identical in content and order to twig.MatchByPaths (the ordering
+// contract the differential tests and FuzzMatchTwig pin down).
 //
 // An Index is immutable after Build and safe for unsynchronized concurrent
 // readers; Attach hangs it off its document's accelerator slot, which is
@@ -32,9 +29,7 @@ package index
 
 import (
 	"runtime"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,7 +64,7 @@ type valueKey struct {
 type Index struct {
 	doc *xmltree.Document
 
-	// The top layer of the index's maps; paths, values, texts and below are
+	// The top layer of the index's maps; paths, values and below are
 	// its fields. A self-contained index has a single layer.
 	*layer
 
@@ -97,14 +92,6 @@ type layer struct {
 	paths  map[string]*PostingList   // dotted path -> postings in document order
 	values map[valueKey]*PostingList // (path, text) -> postings in document order
 
-	// texts is the token posting layer: lowered node text -> the value
-	// keys carrying exactly that text (case-insensitively) plus their
-	// merged nodes in document order. Keyword value terms resolve by
-	// scanning this vocabulary — sublinear in document size whenever
-	// texts repeat — and concatenating the matching entries' node lists.
-	// Region postings are not duplicated here, only node pointers.
-	texts map[string]*textEntry
-
 	// below is the next layer down — an older, larger overlay or the
 	// complete maps at the bottom — nil for the bottom itself.
 	below *layer
@@ -121,9 +108,6 @@ type Stats struct {
 	DistinctPaths int
 	// ValueKeys is the number of distinct (path, text) value-index keys.
 	ValueKeys int
-	// TextKeys is the number of distinct lowered texts in the token
-	// posting layer (the keyword-term vocabulary).
-	TextKeys int
 	// ResidentBytes estimates the index's actual in-memory footprint:
 	// compressed postings blocks, node-pointer arrays, and map-key string
 	// bytes. The document itself is not counted. For an overlay epoch this
@@ -210,7 +194,6 @@ func build(doc *xmltree.Document, compress bool) *Index {
 			ix.values[k] = makeList(ps, compress)
 		}
 	}
-	ix.texts = textLayer(ix.values)
 	ix.stats = ix.computeStats()
 	ix.stats.BuildTime = time.Since(start)
 	return ix
@@ -338,45 +321,6 @@ func compressParallel(ix *Index, paths map[string][]Posting, values map[valueKey
 	}
 }
 
-// textEntry is one token-layer entry: the value keys whose text lowers to
-// the entry's key, and their nodes merged in document order.
-type textEntry struct {
-	keys  []valueKey
-	nodes []*xmltree.Node
-}
-
-// textLayer derives the token posting layer from a complete value map:
-// lowered text -> the value keys carrying it (sorted for determinism)
-// with their nodes merged in document order.
-func textLayer(values map[valueKey]*PostingList) map[string]*textEntry {
-	texts := make(map[string]*textEntry)
-	for k := range values {
-		lt := strings.ToLower(k.text)
-		e := texts[lt]
-		if e == nil {
-			e = &textEntry{}
-			texts[lt] = e
-		}
-		e.keys = append(e.keys, k)
-	}
-	buf := getPostingBuf()
-	for _, e := range texts {
-		sortValueKeys(e.keys)
-		ps := (*buf)[:0]
-		for _, k := range e.keys {
-			ps = values[k].appendAll(ps)
-		}
-		slices.SortFunc(ps, func(a, b Posting) int { return int(a.Start) - int(b.Start) })
-		e.nodes = make([]*xmltree.Node, len(ps))
-		for i := range ps {
-			e.nodes[i] = ps[i].Node
-		}
-		*buf = ps
-	}
-	putPostingBuf(buf)
-	return texts
-}
-
 // Attach builds an index over doc and attaches it to the document's
 // accelerator slot, so internal/core's evaluation dispatches to the
 // holistic matcher. It returns the index. Attaching must happen before the
@@ -459,59 +403,10 @@ func (ix *Index) ValuePostings(path, value string) []Posting {
 	return ix.valueList(valueKey{path, value}).appendAll(nil)
 }
 
-// NodesWithTextContaining returns the document nodes whose lowered text
-// contains the lowered term, in document order — the token-posting-layer
-// resolution of a keyword value term. It scans the distinct-text
-// vocabulary instead of the document's nodes, so the cost is
-// O(vocabulary) + O(result), sublinear in document size whenever texts
-// repeat. internal/core discovers it through its TextSearcher seam; the
-// result is equal to scanning doc.Nodes() with strings.Contains on
-// lowered texts.
-func (ix *Index) NodesWithTextContaining(lowered string) []*xmltree.Node {
-	var entries []*textEntry
-	total := 0
-	if ix.below == nil {
-		for lt, e := range ix.texts {
-			if strings.Contains(lt, lowered) {
-				entries = append(entries, e)
-				total += len(e.nodes)
-			}
-		}
-	} else {
-		seen := make(map[string]bool)
-		for l := ix.layer; l != nil; l = l.below {
-			for lt, e := range l.texts {
-				if seen[lt] {
-					continue
-				}
-				seen[lt] = true
-				if e == nil || !strings.Contains(lt, lowered) {
-					continue
-				}
-				entries = append(entries, e)
-				total += len(e.nodes)
-			}
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]*xmltree.Node, 0, total)
-	for _, e := range entries {
-		out = append(out, e.nodes...)
-	}
-	if len(entries) > 1 {
-		// Distinct texts hold disjoint node sets (a node has one text), so
-		// sorting by start is a pure merge with no ties.
-		slices.SortFunc(out, func(a, b *xmltree.Node) int { return a.Start - b.Start })
-	}
-	return out
-}
-
 // Paths returns the indexed dotted paths, sorted. Used by tests and
 // benchmarks; the hot path never calls it.
 func (ix *Index) Paths() []string {
-	paths, _, _ := ix.materialize()
+	paths, _ := ix.materialize()
 	out := make([]string, 0, len(paths))
 	for p := range paths {
 		out = append(out, p)
@@ -522,7 +417,7 @@ func (ix *Index) Paths() []string {
 
 // ValueTexts returns the distinct indexed text values under path, sorted.
 func (ix *Index) ValueTexts(path string) []string {
-	_, values, _ := ix.materialize()
+	_, values := ix.materialize()
 	var out []string
 	for k := range values {
 		if k.path == path {
@@ -566,7 +461,7 @@ func (s PathStat) ObservedSelectivity() float64 {
 // footprints, and the observed workload funnel, sorted by path.
 // Diagnostic; materializes overlay chains.
 func (ix *Index) PathStats() []PathStat {
-	paths, _, _ := ix.materialize()
+	paths, _ := ix.materialize()
 	profiles := make(map[string]PathProfile)
 	for _, pp := range ix.PathProfiles() {
 		profiles[pp.Path] = pp
@@ -593,12 +488,8 @@ func (ix *Index) PathStats() []PathStat {
 // 16) + pointer — the uncompressed baseline of the compression ratio.
 const postingBytes = 24
 
-// valueKeyBytes approximates a texts-layer entry's per-key bookkeeping:
-// two string headers.
-const valueKeyBytes = 32
-
 func (ix *Index) computeStats() Stats {
-	st := Stats{DistinctPaths: len(ix.paths), ValueKeys: len(ix.values), TextKeys: len(ix.texts)}
+	st := Stats{DistinctPaths: len(ix.paths), ValueKeys: len(ix.values)}
 	for p, pl := range ix.paths {
 		st.Postings += pl.Len()
 		st.PostingsBytes += pl.residentBytes()
@@ -611,11 +502,6 @@ func (ix *Index) computeStats() Stats {
 		st.PostingsFlatBytes += pl.flatBytes()
 		st.ResidentBytes += len(k.path) + len(k.text)
 		st.FlatBytes += len(k.path) + len(k.text)
-	}
-	for lt, e := range ix.texts {
-		b := len(lt) + len(e.keys)*valueKeyBytes + len(e.nodes)*8
-		st.ResidentBytes += b
-		st.FlatBytes += b
 	}
 	st.ResidentBytes += st.PostingsBytes
 	st.FlatBytes += st.PostingsFlatBytes

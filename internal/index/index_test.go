@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"xmatch/internal/index"
@@ -342,46 +341,4 @@ func TestBuildLargeDocument(t *testing.T) {
 	if r := ix.Stats().CompressionRatio(); r > 0.6 {
 		t.Errorf("compression ratio %.3f above the 0.6 budget", r)
 	}
-}
-
-// TestNodesWithTextContaining pins the token posting layer against the
-// document scan it replaces — case folding, substrings spanning spaces
-// inside one text, absent terms — including after mutations re-splice the
-// layer (covered further by the core keyword differential).
-func TestNodesWithTextContaining(t *testing.T) {
-	root := xmltree.NewRoot("R")
-	root.AddChild("A").AddText("Red Car")
-	root.AddChild("B").AddText("red car")
-	root.AddChild("C").AddText("CARPET")
-	root.AddChild("D").AddText("boat")
-	root.AddChild("E") // no text
-	doc := xmltree.New(root)
-	ix := index.Build(doc)
-	for _, term := range []string{"car", "d c", "red car", "pet", "zzz", "a"} {
-		var want []string
-		for _, n := range doc.Nodes() {
-			if n.Text != "" && containsLower(n.Text, term) {
-				want = append(want, n.Path+"="+n.Text)
-			}
-		}
-		var got []string
-		for _, n := range ix.NodesWithTextContaining(term) {
-			got = append(got, n.Path+"="+n.Text)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("term %q: got %v, want %v", term, got, want)
-		}
-	}
-}
-
-func containsLower(text, term string) bool {
-	lower := make([]byte, len(text))
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		lower[i] = c
-	}
-	return strings.Contains(string(lower), term)
 }

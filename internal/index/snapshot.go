@@ -38,7 +38,7 @@ type SnapshotValue struct {
 // index is indistinguishable from that of a fresh build over the same
 // document.
 func (ix *Index) Snapshot() *Snapshot {
-	pathMap, valueMap, _ := ix.materialize()
+	pathMap, valueMap := ix.materialize()
 	snap := &Snapshot{DocNodes: ix.doc.Len()}
 	pathNames := make([]string, 0, len(pathMap))
 	for p := range pathMap {

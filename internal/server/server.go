@@ -101,9 +101,8 @@ type Options struct {
 	// CapturePath enables the workload capture: a sampled, disk-budgeted
 	// binary log of /v1/query requests (fingerprint, pattern, mode,
 	// epoch, latency, result digest) that `xmatch workload replay` can
-	// re-run and byte-diff. The file is truncated at server start; a
-	// selectivity-profile sidecar at CapturePath+".profiles" is rewritten
-	// periodically alongside it. Empty disables capture.
+	// re-run and byte-diff. The file is truncated at server start. Empty
+	// disables capture.
 	CapturePath string
 	// CaptureSampleN records 1 in N queries; 0 or 1 records all.
 	CaptureSampleN int
@@ -245,7 +244,7 @@ func New(loader Loader, opts Options) (*Server, error) {
 	s.registry = s.newRegistry()
 	s.cat.Store(cat)
 	if opts.CapturePath != "" {
-		cl, err := newCaptureLog(opts.CapturePath, opts.CaptureSampleN, opts.CaptureBudgetBytes, s.captureProfiles, opts.Logger)
+		cl, err := newCaptureLog(opts.CapturePath, opts.CaptureSampleN, opts.CaptureBudgetBytes, opts.Logger)
 		if err != nil {
 			return nil, fmt.Errorf("workload capture: %w", err)
 		}
@@ -284,7 +283,7 @@ func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 func (s *Server) Ready() bool { return s.ready.Load() }
 
 // Close releases the server's owned resources: today that is the
-// workload-capture file (flushing a final selectivity-profile sidecar).
+// workload-capture file.
 // Serving after Close keeps working; captures are just no longer
 // recorded.
 func (s *Server) Close() error {

@@ -253,17 +253,10 @@ type captureLog struct {
 	sampledOut uint64
 	dropped    uint64 // over budget
 
-	// Every profileEvery captured records the selectivity-profile sidecar
-	// at path+".profiles" is rewritten (atomically) from the live
-	// catalog, so a capture shipped elsewhere carries the observed
-	// per-path funnel of the serving period that produced it.
-	profileEvery int
-	sinceProfile int
-	profiles     func() []store.ProfileEntry
-	logger       *slog.Logger
+	logger *slog.Logger
 }
 
-func newCaptureLog(path string, sampleN int, budget int64, profiles func() []store.ProfileEntry, logger *slog.Logger) (*captureLog, error) {
+func newCaptureLog(path string, sampleN int, budget int64, logger *slog.Logger) (*captureLog, error) {
 	if sampleN < 1 {
 		sampleN = 1
 	}
@@ -281,14 +274,12 @@ func newCaptureLog(path string, sampleN int, budget int64, profiles func() []sto
 		return nil, err
 	}
 	return &captureLog{
-		f:            f,
-		path:         path,
-		sampleN:      sampleN,
-		budget:       budget,
-		written:      off,
-		profileEvery: 64,
-		profiles:     profiles,
-		logger:       logger,
+		f:       f,
+		path:    path,
+		sampleN: sampleN,
+		budget:  budget,
+		written: off,
+		logger:  logger,
 	}, nil
 }
 
@@ -340,20 +331,6 @@ func (c *captureLog) record(rec store.WorkloadRecord) {
 		return
 	}
 	c.records++
-	c.sinceProfile++
-	if c.sinceProfile >= c.profileEvery {
-		c.sinceProfile = 0
-		c.writeProfilesLocked()
-	}
-}
-
-func (c *captureLog) writeProfilesLocked() {
-	if c.profiles == nil {
-		return
-	}
-	if err := store.WriteProfilesFile(c.path+".profiles", c.profiles()); err != nil {
-		c.logger.Warn("selectivity profile sidecar write failed", "path", c.path+".profiles", "err", err)
-	}
 }
 
 func (c *captureLog) status() CaptureStatus {
@@ -371,41 +348,15 @@ func (c *captureLog) status() CaptureStatus {
 	}
 }
 
-// close flushes a final profile sidecar and closes the file.
 func (c *captureLog) close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
 		return nil
 	}
-	if c.records > 0 {
-		c.writeProfilesLocked()
-	}
 	err := c.f.Close()
 	c.f = nil
 	return err
-}
-
-// captureProfiles walks the live catalog and flattens every shard's
-// observed per-path funnel into the sidecar's entry rows.
-func (s *Server) captureProfiles() []store.ProfileEntry {
-	var out []store.ProfileEntry
-	for _, d := range s.Catalog().Datasets() {
-		for i, sh := range d.Shards() {
-			for _, pp := range sh.Live.Snapshot().Index.PathProfiles() {
-				out = append(out, store.ProfileEntry{
-					Dataset:         d.Name,
-					Shard:           i,
-					Path:            pp.Path,
-					Evals:           pp.Evals,
-					Candidates:      pp.Candidates,
-					UsefulSurvivors: pp.UsefulSurvivors,
-					ReachSurvivors:  pp.ReachSurvivors,
-				})
-			}
-		}
-	}
-	return out
 }
 
 // DigestResults is the canonical hash of a query response's payload: FNV-64a

@@ -152,33 +152,19 @@ func LoadEditLog(r io.Reader) (*EditLog, error) {
 	// The envelope decoder reads exact message bounds (trackingReader is
 	// a ByteReader), so the record stream continues right where the
 	// meta ended, and the reader's byte count is the stream position.
-	br := dec.tr
-	log.ValidSize = br.n
+	log.ValidSize = dec.tr.n
+	var payload bytes.Buffer
 	for {
-		size, err := binary.ReadUvarint(br)
-		if err == io.EOF {
+		ok, torn, err := dec.nextRecord(&payload, 64<<20, "edit log", len(log.Records))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			log.Torn = torn // a torn tail is an unacknowledged append
 			return log, nil
 		}
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) && br.err == nil {
-				log.Torn = true // torn tail: unacknowledged append
-				return log, nil
-			}
-			return nil, dec.classify(err, fmt.Sprintf("edit log record %d: length prefix", len(log.Records)))
-		}
-		if size == 0 || size > 64<<20 {
-			return nil, formatErrorf("edit log record %d: implausible size %d", len(log.Records), size)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if (errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)) && br.err == nil {
-				log.Torn = true // torn tail: unacknowledged append
-				return log, nil
-			}
-			return nil, dec.classify(err, fmt.Sprintf("edit log record %d: torn record", len(log.Records)))
-		}
 		var rec EditRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		if err := gob.NewDecoder(&payload).Decode(&rec); err != nil {
 			return nil, dec.classify(err, fmt.Sprintf("edit log record %d: decoding", len(log.Records)))
 		}
 		if err := delta.Validate(rec.Edits); err != nil {
@@ -192,7 +178,7 @@ func LoadEditLog(r io.Reader) (*EditLog, error) {
 				len(log.Records), rec.Epoch, want, log.Base)
 		}
 		log.Records = append(log.Records, rec)
-		log.ValidSize = br.n
+		log.ValidSize = dec.tr.n
 	}
 }
 

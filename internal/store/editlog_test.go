@@ -2,10 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"xmatch/internal/delta"
@@ -424,4 +426,139 @@ func TestEditLogVersioning(t *testing.T) {
 	if err := AppendEditRecordFile(filepath.Join(t.TempDir(), "y"), EditRecord{Edits: rec.Edits}, false); err == nil {
 		t.Error("epoch-less record seeded a log")
 	}
+}
+
+// allocatedBytes is the heap f allocates, by the runtime's running total.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// framedBlob is an envelope followed by one record frame whose length
+// prefix claims size and whose payload is body.
+func framedBlob(t *testing.T, create func(*bytes.Buffer) error, size uint64, body string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := create(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(binary.AppendUvarint(nil, size))
+	buf.WriteString(body)
+	return buf.Bytes()
+}
+
+// TestLoadAllocatesWhatArrives: a record's length prefix is a claim, not
+// a size. A blob of a hundred-odd bytes that promises the largest record a
+// loader accepts and then ends loads as a torn tail at the envelope
+// without the loader allocating what was promised; one byte over the
+// limit, or a complete record that does not decode, is a *FormatError.
+// Followers decode /v1/replicate/stream bodies through LoadEditLog.
+func TestLoadAllocatesWhatArrives(t *testing.T) {
+	createLog := func(b *bytes.Buffer) error { return CreateEditLog(b) }
+	createWorkload := func(b *bytes.Buffer) error { return CreateWorkload(b, 1) }
+	loadLog := func(blob []byte) (bool, int64, error) {
+		l, err := LoadEditLog(bytes.NewReader(blob))
+		if err != nil {
+			return false, 0, err
+		}
+		return l.Torn, l.ValidSize, nil
+	}
+	loadWorkload := func(blob []byte) (bool, int64, error) {
+		w, err := LoadWorkload(bytes.NewReader(blob))
+		if err != nil {
+			return false, 0, err
+		}
+		return w.Torn, w.ValidSize, nil
+	}
+	for _, c := range []struct {
+		name   string
+		create func(*bytes.Buffer) error
+		load   func([]byte) (torn bool, validSize int64, err error)
+		limit  uint64
+	}{
+		{"editlog", createLog, loadLog, 64 << 20},
+		{"workload", createWorkload, loadWorkload, 1 << 20},
+	} {
+		var envelope bytes.Buffer
+		if err := c.create(&envelope); err != nil {
+			t.Fatal(err)
+		}
+
+		blob := framedBlob(t, c.create, c.limit, "xyz")
+		var torn bool
+		var valid int64
+		var err error
+		alloc := allocatedBytes(func() { torn, valid, err = c.load(blob) })
+		if err != nil || !torn || valid != int64(envelope.Len()) {
+			t.Errorf("%s: %d-byte blob claiming %d: torn=%v validSize=%d err=%v, want a torn tail at %d",
+				c.name, len(blob), c.limit, torn, valid, err, envelope.Len())
+		}
+		if alloc >= 1<<20 {
+			t.Errorf("%s: loading a %d-byte blob allocated %d bytes", c.name, len(blob), alloc)
+		}
+
+		var fe *FormatError
+		for _, bad := range []struct {
+			what string
+			blob []byte
+		}{
+			{"over the limit", framedBlob(t, c.create, c.limit+1, "xyz")},
+			{"undecodable", framedBlob(t, c.create, 3, "xyz")},
+		} {
+			if _, _, err := c.load(bad.blob); !errors.As(err, &fe) {
+				t.Errorf("%s: record %s: err = %v, want a *FormatError", c.name, bad.what, err)
+			}
+		}
+	}
+}
+
+// FuzzLoadEditLog: edit-log records arrive over the network
+// (/v1/replicate/stream bodies decode through LoadEditLog). Whatever the
+// bytes, loading yields a *FormatError or a log whose records re-encode
+// and reload to the same records; it never panics.
+func FuzzLoadEditLog(f *testing.F) {
+	var today bytes.Buffer
+	if err := CreateEditLogAt(&today, 41); err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range sampleRecords(41) {
+		if err := AppendEditRecord(&today, rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	blob := today.Bytes()
+	f.Add(blob)
+	for _, n := range []int{0, len(magic), len(magic) + 5, len(blob) / 2, len(blob) - 1} {
+		f.Add(blob[:n])
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		log, err := LoadEditLog(bytes.NewReader(blob))
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v (%T) is not a *FormatError", err, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := CreateEditLogAt(&again, log.Base); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range log.Records {
+			if err := AppendEditRecord(&again, rec); err != nil {
+				t.Fatalf("re-encoding loaded record %+v: %v", rec, err)
+			}
+		}
+		reloaded, err := LoadEditLog(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a re-encoded log: %v", err)
+		}
+		if reloaded.Torn || reloaded.Base != log.Base || !reflect.DeepEqual(reloaded.Records, log.Records) {
+			t.Fatalf("re-encoded log reloads differently:\ngot  base %d %+v\nwant base %d %+v",
+				reloaded.Base, reloaded.Records, log.Base, log.Records)
+		}
+	})
 }

@@ -10,7 +10,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 
@@ -66,7 +69,7 @@ func formatErrorf(format string, args ...any) error {
 
 type header struct {
 	Version int
-	Kind    string // "schema", "matching", "mappingset", "catalog", "editlog", "checkpoint", "workload", "profiles"
+	Kind    string // "schema", "matching", "mappingset", "catalog", "editlog", "checkpoint", "workload"
 }
 
 type schemaDTO struct {
@@ -191,6 +194,38 @@ func (b *blobReader) classify(err error, what string) error {
 		return fmt.Errorf("store: %s: %w", what, b.tr.err)
 	}
 	return &FormatError{Msg: what + ": " + err.Error(), Err: err}
+}
+
+// nextRecord reads the next record of the uvarint-length-prefixed record
+// stream that follows a growable blob's envelope (edit logs, workload
+// captures) into payload. It reports ok when a record was read. Otherwise
+// the stream has ended: cleanly, or inside a record (torn), the footprint
+// of a crash mid-append. A length prefix is a claim, not a size: payload
+// grows with the bytes that actually arrive, so a short blob promising a
+// record of max bytes cannot make the loader allocate max. kind and i name
+// the record in errors.
+func (b *blobReader) nextRecord(payload *bytes.Buffer, max uint64, kind string, i int) (ok, torn bool, err error) {
+	size, err := binary.ReadUvarint(b.tr)
+	if err == io.EOF {
+		return false, false, nil
+	}
+	if err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) && b.tr.err == nil {
+			return false, true, nil
+		}
+		return false, false, b.classify(err, fmt.Sprintf("%s record %d: length prefix", kind, i))
+	}
+	if size == 0 || size > max {
+		return false, false, formatErrorf("%s record %d: implausible size %d", kind, i, size)
+	}
+	payload.Reset()
+	if _, err := io.CopyN(payload, b.tr, int64(size)); err != nil {
+		if errors.Is(err, io.EOF) && b.tr.err == nil {
+			return false, true, nil
+		}
+		return false, false, b.classify(err, fmt.Sprintf("%s record %d: torn record", kind, i))
+	}
+	return true, false, nil
 }
 
 // readHeader consumes and validates the magic and header, returning the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -117,40 +116,26 @@ func LoadWorkload(r io.Reader) (*Workload, error) {
 	if wl.SampleN < 1 {
 		wl.SampleN = 1
 	}
-	br := dec.tr
-	wl.ValidSize = br.n
+	wl.ValidSize = dec.tr.n
+	var payload bytes.Buffer
 	for {
-		size, err := binary.ReadUvarint(br)
-		if err == io.EOF {
+		ok, torn, err := dec.nextRecord(&payload, 1<<20, "workload", len(wl.Records))
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			wl.Torn = torn
 			return wl, nil
 		}
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) && br.err == nil {
-				wl.Torn = true
-				return wl, nil
-			}
-			return nil, dec.classify(err, fmt.Sprintf("workload record %d: length prefix", len(wl.Records)))
-		}
-		if size == 0 || size > 1<<20 {
-			return nil, formatErrorf("workload record %d: implausible size %d", len(wl.Records), size)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if (errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)) && br.err == nil {
-				wl.Torn = true
-				return wl, nil
-			}
-			return nil, dec.classify(err, fmt.Sprintf("workload record %d: torn record", len(wl.Records)))
-		}
 		var rec WorkloadRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+		if err := gob.NewDecoder(&payload).Decode(&rec); err != nil {
 			return nil, dec.classify(err, fmt.Sprintf("workload record %d: decoding", len(wl.Records)))
 		}
 		if rec.Pattern == "" {
 			return nil, formatErrorf("workload record %d: empty pattern", len(wl.Records))
 		}
 		wl.Records = append(wl.Records, rec)
-		wl.ValidSize = br.n
+		wl.ValidSize = dec.tr.n
 	}
 }
 
@@ -162,79 +147,4 @@ func LoadWorkloadFile(path string) (*Workload, error) {
 	}
 	defer f.Close()
 	return LoadWorkload(f)
-}
-
-// ProfileEntry is one path's observed selectivity on one shard: how many
-// postings each pruning pass of the matcher admitted, accumulated since
-// the shard's index was built. Candidates -> UsefulSurvivors is the
-// probe-table (usefulness) pass; UsefulSurvivors -> ReachSurvivors is the
-// structural reachability pass. The ratios are exactly what a cost-based
-// planner needs to compare its estimates against production reality.
-type ProfileEntry struct {
-	Dataset         string
-	Shard           int
-	Path            string
-	Evals           uint64 // evaluations that touched this path
-	Candidates      uint64
-	UsefulSurvivors uint64
-	ReachSurvivors  uint64
-}
-
-// profilesDTO is the single gob payload of a profiles blob.
-type profilesDTO struct {
-	Entries []ProfileEntry
-}
-
-// SaveProfiles writes a selectivity-profile blob.
-func SaveProfiles(w io.Writer, entries []ProfileEntry) error {
-	if err := writeHeader(w, "profiles"); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(profilesDTO{Entries: entries})
-}
-
-// LoadProfiles reads a profiles blob written by SaveProfiles.
-func LoadProfiles(r io.Reader) ([]ProfileEntry, error) {
-	dec, err := readHeader(r, "profiles")
-	if err != nil {
-		return nil, err
-	}
-	var d profilesDTO
-	if err := dec.Decode(&d); err != nil {
-		return nil, dec.classify(err, "decoding profiles")
-	}
-	return d.Entries, nil
-}
-
-// WriteProfilesFile atomically replaces the profiles blob at path: write
-// to a temporary sibling, sync, rename. A crash leaves the old blob or
-// the new one, never a hybrid.
-func WriteProfilesFile(path string, entries []ProfileEntry) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	err = SaveProfiles(f, entries)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadProfilesFile reads the profiles blob at path.
-func LoadProfilesFile(path string) ([]ProfileEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadProfiles(f)
 }

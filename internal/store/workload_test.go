@@ -3,8 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -103,47 +102,49 @@ func EncodeWorkloadRecordMustFail() error {
 	return err
 }
 
-func TestProfilesRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "capture.profiles")
-	entries := []ProfileEntry{
-		{Dataset: "orders", Shard: 0, Path: "order.item", Evals: 10, Candidates: 500, UsefulSurvivors: 120, ReachSurvivors: 40},
-		{Dataset: "orders", Shard: 1, Path: "order.date", Evals: 10, Candidates: 300, UsefulSurvivors: 90, ReachSurvivors: 33},
+// FuzzLoadWorkload: whatever the bytes, loading a capture yields a
+// *FormatError or a capture whose records re-encode and reload to the
+// same records; it never panics.
+func FuzzLoadWorkload(f *testing.F) {
+	var today bytes.Buffer
+	if err := CreateWorkload(&today, 4); err != nil {
+		f.Fatal(err)
 	}
-	if err := WriteProfilesFile(path, entries); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadProfilesFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("loaded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], entries[i])
+	for _, rec := range sampleWorkloadRecords() {
+		if _, err := AppendWorkloadRecord(&today, rec); err != nil {
+			f.Fatal(err)
 		}
 	}
-	// Atomic replace: a second write must fully supersede the first.
-	if err := WriteProfilesFile(path, entries[:1]); err != nil {
-		t.Fatal(err)
+	blob := today.Bytes()
+	f.Add(blob)
+	for _, n := range []int{0, len(magic), len(magic) + 5, len(blob) / 2, len(blob) - 1} {
+		f.Add(blob[:n])
 	}
-	if got, err = LoadProfilesFile(path); err != nil || len(got) != 1 {
-		t.Fatalf("after rewrite: %d entries (%v), want 1", len(got), err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temp file left behind: %v", err)
-	}
-}
-
-func TestProfilesRejectsWorkloadBlob(t *testing.T) {
-	var buf bytes.Buffer
-	if err := CreateWorkload(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	var fe *FormatError
-	if _, err := LoadProfiles(bytes.NewReader(buf.Bytes())); !errors.As(err, &fe) {
-		t.Fatalf("LoadProfiles(workload) err = %v, want FormatError", err)
-	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		wl, err := LoadWorkload(bytes.NewReader(blob))
+		if err != nil {
+			var fe *FormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("error %v (%T) is not a *FormatError", err, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := CreateWorkload(&again, wl.SampleN); err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range wl.Records {
+			if _, err := AppendWorkloadRecord(&again, rec); err != nil {
+				t.Fatalf("re-encoding loaded record %+v: %v", rec, err)
+			}
+		}
+		reloaded, err := LoadWorkload(bytes.NewReader(again.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading a re-encoded capture: %v", err)
+		}
+		if reloaded.Torn || reloaded.SampleN != wl.SampleN || !reflect.DeepEqual(reloaded.Records, wl.Records) {
+			t.Fatalf("re-encoded capture reloads differently:\ngot  %d %+v\nwant %d %+v",
+				reloaded.SampleN, reloaded.Records, wl.SampleN, wl.Records)
+		}
+	})
 }

@@ -25,8 +25,7 @@ package xmltree
 // current document. The parent it points at always has the same Start,
 // End, Level, Path, and Label as the current occupant — positional
 // identity is stable even though object identity is not — so consumers
-// that walk Parent chains must key off Start (see core's SLCA) rather
-// than node pointers.
+// that walk Parent chains must key off Start rather than node pointers.
 
 import (
 	"fmt"

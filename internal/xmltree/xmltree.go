@@ -201,9 +201,8 @@ func (d *Document) Len() int { return d.count }
 // Nodes returns all nodes in preorder. The returned slice must not be
 // modified. On a revision snapshot the first call walks the tree — the
 // callers that really scan a mutated document (checkpoint save, a fresh
-// index build, Corpus, unindexed keyword search) pay for the array, the
-// write that produced the snapshot does not — and concurrent first calls
-// are safe.
+// index build, Corpus) pay for the array, the write that produced the
+// snapshot does not — and concurrent first calls are safe.
 func (d *Document) Nodes() []*Node {
 	d.nodesOnce.Do(func() {
 		if d.nodes != nil || d.Root == nil {
