@@ -5,11 +5,11 @@
 //     the Prometheus text exposition format (/metricsz). Hot paths keep
 //     their plain atomic counters; the registry only reads them when
 //     scraped, so instrumentation costs nothing between scrapes;
-//   - a request-scoped span recorder (Trace) propagated via context, with
-//     a bounded, tail-sampled slow-trace ring buffer (TraceLog) behind
-//     /v1/debug/traces. Traces allocate a handful of small structs per
-//     request, spawn no goroutines, and cap their span count, so a
-//     runaway request cannot grow one without bound;
+//   - a request-scoped span recorder (Trace), handed to whatever records
+//     into it, with a bounded, tail-sampled slow-trace ring buffer
+//     (TraceLog) behind /v1/debug/traces. A trace is one allocation for
+//     the usual request, spawns no goroutines, and caps its span count,
+//     so a runaway request cannot grow one without bound;
 //   - structured-logging setup (NewLogger) over log/slog, with process-
 //     unique request IDs (RequestID) correlating log lines to traces;
 //   - an exposition-format parser (ParseExposition) that validates

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -161,18 +160,10 @@ func TestTraceNilSafe(t *testing.T) {
 	if d := tr.Data(time.Second); len(d.Spans) != 0 {
 		t.Fatal("nil trace produced spans")
 	}
-	ctx := WithTrace(context.Background(), nil)
-	if TraceFrom(ctx) != nil {
-		t.Fatal("nil trace should come back nil")
-	}
 }
 
 func TestTraceRecordsAndCaps(t *testing.T) {
 	tr := NewTrace("req-1")
-	ctx := WithTrace(context.Background(), tr)
-	if TraceFrom(ctx) != tr {
-		t.Fatal("trace lost in context")
-	}
 	begin := tr.Start()
 	for i := 0; i < maxSpans+10; i++ {
 		tr.Add("span", "", begin, time.Millisecond)

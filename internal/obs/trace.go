@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -25,14 +24,15 @@ type Span struct {
 const maxSpans = 256
 
 // inlineSpans is how many spans a trace holds before its span list moves
-// to the heap: a query over up to four shards (prepare, one shard_evaluate
-// each, evaluate, aggregate, encode) or a mutation (resolve, commit,
-// index, log, apply) fits, so the usual request's trace is one allocation.
-const inlineSpans = 8
+// to the heap: a query over up to four shards (decode, prepare, one
+// shard_evaluate each, evaluate, aggregate, encode, write) or a mutation
+// (decode, resolve, commit, index, log, apply, write) fits, so the usual
+// request's trace is one allocation.
+const inlineSpans = 10
 
 // Trace is a request-scoped span recorder. All methods are safe on a nil
 // receiver (no-ops), so instrumented code never branches on "is tracing
-// enabled" — it just records into whatever the context carries. Add is
+// enabled" — it just records into whatever trace it was handed. Add is
 // safe for concurrent use (parallel shard workers record into the same
 // trace).
 type Trace struct {
@@ -167,20 +167,6 @@ func (t *Trace) Data(total time.Duration) TraceData {
 		Spans:        spans,
 		DroppedSpans: dropped,
 	}
-}
-
-type traceKey struct{}
-
-// WithTrace returns a context carrying tr. A nil tr is fine: TraceFrom
-// on the result returns nil and every recording call no-ops.
-func WithTrace(ctx context.Context, tr *Trace) context.Context {
-	return context.WithValue(ctx, traceKey{}, tr)
-}
-
-// TraceFrom returns the trace the context carries, or nil.
-func TraceFrom(ctx context.Context) *Trace {
-	tr, _ := ctx.Value(traceKey{}).(*Trace)
-	return tr
 }
 
 // TraceLog is a bounded ring of completed slow-request traces,

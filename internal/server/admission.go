@@ -45,10 +45,8 @@ func newAdmission(inflight, queue int) *admission {
 // capacity, or the context's error if the deadline expires (or the
 // client disconnects) while queued.
 func (a *admission) acquire(ctx context.Context) (release func(), err error) {
-	select {
-	case a.slots <- struct{}{}:
+	if a.tryAcquire() {
 		return a.releaseFn, nil
-	default:
 	}
 	if a.queued.Add(1) > a.queueMax {
 		a.queued.Add(-1)
@@ -62,6 +60,17 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 		return a.releaseFn, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+}
+
+// tryAcquire takes a free slot if there is one, without queueing; the
+// holder runs releaseFn when done.
+func (a *admission) tryAcquire() bool {
+	select {
+	case a.slots <- struct{}{}:
+		return true
+	default:
+		return false
 	}
 }
 

@@ -84,12 +84,8 @@ func buildExplain(tr *obs.Trace, plan *core.PlanStats, snaps []*delta.Snapshot, 
 
 // traceObserver wraps a dataset's per-shard latency observer so every
 // (embedding, shard) scatter unit also lands as a span on the request's
-// trace. With no trace in flight it returns the plain observer — the
-// scatter hot path pays nothing extra.
+// trace.
 func traceObserver(tr *obs.Trace, ds *Dataset) func(int, time.Duration) {
-	if tr == nil {
-		return ds.observeShard
-	}
 	return func(shard int, took time.Duration) {
 		ds.observeShard(shard, took)
 		tr.Add("shard_evaluate", ds.shards[shard].spanDetail, time.Now().Add(-took), took)
@@ -99,9 +95,6 @@ func traceObserver(tr *obs.Trace, ds *Dataset) func(int, time.Duration) {
 // handleTraces serves the slow-query log: the retained traces (newest
 // first) plus the sampling accounting, as JSON.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	finished, sampled := s.traces.Counts()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"thresholdMs": float64(s.traces.Threshold().Microseconds()) / 1e3,

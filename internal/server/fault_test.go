@@ -156,6 +156,69 @@ func TestOverloadSheds429(t *testing.T) {
 	})
 }
 
+// TestTimeoutMsBoundsQueueWait: a request waiting for an admission slot
+// waits under its own timeout_ms, not only the server-wide deadline —
+// the body is decoded and the deadline set before the request queues.
+// The one slot is held by an epoch-blocked query; a query with timeout_ms
+// 40 must leave the queue with the queued-stage 503 long before the
+// server's 3 s bound.
+func TestTimeoutMsBoundsQueueWait(t *testing.T) {
+	env := newTestEnv(t, server.Options{
+		MaxInflight:  1,
+		QueryTimeout: 3 * time.Second,
+		MinEpochWait: 10 * time.Second,
+	})
+	fx := env.fixtures[1]
+	blocked, _ := json.Marshal(server.QueryRequest{
+		Dataset:  fx.name,
+		Pattern:  fx.queries[0],
+		MinEpoch: 1 << 40,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, env.ts.URL+"/v1/query", bytes.NewReader(blocked))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		inFlight, _ := admission(t, ms)
+		return inFlight == 1
+	})
+
+	start := time.Now()
+	resp, body := postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{
+		Dataset:   fx.name,
+		Pattern:   fx.queries[0],
+		TimeoutMs: 40,
+	})
+	took := time.Since(start)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d after %v, want 503: %s", resp.StatusCode, took, body)
+	}
+	var tr server.TimeoutResponse
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatalf("503 body is not a TimeoutResponse: %v: %s", err, body)
+	}
+	if tr.Stage != "queued" || tr.TimeoutMs != 40 {
+		t.Fatalf("stage %q timeoutMs %v, want queued and 40", tr.Stage, tr.TimeoutMs)
+	}
+	if took > time.Second {
+		t.Fatalf("queued request answered after %v; its timeout_ms was 40 ms", took)
+	}
+
+	cancel()
+	<-done
+	waitForStats(t, env, func(ms []obs.ExpositionMetric) bool {
+		inFlight, queued := admission(t, ms)
+		return inFlight == 0 && queued == 0
+	})
+}
+
 // TestCancelStormDrainsAdmission fires a storm of requests that all
 // expire — more than the gate can hold, so every path is exercised:
 // admitted-then-timed-out, queued-then-timed-out, and shed. Afterwards

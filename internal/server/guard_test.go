@@ -21,7 +21,7 @@ func newBareServer(opts Options) *Server {
 
 func TestGuardRecoversPanic(t *testing.T) {
 	s := newBareServer(Options{QueryTimeout: time.Second})
-	h := s.guard("test", func(w http.ResponseWriter, r *http.Request) {
+	h := s.guard("test", http.MethodPost, func(w http.ResponseWriter, r *http.Request) {
 		panic("evaluation exploded")
 	})
 	w := httptest.NewRecorder()
@@ -44,7 +44,7 @@ func TestGuardRecoversPanic(t *testing.T) {
 func TestGuardAppliesDeadline(t *testing.T) {
 	s := newBareServer(Options{QueryTimeout: time.Second})
 	var hasDeadline bool
-	h := s.guard("test", func(w http.ResponseWriter, r *http.Request) {
+	h := s.guard("test", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		_, hasDeadline = r.Context().Deadline()
 	})
 	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/datasets", nil))
@@ -54,7 +54,7 @@ func TestGuardAppliesDeadline(t *testing.T) {
 
 	// Negative disables the server-wide deadline.
 	s = newBareServer(Options{QueryTimeout: -1})
-	h = s.guard("test", func(w http.ResponseWriter, r *http.Request) {
+	h = s.guard("test", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		_, hasDeadline = r.Context().Deadline()
 	})
 	h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/datasets", nil))

@@ -132,9 +132,6 @@ func (s *Server) collectCatalog(e *obs.Exporter) {
 // handleMetricsz renders the registry. The exposition is buffered so a
 // collector error can still become a clean 500 instead of a torn body.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	var buf bytes.Buffer
 	if err := s.registry.WriteText(&buf); err != nil {
 		s.fail(w, http.StatusInternalServerError, "metrics: %v", err)
@@ -150,9 +147,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 // list in exposition order, so a malformed or duplicate series fails
 // /statsz exactly as it fails the lint.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	var buf bytes.Buffer
 	if err := s.registry.WriteText(&buf); err != nil {
 		s.fail(w, http.StatusInternalServerError, "metrics: %v", err)

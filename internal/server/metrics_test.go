@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ import (
 
 	"xmatch/internal/core"
 	"xmatch/internal/delta"
+	"xmatch/internal/engine"
 	"xmatch/internal/obs"
 	"xmatch/internal/server"
 )
@@ -456,6 +458,113 @@ func TestMutateTraceRegions(t *testing.T) {
 		return
 	}
 	t.Fatalf("no mutate trace retained: %s", raw)
+}
+
+// TestStageSpansTileRequest: the request pipeline's stage spans tile a
+// request — the first begins at the trace's start, each of the others
+// where the one before it ended, and the last ends with the trace — for a
+// query, a batch and a mutate, in the order the stage list declares.
+// Spans nested inside a stage (shard_evaluate, replica_sync, and apply's
+// resolve, commit, index and log) are not stages. A query held in
+// await_epoch until a mutation meets its min_epoch shows where its time
+// went: its stage spans cover at least 95% of it, the wait included.
+func TestStageSpansTileRequest(t *testing.T) {
+	srv, err := server.New(func() (*server.Catalog, error) {
+		return server.BuildCatalog(repManifest(), ".", engine.Options{Workers: 4})
+	}, server.Options{TraceThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	orders, small := srv.Catalog().Get("orders"), srv.Catalog().Get("small")
+	pattern := strings.ReplaceAll(orders.Set.Target.Leaves()[0].Path, ".", "/")
+	path := textPath(t, small)
+	nested := map[string]bool{"shard_evaluate": true, "replica_sync": true, "resolve": true, "commit": true, "index": true, "log": true}
+
+	// check finds the request's retained trace and holds its stage spans
+	// to want; it returns the trace and the stage spans' total.
+	check := func(label string, resp *http.Response, want ...string) (obs.TraceData, int64) {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", label, resp.StatusCode)
+		}
+		_, raw := getJSON(t, ts.URL+"/v1/debug/traces")
+		var body struct {
+			Traces []obs.TraceData `json:"traces"`
+		}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		id := resp.Header.Get("X-Request-Id")
+		for _, tr := range body.Traces {
+			if tr.ID != id {
+				continue
+			}
+			var names []string
+			var end, sum int64
+			for _, sp := range tr.Spans {
+				if nested[sp.Name] {
+					continue
+				}
+				// Offsets and durations are floored to the microsecond.
+				if sp.StartUs < end || sp.StartUs > end+1 {
+					t.Errorf("%s: stage %s starts at %d µs, the one before ended at %d: %+v", label, sp.Name, sp.StartUs, end, tr.Spans)
+				}
+				names = append(names, sp.Name)
+				end = sp.StartUs + sp.DurUs
+				sum += sp.DurUs
+			}
+			if !slices.Equal(names, want) {
+				t.Errorf("%s: stages %v, want %v", label, names, want)
+			}
+			if end < tr.DurUs-1 || end > tr.DurUs {
+				t.Errorf("%s: the last stage ends at %d µs, the request at %d", label, end, tr.DurUs)
+			}
+			return tr, sum
+		}
+		t.Fatalf("%s: trace %s not retained", label, id)
+		return obs.TraceData{}, 0
+	}
+
+	resp, _ := postJSON(t, ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: pattern})
+	check("query", resp, "decode", "prepare", "evaluate", "aggregate", "encode", "write")
+	resp, _ = postJSON(t, ts.URL+"/v1/batch", server.BatchRequest{Dataset: "orders", Queries: []server.BatchQuery{{Pattern: pattern}, {Pattern: pattern, K: 2}}})
+	check("batch", resp, "decode", "evaluate", "aggregate", "encode", "write")
+	resp, _, errMsg := mutateBody(t, ts.URL, server.MutateRequest{
+		Dataset: "small",
+		Edits:   []delta.Edit{{Op: delta.OpSetText, Path: path, Text: "tiled"}},
+	})
+	if errMsg != "" {
+		t.Fatalf("mutate: %s", errMsg)
+	}
+	check("mutate", resp, "decode", "apply", "write")
+
+	// min_epoch one past the current epoch; a mutation meets it ~5 ms on.
+	epoch := small.Snapshot().Epoch
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		time.Sleep(5 * time.Millisecond)
+		body, _ := json.Marshal(server.MutateRequest{
+			Dataset: "small",
+			Edits:   []delta.Edit{{Op: delta.OpSetText, Path: path, Text: "awaited"}},
+		})
+		if resp, err := http.Post(ts.URL+"/v1/admin/mutate", "application/json", bytes.NewReader(body)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	resp, _ = postJSON(t, ts.URL+"/v1/query", server.QueryRequest{Dataset: "small", Pattern: leafPatterns(t, small, 2)[0], MinEpoch: epoch + 1})
+	<-done
+	tr, sum := check("awaited query", resp, "decode", "await_epoch", "prepare", "evaluate", "aggregate", "encode", "write")
+	for _, sp := range tr.Spans {
+		if sp.Name == "await_epoch" && sp.DurUs < 2000 {
+			t.Errorf("await_epoch lasted %d µs, want >= 2 ms", sp.DurUs)
+		}
+	}
+	if float64(sum) < 0.95*float64(tr.DurUs) {
+		t.Errorf("stage spans cover %d of %d µs, want >= 95%%", sum, tr.DurUs)
+	}
 }
 
 // TestFollowerHealthzDegraded asserts the follower liveness contract:

@@ -18,21 +18,6 @@ import (
 // regular Server in read-only mode whose state advances only through the
 // replica.Follower sync engine.
 
-// resolveShard looks up a dataset and bounds-checks the shard selector,
-// answering the request itself on failure.
-func (s *Server) resolveShard(w http.ResponseWriter, dataset string, shard int) (*Dataset, *Shard, bool) {
-	ds := s.Catalog().Get(dataset)
-	if ds == nil {
-		s.fail(w, http.StatusNotFound, "unknown dataset %q", dataset)
-		return nil, nil, false
-	}
-	if shard < 0 || shard >= ds.NumShards() {
-		s.fail(w, http.StatusBadRequest, "dataset %q has %d shards, no shard %d", dataset, ds.NumShards(), shard)
-		return nil, nil, false
-	}
-	return ds, ds.Shards()[shard], true
-}
-
 // handleReplicateStream ships one shard's retained records above the
 // follower's epoch. The 200 body is a literal edit-log blob based at the
 // requested epoch — the exact framing the durable log uses on disk — so
@@ -42,16 +27,13 @@ func (s *Server) resolveShard(w http.ResponseWriter, dataset string, shard int) 
 // history has been compacted away and the follower must bootstrap.
 // Method enforcement happens in the timed wrapper these handlers are
 // mounted under.
-func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicateStream(p *request) {
 	var req replica.StreamRequest
-	if err := s.decodeBody(w, r.Body, &req); err != nil {
-		s.failBody(w, err)
+	err := s.decodeBody(p.w, p.r.Body, &req)
+	if !p.open(err, target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageStream, "") {
 		return
 	}
-	_, sh, ok := s.resolveShard(w, req.Dataset, req.Shard)
-	if !ok {
-		return
-	}
+	w, sh := p.w, p.shard
 	stream := sh.Log.StreamFrom(req.From)
 	if stream.NeedCheckpoint {
 		s.stats.errors.Add(1)
@@ -78,20 +60,19 @@ func (s *Server) handleReplicateStream(w http.ResponseWriter, r *http.Request) {
 // synthesized from the shard's current snapshot — always available, even
 // for volatile shards that never wrote a checkpoint file, and always the
 // freshest state, which minimizes the replay after bootstrap.
-func (s *Server) handleReplicateCheckpoint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicateCheckpoint(p *request) {
+	query := p.r.URL.Query()
 	shard := 0
-	if v := r.URL.Query().Get("shard"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "bad shard %q", v)
-			return
+	var err error
+	if v := query.Get("shard"); v != "" {
+		if shard, err = strconv.Atoi(v); err != nil {
+			err = invalidf("bad shard %q", v)
 		}
-		shard = n
 	}
-	_, sh, ok := s.resolveShard(w, r.URL.Query().Get("dataset"), shard)
-	if !ok {
+	if !p.open(err, target{dataset: query.Get("dataset"), shard: shard, perShard: true}, stageStream, "") {
 		return
 	}
+	w, sh := p.w, p.shard
 	snap := sh.Live.Snapshot()
 	w.Header().Set(replica.EpochHeader, strconv.FormatUint(snap.Epoch, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -101,19 +82,20 @@ func (s *Server) handleReplicateCheckpoint(w http.ResponseWriter, r *http.Reques
 
 // handleReplicateManifest serves the manifest this server's catalog was
 // built from, so a follower can build the same datasets locally.
-func (s *Server) handleReplicateManifest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReplicateManifest(p *request) {
+	p.next(stageStream, "")
 	if s.opts.Manifest == nil {
-		s.fail(w, http.StatusNotFound, "replication manifest not configured on this server")
+		s.fail(p.w, http.StatusNotFound, "replication manifest not configured on this server")
 		return
 	}
 	man, err := s.opts.Manifest()
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "manifest: %v", err)
+		s.fail(p.w, http.StatusInternalServerError, "manifest: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_ = store.SaveCatalog(w, man)
+	p.w.Header().Set("Content-Type", "application/octet-stream")
+	p.w.WriteHeader(http.StatusOK)
+	_ = store.SaveCatalog(p.w, man)
 }
 
 // CheckpointRequest is the body of POST /v1/admin/checkpoint: compact
@@ -142,30 +124,20 @@ type CheckpointResponse struct {
 }
 
 // handleCheckpoint persists every shard of one dataset at its current
-// epoch and truncates the shipped logs. Runs under the reload read-lock:
-// a concurrent reload would otherwise rebuild the catalog from files
-// this operation is mid-way through replacing.
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
+// epoch and truncates the shipped logs. It runs on a write route, under the
+// reload read lock: a concurrent reload would otherwise rebuild the
+// catalog from files this operation is mid-way through replacing.
+func (s *Server) handleCheckpoint(p *request) {
 	var req CheckpointRequest
-	if err := s.decodeBody(w, r.Body, &req); err != nil {
-		s.failBody(w, err)
-		return
-	}
-	s.reloadMu.RLock()
-	defer s.reloadMu.RUnlock()
-	ds := s.Catalog().Get(req.Dataset)
-	if ds == nil {
-		s.fail(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
+	err := s.decodeBody(p.w, p.r.Body, &req)
+	if !p.open(err, target{dataset: req.Dataset}, stageCheckpoint, "") {
 		return
 	}
 	resp := CheckpointResponse{Dataset: req.Dataset}
-	for i, sh := range ds.Shards() {
-		epoch, freed, err := ds.CheckpointShard(i)
+	for i, sh := range p.ds.Shards() {
+		epoch, freed, err := p.ds.CheckpointShard(i)
 		if err != nil {
-			s.fail(w, http.StatusInternalServerError, "checkpointing %s shard %d: %v", req.Dataset, i, err)
+			s.fail(p.w, http.StatusInternalServerError, "checkpointing %s shard %d: %v", req.Dataset, i, err)
 			return
 		}
 		resp.Shards = append(resp.Shards, CheckpointShardResult{
@@ -175,7 +147,8 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			Durable:    sh.Log.Durable(),
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	p.next(stageWrite, "")
+	writeJSON(p.w, http.StatusOK, resp)
 }
 
 // FollowerOptions configure NewFollower.

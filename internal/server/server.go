@@ -26,6 +26,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +35,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -186,48 +188,21 @@ func New(loader Loader, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxBodyBytes == 0 {
-		opts.MaxBodyBytes = 1 << 20
-	}
-	if opts.MaxBatchQueries == 0 {
-		opts.MaxBatchQueries = 256
-	}
-	if opts.MaxBatchEdits == 0 {
-		opts.MaxBatchEdits = 256
-	}
-	if opts.MinEpochWait == 0 {
-		opts.MinEpochWait = 2 * time.Second
-	}
-	if opts.TraceThreshold == 0 {
-		opts.TraceThreshold = 100 * time.Millisecond
-	}
-	if opts.MaxLagEpochs == 0 {
-		opts.MaxLagEpochs = 1000
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
-	if opts.SLOObjective == 0 {
-		opts.SLOObjective = 0.99
-	}
-	if opts.SLOWindow == 0 {
-		opts.SLOWindow = 5 * time.Minute
-	}
-	if opts.CaptureBudgetBytes == 0 {
-		opts.CaptureBudgetBytes = 64 << 20
-	}
-	if opts.WorkloadFingerprints == 0 {
-		opts.WorkloadFingerprints = 512
-	}
-	if opts.QueryTimeout == 0 {
-		opts.QueryTimeout = 30 * time.Second
-	}
-	if opts.MaxInflight == 0 {
-		opts.MaxInflight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if opts.MaxQueue == 0 {
-		opts.MaxQueue = 2 * opts.MaxInflight
-	}
+	// Zero means the documented default; MaxQueue defaults after MaxInflight.
+	opts.MaxBodyBytes = cmp.Or(opts.MaxBodyBytes, 1<<20)
+	opts.MaxBatchQueries = cmp.Or(opts.MaxBatchQueries, 256)
+	opts.MaxBatchEdits = cmp.Or(opts.MaxBatchEdits, 256)
+	opts.MinEpochWait = cmp.Or(opts.MinEpochWait, 2*time.Second)
+	opts.TraceThreshold = cmp.Or(opts.TraceThreshold, 100*time.Millisecond)
+	opts.MaxLagEpochs = cmp.Or(opts.MaxLagEpochs, 1000)
+	opts.Logger = cmp.Or(opts.Logger, slog.Default())
+	opts.SLOObjective = cmp.Or(opts.SLOObjective, 0.99)
+	opts.SLOWindow = cmp.Or(opts.SLOWindow, 5*time.Minute)
+	opts.CaptureBudgetBytes = cmp.Or(opts.CaptureBudgetBytes, 64<<20)
+	opts.WorkloadFingerprints = cmp.Or(opts.WorkloadFingerprints, 512)
+	opts.QueryTimeout = cmp.Or(opts.QueryTimeout, 30*time.Second)
+	opts.MaxInflight = cmp.Or(opts.MaxInflight, 4*runtime.GOMAXPROCS(0))
+	opts.MaxQueue = cmp.Or(opts.MaxQueue, 2*opts.MaxInflight)
 	s := &Server{opts: opts, loader: loader, logger: opts.Logger}
 	if opts.MaxInflight > 0 {
 		s.adm = newAdmission(opts.MaxInflight, opts.MaxQueue)
@@ -250,26 +225,26 @@ func New(loader Loader, opts Options) (*Server, error) {
 		}
 		s.capture = cl
 	}
-	// Every /v1 endpoint runs under guard (request deadline + panic
-	// recovery), the traced ones through timed; the health/stats/metrics
-	// probes stay outside it so an operator can always inspect a struggling
-	// server.
+	// Every /v1 endpoint runs under the request deadline and the panic
+	// boundary: the traced ones through timed and the request pipeline,
+	// the rest under guard. The health/stats/metrics probes stay outside
+	// both so an operator can always inspect a struggling server.
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/query", s.timed(s.stats.query, http.MethodPost, s.handleQuery))
-	s.mux.HandleFunc("/v1/batch", s.timed(batch, http.MethodPost, s.handleBatch))
-	s.mux.HandleFunc("/v1/datasets", s.guard("datasets", s.handleDatasets))
-	s.mux.HandleFunc("/v1/admin/reload", s.guard("reload", s.handleReload))
-	s.mux.HandleFunc("/v1/admin/mutate", s.timed(mutate, http.MethodPost, s.handleMutate))
-	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed(checkpoint, http.MethodPost, s.handleCheckpoint))
-	s.mux.HandleFunc(replica.StreamEndpoint, s.timed(replicate, http.MethodPost, s.handleReplicateStream))
-	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed(replicate, http.MethodGet, s.handleReplicateCheckpoint))
-	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed(replicate, http.MethodGet, s.handleReplicateManifest))
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/statsz", s.handleStatsz)
-	s.mux.HandleFunc("/metricsz", s.handleMetricsz)
-	s.mux.HandleFunc("/v1/debug/traces", s.guard("traces", s.handleTraces))
-	s.mux.HandleFunc("/v1/debug/workload", s.guard("workload", s.handleDebugWorkload))
+	s.mux.HandleFunc("/v1/query", s.timed(s.stats.query, http.MethodPost, evalRoute, s.handleQuery))
+	s.mux.HandleFunc("/v1/batch", s.timed(batch, http.MethodPost, evalRoute, s.handleBatch))
+	s.mux.HandleFunc("/v1/datasets", s.guard("datasets", http.MethodGet, s.handleDatasets))
+	s.mux.HandleFunc("/v1/admin/reload", s.guard("reload", http.MethodPost, s.handleReload))
+	s.mux.HandleFunc("/v1/admin/mutate", s.timed(mutate, http.MethodPost, writeRoute, s.handleMutate))
+	s.mux.HandleFunc("/v1/admin/checkpoint", s.timed(checkpoint, http.MethodPost, writeRoute, s.handleCheckpoint))
+	s.mux.HandleFunc(replica.StreamEndpoint, s.timed(replicate, http.MethodPost, readRoute, s.handleReplicateStream))
+	s.mux.HandleFunc(replica.CheckpointEndpoint, s.timed(replicate, http.MethodGet, readRoute, s.handleReplicateCheckpoint))
+	s.mux.HandleFunc(replica.ManifestEndpoint, s.timed(replicate, http.MethodGet, readRoute, s.handleReplicateManifest))
+	s.mux.HandleFunc("/healthz", s.probe(s.handleHealthz))
+	s.mux.HandleFunc("/readyz", s.probe(s.handleReadyz))
+	s.mux.HandleFunc("/statsz", s.probe(s.handleStatsz))
+	s.mux.HandleFunc("/metricsz", s.probe(s.handleMetricsz))
+	s.mux.HandleFunc("/v1/debug/traces", s.guard("traces", http.MethodGet, s.handleTraces))
+	s.mux.HandleFunc("/v1/debug/workload", s.guard("workload", http.MethodGet, s.handleDebugWorkload))
 	return s, nil
 }
 
@@ -333,16 +308,7 @@ func (s *Server) Reload() ([]string, error) {
 		s.wireFollower(cat)
 	}
 	s.stats.reloads.Add(1)
-	names := make([]string, 0, len(cat.names))
-	names = append(names, cat.names...)
-	return names, nil
-}
-
-// requestEngine is the engine view a request evaluates on: it observes
-// the request's context, and one call on it splits into at most half the
-// dataset's pool (rounded up), so one request cannot claim every slot.
-func requestEngine(ctx context.Context, d *Dataset) *engine.Engine {
-	return d.Engine.Sub((d.Engine.Workers() + 1) / 2).WithContext(ctx)
+	return slices.Clone(cat.names), nil
 }
 
 // Wire types of the query API. The server decodes requests into them; the
@@ -473,18 +439,30 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// failBody maps a decodeBody error onto the right status: an oversized
-// body is 413 (the request was well-formed, just too big — retrying it
-// unchanged cannot help), anything else is 400. Every body-decoding
-// handler routes through here so the two cases stay uniform across
-// endpoints.
+// invalid is the validation step's verdict on a body that decoded but
+// asks for something the server does not serve; it answers 400 in its
+// own words.
+type invalid string
+
+func (e invalid) Error() string { return string(e) }
+
+func invalidf(format string, args ...any) error { return invalid(fmt.Sprintf(format, args...)) }
+
+// failBody answers the decode stage's verdict on a body: an oversized body
+// is 413 (the request was well-formed, just too big — retrying it
+// unchanged cannot help), a field the validation step refused is 400 in
+// its words, anything else is 400.
 func (s *Server) failBody(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
+	var inv invalid
+	switch {
+	case errors.As(err, &mbe):
 		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-		return
+	case errors.As(err, &inv):
+		s.fail(w, http.StatusBadRequest, "%s", string(inv))
+	default:
+		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 	}
-	s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // method enforces a handler's single allowed HTTP method, answering 405
@@ -499,16 +477,97 @@ func (s *Server) method(w http.ResponseWriter, r *http.Request, want string) boo
 	return true
 }
 
-// timed wraps a handler with method enforcement, the in-flight gauge, the
-// endpoint's request counter and latency histogram, request-scoped
-// tracing and the guard envelope: it mints a request ID, threads a span
-// recorder through the request context (handlers and the engine's shard
-// observer record into it), and finishes the trace into the tail-sampled
-// slow-query log. A retained trace also emits one structured log line
-// carrying the request ID, so logs and /v1/debug/traces correlate. The admin and replication
-// endpoints run under the same wrapper as the query path, so a
-// checkpoint or replica pull is as traceable as any query.
-func (s *Server) timed(ep *endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
+// stage is a step of the request pipeline. Its name is both the span the
+// stage records on the request's trace and, when the request's context
+// ends in it, the TimeoutResponse.Stage of the 503.
+type stage string
+
+// The stage list, in the order a request passes it. A request passes its
+// endpoint's stages only: queued when it found every admission slot taken,
+// await_epoch with min_epoch, prepare through encode on /v1/query
+// (/v1/batch prepares inside evaluate), apply on mutate, checkpoint on
+// /v1/admin/checkpoint, stream on the replication reads. A stage lasts
+// from its boundary to the next, so the steps between boundaries — the
+// deadline, dataset resolution, the snapshot pin — belong to the stage in
+// progress, and the spans tile the request.
+const (
+	stageDecode     stage = "decode"
+	stageQueued     stage = "queued"
+	stageAwaitEpoch stage = "await_epoch"
+	stagePrepare    stage = "prepare"
+	stageEvaluate   stage = "evaluate"
+	stageAggregate  stage = "aggregate"
+	stageEncode     stage = "encode"
+	stageApply      stage = "apply"
+	stageCheckpoint stage = "checkpoint"
+	stageStream     stage = "stream"
+	stageWrite      stage = "write"
+)
+
+// checked reports whether st is a timeout checkpoint: the stage ends by
+// checking the request's context, and one that ended answers 503.
+func (st stage) checked() bool {
+	return st == stageQueued || st == stageAwaitEpoch || st == stageEvaluate
+}
+
+// route is what an endpoint asks of the shared stages.
+type route uint8
+
+const (
+	readRoute  route = iota // resolve the dataset and shard (replication reads)
+	evalRoute               // also admit, await min_epoch and pin (query, batch)
+	writeRoute              // refused read-only; under the reload read lock (mutate, checkpoint)
+)
+
+// request is one request moving through the pipeline: the stage it is in
+// and what the shared stages resolved for it. It is pooled, so a handler
+// must not keep it past its return.
+type request struct {
+	s       *Server
+	w       http.ResponseWriter
+	r       *http.Request
+	tr      *obs.Trace
+	ctx     context.Context    // under the server-wide deadline and timeout_ms
+	cancel  context.CancelFunc // timeout_ms's, when set
+	timeout time.Duration      // the effective bound a 503 reports
+	route   route
+
+	stage  stage
+	detail string    // the stage's span detail
+	began  time.Time // the stage's boundary
+
+	ds    *Dataset
+	shard *Shard // the addressed shard (mutate, replication)
+	// What an evaluating request evaluates with: every shard's pinned
+	// snapshot, and the engine view — the request's context, at most half
+	// the dataset's pool (rounded up) per call — that scatters over them.
+	snaps   []*delta.Snapshot
+	eng     *engine.Engine
+	scatter engine.Shards
+
+	release func() // the admission slot's, while one is held
+	locked  bool   // holds the reload read lock
+}
+
+var requests = sync.Pool{New: func() any { return new(request) }}
+
+// target is what a decoded body addresses.
+type target struct {
+	dataset   string
+	shard     int
+	perShard  bool // shard is addressed (mutate, replication)
+	minEpoch  uint64
+	timeoutMs int64
+}
+
+// timed mounts a pipeline handler: method enforcement, the endpoint's
+// request counter and latency histogram, the in-flight gauge, the request
+// ID (X-Request-Id) and its trace, the server-wide deadline, the panic
+// boundary and the read-only refusal, then the handler from the decode
+// stage on. The trace goes to the tail-sampled slow-query log; a retained
+// one also emits a structured log line carrying the request ID, so logs
+// and /v1/debug/traces correlate.
+func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.method(w, r, method) {
 			return
@@ -518,63 +577,223 @@ func (s *Server) timed(ep *endpoint, method string, fn http.HandlerFunc) http.Ha
 		id := obs.RequestID()
 		tr := obs.NewTrace(id)
 		w.Header().Set("X-Request-Id", id)
-		start := time.Now()
-		defer func() {
-			total := time.Since(start)
-			ep.lat.Observe(total)
-			s.stats.inFlight.Add(-1)
-			if s.traces.Finish(tr, total, tr.Dataset(), ep.name) {
-				s.logger.Info("slow request",
-					"id", id,
-					"endpoint", ep.name,
-					"dataset", tr.Dataset(),
-					"ms", float64(total.Microseconds())/1e3)
-			}
-		}()
-		s.guarded(obs.WithTrace(r.Context(), tr), ep.name, fn, w, r)
-	}
-}
-
-// guard wraps a /v1 handler with the fault-tolerance envelope: the
-// server-wide request deadline (Options.QueryTimeout) on the request
-// context, and panic recovery that converts an evaluation panic into a
-// 500 carrying the request ID while the stack goes to the structured
-// log — one broken request must not take the daemon down with it.
-func (s *Server) guard(endpoint string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { s.guarded(r.Context(), endpoint, fn, w, r) }
-}
-
-// guarded runs fn inside the guard envelope. ctx is the request's context
-// with whatever the caller layered on it (timed: the trace); the deadline
-// goes on top, and the request the handler sees is derived from r once.
-func (s *Server) guarded(ctx context.Context, endpoint string, fn http.HandlerFunc, w http.ResponseWriter, r *http.Request) {
-	if s.opts.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
+		ctx, cancel := s.deadline(r.Context())
 		defer cancel()
-	}
-	r = r.WithContext(ctx)
-	defer func() {
-		if p := recover(); p != nil {
-			id := w.Header().Get("X-Request-Id")
-			s.stats.panics.Add(1)
-			s.logger.Error("handler panic",
-				"endpoint", endpoint,
-				"id", id,
-				"panic", fmt.Sprint(p),
-				"stack", string(debug.Stack()))
-			s.fail(w, http.StatusInternalServerError, "internal error serving %s (request %s)", endpoint, id)
+		p := requests.Get().(*request)
+		*p = request{s: s, w: w, r: r, tr: tr, ctx: ctx, route: rt, stage: stageDecode, began: tr.Start()}
+		defer p.finish(ep)
+		defer s.recoverPanic(w, ep.name)
+		if rt == writeRoute && s.readOnly(w) {
+			return
 		}
-	}()
-	fn(w, r)
+		handle(p)
+	}
+}
+
+// finish ends the request: one clock read closes the stage in progress
+// and is the request's latency; then what the request held is given back
+// and the trace is filed.
+func (p *request) finish(ep *endpoint) {
+	s, tr := p.s, p.tr
+	end := time.Now()
+	tr.Add(string(p.stage), p.detail, p.began, end.Sub(p.began))
+	if p.release != nil {
+		p.release()
+	}
+	if p.locked {
+		s.reloadMu.RUnlock()
+	}
+	if p.cancel != nil {
+		p.cancel()
+	}
+	*p = request{}
+	requests.Put(p)
+	total := end.Sub(tr.Start())
+	ep.lat.Observe(total)
+	s.stats.inFlight.Add(-1)
+	if s.traces.Finish(tr, total, tr.Dataset(), ep.name) {
+		s.logger.Info("slow request", "id", tr.ID(), "endpoint", ep.name, "dataset", tr.Dataset(),
+			"ms", float64(total.Microseconds())/1e3)
+	}
+}
+
+// next is a stage boundary: one clock read ends the span of the stage in
+// progress and begins st's. Leaving a timeout checkpoint whose context
+// ended answers the 503 instead, and only then does next report false.
+func (p *request) next(st stage, detail string) bool {
+	if p.stage.checked() && p.expired() {
+		return false
+	}
+	now := time.Now()
+	p.tr.Add(string(p.stage), p.detail, p.began, now.Sub(p.began))
+	p.stage, p.detail, p.began = st, detail, now
+	return true
+}
+
+// open runs the shared stages between a decoded body and the handler's
+// own work, then begins the handler's first stage. err is the decode
+// stage's verdict: the decoder's, then the validation step's (each body's
+// validate method). Then come the timeout_ms deadline, dataset and shard
+// resolution and, on an evaluating route, admission, the min_epoch wait
+// and the snapshot pin. open reports false when it answered the request.
+func (p *request) open(err error, t target, first stage, detail string) bool {
+	s := p.s
+	if err != nil {
+		s.failBody(p.w, err)
+		return false
+	}
+	p.timeout = max(s.opts.QueryTimeout, 0)
+	if t.timeoutMs > 0 {
+		// timeout_ms only tightens: WithTimeout never extends the parent's
+		// deadline, the server-wide one.
+		d := time.Duration(t.timeoutMs) * time.Millisecond
+		p.ctx, p.cancel = context.WithTimeout(p.ctx, d)
+		if p.timeout == 0 || d < p.timeout {
+			p.timeout = d
+		}
+	}
+	if p.route == writeRoute {
+		// Held from resolution to the end: a reload swapping the catalog in
+		// between would let a mutation land on the superseded dataset (and
+		// its edit log) after the reload's replay read the log —
+		// acknowledged, persisted, yet absent from the serving catalog — or
+		// a checkpoint rewrite files the reload is reading.
+		s.reloadMu.RLock()
+		p.locked = true
+	}
+	if !p.resolveShard(t) {
+		return false
+	}
+	if p.route == evalRoute {
+		if !p.admit() {
+			return false
+		}
+		if t.minEpoch > 0 {
+			if !p.next(stageAwaitEpoch, "min_epoch="+strconv.FormatUint(t.minEpoch, 10)) {
+				return false
+			}
+			if !s.awaitEpoch(p.ctx, p.tr, p.ds, t.minEpoch) {
+				if !p.expired() {
+					s.fail(p.w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
+						t.dataset, snapsEpoch(p.ds.Snapshots()), t.minEpoch)
+				}
+				return false
+			}
+		}
+		// One pin per shard: everything the request evaluates sees these
+		// (document, index) pairs even if a mutation lands mid-request.
+		p.snaps = p.ds.Snapshots()
+		p.eng = p.ds.Engine.Sub((p.ds.Engine.Workers() + 1) / 2).WithContext(p.ctx)
+		p.scatter = engine.Shards{Docs: shardDocs(p.snaps), Observe: traceObserver(p.tr, p.ds)}
+	}
+	return p.next(first, detail)
+}
+
+// resolveShard looks up the target's dataset — and bounds-checks its
+// shard, when it addresses one — and labels the trace with it, answering
+// the request itself on failure.
+func (p *request) resolveShard(t target) bool {
+	ds := p.s.Catalog().Get(t.dataset)
+	if ds == nil {
+		p.s.fail(p.w, http.StatusNotFound, "unknown dataset %q", t.dataset)
+		return false
+	}
+	p.tr.SetDataset(t.dataset)
+	if t.perShard {
+		if t.shard < 0 || t.shard >= ds.NumShards() {
+			p.s.fail(p.w, http.StatusBadRequest, "dataset %q has %d shards, no shard %d", t.dataset, ds.NumShards(), t.shard)
+			return false
+		}
+		p.shard = ds.Shards()[t.shard]
+	}
+	p.ds = ds
+	return true
+}
+
+// admit passes the admission gate. A request that finds every slot taken
+// enters the queued stage: it waits under its own deadline, timeout_ms
+// included, or is shed with 429 when the queue is full.
+func (p *request) admit() bool {
+	a := p.s.adm
+	if a == nil {
+		return true
+	}
+	if a.tryAcquire() {
+		p.release = a.releaseFn
+		return true
+	}
+	if !p.next(stageQueued, "") {
+		return false
+	}
+	release, err := a.acquire(p.ctx)
+	switch {
+	case err == nil:
+		p.release = release
+		return true
+	case errors.Is(err, errQueueFull):
+		p.s.stats.shed.Add(1)
+		// Come back after the backlog drains, not instantly: one second is
+		// coarse but honest for a queue sized to the server's drain rate.
+		p.w.Header().Set("Retry-After", "1")
+		p.s.fail(p.w, http.StatusTooManyRequests, "server overloaded: %d requests evaluating, %d queued",
+			a.inFlight(), a.queueDepth())
+	default:
+		p.expired()
+	}
+	return false
+}
+
+// guard wraps an untimed /v1 handler in method enforcement, the
+// server-wide deadline and the panic boundary.
+func (s *Server) guard(endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.method(w, r, method) {
+			return
+		}
+		ctx, cancel := s.deadline(r.Context())
+		defer cancel()
+		defer s.recoverPanic(w, endpoint)
+		fn(w, r.WithContext(ctx))
+	}
+}
+
+// probe mounts a GET-only probe (health, readiness, metrics) outside any
+// deadline, so an operator can always inspect a struggling server.
+func (s *Server) probe(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.method(w, r, http.MethodGet) {
+			fn(w, r)
+		}
+	}
+}
+
+// deadline puts Options.QueryTimeout on ctx, unless it is negative.
+func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.opts.QueryTimeout > 0 {
+		return context.WithTimeout(ctx, s.opts.QueryTimeout)
+	}
+	return ctx, func() {}
+}
+
+// recoverPanic converts a handler panic into a 500 carrying the request ID
+// while the stack goes to the structured log — one broken request must not
+// take the daemon down with it.
+func (s *Server) recoverPanic(w http.ResponseWriter, endpoint string) {
+	if p := recover(); p != nil {
+		id := w.Header().Get("X-Request-Id")
+		s.stats.panics.Add(1)
+		s.logger.Error("handler panic", "endpoint", endpoint, "id", id, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+		s.fail(w, http.StatusInternalServerError, "internal error serving %s (request %s)", endpoint, id)
+	}
 }
 
 // TimeoutResponse is the body of a 503 produced by an expired request
 // deadline (or a client that went away mid-request).
 type TimeoutResponse struct {
 	Error string `json:"error"`
-	// Stage names where the deadline fired: "queued" (still waiting for
-	// an admission slot), "await_epoch", or "evaluate".
+	// Stage names the timeout checkpoint the deadline fired in: "queued"
+	// (waiting for an admission slot), "await_epoch" (waiting for
+	// min_epoch), or "evaluate".
 	Stage string `json:"stage"`
 	// TimeoutMs is the effective bound the request ran under (the
 	// tighter of the server-wide deadline and the request's timeout_ms);
@@ -583,69 +802,27 @@ type TimeoutResponse struct {
 	RequestID string  `json:"requestId,omitempty"`
 }
 
-// failTimeout answers a request whose context ended before its work did:
-// 503 with a structured body naming the stage that was cut short. A
-// client disconnect takes the same path — there is nobody left to read
-// the body, but the counters and log line still record the abort.
-func (s *Server) failTimeout(w http.ResponseWriter, ctx context.Context, stage string, timeout time.Duration) {
-	s.stats.timeouts.Add(1)
-	s.stats.errors.Add(1)
+// expired answers a request whose context ended before its work did — 503
+// naming the stage in progress — and reports whether it did. A client
+// disconnect takes the same path: nobody reads the body, but the counters
+// and log line still record the abort.
+func (p *request) expired() bool {
+	err := p.ctx.Err()
+	if err == nil {
+		return false
+	}
+	p.s.stats.timeouts.Add(1)
+	p.s.stats.errors.Add(1)
 	msg := "request deadline exceeded"
-	if errors.Is(ctx.Err(), context.Canceled) {
+	if errors.Is(err, context.Canceled) {
 		msg = "request canceled by client"
 	}
-	resp := TimeoutResponse{
-		Error:     msg + " during " + stage,
-		Stage:     stage,
-		RequestID: w.Header().Get("X-Request-Id"),
+	resp := TimeoutResponse{Error: msg + " during " + string(p.stage), Stage: string(p.stage), RequestID: p.tr.ID()}
+	if p.timeout > 0 {
+		resp.TimeoutMs = float64(p.timeout.Microseconds()) / 1e3
 	}
-	if timeout > 0 {
-		resp.TimeoutMs = float64(timeout.Microseconds()) / 1e3
-	}
-	writeJSON(w, http.StatusServiceUnavailable, resp)
-}
-
-// queryTimeout resolves the effective deadline of a request carrying an
-// optional timeout_ms override: the override tightens the server-wide
-// bound, never extends it (the parent context already carries the
-// server's deadline, so an over-large override is a no-op).
-func (s *Server) queryTimeout(timeoutMs int64) time.Duration {
-	timeout := s.opts.QueryTimeout
-	if timeout < 0 {
-		timeout = 0
-	}
-	if timeoutMs > 0 {
-		if d := time.Duration(timeoutMs) * time.Millisecond; timeout == 0 || d < timeout {
-			timeout = d
-		}
-	}
-	return timeout
-}
-
-// admit gates an evaluation-heavy request through the admission queue,
-// writing the shed or timeout response itself when the request cannot
-// proceed. The caller must defer release() when ok.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if s.adm == nil {
-		return func() {}, true
-	}
-	release, err := s.adm.acquire(r.Context())
-	switch {
-	case err == nil:
-		return release, true
-	case errors.Is(err, errQueueFull):
-		s.stats.shed.Add(1)
-		// A shed request should come back after the backlog drains, not
-		// instantly: one second is coarse but honest for a queue sized to
-		// the server's own drain rate.
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, http.StatusTooManyRequests, "server overloaded: %d requests evaluating, %d queued",
-			s.adm.inFlight(), s.adm.queueDepth())
-		return nil, false
-	default:
-		s.failTimeout(w, r.Context(), "queued", s.queryTimeout(0))
-		return nil, false
-	}
+	writeJSON(p.w, http.StatusServiceUnavailable, resp)
+	return true
 }
 
 // shardDocs projects pinned snapshots onto the documents the engine's
@@ -753,90 +930,62 @@ func mergeChanged(chans []<-chan struct{}) (wake <-chan struct{}, stop func()) {
 	return merged, func() { stopOnce.Do(func() { close(quit) }) }
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	tr := obs.TraceFrom(r.Context())
-	req, err := s.decodeQuery(w, r)
-	if err != nil {
-		s.failBody(w, err)
-		return
-	}
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		// The override only tightens: the context already carries the
-		// server-wide deadline, and WithTimeout never extends a parent.
-		tctx, cancel := context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-		ctx = tctx
-	}
-	timeout := s.queryTimeout(req.TimeoutMs)
-	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
-	explain := req.Explain || (r.URL.RawQuery != "" && r.URL.Query().Get("explain") == "1")
-	ds := s.Catalog().Get(req.Dataset)
-	if ds == nil {
-		s.fail(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
-		return
-	}
-	tr.SetDataset(req.Dataset)
-	// Validate the mode before preparing: rejecting a bad request must not
-	// pay parse/resolve or churn the prepared-query cache.
-	mode := req.Mode
-	if mode == "" {
-		mode = "compact"
-	}
-	switch mode {
-	case "basic", "compact":
-	case "topk":
-		if req.K <= 0 {
-			s.fail(w, http.StatusBadRequest, "mode topk requires k > 0")
-			return
-		}
+// validate is the query's validation step; it returns the mode,
+// defaulted. A refused request pays no parse/resolve and churns no cache.
+func (q *QueryRequest) validate() (string, error) {
+	switch mode := cmp.Or(q.Mode, "compact"); {
+	case mode != "basic" && mode != "compact" && mode != "topk":
+		return "", invalidf("unknown mode %q (want basic, compact, or topk)", mode)
+	case mode == "topk" && q.K <= 0:
+		return "", invalid("mode topk requires k > 0")
+	case q.K < 0:
+		return "", invalidf("negative k %d", q.K)
 	default:
-		s.fail(w, http.StatusBadRequest, "unknown mode %q (want basic, compact, or topk)", mode)
-		return
+		return mode, nil
 	}
-	if req.MinEpoch > 0 {
-		reg := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
-		ok := s.awaitEpoch(ctx, tr, ds, req.MinEpoch)
-		reg.End()
-		if !ok {
-			if ctx.Err() != nil {
-				s.failTimeout(w, ctx, "await_epoch", timeout)
-				return
-			}
-			s.fail(w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
-				req.Dataset, snapsEpoch(ds.Snapshots()), req.MinEpoch)
-			return
+}
+
+// validate is the batch's validation step.
+func (b *BatchRequest) validate(maxQueries int) error {
+	switch {
+	case len(b.Queries) == 0:
+		return invalid("batch has no queries")
+	case len(b.Queries) > maxQueries:
+		return invalidf("batch has %d queries, limit %d", len(b.Queries), maxQueries)
+	}
+	for i, bq := range b.Queries {
+		if bq.K < 0 {
+			return invalidf("query %d: negative k %d", i, bq.K)
 		}
 	}
-	// Pin every shard's snapshot once: each evaluation below sees these
-	// exact (document, index) pairs even if a mutation lands mid-request.
-	// The context view makes the evaluators abandon work promptly once the
-	// deadline fires or the client goes away.
-	snaps := ds.Snapshots()
-	eng := requestEngine(ctx, ds)
-	prepStart := time.Now()
-	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
-	prepDetail := "cached=false"
-	if cached {
-		prepDetail = "cached=true"
+	return nil
+}
+
+func (s *Server) handleQuery(p *request) {
+	req, err := s.decodeQuery(p.w, p.r)
+	var mode string
+	if err == nil {
+		mode, err = req.validate()
 	}
-	tr.Add("prepare", prepDetail, prepStart, time.Since(prepStart))
+	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stagePrepare, "cached=false") {
+		return
+	}
+	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
+	explain := req.Explain || (p.r.URL.RawQuery != "" && p.r.URL.Query().Get("explain") == "1")
+	ds, snaps, eng, sh := p.ds, p.snaps, p.eng, p.scatter
+	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
+	if cached {
+		p.detail = "cached=true"
+	}
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
+		s.fail(p.w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var before []index.CountersSnapshot
 	if explain {
 		before = shardCounters(snaps)
 	}
-	sh := engine.Shards{Docs: shardDocs(snaps), Observe: traceObserver(tr, ds)}
-	evalReg := tr.Region("evaluate", mode)
+	p.next(stageEvaluate, mode)
 	var results []core.Result
 	switch mode {
 	case "basic":
@@ -846,29 +995,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	default: // topk
 		results = eng.EvaluateTopKAcross(q, ds.Set, sh, ds.Tree, req.K)
 	}
-	evalReg.End()
 	// The results are this request's alone and nothing below keeps them
 	// past the body, so their array goes back for the next evaluation.
 	defer core.ReleaseResults(results)
 	// A fired deadline means the evaluators returned partial results;
 	// they are discarded, never served.
-	if ctx.Err() != nil {
-		s.failTimeout(w, ctx, "evaluate", timeout)
+	if !p.next(stageAggregate, "") {
 		return
 	}
-	aggReg := tr.Region("aggregate", "")
 	answers := core.AggregateLeaf(q, results)
-	aggReg.End()
 	epoch := snapsEpoch(snaps)
-	// The body is rendered whole before anything is accounted or written,
-	// so the latency the workload table and the capture record see includes
-	// the encode — the largest stage of a big compact answer.
 	body := getBody()
 	defer body.release()
-	encReg := tr.Region("encode", "")
+	p.next(stageEncode, "")
 	var payload payloadSpans
 	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
-	encReg.End()
+	// The body is rendered whole before anything is accounted or written:
+	// the write stage's boundary is the latency the workload table and the
+	// capture record, encode included, and the explain block, rendered
+	// after it, shows the encode span.
+	p.next(stageWrite, "")
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
 		tree := ds.Tree
@@ -876,7 +1022,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			tree = nil // Algorithm 3 is the plan over no c-blocks
 		}
 		plan := q.Plan(ds.Set, tree).Stats()
-		body.b = appendJSON(body.b, buildExplain(tr, &plan, snaps, before))
+		body.b = appendJSON(body.b, buildExplain(p.tr, &plan, snaps, before))
 	}
 	body.b = append(body.b, '}', '\n')
 	// Workload accounting happens on the response the client is about to
@@ -888,7 +1034,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// files the same (mode, k); the response above echoes the request's.
 	k := engine.FingerprintK(mode, req.K)
 	fp := engine.FingerprintPattern(req.Dataset, q.Canonical, mode, k)
-	latency := time.Since(start)
+	latency := p.began.Sub(p.tr.Start())
 	s.workload.record(fp, req.Dataset, q.Canonical, mode, k, cached, len(results), epoch, latency)
 	if s.capture.sample() {
 		// The digest is hashed from the rendered bytes before the log takes
@@ -904,107 +1050,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			Digest:      digestPayload(body.b, payload),
 		})
 	}
-	writeBody(w, body.b)
+	writeBody(p.w, body.b)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	release, ok := s.admit(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	tr := obs.TraceFrom(r.Context())
+func (s *Server) handleBatch(p *request) {
 	var req BatchRequest
-	if err := s.decodeBody(w, r.Body, &req); err != nil {
-		s.failBody(w, err)
+	err := s.decodeBody(p.w, p.r.Body, &req)
+	if err == nil {
+		err = req.validate(s.opts.MaxBatchQueries)
+	}
+	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
 		return
 	}
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		tctx, cancel := context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-		ctx = tctx
-	}
-	timeout := s.queryTimeout(req.TimeoutMs)
-	ds := s.Catalog().Get(req.Dataset)
-	if ds == nil {
-		s.fail(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
-		return
-	}
-	tr.SetDataset(req.Dataset)
-	if len(req.Queries) == 0 {
-		s.fail(w, http.StatusBadRequest, "batch has no queries")
-		return
-	}
-	if len(req.Queries) > s.opts.MaxBatchQueries {
-		s.fail(w, http.StatusBadRequest, "batch has %d queries, limit %d", len(req.Queries), s.opts.MaxBatchQueries)
-		return
-	}
-	if req.MinEpoch > 0 {
-		reg := tr.Region("await_epoch", "min_epoch="+strconv.FormatUint(req.MinEpoch, 10))
-		ok := s.awaitEpoch(ctx, tr, ds, req.MinEpoch)
-		reg.End()
-		if !ok {
-			if ctx.Err() != nil {
-				s.failTimeout(w, ctx, "await_epoch", timeout)
-				return
-			}
-			s.fail(w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
-				req.Dataset, snapsEpoch(ds.Snapshots()), req.MinEpoch)
-			return
-		}
-	}
-	// One snapshot pin per shard for the whole batch: its queries are
-	// answered over a single consistent per-shard document state.
-	snaps := ds.Snapshots()
-	eng := requestEngine(ctx, ds)
-	sh := engine.Shards{Docs: shardDocs(snaps), Observe: traceObserver(tr, ds)}
+	// The batch's queries are answered over one consistent per-shard
+	// document state: the request's pins.
 	engReqs := make([]engine.Request, len(req.Queries))
 	for i, bq := range req.Queries {
 		engReqs[i] = engine.Request{Pattern: bq.Pattern, K: bq.K}
 	}
-	evalReg := tr.Region("evaluate", "queries="+strconv.Itoa(len(engReqs)))
-	evaluated := eng.EvaluateBatchAcross(ds.Set, sh, ds.Tree, engReqs)
-	evalReg.End()
+	ds := p.ds
+	evaluated := p.eng.EvaluateBatchAcross(ds.Set, p.scatter, ds.Tree, engReqs)
 	defer func() { // as in handleQuery: once the body is written
 		for _, er := range evaluated {
 			core.ReleaseResults(er.Results)
 		}
 	}()
-	if ctx.Err() != nil {
-		s.failTimeout(w, ctx, "evaluate", timeout)
+	if !p.next(stageAggregate, "") {
 		return
 	}
-	aggReg := tr.Region("aggregate", "")
 	answers := make([][]core.Answer, len(evaluated))
 	for i, er := range evaluated {
 		if er.Err == nil {
 			answers[i] = core.AggregateLeaf(er.Query, er.Results)
 		}
 	}
-	aggReg.End()
 	body := getBody()
 	defer body.release()
-	encReg := tr.Region("encode", "")
-	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(snaps), ds.heads, evaluated, answers)
-	encReg.End()
-	writeBody(w, body.b)
+	p.next(stageEncode, "")
+	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(p.snaps), ds.heads, evaluated, answers)
+	p.next(stageWrite, "")
+	writeBody(p.w, body.b)
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	cat := s.Catalog()
 	infos := make([]DatasetInfo, 0, len(cat.names))
 	for _, d := range cat.Datasets() {
-		var nodes int
-		var epoch uint64
-		for _, snap := range d.Snapshots() {
+		snaps, nodes := d.Snapshots(), 0
+		for _, snap := range snaps {
 			nodes += snap.Doc.Len()
-			if snap.Epoch > epoch {
-				epoch = snap.Epoch
-			}
 		}
 		infos = append(infos, DatasetInfo{
 			Name:     d.Name,
@@ -1012,7 +1106,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			Target:   d.Set.Target.Name,
 			Mappings: d.Set.Len(),
 			DocNodes: nodes,
-			Epoch:    epoch,
+			Epoch:    snapsEpoch(snaps),
 			Shards:   d.NumShards(),
 			Blocks:   d.Tree.Stats().NumBlocks,
 		})
@@ -1061,75 +1155,54 @@ func (s *Server) readOnly(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	tr := obs.TraceFrom(r.Context())
-	if s.readOnly(w) {
-		return
+// validate is the mutation's validation step.
+func (m *MutateRequest) validate(maxEdits int) error {
+	switch {
+	case m.Shard < 0:
+		return invalidf("negative shard %d", m.Shard)
+	case len(m.Edits) == 0:
+		return invalid("mutation has no edits")
+	case len(m.Edits) > maxEdits:
+		return invalidf("mutation has %d edits, limit %d", len(m.Edits), maxEdits)
 	}
+	if err := delta.Validate(m.Edits); err != nil {
+		return invalid(err.Error())
+	}
+	return nil
+}
+
+func (s *Server) handleMutate(p *request) {
 	var req MutateRequest
-	if err := s.decodeBody(w, r.Body, &req); err != nil {
-		s.failBody(w, err)
+	err := s.decodeBody(p.w, p.r.Body, &req)
+	if err == nil {
+		err = req.validate(s.opts.MaxBatchEdits)
+	}
+	t := target{dataset: req.Dataset, shard: req.Shard, perShard: true}
+	if !p.open(err, t, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
 		return
 	}
-	tr.SetDataset(req.Dataset)
-	if req.Shard < 0 {
-		s.fail(w, http.StatusBadRequest, "negative shard %d", req.Shard)
-		return
-	}
-	if len(req.Edits) == 0 {
-		s.fail(w, http.StatusBadRequest, "mutation has no edits")
-		return
-	}
-	if len(req.Edits) > s.opts.MaxBatchEdits {
-		s.fail(w, http.StatusBadRequest, "mutation has %d edits, limit %d", len(req.Edits), s.opts.MaxBatchEdits)
-		return
-	}
-	if err := delta.Validate(req.Edits); err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// The reload read-lock covers dataset resolution through apply-and-log:
-	// otherwise a reload could swap the catalog in between, and the batch
-	// would land on the superseded dataset (and in the edit log) after the
-	// reload's replay had already read the log — acknowledged, persisted,
-	// yet absent from the serving catalog until the next reload. The
-	// handle itself serializes writers per dataset and orders log appends
-	// exactly like the batches they record; readers keep their pinned
-	// snapshots throughout and never touch this lock.
-	s.reloadMu.RLock()
-	ds := s.Catalog().Get(req.Dataset)
-	if ds == nil {
-		s.reloadMu.RUnlock()
-		s.fail(w, http.StatusNotFound, "unknown dataset %q", req.Dataset)
-		return
-	}
-	if req.Shard >= ds.NumShards() {
-		s.reloadMu.RUnlock()
-		s.fail(w, http.StatusBadRequest, "dataset %q has %d shards, no shard %d", req.Dataset, ds.NumShards(), req.Shard)
-		return
-	}
-	shard := ds.Shards()[req.Shard]
 	// Every applied batch goes through the shard's replication log — the
 	// durable edit-log append (fsynced before the ack) when the entry
 	// persists mutations, and the in-memory retention followers stream
-	// from either way. A log retired by a concurrent reload refuses the
-	// append, failing the mutate instead of writing to a file the new
-	// catalog generation now owns.
-	applyReg := tr.Region("apply", "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits)))
-	snap, err := shard.Live.ApplyTraced(tr, req.Edits, shard.Log.Append)
-	applyReg.End()
-	s.reloadMu.RUnlock()
+	// from either way. The handle serializes writers per dataset and
+	// orders log appends exactly like the batches they record. A log
+	// retired by a concurrent reload refuses the append, failing the
+	// mutate instead of writing to a file the new catalog generation now
+	// owns.
+	shard := p.shard
+	snap, err := shard.Live.ApplyTraced(p.tr, req.Edits, shard.Log.Append)
 	if err != nil {
 		var ee *delta.EditError
 		if errors.As(err, &ee) {
-			s.fail(w, http.StatusBadRequest, "%v", err)
+			s.fail(p.w, http.StatusBadRequest, "%v", err)
 		} else {
-			s.fail(w, http.StatusInternalServerError, "mutation not applied: %v", err)
+			s.fail(p.w, http.StatusInternalServerError, "mutation not applied: %v", err)
 		}
 		return
 	}
 	s.stats.edits.Add(uint64(len(req.Edits)))
-	writeJSON(w, http.StatusOK, MutateResponse{
+	p.next(stageWrite, "")
+	writeJSON(p.w, http.StatusOK, MutateResponse{
 		Dataset:   req.Dataset,
 		Shard:     req.Shard,
 		Epoch:     snap.Epoch,
@@ -1140,9 +1213,6 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodPost) {
-		return
-	}
 	if s.readOnly(w) {
 		return
 	}
@@ -1159,9 +1229,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // it just wants the load balancer to look elsewhere while in-flight
 // requests finish.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
@@ -1170,9 +1237,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	body := map[string]any{
 		"status":        "ok",
 		"datasets":      len(s.Catalog().names),

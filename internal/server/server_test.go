@@ -443,6 +443,18 @@ func TestErrorPaths(t *testing.T) {
 		{"bad mode", func() (*http.Response, []byte) {
 			return postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: "Order", Mode: "???"})
 		}, http.StatusBadRequest},
+		{"negative k, compact", func() (*http.Response, []byte) {
+			return postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: "Order", Mode: "compact", K: -1})
+		}, http.StatusBadRequest},
+		{"negative k, basic", func() (*http.Response, []byte) {
+			return postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: "Order", Mode: "basic", K: -1})
+		}, http.StatusBadRequest},
+		{"negative k, topk", func() (*http.Response, []byte) {
+			return postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: "orders", Pattern: "Order", Mode: "topk", K: -1})
+		}, http.StatusBadRequest},
+		{"negative k in a batch", func() (*http.Response, []byte) {
+			return postJSON(t, env.ts.URL+"/v1/batch", server.BatchRequest{Dataset: "orders", Queries: []server.BatchQuery{{Pattern: "Order"}, {Pattern: "Order", K: -1}}})
+		}, http.StatusBadRequest},
 		{"malformed body", func() (*http.Response, []byte) {
 			resp, err := http.Post(env.ts.URL+"/v1/query", "application/json", strings.NewReader("{not json"))
 			if err != nil {

@@ -199,9 +199,6 @@ type WorkloadDebug struct {
 }
 
 func (s *Server) handleDebugWorkload(w http.ResponseWriter, r *http.Request) {
-	if !s.method(w, r, http.MethodGet) {
-		return
-	}
 	n := 20
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)

@@ -431,7 +431,8 @@ func TestSLOHealthzObjectiveBounds(t *testing.T) {
 func TestTimedReplication(t *testing.T) {
 	man := manifest()
 	env := newTestEnv(t, server.Options{
-		Manifest: func() (*store.Catalog, error) { return man, nil },
+		Manifest:       func() (*store.Catalog, error) { return man, nil },
+		TraceThreshold: time.Nanosecond,
 	})
 
 	// The replication surface runs under the timed wrapper: request IDs
@@ -476,6 +477,41 @@ func TestTimedReplication(t *testing.T) {
 		if v, ok := metricValue(ms, "xmatch_http_request_seconds_count", epLabel(ep)); !ok || v != 1 {
 			t.Fatalf("%s latency histogram count %v (present %v), want 1", ep, v, ok)
 		}
+	}
+
+	// The traces of the dataset-addressed endpoints carry the dataset and
+	// their stage spans: the checkpoint above, and a stream and a
+	// checkpoint pull now.
+	ids := map[string]string{resp.Header.Get("X-Request-Id"): "checkpoint"}
+	resp, _ = postJSON(t, env.ts.URL+"/v1/replicate/stream", map[string]any{"dataset": "orders", "shard": 0, "from": 0})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	ids[resp.Header.Get("X-Request-Id")] = "replicate"
+	resp, _ = getJSON(t, env.ts.URL+"/v1/replicate/checkpoint?dataset=orders")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint pull status %d", resp.StatusCode)
+	}
+	ids[resp.Header.Get("X-Request-Id")] = "replicate"
+	_, raw := getJSON(t, env.ts.URL+"/v1/debug/traces")
+	var traces struct {
+		Traces []obs.TraceData `json:"traces"`
+	}
+	if err := json.Unmarshal(raw, &traces); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range traces.Traces {
+		ep, ok := ids[tr.ID]
+		if !ok {
+			continue
+		}
+		delete(ids, tr.ID)
+		if tr.Endpoint != ep || tr.Dataset != "orders" || len(tr.Spans) == 0 {
+			t.Errorf("%s trace: endpoint %q, dataset %q, spans %+v; want %s, orders and its stage spans", ep, tr.Endpoint, tr.Dataset, tr.Spans, ep)
+		}
+	}
+	if len(ids) != 0 {
+		t.Fatalf("traces not retained: %v", ids)
 	}
 }
 
