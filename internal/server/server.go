@@ -27,28 +27,19 @@ package server
 
 import (
 	"cmp"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"xmatch/internal/core"
-	"xmatch/internal/delta"
-	"xmatch/internal/engine"
-	"xmatch/internal/index"
 	"xmatch/internal/obs"
 	"xmatch/internal/replica"
 	"xmatch/internal/store"
-	"xmatch/internal/xmltree"
 )
 
 // Options configure the HTTP layer. The zero value is serviceable.
@@ -311,111 +302,6 @@ func (s *Server) Reload() ([]string, error) {
 	return slices.Clone(cat.names), nil
 }
 
-// Wire types of the query API. The server decodes requests into them; the
-// query and batch responses it renders itself (render.go), byte-identical
-// to encoding/json's rendering of QueryResponse / BatchResponse, which are
-// what clients decode into and what the tests compare the rendered bytes
-// against.
-
-// QueryRequest is the body of POST /v1/query.
-type QueryRequest struct {
-	Dataset string `json:"dataset"`
-	Pattern string `json:"pattern"`
-	// Mode selects the evaluator: "compact" (block tree; the default),
-	// "basic" (Algorithm 3 over all mappings), or "topk" (requires K > 0).
-	Mode string `json:"mode,omitempty"`
-	K    int    `json:"k,omitempty"`
-	// MinEpoch demands read-your-writes: the query waits (bounded) until
-	// the dataset's epoch reaches MinEpoch — on a follower, until
-	// replication has caught up with the write that produced the token —
-	// and answers 412 if it cannot. 0 reads whatever is current.
-	MinEpoch uint64 `json:"min_epoch,omitempty"`
-	// Explain asks for the response's Explain block: the request's trace
-	// plus per-shard index-matcher counters. ?explain=1 on the URL does
-	// the same.
-	Explain bool `json:"explain,omitempty"`
-	// TimeoutMs tightens the server's request deadline for this query;
-	// values beyond the server-wide bound are capped to it. 0 uses the
-	// server default.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// QueryResponse is the body of a successful POST /v1/query.
-type QueryResponse struct {
-	Dataset string `json:"dataset"`
-	Pattern string `json:"pattern"`
-	Mode    string `json:"mode"`
-	K       int    `json:"k,omitempty"`
-	// Epoch is the consistency token of the state the query saw: the
-	// highest per-shard epoch among the snapshots it pinned. Hand it to a
-	// later query's min_epoch (on any replica) to read at-or-after this
-	// state.
-	Epoch   uint64            `json:"epoch"`
-	Results []core.WireResult `json:"results"`
-	Answers []core.WireAnswer `json:"answers"`
-	// Explain is present when the request asked for it; see ExplainData.
-	Explain *ExplainData `json:"explain,omitempty"`
-}
-
-// BatchQuery is one query of a POST /v1/batch body.
-type BatchQuery struct {
-	Pattern string `json:"pattern"`
-	// K > 0 evaluates the top-k PTQ for this query; 0 evaluates the full
-	// compact PTQ.
-	K int `json:"k,omitempty"`
-}
-
-// BatchRequest is the body of POST /v1/batch.
-type BatchRequest struct {
-	Dataset string       `json:"dataset"`
-	Queries []BatchQuery `json:"queries"`
-	// MinEpoch demands read-your-writes for the whole batch; see
-	// QueryRequest.MinEpoch.
-	MinEpoch uint64 `json:"min_epoch,omitempty"`
-	// TimeoutMs tightens the server's request deadline for this batch;
-	// see QueryRequest.TimeoutMs.
-	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-}
-
-// BatchAnswer is one per-query answer within a BatchResponse; Error is set
-// (and Results/Answers are null) when that query failed. Results and
-// Answers carry no omitempty so an empty answer encodes as [] exactly like
-// a /v1/query response — the wire form of a result set never depends on
-// which endpoint produced it.
-type BatchAnswer struct {
-	Pattern string            `json:"pattern"`
-	K       int               `json:"k,omitempty"`
-	Results []core.WireResult `json:"results"`
-	Answers []core.WireAnswer `json:"answers"`
-	Error   string            `json:"error,omitempty"`
-}
-
-// BatchResponse is the body of a successful POST /v1/batch; Responses
-// preserve request order.
-type BatchResponse struct {
-	Dataset string `json:"dataset"`
-	// Epoch is the consistency token of the pinned state; see
-	// QueryResponse.Epoch.
-	Epoch     uint64        `json:"epoch"`
-	Responses []BatchAnswer `json:"responses"`
-}
-
-// DatasetInfo is one row of GET /v1/datasets.
-type DatasetInfo struct {
-	Name     string `json:"name"`
-	Source   string `json:"source"`
-	Target   string `json:"target"`
-	Mappings int    `json:"mappings"`
-	DocNodes int    `json:"docNodes"`
-	// Epoch is the collection's highest per-shard mutation epoch
-	// (0 = every shard pristine).
-	Epoch uint64 `json:"epoch"`
-	// Shards is the number of member documents (1 = classic single
-	// document); DocNodes totals across them.
-	Shards int `json:"shards"`
-	Blocks int `json:"blocks"`
-}
-
 // errorResponse is the body of every non-2xx reply.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -439,32 +325,6 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// invalid is the validation step's verdict on a body that decoded but
-// asks for something the server does not serve; it answers 400 in its
-// own words.
-type invalid string
-
-func (e invalid) Error() string { return string(e) }
-
-func invalidf(format string, args ...any) error { return invalid(fmt.Sprintf(format, args...)) }
-
-// failBody answers the decode stage's verdict on a body: an oversized body
-// is 413 (the request was well-formed, just too big — retrying it
-// unchanged cannot help), a field the validation step refused is 400 in
-// its words, anything else is 400.
-func (s *Server) failBody(w http.ResponseWriter, err error) {
-	var mbe *http.MaxBytesError
-	var inv invalid
-	switch {
-	case errors.As(err, &mbe):
-		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-	case errors.As(err, &inv):
-		s.fail(w, http.StatusBadRequest, "%s", string(inv))
-	default:
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
-	}
-}
-
 // method enforces a handler's single allowed HTTP method, answering 405
 // with an Allow header otherwise. Returns true when the request may
 // proceed.
@@ -475,820 +335,4 @@ func (s *Server) method(w http.ResponseWriter, r *http.Request, want string) boo
 		return false
 	}
 	return true
-}
-
-// stage is a step of the request pipeline. Its name is both the span the
-// stage records on the request's trace and, when the request's context
-// ends in it, the TimeoutResponse.Stage of the 503.
-type stage string
-
-// The stage list, in the order a request passes it. A request passes its
-// endpoint's stages only: queued when it found every admission slot taken,
-// await_epoch with min_epoch, prepare through encode on /v1/query
-// (/v1/batch prepares inside evaluate), apply on mutate, checkpoint on
-// /v1/admin/checkpoint, stream on the replication reads. A stage lasts
-// from its boundary to the next, so the steps between boundaries — the
-// deadline, dataset resolution, the snapshot pin — belong to the stage in
-// progress, and the spans tile the request.
-const (
-	stageDecode     stage = "decode"
-	stageQueued     stage = "queued"
-	stageAwaitEpoch stage = "await_epoch"
-	stagePrepare    stage = "prepare"
-	stageEvaluate   stage = "evaluate"
-	stageAggregate  stage = "aggregate"
-	stageEncode     stage = "encode"
-	stageApply      stage = "apply"
-	stageCheckpoint stage = "checkpoint"
-	stageStream     stage = "stream"
-	stageWrite      stage = "write"
-)
-
-// checked reports whether st is a timeout checkpoint: the stage ends by
-// checking the request's context, and one that ended answers 503.
-func (st stage) checked() bool {
-	return st == stageQueued || st == stageAwaitEpoch || st == stageEvaluate
-}
-
-// route is what an endpoint asks of the shared stages.
-type route uint8
-
-const (
-	readRoute  route = iota // resolve the dataset and shard (replication reads)
-	evalRoute               // also admit, await min_epoch and pin (query, batch)
-	writeRoute              // refused read-only; under the reload read lock (mutate, checkpoint)
-)
-
-// request is one request moving through the pipeline: the stage it is in
-// and what the shared stages resolved for it. It is pooled, so a handler
-// must not keep it past its return.
-type request struct {
-	s       *Server
-	w       http.ResponseWriter
-	r       *http.Request
-	tr      *obs.Trace
-	ctx     context.Context    // under the server-wide deadline and timeout_ms
-	cancel  context.CancelFunc // timeout_ms's, when set
-	timeout time.Duration      // the effective bound a 503 reports
-	route   route
-
-	stage  stage
-	detail string    // the stage's span detail
-	began  time.Time // the stage's boundary
-
-	ds    *Dataset
-	shard *Shard // the addressed shard (mutate, replication)
-	// What an evaluating request evaluates with: every shard's pinned
-	// snapshot, and the engine view — the request's context, at most half
-	// the dataset's pool (rounded up) per call — that scatters over them.
-	snaps   []*delta.Snapshot
-	eng     *engine.Engine
-	scatter engine.Shards
-
-	release func() // the admission slot's, while one is held
-	locked  bool   // holds the reload read lock
-}
-
-var requests = sync.Pool{New: func() any { return new(request) }}
-
-// target is what a decoded body addresses.
-type target struct {
-	dataset   string
-	shard     int
-	perShard  bool // shard is addressed (mutate, replication)
-	minEpoch  uint64
-	timeoutMs int64
-}
-
-// timed mounts a pipeline handler: method enforcement, the endpoint's
-// request counter and latency histogram, the in-flight gauge, the request
-// ID (X-Request-Id) and its trace, the server-wide deadline, the panic
-// boundary and the read-only refusal, then the handler from the decode
-// stage on. The trace goes to the tail-sampled slow-query log; a retained
-// one also emits a structured log line carrying the request ID, so logs
-// and /v1/debug/traces correlate.
-func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.method(w, r, method) {
-			return
-		}
-		ep.requests.Add(1)
-		s.stats.inFlight.Add(1)
-		id := obs.RequestID()
-		tr := obs.NewTrace(id)
-		w.Header().Set("X-Request-Id", id)
-		ctx, cancel := s.deadline(r.Context())
-		defer cancel()
-		p := requests.Get().(*request)
-		*p = request{s: s, w: w, r: r, tr: tr, ctx: ctx, route: rt, stage: stageDecode, began: tr.Start()}
-		defer p.finish(ep)
-		defer s.recoverPanic(w, ep.name)
-		if rt == writeRoute && s.readOnly(w) {
-			return
-		}
-		handle(p)
-	}
-}
-
-// finish ends the request: one clock read closes the stage in progress
-// and is the request's latency; then what the request held is given back
-// and the trace is filed.
-func (p *request) finish(ep *endpoint) {
-	s, tr := p.s, p.tr
-	end := time.Now()
-	tr.Add(string(p.stage), p.detail, p.began, end.Sub(p.began))
-	if p.release != nil {
-		p.release()
-	}
-	if p.locked {
-		s.reloadMu.RUnlock()
-	}
-	if p.cancel != nil {
-		p.cancel()
-	}
-	*p = request{}
-	requests.Put(p)
-	total := end.Sub(tr.Start())
-	ep.lat.Observe(total)
-	s.stats.inFlight.Add(-1)
-	if s.traces.Finish(tr, total, tr.Dataset(), ep.name) {
-		s.logger.Info("slow request", "id", tr.ID(), "endpoint", ep.name, "dataset", tr.Dataset(),
-			"ms", float64(total.Microseconds())/1e3)
-	}
-}
-
-// next is a stage boundary: one clock read ends the span of the stage in
-// progress and begins st's. Leaving a timeout checkpoint whose context
-// ended answers the 503 instead, and only then does next report false.
-func (p *request) next(st stage, detail string) bool {
-	if p.stage.checked() && p.expired() {
-		return false
-	}
-	now := time.Now()
-	p.tr.Add(string(p.stage), p.detail, p.began, now.Sub(p.began))
-	p.stage, p.detail, p.began = st, detail, now
-	return true
-}
-
-// open runs the shared stages between a decoded body and the handler's
-// own work, then begins the handler's first stage. err is the decode
-// stage's verdict: the decoder's, then the validation step's (each body's
-// validate method). Then come the timeout_ms deadline, dataset and shard
-// resolution and, on an evaluating route, admission, the min_epoch wait
-// and the snapshot pin. open reports false when it answered the request.
-func (p *request) open(err error, t target, first stage, detail string) bool {
-	s := p.s
-	if err != nil {
-		s.failBody(p.w, err)
-		return false
-	}
-	p.timeout = max(s.opts.QueryTimeout, 0)
-	if t.timeoutMs > 0 {
-		// timeout_ms only tightens: WithTimeout never extends the parent's
-		// deadline, the server-wide one.
-		d := time.Duration(t.timeoutMs) * time.Millisecond
-		p.ctx, p.cancel = context.WithTimeout(p.ctx, d)
-		if p.timeout == 0 || d < p.timeout {
-			p.timeout = d
-		}
-	}
-	if p.route == writeRoute {
-		// Held from resolution to the end: a reload swapping the catalog in
-		// between would let a mutation land on the superseded dataset (and
-		// its edit log) after the reload's replay read the log —
-		// acknowledged, persisted, yet absent from the serving catalog — or
-		// a checkpoint rewrite files the reload is reading.
-		s.reloadMu.RLock()
-		p.locked = true
-	}
-	if !p.resolveShard(t) {
-		return false
-	}
-	if p.route == evalRoute {
-		if !p.admit() {
-			return false
-		}
-		if t.minEpoch > 0 {
-			if !p.next(stageAwaitEpoch, "min_epoch="+strconv.FormatUint(t.minEpoch, 10)) {
-				return false
-			}
-			if !s.awaitEpoch(p.ctx, p.tr, p.ds, t.minEpoch) {
-				if !p.expired() {
-					s.fail(p.w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
-						t.dataset, snapsEpoch(p.ds.Snapshots()), t.minEpoch)
-				}
-				return false
-			}
-		}
-		// One pin per shard: everything the request evaluates sees these
-		// (document, index) pairs even if a mutation lands mid-request.
-		p.snaps = p.ds.Snapshots()
-		p.eng = p.ds.Engine.Sub((p.ds.Engine.Workers() + 1) / 2).WithContext(p.ctx)
-		p.scatter = engine.Shards{Docs: shardDocs(p.snaps), Observe: traceObserver(p.tr, p.ds)}
-	}
-	return p.next(first, detail)
-}
-
-// resolveShard looks up the target's dataset — and bounds-checks its
-// shard, when it addresses one — and labels the trace with it, answering
-// the request itself on failure.
-func (p *request) resolveShard(t target) bool {
-	ds := p.s.Catalog().Get(t.dataset)
-	if ds == nil {
-		p.s.fail(p.w, http.StatusNotFound, "unknown dataset %q", t.dataset)
-		return false
-	}
-	p.tr.SetDataset(t.dataset)
-	if t.perShard {
-		if t.shard < 0 || t.shard >= ds.NumShards() {
-			p.s.fail(p.w, http.StatusBadRequest, "dataset %q has %d shards, no shard %d", t.dataset, ds.NumShards(), t.shard)
-			return false
-		}
-		p.shard = ds.Shards()[t.shard]
-	}
-	p.ds = ds
-	return true
-}
-
-// admit passes the admission gate. A request that finds every slot taken
-// enters the queued stage: it waits under its own deadline, timeout_ms
-// included, or is shed with 429 when the queue is full.
-func (p *request) admit() bool {
-	a := p.s.adm
-	if a == nil {
-		return true
-	}
-	if a.tryAcquire() {
-		p.release = a.releaseFn
-		return true
-	}
-	if !p.next(stageQueued, "") {
-		return false
-	}
-	release, err := a.acquire(p.ctx)
-	switch {
-	case err == nil:
-		p.release = release
-		return true
-	case errors.Is(err, errQueueFull):
-		p.s.stats.shed.Add(1)
-		// Come back after the backlog drains, not instantly: one second is
-		// coarse but honest for a queue sized to the server's drain rate.
-		p.w.Header().Set("Retry-After", "1")
-		p.s.fail(p.w, http.StatusTooManyRequests, "server overloaded: %d requests evaluating, %d queued",
-			a.inFlight(), a.queueDepth())
-	default:
-		p.expired()
-	}
-	return false
-}
-
-// guard wraps an untimed /v1 handler in method enforcement, the
-// server-wide deadline and the panic boundary.
-func (s *Server) guard(endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.method(w, r, method) {
-			return
-		}
-		ctx, cancel := s.deadline(r.Context())
-		defer cancel()
-		defer s.recoverPanic(w, endpoint)
-		fn(w, r.WithContext(ctx))
-	}
-}
-
-// probe mounts a GET-only probe (health, readiness, metrics) outside any
-// deadline, so an operator can always inspect a struggling server.
-func (s *Server) probe(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.method(w, r, http.MethodGet) {
-			fn(w, r)
-		}
-	}
-}
-
-// deadline puts Options.QueryTimeout on ctx, unless it is negative.
-func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.opts.QueryTimeout > 0 {
-		return context.WithTimeout(ctx, s.opts.QueryTimeout)
-	}
-	return ctx, func() {}
-}
-
-// recoverPanic converts a handler panic into a 500 carrying the request ID
-// while the stack goes to the structured log — one broken request must not
-// take the daemon down with it.
-func (s *Server) recoverPanic(w http.ResponseWriter, endpoint string) {
-	if p := recover(); p != nil {
-		id := w.Header().Get("X-Request-Id")
-		s.stats.panics.Add(1)
-		s.logger.Error("handler panic", "endpoint", endpoint, "id", id, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-		s.fail(w, http.StatusInternalServerError, "internal error serving %s (request %s)", endpoint, id)
-	}
-}
-
-// TimeoutResponse is the body of a 503 produced by an expired request
-// deadline (or a client that went away mid-request).
-type TimeoutResponse struct {
-	Error string `json:"error"`
-	// Stage names the timeout checkpoint the deadline fired in: "queued"
-	// (waiting for an admission slot), "await_epoch" (waiting for
-	// min_epoch), or "evaluate".
-	Stage string `json:"stage"`
-	// TimeoutMs is the effective bound the request ran under (the
-	// tighter of the server-wide deadline and the request's timeout_ms);
-	// 0 when only the client's own cancellation applied.
-	TimeoutMs float64 `json:"timeoutMs,omitempty"`
-	RequestID string  `json:"requestId,omitempty"`
-}
-
-// expired answers a request whose context ended before its work did — 503
-// naming the stage in progress — and reports whether it did. A client
-// disconnect takes the same path: nobody reads the body, but the counters
-// and log line still record the abort.
-func (p *request) expired() bool {
-	err := p.ctx.Err()
-	if err == nil {
-		return false
-	}
-	p.s.stats.timeouts.Add(1)
-	p.s.stats.errors.Add(1)
-	msg := "request deadline exceeded"
-	if errors.Is(err, context.Canceled) {
-		msg = "request canceled by client"
-	}
-	resp := TimeoutResponse{Error: msg + " during " + string(p.stage), Stage: string(p.stage), RequestID: p.tr.ID()}
-	if p.timeout > 0 {
-		resp.TimeoutMs = float64(p.timeout.Microseconds()) / 1e3
-	}
-	writeJSON(p.w, http.StatusServiceUnavailable, resp)
-	return true
-}
-
-// shardDocs projects pinned snapshots onto the documents the engine's
-// Across evaluators scatter over.
-func shardDocs(snaps []*delta.Snapshot) []*xmltree.Document {
-	docs := make([]*xmltree.Document, len(snaps))
-	for i, sn := range snaps {
-		docs[i] = sn.Doc
-	}
-	return docs
-}
-
-// snapsEpoch is the consistency token of a pinned snapshot set: the
-// highest per-shard epoch. Per-shard epochs advance independently, so
-// for a multi-shard collection the token is an upper bound — exact for
-// the single-shard case, where it names one state precisely.
-func snapsEpoch(snaps []*delta.Snapshot) uint64 {
-	var epoch uint64
-	for _, sn := range snaps {
-		if sn.Epoch > epoch {
-			epoch = sn.Epoch
-		}
-	}
-	return epoch
-}
-
-// awaitEpoch blocks until the dataset's epoch reaches min, the bounded
-// wait expires, or the request context ends — read-your-writes for a
-// client holding a mutate or query epoch token. The wait is event-driven:
-// each shard handle broadcasts a publish by closing its Changed()
-// channel, so a waiter wakes on the exact mutation that might satisfy it
-// instead of polling. On a follower each round additionally nudges the
-// sync engine inline (and re-nudges on a short ticker, since a lagging
-// follower's local publishes only happen when a nudge lands records), so
-// the common catch-up is one stream round-trip.
-func (s *Server) awaitEpoch(ctx context.Context, tr *obs.Trace, ds *Dataset, min uint64) bool {
-	deadline := time.NewTimer(s.opts.MinEpochWait)
-	defer deadline.Stop()
-	var nudgeC <-chan time.Time
-	if s.follower != nil {
-		nudge := time.NewTicker(25 * time.Millisecond)
-		defer nudge.Stop()
-		nudgeC = nudge.C
-	}
-	for {
-		// Grab every shard's change channel before reading the epochs: a
-		// publish after the read necessarily closes a channel already in
-		// hand, so a wake-up cannot be lost between check and wait.
-		shards := ds.Shards()
-		chans := make([]<-chan struct{}, len(shards))
-		for i, sh := range shards {
-			chans[i] = sh.Live.Changed()
-		}
-		if snapsEpoch(ds.Snapshots()) >= min {
-			return true
-		}
-		if s.follower != nil {
-			// An inline nudge replays the primary's pending records on this
-			// goroutine, so the replay shows up as a span of the request that
-			// demanded the epoch.
-			reg := tr.Region("replica_sync", ds.Name)
-			_ = s.follower.Sync(ds.Name) // errors surface as lag; keep waiting
-			reg.End()
-			if snapsEpoch(ds.Snapshots()) >= min {
-				return true
-			}
-		}
-		wake, stop := mergeChanged(chans)
-		select {
-		case <-wake:
-			stop()
-		case <-nudgeC:
-			stop()
-		case <-deadline.C:
-			stop()
-			return snapsEpoch(ds.Snapshots()) >= min
-		case <-ctx.Done():
-			stop()
-			return snapsEpoch(ds.Snapshots()) >= min
-		}
-	}
-}
-
-// mergeChanged folds per-shard change channels into one wake-up. The
-// single-shard case (nearly every dataset) selects on the handle's
-// channel directly; a multi-shard merge parks one goroutine per shard,
-// all released by stop() when the waiter moves on.
-func mergeChanged(chans []<-chan struct{}) (wake <-chan struct{}, stop func()) {
-	if len(chans) == 1 {
-		return chans[0], func() {}
-	}
-	merged := make(chan struct{})
-	quit := make(chan struct{})
-	var once sync.Once
-	for _, c := range chans {
-		go func(c <-chan struct{}) {
-			select {
-			case <-c:
-				once.Do(func() { close(merged) })
-			case <-quit:
-			}
-		}(c)
-	}
-	var stopOnce sync.Once
-	return merged, func() { stopOnce.Do(func() { close(quit) }) }
-}
-
-// validate is the query's validation step; it returns the mode,
-// defaulted. A refused request pays no parse/resolve and churns no cache.
-func (q *QueryRequest) validate() (string, error) {
-	switch mode := cmp.Or(q.Mode, "compact"); {
-	case mode != "basic" && mode != "compact" && mode != "topk":
-		return "", invalidf("unknown mode %q (want basic, compact, or topk)", mode)
-	case mode == "topk" && q.K <= 0:
-		return "", invalid("mode topk requires k > 0")
-	case q.K < 0:
-		return "", invalidf("negative k %d", q.K)
-	default:
-		return mode, nil
-	}
-}
-
-// validate is the batch's validation step.
-func (b *BatchRequest) validate(maxQueries int) error {
-	switch {
-	case len(b.Queries) == 0:
-		return invalid("batch has no queries")
-	case len(b.Queries) > maxQueries:
-		return invalidf("batch has %d queries, limit %d", len(b.Queries), maxQueries)
-	}
-	for i, bq := range b.Queries {
-		if bq.K < 0 {
-			return invalidf("query %d: negative k %d", i, bq.K)
-		}
-	}
-	return nil
-}
-
-func (s *Server) handleQuery(p *request) {
-	req, err := s.decodeQuery(p.w, p.r)
-	var mode string
-	if err == nil {
-		mode, err = req.validate()
-	}
-	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stagePrepare, "cached=false") {
-		return
-	}
-	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
-	explain := req.Explain || (p.r.URL.RawQuery != "" && p.r.URL.Query().Get("explain") == "1")
-	ds, snaps, eng, sh := p.ds, p.snaps, p.eng, p.scatter
-	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
-	if cached {
-		p.detail = "cached=true"
-	}
-	if err != nil {
-		s.fail(p.w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var before []index.CountersSnapshot
-	if explain {
-		before = shardCounters(snaps)
-	}
-	p.next(stageEvaluate, mode)
-	var results []core.Result
-	switch mode {
-	case "basic":
-		results = eng.EvaluateBasicAcross(q, ds.Set, sh)
-	case "compact":
-		results = eng.EvaluateAcross(q, ds.Set, sh, ds.Tree)
-	default: // topk
-		results = eng.EvaluateTopKAcross(q, ds.Set, sh, ds.Tree, req.K)
-	}
-	// The results are this request's alone and nothing below keeps them
-	// past the body, so their array goes back for the next evaluation.
-	defer core.ReleaseResults(results)
-	// A fired deadline means the evaluators returned partial results;
-	// they are discarded, never served.
-	if !p.next(stageAggregate, "") {
-		return
-	}
-	answers := core.AggregateLeaf(q, results)
-	epoch := snapsEpoch(snaps)
-	body := getBody()
-	defer body.release()
-	p.next(stageEncode, "")
-	var payload payloadSpans
-	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
-	// The body is rendered whole before anything is accounted or written:
-	// the write stage's boundary is the latency the workload table and the
-	// capture record, encode included, and the explain block, rendered
-	// after it, shows the encode span.
-	p.next(stageWrite, "")
-	if explain {
-		body.b = append(body.b, `,"explain":`...)
-		tree := ds.Tree
-		if mode == "basic" {
-			tree = nil // Algorithm 3 is the plan over no c-blocks
-		}
-		plan := q.Plan(ds.Set, tree).Stats()
-		body.b = appendJSON(body.b, buildExplain(p.tr, &plan, snaps, before))
-	}
-	body.b = append(body.b, '}', '\n')
-	// Workload accounting happens on the response the client is about to
-	// receive: the fingerprint keys the prepared query's canonical pattern
-	// (not the request text), and the capture's digest covers the exact
-	// wire results and answers, so a replay diffs against what was served.
-	// The row and the record carry the k the fingerprint hashed — the
-	// request's only in topk mode — so every request sharing a fingerprint
-	// files the same (mode, k); the response above echoes the request's.
-	k := engine.FingerprintK(mode, req.K)
-	fp := engine.FingerprintPattern(req.Dataset, q.Canonical, mode, k)
-	latency := p.began.Sub(p.tr.Start())
-	s.workload.record(fp, req.Dataset, q.Canonical, mode, k, cached, len(results), epoch, latency)
-	if s.capture.sample() {
-		// The digest is hashed from the rendered bytes before the log takes
-		// its mutex; a sampled-out request never pays for it.
-		s.capture.record(store.WorkloadRecord{
-			Fingerprint: fp,
-			Dataset:     req.Dataset,
-			Pattern:     q.Canonical,
-			Mode:        mode,
-			K:           k,
-			Epoch:       epoch,
-			LatencyUs:   latency.Microseconds(),
-			Digest:      digestPayload(body.b, payload),
-		})
-	}
-	writeBody(p.w, body.b)
-}
-
-func (s *Server) handleBatch(p *request) {
-	var req BatchRequest
-	err := s.decodeBody(p.w, p.r.Body, &req)
-	if err == nil {
-		err = req.validate(s.opts.MaxBatchQueries)
-	}
-	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
-		return
-	}
-	// The batch's queries are answered over one consistent per-shard
-	// document state: the request's pins.
-	engReqs := make([]engine.Request, len(req.Queries))
-	for i, bq := range req.Queries {
-		engReqs[i] = engine.Request{Pattern: bq.Pattern, K: bq.K}
-	}
-	ds := p.ds
-	evaluated := p.eng.EvaluateBatchAcross(ds.Set, p.scatter, ds.Tree, engReqs)
-	defer func() { // as in handleQuery: once the body is written
-		for _, er := range evaluated {
-			core.ReleaseResults(er.Results)
-		}
-	}()
-	if !p.next(stageAggregate, "") {
-		return
-	}
-	answers := make([][]core.Answer, len(evaluated))
-	for i, er := range evaluated {
-		if er.Err == nil {
-			answers[i] = core.AggregateLeaf(er.Query, er.Results)
-		}
-	}
-	body := getBody()
-	defer body.release()
-	p.next(stageEncode, "")
-	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(p.snaps), ds.heads, evaluated, answers)
-	p.next(stageWrite, "")
-	writeBody(p.w, body.b)
-}
-
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	cat := s.Catalog()
-	infos := make([]DatasetInfo, 0, len(cat.names))
-	for _, d := range cat.Datasets() {
-		snaps, nodes := d.Snapshots(), 0
-		for _, snap := range snaps {
-			nodes += snap.Doc.Len()
-		}
-		infos = append(infos, DatasetInfo{
-			Name:     d.Name,
-			Source:   d.Set.Source.Name,
-			Target:   d.Set.Target.Name,
-			Mappings: d.Set.Len(),
-			DocNodes: nodes,
-			Epoch:    snapsEpoch(snaps),
-			Shards:   d.NumShards(),
-			Blocks:   d.Tree.Stats().NumBlocks,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
-}
-
-// MutateRequest is the body of POST /v1/admin/mutate: one edit batch for
-// one dataset, applied atomically in order.
-type MutateRequest struct {
-	Dataset string `json:"dataset"`
-	// Shard selects the member document of a sharded collection the batch
-	// applies to; 0 (the default) is the single document of a classic
-	// dataset.
-	Shard int          `json:"shard,omitempty"`
-	Edits []delta.Edit `json:"edits"`
-}
-
-// MutateResponse is the body of a successful POST /v1/admin/mutate.
-type MutateResponse struct {
-	Dataset string `json:"dataset"`
-	// Shard echoes the member document the batch landed on.
-	Shard int `json:"shard,omitempty"`
-	// Epoch is the shard's document epoch the batch produced; queries
-	// arriving after this response see it.
-	Epoch    uint64 `json:"epoch"`
-	Applied  int    `json:"applied"`
-	DocNodes int    `json:"docNodes"`
-	// Persisted reports whether the batch was appended to the dataset's
-	// edit log (false for datasets without one: the mutation is
-	// in-memory only and will not survive a reload).
-	Persisted bool `json:"persisted"`
-}
-
-// readOnly rejects a state-changing request on a read replica. Returns
-// true when the request was rejected.
-func (s *Server) readOnly(w http.ResponseWriter) bool {
-	if !s.opts.ReadOnly {
-		return false
-	}
-	primary := ""
-	if s.follower != nil {
-		primary = " (follower of " + s.follower.Primary() + ")"
-	}
-	s.fail(w, http.StatusForbidden, "read-only replica%s: state changes only through replication", primary)
-	return true
-}
-
-// validate is the mutation's validation step.
-func (m *MutateRequest) validate(maxEdits int) error {
-	switch {
-	case m.Shard < 0:
-		return invalidf("negative shard %d", m.Shard)
-	case len(m.Edits) == 0:
-		return invalid("mutation has no edits")
-	case len(m.Edits) > maxEdits:
-		return invalidf("mutation has %d edits, limit %d", len(m.Edits), maxEdits)
-	}
-	if err := delta.Validate(m.Edits); err != nil {
-		return invalid(err.Error())
-	}
-	return nil
-}
-
-func (s *Server) handleMutate(p *request) {
-	var req MutateRequest
-	err := s.decodeBody(p.w, p.r.Body, &req)
-	if err == nil {
-		err = req.validate(s.opts.MaxBatchEdits)
-	}
-	t := target{dataset: req.Dataset, shard: req.Shard, perShard: true}
-	if !p.open(err, t, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
-		return
-	}
-	// Every applied batch goes through the shard's replication log — the
-	// durable edit-log append (fsynced before the ack) when the entry
-	// persists mutations, and the in-memory retention followers stream
-	// from either way. The handle serializes writers per dataset and
-	// orders log appends exactly like the batches they record. A log
-	// retired by a concurrent reload refuses the append, failing the
-	// mutate instead of writing to a file the new catalog generation now
-	// owns.
-	shard := p.shard
-	snap, err := shard.Live.ApplyTraced(p.tr, req.Edits, shard.Log.Append)
-	if err != nil {
-		var ee *delta.EditError
-		if errors.As(err, &ee) {
-			s.fail(p.w, http.StatusBadRequest, "%v", err)
-		} else {
-			s.fail(p.w, http.StatusInternalServerError, "mutation not applied: %v", err)
-		}
-		return
-	}
-	s.stats.edits.Add(uint64(len(req.Edits)))
-	p.next(stageWrite, "")
-	writeJSON(p.w, http.StatusOK, MutateResponse{
-		Dataset:   req.Dataset,
-		Shard:     req.Shard,
-		Epoch:     snap.Epoch,
-		Applied:   len(req.Edits),
-		DocNodes:  snap.Doc.Len(),
-		Persisted: shard.Log.Durable(),
-	})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.readOnly(w) {
-		return
-	}
-	names, err := s.Reload()
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "reload failed (previous catalog still serving): %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": names})
-}
-
-// handleReadyz answers whether this instance should receive traffic —
-// distinct from /healthz liveness: a draining server is perfectly alive,
-// it just wants the load balancer to look elsewhere while in-flight
-// requests finish.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{
-		"status":        "ok",
-		"datasets":      len(s.Catalog().names),
-		"uptimeSeconds": time.Since(s.stats.start).Seconds(),
-	}
-	// When an SLO is configured, report how the error budget is burning
-	// over the sliding window. Burning faster than it accrues (rate > 1)
-	// flips the status to "degraded" but keeps the 200: latency pressure
-	// is an alert for operators, not a liveness failure — ejecting the
-	// replica from rotation would convert slow answers into no answers.
-	if s.opts.SLOTarget > 0 {
-		win := s.stats.query.lat.Window()
-		slo := obs.SLO{Target: s.opts.SLOTarget, Objective: s.opts.SLOObjective}
-		bad, burn := slo.Burn(win)
-		detail := map[string]any{
-			"targetMs":       float64(s.opts.SLOTarget.Microseconds()) / 1e3,
-			"objective":      s.opts.SLOObjective,
-			"windowSeconds":  s.opts.SLOWindow.Seconds(),
-			"windowRequests": win.Count,
-			"badFraction":    bad,
-			"burnRate":       burn,
-			"p50Ms":          win.Quantile(0.50),
-			"p95Ms":          win.Quantile(0.95),
-			"p99Ms":          win.Quantile(0.99),
-		}
-		body["slo"] = detail
-		if burn > 1 {
-			body["status"] = "degraded"
-		}
-	}
-	// A follower that has fallen too far behind the primary is alive but
-	// not healthy: it answers queries from stale state and min_epoch
-	// queries start timing out. Report degraded (503 keeps load balancers
-	// honest) with the worst shard's lag detail.
-	if s.follower != nil && s.opts.MaxLagEpochs > 0 {
-		if dsName, shard, lag, ok := s.follower.MaxLag(); ok && lag.EpochsBehind > uint64(s.opts.MaxLagEpochs) {
-			body["status"] = "degraded"
-			detail := map[string]any{
-				"dataset":      dsName,
-				"shard":        shard,
-				"epochsBehind": lag.EpochsBehind,
-				"primaryEpoch": lag.PrimaryEpoch,
-				"localEpoch":   lag.LocalEpoch,
-				"maxLagEpochs": s.opts.MaxLagEpochs,
-			}
-			if lag.LastError != "" {
-				detail["lastError"] = lag.LastError
-			}
-			body["lag"] = detail
-			writeJSON(w, http.StatusServiceUnavailable, body)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, body)
 }
