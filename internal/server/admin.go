@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -93,26 +94,19 @@ func (s *Server) readOnly(w http.ResponseWriter) bool {
 func (m *MutateRequest) validate(maxEdits int) error {
 	switch {
 	case m.Shard < 0:
-		return invalidf("negative shard %d", m.Shard)
+		return fmt.Errorf("negative shard %d", m.Shard)
 	case len(m.Edits) == 0:
-		return invalid("mutation has no edits")
+		return errors.New("mutation has no edits")
 	case len(m.Edits) > maxEdits:
-		return invalidf("mutation has %d edits, limit %d", len(m.Edits), maxEdits)
+		return fmt.Errorf("mutation has %d edits, limit %d", len(m.Edits), maxEdits)
 	}
-	if err := delta.Validate(m.Edits); err != nil {
-		return invalid(err.Error())
-	}
-	return nil
+	return delta.Validate(m.Edits)
 }
 
 func (s *Server) handleMutate(p *request) {
 	var req MutateRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if err == nil {
-		err = req.validate(s.opts.MaxBatchEdits)
-	}
-	t := target{dataset: req.Dataset, shard: req.Shard, perShard: true}
-	if !p.open(err, t, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
+	if !p.open(err, req.validate(s.opts.MaxBatchEdits), target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
 		return
 	}
 	// Every applied batch goes through the shard's replication log — the
@@ -123,8 +117,7 @@ func (s *Server) handleMutate(p *request) {
 	// retired by a concurrent reload refuses the append, failing the
 	// mutate instead of writing to a file the new catalog generation now
 	// owns.
-	shard := p.shard
-	snap, err := shard.Live.ApplyTraced(p.tr, req.Edits, shard.Log.Append)
+	snap, err := p.shard.Live.ApplyTraced(p.tr, req.Edits, p.shard.Log.Append)
 	if err != nil {
 		var ee *delta.EditError
 		if errors.As(err, &ee) {
@@ -142,7 +135,7 @@ func (s *Server) handleMutate(p *request) {
 		Epoch:     snap.Epoch,
 		Applied:   len(req.Edits),
 		DocNodes:  snap.Doc.Len(),
-		Persisted: shard.Log.Durable(),
+		Persisted: p.shard.Log.Durable(),
 	})
 }
 
@@ -185,7 +178,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		win := s.stats.query.lat.Window()
 		slo := obs.SLO{Target: s.opts.SLOTarget, Objective: s.opts.SLOObjective}
 		bad, burn := slo.Burn(win)
-		detail := map[string]any{
+		body["slo"] = map[string]any{
 			"targetMs":       float64(s.opts.SLOTarget.Microseconds()) / 1e3,
 			"objective":      s.opts.SLOObjective,
 			"windowSeconds":  s.opts.SLOWindow.Seconds(),
@@ -196,7 +189,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"p95Ms":          win.Quantile(0.95),
 			"p99Ms":          win.Quantile(0.99),
 		}
-		body["slo"] = detail
 		if burn > 1 {
 			body["status"] = "degraded"
 		}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"time"
 
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
@@ -200,12 +199,6 @@ func (d *Collection) CheckpointShard(shard int) (epoch uint64, freed int64, err 
 		return ferr
 	})
 	return epoch, freed, err
-}
-
-// observeShard records one per-shard evaluation timing; handed to
-// engine.Shards.Observe by the query handlers. Safe for concurrent use.
-func (d *Collection) observeShard(shard int, took time.Duration) {
-	d.shards[shard].lat.Observe(took)
 }
 
 // Catalog is an immutable snapshot of the serving datasets, looked up by

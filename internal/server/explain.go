@@ -82,16 +82,6 @@ func buildExplain(tr *obs.Trace, plan *core.PlanStats, snaps []*delta.Snapshot, 
 	return ex
 }
 
-// traceObserver wraps a dataset's per-shard latency observer so every
-// (embedding, shard) scatter unit also lands as a span on the request's
-// trace.
-func traceObserver(tr *obs.Trace, ds *Dataset) func(int, time.Duration) {
-	return func(shard int, took time.Duration) {
-		ds.observeShard(shard, took)
-		tr.Add("shard_evaluate", ds.shards[shard].spanDetail, time.Now().Add(-took), took)
-	}
-}
-
 // handleTraces serves the slow-query log: the retained traces (newest
 // first) plus the sampling accounting, as JSON.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xmatch/internal/delta"
@@ -66,8 +67,8 @@ type request struct {
 	w       http.ResponseWriter
 	r       *http.Request
 	tr      *obs.Trace
-	ctx     context.Context    // under the server-wide deadline and timeout_ms
-	cancel  context.CancelFunc // timeout_ms's, when set
+	ctx     context.Context    // the client's, under the request's deadline once open sets it
+	cancel  context.CancelFunc // the deadline's
 	timeout time.Duration      // the effective bound a 503 reports
 	route   route
 
@@ -77,9 +78,8 @@ type request struct {
 
 	ds    *Dataset
 	shard *Shard // the addressed shard (mutate, replication)
-	// What an evaluating request evaluates with: every shard's pinned
-	// snapshot, and the engine view — the request's context, at most half
-	// the dataset's pool (rounded up) per call — that scatters over them.
+	// An evaluating request's pinned snapshots, and the engine view that
+	// scatters over them: under ctx, half the dataset's pool per call.
 	snaps   []*delta.Snapshot
 	eng     *engine.Engine
 	scatter engine.Shards
@@ -101,11 +101,11 @@ type target struct {
 
 // timed mounts a pipeline handler: method enforcement, the endpoint's
 // request counter and latency histogram, the in-flight gauge, the request
-// ID (X-Request-Id) and its trace, the server-wide deadline, the panic
-// boundary and the read-only refusal, then the handler from the decode
-// stage on. The trace goes to the tail-sampled slow-query log; a retained
-// one also emits a structured log line carrying the request ID, so logs
-// and /v1/debug/traces correlate.
+// ID (X-Request-Id) and its trace, the panic boundary and the read-only
+// refusal, then the handler from the decode stage on. The trace goes to
+// the tail-sampled slow-query log; a retained one also emits a structured
+// log line carrying the request ID, so logs and /v1/debug/traces
+// correlate.
 func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.method(w, r, method) {
@@ -116,10 +116,8 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 		id := obs.RequestID()
 		tr := obs.NewTrace(id)
 		w.Header().Set("X-Request-Id", id)
-		ctx, cancel := s.deadline(r.Context())
-		defer cancel()
 		p := requests.Get().(*request)
-		*p = request{s: s, w: w, r: r, tr: tr, ctx: ctx, route: rt, stage: stageDecode, began: tr.Start()}
+		*p = request{s: s, w: w, r: r, tr: tr, ctx: r.Context(), route: rt, stage: stageDecode, began: tr.Start()}
 		defer p.finish(ep)
 		defer s.recoverPanic(w, ep.name)
 		if rt == writeRoute && s.readOnly(w) {
@@ -133,7 +131,7 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 // and is the request's latency; then what the request held is given back
 // and the trace is filed.
 func (p *request) finish(ep *endpoint) {
-	s, tr := p.s, p.tr
+	s, tr := p.s, p.tr // p is reset and pooled before the trace is filed
 	end := time.Now()
 	tr.Add(string(p.stage), p.detail, p.began, end.Sub(p.began))
 	if p.release != nil {
@@ -169,27 +167,31 @@ func (p *request) next(st stage, detail string) bool {
 	return true
 }
 
-// open runs the shared stages between a decoded body and the handler's
-// own work, then begins the handler's first stage. err is the decode
-// stage's verdict: the decoder's, then the validation step's (each body's
-// validate method). Then come the timeout_ms deadline, dataset and shard
-// resolution and, on an evaluating route, admission, the min_epoch wait
-// and the snapshot pin. open reports false when it answered the request.
-func (p *request) open(err error, t target, first stage, detail string) bool {
+// open runs the shared stages between a body and the handler's own work,
+// then begins the handler's first stage. The decode stage ends in its
+// verdicts: decodeErr from the decoder, invalid from the validation step
+// (each body's validate method), 400 in its own words. Then come the
+// timeout_ms deadline, dataset and shard resolution and, on an evaluating
+// route, admission, the min_epoch wait and the snapshot pin. open reports
+// false when it answered the request.
+func (p *request) open(decodeErr, invalid error, t target, first stage, detail string) bool {
 	s := p.s
-	if err != nil {
-		s.failBody(p.w, err)
+	if decodeErr != nil {
+		s.failBody(p.w, decodeErr)
 		return false
 	}
+	if invalid != nil {
+		s.fail(p.w, http.StatusBadRequest, "%v", invalid)
+		return false
+	}
+	// One deadline, counted from the request's arrival: the server-wide
+	// bound, which timeout_ms may tighten but never extend.
 	p.timeout = max(s.opts.QueryTimeout, 0)
-	if t.timeoutMs > 0 {
-		// timeout_ms only tightens: WithTimeout never extends the parent's
-		// deadline, the server-wide one.
-		d := time.Duration(t.timeoutMs) * time.Millisecond
-		p.ctx, p.cancel = context.WithTimeout(p.ctx, d)
-		if p.timeout == 0 || d < p.timeout {
-			p.timeout = d
-		}
+	if d := time.Duration(t.timeoutMs) * time.Millisecond; d > 0 && (p.timeout == 0 || d < p.timeout) {
+		p.timeout = d
+	}
+	if p.timeout > 0 {
+		p.ctx, p.cancel = context.WithDeadline(p.ctx, p.tr.Start().Add(p.timeout))
 	}
 	if p.route == writeRoute {
 		// Held from resolution to the end: a reload swapping the catalog in
@@ -220,38 +222,35 @@ func (p *request) open(err error, t target, first stage, detail string) bool {
 			}
 		}
 		// One pin per shard: everything the request evaluates sees these
-		// (document, index) pairs even if a mutation lands mid-request.
-		p.snaps = p.ds.Snapshots()
-		p.eng = p.ds.Engine.Sub((p.ds.Engine.Workers() + 1) / 2).WithContext(p.ctx)
-		p.scatter = engine.Shards{Docs: shardDocs(p.snaps), Observe: traceObserver(p.tr, p.ds)}
+		// (document, index) pairs even if a mutation lands mid-request. Each
+		// (embedding, shard) scatter unit is timed into the shard's
+		// histogram and recorded as a shard_evaluate span.
+		ds, tr := p.ds, p.tr
+		p.snaps = ds.Snapshots()
+		docs := make([]*xmltree.Document, len(p.snaps))
+		for i, sn := range p.snaps {
+			docs[i] = sn.Doc
+		}
+		p.eng = ds.Engine.Sub((ds.Engine.Workers() + 1) / 2).WithContext(p.ctx)
+		p.scatter = engine.Shards{Docs: docs, Observe: func(shard int, took time.Duration) {
+			sh := ds.shards[shard]
+			sh.lat.Observe(took)
+			tr.Add("shard_evaluate", sh.spanDetail, time.Now().Add(-took), took)
+		}}
 	}
 	return p.next(first, detail)
 }
 
-// invalid is the validation step's verdict on a body that decoded but
-// asks for something the server does not serve; it answers 400 in its
-// own words.
-type invalid string
-
-func (e invalid) Error() string { return string(e) }
-
-func invalidf(format string, args ...any) error { return invalid(fmt.Sprintf(format, args...)) }
-
-// failBody answers the decode stage's verdict on a body: an oversized body
-// is 413 (the request was well-formed, just too big — retrying it
-// unchanged cannot help), a field the validation step refused is 400 in
-// its words, anything else is 400.
+// failBody answers a body that did not decode: an oversized body is 413
+// (the request was well-formed, just too big — retrying it unchanged
+// cannot help), anything else is 400.
 func (s *Server) failBody(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
-	var inv invalid
-	switch {
-	case errors.As(err, &mbe):
+	if errors.As(err, &mbe) {
 		s.fail(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-	case errors.As(err, &inv):
-		s.fail(w, http.StatusBadRequest, "%s", string(inv))
-	default:
-		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
 	}
+	s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // resolveShard looks up the target's dataset — and bounds-checks its
@@ -308,6 +307,79 @@ func (p *request) admit() bool {
 	return false
 }
 
+// errQueueFull reports that the admission queue is at capacity: the
+// request is shed immediately (429 + Retry-After) instead of waiting.
+var errQueueFull = errors.New("admission queue full")
+
+// admission is the server's overload gate for evaluation-heavy requests
+// (/v1/query, /v1/batch): a fixed number of in-flight slots plus a
+// bounded, deadline-aware wait queue. A request that finds no free slot
+// waits — FIFO through the runtime's channel queue — until a slot frees,
+// its deadline expires, or the client goes away; past the queue bound it
+// is shed instantly, because a queue deeper than the server can drain
+// within a deadline only converts overload into timeouts.
+type admission struct {
+	slots    chan struct{} // capacity = max in-flight
+	queueMax int64
+	queued   atomic.Int64
+	waitLat  *obs.Histogram
+	// releaseFn is the release method bound once, so admitting a request
+	// does not allocate the func it hands back.
+	releaseFn func()
+}
+
+func newAdmission(inflight, queue int) *admission {
+	a := &admission{
+		slots:    make(chan struct{}, inflight),
+		queueMax: int64(queue),
+		waitLat:  obs.NewHistogram(nil),
+	}
+	a.releaseFn = a.release
+	return a
+}
+
+// acquire admits the request, returning the release the caller must run
+// when done. It fails with errQueueFull when the wait queue is at
+// capacity, or the context's error if the deadline expires (or the
+// client disconnects) while queued.
+func (a *admission) acquire(ctx context.Context) (release func(), err error) {
+	if a.tryAcquire() {
+		return a.releaseFn, nil
+	}
+	if a.queued.Add(1) > a.queueMax {
+		a.queued.Add(-1)
+		return nil, errQueueFull
+	}
+	defer a.queued.Add(-1)
+	start := time.Now()
+	select {
+	case a.slots <- struct{}{}:
+		a.waitLat.Observe(time.Since(start))
+		return a.releaseFn, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// tryAcquire takes a free slot if there is one, without queueing; the
+// holder runs releaseFn when done.
+func (a *admission) tryAcquire() bool {
+	select {
+	case a.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (a *admission) release() { <-a.slots }
+
+// inFlight is the number of admitted requests currently holding a slot.
+func (a *admission) inFlight() int { return len(a.slots) }
+
+// queueDepth is the number of requests currently waiting for a slot.
+func (a *admission) queueDepth() int64 { return a.queued.Load() }
+
 // guard wraps an untimed /v1 handler in method enforcement, the
 // server-wide deadline and the panic boundary.
 func (s *Server) guard(endpoint, method string, fn http.HandlerFunc) http.HandlerFunc {
@@ -315,10 +387,13 @@ func (s *Server) guard(endpoint, method string, fn http.HandlerFunc) http.Handle
 		if !s.method(w, r, method) {
 			return
 		}
-		ctx, cancel := s.deadline(r.Context())
-		defer cancel()
+		if s.opts.QueryTimeout > 0 {
+			ctx, cancel := context.WithTimeout(r.Context(), s.opts.QueryTimeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+		}
 		defer s.recoverPanic(w, endpoint)
-		fn(w, r.WithContext(ctx))
+		fn(w, r)
 	}
 }
 
@@ -330,14 +405,6 @@ func (s *Server) probe(fn http.HandlerFunc) http.HandlerFunc {
 			fn(w, r)
 		}
 	}
-}
-
-// deadline puts Options.QueryTimeout on ctx, unless it is negative.
-func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.opts.QueryTimeout > 0 {
-		return context.WithTimeout(ctx, s.opts.QueryTimeout)
-	}
-	return ctx, func() {}
 }
 
 // recoverPanic converts a handler panic into a 500 carrying the request ID
@@ -382,22 +449,13 @@ func (p *request) expired() bool {
 	if errors.Is(err, context.Canceled) {
 		msg = "request canceled by client"
 	}
-	resp := TimeoutResponse{Error: msg + " during " + string(p.stage), Stage: string(p.stage), RequestID: p.tr.ID()}
-	if p.timeout > 0 {
-		resp.TimeoutMs = float64(p.timeout.Microseconds()) / 1e3
-	}
-	writeJSON(p.w, http.StatusServiceUnavailable, resp)
+	writeJSON(p.w, http.StatusServiceUnavailable, TimeoutResponse{
+		Error:     msg + " during " + string(p.stage),
+		Stage:     string(p.stage),
+		TimeoutMs: float64(p.timeout.Microseconds()) / 1e3, // 0 is omitted
+		RequestID: p.tr.ID(),
+	})
 	return true
-}
-
-// shardDocs projects pinned snapshots onto the documents the engine's
-// Across evaluators scatter over.
-func shardDocs(snaps []*delta.Snapshot) []*xmltree.Document {
-	docs := make([]*xmltree.Document, len(snaps))
-	for i, sn := range snaps {
-		docs[i] = sn.Doc
-	}
-	return docs
 }
 
 // snapsEpoch is the consistency token of a pinned snapshot set: the

@@ -2,6 +2,8 @@ package server
 
 import (
 	"cmp"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -105,11 +107,11 @@ type BatchResponse struct {
 func (q *QueryRequest) validate() (string, error) {
 	switch mode := cmp.Or(q.Mode, "compact"); {
 	case mode != "basic" && mode != "compact" && mode != "topk":
-		return "", invalidf("unknown mode %q (want basic, compact, or topk)", mode)
+		return "", fmt.Errorf("unknown mode %q (want basic, compact, or topk)", mode)
 	case mode == "topk" && q.K <= 0:
-		return "", invalid("mode topk requires k > 0")
+		return "", errors.New("mode topk requires k > 0")
 	case q.K < 0:
-		return "", invalidf("negative k %d", q.K)
+		return "", fmt.Errorf("negative k %d", q.K)
 	default:
 		return mode, nil
 	}
@@ -119,13 +121,13 @@ func (q *QueryRequest) validate() (string, error) {
 func (b *BatchRequest) validate(maxQueries int) error {
 	switch {
 	case len(b.Queries) == 0:
-		return invalid("batch has no queries")
+		return errors.New("batch has no queries")
 	case len(b.Queries) > maxQueries:
-		return invalidf("batch has %d queries, limit %d", len(b.Queries), maxQueries)
+		return fmt.Errorf("batch has %d queries, limit %d", len(b.Queries), maxQueries)
 	}
 	for i, bq := range b.Queries {
 		if bq.K < 0 {
-			return invalidf("query %d: negative k %d", i, bq.K)
+			return fmt.Errorf("query %d: negative k %d", i, bq.K)
 		}
 	}
 	return nil
@@ -133,11 +135,8 @@ func (b *BatchRequest) validate(maxQueries int) error {
 
 func (s *Server) handleQuery(p *request) {
 	req, err := s.decodeQuery(p.w, p.r)
-	var mode string
-	if err == nil {
-		mode, err = req.validate()
-	}
-	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stagePrepare, "cached=false") {
+	mode, invalid := req.validate()
+	if !p.open(err, invalid, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stagePrepare, "cached=false") {
 		return
 	}
 	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
@@ -182,8 +181,7 @@ func (s *Server) handleQuery(p *request) {
 	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
 	// The body is rendered whole before anything is accounted or written:
 	// the write stage's boundary is the latency the workload table and the
-	// capture record, encode included, and the explain block, rendered
-	// after it, shows the encode span.
+	// capture record, encode included; the explain block shows its span.
 	p.next(stageWrite, "")
 	if explain {
 		body.b = append(body.b, `,"explain":`...)
@@ -226,10 +224,7 @@ func (s *Server) handleQuery(p *request) {
 func (s *Server) handleBatch(p *request) {
 	var req BatchRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if err == nil {
-		err = req.validate(s.opts.MaxBatchQueries)
-	}
-	if !p.open(err, target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
+	if !p.open(err, req.validate(s.opts.MaxBatchQueries), target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
 		return
 	}
 	// The batch's queries are answered over one consistent per-shard

@@ -25,12 +25,10 @@ import (
 // header carries the shard's current epoch so the follower knows when it
 // has caught up. 409 with the checkpoint epoch means the requested
 // history has been compacted away and the follower must bootstrap.
-// Method enforcement happens in the timed wrapper these handlers are
-// mounted under.
 func (s *Server) handleReplicateStream(p *request) {
 	var req replica.StreamRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if !p.open(err, target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageStream, "") {
+	if !p.open(err, nil, target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageStream, "") {
 		return
 	}
 	w, sh := p.w, p.shard
@@ -62,14 +60,13 @@ func (s *Server) handleReplicateStream(p *request) {
 // freshest state, which minimizes the replay after bootstrap.
 func (s *Server) handleReplicateCheckpoint(p *request) {
 	query := p.r.URL.Query()
-	shard := 0
-	var err error
+	shard, err := 0, error(nil)
 	if v := query.Get("shard"); v != "" {
 		if shard, err = strconv.Atoi(v); err != nil {
-			err = invalidf("bad shard %q", v)
+			err = fmt.Errorf("bad shard %q", v)
 		}
 	}
-	if !p.open(err, target{dataset: query.Get("dataset"), shard: shard, perShard: true}, stageStream, "") {
+	if !p.open(nil, err, target{dataset: query.Get("dataset"), shard: shard, perShard: true}, stageStream, "") {
 		return
 	}
 	w, sh := p.w, p.shard
@@ -130,7 +127,7 @@ type CheckpointResponse struct {
 func (s *Server) handleCheckpoint(p *request) {
 	var req CheckpointRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if !p.open(err, target{dataset: req.Dataset}, stageCheckpoint, "") {
+	if !p.open(err, nil, target{dataset: req.Dataset}, stageCheckpoint, "") {
 		return
 	}
 	resp := CheckpointResponse{Dataset: req.Dataset}
