@@ -541,29 +541,41 @@ func TestStageSpansTileRequest(t *testing.T) {
 	check("mutate", resp, "decode", "apply", "write")
 
 	// min_epoch one past the current epoch; a mutation meets it ~5 ms on.
-	epoch := small.Snapshot().Epoch
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(5 * time.Millisecond)
-		body, _ := json.Marshal(server.MutateRequest{
-			Dataset: "small",
-			Edits:   []delta.Edit{{Op: delta.OpSetText, Path: path, Text: "awaited"}},
-		})
-		if resp, err := http.Post(ts.URL+"/v1/admin/mutate", "application/json", bytes.NewReader(body)); err == nil {
-			resp.Body.Close()
+	// A host too slow to reach the wait before the mutation lands gets
+	// another try with a longer delay.
+	for delay := 5 * time.Millisecond; ; delay *= 2 {
+		epoch := small.Snapshot().Epoch
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			time.Sleep(delay)
+			body, _ := json.Marshal(server.MutateRequest{
+				Dataset: "small",
+				Edits:   []delta.Edit{{Op: delta.OpSetText, Path: path, Text: "awaited"}},
+			})
+			if resp, err := http.Post(ts.URL+"/v1/admin/mutate", "application/json", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		resp, _ = postJSON(t, ts.URL+"/v1/query", server.QueryRequest{Dataset: "small", Pattern: leafPatterns(t, small, 2)[0], MinEpoch: epoch + 1})
+		<-done
+		tr, sum := check("awaited query", resp, "decode", "await_epoch", "prepare", "evaluate", "aggregate", "encode", "write")
+		var waited int64
+		for _, sp := range tr.Spans {
+			if sp.Name == "await_epoch" {
+				waited = sp.DurUs
+			}
 		}
-	}()
-	resp, _ = postJSON(t, ts.URL+"/v1/query", server.QueryRequest{Dataset: "small", Pattern: leafPatterns(t, small, 2)[0], MinEpoch: epoch + 1})
-	<-done
-	tr, sum := check("awaited query", resp, "decode", "await_epoch", "prepare", "evaluate", "aggregate", "encode", "write")
-	for _, sp := range tr.Spans {
-		if sp.Name == "await_epoch" && sp.DurUs < 2000 {
-			t.Errorf("await_epoch lasted %d µs, want >= 2 ms", sp.DurUs)
+		if waited < 2000 {
+			if delay < time.Second {
+				continue
+			}
+			t.Fatalf("await_epoch lasted %d µs with the mutation %v late, want >= 2 ms", waited, delay)
 		}
-	}
-	if float64(sum) < 0.95*float64(tr.DurUs) {
-		t.Errorf("stage spans cover %d of %d µs, want >= 95%%", sum, tr.DurUs)
+		if float64(sum) < 0.95*float64(tr.DurUs) {
+			t.Errorf("stage spans cover %d of %d µs, want >= 95%%", sum, tr.DurUs)
+		}
+		break
 	}
 }
 
