@@ -528,6 +528,49 @@ func BenchmarkPTQTopKIndexed(b *testing.B) {
 	})
 }
 
+// BenchmarkAnswerBuild measures what a warmed Table III request spends on
+// its answer once evaluation is done — AggregateLeaf, then
+// AppendResultsJSON and AppendAnswersJSON into one reused buffer, the
+// aggregate and encode stages of /v1/query — over the served collection
+// (D7, |M| = 100, the indexed 3,473-node document), top-5 and compact.
+func BenchmarkAnswerBuild(b *testing.B) {
+	setup(b)
+	set := fixSets[100]
+	heads := core.NewResultHeads(set)
+	type answer struct {
+		q       *core.Query
+		results []core.Result
+	}
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"topk", 5}, {"compact", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			var work []answer
+			for _, spec := range dataset.Queries() {
+				q, err := core.PrepareQuery(spec.Text, set)
+				if err != nil {
+					b.Fatal(err)
+				}
+				results := core.Evaluate(q, set, fixDocIdx, fixTree)
+				if c.k > 0 {
+					results = core.EvaluateTopK(q, set, fixDocIdx, fixTree, c.k)
+				}
+				work = append(work, answer{q, results})
+			}
+			var buf []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := work[i%len(work)]
+				answers := core.AggregateLeaf(w.q, w.results)
+				buf = core.AppendResultsJSON(buf[:0], w.results, heads)
+				buf = core.AppendAnswersJSON(buf, answers)
+			}
+		})
+	}
+}
+
 // BenchmarkPTQBatch measures the batched multi-query API over the full
 // Table III workload: cold (fresh engine, every pattern parsed) vs warm
 // (prepared-query cache hits).

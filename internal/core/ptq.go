@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -503,7 +503,7 @@ type Answer struct {
 	Prob   float64
 }
 
-// AggregateByNode groups results by the multiset of text values their
+// AggregateByNode groups results by the set of distinct text values their
 // matches bind to the given query node and sums the probabilities of
 // mappings yielding identical value sets. Answers are ordered by
 // non-increasing probability, ties broken by value.
@@ -511,36 +511,30 @@ type Answer struct {
 // Results that carry the same Matches slice (the evaluators share one slice
 // across every mapping with the same rewrite) bind the same values, so the
 // value set is computed once per distinct slice; probabilities are still
-// summed in result order.
+// summed in result order. A plan ends in a handful of result classes, so a
+// new value set finds its group by a linear search of the answers.
 func AggregateByNode(results []Result, qn *twig.Node) []Answer {
 	answers := make([]Answer, 0, 4)    // groups, in order of first appearance
-	var byKey smallTable[string, int]  // value set -> group
 	var bySlice smallTable[ident, int] // match slice -> group
-	var valSet map[string]bool
+	var buf [8]string                  // vals' first array, on the stack
+	vals := buf[:0]                    // one slice's sorted distinct values
 	for _, r := range results {
 		id := sliceIdent(r.Matches)
 		gi, ok := bySlice.get(id)
 		if !ok {
-			if valSet == nil {
-				valSet = map[string]bool{}
-			} else {
-				clear(valSet)
-			}
+			vals = vals[:0]
 			for _, m := range r.Matches {
 				if d := m.Get(qn); d != nil {
-					valSet[d.Text] = true
+					vals = append(vals, d.Text)
 				}
 			}
-			vals := make([]string, 0, len(valSet))
-			for v := range valSet {
-				vals = append(vals, v)
-			}
-			sort.Strings(vals)
-			key := strings.Join(vals, "\x00")
-			if gi, ok = byKey.get(key); !ok {
+			slices.Sort(vals)
+			vals = slices.Compact(vals)
+			gi = slices.IndexFunc(answers, func(a Answer) bool { return slices.Equal(a.Values, vals) })
+			if gi < 0 {
 				gi = len(answers)
-				answers = append(answers, Answer{Values: vals})
-				byKey.put(key, gi)
+				// A fresh, never nil, slice: an empty set renders as [].
+				answers = append(answers, Answer{Values: append(make([]string, 0, len(vals)), vals...)})
 			}
 			bySlice.put(id, gi)
 		}

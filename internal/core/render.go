@@ -130,6 +130,14 @@ func AppendResultsJSON(dst []byte, results []Result, heads ResultHeads) []byte {
 }
 
 func appendMatchesJSON(dst []byte, matches []twig.Match) []byte {
+	// paths[n] is where pattern node n's path was last rendered in this
+	// fragment (hi > 0 once it was): a match binding n to an equal path
+	// copies those bytes. Node indexes outside the array render each time.
+	type rendered struct {
+		path   string
+		lo, hi int
+	}
+	var paths [8]rendered
 	dst = append(dst, '[')
 	for i, m := range matches {
 		if i > 0 {
@@ -143,7 +151,17 @@ func appendMatchesJSON(dst []byte, matches []twig.Match) []byte {
 			dst = append(dst, `{"node":`...)
 			dst = strconv.AppendInt(dst, int64(b.Q.Index), 10)
 			dst = append(dst, `,"path":`...)
-			dst = AppendJSONString(dst, b.D.Path)
+			if n := b.Q.Index; uint(n) < uint(len(paths)) {
+				if p := &paths[n]; p.hi > 0 && p.path == b.D.Path {
+					dst = append(dst, dst[p.lo:p.hi]...)
+				} else {
+					lo := len(dst)
+					dst = AppendJSONString(dst, b.D.Path)
+					*p = rendered{b.D.Path, lo, len(dst)}
+				}
+			} else {
+				dst = AppendJSONString(dst, b.D.Path)
+			}
 			dst = append(dst, `,"start":`...)
 			dst = strconv.AppendInt(dst, int64(b.D.Start), 10)
 			if b.D.Text != "" {
@@ -197,6 +215,26 @@ var jsonPlain = func() (t [utf8.RuneSelf]bool) {
 
 const hexDigits = "0123456789abcdef"
 
+// skipJSONPlain returns the end of the run of whole eight-byte words at
+// s[i:] whose bytes jsonPlain all marks. A word w fails if a byte has its
+// high bit set (w & highs) or lies below space or is one of " \ < > & —
+// the standard has-less-than and has-zero-byte tests, (x - ones*n) &^ x &
+// highs with x = w or w xor ones*c. Each x has w's high bits (c is
+// ASCII), so OR-ed with w & highs the &^ x factors drop out.
+func skipJSONPlain(s string, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(s); i += 8 {
+		t := s[i : i+8]
+		w := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
+		if (w|(w-ones*' ')|(w^ones*'"'-ones)|(w^ones*'\\'-ones)|
+			(w^ones*'<'-ones)|(w^ones*'>'-ones)|(w^ones*'&'-ones))&highs != 0 {
+			break
+		}
+	}
+	return i
+}
+
 // AppendJSONString appends s as a JSON string exactly as encoding/json
 // renders it: \" \\ \b \f \n \r \t by name, other control bytes and <, >, &
 // as \u00XX, U+2028 and U+2029 as \u2028 and \u2029, and each byte of
@@ -204,7 +242,7 @@ const hexDigits = "0123456789abcdef"
 func AppendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
-	for i := 0; i < len(s); {
+	for i := skipJSONPlain(s, 0); i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
 			if jsonPlain[b] {
 				i++
@@ -229,6 +267,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 			}
 			i++
 			start = i
+			i = skipJSONPlain(s, i)
 			continue
 		}
 		c, size := utf8.DecodeRuneInString(s[i:])
@@ -242,7 +281,7 @@ func AppendJSONString(dst []byte, s string) []byte {
 			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
 			start = i + size
 		}
-		i += size
+		i = skipJSONPlain(s, i+size)
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')

@@ -120,6 +120,65 @@ func TestAppendResultsJSONManyDistinctSlices(t *testing.T) {
 	}
 }
 
+// TestAppendResultsJSONRepeatedPaths: a fragment copies a node's rendered
+// path when the node's previous match bound an equal path — equal in
+// value, held in a distinct string header — and renders again after a
+// different path; nodes 8 and -1, outside the renderer's table, always
+// render, and an empty first path is rendered, not taken for a copy.
+func TestAppendResultsJSONRepeatedPaths(t *testing.T) {
+	const p = "Order.<Line>&\"x\"\u2028\xff"
+	var nodes []*twig.Node
+	for _, i := range []int{0, 7, 8, -1} {
+		nodes = append(nodes, &twig.Node{Index: i})
+	}
+	var ms []twig.Match
+	for i, path := range []string{p, strings.Clone(p), "Order.Other", strings.Clone(p), "", "", p} {
+		var m twig.Match
+		for _, qn := range nodes {
+			m = append(m, twig.Binding{Q: qn, D: &xmltree.Node{Path: path, Start: i, Text: path}})
+		}
+		ms = append(ms, m)
+	}
+	results := []Result{
+		{MappingIndex: 0, Prob: 0.5, Matches: ms},
+		{MappingIndex: 1, Prob: 0.25, Matches: ms[4:]}, // a fragment of its own, opening on ""
+		{MappingIndex: 2, Prob: 0.125, Matches: ms[1:3]},
+	}
+	if got, want := AppendResultsJSON(nil, results, nil), mustMarshal(t, ToWire(results)); !bytes.Equal(got, want) {
+		t.Fatalf("results:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestAppendJSONStringWordBoundaries: plain bytes are skipped a word at a
+// time, so every byte value is tried at every offset of a 24-byte plain
+// string — at, inside and across the word boundaries — with a second
+// escape five bytes on, and multi-byte runes and a lone 0xFF are placed
+// across the boundary at offset 8.
+func TestAppendJSONStringWordBoundaries(t *testing.T) {
+	const plain = "Order.Contact.EMail_0123"
+	check := func(s string) {
+		t.Helper()
+		if got, want := AppendJSONString(nil, s), mustMarshal(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("%q:\ngot  %s\nwant %s", s, got, want)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		for off := range len(plain) {
+			s := []byte(plain)
+			s[off] = byte(b)
+			if off+5 < len(s) {
+				s[off+5] = '\n'
+			}
+			check(string(s))
+		}
+	}
+	for _, r := range []string{"é", "\u2028", "\xff"} {
+		for off := 6; off <= 9; off++ {
+			check(plain[:off] + r + plain[off+len(r):])
+		}
+	}
+}
+
 // headsOf is the head table of a mapping set with these probabilities.
 func headsOf(probs ...float64) ResultHeads {
 	set := &mapping.Set{}

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"xmatch/internal/matching"
 	"xmatch/internal/schema"
@@ -73,7 +74,8 @@ func IDs() []string {
 }
 
 // Load builds the dataset with the given ID ("D1".."D10"). Schemas are
-// built once per schema name and shared across datasets.
+// built once per schema name and shared across datasets; concurrent calls
+// are safe.
 func Load(id string) (*Dataset, error) {
 	for _, row := range tableII {
 		if row.ID != id {
@@ -133,9 +135,16 @@ type builtSchema struct {
 	filler    []*schema.Element
 }
 
-var schemaCache = map[string]*builtSchema{}
+// schemaCache holds every schema built so far; schemaMu guards it and
+// serialises the builds, so concurrent Loads build each schema once.
+var (
+	schemaMu    sync.Mutex
+	schemaCache = map[string]*builtSchema{}
+)
 
 func getSchema(name string) (*builtSchema, error) {
+	schemaMu.Lock()
+	defer schemaMu.Unlock()
 	if b, ok := schemaCache[name]; ok {
 		return b, nil
 	}

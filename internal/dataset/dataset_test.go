@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"sync"
 	"testing"
 
 	"xmatch/internal/core"
@@ -165,6 +166,36 @@ func TestQueriesHaveAnswers(t *testing.T) {
 		}
 		if nonEmpty == 0 {
 			t.Errorf("%s: all %d relevant mappings produced empty matches", q.ID, len(results))
+		}
+	}
+}
+
+// TestConcurrentLoad: datasets loaded side by side build and share their
+// schemas without a race (run under -race) and get the same schema
+// object for a shared name.
+func TestConcurrentLoad(t *testing.T) {
+	ids := []string{"D1", "D2", "D3", "D4"}
+	got := make([]*Dataset, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = Load(id)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", ids[i], err)
+		}
+	}
+	for i, d := range got {
+		for j := range i {
+			if e := got[j]; e.Info.Src == d.Info.Src && e.Source != d.Source {
+				t.Errorf("%s and %s built schema %s twice", ids[j], ids[i], d.Info.Src)
+			}
 		}
 	}
 }

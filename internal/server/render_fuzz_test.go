@@ -16,7 +16,8 @@ import (
 
 // FuzzRenderJSON holds the append-style response renderer to encoding/json
 // byte for byte: any strings (control bytes, HTML-sensitive characters,
-// U+2028/U+2029, invalid UTF-8), any finite floats (exponent forms, -0,
+// U+2028/U+2029, invalid UTF-8, each before, on and after an eight-byte
+// word boundary), any finite floats (exponent forms, -0,
 // subnormals), k and text on both sides of omitempty, shared and unshared
 // match slices, null and empty value lists, failed batch members with and
 // without a message, and a head table whose entries some results meet
@@ -34,6 +35,11 @@ func FuzzRenderJSON(f *testing.F) {
 	f.Add("q", "/", "m", 7, uint64(2), "a", "b", -9.999999999999999e20, 4)
 	f.Add("q", "/", "m", 1, uint64(2), "a", "b", 0.0, 3)
 	f.Add("q", "/", "m", 3, uint64(2), "a", "b", 2.2250738585072009e-308, -4)
+	// Strings of two words and more, escapable bytes at word offsets 0, 7,
+	// 8 and 15 (the renderer skips plain bytes eight at a time), and runes
+	// straddling the first word boundary.
+	f.Add("<rder.C\"\\ontact&Mail", "\x01rder/C>\x1fontact\nMail/X", "topk", 5, uint64(4), "&rder.C\u2028ntact<EMail", "Order.Contact.EMail_0123", 0.5, 8)
+	f.Add("\xffrder.Cé.ntac.\xffMail", "Order//EMail", "compact", 0, uint64(5), "Order.C\xe2\x80\xa9tact.\xffMail", "Order.Con\ttact.EMail_0123", 0.125, 15)
 	f.Fuzz(func(t *testing.T, dataset, pattern, mode string, k int, epoch uint64, path, text string, prob float64, start int) {
 		if math.IsNaN(prob) || math.IsInf(prob, 0) {
 			t.Skip("encoding/json refuses non-finite numbers")
