@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"xmatch/internal/assignment"
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
@@ -302,7 +301,8 @@ func BenchmarkFig10fH(b *testing.B) {
 
 // BenchmarkAblationIDSetVsMap compares the bitset mapping-ID sets used in
 // blocks against a map-based alternative for the intersection workload that
-// dominates Algorithm 2 (DESIGN.md ablation).
+// dominates Algorithm 2 (DESIGN.md ablation): both build the intersection,
+// as acc.Intersect(cb.M) does, and take its size.
 func BenchmarkAblationIDSetVsMap(b *testing.B) {
 	const n = 500
 	a1 := mapping.NewIDSet(n)
@@ -319,18 +319,18 @@ func BenchmarkAblationIDSetVsMap(b *testing.B) {
 	}
 	b.Run("bitset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = a1.IntersectLen(a2)
+			_ = a1.Intersect(a2).Len()
 		}
 	})
 	b.Run("map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := 0
+			inter := make(map[int]bool, len(m1))
 			for k := range m1 {
 				if m2[k] {
-					c++
+					inter[k] = true
 				}
 			}
-			_ = c
+			_ = len(inter)
 		}
 	})
 }
@@ -857,29 +857,6 @@ func deepTwigFixtureBinding(withValue bool, doc *xmltree.Document) (*xmltree.Doc
 		n[0]: "R.A", n[1]: "R.A.B", n[2]: "R.A.B.C", n[3]: "R.A.B.C.D", n[4]: "R.A.E",
 	}
 	return doc, pat.Root, binding
-}
-
-// BenchmarkAblationLazyMurty compares lazy child evaluation in Murty's
-// ranking (children enter the heap with the parent's score as an upper
-// bound and are solved only when popped) against eager evaluation, on the
-// D7 matching.
-func BenchmarkAblationLazyMurty(b *testing.B) {
-	d := dataset.MustLoad("D7")
-	edges := make([]assignment.Edge, len(d.Matching.Corrs))
-	for i, c := range d.Matching.Corrs {
-		edges[i] = assignment.Edge{U: c.S, V: c.T, W: c.Score}
-	}
-	g := assignment.MustNewGraph(d.Source.Len(), d.Target.Len(), edges)
-	b.Run("lazy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = g.TopH(10)
-		}
-	})
-	b.Run("eager", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = g.TopHEager(10)
-		}
-	})
 }
 
 // BenchmarkDeltaApply vs BenchmarkIndexRebuild: the cost of absorbing a

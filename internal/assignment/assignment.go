@@ -83,17 +83,13 @@ func (s Solution) Key() string {
 	return fmt.Sprint(s.EdgeIDs)
 }
 
-// Solve returns a maximum-weight matching of the graph using successive
-// shortest augmenting paths: starting from the empty matching, it repeatedly
-// augments along the path with the largest weight gain until no augmenting
-// path has positive gain. Each intermediate matching is maximum-weight among
-// matchings of its cardinality, so the final matching is globally optimal.
-func (g *Graph) Solve() Solution {
-	return g.solveConstrained(nil, nil)
-}
-
-// solveConstrained solves on the subgraph with the given edges forbidden and
-// the given left/right nodes blocked (nil slices mean no constraints).
+// solveConstrained returns a maximum-weight matching of the subgraph with
+// the given edges forbidden and the given left/right nodes blocked (nil
+// means no constraints), by successive shortest augmenting paths: starting
+// from the empty matching, it repeatedly augments along the path with the
+// largest weight gain until no augmenting path has positive gain. Each
+// intermediate matching is maximum-weight among matchings of its
+// cardinality, so the final matching is globally optimal.
 func (g *Graph) solveConstrained(forbidden []bool, blocked *blockSets) Solution {
 	const inf = 1e18
 	nu, nv := g.NU, g.NV
@@ -242,14 +238,6 @@ func (g *Graph) TopH(h int) []Solution {
 	return g.topH(h, true)
 }
 
-// TopHEager is TopH with lazy evaluation disabled — every child subproblem
-// is solved when created. It exists as the reference implementation for
-// correctness tests and the ablation benchmark; results are identical up to
-// score ties.
-func (g *Graph) TopHEager(h int) []Solution {
-	return g.topH(h, false)
-}
-
 func (g *Graph) topH(h int, lazy bool) []Solution {
 	if h <= 0 {
 		return nil
@@ -347,39 +335,4 @@ func (h *murtyHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// EnumerateAll returns every matching of the graph in non-increasing score
-// order. It is exponential and intended as a reference oracle for tests on
-// small graphs; it panics if the graph has more than 24 edges.
-func (g *Graph) EnumerateAll() []Solution {
-	if len(g.Edges) > 24 {
-		panic("assignment: EnumerateAll limited to 24 edges")
-	}
-	var out []Solution
-	usedU := make([]bool, g.NU)
-	usedV := make([]bool, g.NV)
-	var cur []int
-	var score float64
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(g.Edges) {
-			out = append(out, Solution{EdgeIDs: append([]int(nil), cur...), Score: score})
-			return
-		}
-		rec(i + 1) // exclude edge i
-		e := g.Edges[i]
-		if !usedU[e.U] && !usedV[e.V] {
-			usedU[e.U], usedV[e.V] = true, true
-			cur = append(cur, i)
-			score += e.W
-			rec(i + 1)
-			score -= e.W
-			cur = cur[:len(cur)-1]
-			usedU[e.U], usedV[e.V] = false, false
-		}
-	}
-	rec(0)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
-	return out
 }

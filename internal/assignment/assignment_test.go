@@ -3,6 +3,7 @@ package assignment
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +33,7 @@ func TestNewGraphValidation(t *testing.T) {
 
 func TestSolveEmptyGraph(t *testing.T) {
 	g := MustNewGraph(3, 3, nil)
-	s := g.Solve()
+	s := g.solveConstrained(nil, nil)
 	if len(s.EdgeIDs) != 0 || s.Score != 0 {
 		t.Fatalf("empty graph: got %+v", s)
 	}
@@ -40,7 +41,7 @@ func TestSolveEmptyGraph(t *testing.T) {
 
 func TestSolveSingleEdge(t *testing.T) {
 	g := MustNewGraph(1, 1, []Edge{{0, 0, 0.9}})
-	s := g.Solve()
+	s := g.solveConstrained(nil, nil)
 	if len(s.EdgeIDs) != 1 || s.EdgeIDs[0] != 0 || s.Score != 0.9 {
 		t.Fatalf("single edge: got %+v", s)
 	}
@@ -52,7 +53,7 @@ func TestSolvePrefersAlternatingPath(t *testing.T) {
 	g := MustNewGraph(2, 2, []Edge{
 		{0, 0, 10}, {0, 1, 9}, {1, 0, 9}, {1, 1, 1},
 	})
-	s := g.Solve()
+	s := g.solveConstrained(nil, nil)
 	if math.Abs(s.Score-18) > 1e-9 {
 		t.Fatalf("expected score 18, got %v (edges %v)", s.Score, s.EdgeIDs)
 	}
@@ -65,14 +66,14 @@ func TestSolveLeavesUnprofitableNodesUnmatched(t *testing.T) {
 	g := MustNewGraph(3, 1, []Edge{
 		{0, 0, 0.2}, {1, 0, 0.9}, {2, 0, 0.5},
 	})
-	s := g.Solve()
+	s := g.solveConstrained(nil, nil)
 	if len(s.EdgeIDs) != 1 || g.Edges[s.EdgeIDs[0]].U != 1 {
 		t.Fatalf("expected u1-v0 only, got %v", s.EdgeIDs)
 	}
 }
 
 // randomGraph builds a random sparse bipartite graph with at most maxEdges
-// edges, suitable for comparison against EnumerateAll.
+// edges, suitable for comparison against enumerateAll.
 func randomGraph(rng *rand.Rand, maxNodes, maxEdges int) *Graph {
 	nu := 1 + rng.Intn(maxNodes)
 	nv := 1 + rng.Intn(maxNodes)
@@ -100,8 +101,8 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		g := randomGraph(rng, 6, 10)
-		want := g.EnumerateAll()[0].Score
-		got := g.Solve().Score
+		want := enumerateAll(g)[0].Score
+		got := g.solveConstrained(nil, nil).Score
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: solve score %v, brute force %v; edges %+v",
 				trial, got, want, g.Edges)
@@ -113,7 +114,7 @@ func TestSolveSolutionIsValidMatching(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, 8, 16)
-		s := g.Solve()
+		s := g.solveConstrained(nil, nil)
 		usedU := map[int]bool{}
 		usedV := map[int]bool{}
 		var sum float64
@@ -135,7 +136,7 @@ func TestTopHMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		g := randomGraph(rng, 5, 9)
-		all := g.EnumerateAll()
+		all := enumerateAll(g)
 		h := 1 + rng.Intn(len(all)+3)
 		got := g.TopH(h)
 		wantN := h
@@ -177,7 +178,7 @@ func TestTopHExhaustsAllMatchings(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		g := randomGraph(rng, 4, 7)
-		all := g.EnumerateAll()
+		all := enumerateAll(g)
 		got := g.TopH(len(all) + 10)
 		if len(got) != len(all) {
 			t.Fatalf("trial %d: enumerated %d of %d matchings", trial, len(got), len(all))
@@ -243,7 +244,7 @@ func BenchmarkSolveSparse(b *testing.B) {
 	g := MustNewGraph(1000, 160, edges)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Solve()
+		g.solveConstrained(nil, nil)
 	}
 }
 
@@ -272,7 +273,7 @@ func TestTopHLazyMatchesEager(t *testing.T) {
 		g := randomGraph(rng, 6, 10)
 		h := 1 + rng.Intn(25)
 		lazy := g.TopH(h)
-		eager := g.TopHEager(h)
+		eager := g.topH(h, false)
 		if len(lazy) != len(eager) {
 			t.Fatalf("trial %d: lazy %d, eager %d solutions", trial, len(lazy), len(eager))
 		}
@@ -282,4 +283,39 @@ func TestTopHLazyMatchesEager(t *testing.T) {
 			}
 		}
 	}
+}
+
+// enumerateAll returns every matching of g in non-increasing score order:
+// the brute-force oracle for solveConstrained and TopH on small graphs. It
+// panics if the graph has more than 24 edges.
+func enumerateAll(g *Graph) []Solution {
+	if len(g.Edges) > 24 {
+		panic("assignment: enumerateAll limited to 24 edges")
+	}
+	var out []Solution
+	usedU := make([]bool, g.NU)
+	usedV := make([]bool, g.NV)
+	var cur []int
+	var score float64
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(g.Edges) {
+			out = append(out, Solution{EdgeIDs: append([]int(nil), cur...), Score: score})
+			return
+		}
+		rec(i + 1) // exclude edge i
+		e := g.Edges[i]
+		if !usedU[e.U] && !usedV[e.V] {
+			usedU[e.U], usedV[e.V] = true, true
+			cur = append(cur, i)
+			score += e.W
+			rec(i + 1)
+			score -= e.W
+			cur = cur[:len(cur)-1]
+			usedU[e.U], usedV[e.V] = false, false
+		}
+	}
+	rec(0)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	return out
 }

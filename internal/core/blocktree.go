@@ -100,10 +100,6 @@ func Build(set *mapping.Set, opts Options) (*BlockTree, error) {
 	return bt, nil
 }
 
-// MinShare returns the minimum number of mappings a c-block must be shared
-// by, ⌈τ·|M|⌉.
-func (bt *BlockTree) MinShare() int { return bt.minShare }
-
 // constructCBlock generates the c-blocks for element t and its subtree,
 // returning the number of blocks created at t (function construct_c_block).
 func (bt *BlockTree) constructCBlock(t *schema.Element) int {

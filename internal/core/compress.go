@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"xmatch/internal/mapping"
 )
@@ -72,20 +71,6 @@ func (bt *BlockTree) Compress() *Compressed {
 			}
 		}
 	}
-	return out
-}
-
-// Decompress reconstructs the full correspondence pairs of mapping mi,
-// sorted by target element ID. Tests use it to verify the compression is
-// lossless.
-func (c *Compressed) Decompress(mi int) []Corr {
-	cm := c.Mappings[mi]
-	var out []Corr
-	out = append(out, cm.Residual...)
-	for _, b := range cm.BlockRefs {
-		out = append(out, b.C...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }
 

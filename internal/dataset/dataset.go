@@ -45,7 +45,7 @@ type Dataset struct {
 	Target   *schema.Schema
 	Matching *matching.Matching
 
-	src, tgt *builtSchema
+	src *builtSchema // the source schema's concept holders, for documents
 }
 
 var tableII = []struct {
@@ -99,7 +99,6 @@ func Load(id string) (*Dataset, error) {
 			Target:   tgt.schema,
 			Matching: u,
 			src:      src,
-			tgt:      tgt,
 		}, nil
 	}
 	return nil, fmt.Errorf("dataset: unknown ID %q (want D1..D10)", id)
@@ -534,13 +533,4 @@ func buildMatching(src, tgt *builtSchema, cap int, seed int64) (*matching.Matchi
 		corrs[i] = matching.Correspondence{S: e.s.ID, T: e.t.ID, Score: e.score}
 	}
 	return matching.New(src.schema, tgt.schema, corrs)
-}
-
-// Concept returns the element holding a concept key in the schema (primary
-// holder), or nil. Exposed for tests and examples.
-func (d *Dataset) Concept(target bool, key string) *schema.Element {
-	if target {
-		return d.tgt.primaries[key]
-	}
-	return d.src.primaries[key]
 }

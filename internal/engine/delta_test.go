@@ -48,7 +48,10 @@ func newDeltaFixture(t testing.TB, docSeed int64) *deltaFixture {
 	}
 	doc := d.OrderDocument(300, docSeed)
 	var pats []string
-	for _, e := range set.Target.Leaves() {
+	for _, e := range set.Target.Elements() {
+		if !e.IsLeaf() {
+			continue
+		}
 		p := ""
 		for _, c := range e.Path {
 			if c == '.' {

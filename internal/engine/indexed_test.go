@@ -45,7 +45,7 @@ func TestDifferentialIndexedParallel(t *testing.T) {
 	}
 
 	index.Attach(fix.doc)
-	defer index.Detach(fix.doc)
+	defer fix.doc.SetAccel(nil)
 	for _, w := range workerCounts() {
 		e := engine.New(engine.Options{Workers: w})
 		for i, spec := range queries {

@@ -46,7 +46,10 @@ func loadFixture(t *testing.T, id string, mappings, docNodes int, queries []stri
 	}
 	if len(queries) == 0 {
 		// Leaf-path spine queries for datasets Table III does not target.
-		for _, e := range set.Target.Leaves() {
+		for _, e := range set.Target.Elements() {
+			if !e.IsLeaf() {
+				continue
+			}
 			pattern := strings.ReplaceAll(e.Path, ".", "/")
 			if _, err := core.PrepareQuery(pattern, set); err == nil {
 				queries = append(queries, pattern)
@@ -103,11 +106,11 @@ func TestIndexedEvaluationDifferential(t *testing.T) {
 						return core.EvaluateTopK(q, f.set, f.doc, f.tree, mk.k)
 					}
 				}
-				index.Detach(f.doc)
+				f.doc.SetAccel(nil)
 				want := wireBytes(t, q, evaluate())
 				index.Attach(f.doc)
 				got := wireBytes(t, q, evaluate())
-				index.Detach(f.doc)
+				f.doc.SetAccel(nil)
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s %q %s/k=%d: indexed evaluation diverged from unindexed\ngot  %s\nwant %s",
 						f.name, pattern, mk.mode, mk.k, got, want)

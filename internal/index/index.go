@@ -342,10 +342,6 @@ func For(doc *xmltree.Document) *Index {
 // from its document, such as a restored checkpoint's.
 func (ix *Index) Install() { ix.doc.SetAccel(ix) }
 
-// Detach removes any index from the document's accelerator slot, so
-// evaluation falls back to the joined matcher (twig.MatchByPaths).
-func Detach(doc *xmltree.Document) { doc.SetAccel(nil) }
-
 // Document returns the document the index was built over.
 func (ix *Index) Document() *xmltree.Document { return ix.doc }
 
@@ -415,19 +411,6 @@ func (ix *Index) Paths() []string {
 	return out
 }
 
-// ValueTexts returns the distinct indexed text values under path, sorted.
-func (ix *Index) ValueTexts(path string) []string {
-	_, values := ix.materialize()
-	var out []string
-	for k := range values {
-		if k.path == path {
-			out = append(out, k.text)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PathStat is one path's row of the per-path postings report (the CLI's
 // index -stats mode): the static postings footprint joined with the
 // observed-selectivity funnel the workload has accumulated against the
@@ -444,17 +427,6 @@ type PathStat struct {
 	Candidates      uint64
 	UsefulSurvivors uint64
 	ReachSurvivors  uint64
-}
-
-// ObservedSelectivity is ReachSurvivors over Candidates — the observed
-// fraction of loaded postings that participated in a match. It reports
-// -1 when the path has no observations, so callers can tell "never
-// evaluated" from "everything pruned".
-func (s PathStat) ObservedSelectivity() float64 {
-	if s.Candidates == 0 {
-		return -1
-	}
-	return float64(s.ReachSurvivors) / float64(s.Candidates)
 }
 
 // PathStats reports per-path postings counts, compressed-vs-flat

@@ -11,29 +11,13 @@ import (
 // intersections of mapping-ID sets, which bitsets perform word-parallel.
 // The zero value is unusable; create with NewIDSet.
 type IDSet struct {
-	n     int
 	words []uint64
 }
 
 // NewIDSet returns an empty set over the universe [0, n).
 func NewIDSet(n int) *IDSet {
-	return &IDSet{n: n, words: make([]uint64, (n+63)/64)}
+	return &IDSet{words: make([]uint64, (n+63)/64)}
 }
-
-// FullIDSet returns the set containing all of [0, n).
-func FullIDSet(n int) *IDSet {
-	s := NewIDSet(n)
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	if rem := n % 64; rem != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] = (1 << rem) - 1
-	}
-	return s
-}
-
-// Universe returns n, the size of the universe.
-func (s *IDSet) Universe() int { return s.n }
 
 // Add inserts id into the set.
 func (s *IDSet) Add(id int) { s.words[id>>6] |= 1 << (uint(id) & 63) }
@@ -52,7 +36,7 @@ func (s *IDSet) Len() int {
 
 // Clone returns an independent copy of the set.
 func (s *IDSet) Clone() *IDSet {
-	return &IDSet{n: s.n, words: append([]uint64(nil), s.words...)}
+	return &IDSet{words: append([]uint64(nil), s.words...)}
 }
 
 // IntersectWith replaces s with s ∩ o and returns s.
@@ -65,41 +49,6 @@ func (s *IDSet) IntersectWith(o *IDSet) *IDSet {
 
 // Intersect returns a new set s ∩ o.
 func (s *IDSet) Intersect(o *IDSet) *IDSet { return s.Clone().IntersectWith(o) }
-
-// UnionWith replaces s with s ∪ o and returns s.
-func (s *IDSet) UnionWith(o *IDSet) *IDSet {
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-	return s
-}
-
-// SubtractWith replaces s with s \ o and returns s.
-func (s *IDSet) SubtractWith(o *IDSet) *IDSet {
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-	return s
-}
-
-// IntersectLen returns |s ∩ o| without allocating.
-func (s *IDSet) IntersectLen(o *IDSet) int {
-	c := 0
-	for i := range s.words {
-		c += bits.OnesCount64(s.words[i] & o.words[i])
-	}
-	return c
-}
-
-// IsEmpty reports whether the set is empty.
-func (s *IDSet) IsEmpty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // IDs returns the members in ascending order.
 func (s *IDSet) IDs() []int {

@@ -113,7 +113,7 @@ func TestAverageORatio(t *testing.T) {
 
 func TestIDSetBasics(t *testing.T) {
 	s := NewIDSet(130)
-	if !s.IsEmpty() || s.Len() != 0 || s.Universe() != 130 {
+	if s.Len() != 0 || len(s.IDs()) != 0 {
 		t.Fatal("fresh set not empty")
 	}
 	for _, id := range []int{0, 63, 64, 129} {
@@ -155,35 +155,25 @@ func TestIDSetOps(t *testing.T) {
 	if inter.Len() != 17 { // multiples of 6 in [0,100): 0,6,...,96
 		t.Fatalf("intersect len = %d", inter.Len())
 	}
-	if got := a.IntersectLen(b); got != 17 {
-		t.Fatalf("IntersectLen = %d", got)
-	}
 	// Intersect must not mutate its operands.
 	if a.Len() != 50 || b.Len() != 34 {
 		t.Fatal("operands mutated")
 	}
-	u := a.Clone().UnionWith(b)
-	if u.Len() != 50+34-17 {
-		t.Fatalf("union len = %d", u.Len())
-	}
-	d := a.Clone().SubtractWith(b)
-	if d.Len() != 50-17 {
-		t.Fatalf("subtract len = %d", d.Len())
-	}
-	full := FullIDSet(100)
-	if full.Len() != 100 || !full.Has(99) {
-		t.Fatalf("full set wrong: %d", full.Len())
-	}
-	if full.Bytes() != 16 {
-		t.Fatalf("bytes = %d", full.Bytes())
+	if a.Bytes() != 16 {
+		t.Fatalf("bytes = %d", a.Bytes())
 	}
 }
 
+// TestFullIDSetBoundary fills [0, n) at and around word boundaries: every
+// member counts once and the footprint is one word per 64 slots.
 func TestFullIDSetBoundary(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128} {
-		f := FullIDSet(n)
-		if f.Len() != n {
-			t.Fatalf("FullIDSet(%d).Len() = %d", n, f.Len())
+		f := NewIDSet(n)
+		for id := 0; id < n; id++ {
+			f.Add(id)
+		}
+		if f.Len() != n || len(f.IDs()) != n || f.Bytes() != 8*((n+63)/64) {
+			t.Fatalf("full set over %d: len %d, %d IDs, %d bytes", n, f.Len(), len(f.IDs()), f.Bytes())
 		}
 	}
 }

@@ -71,16 +71,6 @@ func MustNew(source, target *schema.Schema, corrs []Correspondence) *Matching {
 // Capacity returns the number of correspondences ("Cap." in Table II).
 func (m *Matching) Capacity() int { return len(m.Corrs) }
 
-// SourceCandidates returns, for each target element ID, the indices into
-// Corrs of the correspondences with that target element.
-func (m *Matching) SourceCandidates() [][]int {
-	out := make([][]int, m.Target.Len())
-	for i, c := range m.Corrs {
-		out[c.T] = append(out[c.T], i)
-	}
-	return out
-}
-
 // Partition is a maximal connected sub-matching of a schema matching
 // (Definition 6): the set of correspondences of one connected component of
 // the bipartite correspondence graph, with the source and target elements

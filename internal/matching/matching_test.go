@@ -62,21 +62,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSourceCandidates(t *testing.T) {
-	src := flatSchema(t, "S", 6)
-	tgt := flatSchema(t, "T", 4)
-	u := MustNew(src, tgt, []Correspondence{
-		{S: 1, T: 2, Score: 0.5}, {S: 2, T: 2, Score: 0.6}, {S: 3, T: 1, Score: 0.7},
-	})
-	cands := u.SourceCandidates()
-	if len(cands) != 4 {
-		t.Fatalf("cands len = %d", len(cands))
-	}
-	if len(cands[2]) != 2 || len(cands[1]) != 1 || len(cands[0]) != 0 {
-		t.Fatalf("candidate counts wrong: %v", cands)
-	}
-}
-
 func TestPartitionsDisjointAndComplete(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -75,7 +75,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// BreakerStatus is a point-in-time view of one breaker: Follower.Lags
+// BreakerStatus is a point-in-time view of one breaker: Follower.MaxLag
 // reports it whole, and the xmatch_replica_breaker_* series export its
 // state and opens.
 type BreakerStatus struct {

@@ -41,7 +41,7 @@ type Lag struct {
 	// Breaker is the shard's sync circuit breaker as of the read —
 	// "closed" / "open" / "half-open", with its failure streak, cumulative
 	// opens, and the wait until the next admitted attempt. Populated by
-	// Lags/MaxLag, not stored.
+	// MaxLag, not stored.
 	Breaker *BreakerStatus `json:"breaker,omitempty"`
 }
 
@@ -116,26 +116,6 @@ func (f *Follower) SetTargets(dataset string, ts []*Target) {
 	f.lagMu.Lock()
 	f.lag[dataset] = make([]Lag, len(ts))
 	f.lagMu.Unlock()
-}
-
-// Lags returns the per-shard lag of one dataset (copy; nil if unknown),
-// each row annotated with its breaker's current status.
-func (f *Follower) Lags(dataset string) []Lag {
-	f.lagMu.Lock()
-	ls, ok := f.lag[dataset]
-	if !ok {
-		f.lagMu.Unlock()
-		return nil
-	}
-	out := make([]Lag, len(ls))
-	copy(out, ls)
-	f.lagMu.Unlock()
-	now := time.Now()
-	for i := range out {
-		st := f.breaker(dataset, i).Status(now)
-		out[i].Breaker = &st
-	}
-	return out
 }
 
 func (f *Follower) setLag(dataset string, shard int, update func(*Lag)) {

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"xmatch/internal/xmltree"
 )
 
 // Element is a single schema element.
@@ -80,8 +78,18 @@ func NewBuilder(name, rootName string) *Schema {
 // Freeze assigns IDs, paths, levels, interval numbers and subtree sizes, and
 // builds lookup indexes. It must be called once after construction and
 // returns the schema for chaining. Freeze panics if called twice or if two
-// sibling elements share a name (paths must be unique).
+// elements share a path; FreezeChecked reports the latter as an error.
 func (s *Schema) Freeze() *Schema {
+	if _, err := s.FreezeChecked(); err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// FreezeChecked is Freeze for a tree built from outside input: two
+// elements on one dotted path (sibling names, or a dot inside a name) are
+// an error rather than a panic, and the schema must not be used after one.
+func (s *Schema) FreezeChecked() (*Schema, error) {
 	if s.frozen {
 		panic("schema: Freeze called twice on " + s.Name)
 	}
@@ -90,6 +98,7 @@ func (s *Schema) Freeze() *Schema {
 	s.byPath = make(map[string]*Element)
 	s.byName = make(map[string][]*Element)
 	counter := 0
+	var err error
 	var walk func(e *Element, level int, prefix string) int
 	walk = func(e *Element, level int, prefix string) int {
 		e.ID = len(s.elems)
@@ -100,7 +109,10 @@ func (s *Schema) Freeze() *Schema {
 			e.Path = prefix + "." + e.Name
 		}
 		if prev, dup := s.byPath[e.Path]; dup {
-			panic(fmt.Sprintf("schema %s: duplicate path %q (IDs %d, %d)", s.Name, e.Path, prev.ID, e.ID))
+			if err == nil {
+				err = fmt.Errorf("schema %s: duplicate path %q (IDs %d, %d)", s.Name, e.Path, prev.ID, e.ID)
+			}
+			return 0
 		}
 		s.elems = append(s.elems, e)
 		s.byPath[e.Path] = e
@@ -118,7 +130,10 @@ func (s *Schema) Freeze() *Schema {
 		return size
 	}
 	walk(s.Root, 0, "")
-	return s
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Len returns the number of elements in the schema.
@@ -138,61 +153,10 @@ func (s *Schema) ByPath(path string) *Element { return s.byPath[path] }
 // returned slice must not be modified.
 func (s *Schema) ByName(name string) []*Element { return s.byName[name] }
 
-// Leaves returns all leaf elements in preorder.
-func (s *Schema) Leaves() []*Element {
-	var out []*Element
-	for _, e := range s.elems {
-		if e.IsLeaf() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// MaxFanout returns the largest number of children of any element.
-func (s *Schema) MaxFanout() int {
-	max := 0
-	for _, e := range s.elems {
-		if len(e.Children) > max {
-			max = len(e.Children)
-		}
-	}
-	return max
-}
-
-// Height returns the maximum element level (root = 0).
-func (s *Schema) Height() int {
-	h := 0
-	for _, e := range s.elems {
-		if e.Level > h {
-			h = e.Level
-		}
-	}
-	return h
-}
-
-// FromDocument infers a schema from a document: the schema contains one
-// element per distinct dotted path of the document, preserving the
-// first-seen child order.
-func FromDocument(name string, d *xmltree.Document) *Schema {
-	s := NewBuilder(name, d.Root.Label)
-	byPath := map[string]*Element{d.Root.Path: s.Root}
-	d.Walk(func(n *xmltree.Node) bool {
-		parent := byPath[n.Path]
-		for _, c := range n.Children {
-			if _, ok := byPath[c.Path]; !ok {
-				byPath[c.Path] = parent.AddChild(c.Label)
-			}
-		}
-		return true
-	})
-	return s.Freeze()
-}
-
 // ParseSpec builds a schema from an indentation-based text specification:
 // one element name per line, children indented by one more leading tab or
 // two more spaces than their parent. Blank lines and lines starting with '#'
-// are ignored. Example:
+// are ignored. Two elements on one dotted path are an error. Example:
 //
 //	Order
 //	  Header
@@ -252,23 +216,7 @@ func ParseSpec(name, spec string) (*Schema, error) {
 	if s == nil {
 		return nil, fmt.Errorf("schema spec %s: empty specification", name)
 	}
-	return s.Freeze(), nil
-}
-
-// Spec renders the schema in the indentation format accepted by ParseSpec.
-func (s *Schema) Spec() string {
-	var b strings.Builder
-	var walk func(e *Element, depth int)
-	walk = func(e *Element, depth int) {
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(e.Name)
-		b.WriteByte('\n')
-		for _, c := range e.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(s.Root, 0)
-	return b.String()
+	return s.FreezeChecked()
 }
 
 // Paths returns all element paths, sorted.
@@ -278,21 +226,6 @@ func (s *Schema) Paths() []string {
 		out = append(out, p)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// PostOrder returns element IDs in post-order (children before parents),
-// the traversal order of block-tree construction (Algorithm 1).
-func (s *Schema) PostOrder() []int {
-	out := make([]int, 0, len(s.elems))
-	var walk func(e *Element)
-	walk = func(e *Element) {
-		for _, c := range e.Children {
-			walk(c)
-		}
-		out = append(out, e.ID)
-	}
-	walk(s.Root)
 	return out
 }
 

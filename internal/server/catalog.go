@@ -78,11 +78,6 @@ type Collection struct {
 // are the same type and every Dataset method works on any collection.
 type Dataset = Collection
 
-// NewDataset builds a single-shard serving collection; see NewCollection.
-func NewDataset(name string, set *mapping.Set, doc *xmltree.Document, tau float64, eopts engine.Options) (*Dataset, error) {
-	return NewCollection(name, set, []*xmltree.Document{doc}, tau, eopts)
-}
-
 // NewCollection builds a serving collection over the member documents:
 // block tree (tau 0 = default 0.2), one positional index per member
 // (built by delta.Open unless one — a restored checkpoint's — is already

@@ -267,11 +267,10 @@ func TestFollowerChaosRetriesConverge(t *testing.T) {
 	if got := inj.Counts()["replica.stream"].Errors; got != faults {
 		t.Fatalf("injected %d stream faults, want %d", got, faults)
 	}
-	lags := f.Lags("small")
-	if len(lags) != 1 {
-		t.Fatalf("lag rows: %d", len(lags))
+	ds, shard, lag, ok := f.MaxLag()
+	if !ok || ds != "small" || shard != 0 {
+		t.Fatalf("lag row: %q shard %d (ok %v)", ds, shard, ok)
 	}
-	lag := lags[0]
 	if lag.SyncErrors != faults {
 		t.Fatalf("syncErrors %d, want %d", lag.SyncErrors, faults)
 	}

@@ -245,7 +245,7 @@ func TestMetricszExposition(t *testing.T) {
 func TestQueryExplain(t *testing.T) {
 	ts, srv := newPrimary(t)
 	ds := srv.Catalog().Get("orders")
-	pattern := strings.ReplaceAll(ds.Set.Target.Leaves()[0].Path, ".", "/")
+	pattern := firstLeafPattern(ds)
 
 	resp, raw := postJSON(t, ts.URL+"/v1/query?explain=1", server.QueryRequest{Dataset: "orders", Pattern: pattern})
 	if resp.StatusCode != http.StatusOK {
@@ -478,7 +478,7 @@ func TestStageSpansTileRequest(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	orders, small := srv.Catalog().Get("orders"), srv.Catalog().Get("small")
-	pattern := strings.ReplaceAll(orders.Set.Target.Leaves()[0].Path, ".", "/")
+	pattern := firstLeafPattern(orders)
 	path := textPath(t, small)
 	nested := map[string]bool{"shard_evaluate": true, "replica_sync": true, "resolve": true, "commit": true, "index": true, "log": true}
 

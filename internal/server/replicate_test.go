@@ -174,6 +174,19 @@ func shardEpochs(t *testing.T, url string) map[string]float64 {
 // shard-state trials), with raw wire bytes and /statsz epochs agreeing at
 // sampled epochs; finally a fresh follower must reach the same state
 // purely through checkpoint bootstrap plus stream replay.
+// bootstraps sums the checkpoint bootstraps a follower's /metricsz
+// reports for the two replicated datasets.
+func bootstraps(t *testing.T, follower string) float64 {
+	t.Helper()
+	ms := scrapeMetrics(t, follower)
+	var sum float64
+	for _, name := range []string{"orders", "small"} {
+		n, _ := metricSum(ms, "xmatch_replica_bootstraps_total", dsLabel(name))
+		sum += n
+	}
+	return sum
+}
+
 func TestReplicaReplayEquivalence(t *testing.T) {
 	pts, psrv := newPrimary(t)
 	fts, fsrv, f := newReplica(t, pts.URL, server.Options{})
@@ -273,28 +286,16 @@ func TestReplicaReplayEquivalence(t *testing.T) {
 
 	// The forced compactions must actually have exercised the bootstrap
 	// path, not just the streaming path.
-	boots := uint64(0)
-	for _, name := range []string{"orders", "small"} {
-		for _, lag := range f.Lags(name) {
-			boots += lag.Bootstraps
-		}
-	}
-	if boots == 0 {
+	if bootstraps(t, fts.URL) == 0 {
 		t.Fatal("no checkpoint bootstraps happened; the 409 path went unexercised")
 	}
 
 	// A fresh follower starts from the pristine manifest build, discovers
 	// its history is compacted away, bootstraps from checkpoints, and
 	// lands byte-identical too.
-	_, f2srv, f2 := newReplica(t, pts.URL, server.Options{})
+	f2ts, f2srv, _ := newReplica(t, pts.URL, server.Options{})
 	assertStateIdentical(t, "fresh follower", psrv, f2srv)
-	boots2 := uint64(0)
-	for _, name := range []string{"orders", "small"} {
-		for _, lag := range f2.Lags(name) {
-			boots2 += lag.Bootstraps
-		}
-	}
-	if boots2 == 0 {
+	if bootstraps(t, f2ts.URL) == 0 {
 		t.Fatal("fresh follower never bootstrapped despite compacted history")
 	}
 }

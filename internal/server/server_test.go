@@ -24,6 +24,7 @@ import (
 	"xmatch/internal/obs"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
+	"xmatch/internal/xmltree"
 )
 
 // fixture holds one serving dataset alongside the direct (sequential core)
@@ -43,6 +44,16 @@ func manifest() *store.Catalog {
 	}}
 }
 
+// firstLeafPattern is the spine query of d's first target leaf in preorder.
+func firstLeafPattern(d *server.Dataset) string {
+	for _, e := range d.Set.Target.Elements() {
+		if e.IsLeaf() {
+			return strings.ReplaceAll(e.Path, ".", "/")
+		}
+	}
+	return ""
+}
+
 // leafPatterns derives resolvable spine queries from a dataset's target
 // schema: dotted leaf paths as '/' patterns. It prefers leaves whose basic
 // PTQ answer is non-empty (so the matrix exercises real matches) but keeps
@@ -51,9 +62,12 @@ func manifest() *store.Catalog {
 func leafPatterns(t *testing.T, d *server.Dataset, n int) []string {
 	t.Helper()
 	var nonEmpty, empty []string
-	for _, e := range d.Set.Target.Leaves() {
+	for _, e := range d.Set.Target.Elements() {
 		if len(nonEmpty) >= n-1 && len(empty) >= 1 {
 			break
+		}
+		if !e.IsLeaf() {
+			continue
 		}
 		pattern := strings.ReplaceAll(e.Path, ".", "/")
 		q, err := core.PrepareQuery(pattern, d.Set)
@@ -644,7 +658,7 @@ func TestIndexBlobCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := server.NewDataset("fresh", orig.Set, orig.Doc(), 0, engine.Options{Workers: 2})
+	fresh, err := server.NewCollection("fresh", orig.Set, []*xmltree.Document{orig.Doc()}, 0, engine.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ type CatalogEntry struct {
 	// from the set's source schema.
 	DocPath string
 	// EditLogPath optionally locates the entry's append-only edit log
-	// (CreateEditLog/AppendEditBatch format), relative to the manifest's
+	// (CreateEditLogAt/AppendEditRecordFile format), relative to the manifest's
 	// directory. At catalog-prepare time the log — if the file exists —
 	// is replayed over the entry's pristine document, restoring its
 	// edited state; /v1/admin/mutate appends every applied batch to it.

@@ -214,7 +214,7 @@ func TestCheckpointCorruption(t *testing.T) {
 	}
 	// Kind confusion: an edit log is not a checkpoint.
 	var lg bytes.Buffer
-	if err := CreateEditLog(&lg); err != nil {
+	if err := CreateEditLogAt(&lg, 0); err != nil {
 		t.Fatal(err)
 	}
 	cases["wrong kind"] = lg.Bytes()

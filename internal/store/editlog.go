@@ -80,11 +80,6 @@ func (l *EditLog) Epoch() uint64 {
 	return l.Base
 }
 
-// CreateEditLog writes an empty edit-log blob with base epoch 0.
-func CreateEditLog(w io.Writer) error {
-	return CreateEditLogAt(w, 0)
-}
-
 // CreateEditLogAt writes an empty edit-log blob whose first record will
 // apply on top of epoch base — the envelope of a log reset by a
 // checkpoint at that epoch.
@@ -97,8 +92,8 @@ func CreateEditLogAt(w io.Writer, base uint64) error {
 
 // EncodeEditRecord renders one record in its framed on-disk/wire form:
 // uvarint length prefix followed by the gob-encoded record. The frame is
-// what AppendEditRecord writes and what the replication stream ships, so
-// a record is encoded once and reused byte-for-byte.
+// what AppendEditRecordFile writes and what the replication stream ships,
+// so a record is encoded once and reused byte-for-byte.
 func EncodeEditRecord(rec EditRecord) ([]byte, error) {
 	if len(rec.Edits) == 0 {
 		return nil, fmt.Errorf("store: edit log: empty batch")
@@ -114,20 +109,6 @@ func EncodeEditRecord(rec EditRecord) ([]byte, error) {
 	buf := record.Bytes()
 	copy(buf[binary.MaxVarintLen64-n:], frame[:n])
 	return buf[binary.MaxVarintLen64-n:], nil
-}
-
-// AppendEditRecord appends one record to an edit log previously started
-// with CreateEditLog[At]. The writer must be positioned at the end of the
-// log (an *os.File opened with O_APPEND, typically). The frame and
-// payload go down in a single Write, so a crash leaves at worst one torn
-// record at the tail — never an intact record after garbage.
-func AppendEditRecord(w io.Writer, rec EditRecord) error {
-	frame, err := EncodeEditRecord(rec)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
 }
 
 // LoadEditLog reads an edit log, returning the base epoch and the applied

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,17 @@ import (
 	"xmatch/internal/delta"
 	"xmatch/internal/xmltree"
 )
+
+// appendRecord writes rec's frame to the end of a log started with
+// CreateEditLogAt, in one Write, as AppendEditRecordFile does.
+func appendRecord(w io.Writer, rec EditRecord) error {
+	frame, err := EncodeEditRecord(rec)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
 
 func sampleBatches() [][]delta.Edit {
 	return [][]delta.Edit{
@@ -47,7 +59,7 @@ func TestEditLogRoundTrip(t *testing.T) {
 		}
 		want := sampleRecords(base)
 		for _, rec := range want {
-			if err := AppendEditRecord(&buf, rec); err != nil {
+			if err := appendRecord(&buf, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -90,12 +102,12 @@ func TestEditLogEpochDensity(t *testing.T) {
 		"wrong base": {5, 6},
 	} {
 		var buf bytes.Buffer
-		if err := CreateEditLog(&buf); err != nil {
+		if err := CreateEditLogAt(&buf, 0); err != nil {
 			t.Fatal(err)
 		}
 		batch := sampleBatches()[0]
 		for _, e := range epochs {
-			if err := AppendEditRecord(&buf, EditRecord{Epoch: e, Edits: batch}); err != nil {
+			if err := appendRecord(&buf, EditRecord{Epoch: e, Edits: batch}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,12 +173,12 @@ func TestEditLogFileAppendAcrossOpens(t *testing.T) {
 
 func TestEditLogCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := CreateEditLog(&buf); err != nil {
+	if err := CreateEditLogAt(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	recs := sampleRecords(0)
 	for _, rec := range recs {
-		if err := AppendEditRecord(&buf, rec); err != nil {
+		if err := appendRecord(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,10 +213,10 @@ func TestEditLogCorruption(t *testing.T) {
 	// A record carrying an invalid batch (bad shape) must be rejected
 	// even though it decodes.
 	var bad bytes.Buffer
-	if err := CreateEditLog(&bad); err != nil {
+	if err := CreateEditLogAt(&bad, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendEditRecord(&bad, EditRecord{Epoch: 1, Edits: []delta.Edit{{Op: delta.OpDelete, Path: "r"}}}); err != nil {
+	if err := appendRecord(&bad, EditRecord{Epoch: 1, Edits: []delta.Edit{{Op: delta.OpDelete, Path: "r"}}}); err != nil {
 		t.Fatal(err)
 	}
 	// Hand-corrupt the op by round-tripping through the record layer.
@@ -218,9 +230,9 @@ func TestEditLogCorruption(t *testing.T) {
 		t.Error("invalid op in log accepted")
 	}
 
-	// Appending an empty batch is refused.
-	if err := AppendEditRecord(&bytes.Buffer{}, EditRecord{Epoch: 1}); err == nil {
-		t.Error("empty batch appended")
+	// Encoding an empty batch is refused.
+	if _, err := EncodeEditRecord(EditRecord{Epoch: 1}); err == nil {
+		t.Error("empty batch encoded")
 	}
 }
 
@@ -231,7 +243,7 @@ func TestEditLogCorruption(t *testing.T) {
 // repair point.
 func TestEditLogTornTailMatrix(t *testing.T) {
 	var buf bytes.Buffer
-	if err := CreateEditLog(&buf); err != nil {
+	if err := CreateEditLogAt(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	recs := sampleRecords(0)
@@ -240,7 +252,7 @@ func TestEditLogTornTailMatrix(t *testing.T) {
 		if i == len(recs)-1 {
 			tail = buf.Len()
 		}
-		if err := AppendEditRecord(&buf, rec); err != nil {
+		if err := appendRecord(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +297,7 @@ func TestEditLogTornTailMatrix(t *testing.T) {
 // package refuses to allow.
 func TestEditLogRecoverAndResume(t *testing.T) {
 	var buf bytes.Buffer
-	if err := CreateEditLog(&buf); err != nil {
+	if err := CreateEditLogAt(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	recs := sampleRecords(0)
@@ -294,7 +306,7 @@ func TestEditLogRecoverAndResume(t *testing.T) {
 		if i == len(recs)-1 {
 			tail = buf.Len()
 		}
-		if err := AppendEditRecord(&buf, rec); err != nil {
+		if err := appendRecord(&buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +469,7 @@ func framedBlob(t *testing.T, create func(*bytes.Buffer) error, size uint64, bod
 // limit, or a complete record that does not decode, is a *FormatError.
 // Followers decode /v1/replicate/stream bodies through LoadEditLog.
 func TestLoadAllocatesWhatArrives(t *testing.T) {
-	createLog := func(b *bytes.Buffer) error { return CreateEditLog(b) }
+	createLog := func(b *bytes.Buffer) error { return CreateEditLogAt(b, 0) }
 	createWorkload := func(b *bytes.Buffer) error { return CreateWorkload(b, 1) }
 	loadLog := func(blob []byte) (bool, int64, error) {
 		l, err := LoadEditLog(bytes.NewReader(blob))
@@ -525,7 +537,7 @@ func FuzzLoadEditLog(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, rec := range sampleRecords(41) {
-		if err := AppendEditRecord(&today, rec); err != nil {
+		if err := appendRecord(&today, rec); err != nil {
 			f.Fatal(err)
 		}
 	}
@@ -548,7 +560,7 @@ func FuzzLoadEditLog(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, rec := range log.Records {
-			if err := AppendEditRecord(&again, rec); err != nil {
+			if err := appendRecord(&again, rec); err != nil {
 				t.Fatalf("re-encoding loaded record %+v: %v", rec, err)
 			}
 		}

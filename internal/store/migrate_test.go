@@ -86,14 +86,6 @@ func TestStoreMigrateAcrossVersions(t *testing.T) {
 		save func(*bytes.Buffer) error
 		load func([]byte) error
 	}{
-		"schema": {
-			func(b *bytes.Buffer) error { return SaveSchema(b, d.Target) },
-			func(p []byte) error { _, err := LoadSchema(bytes.NewReader(p)); return err },
-		},
-		"matching": {
-			func(b *bytes.Buffer) error { return SaveMatching(b, d.Matching) },
-			func(p []byte) error { _, err := LoadMatching(bytes.NewReader(p)); return err },
-		},
 		"mappingset": {
 			func(b *bytes.Buffer) error { return SaveSet(b, set) },
 			func(p []byte) error { _, err := LoadSet(bytes.NewReader(p)); return err },
@@ -105,7 +97,7 @@ func TestStoreMigrateAcrossVersions(t *testing.T) {
 			func(p []byte) error { _, err := LoadCatalog(bytes.NewReader(p)); return err },
 		},
 		"editlog": {
-			func(b *bytes.Buffer) error { return CreateEditLog(b) },
+			func(b *bytes.Buffer) error { return CreateEditLogAt(b, 0) },
 			func(p []byte) error { _, err := LoadEditLog(bytes.NewReader(p)); return err },
 		},
 	}

@@ -1,7 +1,8 @@
-// Package store persists the library's artifacts — schemas, schema
-// matchings, and possible-mapping sets — in a versioned binary format
-// (gob-encoded with a magic header), so that expensive steps of the
-// pipeline (matching, top-h generation) can be computed once and reloaded.
+// Package store persists the library's artifacts — possible-mapping sets
+// with their schemas, serving catalogs, edit logs, checkpoints and
+// workload captures — in a versioned binary format (gob-encoded with a
+// magic header), so that expensive steps of the pipeline (top-h
+// generation) can be computed once and reloaded.
 // Derived state is deliberately not persisted. Block trees are rebuilt
 // from the mapping set on load: construction is deterministic and takes
 // well under a millisecond (Figure 9(d)). Positional indexes are rebuilt
@@ -18,7 +19,6 @@ import (
 	"io"
 
 	"xmatch/internal/mapping"
-	"xmatch/internal/matching"
 	"xmatch/internal/schema"
 )
 
@@ -69,7 +69,7 @@ func formatErrorf(format string, args ...any) error {
 
 type header struct {
 	Version int
-	Kind    string // "schema", "matching", "mappingset", "catalog", "editlog", "checkpoint", "workload"
+	Kind    string // "mappingset", "catalog", "editlog", "checkpoint", "workload"
 }
 
 type schemaDTO struct {
@@ -93,12 +93,17 @@ func schemaToDTO(s *schema.Schema) schemaDTO {
 	return d
 }
 
+// schemaFromDTO rebuilds a schema, refusing with *FormatError anything
+// that is not a tree with one element per path.
 func schemaFromDTO(d schemaDTO) (*schema.Schema, error) {
 	if len(d.Names) == 0 {
-		return nil, fmt.Errorf("store: schema %q has no elements", d.Name)
+		return nil, formatErrorf("schema %q has no elements", d.Name)
+	}
+	if len(d.Parents) != len(d.Names) {
+		return nil, formatErrorf("schema %q: %d parents for %d elements", d.Name, len(d.Parents), len(d.Names))
 	}
 	if d.Parents[0] != -1 {
-		return nil, fmt.Errorf("store: schema %q: first element is not the root", d.Name)
+		return nil, formatErrorf("schema %q: first element is not the root", d.Name)
 	}
 	b := schema.NewBuilder(d.Name, d.Names[0])
 	elems := make([]*schema.Element, len(d.Names))
@@ -106,17 +111,15 @@ func schemaFromDTO(d schemaDTO) (*schema.Schema, error) {
 	for i := 1; i < len(d.Names); i++ {
 		p := d.Parents[i]
 		if p < 0 || int(p) >= i {
-			return nil, fmt.Errorf("store: schema %q: element %d has invalid parent %d", d.Name, i, p)
+			return nil, formatErrorf("schema %q: element %d has invalid parent %d", d.Name, i, p)
 		}
 		elems[i] = elems[p].AddChild(d.Names[i])
 	}
-	return b.Freeze(), nil
-}
-
-type matchingDTO struct {
-	Source, Target schemaDTO
-	S, T           []int32
-	Score          []float64
+	s, err := b.FreezeChecked()
+	if err != nil {
+		return nil, &FormatError{Msg: err.Error(), Err: err}
+	}
+	return s, nil
 }
 
 type mappingDTO struct {
@@ -258,70 +261,6 @@ func readHeader(r io.Reader, wantKind string) (*blobReader, error) {
 	return b, nil
 }
 
-// SaveSchema writes a schema.
-func SaveSchema(w io.Writer, s *schema.Schema) error {
-	if err := writeHeader(w, "schema"); err != nil {
-		return err
-	}
-	return gob.NewEncoder(w).Encode(schemaToDTO(s))
-}
-
-// LoadSchema reads a schema written by SaveSchema.
-func LoadSchema(r io.Reader) (*schema.Schema, error) {
-	dec, err := readHeader(r, "schema")
-	if err != nil {
-		return nil, err
-	}
-	var d schemaDTO
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("store: decoding schema: %w", err)
-	}
-	return schemaFromDTO(d)
-}
-
-// SaveMatching writes a schema matching together with its two schemas.
-func SaveMatching(w io.Writer, u *matching.Matching) error {
-	if err := writeHeader(w, "matching"); err != nil {
-		return err
-	}
-	d := matchingDTO{Source: schemaToDTO(u.Source), Target: schemaToDTO(u.Target)}
-	for _, c := range u.Corrs {
-		d.S = append(d.S, int32(c.S))
-		d.T = append(d.T, int32(c.T))
-		d.Score = append(d.Score, c.Score)
-	}
-	return gob.NewEncoder(w).Encode(d)
-}
-
-// LoadMatching reads a matching written by SaveMatching. The embedded
-// schemas are rebuilt and the correspondences re-validated.
-func LoadMatching(r io.Reader) (*matching.Matching, error) {
-	dec, err := readHeader(r, "matching")
-	if err != nil {
-		return nil, err
-	}
-	var d matchingDTO
-	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("store: decoding matching: %w", err)
-	}
-	src, err := schemaFromDTO(d.Source)
-	if err != nil {
-		return nil, err
-	}
-	tgt, err := schemaFromDTO(d.Target)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.S) != len(d.T) || len(d.S) != len(d.Score) {
-		return nil, fmt.Errorf("store: matching arrays disagree: %d/%d/%d", len(d.S), len(d.T), len(d.Score))
-	}
-	corrs := make([]matching.Correspondence, len(d.S))
-	for i := range d.S {
-		corrs[i] = matching.Correspondence{S: int(d.S[i]), T: int(d.T[i]), Score: d.Score[i]}
-	}
-	return matching.New(src, tgt, corrs)
-}
-
 // SaveSet writes a possible-mapping set together with its schemas.
 func SaveSet(w io.Writer, set *mapping.Set) error {
 	if err := writeHeader(w, "mappingset"); err != nil {
@@ -340,7 +279,8 @@ func SaveSet(w io.Writer, set *mapping.Set) error {
 }
 
 // LoadSet reads a mapping set written by SaveSet, rebuilding probabilities
-// via the usual score normalization.
+// via the usual score normalization. A blob that does not decode to a
+// valid set is a *FormatError; genuine read failures stay unclassified.
 func LoadSet(r io.Reader) (*mapping.Set, error) {
 	dec, err := readHeader(r, "mappingset")
 	if err != nil {
@@ -348,7 +288,7 @@ func LoadSet(r io.Reader) (*mapping.Set, error) {
 	}
 	var d setDTO
 	if err := dec.Decode(&d); err != nil {
-		return nil, fmt.Errorf("store: decoding mapping set: %w", err)
+		return nil, dec.classify(err, "decoding mapping set")
 	}
 	src, err := schemaFromDTO(d.Source)
 	if err != nil {
@@ -361,7 +301,7 @@ func LoadSet(r io.Reader) (*mapping.Set, error) {
 	mappings := make([]*mapping.Mapping, len(d.Mappings))
 	for i, md := range d.Mappings {
 		if len(md.S) != len(md.T) {
-			return nil, fmt.Errorf("store: mapping %d arrays disagree", i)
+			return nil, formatErrorf("mapping %d arrays disagree", i)
 		}
 		m := &mapping.Mapping{Score: md.Score}
 		for j := range md.S {
@@ -369,5 +309,9 @@ func LoadSet(r io.Reader) (*mapping.Set, error) {
 		}
 		mappings[i] = m
 	}
-	return mapping.NewSet(src, tgt, mappings)
+	set, err := mapping.NewSet(src, tgt, mappings)
+	if err != nil {
+		return nil, &FormatError{Msg: err.Error(), Err: err}
+	}
+	return set, nil
 }

@@ -84,7 +84,7 @@ func TestWorkloadTornTail(t *testing.T) {
 
 func TestWorkloadRejectsWrongKind(t *testing.T) {
 	var buf bytes.Buffer
-	if err := CreateEditLog(&buf); err != nil {
+	if err := CreateEditLogAt(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var fe *FormatError
