@@ -429,7 +429,7 @@ func benchmarkPTQBasic(b *testing.B, indexed bool) {
 	eng := engine.New(engine.Options{})
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateBasic(q, set, doc)
+			_ = eng.EvaluateBasicAcross(q, set, engine.Shards{Docs: []*xmltree.Document{doc}})
 		}
 	})
 }
@@ -588,15 +588,15 @@ func BenchmarkPTQBatch(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-			_ = eng.EvaluateBatch(set, fixDoc, bt, reqs)
+			_ = eng.EvaluateBatchAcross(set, engine.Shards{Docs: []*xmltree.Document{fixDoc}}, bt, reqs)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		eng := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-		_ = eng.EvaluateBatch(set, fixDoc, bt, reqs) // populate the cache
+		_ = eng.EvaluateBatchAcross(set, engine.Shards{Docs: []*xmltree.Document{fixDoc}}, bt, reqs) // populate the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = eng.EvaluateBatch(set, fixDoc, bt, reqs)
+			_ = eng.EvaluateBatchAcross(set, engine.Shards{Docs: []*xmltree.Document{fixDoc}}, bt, reqs)
 		}
 	})
 }

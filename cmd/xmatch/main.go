@@ -291,13 +291,14 @@ func runQuery(args []string) error {
 		return err
 	}
 	eng := engine.New(engine.Options{Workers: w})
+	sh := engine.Shards{Docs: []*xmltree.Document{doc}}
 	if len(queries) > 1 {
 		// Batch: answer every query concurrently under one worker budget.
 		reqs := make([]engine.Request, len(queries))
 		for i, text := range queries {
 			reqs[i] = engine.Request{Pattern: text, K: *k}
 		}
-		for _, resp := range eng.EvaluateBatch(set, doc, bt, reqs) {
+		for _, resp := range eng.EvaluateBatchAcross(set, sh, bt, reqs) {
 			if resp.Err != nil {
 				return fmt.Errorf("query %s: %w", resp.Pattern, resp.Err)
 			}
@@ -315,9 +316,9 @@ func runQuery(args []string) error {
 	start := time.Now()
 	var results []core.Result
 	if *k > 0 {
-		results = eng.EvaluateTopK(q, set, doc, bt, *k)
+		results = eng.EvaluateTopKAcross(q, set, sh, bt, *k)
 	} else {
-		results = eng.Evaluate(q, set, doc, bt)
+		results = eng.EvaluateAcross(q, set, sh, bt)
 	}
 	elapsed := time.Since(start)
 	printAnswers(queries[0], q, results)

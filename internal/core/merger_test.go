@@ -48,7 +48,7 @@ func TestAddStreamsEmptyShards(t *testing.T) {
 	qn := &twig.Node{Label: "a"}
 
 	r := NewResultMerger(set)
-	r.AddStreams([]int{1}, [][]twig.Match{nil, {}, nil})
+	r.addStreams([]int{1}, [][]twig.Match{nil, {}, nil})
 	res := r.Finish()
 	if len(res) != 1 || res[0].MappingIndex != 1 || len(res[0].Matches) != 0 {
 		t.Fatalf("all-empty gather: %+v", res)
@@ -56,7 +56,7 @@ func TestAddStreamsEmptyShards(t *testing.T) {
 
 	r = NewResultMerger(set)
 	stream := []twig.Match{mk(qn, 16), mk(qn, 48)}
-	r.AddStreams([]int{2}, [][]twig.Match{nil, stream, nil})
+	r.addStreams([]int{2}, [][]twig.Match{nil, stream, nil})
 	res = r.Finish()
 	if len(res) != 1 || &res[0].Matches[0] != &stream[0] {
 		t.Fatal("single productive shard not passed through as-is")
@@ -74,7 +74,7 @@ func TestAddStreamsDisjointConcat(t *testing.T) {
 	set := mergerSet(t)
 	qn := &twig.Node{Label: "a"}
 	r := NewResultMerger(set)
-	r.AddStreams([]int{0}, [][]twig.Match{
+	r.addStreams([]int{0}, [][]twig.Match{
 		{mk(qn, 16), mk(qn, 32)},
 		{mk(qn, 160), mk(qn, 176)},
 		{mk(qn, 320)},
@@ -93,7 +93,7 @@ func TestAddStreamsInterleaveDedup(t *testing.T) {
 	qn := &twig.Node{Label: "a"}
 	dup0, dup1 := mk(qn, 48), mk(qn, 48)
 	r := NewResultMerger(set)
-	r.AddStreams([]int{0}, [][]twig.Match{
+	r.addStreams([]int{0}, [][]twig.Match{
 		{mk(qn, 16), dup0, mk(qn, 80)},
 		{mk(qn, 32), dup1, mk(qn, 64)},
 	})
@@ -107,7 +107,7 @@ func TestAddStreamsInterleaveDedup(t *testing.T) {
 	}
 }
 
-// TestAddStreamsLazyDedupInteraction: a second Add (or AddStreams) for the
+// TestAddStreamsLazyDedupInteraction: a second Add (or addStreams) for the
 // same mapping engages the lazy dedup against the gathered stream without
 // mutating the shared first slice — the interaction a multi-embedding
 // query over shards exercises.
@@ -117,10 +117,10 @@ func TestAddStreamsLazyDedupInteraction(t *testing.T) {
 	shard0 := []twig.Match{mk(qn, 16)}
 	shard1 := []twig.Match{mk(qn, 160)}
 	r := NewResultMerger(set)
-	r.AddStreams([]int{0}, [][]twig.Match{shard0, shard1})
+	r.addStreams([]int{0}, [][]twig.Match{shard0, shard1})
 
 	// Second embedding gathers an overlapping result set.
-	r.AddStreams([]int{0}, [][]twig.Match{{mk(qn, 16), mk(qn, 96)}, {mk(qn, 160)}})
+	r.addStreams([]int{0}, [][]twig.Match{{mk(qn, 16), mk(qn, 96)}, {mk(qn, 160)}})
 	got := starts(r.Finish()[0].Matches, qn)
 	if !reflect.DeepEqual(got, []int{16, 160, 96}) {
 		t.Fatalf("dedup across gathers: %v", got)
@@ -144,7 +144,7 @@ func TestAddStreamsClassSharesOneSlice(t *testing.T) {
 	b0, b1 := []twig.Match{mk(qn, 48)}, []twig.Match{mk(qn, 176), mk(qn, 192)}
 
 	r := NewResultMerger(set)
-	streams := make([][]twig.Match, 2) // caller-reused buffer, like AddClasses'
+	streams := make([][]twig.Match, 2) // caller-reused buffer, like addClasses'
 	for _, class := range []struct {
 		mis    []int
 		s0, s1 []twig.Match
@@ -154,7 +154,7 @@ func TestAddStreamsClassSharesOneSlice(t *testing.T) {
 		{[]int{3}, []twig.Match{mk(qn, 16), mk(qn, 32)}, a1}, // equal content, another class
 	} {
 		streams[0], streams[1] = class.s0, class.s1
-		r.AddStreams(class.mis, streams)
+		r.addStreams(class.mis, streams)
 	}
 	res := r.Finish()
 	if len(res) != 6 {
@@ -347,9 +347,9 @@ func TestMergeStreamsMatchesKeyReference(t *testing.T) {
 }
 
 // TestUnitOutputsAreScratch: the unit-output arrays a merger hands to
-// EmbeddingPlan.Run are cleared by AddClasses once gathered, and by Finish
+// EmbeddingPlan.Run are cleared by addClasses once gathered, and by Finish
 // when an evaluation stopped before gathering, so a pooled merger pins no
-// match slice.
+// match slice and no member document.
 func TestUnitOutputsAreScratch(t *testing.T) {
 	set := mergerSet(t)
 	ep := &EmbeddingPlan{leaves: make([]leafUnit, 3)}
@@ -367,13 +367,19 @@ func TestUnitOutputsAreScratch(t *testing.T) {
 				return true
 			}
 		}
+		for _, d := range r.docs[:cap(r.docs)] {
+			if d != nil {
+				return true
+			}
+		}
 		return false
 	}
 	for _, gather := range []bool{true, false} {
 		r := NewResultMerger(set)
-		outs := r.UnitOutputs(ep, 4)
+		r.unitOutputs(ep, 4)
+		outs := r.units
 		if len(outs) != 4 || len(outs[3]) != 3 || pinned(r) {
-			t.Fatalf("UnitOutputs: %d arrays of %d slots, pinned %v", len(outs), len(outs[3]), pinned(r))
+			t.Fatalf("unitOutputs: %d arrays of %d slots, pinned %v", len(outs), len(outs[3]), pinned(r))
 		}
 		for _, out := range outs {
 			for u := range out {
@@ -381,11 +387,12 @@ func TestUnitOutputsAreScratch(t *testing.T) {
 			}
 		}
 		if gather {
-			r.AddClasses(ep, 0, outs)
+			r.addClasses(ep, 0)
 			if pinned(r) {
-				t.Fatal("AddClasses left unit outputs behind")
+				t.Fatal("addClasses left unit outputs behind")
 			}
 		}
+		r.docs = append(r.docs[:0], &xmltree.Document{})
 		r.Finish()
 		if pinned(r) {
 			t.Fatalf("a finished merger pins match slices (gathered: %v)", gather)

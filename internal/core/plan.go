@@ -165,9 +165,8 @@ func (p *Plan) Stats() PlanStats {
 }
 
 // Run evaluates the embedding's plan over one document into out, which
-// holds a nil slot per unit, for ResultMerger.AddClasses to hand to the
-// mappings. k > 0 restricts the work to the units the k best-ranked
-// mappings depend on.
+// holds a nil slot per unit, for Plan.Run to hand to the mappings. k > 0
+// restricts the work to the units the k best-ranked mappings depend on.
 //
 // Over a document whose accelerator is a UnitMemo, Run first looks up the
 // units of the classes the request keeps, which is all a hot request does.

@@ -78,7 +78,7 @@ func assertBasicPlanEqualsBasic(t *testing.T, label string, q *Query, set *mappi
 	t.Helper()
 	basic := EvaluateBasic(q, set, doc)
 	p := q.Plan(set, nil)
-	first := runPlan(p, doc, 0)
+	first := p.Run([]*xmltree.Document{doc}, 0, nil, nil, nil)
 	if got, want := orderedKeys(first), orderedKeys(basic); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: the basic plan differs from Algorithm 3\nplan:  %v\nbasic: %v", label, got, want)
 	}
@@ -86,7 +86,7 @@ func assertBasicPlanEqualsBasic(t *testing.T, label string, q *Query, set *mappi
 		t.Fatalf("%s: the basic plan is not one leaf unit per rewrite: %+v", label, st)
 	}
 	for _, k := range ks {
-		got, want := orderedKeys(runPlan(p, doc, k)), orderedKeys(topKOfBasic(basic, k))
+		got, want := orderedKeys(p.Run([]*xmltree.Document{doc}, k, nil, nil, nil)), orderedKeys(topKOfBasic(basic, k))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s k=%d: the basic plan differs from Algorithm 3's top k\nplan:  %v\nbasic: %v", label, k, got, want)
 		}
@@ -94,7 +94,7 @@ func assertBasicPlanEqualsBasic(t *testing.T, label string, q *Query, set *mappi
 	if doc.Accel() == nil || len(q.Embeddings) > 1 {
 		return
 	}
-	for i, r := range runPlan(p, doc, 0) {
+	for i, r := range p.Run([]*xmltree.Document{doc}, 0, nil, nil, nil) {
 		if sliceIdent(r.Matches) != sliceIdent(first[i].Matches) {
 			t.Fatalf("%s: a hot basic pass re-evaluated mapping %d", label, r.MappingIndex)
 		}

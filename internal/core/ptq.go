@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"xmatch/internal/mapping"
 	"xmatch/internal/twig"
@@ -100,7 +101,7 @@ func EvaluateBasicMapping(q *Query, emb twig.Embedding, mi int, set *mapping.Set
 // structural joins. The recursion itself is compiled once per (query,
 // block tree) into a Plan; this runs the plan over the document.
 func Evaluate(q *Query, set *mapping.Set, doc *xmltree.Document, bt *BlockTree) []Result {
-	return runPlan(q.Plan(set, bt), doc, 0)
+	return q.Plan(set, bt).Run([]*xmltree.Document{doc}, 0, nil, nil, nil)
 }
 
 // EvaluateTopK answers the top-k PTQ (Definition 5): only the k relevant
@@ -112,17 +113,72 @@ func EvaluateTopK(q *Query, set *mapping.Set, doc *xmltree.Document, bt *BlockTr
 	if k <= 0 {
 		return nil
 	}
-	return runPlan(q.Plan(set, bt), doc, k)
+	return q.Plan(set, bt).Run([]*xmltree.Document{doc}, k, nil, nil, nil)
 }
 
-func runPlan(p *Plan, doc *xmltree.Document, k int) []Result {
-	results := NewResultMerger(p.set)
-	for _, ep := range p.Embeddings {
-		outs := results.UnitOutputs(ep, 1)
-		ep.Run(outs[0], doc, k, nil)
-		results.AddClasses(ep, k, outs)
+// Spreader runs fn(0), ..., fn(n-1), side by side where it can, and
+// returns once every call has. internal/engine's pool is one.
+type Spreader interface {
+	Spread(n int, fn func(i int))
+}
+
+// Run evaluates the plan over a collection's member documents, in
+// collection order — a document is a collection of one — and returns the
+// answer: per embedding, every member runs the embedding's plan
+// (EmbeddingPlan.Run) into unit outputs of its own, then each result class
+// is gathered across the members once and handed to every mapping of the
+// class that ranks within the top k (k <= 0: all of them).
+//
+// Several members run through sp, or in order on the calling goroutine
+// when sp is nil; one member always runs on the calling goroutine.
+// observe, when non-nil, is told each member run's wall time, and must be
+// safe for concurrent use. stop, when non-nil, is polled between units and
+// member runs; once it is closed Run returns early with partial results,
+// which the caller must discard.
+//
+// The members must carry disjoint ascending interval ranges
+// (xmltree.NewAt), which makes the answer the one the plan gives over
+// their concatenation (xmltree.Corpus): see addStreams.
+func (p *Plan) Run(docs []*xmltree.Document, k int, sp Spreader, observe func(member int, took time.Duration), stop <-chan struct{}) []Result {
+	r := NewResultMerger(p.set)
+	if len(docs) == 0 {
+		return r.Finish()
 	}
-	return results.Finish()
+	// The spread closure reads the merger's copy of docs, so the caller's
+	// slice does not escape.
+	r.docs = append(r.docs[:0], docs...)
+	for _, ep := range p.Embeddings {
+		if stopped(stop) {
+			break
+		}
+		r.unitOutputs(ep, len(docs))
+		if len(docs) == 1 || sp == nil {
+			for s := range docs {
+				r.runMember(ep, s, k, observe, stop)
+			}
+		} else {
+			sp.Spread(len(docs), func(s int) { r.runMember(ep, s, k, observe, stop) })
+		}
+		// A stopped run leaves partial outputs, gathered like any other:
+		// the caller discards the results.
+		r.addClasses(ep, k)
+	}
+	return r.Finish()
+}
+
+// runMember runs one embedding's plan over member s into its unit outputs
+// and reports the run's wall time.
+func (r *ResultMerger) runMember(ep *EmbeddingPlan, s, k int, observe func(int, time.Duration), stop <-chan struct{}) {
+	if stopped(stop) {
+		return
+	}
+	if observe == nil {
+		ep.Run(r.units[s], r.docs[s], k, stop)
+		return
+	}
+	start := time.Now()
+	ep.Run(r.units[s], r.docs[s], k, stop)
+	observe(s, time.Since(start))
 }
 
 // FilterMappings returns the indices of the mappings relevant to the
@@ -253,7 +309,7 @@ func (t *smallTable[K, V]) set(k K, v V) {
 // safely.
 //
 // A merger lives from NewResultMerger to Finish: its two |M|-sized tables
-// and the plan's unit outputs (UnitOutputs) are scratch, so Finish hands
+// and the plan's unit outputs (unitOutputs) are scratch, so Finish hands
 // them to the next evaluation instead of to the garbage collector, and the
 // merger must not be touched afterwards.
 // The results Finish returns are the caller's for good — unless the caller
@@ -268,9 +324,11 @@ type ResultMerger struct {
 	n       int               // mappings added
 	out     []Result          // an array ReleaseResults handed back, all zero, for Finish to fill
 	// units holds a unit-output array per member document, streams a
-	// gathered stream per member: nil in every slot between evaluations.
+	// gathered stream per member, docs the members of Plan.Run: nil in
+	// every slot between evaluations.
 	units   [][][]twig.Match
 	streams [][]twig.Match
+	docs    []*xmltree.Document
 }
 
 // mergerPool recycles finished mergers. A pooled merger's tables are zero
@@ -328,52 +386,49 @@ func (r *ResultMerger) Add(mi int, matches []twig.Match) {
 	r.matches[mi] = existing
 }
 
-// UnitOutputs returns an array of nil unit-output slots for each of the
-// collection's member documents, for EmbeddingPlan.Run to fill (a single
-// document is a collection of one). They are the merger's scratch:
-// AddClasses gathers and clears them.
-func (r *ResultMerger) UnitOutputs(ep *EmbeddingPlan, shards int) [][][]twig.Match {
+// unitOutputs sizes r.units to an array of nil unit-output slots for each
+// of the members, for EmbeddingPlan.Run to fill. They are the merger's
+// scratch: addClasses gathers and clears them.
+func (r *ResultMerger) unitOutputs(ep *EmbeddingPlan, members int) {
 	n := len(ep.leaves) + len(ep.joins)
-	if cap(r.units) < shards {
-		r.units, r.streams = make([][][]twig.Match, shards), make([][]twig.Match, shards)
+	if cap(r.units) < members {
+		r.units, r.streams = make([][][]twig.Match, members), make([][]twig.Match, members)
 	}
-	r.units, r.streams = r.units[:shards], r.streams[:shards]
+	r.units, r.streams = r.units[:members], r.streams[:members]
 	for s, out := range r.units {
 		if cap(out) < n {
 			out = make([][]twig.Match, n)
 		}
 		r.units[s] = out[:n]
 	}
-	return r.units
 }
 
-// AddClasses records one embedding's plan output: perShard holds what
-// EmbeddingPlan.Run wrote for each member document, in collection order,
-// into the arrays UnitOutputs returned. Each result class is gathered
-// across the shards once and the merged slice handed to every mapping of
-// the class that ranks within the top k (k <= 0: all of them); then the
-// arrays are cleared.
-func (r *ResultMerger) AddClasses(ep *EmbeddingPlan, k int, perShard [][][]twig.Match) {
+// addClasses records one embedding's plan output, what EmbeddingPlan.Run
+// wrote for each member into r.units. Each result class is gathered across
+// the members once and the merged slice handed to every mapping of the
+// class that ranks within the top k (k <= 0: all of them); then the arrays
+// are cleared.
+func (r *ResultMerger) addClasses(ep *EmbeddingPlan, k int) {
 	limit := rankLimit(k)
-	streams := r.streams[:len(perShard)]
+	streams := r.streams
 	for i := range ep.classes {
 		cl := &ep.classes[i]
 		n := cl.kept(limit)
 		if n == 0 {
 			continue
 		}
-		for s, out := range perShard {
+		for s, out := range r.units {
 			streams[s] = out[cl.unit]
 		}
-		r.AddStreams(cl.members[:n], streams)
+		r.addStreams(cl.members[:n], streams)
 	}
 	clear(streams)
-	for _, out := range perShard {
+	for _, out := range r.units {
 		clear(out)
 	}
 }
 
-// AddStreams records the matches of the mappings mis — which share them —
+// addStreams records the matches of the mappings mis — which share them —
 // gathered from several key-ordered result streams — in sharded
 // evaluation, one stream per member document — interleaving them
 // deterministically, once, before the usual Add per mapping. Each stream
@@ -384,10 +439,10 @@ func (r *ResultMerger) AddClasses(ep *EmbeddingPlan, k int, perShard [][][]twig.
 // ranges, so for them the merge degenerates to plain concatenation in
 // stream order — exactly the match order evaluating the concatenated
 // corpus as one document produces, which is what keeps sharded wire output
-// byte-identical (see internal/engine's Across evaluators and the
-// cross-shard differential suites). Calling it with every stream empty
-// still registers the mappings, like Add(mi, nil).
-func (r *ResultMerger) AddStreams(mis []int, streams [][]twig.Match) {
+// byte-identical (see Plan.Run and the cross-shard differential suites).
+// Calling it with every stream empty still registers the mappings, like
+// Add(mi, nil).
+func (r *ResultMerger) addStreams(mis []int, streams [][]twig.Match) {
 	merged := mergeStreams(streams)
 	for _, mi := range mis {
 		r.Add(mi, merged)
@@ -471,6 +526,7 @@ func (r *ResultMerger) Finish() []Result {
 		clear(units)
 	}
 	clear(r.streams)
+	clear(r.docs)
 	r.set, r.seen, r.n = nil, nil, 0
 	mergerPool.Put(r)
 	return out

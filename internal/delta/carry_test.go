@@ -13,7 +13,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"math/rand"
-	"sort"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +24,7 @@ import (
 	"xmatch/internal/index"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/oracle"
 	"xmatch/internal/schema"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
@@ -310,8 +311,8 @@ func TestBatchResolvesAgainstPredecessors(t *testing.T) {
 // prepared-query cache keeps them, and evaluated through their plans after
 // every batch of settext, rename, insert and delete edits on and off the
 // paths the units bind, across several compactions. Every answer, full and
-// top-k, must equal sequential Algorithm 3 over a fresh index.Build of the
-// snapshot.
+// top-k, must equal the oracle's (internal/oracle: Algorithm 3 over a
+// fresh, unindexed copy of the snapshot).
 func TestCarriedUnitsMatchRebuild(t *testing.T) {
 	const batches = 240
 	d, err := dataset.Load("D7")
@@ -352,24 +353,24 @@ func TestCarriedUnitsMatchRebuild(t *testing.T) {
 	}
 
 	h := delta.Open(d.OrderDocument(500, 5))
+	o := oracle.New(t)
 	var carriedHits uint64
 	check := func(step int, snap *delta.Snapshot) {
 		t.Helper()
-		fresh := index.Build(snap.Doc)
 		before := snap.Index.Counters()
 		for _, q := range queries {
-			want := basicThrough(fresh, q, set, snap.Doc)
-			if err := sameResults(core.Evaluate(q, set, snap.Doc, bt), want); err != nil {
-				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from a rebuild: %v", step, snap.Epoch, q.Canonical, err)
+			want, _ := o.Wire(set, q.Canonical, 0, snap.Doc)
+			if got := core.ToWire(core.Evaluate(q, set, snap.Doc, bt)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from the oracle", step, snap.Epoch, q.Canonical)
 			}
 		}
 		// An epoch's memo starts with what the write carried, so the first
 		// pass's hits are carried units.
 		carriedHits += snap.Index.Counters().Sub(before).UnitHits
 		for _, q := range queries {
-			want := topKOf(basicThrough(fresh, q, set, snap.Doc), 3)
-			if err := sameResults(core.EvaluateTopK(q, set, snap.Doc, bt, 3), want); err != nil {
-				t.Fatalf("batch %d epoch %d, %s: top-3 answer diverged from a rebuild: %v", step, snap.Epoch, q.Canonical, err)
+			want, _ := o.Wire(set, q.Canonical, 3, snap.Doc)
+			if got := core.ToWire(core.EvaluateTopK(q, set, snap.Doc, bt, 3)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("batch %d epoch %d, %s: top-3 answer diverged from the oracle", step, snap.Epoch, q.Canonical)
 			}
 		}
 	}
@@ -436,46 +437,6 @@ func rewrite(q *core.Query, emb twig.Embedding, set *mapping.Set, mi int) []stri
 		paths = append(paths, set.Source.ByID(s).Path)
 	}
 	return paths
-}
-
-// basicThrough is sequential Algorithm 3 through the given index.
-func basicThrough(ix *index.Index, q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
-	r := core.NewResultMerger(set)
-	for _, emb := range q.Embeddings {
-		for _, mi := range core.FilterMappings(set, emb) {
-			binding := twig.PathBinding{}
-			for i, p := range rewrite(q, emb, set, mi) {
-				binding[q.Pattern.Nodes()[i]] = p
-			}
-			r.Add(mi, ix.MatchTwig(doc, q.Pattern.Root, binding))
-		}
-	}
-	return r.Finish()
-}
-
-// topKOf cuts an answer down to its k most probable mappings, ties by
-// index, in mapping order.
-func topKOf(rs []core.Result, k int) []core.Result {
-	byRank := append([]core.Result(nil), rs...)
-	sort.SliceStable(byRank, func(i, j int) bool { return byRank[i].Prob > byRank[j].Prob })
-	byRank = byRank[:min(k, len(byRank))]
-	sort.Slice(byRank, func(i, j int) bool { return byRank[i].MappingIndex < byRank[j].MappingIndex })
-	return byRank
-}
-
-func sameResults(got, want []core.Result) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("%d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].MappingIndex != want[i].MappingIndex || got[i].Prob != want[i].Prob {
-			return fmt.Errorf("result %d: mapping %d p=%v, want mapping %d p=%v", i, got[i].MappingIndex, got[i].Prob, want[i].MappingIndex, want[i].Prob)
-		}
-		if err := sameAnswer(got[i].Matches, want[i].Matches); err != nil {
-			return fmt.Errorf("mapping %d: %v", got[i].MappingIndex, err)
-		}
-	}
-	return nil
 }
 
 // unitEdit draws one edit on a node whose path a unit binds, or on one

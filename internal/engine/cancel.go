@@ -7,7 +7,8 @@ import (
 
 // ErrCanceled reports an evaluation unit that was abandoned because the
 // view's context was canceled or its deadline passed. Batch responses
-// carry it for requests never (fully) evaluated; single-query callers
+// carry it for requests whose evaluation the cancellation reached before
+// it returned — never started, or stopped partway; single-query callers
 // should consult their context's error instead, which distinguishes
 // cancellation from deadline expiry.
 var ErrCanceled = errors.New("engine: evaluation canceled")

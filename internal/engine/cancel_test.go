@@ -17,6 +17,7 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
+	"xmatch/internal/oracle"
 )
 
 func TestWithContextNoDeadlineIsIdentity(t *testing.T) {
@@ -31,6 +32,7 @@ func TestWithContextNoDeadlineIsIdentity(t *testing.T) {
 
 func TestWithContextLiveIsTransparent(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	set := randomSubSet(t, fix.base, newRng(3))
 	bt, err := core.Build(set, core.DefaultOptions())
 	if err != nil {
@@ -41,15 +43,12 @@ func TestWithContextLiveIsTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID, err)
 		}
-		want := core.Evaluate(q, set, fix.doc, bt)
+		want := o.Results(set, spec.Text, 0, fix.doc)
 		for _, w := range []int{1, 4} {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 			e := engine.New(engine.Options{Workers: w}).WithContext(ctx)
-			got := e.Evaluate(q, set, fix.doc, bt)
-			assertSameResults(t, fmt.Sprintf("%s workers=%d", spec.ID, w), want, got)
-			gotB := e.EvaluateBasic(q, set, fix.doc)
-			wantB := core.EvaluateBasic(q, set, fix.doc)
-			assertSameResults(t, fmt.Sprintf("%s basic workers=%d", spec.ID, w), wantB, gotB)
+			assertSameResults(t, fmt.Sprintf("%s workers=%d", spec.ID, w), want, e.EvaluateAcross(q, set, one(fix.doc), bt))
+			assertSameResults(t, fmt.Sprintf("%s basic workers=%d", spec.ID, w), want, e.EvaluateBasicAcross(q, set, one(fix.doc)))
 			cancel()
 		}
 	}
@@ -73,9 +72,9 @@ func TestPreCanceledEvaluatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = e.Evaluate(q, set, fix.doc, bt)
-	_ = e.EvaluateBasic(q, set, fix.doc)
-	resps := e.EvaluateBatch(set, fix.doc, bt, []engine.Request{{Pattern: spec.Text}})
+	_ = e.EvaluateAcross(q, set, one(fix.doc), bt)
+	_ = e.EvaluateBasicAcross(q, set, one(fix.doc))
+	resps := e.EvaluateBatchAcross(set, one(fix.doc), bt, []engine.Request{{Pattern: spec.Text}})
 	if len(resps) != 1 || !errors.Is(resps[0].Err, engine.ErrCanceled) {
 		t.Fatalf("batch on dead context: want ErrCanceled, got %+v", resps)
 	}
@@ -115,11 +114,11 @@ func TestCancelStormReleasesSlots(t *testing.T) {
 					}
 					switch i % 3 {
 					case 0:
-						_ = e.Evaluate(q, set, fix.doc, bt)
+						_ = e.EvaluateAcross(q, set, one(fix.doc), bt)
 					case 1:
-						_ = e.EvaluateBasic(q, set, fix.doc)
+						_ = e.EvaluateBasicAcross(q, set, one(fix.doc))
 					default:
-						_ = e.EvaluateTopK(q, set, fix.doc, bt, 5)
+						_ = e.EvaluateTopKAcross(q, set, one(fix.doc), bt, 5)
 					}
 				}
 			}(g)
@@ -176,5 +175,25 @@ func TestCancelStormAcrossReleasesSlots(t *testing.T) {
 	wg.Wait()
 	if busy := root.Busy(); busy != 0 {
 		t.Fatalf("%d slots still reserved after across cancel storm", busy)
+	}
+}
+
+// TestCancelMidEvaluationReportsErrCanceled: a batch member whose view is
+// canceled while its plan runs — here by the observer, once the first of
+// two shards has reported — answers ErrCanceled, never a partial answer
+// without an error.
+func TestCancelMidEvaluationReportsErrCanceled(t *testing.T) {
+	fix := newCollFixture(t, 2, 2400)
+	bt, err := core.Build(fix.base, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := engine.New(engine.Options{Workers: 1}).WithContext(ctx)
+	sh := engine.Shards{Docs: fix.members, Observe: func(int, time.Duration) { cancel() }}
+	resps := e.EvaluateBatchAcross(fix.base, sh, bt, []engine.Request{{Pattern: dataset.Queries()[0].Text}})
+	if !errors.Is(resps[0].Err, engine.ErrCanceled) || resps[0].Results != nil {
+		t.Fatalf("canceled mid-evaluation: err %v with %d results, want ErrCanceled and none", resps[0].Err, len(resps[0].Results))
 	}
 }

@@ -1,9 +1,9 @@
 package engine_test
 
 // Cross-shard differential tests: evaluating a collection's members with
-// the Across evaluators must return byte-identical results to evaluating
-// their concatenation (xmltree.Corpus) as one document with the
-// sequential core evaluators — same mappings, same match order, same
+// the Across evaluators must return the oracle's answer over their
+// concatenation (internal/oracle assembles fresh copies of the members
+// with xmltree.Corpus) — same mappings, same match order, same
 // probabilities — for every shard count, worker count, and query mode.
 
 import (
@@ -19,15 +19,14 @@ import (
 	"xmatch/internal/engine"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/oracle"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
 
-// collFixture holds one corpus layout: the sharded members and the
-// single-document oracle assembled from them.
+// collFixture holds one corpus layout: the sharded members.
 type collFixture struct {
 	members []*xmltree.Document
-	corpus  *xmltree.Document
 	base    *mapping.Set
 }
 
@@ -41,12 +40,7 @@ func newCollFixture(t *testing.T, shards, totalNodes int) *collFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := d.OrderCorpus(shards, totalNodes, 7)
-	corpus, err := xmltree.Corpus(members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &collFixture{members: members, corpus: corpus, base: base}
+	return &collFixture{members: d.OrderCorpus(shards, totalNodes, 7), base: base}
 }
 
 func collShardCounts() []int { return []int{1, 2, 4} }
@@ -54,6 +48,7 @@ func collShardCounts() []int { return []int{1, 2, 4} }
 func collWorkerCounts() []int { return []int{1, 4} }
 
 func TestCollectionDifferentialBasic(t *testing.T) {
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(21))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
@@ -63,7 +58,7 @@ func TestCollectionDifferentialBasic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
-			want := core.EvaluateBasic(q, set, fix.corpus)
+			want := o.Results(set, spec.Text, 0, fix.members...)
 			for _, w := range collWorkerCounts() {
 				e := engine.New(engine.Options{Workers: w})
 				got := e.EvaluateBasicAcross(q, set, engine.Shards{Docs: fix.members})
@@ -74,6 +69,7 @@ func TestCollectionDifferentialBasic(t *testing.T) {
 }
 
 func TestCollectionDifferentialCompact(t *testing.T) {
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(22))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
@@ -87,7 +83,7 @@ func TestCollectionDifferentialCompact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
-			want := core.Evaluate(q, set, fix.corpus, bt)
+			want := o.Results(set, spec.Text, 0, fix.members...)
 			for _, w := range collWorkerCounts() {
 				e := engine.New(engine.Options{Workers: w})
 				got := e.EvaluateAcross(q, set, engine.Shards{Docs: fix.members}, bt)
@@ -98,6 +94,7 @@ func TestCollectionDifferentialCompact(t *testing.T) {
 }
 
 func TestCollectionDifferentialTopK(t *testing.T) {
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(23))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
@@ -113,7 +110,7 @@ func TestCollectionDifferentialTopK(t *testing.T) {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
 			for _, k := range ks {
-				want := core.EvaluateTopK(q, set, fix.corpus, bt, k)
+				want := o.Results(set, spec.Text, k, fix.members...)
 				for _, w := range collWorkerCounts() {
 					e := engine.New(engine.Options{Workers: w})
 					got := e.EvaluateTopKAcross(q, set, engine.Shards{Docs: fix.members}, bt, k)
@@ -125,6 +122,7 @@ func TestCollectionDifferentialTopK(t *testing.T) {
 }
 
 func TestCollectionDifferentialBatch(t *testing.T) {
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(24))
 	specs := dataset.Queries()
 	for _, shards := range collShardCounts() {
@@ -140,27 +138,8 @@ func TestCollectionDifferentialBatch(t *testing.T) {
 			reqs[i] = engine.Request{Pattern: spec.Text, K: rng.Intn(3) * 4} // K in {0, 4, 8}
 		}
 		for _, w := range collWorkerCounts() {
-			e := engine.New(engine.Options{Workers: w})
-			resps := e.EvaluateBatchAcross(set, engine.Shards{Docs: fix.members}, bt, reqs)
-			if len(resps) != len(reqs) {
-				t.Fatalf("shards=%d workers=%d: %d responses", shards, w, len(resps))
-			}
-			for i, resp := range resps {
-				if resp.Err != nil {
-					t.Fatalf("shards=%d workers=%d req %d: %v", shards, w, i, resp.Err)
-				}
-				q, err := core.PrepareQuery(reqs[i].Pattern, set)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []core.Result
-				if reqs[i].K > 0 {
-					want = core.EvaluateTopK(q, set, fix.corpus, bt, reqs[i].K)
-				} else {
-					want = core.Evaluate(q, set, fix.corpus, bt)
-				}
-				assertSameResults(t, fmt.Sprintf("shards=%d workers=%d req %d", shards, w, i), want, resp.Results)
-			}
+			resps := engine.New(engine.Options{Workers: w}).EvaluateBatchAcross(set, engine.Shards{Docs: fix.members}, bt, reqs)
+			assertBatch(t, o, fmt.Sprintf("shards=%d workers=%d", shards, w), set, fix.members, false, reqs, resps)
 		}
 	}
 }
@@ -300,19 +279,16 @@ func TestCollectionClassesShareSlices(t *testing.T) {
 
 // TestCollectionConcurrentFirstPlan: eight goroutines race a cold engine —
 // first Prepare, first plan compile — over a sharded collection (run with
-// -race) and all get the sequential answer.
+// -race) and all get the oracle's answer.
 func TestCollectionConcurrentFirstPlan(t *testing.T) {
 	fix := newCollFixture(t, 4, 4800)
 	bt, err := core.Build(fix.base, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := oracle.New(t)
 	for _, spec := range dataset.Queries() {
-		oracle, err := core.PrepareQuery(spec.Text, fix.base)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.ID, err)
-		}
-		want := core.EvaluateBasic(oracle, fix.base, fix.corpus)
+		want := o.Results(fix.base, spec.Text, 0, fix.members...)
 		e := engine.New(engine.Options{Workers: 4})
 		var wg sync.WaitGroup
 		start := make(chan struct{})

@@ -1,13 +1,12 @@
 package engine_test
 
-// Live-document differentials: the PR-1/PR-3 guarantee — parallel equals
-// sequential equals joined-matcher evaluation, byte-for-byte on the wire —
-// extended across document mutation. After every randomized edit batch,
-// basic, compact, top-k, and aggregate answers must agree between the
-// incrementally-maintained index, a full index.Build rebuild over the same
-// snapshot, and the unindexed joined matcher, under both sequential core
-// evaluation and the parallel engine (run with -race in CI). A separate
-// stress test races writers against readers on pinned snapshots.
+// Live-document differentials: the engine's answers, byte-for-byte on the
+// wire, equal the oracle's (internal/oracle: Algorithm 3 over a fresh,
+// unindexed copy of the snapshot) across document mutation. After every
+// randomized edit batch, basic, compact, top-k, and aggregate answers over
+// the incrementally-maintained index — its carried memo included — must
+// equal the oracle's over the same snapshot (run with -race in CI). A
+// separate stress test races writers against readers on pinned snapshots.
 
 import (
 	"encoding/json"
@@ -20,14 +19,16 @@ import (
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
-	"xmatch/internal/index"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/oracle"
 	"xmatch/internal/xmltree"
 )
 
 // deltaFixture builds a small live dataset: mapping set, block tree,
-// document behind a delta handle, and source-side paths to mutate.
+// document behind a delta handle, and the patterns to ask. D1's target
+// leaves outside Auftrag/Position have no relevant mapping among the ten,
+// so the patterns are Position leaves: every answer binds matches.
 type deltaFixture struct {
 	set  *mapping.Set
 	tree *core.BlockTree
@@ -46,31 +47,8 @@ func newDeltaFixture(t testing.TB, docSeed int64) *deltaFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := d.OrderDocument(300, docSeed)
-	var pats []string
-	for _, e := range set.Target.Elements() {
-		if !e.IsLeaf() {
-			continue
-		}
-		p := ""
-		for _, c := range e.Path {
-			if c == '.' {
-				p += "/"
-			} else {
-				p += string(c)
-			}
-		}
-		if _, err := core.PrepareQuery(p, set); err == nil {
-			pats = append(pats, p)
-			if len(pats) == 3 {
-				break
-			}
-		}
-	}
-	if len(pats) == 0 {
-		t.Fatal("no resolvable leaf patterns")
-	}
-	return &deltaFixture{set: set, tree: bt, h: delta.Open(doc), pats: pats}
+	pats := []string{"Auftrag/Position/PositionsNummer", "Auftrag/Position/ArtikelNummer", "Auftrag/Position/Menge"}
+	return &deltaFixture{set: set, tree: bt, h: delta.Open(d.OrderDocument(300, docSeed)), pats: pats}
 }
 
 // randomBatch builds 1-3 edits against the snapshot's document.
@@ -101,21 +79,25 @@ func randomBatch(rng *rand.Rand, doc *xmltree.Document) []delta.Edit {
 
 // answers renders one evaluation's full wire form (results + aggregated
 // answers), the byte-identity currency of the differential.
-func answers(t testing.TB, q *core.Query, results []core.Result) string {
-	t.Helper()
-	res, err := json.Marshal(core.ToWire(results))
+func answers(q *core.Query, results []core.Result) string {
+	return wire(core.ToWire(results), core.AnswersToWire(core.AggregateLeaf(q, results)))
+}
+
+func wire(results []core.WireResult, answers []core.WireAnswer) string {
+	res, err := json.Marshal(results)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	ans, err := json.Marshal(core.AnswersToWire(core.AggregateLeaf(q, results)))
+	ans, err := json.Marshal(answers)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return string(res) + "|" + string(ans)
 }
 
 func TestEngineDeltaDifferential(t *testing.T) {
 	f := newDeltaFixture(t, 11)
+	o := oracle.New(t)
 	eng := engine.New(engine.Options{Workers: 4})
 	rng := rand.New(rand.NewSource(4))
 
@@ -129,49 +111,23 @@ func TestEngineDeltaDifferential(t *testing.T) {
 		if err != nil {
 			continue // batch invalidated itself (delete then edit); fine
 		}
-		doc := snap.Doc
-
+		sh := one(snap.Doc)
 		for _, pattern := range f.pats {
-			q, err := core.PrepareQuery(pattern, f.set)
+			q, err := eng.Prepare(pattern, f.set)
 			if err != nil {
 				t.Fatal(err)
 			}
-			type mode struct {
+			for _, m := range []struct {
 				name string
-				seq  func() []core.Result
-				par  func() []core.Result
-			}
-			modes := []mode{
-				{"basic",
-					func() []core.Result { return core.EvaluateBasic(q, f.set, doc) },
-					func() []core.Result { return eng.EvaluateBasic(q, f.set, doc) }},
-				{"compact",
-					func() []core.Result { return core.Evaluate(q, f.set, doc, f.tree) },
-					func() []core.Result { return eng.Evaluate(q, f.set, doc, f.tree) }},
-				{"topk",
-					func() []core.Result { return core.EvaluateTopK(q, f.set, doc, f.tree, 3) },
-					func() []core.Result { return eng.EvaluateTopK(q, f.set, doc, f.tree, 3) }},
-			}
-			for _, m := range modes {
-				// Incrementally-maintained index (the live accelerator).
-				incSeq := answers(t, q, m.seq())
-				incPar := answers(t, q, m.par())
-				// Full rebuild over the same snapshot document.
-				index.Build(doc).Install()
-				rebSeq := answers(t, q, m.seq())
-				rebPar := answers(t, q, m.par())
-				// Joined matcher (no accelerator at all).
-				doc.SetAccel(nil)
-				joined := answers(t, q, m.seq())
-				snap.Index.Install() // restore the live index
-				if incSeq != incPar {
-					t.Fatalf("round %d %s %s: parallel diverged from sequential", round, pattern, m.name)
-				}
-				if incSeq != rebSeq || incPar != rebPar {
-					t.Fatalf("round %d %s %s: incremental index diverged from full rebuild", round, pattern, m.name)
-				}
-				if incSeq != joined {
-					t.Fatalf("round %d %s %s: indexed evaluation diverged from the joined matcher", round, pattern, m.name)
+				k    int
+				got  []core.Result
+			}{
+				{"basic", 0, eng.EvaluateBasicAcross(q, f.set, sh)},
+				{"compact", 0, eng.EvaluateAcross(q, f.set, sh, f.tree)},
+				{"topk", 3, eng.EvaluateTopKAcross(q, f.set, sh, f.tree, 3)},
+			} {
+				if answers(q, m.got) != wire(o.Wire(f.set, pattern, m.k, snap.Doc)) {
+					t.Fatalf("round %d %s %s: the engine diverged from the oracle", round, pattern, m.name)
 				}
 			}
 		}
@@ -179,13 +135,14 @@ func TestEngineDeltaDifferential(t *testing.T) {
 }
 
 // TestEngineDeltaRace races one writer applying batches against parallel
-// readers that pin a snapshot per "request" and assert parallel ==
-// sequential on their pinned pair — the engine-side contract the server's
+// readers that pin a snapshot per "request" and assert the engine's answer
+// is the oracle's on their pinned snapshot — the engine-side contract the server's
 // per-request pinning relies on. Meaningful under -race: it proves the
 // copy-on-write snapshots keep reader goroutines entirely off the
 // writer's working set.
 func TestEngineDeltaRace(t *testing.T) {
 	f := newDeltaFixture(t, 13)
+	o := oracle.New(t)
 	eng := engine.New(engine.Options{Workers: 4})
 	rng := rand.New(rand.NewSource(5))
 
@@ -197,7 +154,7 @@ func TestEngineDeltaRace(t *testing.T) {
 		readers.Add(1)
 		go func() { // readers: pinned "requests", each evaluated both ways
 			defer readers.Done()
-			q, err := core.PrepareQuery(f.pats[0], f.set)
+			q, err := eng.Prepare(f.pats[0], f.set)
 			if err != nil {
 				errc <- err
 				return
@@ -207,10 +164,9 @@ func TestEngineDeltaRace(t *testing.T) {
 			// before the writer's first batch does.
 			for r := 0; r < 25 || (r < 5000 && f.h.Snapshot().Epoch == 0); r++ {
 				snap := f.h.Snapshot() // pin per request
-				seq := answers(t, q, core.Evaluate(q, f.set, snap.Doc, f.tree))
-				par := answers(t, q, eng.Evaluate(q, f.set, snap.Doc, f.tree))
-				if seq != par {
-					errc <- fmt.Errorf("parallel diverged from sequential on pinned snapshot epoch %d", snap.Epoch)
+				got := answers(q, eng.EvaluateAcross(q, f.set, one(snap.Doc), f.tree))
+				if got != wire(o.Wire(f.set, f.pats[0], 0, snap.Doc)) {
+					errc <- fmt.Errorf("the engine diverged from the oracle on pinned snapshot epoch %d", snap.Epoch)
 					return
 				}
 			}

@@ -1,9 +1,10 @@
 package engine_test
 
 // Differential tests: for every worker count and batch size the engine must
-// return byte-identical results to the sequential core evaluators — same
-// mapping order, same match order, probabilities within 1e-12 — across
-// randomized mapping sets derived from the paper's datasets.
+// return the oracle's answer (internal/oracle: Algorithm 3 over a fresh
+// copy of the document) — same mapping order, same match order,
+// probabilities within 1e-12 — across randomized mapping sets derived from
+// the paper's datasets.
 
 import (
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"xmatch/internal/engine"
 	"xmatch/internal/mapgen"
 	"xmatch/internal/mapping"
+	"xmatch/internal/oracle"
 	"xmatch/internal/xmltree"
 )
 
@@ -26,6 +28,11 @@ func workerCounts() []int {
 }
 
 func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// one is a document as the engine takes it: a collection of one.
+func one(doc *xmltree.Document) engine.Shards {
+	return engine.Shards{Docs: []*xmltree.Document{doc}}
+}
 
 // randomSubSet derives a fresh mapping set by sampling a random subset of a
 // base set's mappings (at least 2) and renormalizing probabilities through
@@ -102,6 +109,7 @@ func newDiffFixture(t *testing.T) *diffFixture {
 
 func TestDifferentialBasic(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 4; trial++ {
 		set := randomSubSet(t, fix.base, rng)
@@ -110,10 +118,9 @@ func TestDifferentialBasic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
-			want := core.EvaluateBasic(q, set, fix.doc)
+			want := o.Results(set, spec.Text, 0, fix.doc)
 			for _, w := range workerCounts() {
-				e := engine.New(engine.Options{Workers: w})
-				got := e.EvaluateBasic(q, set, fix.doc)
+				got := engine.New(engine.Options{Workers: w}).EvaluateBasicAcross(q, set, one(fix.doc))
 				assertSameResults(t, fmt.Sprintf("trial %d %s workers=%d", trial, spec.ID, w), want, got)
 			}
 		}
@@ -122,6 +129,7 @@ func TestDifferentialBasic(t *testing.T) {
 
 func TestDifferentialCompact(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 4; trial++ {
 		set := randomSubSet(t, fix.base, rng)
@@ -134,10 +142,9 @@ func TestDifferentialCompact(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
-			want := core.Evaluate(q, set, fix.doc, bt)
+			want := o.Results(set, spec.Text, 0, fix.doc)
 			for _, w := range workerCounts() {
-				e := engine.New(engine.Options{Workers: w})
-				got := e.Evaluate(q, set, fix.doc, bt)
+				got := engine.New(engine.Options{Workers: w}).EvaluateAcross(q, set, one(fix.doc), bt)
 				assertSameResults(t, fmt.Sprintf("trial %d %s workers=%d", trial, spec.ID, w), want, got)
 			}
 		}
@@ -146,6 +153,7 @@ func TestDifferentialCompact(t *testing.T) {
 
 func TestDifferentialTopK(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
 		set := randomSubSet(t, fix.base, rng)
@@ -160,10 +168,9 @@ func TestDifferentialTopK(t *testing.T) {
 				t.Fatalf("%s: %v", spec.ID, err)
 			}
 			for _, k := range ks {
-				want := core.EvaluateTopK(q, set, fix.doc, bt, k)
+				want := o.Results(set, spec.Text, k, fix.doc)
 				for _, w := range workerCounts() {
-					e := engine.New(engine.Options{Workers: w})
-					got := e.EvaluateTopK(q, set, fix.doc, bt, k)
+					got := engine.New(engine.Options{Workers: w}).EvaluateTopKAcross(q, set, one(fix.doc), bt, k)
 					assertSameResults(t, fmt.Sprintf("trial %d %s k=%d workers=%d", trial, spec.ID, k, w), want, got)
 				}
 			}
@@ -171,8 +178,32 @@ func TestDifferentialTopK(t *testing.T) {
 	}
 }
 
+// assertBatch checks a batch's responses against the oracle: each echoes
+// its request, carries no error, and answers it (K ignored without a
+// block tree, where every request is basic).
+func assertBatch(t *testing.T, o *oracle.Oracle, label string, set *mapping.Set, docs []*xmltree.Document, basic bool, reqs []engine.Request, resps []engine.Response) {
+	t.Helper()
+	if len(resps) != len(reqs) {
+		t.Fatalf("%s: %d responses to %d requests", label, len(resps), len(reqs))
+	}
+	for i, resp := range resps {
+		if resp.Err != nil {
+			t.Fatalf("%s req %d: %v", label, i, resp.Err)
+		}
+		if resp.Pattern != reqs[i].Pattern || resp.K != reqs[i].K {
+			t.Fatalf("%s req %d: response echoes %q/%d", label, i, resp.Pattern, resp.K)
+		}
+		k := reqs[i].K
+		if basic {
+			k = 0
+		}
+		assertSameResults(t, fmt.Sprintf("%s req %d", label, i), o.Results(set, reqs[i].Pattern, k, docs...), resp.Results)
+	}
+}
+
 func TestDifferentialBatch(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(4))
 	set := randomSubSet(t, fix.base, rng)
 	bt, err := core.Build(set, core.DefaultOptions())
@@ -187,30 +218,8 @@ func TestDifferentialBatch(t *testing.T) {
 			reqs[i] = engine.Request{Pattern: spec.Text, K: rng.Intn(3) * 5} // K in {0, 5, 10}
 		}
 		for _, w := range workerCounts() {
-			e := engine.New(engine.Options{Workers: w})
-			resps := e.EvaluateBatch(set, fix.doc, bt, reqs)
-			if len(resps) != len(reqs) {
-				t.Fatalf("batch=%d workers=%d: %d responses", batchSize, w, len(resps))
-			}
-			for i, resp := range resps {
-				if resp.Err != nil {
-					t.Fatalf("batch=%d workers=%d req %d: %v", batchSize, w, i, resp.Err)
-				}
-				if resp.Pattern != reqs[i].Pattern || resp.K != reqs[i].K {
-					t.Fatalf("batch=%d workers=%d req %d: response echoes %q/%d", batchSize, w, i, resp.Pattern, resp.K)
-				}
-				q, err := core.PrepareQuery(reqs[i].Pattern, set)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want []core.Result
-				if reqs[i].K > 0 {
-					want = core.EvaluateTopK(q, set, fix.doc, bt, reqs[i].K)
-				} else {
-					want = core.Evaluate(q, set, fix.doc, bt)
-				}
-				assertSameResults(t, fmt.Sprintf("batch=%d workers=%d req %d", batchSize, w, i), want, resp.Results)
-			}
+			resps := engine.New(engine.Options{Workers: w}).EvaluateBatchAcross(set, one(fix.doc), bt, reqs)
+			assertBatch(t, o, fmt.Sprintf("batch=%d workers=%d", batchSize, w), set, []*xmltree.Document{fix.doc}, false, reqs, resps)
 		}
 	}
 }
@@ -219,22 +228,12 @@ func TestDifferentialBatch(t *testing.T) {
 // falls back to basic evaluation over all mappings.
 func TestDifferentialBatchBasic(t *testing.T) {
 	fix := newDiffFixture(t)
-	rng := rand.New(rand.NewSource(5))
-	set := randomSubSet(t, fix.base, rng)
-	specs := dataset.Queries()[:4]
-	reqs := make([]engine.Request, len(specs))
-	for i, spec := range specs {
-		reqs[i] = engine.Request{Pattern: spec.Text}
+	set := randomSubSet(t, fix.base, newRng(5))
+	reqs := make([]engine.Request, 4)
+	for i, spec := range dataset.Queries()[:4] {
+		reqs[i] = engine.Request{Pattern: spec.Text, K: i}
 	}
 	e := engine.New(engine.Options{Workers: runtime.GOMAXPROCS(0)})
-	for i, resp := range e.EvaluateBatch(set, fix.doc, nil, reqs) {
-		if resp.Err != nil {
-			t.Fatalf("req %d: %v", i, resp.Err)
-		}
-		q, err := core.PrepareQuery(reqs[i].Pattern, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, fmt.Sprintf("req %d", i), core.EvaluateBasic(q, set, fix.doc), resp.Results)
-	}
+	resps := e.EvaluateBatchAcross(set, one(fix.doc), nil, reqs)
+	assertBatch(t, oracle.New(t), "basic batch", set, []*xmltree.Document{fix.doc}, true, reqs, resps)
 }

@@ -1,31 +1,34 @@
 // Package engine provides a concurrent PTQ evaluation engine on top of
 // internal/core. Every mode runs the query's compiled plan (core.Plan):
 // Algorithm 4's for block-tree and top-k PTQ answering, and for basic PTQ
-// answering Algorithm 3's, the plan over no c-blocks. The engine scatters
-// the plan over the member documents of a collection, and a batched
-// multi-query API evaluates independent queries side by side; shards and
-// batch members are its only units of parallelism, and they share one
-// bounded worker pool. A prepared-query LRU cache (keyed by pattern text
-// and mapping-set identity) lets repeated queries skip the parse/resolve
-// step of PrepareQuery and the plan compile.
+// answering Algorithm 3's, the plan over no c-blocks. Every evaluation
+// takes a collection (Shards; a document is a collection of one), which
+// core.Plan.Run scatters over the engine's pool, and a batched multi-query
+// API evaluates independent queries side by side; shards and batch members
+// are its only units of parallelism, and they share one bounded worker
+// pool. A prepared-query LRU cache (keyed by pattern text and mapping-set
+// identity) lets repeated queries skip the parse/resolve step of
+// PrepareQuery and the plan compile.
 //
-// The engine is a pure orchestration layer: every algorithmic decision stays
-// in internal/core, and for any worker count the engine returns results
-// byte-identical to the sequential core evaluators — same mapping order,
-// same match order, same probabilities (see the differential tests). That
+// The engine is a pure orchestration layer: every algorithmic decision,
+// the loop over a collection's members included, stays in internal/core,
+// and for any worker and shard count the engine returns the answer of the
+// paper's Algorithm 3 over the members' concatenation — same mapping
+// order, same match order, same probabilities (the differential tests hold
+// it to internal/oracle, which shares no plan, memo or index with it). That
 // includes the matching backend: when a positional index (internal/index)
 // is attached to a document, every evaluation over it goes through the
 // index, which concurrent workers share (indexed_test.go runs this
 // composition under -race).
 //
 // Live documents (internal/delta) compose with the engine by snapshot
-// pinning: every Evaluate*/EvaluateBatch call takes one document and uses
-// it — and the index attached to it — for the whole call, so a caller
-// serving a mutating dataset resolves delta.Handle.Snapshot() exactly once
-// per request and passes snapshot.Doc down. Workers never re-resolve the
-// document, so a mutation published mid-request cannot mix epochs inside
-// one evaluation (delta_test.go races writers against pinned readers under
-// -race).
+// pinning: every call takes its member documents and uses them — and the
+// index attached to each — for the whole call, so a caller serving a
+// mutating dataset resolves each shard's delta.Handle.Snapshot() exactly
+// once per request and passes the snapshots' documents down. Workers never
+// re-resolve a document, so a mutation published mid-request cannot mix
+// epochs inside one evaluation (delta_test.go races writers against pinned
+// readers under -race).
 package engine
 
 import (
@@ -35,7 +38,6 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/mapping"
 	"xmatch/internal/obs"
-	"xmatch/internal/xmltree"
 )
 
 // Options configure an Engine.
@@ -157,29 +159,6 @@ func (e *Engine) CollectMetrics(x *obs.Exporter, labels ...obs.Label) {
 	x.Gauge("xmatch_engine_prepare_cache_entries", "Prepared queries currently cached.", float64(cs.Entries), labels...)
 }
 
-// EvaluateBasic answers the PTQ with Algorithm 3 over one document — a
-// collection of one; see EvaluateBasicAcross. Results are identical to
-// core.EvaluateBasic.
-func (e *Engine) EvaluateBasic(q *core.Query, set *mapping.Set, doc *xmltree.Document) []core.Result {
-	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, nil, 0)
-}
-
-// Evaluate answers the PTQ with Algorithm 4 over one document — a
-// collection of one; see EvaluateAcross. Results are identical to
-// core.Evaluate.
-func (e *Engine) Evaluate(q *core.Query, set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree) []core.Result {
-	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, bt, 0)
-}
-
-// EvaluateTopK answers the top-k PTQ over one document; see
-// EvaluateTopKAcross. Results are identical to core.EvaluateTopK.
-func (e *Engine) EvaluateTopK(q *core.Query, set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree, k int) []core.Result {
-	if k <= 0 {
-		return nil
-	}
-	return e.runPlan(q, set, Shards{Docs: []*xmltree.Document{doc}}, bt, k)
-}
-
 // Request is one query of a batch.
 type Request struct {
 	// Pattern is the twig pattern text on the target schema.
@@ -203,19 +182,14 @@ type Response struct {
 	Err     error
 }
 
-// EvaluateBatch answers many queries over one document — a collection of
-// one; see EvaluateBatchAcross.
-func (e *Engine) EvaluateBatch(set *mapping.Set, doc *xmltree.Document, bt *core.BlockTree, reqs []Request) []Response {
-	return e.EvaluateBatchAcross(set, Shards{Docs: []*xmltree.Document{doc}}, bt, reqs)
-}
-
-// spread runs fn(0), ..., fn(n-1) in at most e.workers contiguous ranges.
-// A range runs on a pool goroutine when the engine's gate has a free slot
-// and inline on the calling goroutine otherwise, so the pool never exceeds
-// its slots and nested calls (a batch whose members each scatter over
-// shards) cannot deadlock: a caller that finds the pool taken simply does
-// the work itself. fn polls the view's context itself.
-func (e *Engine) spread(n int, fn func(i int)) {
+// Spread runs fn(0), ..., fn(n-1) in at most e.workers contiguous ranges,
+// which makes the engine the core.Spreader a plan runs its members
+// through. A range runs on a pool goroutine when the engine's gate has a
+// free slot and inline on the calling goroutine otherwise, so the pool
+// never exceeds its slots and nested calls (a batch whose members each
+// scatter over shards) cannot deadlock: a caller that finds the pool taken
+// simply does the work itself. fn polls the view's context itself.
+func (e *Engine) Spread(n int, fn func(i int)) {
 	parts := min(n, e.workers)
 	run := func(lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -12,6 +12,7 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
+	"xmatch/internal/oracle"
 )
 
 func TestPrepareCacheAccounting(t *testing.T) {
@@ -121,9 +122,10 @@ func TestPrepareCacheDisabled(t *testing.T) {
 // TestConcurrentEvaluateSharedCache exercises one engine — one worker pool,
 // one prepared-query cache — from many goroutines at once; it is primarily a
 // -race target, but also checks every concurrent answer against the
-// sequential evaluators and the cache counters afterwards.
+// oracle and the cache counters afterwards.
 func TestConcurrentEvaluateSharedCache(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	rng := newRng(6)
 	set := randomSubSet(t, fix.base, rng)
 	bt, err := core.Build(set, core.DefaultOptions())
@@ -133,11 +135,7 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 	specs := dataset.Queries()[:4]
 	want := make([][]core.Result, len(specs))
 	for i, spec := range specs {
-		q, err := core.PrepareQuery(spec.Text, set)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = core.Evaluate(q, set, fix.doc, bt)
+		want[i] = o.Results(set, spec.Text, 0, fix.doc)
 	}
 
 	e := engine.New(engine.Options{Workers: 4, CacheCapacity: 16})
@@ -157,7 +155,7 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 					errs <- err
 					return
 				}
-				got := e.Evaluate(q, set, fix.doc, bt)
+				got := e.EvaluateAcross(q, set, one(fix.doc), bt)
 				if len(got) != len(want[si]) {
 					errs <- fmt.Errorf("caller %d round %d: %d results, want %d", c, r, len(got), len(want[si]))
 					return
@@ -189,7 +187,7 @@ func TestConcurrentEvaluateSharedCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatches runs overlapping EvaluateBatch calls on one engine,
+// TestConcurrentBatches runs overlapping batches on one engine,
 // another -race target exercising batch fan-out against the bounded pool.
 func TestConcurrentBatches(t *testing.T) {
 	fix := newDiffFixture(t)
@@ -209,7 +207,7 @@ func TestConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, resp := range e.EvaluateBatch(set, fix.doc, bt, reqs) {
+			for _, resp := range e.EvaluateBatchAcross(set, one(fix.doc), bt, reqs) {
 				if resp.Err != nil {
 					t.Error(resp.Err)
 				}
@@ -231,16 +229,15 @@ func TestWorkersFallbackSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBasic := core.EvaluateBasic(q, set, fix.doc)
-	wantTree := core.Evaluate(q, set, fix.doc, bt)
+	want := oracle.New(t).Results(set, spec.Text, 0, fix.doc)
 	for _, w := range []int{0, -1, -8} {
 		e := engine.New(engine.Options{Workers: w})
 		if e.Workers() != 1 {
 			t.Fatalf("Workers(%d) reports %d, want 1", w, e.Workers())
 		}
-		assertSameResults(t, fmt.Sprintf("basic workers=%d", w), wantBasic, e.EvaluateBasic(q, set, fix.doc))
-		assertSameResults(t, fmt.Sprintf("tree workers=%d", w), wantTree, e.Evaluate(q, set, fix.doc, bt))
-		if got := e.EvaluateTopK(q, set, fix.doc, bt, 0); got != nil {
+		assertSameResults(t, fmt.Sprintf("basic workers=%d", w), want, e.EvaluateBasicAcross(q, set, one(fix.doc)))
+		assertSameResults(t, fmt.Sprintf("tree workers=%d", w), want, e.EvaluateAcross(q, set, one(fix.doc), bt))
+		if got := e.EvaluateTopKAcross(q, set, one(fix.doc), bt, 0); got != nil {
 			t.Fatalf("top-0 workers=%d returned %d results", w, len(got))
 		}
 	}
@@ -249,7 +246,7 @@ func TestWorkersFallbackSequential(t *testing.T) {
 func TestEmptyBatch(t *testing.T) {
 	fix := newDiffFixture(t)
 	e := engine.New(engine.DefaultOptions())
-	if resps := e.EvaluateBatch(fix.base, fix.doc, nil, nil); len(resps) != 0 {
+	if resps := e.EvaluateBatchAcross(fix.base, one(fix.doc), nil, nil); len(resps) != 0 {
 		t.Fatalf("empty batch returned %d responses", len(resps))
 	}
 }
@@ -257,7 +254,7 @@ func TestEmptyBatch(t *testing.T) {
 func TestBatchPropagatesErrors(t *testing.T) {
 	fix := newDiffFixture(t)
 	e := engine.New(engine.DefaultOptions())
-	resps := e.EvaluateBatch(fix.base, fix.doc, nil, []engine.Request{
+	resps := e.EvaluateBatchAcross(fix.base, one(fix.doc), nil, []engine.Request{
 		{Pattern: dataset.Queries()[0].Text},
 		{Pattern: "///not a query"},
 	})

@@ -3,10 +3,10 @@ package engine_test
 // The engine × index contract: a dataset-wide positional index is attached
 // to the document once, before serving, and every engine worker then reads
 // it with zero synchronization. These tests run parallel evaluation over
-// an indexed document — meaningful under -race — and require results
-// byte-identical to sequential *unindexed* core evaluation, composing the
-// engine's parallel==sequential guarantee with the index's
-// indexed==joined guarantee.
+// an indexed document — meaningful under -race — and require the oracle's
+// answer (Algorithm 3 over an unindexed copy), composing the engine's
+// parallel==sequential guarantee with the index's indexed==joined
+// guarantee.
 
 import (
 	"fmt"
@@ -16,43 +16,32 @@ import (
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
 	"xmatch/internal/index"
+	"xmatch/internal/oracle"
 )
 
 func TestDifferentialIndexedParallel(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	set := fix.base
 	bt, err := core.Build(set, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := dataset.Queries()
-
-	// Sequential unindexed reference, computed before the index exists.
-	type ref struct{ basic, compact, topk []core.Result }
-	refs := make([]ref, len(queries))
-	qs := make([]*core.Query, len(queries))
-	for i, spec := range queries {
-		q, err := core.PrepareQuery(spec.Text, set)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.ID, err)
-		}
-		qs[i] = q
-		refs[i] = ref{
-			basic:   core.EvaluateBasic(q, set, fix.doc),
-			compact: core.Evaluate(q, set, fix.doc, bt),
-			topk:    core.EvaluateTopK(q, set, fix.doc, bt, 7),
-		}
-	}
-
 	index.Attach(fix.doc)
 	defer fix.doc.SetAccel(nil)
+	queries := dataset.Queries()
 	for _, w := range workerCounts() {
 		e := engine.New(engine.Options{Workers: w})
-		for i, spec := range queries {
+		for _, spec := range queries {
+			q, err := e.Prepare(spec.Text, set)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.ID, err)
+			}
 			label := fmt.Sprintf("%s workers=%d", spec.ID, w)
-			assertSameResults(t, label+" basic", refs[i].basic, e.EvaluateBasic(qs[i], set, fix.doc))
-			assertSameResults(t, label+" compact", refs[i].compact, e.Evaluate(qs[i], set, fix.doc, bt))
-			assertSameResults(t, label+" topk", refs[i].topk, e.EvaluateTopK(qs[i], set, fix.doc, bt, 7))
+			full := o.Results(set, spec.Text, 0, fix.doc)
+			assertSameResults(t, label+" basic", full, e.EvaluateBasicAcross(q, set, one(fix.doc)))
+			assertSameResults(t, label+" compact", full, e.EvaluateAcross(q, set, one(fix.doc), bt))
+			assertSameResults(t, label+" topk", o.Results(set, spec.Text, 7, fix.doc), e.EvaluateTopKAcross(q, set, one(fix.doc), bt, 7))
 		}
 	}
 
@@ -61,11 +50,6 @@ func TestDifferentialIndexedParallel(t *testing.T) {
 	for i, spec := range queries {
 		reqs[i] = engine.Request{Pattern: spec.Text}
 	}
-	e := engine.New(engine.Options{Workers: 8})
-	for i, resp := range e.EvaluateBatch(set, fix.doc, bt, reqs) {
-		if resp.Err != nil {
-			t.Fatalf("batch %s: %v", queries[i].ID, resp.Err)
-		}
-		assertSameResults(t, "batch "+queries[i].ID, refs[i].compact, resp.Results)
-	}
+	resps := engine.New(engine.Options{Workers: 8}).EvaluateBatchAcross(set, one(fix.doc), bt, reqs)
+	assertBatch(t, o, "batch", set, one(fix.doc).Docs, false, reqs, resps)
 }

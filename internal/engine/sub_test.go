@@ -15,12 +15,14 @@ import (
 	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
+	"xmatch/internal/oracle"
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
 )
 
 func TestSubDifferential(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	set := fix.base
 	bt, err := core.Build(set, core.DefaultOptions())
 	if err != nil {
@@ -32,14 +34,13 @@ func TestSubDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.ID, err)
 		}
-		want := core.Evaluate(q, set, fix.doc, bt)
-		wantTop := core.EvaluateTopK(q, set, fix.doc, bt, 3)
+		want, wantTop := o.Results(set, spec.Text, 0, fix.doc), o.Results(set, spec.Text, 3, fix.doc)
 		for _, n := range []int{1, 2, 3, 8, 0, -1, 100} {
 			sub := parent.Sub(n)
 			assertSameResults(t, fmt.Sprintf("%s sub=%d", spec.ID, n),
-				want, sub.Evaluate(q, set, fix.doc, bt))
+				want, sub.EvaluateAcross(q, set, one(fix.doc), bt))
 			assertSameResults(t, fmt.Sprintf("%s sub=%d topk", spec.ID, n),
-				wantTop, sub.EvaluateTopK(q, set, fix.doc, bt, 3))
+				wantTop, sub.EvaluateTopKAcross(q, set, one(fix.doc), bt, 3))
 		}
 	}
 }
@@ -80,10 +81,11 @@ func TestSubSharesCache(t *testing.T) {
 
 // TestSubConcurrentBatches runs many concurrent batches, each through its
 // own small Sub view, against one shared parent pool — the serving
-// pattern — and checks every response against the sequential answer. Run
+// pattern — and checks every response against the oracle's answer. Run
 // with -race this also exercises the pool's admission path.
 func TestSubConcurrentBatches(t *testing.T) {
 	fix := newDiffFixture(t)
+	o := oracle.New(t)
 	set := fix.base
 	bt, err := core.Build(set, core.DefaultOptions())
 	if err != nil {
@@ -92,11 +94,7 @@ func TestSubConcurrentBatches(t *testing.T) {
 	specs := dataset.Queries()
 	want := make([][]core.Result, len(specs))
 	for i, spec := range specs {
-		q, err := core.PrepareQuery(spec.Text, set)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.ID, err)
-		}
-		want[i] = core.Evaluate(q, set, fix.doc, bt)
+		want[i] = o.Results(set, spec.Text, 0, fix.doc)
 	}
 	parent := engine.New(engine.Options{Workers: 8})
 	var wg sync.WaitGroup
@@ -109,7 +107,7 @@ func TestSubConcurrentBatches(t *testing.T) {
 			for i, spec := range specs {
 				reqs[i] = engine.Request{Pattern: spec.Text}
 			}
-			for i, resp := range sub.EvaluateBatch(set, fix.doc, bt, reqs) {
+			for i, resp := range sub.EvaluateBatchAcross(set, one(fix.doc), bt, reqs) {
 				if resp.Err != nil {
 					t.Errorf("client %d query %d: %v", c, i, resp.Err)
 					continue

@@ -3,8 +3,9 @@ package server_test
 // Cross-shard differential suite over the wire: a catalog entry with
 // Shards > 1 is served by scatter-gather across member documents, and
 // every /v1/query and /v1/batch response must decode byte-identically to
-// sequential core evaluation over the members' concatenation
-// (xmltree.Corpus) — the collection is indistinguishable from one big
+// the oracle's answer over the members' concatenation (internal/oracle:
+// Algorithm 3 over xmltree.Corpus of fresh member copies) — the
+// collection is indistinguishable from one big
 // document on the wire. Plus shard-addressed mutation routing and the
 // per-shard observability surface.
 
@@ -17,14 +18,13 @@ import (
 	"strconv"
 	"testing"
 
-	"xmatch/internal/core"
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
 	"xmatch/internal/obs"
+	"xmatch/internal/oracle"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
-	"xmatch/internal/xmltree"
 )
 
 const collShards = 3
@@ -36,6 +36,7 @@ type shardedEnv struct {
 	ts  *httptest.Server
 	srv *server.Server
 	ds  *server.Dataset // the sharded collection
+	o   *oracle.Oracle
 }
 
 func newShardedEnv(t *testing.T, opts server.Options) *shardedEnv {
@@ -56,60 +57,15 @@ func newShardedEnv(t *testing.T, opts server.Options) *shardedEnv {
 	if ds == nil || ds.NumShards() != collShards {
 		t.Fatalf("sharded dataset not built: %+v", ds)
 	}
-	return &shardedEnv{ts: ts, srv: srv, ds: ds}
+	return &shardedEnv{ts: ts, srv: srv, ds: ds, o: oracle.New(t)}
 }
 
-// corpusOracle assembles the current shard snapshots into the
-// single-document corpus the differential assertions evaluate against.
-func corpusOracle(t *testing.T, ds *server.Dataset) *xmltree.Document {
-	t.Helper()
-	var members []*xmltree.Document
-	for _, sh := range ds.Shards() {
-		members = append(members, sh.Live.Snapshot().Doc)
-	}
-	corpus, err := xmltree.Corpus(members...)
-	if err != nil {
-		t.Fatalf("assembling corpus oracle: %v", err)
-	}
-	return corpus
-}
-
-// corpusWire evaluates a query sequentially over the corpus oracle and
-// returns the JSON its results and answers must serve as.
-func corpusWire(t *testing.T, ds *server.Dataset, corpus *xmltree.Document, pattern, mode string, k int) (results, answers []byte) {
-	t.Helper()
-	q, err := core.PrepareQuery(pattern, ds.Set)
-	if err != nil {
-		t.Fatalf("%q: %v", pattern, err)
-	}
-	var rs []core.Result
-	switch mode {
-	case "basic":
-		rs = core.EvaluateBasic(q, ds.Set, corpus)
-	case "compact":
-		rs = core.Evaluate(q, ds.Set, corpus, ds.Tree)
-	case "topk":
-		rs = core.EvaluateTopK(q, ds.Set, corpus, ds.Tree, k)
-	default:
-		t.Fatalf("bad mode %q", mode)
-	}
-	results, err = json.Marshal(core.ToWire(rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers, err = json.Marshal(core.AnswersToWire(core.AggregateLeaf(q, rs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results, answers
-}
-
-func assertQueryMatchesCorpus(t *testing.T, env *shardedEnv, corpus *xmltree.Document, pattern string, mk struct {
+func assertQueryMatchesCorpus(t *testing.T, env *shardedEnv, pattern string, mk struct {
 	mode string
 	k    int
 }) {
 	t.Helper()
-	wantResults, wantAnswers := corpusWire(t, env.ds, corpus, pattern, mk.mode, mk.k)
+	wantResults, wantAnswers := oracleJSON(t, env.o, env.ds, pattern, mk.mode, mk.k)
 	resp, body := postJSON(t, env.ts.URL+"/v1/query",
 		server.QueryRequest{Dataset: "corpus", Pattern: pattern, Mode: mk.mode, K: mk.k})
 	if resp.StatusCode != http.StatusOK {
@@ -121,10 +77,10 @@ func assertQueryMatchesCorpus(t *testing.T, env *shardedEnv, corpus *xmltree.Doc
 	}
 	label := fmt.Sprintf("%q %s/%d", pattern, mk.mode, mk.k)
 	if !bytes.Equal(got.Results, wantResults) {
-		t.Errorf("%s: results differ from sequential core over the corpus:\ngot  %s\nwant %s", label, got.Results, wantResults)
+		t.Errorf("%s: results differ from the oracle over the corpus:\ngot  %s\nwant %s", label, got.Results, wantResults)
 	}
 	if !bytes.Equal(got.Answers, wantAnswers) {
-		t.Errorf("%s: answers differ from sequential core over the corpus:\ngot  %s\nwant %s", label, got.Answers, wantAnswers)
+		t.Errorf("%s: answers differ from the oracle over the corpus:\ngot  %s\nwant %s", label, got.Answers, wantAnswers)
 	}
 }
 
@@ -133,10 +89,9 @@ func assertQueryMatchesCorpus(t *testing.T, env *shardedEnv, corpus *xmltree.Doc
 // byte-identical to one-document evaluation of the concatenated corpus.
 func TestCollectionDifferentialOverTheWire(t *testing.T) {
 	env := newShardedEnv(t, server.Options{})
-	corpus := corpusOracle(t, env.ds)
 	for _, spec := range dataset.Queries() {
 		for _, mk := range modeMatrix {
-			assertQueryMatchesCorpus(t, env, corpus, spec.Text, mk)
+			assertQueryMatchesCorpus(t, env, spec.Text, mk)
 		}
 	}
 }
@@ -145,7 +100,6 @@ func TestCollectionDifferentialOverTheWire(t *testing.T) {
 // against the sharded collection and checks every slot against the corpus.
 func TestCollectionBatchDifferential(t *testing.T) {
 	env := newShardedEnv(t, server.Options{})
-	corpus := corpusOracle(t, env.ds)
 	for _, k := range []int{0, 2} {
 		var breq server.BatchRequest
 		breq.Dataset = "corpus"
@@ -168,13 +122,13 @@ func TestCollectionBatchDifferential(t *testing.T) {
 			if k > 0 {
 				mode = "topk"
 			}
-			wantResults, wantAnswers := corpusWire(t, env.ds, corpus, spec.Text, mode, k)
+			wantResults, wantAnswers := oracleJSON(t, env.o, env.ds, spec.Text, mode, k)
 			slot := got.Responses[i]
 			if slot.Error != "" {
 				t.Fatalf("k=%d %s: error %q", k, spec.ID, slot.Error)
 			}
 			if !bytes.Equal(slot.Results, wantResults) || !bytes.Equal(slot.Answers, wantAnswers) {
-				t.Errorf("k=%d %s: batch slot differs from sequential core over the corpus", k, spec.ID)
+				t.Errorf("k=%d %s: batch slot differs from the oracle over the corpus", k, spec.ID)
 			}
 		}
 	}
@@ -229,9 +183,8 @@ func TestCollectionMutateShardRouting(t *testing.T) {
 	}
 
 	// The differential guarantee holds over the mutated corpus.
-	corpus := corpusOracle(t, env.ds)
 	for _, mk := range modeMatrix {
-		assertQueryMatchesCorpus(t, env, corpus, dataset.Queries()[0].Text, mk)
+		assertQueryMatchesCorpus(t, env, dataset.Queries()[0].Text, mk)
 	}
 
 	// Out-of-range shard addressing is rejected without touching state.

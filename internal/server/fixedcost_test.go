@@ -25,6 +25,7 @@ import (
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
 	"xmatch/internal/obs"
+	"xmatch/internal/oracle"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 )
@@ -273,7 +274,7 @@ func TestPreparedQueryConstants(t *testing.T) {
 // with a member that fails — send requests through everything requests
 // share at once: the pooled read-ahead and body buffers, the merger tables,
 // the results arrays the handlers hand back. Every response must be the
-// bytes encoding/json writes over sequential core's answer; a results array
+// bytes encoding/json writes over the oracle's answer; a results array
 // refilled by one request while another still renders from it would show
 // here, or to the race detector. Meanwhile /v1/debug/traces is scraped with
 // every trace retained: a retained trace is a copy, so whatever a scrape
@@ -283,6 +284,7 @@ func TestPreparedQueryConstants(t *testing.T) {
 func TestFixedCostUnderConcurrency(t *testing.T) {
 	srv := benchServer(t, server.Options{TraceThreshold: time.Nanosecond, TraceBufferSize: 32})
 	ds := srv.Catalog().Get("D7")
+	o := oracle.New(t)
 	serveBody := func(path string, body []byte) (int, []byte) {
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -302,8 +304,8 @@ func TestFixedCostUnderConcurrency(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%q prepared", bad)
 			}
-			compact, compactAnswers := oracleEval(t, ds, ds.Doc(), pattern, "compact", 0)
-			topk, topkAnswers := oracleEval(t, ds, ds.Doc(), pattern, "topk", c)
+			compact, compactAnswers := oracleWire(o, ds, pattern, "compact", 0)
+			topk, topkAnswers := oracleWire(o, ds, pattern, "topk", c)
 			paths[c] = "/v1/batch"
 			req = server.BatchRequest{Dataset: "D7", Queries: []server.BatchQuery{{Pattern: pattern}, {Pattern: bad}, {Pattern: pattern, K: c}}}
 			resp = server.BatchResponse{Dataset: "D7", Responses: []server.BatchAnswer{
@@ -316,7 +318,7 @@ func TestFixedCostUnderConcurrency(t *testing.T) {
 			if mode == "topk" {
 				k = c + 1
 			}
-			results, answers := oracleEval(t, ds, ds.Doc(), pattern, mode, k)
+			results, answers := oracleWire(o, ds, pattern, mode, k)
 			req = server.QueryRequest{Dataset: "D7", Pattern: pattern, Mode: mode, K: k}
 			resp = server.QueryResponse{Dataset: "D7", Pattern: pattern, Mode: mode, K: k, Results: results, Answers: answers}
 		}

@@ -3,8 +3,8 @@ package server_test
 // The server write path: /v1/admin/mutate semantics over the wire,
 // edit-log persistence across catalog reloads, and the live-mutation
 // consistency guarantee — queries racing mutations always see one whole
-// snapshot, and post-mutation answers are byte-identical to sequential
-// evaluation over the mutated document. Run under -race in CI.
+// snapshot, and post-mutation answers are byte-identical to the oracle's
+// over the mutated document. Run under -race in CI.
 
 import (
 	"encoding/json"
@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"xmatch/internal/core"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
 	"xmatch/internal/server"
@@ -131,8 +130,8 @@ func TestMutateEndpoint(t *testing.T) {
 }
 
 // TestMutateThenQueryDifferential: after a mutation, every wire mode must
-// answer byte-identically to sequential core evaluation over the mutated
-// snapshot — the PR-3 differential guarantee extended to live documents.
+// answer byte-identically to the oracle over the mutated snapshot — the
+// differential guarantee extended to live documents.
 func TestMutateThenQueryDifferential(t *testing.T) {
 	env := newTestEnv(t, server.Options{})
 	f := env.fixtures[0]
@@ -154,7 +153,6 @@ func TestMutateThenQueryDifferential(t *testing.T) {
 		t.Fatalf("epoch %d", mr.Epoch)
 	}
 
-	snap := f.ds.Snapshot()
 	for _, pattern := range f.queries[:4] {
 		for _, mode := range []string{"basic", "compact", "topk"} {
 			k := 0
@@ -171,25 +169,11 @@ func TestMutateThenQueryDifferential(t *testing.T) {
 			if err := json.Unmarshal(raw, &qr); err != nil {
 				t.Fatal(err)
 			}
-			q, err := core.PrepareQuery(pattern, f.ds.Set)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []core.Result
-			switch mode {
-			case "basic":
-				want = core.EvaluateBasic(q, f.ds.Set, snap.Doc)
-			case "compact":
-				want = core.Evaluate(q, f.ds.Set, snap.Doc, f.ds.Tree)
-			case "topk":
-				want = core.EvaluateTopK(q, f.ds.Set, snap.Doc, f.ds.Tree, k)
-			}
-			wantJSON, _ := json.Marshal(core.ToWire(want))
+			wantJSON, wantAns := oracleJSON(t, env.o, f.ds, pattern, mode, k)
 			gotJSON, _ := json.Marshal(qr.Results)
 			if string(wantJSON) != string(gotJSON) {
-				t.Fatalf("%s %s: wire results diverged from sequential evaluation over the mutated snapshot", pattern, mode)
+				t.Fatalf("%s %s: wire results diverged from the oracle over the mutated snapshot", pattern, mode)
 			}
-			wantAns, _ := json.Marshal(core.AnswersToWire(core.AggregateLeaf(q, want)))
 			gotAns, _ := json.Marshal(qr.Answers)
 			if string(wantAns) != string(gotAns) {
 				t.Fatalf("%s %s: aggregated answers diverged", pattern, mode)

@@ -3,10 +3,11 @@ package server_test
 // Response-path tests: the bodies /v1/query and /v1/batch render
 // themselves (internal/server/render.go, core.Append*JSON) must be, byte
 // for byte, what encoding/json writes for QueryResponse / BatchResponse
-// over sequential core evaluation; they carry a Content-Length; the
+// over the oracle's answer; they carry a Content-Length; the
 // capture digest taken from the rendered bytes equals DigestResults of the
 // decoded response; and pooled response buffers never leak bytes between
-// concurrent responses.
+// concurrent responses. The oracle evaluating the queries is
+// internal/oracle's: Algorithm 3 over fresh copies of the shard snapshots.
 
 import (
 	"bytes"
@@ -23,6 +24,7 @@ import (
 	"xmatch/internal/dataset"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
+	"xmatch/internal/oracle"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 	"xmatch/internal/xmltree"
@@ -35,6 +37,7 @@ type renderEnv struct {
 	srv     *server.Server
 	ds      *server.Dataset
 	capture string
+	o       *oracle.Oracle
 }
 
 func newRenderEnv(t *testing.T, shards int) *renderEnv {
@@ -51,17 +54,7 @@ func newRenderEnv(t *testing.T, shards int) *renderEnv {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return &renderEnv{ts: ts, srv: srv, ds: srv.Catalog().Get("t3"), capture: capture}
-}
-
-// oracleDoc is the document sequential core evaluates: the current
-// snapshot, or the concatenation of the current shard snapshots.
-func (e *renderEnv) oracleDoc(t *testing.T) *xmltree.Document {
-	t.Helper()
-	if e.ds.NumShards() == 1 {
-		return e.ds.Doc()
-	}
-	return corpusOracle(t, e.ds)
+	return &renderEnv{ts: ts, srv: srv, ds: srv.Catalog().Get("t3"), capture: capture, o: oracle.New(t)}
 }
 
 func (e *renderEnv) epoch() uint64 {
@@ -72,31 +65,34 @@ func (e *renderEnv) epoch() uint64 {
 	return epoch
 }
 
-// oracleEval answers one query with the sequential evaluators and
-// converts it to the wire forms.
-func (e *renderEnv) oracleEval(t *testing.T, doc *xmltree.Document, pattern, mode string, k int) ([]core.WireResult, []core.WireAnswer) {
-	t.Helper()
-	return oracleEval(t, e.ds, doc, pattern, mode, k)
+// oracleWire is the oracle's answer to one request over the dataset's
+// current shard snapshots, in wire form: the PTQ's for basic and compact,
+// the top-k PTQ's for topk.
+func oracleWire(o *oracle.Oracle, ds *server.Dataset, pattern, mode string, k int) ([]core.WireResult, []core.WireAnswer) {
+	if mode != "topk" {
+		k = 0
+	}
+	var docs []*xmltree.Document
+	for _, sn := range ds.Snapshots() {
+		docs = append(docs, sn.Doc)
+	}
+	return o.Wire(ds.Set, pattern, k, docs...)
 }
 
-func oracleEval(t *testing.T, ds *server.Dataset, doc *xmltree.Document, pattern, mode string, k int) ([]core.WireResult, []core.WireAnswer) {
+// oracleJSON is oracleWire as the JSON a response's results and answers
+// serve as.
+func oracleJSON(t *testing.T, o *oracle.Oracle, ds *server.Dataset, pattern, mode string, k int) (results, answers []byte) {
 	t.Helper()
-	q, err := core.PrepareQuery(pattern, ds.Set)
+	rs, as := oracleWire(o, ds, pattern, mode, k)
+	results, err := json.Marshal(rs)
 	if err != nil {
-		t.Fatalf("%q: %v", pattern, err)
+		t.Fatal(err)
 	}
-	var rs []core.Result
-	switch mode {
-	case "basic":
-		rs = core.EvaluateBasic(q, ds.Set, doc)
-	case "compact":
-		rs = core.Evaluate(q, ds.Set, doc, ds.Tree)
-	case "topk":
-		rs = core.EvaluateTopK(q, ds.Set, doc, ds.Tree, k)
-	default:
-		t.Fatalf("bad mode %q", mode)
+	answers, err = json.Marshal(as)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return core.ToWire(rs), core.AnswersToWire(core.AggregateLeaf(q, rs))
+	return results, answers
 }
 
 // encoded is v as json.Encoder writes it — what the server used to send.
@@ -134,14 +130,13 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 			env := newRenderEnv(t, shards)
 			var served []uint64 // DigestResults of every decoded /v1/query response, in order
 			check := func(phase string) {
-				doc := env.oracleDoc(t)
 				epoch := env.epoch()
 				var batch server.BatchRequest
 				var wantBatch server.BatchResponse
 				for _, spec := range dataset.Queries() {
 					for _, mk := range renderModes {
 						label := fmt.Sprintf("%s %s %s/%d", phase, spec.ID, mk.mode, mk.k)
-						results, answers := env.oracleEval(t, doc, spec.Text, mk.mode, mk.k)
+						results, answers := oracleWire(env.o, env.ds, spec.Text, mk.mode, mk.k)
 						want := server.QueryResponse{Dataset: "t3", Pattern: spec.Text, Mode: mk.mode, K: mk.k,
 							Epoch: epoch, Results: results, Answers: answers}
 						req := server.QueryRequest{Dataset: "t3", Pattern: spec.Text, Mode: mk.mode, K: mk.k}
@@ -152,7 +147,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 						}
 						assertSized(t, label, resp, body)
 						if !bytes.Equal(body, encoded(t, want)) {
-							t.Fatalf("%s: body differs from encoding/json over sequential core:\ngot  %s\nwant %s", label, body, encoded(t, want))
+							t.Fatalf("%s: body differs from encoding/json over the oracle:\ngot  %s\nwant %s", label, body, encoded(t, want))
 						}
 						served = append(served, server.DigestResults(results, answers))
 
@@ -176,7 +171,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 						}
 						got.Explain = nil
 						if !bytes.Equal(encoded(t, got), encoded(t, want)) {
-							t.Fatalf("%s explain: payload differs from sequential core", label)
+							t.Fatalf("%s explain: payload differs from the oracle", label)
 						}
 						served = append(served, server.DigestResults(results, answers))
 
@@ -202,7 +197,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 				}
 				assertSized(t, phase+" batch", resp, body)
 				if !bytes.Equal(body, encoded(t, wantBatch)) {
-					t.Fatalf("%s batch: body differs from encoding/json over sequential core:\ngot  %s\nwant %s", phase, body, encoded(t, wantBatch))
+					t.Fatalf("%s batch: body differs from encoding/json over the oracle:\ngot  %s\nwant %s", phase, body, encoded(t, wantBatch))
 				}
 			}
 
@@ -210,7 +205,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 			// Rewrite a text the answers carry, on the first and the last
 			// shard, with everything the string escaper has a case for that
 			// survives a JSON request (invalid UTF-8 does not).
-			results, _ := env.oracleEval(t, env.oracleDoc(t), dataset.Queries()[1].Text, "compact", 0)
+			results, _ := oracleWire(env.o, env.ds, dataset.Queries()[1].Text, "compact", 0)
 			path := ""
 			for _, r := range results {
 				if len(r.Matches) > 0 {
@@ -231,7 +226,7 @@ func TestRenderedBodiesMatchEncodingJSON(t *testing.T) {
 					t.Fatalf("mutate shard %d: status %d: %s", shard, resp.StatusCode, msg)
 				}
 			}
-			results, _ = env.oracleEval(t, env.oracleDoc(t), dataset.Queries()[1].Text, "compact", 0)
+			results, _ = oracleWire(env.o, env.ds, dataset.Queries()[1].Text, "compact", 0)
 			if !bytes.Contains(encoded(t, results), []byte(`\u003ca href=\"x\"\u003eR\u0026D`)) {
 				t.Fatal("the rewritten text is in no Q2 answer; the mutated phase would not exercise the escaper")
 			}

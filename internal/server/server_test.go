@@ -22,13 +22,14 @@ import (
 	"xmatch/internal/dataset"
 	"xmatch/internal/engine"
 	"xmatch/internal/obs"
+	"xmatch/internal/oracle"
 	"xmatch/internal/server"
 	"xmatch/internal/store"
 	"xmatch/internal/xmltree"
 )
 
-// fixture holds one serving dataset alongside the direct (sequential core)
-// evaluation ingredients the differential assertions need.
+// fixture holds one serving dataset alongside the queries the
+// differential assertions ask it.
 type fixture struct {
 	name    string
 	queries []string
@@ -93,6 +94,7 @@ type testEnv struct {
 	srv      *server.Server
 	fixtures []fixture
 	loads    *int // loader invocation count
+	o        *oracle.Oracle
 }
 
 func newTestEnv(t *testing.T, opts server.Options) *testEnv {
@@ -127,6 +129,7 @@ func newTestEnv(t *testing.T, opts server.Options) *testEnv {
 			{name: "small", queries: leafPatterns(t, small, 4), ds: small},
 		},
 		loads: &loads,
+		o:     oracle.New(t),
 	}
 }
 
@@ -146,36 +149,6 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
-}
-
-// directWire evaluates a query with the sequential core evaluators and
-// returns the JSON encoding of its wire results and answers.
-func directWire(t *testing.T, f fixture, pattern, mode string, k int) (results, answers []byte) {
-	t.Helper()
-	q, err := core.PrepareQuery(pattern, f.ds.Set)
-	if err != nil {
-		t.Fatalf("%s %q: %v", f.name, pattern, err)
-	}
-	var rs []core.Result
-	switch mode {
-	case "basic":
-		rs = core.EvaluateBasic(q, f.ds.Set, f.ds.Doc())
-	case "compact":
-		rs = core.Evaluate(q, f.ds.Set, f.ds.Doc(), f.ds.Tree)
-	case "topk":
-		rs = core.EvaluateTopK(q, f.ds.Set, f.ds.Doc(), f.ds.Tree, k)
-	default:
-		t.Fatalf("bad mode %q", mode)
-	}
-	results, err = json.Marshal(core.ToWire(rs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers, err = json.Marshal(core.AnswersToWire(core.AggregateLeaf(q, rs)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return results, answers
 }
 
 // rawQueryResp keeps the results/answers regions of a response as raw bytes
@@ -209,13 +182,13 @@ var modeMatrix = []struct {
 
 // TestQueryDifferentialOverTheWire is the acceptance matrix: every
 // dataset/query/mode/k, /v1/query results and answers byte-identical to
-// sequential core evaluation.
+// the oracle's (internal/oracle).
 func TestQueryDifferentialOverTheWire(t *testing.T) {
 	env := newTestEnv(t, server.Options{})
 	for _, f := range env.fixtures {
 		for _, pattern := range f.queries {
 			for _, mk := range modeMatrix {
-				wantResults, wantAnswers := directWire(t, f, pattern, mk.mode, mk.k)
+				wantResults, wantAnswers := oracleJSON(t, env.o, f.ds, pattern, mk.mode, mk.k)
 				resp, body := postJSON(t, env.ts.URL+"/v1/query",
 					server.QueryRequest{Dataset: f.name, Pattern: pattern, Mode: mk.mode, K: mk.k})
 				if resp.StatusCode != http.StatusOK {
@@ -230,10 +203,10 @@ func TestQueryDifferentialOverTheWire(t *testing.T) {
 					t.Errorf("%s: echo mismatch: %+v", label, got)
 				}
 				if !bytes.Equal(got.Results, wantResults) {
-					t.Errorf("%s: results differ from sequential core:\ngot  %s\nwant %s", label, got.Results, wantResults)
+					t.Errorf("%s: results differ from the oracle:\ngot  %s\nwant %s", label, got.Results, wantResults)
 				}
 				if !bytes.Equal(got.Answers, wantAnswers) {
-					t.Errorf("%s: answers differ from sequential core:\ngot  %s\nwant %s", label, got.Answers, wantAnswers)
+					t.Errorf("%s: answers differ from the oracle:\ngot  %s\nwant %s", label, got.Answers, wantAnswers)
 				}
 			}
 		}
@@ -267,7 +240,7 @@ func TestBatchDifferentialOverTheWire(t *testing.T) {
 				if k > 0 {
 					mode = "topk"
 				}
-				wantResults, wantAnswers := directWire(t, f, pattern, mode, k)
+				wantResults, wantAnswers := oracleJSON(t, env.o, f.ds, pattern, mode, k)
 				slot := got.Responses[i]
 				if slot.Error != "" {
 					t.Errorf("%s k=%d %q: unexpected error %q", f.name, k, pattern, slot.Error)
@@ -277,10 +250,10 @@ func TestBatchDifferentialOverTheWire(t *testing.T) {
 					t.Errorf("%s k=%d slot %d: pattern %q, want %q (order not preserved)", f.name, k, i, slot.Pattern, pattern)
 				}
 				if !bytes.Equal(slot.Results, wantResults) {
-					t.Errorf("%s k=%d %q: batch results differ from sequential core", f.name, k, pattern)
+					t.Errorf("%s k=%d %q: batch results differ from the oracle", f.name, k, pattern)
 				}
 				if !bytes.Equal(slot.Answers, wantAnswers) {
-					t.Errorf("%s k=%d %q: batch answers differ from sequential core", f.name, k, pattern)
+					t.Errorf("%s k=%d %q: batch answers differ from the oracle", f.name, k, pattern)
 				}
 			}
 		}
@@ -300,7 +273,7 @@ func TestConcurrentClients(t *testing.T) {
 	var exps []expectation
 	for _, f := range env.fixtures {
 		for _, pattern := range f.queries[:3] {
-			want, _ := directWire(t, f, pattern, "compact", 0)
+			want, _ := oracleJSON(t, env.o, f.ds, pattern, "compact", 0)
 			exps = append(exps, expectation{f, pattern, want})
 		}
 	}
@@ -424,14 +397,14 @@ func TestReload(t *testing.T) {
 	}
 	// The reloaded catalog must answer queries identically.
 	f := env.fixtures[0]
-	want, _ := directWire(t, f, f.queries[0], "compact", 0)
+	want, _ := oracleJSON(t, env.o, f.ds, f.queries[0], "compact", 0)
 	_, qbody := postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: f.name, Pattern: f.queries[0]})
 	var got rawQueryResp
 	if err := json.Unmarshal(qbody, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Results, want) {
-		t.Error("post-reload query differs from sequential core")
+		t.Error("post-reload query differs from the oracle")
 	}
 }
 
@@ -515,7 +488,7 @@ func TestErrorPaths(t *testing.T) {
 // pointer, so aggregating with a re-prepared query (instead of the one the
 // batch evaluated with) silently matches nothing once the prepared-query
 // cache is disabled or evicted. With caching off, batch answers must still
-// be byte-identical to sequential core evaluation.
+// be byte-identical to the oracle's.
 func TestBatchAnswersWithColdCache(t *testing.T) {
 	loader := func() (*server.Catalog, error) {
 		return server.BuildCatalog(manifest(), ".", engine.Options{Workers: 4, CacheCapacity: -1})
@@ -528,7 +501,7 @@ func TestBatchAnswersWithColdCache(t *testing.T) {
 	defer ts.Close()
 	f := fixture{name: "orders", ds: srv.Catalog().Get("orders")}
 	pattern := dataset.Queries()[1].Text
-	wantResults, wantAnswers := directWire(t, f, pattern, "compact", 0)
+	wantResults, wantAnswers := oracleJSON(t, oracle.New(t), f.ds, pattern, "compact", 0)
 	_, body := postJSON(t, ts.URL+"/v1/batch", server.BatchRequest{
 		Dataset: "orders",
 		Queries: []server.BatchQuery{{Pattern: pattern}},
@@ -541,10 +514,10 @@ func TestBatchAnswersWithColdCache(t *testing.T) {
 		t.Fatalf("%d responses, want 1", len(got.Responses))
 	}
 	if !bytes.Equal(got.Responses[0].Results, wantResults) {
-		t.Errorf("cold-cache batch results differ from sequential core")
+		t.Errorf("cold-cache batch results differ from the oracle")
 	}
 	if !bytes.Equal(got.Responses[0].Answers, wantAnswers) {
-		t.Errorf("cold-cache batch answers differ from sequential core:\ngot  %s\nwant %s",
+		t.Errorf("cold-cache batch answers differ from the oracle:\ngot  %s\nwant %s",
 			got.Responses[0].Answers, wantAnswers)
 	}
 }
