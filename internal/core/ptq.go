@@ -167,18 +167,16 @@ func (p *Plan) Run(docs []*xmltree.Document, k int, sp Spreader, observe func(me
 }
 
 // runMember runs one embedding's plan over member s into its unit outputs
-// and reports the run's wall time.
+// and reports the run's wall time to observe, when non-nil.
 func (r *ResultMerger) runMember(ep *EmbeddingPlan, s, k int, observe func(int, time.Duration), stop <-chan struct{}) {
 	if stopped(stop) {
 		return
 	}
-	if observe == nil {
-		ep.Run(r.units[s], r.docs[s], k, stop)
-		return
-	}
 	start := time.Now()
 	ep.Run(r.units[s], r.docs[s], k, stop)
-	observe(s, time.Since(start))
+	if observe != nil {
+		observe(s, time.Since(start))
+	}
 }
 
 // FilterMappings returns the indices of the mappings relevant to the

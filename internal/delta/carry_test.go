@@ -13,7 +13,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,8 +122,9 @@ func carryEdit(rng *rand.Rand, doc *xmltree.Document, i int) delta.Edit {
 
 // sameAnswer compares two match lists on what consumers of matcher output
 // read: Match.Key (pattern index and Start of every binding) plus the
-// region, Path and Text of every bound node — never the node objects,
-// which a carried entry and a fresh evaluation legitimately differ in.
+// region, Level, Path and Text of every bound node — never the node or
+// pattern objects, which a carried entry, a fresh evaluation and the
+// oracle's copy legitimately differ in.
 func sameAnswer(got, want []twig.Match) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d matches, want %d", len(got), len(want))
@@ -135,7 +135,7 @@ func sameAnswer(got, want []twig.Match) error {
 		}
 		for j, g := range got[i] {
 			w := want[i][j]
-			if g.Q != w.Q || g.D.End != w.D.End || g.D.Level != w.D.Level || g.D.Path != w.D.Path || g.D.Text != w.D.Text {
+			if g.Q.Index != w.Q.Index || g.D.End != w.D.End || g.D.Level != w.D.Level || g.D.Path != w.D.Path || g.D.Text != w.D.Text {
 				return fmt.Errorf("match %d binding %d: %q@%d:%d %q, want %q@%d:%d %q",
 					i, j, g.D.Path, g.D.Start, g.D.End, g.D.Text, w.D.Path, w.D.Start, w.D.End, w.D.Text)
 			}
@@ -359,18 +359,18 @@ func TestCarriedUnitsMatchRebuild(t *testing.T) {
 		t.Helper()
 		before := snap.Index.Counters()
 		for _, q := range queries {
-			want, _ := o.Wire(set, q.Canonical, 0, snap.Doc)
-			if got := core.ToWire(core.Evaluate(q, set, snap.Doc, bt)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from the oracle", step, snap.Epoch, q.Canonical)
+			want := o.Results(set, q.Canonical, 0, snap.Doc)
+			if err := sameResults(core.Evaluate(q, set, snap.Doc, bt), want); err != nil {
+				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from the oracle: %v", step, snap.Epoch, q.Canonical, err)
 			}
 		}
 		// An epoch's memo starts with what the write carried, so the first
 		// pass's hits are carried units.
 		carriedHits += snap.Index.Counters().Sub(before).UnitHits
 		for _, q := range queries {
-			want, _ := o.Wire(set, q.Canonical, 3, snap.Doc)
-			if got := core.ToWire(core.EvaluateTopK(q, set, snap.Doc, bt, 3)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch %d epoch %d, %s: top-3 answer diverged from the oracle", step, snap.Epoch, q.Canonical)
+			want := o.Results(set, q.Canonical, 3, snap.Doc)
+			if err := sameResults(core.EvaluateTopK(q, set, snap.Doc, bt, 3), want); err != nil {
+				t.Fatalf("batch %d epoch %d, %s: top-3 answer diverged from the oracle: %v", step, snap.Epoch, q.Canonical, err)
 			}
 		}
 	}
@@ -437,6 +437,21 @@ func rewrite(q *core.Query, emb twig.Embedding, set *mapping.Set, mi int) []stri
 		paths = append(paths, set.Source.ByID(s).Path)
 	}
 	return paths
+}
+
+func sameResults(got, want []core.Result) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].MappingIndex != want[i].MappingIndex || got[i].Prob != want[i].Prob {
+			return fmt.Errorf("result %d: mapping %d p=%v, want mapping %d p=%v", i, got[i].MappingIndex, got[i].Prob, want[i].MappingIndex, want[i].Prob)
+		}
+		if err := sameAnswer(got[i].Matches, want[i].Matches); err != nil {
+			return fmt.Errorf("mapping %d: %v", got[i].MappingIndex, err)
+		}
+	}
+	return nil
 }
 
 // unitEdit draws one edit on a node whose path a unit binds, or on one

@@ -48,11 +48,11 @@ func collShardCounts() []int { return []int{1, 2, 4} }
 func collWorkerCounts() []int { return []int{1, 4} }
 
 func TestCollectionDifferentialBasic(t *testing.T) {
-	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(21))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
 		set := randomSubSet(t, fix.base, rng)
+		o := oracle.New(t)
 		for _, spec := range dataset.Queries() {
 			q, err := core.PrepareQuery(spec.Text, set)
 			if err != nil {
@@ -69,11 +69,11 @@ func TestCollectionDifferentialBasic(t *testing.T) {
 }
 
 func TestCollectionDifferentialCompact(t *testing.T) {
-	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(22))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
 		set := randomSubSet(t, fix.base, rng)
+		o := oracle.New(t)
 		bt, err := core.Build(set, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -94,11 +94,11 @@ func TestCollectionDifferentialCompact(t *testing.T) {
 }
 
 func TestCollectionDifferentialTopK(t *testing.T) {
-	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(23))
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
 		set := randomSubSet(t, fix.base, rng)
+		o := oracle.New(t)
 		bt, err := core.Build(set, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -122,12 +122,12 @@ func TestCollectionDifferentialTopK(t *testing.T) {
 }
 
 func TestCollectionDifferentialBatch(t *testing.T) {
-	o := oracle.New(t)
 	rng := rand.New(rand.NewSource(24))
 	specs := dataset.Queries()
 	for _, shards := range collShardCounts() {
 		fix := newCollFixture(t, shards, 4800)
 		set := randomSubSet(t, fix.base, rng)
+		o := oracle.New(t)
 		bt, err := core.Build(set, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

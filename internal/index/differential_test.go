@@ -71,7 +71,6 @@ func TestIndexedEvaluationDifferential(t *testing.T) {
 		loadFixture(t, "D7", 50, 1800, tableIII),
 		loadFixture(t, "D1", 16, 600, d1),
 	}
-	o := oracle.New(t)
 	modes := []struct {
 		mode string
 		k    int
@@ -79,6 +78,7 @@ func TestIndexedEvaluationDifferential(t *testing.T) {
 		{"basic", 0}, {"compact", 0}, {"topk", 1}, {"topk", 5}, {"topk", 1000},
 	}
 	for _, f := range fixtures {
+		o := oracle.New(t)
 		for _, pattern := range f.queries {
 			q, err := core.PrepareQuery(pattern, f.set)
 			if err != nil {

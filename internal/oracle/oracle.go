@@ -13,9 +13,7 @@ package oracle
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,29 +22,24 @@ import (
 	"xmatch/internal/xmltree"
 )
 
-// Oracle answers the queries of one differential test. A test whose
-// answers are all empty compares nothing, so when the test ends the
-// oracle fails it if it answered anything and no answer bound a match.
+// Oracle answers the queries of one fixture of a differential test. A
+// fixture whose answers are all empty compares nothing, so when the test
+// ends the oracle fails it if it answered anything and no answer bound a
+// match. A test over several fixtures therefore asks one oracle per
+// fixture: one fixture's matches must not hide another's empty answers.
 // Safe for concurrent use: it reports a failure with t.Errorf, which any
 // goroutine may call, and gives an empty answer then.
-//
-// The oracle keeps the copy of the last documents it was handed, so a
-// document must not change once handed to it (a snapshot never does).
 type Oracle struct {
 	t               testing.TB
 	asked, nonEmpty atomic.Bool
-
-	mu   sync.Mutex
-	from []*xmltree.Document // the documents copy was made from
-	copy *xmltree.Document
 }
 
-// New returns the oracle of the test t.
+// New returns an oracle for one fixture of the test t.
 func New(t testing.TB) *Oracle {
 	o := &Oracle{t: t}
 	t.Cleanup(func() {
 		if o.asked.Load() && !o.nonEmpty.Load() && !t.Failed() {
-			t.Error("oracle: every answer this differential compared was empty; pick queries with matches")
+			t.Error("oracle: every answer of this fixture was empty; pick queries with matches")
 		}
 	})
 	return o
@@ -81,7 +74,7 @@ func (o *Oracle) answer(set *mapping.Set, pattern string, k int, docs []*xmltree
 		o.t.Errorf("oracle: %q: %v", pattern, err)
 		return nil, nil
 	}
-	doc, err := o.fresh(docs)
+	doc, err := concat(docs)
 	if err != nil {
 		o.t.Errorf("oracle: %v", err)
 		return nil, nil
@@ -103,20 +96,7 @@ func (o *Oracle) answer(set *mapping.Set, pattern string, k int, docs []*xmltree
 	return q, rs
 }
 
-// fresh copies the members and, for several, concatenates the copies.
-func (o *Oracle) fresh(docs []*xmltree.Document) (*xmltree.Document, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !slices.Equal(o.from, docs) {
-		c, err := concat(docs)
-		if err != nil {
-			return nil, err
-		}
-		o.from, o.copy = slices.Clone(docs), c
-	}
-	return o.copy, nil
-}
-
+// concat copies the members and, for several, concatenates the copies.
 func concat(docs []*xmltree.Document) (*xmltree.Document, error) {
 	copies := make([]*xmltree.Document, len(docs))
 	for i, d := range docs {

@@ -169,7 +169,7 @@ func TestMutateThenQueryDifferential(t *testing.T) {
 			if err := json.Unmarshal(raw, &qr); err != nil {
 				t.Fatal(err)
 			}
-			wantJSON, wantAns := oracleJSON(t, env.o, f.ds, pattern, mode, k)
+			wantJSON, wantAns := oracleJSON(t, f.o, f.ds, pattern, mode, k)
 			gotJSON, _ := json.Marshal(qr.Results)
 			if string(wantJSON) != string(gotJSON) {
 				t.Fatalf("%s %s: wire results diverged from the oracle over the mutated snapshot", pattern, mode)

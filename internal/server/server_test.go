@@ -34,6 +34,7 @@ type fixture struct {
 	name    string
 	queries []string
 	ds      *server.Dataset
+	o       *oracle.Oracle // the fixture's own, so its empty answers show
 }
 
 // manifest is the two-dataset catalog the tests serve: the Table III
@@ -94,7 +95,6 @@ type testEnv struct {
 	srv      *server.Server
 	fixtures []fixture
 	loads    *int // loader invocation count
-	o        *oracle.Oracle
 }
 
 func newTestEnv(t *testing.T, opts server.Options) *testEnv {
@@ -125,11 +125,10 @@ func newTestEnv(t *testing.T, opts server.Options) *testEnv {
 		ts:  ts,
 		srv: srv,
 		fixtures: []fixture{
-			{name: "orders", queries: d7Queries, ds: orders},
-			{name: "small", queries: leafPatterns(t, small, 4), ds: small},
+			{name: "orders", queries: d7Queries, ds: orders, o: oracle.New(t)},
+			{name: "small", queries: leafPatterns(t, small, 4), ds: small, o: oracle.New(t)},
 		},
 		loads: &loads,
-		o:     oracle.New(t),
 	}
 }
 
@@ -188,7 +187,7 @@ func TestQueryDifferentialOverTheWire(t *testing.T) {
 	for _, f := range env.fixtures {
 		for _, pattern := range f.queries {
 			for _, mk := range modeMatrix {
-				wantResults, wantAnswers := oracleJSON(t, env.o, f.ds, pattern, mk.mode, mk.k)
+				wantResults, wantAnswers := oracleJSON(t, f.o, f.ds, pattern, mk.mode, mk.k)
 				resp, body := postJSON(t, env.ts.URL+"/v1/query",
 					server.QueryRequest{Dataset: f.name, Pattern: pattern, Mode: mk.mode, K: mk.k})
 				if resp.StatusCode != http.StatusOK {
@@ -240,7 +239,7 @@ func TestBatchDifferentialOverTheWire(t *testing.T) {
 				if k > 0 {
 					mode = "topk"
 				}
-				wantResults, wantAnswers := oracleJSON(t, env.o, f.ds, pattern, mode, k)
+				wantResults, wantAnswers := oracleJSON(t, f.o, f.ds, pattern, mode, k)
 				slot := got.Responses[i]
 				if slot.Error != "" {
 					t.Errorf("%s k=%d %q: unexpected error %q", f.name, k, pattern, slot.Error)
@@ -273,7 +272,7 @@ func TestConcurrentClients(t *testing.T) {
 	var exps []expectation
 	for _, f := range env.fixtures {
 		for _, pattern := range f.queries[:3] {
-			want, _ := oracleJSON(t, env.o, f.ds, pattern, "compact", 0)
+			want, _ := oracleJSON(t, f.o, f.ds, pattern, "compact", 0)
 			exps = append(exps, expectation{f, pattern, want})
 		}
 	}
@@ -397,7 +396,7 @@ func TestReload(t *testing.T) {
 	}
 	// The reloaded catalog must answer queries identically.
 	f := env.fixtures[0]
-	want, _ := oracleJSON(t, env.o, f.ds, f.queries[0], "compact", 0)
+	want, _ := oracleJSON(t, f.o, f.ds, f.queries[0], "compact", 0)
 	_, qbody := postJSON(t, env.ts.URL+"/v1/query", server.QueryRequest{Dataset: f.name, Pattern: f.queries[0]})
 	var got rawQueryResp
 	if err := json.Unmarshal(qbody, &got); err != nil {
