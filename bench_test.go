@@ -1049,6 +1049,34 @@ func benchCheckpoint(b *testing.B, prefix string, doc *xmltree.Document) {
 	})
 }
 
+// BenchmarkDocumentHeap records what a served corpus's documents hold: the
+// live heap of the four members of the 200,000-node Order corpus
+// corpus_point serves, per element node (B/node; recorded, not gated).
+// Each iteration builds the corpus afresh.
+func BenchmarkDocumentHeap(b *testing.B) {
+	setup(b)
+	b.Run("order-200k", func(b *testing.B) {
+		var ms runtime.MemStats
+		live := func() uint64 {
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		var perNode float64
+		for i := 0; i < b.N; i++ {
+			before := live()
+			members := fixD7.OrderCorpus(4, 200000, 43)
+			nodes := 0
+			for _, m := range members {
+				nodes += m.Len()
+			}
+			perNode = float64(live()-before) / float64(nodes)
+			runtime.KeepAlive(members)
+		}
+		b.ReportMetric(perNode, "B/node")
+	})
+}
+
 // BenchmarkFingerprint prices the per-request workload-fingerprint hash —
 // computed on every /v1/query after evaluation, so it must stay deep in
 // the noise floor of even the cheapest indexed query. The cycle covers

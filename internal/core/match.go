@@ -18,9 +18,9 @@ import (
 // of a result class, and the response path renders each distinct slice
 // once, by identity. And a consumer of that output may read of a bound
 // document node only its Start, End, Level, Path and Text — never compare
-// node pointers, never follow Parent or Children. Under mutation a node
-// object may have been superseded by a position-identical clone (xmltree:
-// "positional identity is stable, object identity is not"), and the indexed
+// node pointers, never follow Children. Under mutation a node object may
+// have been superseded by a position-identical clone (see
+// xmltree.ChangeSet), and the indexed
 // matcher answers from results cached before the clone existed whenever the
 // write touched none of the bound paths (index: carryFrom); two matches of
 // one request may therefore bind the same position through different

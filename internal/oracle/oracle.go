@@ -12,7 +12,6 @@
 package oracle
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -113,22 +112,12 @@ func concat(docs []*xmltree.Document) (*xmltree.Document, error) {
 }
 
 // copyOf reassembles a document from its nodes with their numbering.
-// Parents are resolved by Start, not pointer: a copy-on-write snapshot
-// shares nodes whose Parent pointers refer to superseded clones.
 func copyOf(d *xmltree.Document) (*xmltree.Document, error) {
 	nodes := d.Nodes()
-	pos := make(map[int]int, len(nodes))
+	parents := xmltree.ParentPositions(nodes)
 	specs := make([]xmltree.NodeSpec, len(nodes))
 	for i, n := range nodes {
-		pos[n.Start] = i
-		specs[i] = xmltree.NodeSpec{Label: n.Label, Text: n.Text, Parent: -1, Start: n.Start, End: n.End}
-		if n.Parent != nil {
-			p, ok := pos[n.Parent.Start]
-			if !ok {
-				return nil, fmt.Errorf("copying a document: node %d has a parent outside it", i)
-			}
-			specs[i].Parent = p
-		}
+		specs[i] = xmltree.NodeSpec{Label: n.Label, Text: n.Text, Parent: int(parents[i]), Start: n.Start, End: n.End}
 	}
 	return xmltree.Assemble(specs, d.NumBase())
 }

@@ -23,8 +23,8 @@ import (
 )
 
 // ShardLog owns one shard's replication log: the records from base
-// (exclusive) to the current epoch, kept in memory in both decoded and
-// framed form so streaming re-encodes nothing, plus the durable edit-log
+// (exclusive) to the current epoch, kept in memory in their framed wire
+// form so streaming re-encodes nothing, plus the durable edit-log
 // file and checkpoint blob when the shard persists its mutations.
 // Retention is bounded by checkpoints — Checkpoint folds the retained
 // records into a checkpoint blob and drops them.
@@ -42,7 +42,6 @@ type ShardLog struct {
 	retired bool
 	repair  bool // last file append failed; recover before the next one
 	base    uint64
-	recs    []store.EditRecord
 	frames  [][]byte
 	bytes   int64
 
@@ -79,26 +78,28 @@ func CheckpointPath(logPath string) string { return logPath + ".ckpt" }
 // base, which heals a crash that landed between checkpoint rename and
 // log truncation. A log whose base is ahead of the checkpoint is a state
 // gap — history was truncated but the checkpoint that replaced it is
-// missing — and fails hard. The returned log retains the surviving
-// records; the caller replays them onto the restored document.
-func OpenShardLog(path string, syncEach bool, ckptEpoch uint64) (*ShardLog, error) {
+// missing — and fails hard. The surviving records come back decoded, in
+// epoch order, for the caller to replay onto the restored document; the
+// log retains them framed.
+func OpenShardLog(path string, syncEach bool, ckptEpoch uint64) (*ShardLog, []store.EditRecord, error) {
 	lg, err := store.RecoverEditLogFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if lg.Base > ckptEpoch {
-		return nil, fmt.Errorf("replica: edit log %s starts at epoch %d but the checkpoint is at %d: compacted history is missing", path, lg.Base, ckptEpoch)
+		return nil, nil, fmt.Errorf("replica: edit log %s starts at epoch %d but the checkpoint is at %d: compacted history is missing", path, lg.Base, ckptEpoch)
 	}
 	l := &ShardLog{path: path, ckpt: CheckpointPath(path), sync: syncEach, base: ckptEpoch, appendLat: obs.NewHistogram(nil)}
+	var recs []store.EditRecord
 	for _, rec := range lg.Records {
 		if rec.Epoch <= ckptEpoch {
 			continue // already folded into the checkpoint
 		}
 		frame, err := store.EncodeEditRecord(rec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		l.recs = append(l.recs, rec)
+		recs = append(recs, rec)
 		l.frames = append(l.frames, frame)
 		l.bytes += int64(len(frame))
 	}
@@ -107,10 +108,10 @@ func OpenShardLog(path string, syncEach bool, ckptEpoch uint64) (*ShardLog, erro
 		// rename and log reset, typically): rewrite it so file and memory
 		// agree on the base and the dead prefix stops accumulating.
 		if err := store.WriteEditLogFile(path, ckptEpoch, l.frames); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return l, nil
+	return l, recs, nil
 }
 
 // Durable reports whether appended records are persisted to a file.
@@ -124,23 +125,14 @@ func (l *ShardLog) Base() uint64 {
 	return l.base
 }
 
-// Records returns a copy of the retained records in epoch order.
-func (l *ShardLog) Records() []store.EditRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]store.EditRecord, len(l.recs))
-	copy(out, l.recs)
-	return out
-}
-
 // Status returns the log's current summary.
 func (l *ShardLog) Status() Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return Status{
 		Base:            l.base,
-		Epoch:           l.base + uint64(len(l.recs)),
-		RetainedRecords: len(l.recs),
+		Epoch:           l.base + uint64(len(l.frames)),
+		RetainedRecords: len(l.frames),
 		RetainedBytes:   l.bytes,
 		Durable:         l.path != "",
 		Retired:         l.retired,
@@ -159,11 +151,10 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 	if l.retired {
 		return fmt.Errorf("replica: edit log retired by reload")
 	}
-	if want := l.base + uint64(len(l.recs)) + 1; epoch != want {
+	if want := l.base + uint64(len(l.frames)) + 1; epoch != want {
 		return fmt.Errorf("replica: append at epoch %d, want %d", epoch, want)
 	}
-	rec := store.EditRecord{Epoch: epoch, Edits: edits}
-	frame, err := store.EncodeEditRecord(rec)
+	frame, err := store.EncodeEditRecord(store.EditRecord{Epoch: epoch, Edits: edits})
 	if err != nil {
 		return err
 	}
@@ -184,7 +175,6 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 		}
 		l.appendLat.Observe(time.Since(start))
 	}
-	l.recs = append(l.recs, rec)
 	l.frames = append(l.frames, frame)
 	l.bytes += int64(len(frame))
 	return nil
@@ -237,7 +227,7 @@ func (l *ShardLog) Checkpoint(doc *xmltree.Document, epoch uint64) (int64, error
 	if l.retired {
 		return 0, fmt.Errorf("replica: edit log retired by reload")
 	}
-	if cur := l.base + uint64(len(l.recs)); epoch != cur {
+	if cur := l.base + uint64(len(l.frames)); epoch != cur {
 		return 0, fmt.Errorf("replica: checkpoint at epoch %d but log is at %d", epoch, cur)
 	}
 	freed := l.bytes
@@ -251,7 +241,7 @@ func (l *ShardLog) Checkpoint(doc *xmltree.Document, epoch uint64) (int64, error
 		l.repair = false
 	}
 	l.base = epoch
-	l.recs, l.frames, l.bytes = nil, nil, 0
+	l.frames, l.bytes = nil, 0
 	return freed, nil
 }
 
@@ -262,7 +252,7 @@ func (l *ShardLog) ResetTo(epoch uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base = epoch
-	l.recs, l.frames, l.bytes = nil, nil, 0
+	l.frames, l.bytes = nil, 0
 }
 
 // CollectMetrics emits the log's retention state and append latency onto

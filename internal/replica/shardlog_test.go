@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -88,22 +87,29 @@ func TestShardLogDurableCycle(t *testing.T) {
 	h := shardState(t)
 
 	// Fresh durable log at base 0 (no checkpoint yet).
-	l, err := OpenShardLog(path, true, 0)
-	if err != nil {
-		t.Fatal(err)
+	l, recs, err := OpenShardLog(path, true, 0)
+	if err != nil || len(recs) != 0 {
+		t.Fatal(err, recs)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := h.ApplyLogged(batch("v"+string(rune('0'+i))), l.Append); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The file holds what memory holds.
+	// The file holds what memory holds: its records frame to the
+	// retained frames, byte for byte.
 	lg, err := store.LoadEditLogFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(lg.Records, l.Records()) {
-		t.Fatal("file and memory disagree")
+	retained := l.StreamFrom(0).Frames
+	if len(lg.Records) != 3 || len(retained) != 3 {
+		t.Fatalf("file %d records, memory %d frames", len(lg.Records), len(retained))
+	}
+	for i, rec := range lg.Records {
+		if f, err := store.EncodeEditRecord(rec); err != nil || !bytes.Equal(f, retained[i]) {
+			t.Fatalf("record %d: file and memory disagree (%v)", i, err)
+		}
 	}
 
 	// Checkpoint under Freeze: file resets to base 3, checkpoint blob
@@ -136,12 +142,15 @@ func TestShardLogDurableCycle(t *testing.T) {
 	if _, err := h.ApplyLogged(batch("after"), l.Append); err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenShardLog(path, true, ck.Epoch)
+	l2, recs, err := OpenShardLog(path, true, ck.Epoch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if st := l2.Status(); st.Base != 3 || st.RetainedRecords != len(recs) || len(recs) != 1 {
+		t.Fatalf("reopened status %+v, %d records to replay", st, len(recs))
+	}
 	h2 := delta.Open(ck.Doc)
-	for _, rec := range l2.Records() {
+	for _, rec := range recs {
 		snap2, err := h2.Apply(rec.Edits)
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +168,7 @@ func TestShardLogOpenReconciliation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s0.editlog")
 	h := shardState(t)
-	l, err := OpenShardLog(path, false, 0)
+	l, _, err := OpenShardLog(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +182,15 @@ func TestShardLogOpenReconciliation(t *testing.T) {
 	// still based at 0 with records 1..4. Open must drop 1..2, keep 3..4,
 	// and rewrite the file at base 2.
 	snapAt4 := h.Snapshot()
-	l2, err := OpenShardLog(path, false, 2)
+	l2, recs, err := OpenShardLog(path, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := l2.Records()
 	if len(recs) != 2 || recs[0].Epoch != 3 || recs[1].Epoch != 4 {
 		t.Fatalf("reconciled records %+v", recs)
+	}
+	if st := l2.Status(); st.Base != 2 || st.Epoch != 4 || st.RetainedRecords != 2 {
+		t.Fatalf("reconciled status %+v", st)
 	}
 	lg, err := store.LoadEditLogFile(path)
 	if err != nil {
@@ -195,7 +206,7 @@ func TestShardLogOpenReconciliation(t *testing.T) {
 	if err := store.WriteEditLogFile(path, 9, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenShardLog(path, false, 2); err == nil || !strings.Contains(err.Error(), "compacted history") {
+	if _, _, err := OpenShardLog(path, false, 2); err == nil || !strings.Contains(err.Error(), "compacted history") {
 		t.Fatalf("missing-history open: %v", err)
 	}
 
@@ -218,11 +229,11 @@ func TestShardLogOpenReconciliation(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l3, err := OpenShardLog(path, false, 0)
+	l3, recs, err := OpenShardLog(path, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recs := l3.Records(); len(recs) != 1 || recs[0].Epoch != 1 {
+	if len(recs) != 1 || recs[0].Epoch != 1 {
 		t.Fatalf("torn open kept %+v", recs)
 	}
 	// And appends resume cleanly at the next epoch.

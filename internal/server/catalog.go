@@ -163,11 +163,11 @@ func (d *Collection) openDurableLogs(path string, fsync bool) error {
 	for si, s := range d.shards {
 		p := shardLogPath(path, si)
 		ckptEpoch := s.Live.Snapshot().Epoch // 0 unless checkpoint-restored
-		lg, err := replica.OpenShardLog(p, fsync, ckptEpoch)
+		lg, recs, err := replica.OpenShardLog(p, fsync, ckptEpoch)
 		if err != nil {
 			return fmt.Errorf("server: dataset %s shard %d: edit log %s: %w", d.Name, si, p, err)
 		}
-		for _, rec := range lg.Records() {
+		for _, rec := range recs {
 			snap, err := s.Live.Apply(rec.Edits)
 			if err != nil {
 				return fmt.Errorf("server: dataset %s shard %d: edit log %s: replaying epoch %d: %w", d.Name, si, p, rec.Epoch, err)

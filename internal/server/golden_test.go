@@ -143,7 +143,7 @@ func goldenMutate(t *testing.T, url string, ds *server.Dataset) {
 			parent, label := path[:strings.LastIndexByte(path, '.')], path[strings.LastIndexByte(path, '.')+1:]
 			parentOrd := -1
 			for i, p := range sh.Live.Snapshot().Doc.NodesByPath(parent) {
-				if p == n.Parent {
+				if p.IsAncestorOf(n) {
 					parentOrd = i
 				}
 			}

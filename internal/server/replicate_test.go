@@ -82,7 +82,7 @@ func randomBatch(rng *rand.Rand, doc *xmltree.Document, round int) []delta.Edit 
 	var edits []delta.Edit
 	for i, n := 0, rng.Intn(2); i <= n; i++ {
 		t := pick()
-		if t.Parent == nil || used[t.Start] {
+		if t == doc.Root || used[t.Start] {
 			continue
 		}
 		used[t.Start] = true
@@ -96,14 +96,14 @@ func randomBatch(rng *rand.Rand, doc *xmltree.Document, round int) []delta.Edit 
 		})
 	case 1: // delete a leaf (keeps the document from collapsing)
 		for tries := 0; tries < 10; tries++ {
-			if t := pick(); t.Parent != nil && len(t.Children) == 0 {
+			if t := pick(); t != doc.Root && len(t.Children) == 0 {
 				edits = append(edits, delta.Edit{Op: delta.OpDelete, Start: t.Start})
 				break
 			}
 		}
 	case 2: // rename a leaf
 		for tries := 0; tries < 10; tries++ {
-			if t := pick(); t.Parent != nil && len(t.Children) == 0 {
+			if t := pick(); t != doc.Root && len(t.Children) == 0 {
 				edits = append(edits, delta.Edit{Op: delta.OpRename, Start: t.Start, Label: fmt.Sprintf("Rn%d", round)})
 				break
 			}

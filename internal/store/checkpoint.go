@@ -66,30 +66,13 @@ func SaveCheckpoint(w io.Writer, doc *xmltree.Document, epoch uint64) error {
 		NumBase: doc.NumBase(),
 		Labels:  make([]string, len(nodes)),
 		Texts:   make([]string, len(nodes)),
-		Parents: make([]int32, len(nodes)),
+		Parents: xmltree.ParentPositions(nodes),
 		Starts:  make([]int32, len(nodes)),
 		Ends:    make([]int32, len(nodes)),
-	}
-	// Parents are resolved by Start, not pointer: a copy-on-write snapshot
-	// shares nodes whose Parent pointers refer to superseded clones, and
-	// only positional identity is stable across revisions (see
-	// xmltree.Revision).
-	pos := make(map[int]int32, len(nodes))
-	for i, n := range nodes {
-		pos[n.Start] = int32(i)
 	}
 	for i, n := range nodes {
 		d.Labels[i] = n.Label
 		d.Texts[i] = n.Text
-		if n.Parent == nil {
-			d.Parents[i] = -1
-		} else {
-			p, ok := pos[n.Parent.Start]
-			if !ok {
-				return fmt.Errorf("store: checkpoint: node %d has a parent outside the document", i)
-			}
-			d.Parents[i] = p
-		}
 		d.Starts[i] = int32(n.Start)
 		d.Ends[i] = int32(n.End)
 	}

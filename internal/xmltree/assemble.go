@@ -14,6 +14,23 @@ type NodeSpec struct {
 	End    int
 }
 
+// ParentPositions returns the position of each node's parent in nodes, a
+// document's preorder array (-1 for the root): the form NodeSpec.Parent
+// takes. Nodes hold no parent pointer; a node's parent is the nearest
+// preceding node whose interval contains it, found by climbing from the
+// previous node through the parents found so far.
+func ParentPositions(nodes []*Node) []int32 {
+	parents := make([]int32, len(nodes))
+	for i, n := range nodes {
+		p := int32(i - 1)
+		for p >= 0 && nodes[p].End < n.End {
+			p = parents[p]
+		}
+		parents[i] = p
+	}
+	return parents
+}
+
 // Assemble rebuilds a Document from its persisted preorder form, keeping
 // the recorded interval numbering instead of assigning a fresh one. New
 // and NewAt renumber — fine for a parsed document, fatal for a restored
@@ -32,6 +49,7 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 		return nil, fmt.Errorf("xmltree: assemble: negative numbering base %d", numBase)
 	}
 	nodes := make([]*Node, len(specs))
+	byPath := make(map[string][]*Node)
 	lastStart := numBase
 	for i, sp := range specs {
 		if sp.Label == "" {
@@ -49,7 +67,7 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 			if sp.Parent != -1 {
 				return nil, fmt.Errorf("xmltree: assemble: node 0 must be the root (parent -1, got %d)", sp.Parent)
 			}
-			n.Path = n.Label
+			addPath(byPath, n, "")
 		} else {
 			if sp.Parent < 0 || sp.Parent >= i {
 				return nil, fmt.Errorf("xmltree: assemble: node %d has invalid parent %d", i, sp.Parent)
@@ -63,18 +81,11 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 					return nil, fmt.Errorf("xmltree: assemble: node %d interval [%d,%d] overlaps sibling [%d,%d]", i, sp.Start, sp.End, prev.Start, prev.End)
 				}
 			}
-			n.Parent = p
 			n.Level = p.Level + 1
-			n.Path = p.Path + "." + n.Label
+			addPath(byPath, n, p.Path)
 			p.Children = append(p.Children, n)
 		}
 		nodes[i] = n
 	}
-	d := &Document{Root: nodes[0], count: len(nodes), nodes: nodes, numBase: numBase}
-	byPath := make(map[string][]*Node, len(nodes))
-	for _, n := range nodes {
-		byPath[n.Path] = append(byPath[n.Path], n)
-	}
-	d.paths = &pathLayer{byPath: byPath}
-	return d, nil
+	return &Document{Root: nodes[0], count: len(nodes), nodes: nodes, numBase: numBase, paths: &pathLayer{byPath: byPath}}, nil
 }

@@ -6,22 +6,18 @@ import (
 )
 
 // specsOf flattens a document into the persisted preorder form Assemble
-// consumes, resolving parents by Start (pointer identity is not stable
-// across copy-on-write revisions; positional identity is).
+// consumes, taking each node's parent from a Children walk.
 func specsOf(d *Document) []NodeSpec {
-	nodes := d.Nodes()
-	pos := make(map[int]int, len(nodes))
-	for i, n := range nodes {
-		pos[n.Start] = i
-	}
-	specs := make([]NodeSpec, len(nodes))
-	for i, n := range nodes {
-		p := -1
-		if n.Parent != nil {
-			p = pos[n.Parent.Start]
+	var specs []NodeSpec
+	var walk func(n *Node, parent int)
+	walk = func(n *Node, parent int) {
+		i := len(specs)
+		specs = append(specs, NodeSpec{Label: n.Label, Text: n.Text, Parent: parent, Start: n.Start, End: n.End})
+		for _, c := range n.Children {
+			walk(c, i)
 		}
-		specs[i] = NodeSpec{Label: n.Label, Text: n.Text, Parent: p, Start: n.Start, End: n.End}
 	}
+	walk(d.Root, -1)
 	return specs
 }
 

@@ -23,8 +23,7 @@ const CorpusRootLabel = "(corpus)"
 //
 // The corpus is read-only: it shares the members' nodes, so revising it
 // (BeginRevision) or revising a member while the corpus is in use is
-// invalid. The super-root's Parent stays nil on every member root —
-// consumers key structural facts off interval numbers, not Parent chains.
+// invalid.
 func Corpus(members ...*Document) (*Document, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("xmltree: corpus has no members")

@@ -97,10 +97,10 @@ func TestCorpusConcatenatesMembers(t *testing.T) {
 		}
 	}
 	// Members were not mutated: their own path lookups still work and
-	// their parents were left alone.
+	// their roots were not moved below the super-root (level and path).
 	for i, m := range members {
-		if m.Root.Parent != nil {
-			t.Fatalf("member %d root grew a parent", i)
+		if m.Root.Level != 0 || m.Root.Path != "Order" {
+			t.Fatalf("member %d root moved under the super-root: level %d, path %q", i, m.Root.Level, m.Root.Path)
 		}
 		if len(m.NodesByPath("Order.POLine")) != i+1 {
 			t.Fatalf("member %d path index changed", i)

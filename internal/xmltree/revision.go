@@ -18,14 +18,6 @@ package xmltree
 // with enough slack, cloning that subtree so the base snapshot's numbering
 // is untouched. A full-document renumbering happens only when the root
 // interval itself runs out of room.
-//
-// Sharing has one observable consequence, by design: a shared node's
-// Parent pointer refers to the node object of the revision in which it was
-// created, not necessarily to the object occupying that position in the
-// current document. The parent it points at always has the same Start,
-// End, Level, Path, and Label as the current occupant — positional
-// identity is stable even though object identity is not — so consumers
-// that walk Parent chains must key off Start rather than node pointers.
 
 import (
 	"fmt"
@@ -74,8 +66,8 @@ type ChangeSet struct {
 
 // samePosition reports whether clone c is a position-identical replacement
 // of its original o: equal in every field a consumer of query results may
-// read. Parent and Children are deliberately not compared — see the
-// package comment on positional identity.
+// read. Children are not compared: a clone shares its original's children
+// until an edit below it clones them too.
 func samePosition(c, o *Node) bool {
 	return c.Start == o.Start && c.End == o.End && c.Level == o.Level &&
 		c.Path == o.Path && c.Label == o.Label && c.Text == o.Text
@@ -87,13 +79,12 @@ func (d *Document) BeginRevision() *Revision {
 	return &Revision{base: d, root: d.Root, owned: make(map[*Node]*Node)}
 }
 
-// clone makes an owned copy of n attached under parent (an owned node, or
-// nil for the root), sharing n's children, and records n as dropped.
-func (r *Revision) clone(n *Node, parent *Node) *Node {
+// clone makes an owned copy of n, sharing n's children, and records n as
+// dropped.
+func (r *Revision) clone(n *Node) *Node {
 	c := &Node{
 		Label:    n.Label,
 		Text:     n.Text,
-		Parent:   parent,
 		Children: append([]*Node(nil), n.Children...),
 		Start:    n.Start,
 		End:      n.End,
@@ -209,14 +200,11 @@ func (r *Revision) own(start int) []*Node {
 		if r.isOwned(n) {
 			continue
 		}
-		var parent *Node
-		if i > 0 {
-			parent = chain[i-1]
-		}
-		c := r.clone(n, parent)
-		if parent == nil {
+		c := r.clone(n)
+		if i == 0 {
 			r.root = c
 		} else {
+			parent := chain[i-1]
 			parent.Children[childIndex(parent, n.Start)] = c
 		}
 		chain[i] = c
@@ -229,10 +217,8 @@ func (r *Revision) own(start int) []*Node {
 func (r *Revision) ownSubtree(n *Node) {
 	for i, c := range n.Children {
 		if !r.isOwned(c) {
-			c = r.clone(c, n)
+			c = r.clone(c)
 			n.Children[i] = c
-		} else {
-			c.Parent = n
 		}
 		r.ownSubtree(c)
 	}
@@ -340,7 +326,6 @@ func (r *Revision) InsertSubtree(parentStart, pos int, sub *Node) error {
 	// paths derived from the insertion point. Interval numbers come later.
 	var adopt func(n, p *Node)
 	adopt = func(n, p *Node) {
-		n.Parent = p
 		n.Level = p.Level + 1
 		if p.Path == "" {
 			n.Path = n.Label
@@ -486,7 +471,10 @@ func (r *Revision) Commit() (*Document, *ChangeSet) {
 
 	// The path index becomes an overlay over the base document's: only
 	// the affected paths get freshly spliced lists (nil marks a path that
-	// disappeared); every other lookup falls through the chain.
+	// disappeared); every other lookup falls through the chain. An added
+	// node takes the string its path already has in the lineage, or the
+	// string of the first node added on it, so that a path keeps one
+	// string (see Node.Path).
 	droppedBy := make(map[string][]*Node) // sorted by start, like cs.Dropped
 	for _, n := range cs.Dropped {
 		droppedBy[n.Path] = append(droppedBy[n.Path], n)
@@ -509,7 +497,14 @@ func (r *Revision) Commit() (*Document, *ChangeSet) {
 
 	top := &pathLayer{byPath: make(map[string][]*Node, len(droppedBy)), below: r.base.paths}
 	for p, dropped := range droppedBy {
-		list := SpliceNodes(r.base.NodesByPath(p), dropped, addedBy[p])
+		old, added := r.base.NodesByPath(p), addedBy[p]
+		if len(old) > 0 {
+			p = old[0].Path
+		}
+		for _, n := range added {
+			n.Path = p
+		}
+		list := SpliceNodes(old, dropped, added)
 		if len(list) == 0 {
 			list = nil // the path disappeared
 		}

@@ -25,9 +25,9 @@ type Node struct {
 	// Text is the concatenated character data directly inside the
 	// element, with surrounding whitespace trimmed.
 	Text string
-	// Parent is nil for the root.
-	Parent *Node
-	// Children in document order.
+	// Children in document order. A node holds no pointer to its parent:
+	// a revision shares untouched subtrees with its predecessor, and a
+	// pointer up would keep the predecessor's spine reachable.
 	Children []*Node
 
 	// Start and End delimit the node's preorder interval: a node d is a
@@ -37,6 +37,11 @@ type Node struct {
 	// Level is the depth from the root (root has level 0).
 	Level int
 	// Path is the dotted label path from the root, e.g. "Order.POLine".
+	// Every node on one path holds the same string, and so does the path
+	// index's key: building a document, assembling it and committing a
+	// revision take an existing path's string from the path index they
+	// extend (see addPath). The table is the document lineage's own;
+	// documents built separately share no path string.
 	Path string
 }
 
@@ -65,7 +70,7 @@ func (n *Node) Contains(d *Node) bool {
 // document must be renumbered (or rebuilt with New) before structural
 // queries are issued.
 func (n *Node) AddChild(label string) *Node {
-	c := &Node{Label: label, Parent: n}
+	c := &Node{Label: label}
 	n.Children = append(n.Children, c)
 	return c
 }
@@ -175,15 +180,9 @@ func (d *Document) renumber() {
 		counter += Gap
 		n.Start = counter
 		n.Level = level
-		if prefix == "" {
-			n.Path = n.Label
-		} else {
-			n.Path = prefix + "." + n.Label
-		}
+		addPath(byPath, n, prefix)
 		d.nodes = append(d.nodes, n)
-		byPath[n.Path] = append(byPath[n.Path], n)
 		for _, c := range n.Children {
-			c.Parent = n
 			walk(c, level+1, n.Path)
 		}
 		counter += Gap
@@ -193,6 +192,22 @@ func (d *Document) renumber() {
 		walk(d.Root, 0, "")
 	}
 	d.count = len(d.nodes)
+}
+
+// addPath sets the dotted path of n, a node below a parent on path prefix
+// ("" for the root), and files n under it in byPath. A path byPath already
+// lists keeps its string: n takes the one the nodes on it hold.
+func addPath(byPath map[string][]*Node, n *Node, prefix string) {
+	p := n.Label
+	if prefix != "" {
+		p = prefix + "." + n.Label
+	}
+	list := byPath[p]
+	if len(list) > 0 {
+		p = list[0].Path
+	}
+	n.Path = p
+	byPath[p] = append(list, n)
 }
 
 // Len returns the number of element nodes in the document.
@@ -289,7 +304,6 @@ func Parse(r io.Reader) (*Document, error) {
 				root = n
 			} else {
 				p := stack[len(stack)-1]
-				n.Parent = p
 				p.Children = append(p.Children, n)
 			}
 			stack = append(stack, n)

@@ -165,17 +165,31 @@ func randomTree(rng *rand.Rand, budget int) *Node {
 	return root
 }
 
+// parentsOf maps every node of d to its parent by walking Children from
+// the root (the root maps to nil).
+func parentsOf(d *Document) map[*Node]*Node {
+	parent := map[*Node]*Node{d.Root: nil}
+	d.Walk(func(n *Node) bool {
+		for _, c := range n.Children {
+			parent[c] = n
+		}
+		return true
+	})
+	return parent
+}
+
 func TestIntervalAncestryMatchesPointerAncestry(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		doc := New(randomTree(rng, 2+rng.Intn(40)))
 		nodes := doc.Nodes()
+		parent := parentsOf(doc)
 		for i := 0; i < 50; i++ {
 			a := nodes[rng.Intn(len(nodes))]
 			b := nodes[rng.Intn(len(nodes))]
-			// Pointer-based ancestry.
+			// Pointer-based ancestry, up the Children edges.
 			truth := false
-			for p := b.Parent; p != nil; p = p.Parent {
+			for p := parent[b]; p != nil; p = parent[p] {
 				if p == a {
 					truth = true
 					break
@@ -195,9 +209,10 @@ func TestIntervalAncestryMatchesPointerAncestry(t *testing.T) {
 func TestPathsAreConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	doc := New(randomTree(rng, 60))
+	parent := parentsOf(doc)
 	for _, n := range doc.Nodes() {
-		if n.Parent != nil && n.Path != n.Parent.Path+"."+n.Label {
-			t.Fatalf("path %q inconsistent with parent %q", n.Path, n.Parent.Path)
+		if p := parent[n]; p != nil && n.Path != p.Path+"."+n.Label {
+			t.Fatalf("path %q inconsistent with parent %q", n.Path, p.Path)
 		}
 		found := false
 		for _, m := range doc.NodesByPath(n.Path) {
