@@ -702,27 +702,20 @@ func BenchmarkPTQCollectionIndexed(b *testing.B) {
 }
 
 // BenchmarkPostingsDecode measures full postings materialization — every
-// path list of the Order document decoded into fresh slices — for the
-// block-compressed layout against the flat reference layout, the raw cost
+// path list of the Order document decoded into fresh slices — the raw cost
 // the lazily-decoding matcher avoids paying per evaluation.
 func BenchmarkPostingsDecode(b *testing.B) {
 	setup(b)
-	for name, build := range map[string]func(*xmltree.Document) *index.Index{
-		"compressed": index.Build,
-		"flat":       index.BuildFlat,
-	} {
-		doc := fixD7.OrderDocument(3473, 42)
-		ix := build(doc)
-		paths := ix.Paths()
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, p := range paths {
-					_ = ix.Postings(p)
-				}
+	ix := index.Build(fixD7.OrderDocument(3473, 42))
+	paths := ix.Paths()
+	b.Run("compressed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range paths {
+				_ = ix.Postings(p)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkAblationTwigEngine measures the direct twig evaluator on a

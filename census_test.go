@@ -15,7 +15,6 @@ import (
 var unreachedAllowed = map[string]string{
 	"store.SetHooks":         "the fault-injection seam the chaos and store tests install hooks through",
 	"store.SaveSet":          "the writer of the mapping-set format LoadSet serves from catalog entries",
-	"index.BuildFlat":        "the flat-postings layout the layout differentials compare against (item 8 owns it)",
 	"twig.NaiveMatchByPaths": "the naive matcher the index and twig differentials use as oracle (item 8 owns it)",
 	"index.ValuePostings":    "value postings read by tests of index, delta and store across packages",
 	"schema.ByPath":          "element lookup by path used across packages by tests",

@@ -92,17 +92,12 @@ func usage() {
   mappings -d <D1..D10> [-n 10] [-m 100]    most probable mappings
   query    -d <D1..D10> -q <twig> [-k 0]    answer a PTQ (k>0 for top-k);
            [-workers N]                     ';'-separated twigs run as a batch
-           [-indexed=false]                 skip positional-index discovery:
-                                            evaluate through the joined
-                                            matcher (local only; a remote
-                                            daemon's indexing is fixed by its
-                                            catalog, so with -remote this
-                                            flag is rejected, not a no-op)
            [-remote http://host:port]       ask a running xmatchd instead
   index    -d <D1..D10> | -xml <file>       build the positional index, print
            | -manifest <cat> -name <entry>  its stats; -stats prints the
            [-stats]                         per-path postings table (counts,
-                                            compressed vs flat bytes, ratio);
+                                            compressed vs uncompressed
+                                            ("flat") bytes, ratio);
                                             -manifest indexes a catalog
                                             entry's document (the entry must
                                             have one)
@@ -237,7 +232,6 @@ func runQuery(args []string) error {
 	k := fs.Int("k", 0, "top-k PTQ; 0 evaluates all mappings")
 	docNodes := fs.Int("doc", 3473, "source document size")
 	workers := fs.Int("workers", 0, "parallel evaluation workers (0 = all cores, 1 = sequential)")
-	indexed := fs.Bool("indexed", true, "evaluate through the positional document index; false skips accelerator discovery entirely, forcing the joined matcher (local evaluation only: with -remote the daemon's catalog fixes indexing, so the flag is rejected rather than silently ignored)")
 	remote := fs.String("remote", "", "xmatchd base URL (e.g. http://localhost:8777); query the daemon's dataset named by -d instead of evaluating locally")
 	explain := fs.Bool("explain", false, "print evaluation internals after the answers: the request trace and the index matcher's counters (single query only)")
 	fs.Parse(args)
@@ -267,7 +261,7 @@ func runQuery(args []string) error {
 		var conflicts []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "m", "doc", "workers", "indexed":
+			case "m", "doc", "workers":
 				conflicts = append(conflicts, "-"+f.Name)
 			}
 		})
@@ -283,9 +277,7 @@ func runQuery(args []string) error {
 	}
 	d, _ := dataset.Load(*id)
 	doc := d.OrderDocument(*docNodes, 42)
-	if *indexed {
-		index.Attach(doc)
-	}
+	index.Attach(doc)
 	bt, err := core.Build(set, core.DefaultOptions())
 	if err != nil {
 		return err
@@ -447,7 +439,7 @@ func runIndex(args []string) error {
 	docNodes := fs.Int("doc", 3473, "generated document size (total across -shards members)")
 	seed := fs.Int64("seed", 42, "document generator seed")
 	shards := fs.Int("shards", 1, "member documents for a generated collection (-d mode); manifest entries carry their own shard count")
-	stats := fs.Bool("stats", false, "print the per-path postings table: counts, compressed vs flat bytes, ratio")
+	stats := fs.Bool("stats", false, "print the per-path postings table: counts, compressed vs uncompressed (flat) bytes, ratio")
 	fs.Parse(args)
 
 	var docs []*xmltree.Document
@@ -498,16 +490,22 @@ func runIndex(args []string) error {
 	fmt.Printf("postings bytes: %dB compressed vs %dB flat (ratio %.2f)\n",
 		st.PostingsBytes, st.PostingsFlatBytes, st.CompressionRatio())
 	if *stats {
-		fmt.Printf("%9s %12s %10s %7s  %s\n", "postings", "compressed", "flat", "ratio", "path")
-		for _, ps := range ix.PathStats() {
-			ratio := 1.0
-			if ps.FlatBytes > 0 {
-				ratio = float64(ps.ResidentBytes) / float64(ps.FlatBytes)
-			}
-			fmt.Printf("%9d %11dB %9dB %7.2f  %s\n", ps.Postings, ps.ResidentBytes, ps.FlatBytes, ratio, ps.Path)
-		}
+		printPathStats(ix)
 	}
 	return nil
+}
+
+// printPathStats prints ix's per-path postings table: counts, compressed
+// bytes against the same postings uncompressed, and their ratio.
+func printPathStats(ix *index.Index) {
+	fmt.Printf("%9s %12s %10s %7s  %s\n", "postings", "compressed", "flat", "ratio", "path")
+	for _, ps := range ix.PathStats() {
+		ratio := 1.0
+		if ps.FlatBytes > 0 {
+			ratio = float64(ps.ResidentBytes) / float64(ps.FlatBytes)
+		}
+		fmt.Printf("%9d %11dB %9dB %7.2f  %s\n", ps.Postings, ps.ResidentBytes, ps.FlatBytes, ratio, ps.Path)
+	}
 }
 
 // indexCollection indexes every member of a sharded collection and prints
@@ -535,14 +533,7 @@ func indexCollection(docs []*xmltree.Document, source string, stats bool) error 
 	if stats {
 		for i, ix := range ixs {
 			fmt.Printf("shard %d per-path postings:\n", i)
-			fmt.Printf("%9s %12s %10s %7s  %s\n", "postings", "compressed", "flat", "ratio", "path")
-			for _, ps := range ix.PathStats() {
-				ratio := 1.0
-				if ps.FlatBytes > 0 {
-					ratio = float64(ps.ResidentBytes) / float64(ps.FlatBytes)
-				}
-				fmt.Printf("%9d %11dB %9dB %7.2f  %s\n", ps.Postings, ps.ResidentBytes, ps.FlatBytes, ratio, ps.Path)
-			}
+			printPathStats(ix)
 		}
 	}
 	return nil

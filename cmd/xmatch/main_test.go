@@ -113,23 +113,6 @@ func TestCLISmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("query-unindexed", func(t *testing.T) {
-		// The -indexed=false escape hatch must print the same answers.
-		idx, err := run(t, bin, "query", "-d", "D7", "-m", "20", "-doc", "1200",
-			"-q", "Order/DeliverTo/Contact/EMail")
-		if err != nil {
-			t.Fatalf("%v\n%s", err, idx)
-		}
-		raw, err := run(t, bin, "query", "-d", "D7", "-m", "20", "-doc", "1200",
-			"-indexed=false", "-q", "Order/DeliverTo/Contact/EMail")
-		if err != nil {
-			t.Fatalf("%v\n%s", err, raw)
-		}
-		if idx != raw {
-			t.Errorf("indexed and unindexed output differ:\n--- indexed\n%s--- unindexed\n%s", idx, raw)
-		}
-	})
-
 	t.Run("index", func(t *testing.T) {
 		out, err := run(t, bin, "index", "-d", "D7", "-doc", "1200")
 		if err != nil {

@@ -230,7 +230,7 @@ func mergeUnder[K comparable, V any](dst, older map[K]V) {
 // takes nodes — the same nodes in the same order, by definition — as its
 // pointer array, allocating nothing per posting.
 func splicePath(old *PostingList, c *change, nodes []*xmltree.Node) *PostingList {
-	if !old.compressed() || len(c.dropped) != len(c.added) || len(nodes) != old.count {
+	if old == nil || len(c.dropped) != len(c.added) || len(nodes) != old.count {
 		return splice(old, c)
 	}
 	for i, n := range c.added {

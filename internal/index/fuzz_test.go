@@ -1,17 +1,16 @@
 package index_test
 
-// FuzzMatchTwig is the differential fuzzer of the matching stack: for a
-// fuzzer-chosen document, pattern, and binding seed, the holistic indexed
-// matcher over *both* postings layouts — block-compressed (index.Build)
-// and flat (index.BuildFlat) — the joined evaluator (twig.MatchByPaths),
-// and, when the candidate space is small enough, the brute-force oracle
-// (twig.NaiveMatchByPaths) must agree. The compressed and flat indexed
-// runs and MatchByPaths must agree *exactly*: same matches, same order —
-// which pins the compressed decode, the skip-pointer galloping, and the
-// result memo against the reference layouts byte for byte. The corpus is
-// seeded from the Table III workload patterns over an Order.xml-like
-// document, plus adversarial shapes (recursive labels, value predicates,
-// absent paths).
+// FuzzMatchTwig is the three-way differential fuzzer of the matching
+// stack: for a fuzzer-chosen document, pattern, and binding seed, the
+// holistic matcher over the compressed index (index.Build), the joined
+// evaluator (twig.MatchByPaths), and, when the candidate space is small
+// enough, the brute-force oracle (twig.NaiveMatchByPaths) must agree. The
+// indexed run and MatchByPaths must agree *exactly*: same matches, same
+// order — which pins the compressed decode, the skip-pointer galloping,
+// and the result memo against the reference matcher byte for byte. The
+// corpus is seeded from the Table III workload patterns over an
+// Order.xml-like document, plus adversarial shapes (recursive labels,
+// value predicates, absent paths).
 
 import (
 	"math/rand"
@@ -126,14 +125,8 @@ func FuzzMatchTwig(f *testing.F) {
 		ix := index.Build(doc)
 		got := ix.MatchTwig(doc, pat.Root, binding)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("MatchTwig (compressed) diverged from MatchByPaths\npattern %s\nbinding %v\ngot  %v\nwant %v",
+			t.Fatalf("MatchTwig diverged from MatchByPaths\npattern %s\nbinding %v\ngot  %v\nwant %v",
 				pat, binding, keys(got), keys(want))
-		}
-		flat := index.BuildFlat(doc)
-		gotFlat := flat.MatchTwig(doc, pat.Root, binding)
-		if !reflect.DeepEqual(gotFlat, want) {
-			t.Fatalf("MatchTwig (flat) diverged from MatchByPaths\npattern %s\nbinding %v\ngot  %v\nwant %v",
-				pat, binding, keys(gotFlat), keys(want))
 		}
 
 		// The naive oracle enumerates every candidate assignment; only

@@ -114,14 +114,14 @@ type Stats struct {
 	// is the effective (as-if-compacted) footprint; entries shared with
 	// the base chain are counted once.
 	ResidentBytes int
-	// FlatBytes is the footprint the same index would have in the
-	// uncompressed flat-[]Posting layout, key strings included.
+	// FlatBytes is the footprint the same index would have with every
+	// list a plain []Posting, key strings included.
 	FlatBytes int
 	// PostingsBytes is the resident footprint of the postings lists alone
 	// (delta blocks, skip pointers, node-pointer arrays — no map keys):
 	// the numerator of CompressionRatio.
 	PostingsBytes int
-	// PostingsFlatBytes is the same postings in the flat layout
+	// PostingsFlatBytes is the same postings as plain []Posting
 	// (postingBytes per posting): the denominator of CompressionRatio.
 	PostingsFlatBytes int
 	// Epoch counts the mutations applied since the index was built: 0 for
@@ -136,8 +136,8 @@ type Stats struct {
 }
 
 // CompressionRatio is PostingsBytes over PostingsFlatBytes — resident
-// compressed postings against the flat-int32 layout. Below 1.0 the
-// compressed layout is paying for itself.
+// compressed postings against the same postings as plain []Posting.
+// Below 1.0 the compression is paying for itself.
 func (s Stats) CompressionRatio() float64 {
 	if s.PostingsFlatBytes == 0 {
 		return 1
@@ -156,21 +156,14 @@ const parallelBuildThreshold = 2048
 // and concatenated in chunk order (chunks are preorder-contiguous, so
 // concatenation preserves document order), and the per-list compression
 // is itself fanned out across workers.
-func Build(doc *xmltree.Document) *Index { return build(doc, true) }
-
-// BuildFlat constructs the index in the uncompressed flat-[]Posting
-// layout: same lookups, same matcher, no delta blocks. It is the
-// reference layout the differential fuzzer runs against the compressed
-// one, and the baseline of BenchmarkPostingsDecode.
-func BuildFlat(doc *xmltree.Document) *Index { return build(doc, false) }
-
-func build(doc *xmltree.Document, compress bool) *Index {
+func Build(doc *xmltree.Document) *Index {
 	start := time.Now()
 	nodes := doc.Nodes()
 	workers := runtime.GOMAXPROCS(0)
 	var paths map[string][]Posting
 	var values map[valueKey][]Posting
-	if len(nodes) >= parallelBuildThreshold && workers > 1 {
+	parallel := len(nodes) >= parallelBuildThreshold && workers > 1
+	if parallel {
 		paths, values = collectParallel(nodes, workers)
 	} else {
 		paths, values = collectSerial(nodes)
@@ -184,26 +177,19 @@ func build(doc *xmltree.Document, compress bool) *Index {
 		ctr:  &Counters{},
 		prof: &pathProfiles{},
 	}
-	if compress && len(nodes) >= parallelBuildThreshold && workers > 1 {
+	if parallel {
 		compressParallel(ix, paths, values, workers)
 	} else {
 		for p, ps := range paths {
-			ix.paths[p] = makeList(ps, compress)
+			ix.paths[p] = compressPostings(ps)
 		}
 		for k, ps := range values {
-			ix.values[k] = makeList(ps, compress)
+			ix.values[k] = compressPostings(ps)
 		}
 	}
 	ix.stats = ix.computeStats()
 	ix.stats.BuildTime = time.Since(start)
 	return ix
-}
-
-func makeList(ps []Posting, compress bool) *PostingList {
-	if compress {
-		return compressPostings(ps)
-	}
-	return newFlatList(ps)
 }
 
 func collectSerial(nodes []*xmltree.Node) (map[string][]Posting, map[valueKey][]Posting) {
@@ -418,8 +404,8 @@ func (ix *Index) Paths() []string {
 type PathStat struct {
 	Path          string
 	Postings      int
-	ResidentBytes int // actual bytes (compressed blocks or flat slices)
-	FlatBytes     int // the same list in the flat-[]Posting layout
+	ResidentBytes int // actual bytes: compressed blocks and node pointers
+	FlatBytes     int // the same list as a plain []Posting
 
 	// Observed workload funnel (see PathProfile); zero-valued when the
 	// workload never bound this path.
@@ -429,7 +415,7 @@ type PathStat struct {
 	ReachSurvivors  uint64
 }
 
-// PathStats reports per-path postings counts, compressed-vs-flat
+// PathStats reports per-path postings counts, resident and uncompressed
 // footprints, and the observed workload funnel, sorted by path.
 // Diagnostic; materializes overlay chains.
 func (ix *Index) PathStats() []PathStat {
@@ -456,8 +442,9 @@ func (ix *Index) PathStats() []PathStat {
 	return out
 }
 
-// postingBytes is one Posting's flat resident size: 3×int32 (padded to
-// 16) + pointer — the uncompressed baseline of the compression ratio.
+// postingBytes is one Posting's resident size as a plain []Posting
+// element: 3×int32 (padded to 16) + pointer — the uncompressed baseline of
+// the compression ratio.
 const postingBytes = 24
 
 func (ix *Index) computeStats() Stats {

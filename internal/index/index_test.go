@@ -272,76 +272,52 @@ func sortedKeys(ms []twig.Match) []string {
 	return out
 }
 
-// TestBuildFlatMatchesCompressed pins the two postings layouts against
-// each other: identical decoded postings, identical snapshots, identical
-// stats modulo representation (flat resident == flat baseline).
-func TestBuildFlatMatchesCompressed(t *testing.T) {
-	doc := buildDoc()
-	cx, fx := index.Build(doc), index.BuildFlat(doc)
-	if !reflect.DeepEqual(cx.Snapshot(), fx.Snapshot()) {
-		t.Fatal("compressed and flat snapshots disagree")
-	}
-	for _, p := range cx.Paths() {
-		if !reflect.DeepEqual(cx.Postings(p), fx.Postings(p)) {
-			t.Fatalf("postings of %q disagree across layouts", p)
-		}
-	}
-	cs, fs := cx.Stats(), fx.Stats()
-	if cs.PostingsFlatBytes != fs.PostingsFlatBytes {
-		t.Errorf("flat baselines disagree: %d vs %d", cs.PostingsFlatBytes, fs.PostingsFlatBytes)
-	}
-	if fs.PostingsBytes != fs.PostingsFlatBytes {
-		t.Errorf("flat layout resident %d != its own baseline %d", fs.PostingsBytes, fs.PostingsFlatBytes)
-	}
-	if cs.PostingsBytes >= fs.PostingsBytes {
-		t.Errorf("compressed resident %d not below flat %d", cs.PostingsBytes, fs.PostingsBytes)
-	}
-}
-
-// TestBuildLargeDocument drives the parallel build path (the document
-// exceeds the parallel threshold) and verifies every postings list
-// against a direct preorder grouping of the document's nodes — order,
-// regions, and coverage.
+// TestBuildLargeDocument verifies every postings list against a direct
+// preorder grouping of the document's nodes — order, regions, levels,
+// node pointers and coverage — on a document past the parallel build
+// threshold and on one below it, which the serial pass builds.
 func TestBuildLargeDocument(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	root := xmltree.NewRoot("R")
-	labels := []string{"A", "B", "C", "D"}
-	nodes := []*xmltree.Node{root}
-	for i := 0; i < 5000; i++ {
-		p := nodes[rng.Intn(len(nodes))]
-		c := p.AddChild(labels[rng.Intn(len(labels))])
-		if rng.Intn(3) == 0 {
-			c.AddText([]string{"x", "y", "Zed", "7"}[rng.Intn(4)])
+	for _, size := range []int{5000, 1000} {
+		rng := rand.New(rand.NewSource(11))
+		root := xmltree.NewRoot("R")
+		labels := []string{"A", "B", "C", "D"}
+		nodes := []*xmltree.Node{root}
+		for i := 0; i < size; i++ {
+			p := nodes[rng.Intn(len(nodes))]
+			c := p.AddChild(labels[rng.Intn(len(labels))])
+			if rng.Intn(3) == 0 {
+				c.AddText([]string{"x", "y", "Zed", "7"}[rng.Intn(4)])
+			}
+			nodes = append(nodes, c)
 		}
-		nodes = append(nodes, c)
-	}
-	doc := xmltree.New(root)
-	ix := index.Build(doc)
+		doc := xmltree.New(root)
+		ix := index.Build(doc)
 
-	want := map[string][]*xmltree.Node{}
-	for _, n := range doc.Nodes() {
-		want[n.Path] = append(want[n.Path], n)
-	}
-	if got := ix.Stats().Postings; got != doc.Len() {
-		t.Fatalf("postings = %d, want %d", got, doc.Len())
-	}
-	if got := ix.Stats().DistinctPaths; got != len(want) {
-		t.Fatalf("distinct paths = %d, want %d", got, len(want))
-	}
-	for p, ns := range want {
-		ps := ix.Postings(p)
-		if len(ps) != len(ns) {
-			t.Fatalf("path %q: %d postings, want %d", p, len(ps), len(ns))
+		want := map[string][]*xmltree.Node{}
+		for _, n := range doc.Nodes() {
+			want[n.Path] = append(want[n.Path], n)
 		}
-		for i := range ps {
-			if ps[i].Node != ns[i] || int(ps[i].Start) != ns[i].Start || int(ps[i].End) != ns[i].End {
-				t.Fatalf("path %q: posting %d disagrees with preorder node", p, i)
+		if got := ix.Stats().Postings; got != doc.Len() {
+			t.Fatalf("%d nodes: postings = %d, want %d", size, got, doc.Len())
+		}
+		if got := ix.Stats().DistinctPaths; got != len(want) {
+			t.Fatalf("%d nodes: distinct paths = %d, want %d", size, got, len(want))
+		}
+		for p, ns := range want {
+			ps := ix.Postings(p)
+			if len(ps) != len(ns) {
+				t.Fatalf("%d nodes, path %q: %d postings, want %d", size, p, len(ps), len(ns))
+			}
+			for i, n := range ns {
+				if ps[i].Node != n || int(ps[i].Start) != n.Start || int(ps[i].End) != n.End || int(ps[i].Level) != n.Level {
+					t.Fatalf("%d nodes, path %q: posting %d disagrees with preorder node", size, p, i)
+				}
 			}
 		}
-	}
-	// The compressed layout must beat the flat baseline on a document
-	// with long same-path lists.
-	if r := ix.Stats().CompressionRatio(); r > 0.6 {
-		t.Errorf("compression ratio %.3f above the 0.6 budget", r)
+		// The compressed lists must beat plain []Posting on a document
+		// with long same-path lists.
+		if r := ix.Stats().CompressionRatio(); r > 0.6 {
+			t.Errorf("%d nodes: compression ratio %.3f above the 0.6 budget", size, r)
+		}
 	}
 }

@@ -38,8 +38,8 @@ import (
 // compressed list is neither fully decoded nor fully scanned. Lists a
 // pass must scan linearly are decoded at most once per pooled evaluation
 // state (the state's decode cache keys by list identity), so steady-state
-// evaluation over a hot index reads flat postings at flat-layout speed
-// while the resident index stays compressed. Survivor lists materialize
+// evaluation over a hot index scans decoded []Posting slices while the
+// resident index stays compressed. Survivor lists materialize
 // into pooled buffers only when a pass actually drops candidates; the
 // common no-waste case (every candidate completes a match) shares the
 // cached decode without copying.
@@ -393,14 +393,10 @@ func putTwigState(st *twigState) {
 
 // materialize returns the fully decoded form of pl through the state's
 // decode cache: each distinct list decodes at most once per state
-// lifetime. Flat lists are returned as-is. The returned slice is shared
-// and must not be written.
+// lifetime. The returned slice is shared and must not be written.
 func (st *twigState) materialize(pl *PostingList) []Posting {
 	if pl == nil {
 		return nil
-	}
-	if pl.flat != nil {
-		return pl.flat
 	}
 	slot := &st.deck[pl.id&(deckSize-1)]
 	if slot.pl == pl {
@@ -419,13 +415,10 @@ func (st *twigState) materialize(pl *PostingList) []Posting {
 	return slot.ps
 }
 
-// cachedSlice returns pl's decoded form only if it is already flat or
-// cached — the galloped paths use it to prefer slice access without
-// forcing a decode.
+// cachedSlice returns pl's decoded form only if it is already cached —
+// the galloped paths use it to prefer slice access without forcing a
+// decode.
 func (st *twigState) cachedSlice(pl *PostingList) []Posting {
-	if pl.flat != nil {
-		return pl.flat
-	}
 	if slot := &st.deck[pl.id&(deckSize-1)]; slot.pl == pl {
 		return slot.ps
 	}
@@ -764,13 +757,6 @@ func emitList(qn *twig.Node, pl *PostingList) []twig.Match {
 	}
 	slab := make([]twig.Binding, n)
 	out := make([]twig.Match, n)
-	if pl.flat != nil {
-		for k, p := range pl.flat {
-			slab[k] = twig.Binding{Q: qn, D: p.Node}
-			out[k] = slab[k : k+1 : k+1]
-		}
-		return out
-	}
 	for k, nd := range pl.nodes {
 		slab[k] = twig.Binding{Q: qn, D: nd}
 		out[k] = slab[k : k+1 : k+1]

@@ -2,31 +2,24 @@ package index
 
 // Compressed postings. A PostingList is the resident form of one postings
 // list — the region encodings of all document nodes sharing one dotted
-// path (or one (path, text) value key). Lists come in two representations
-// behind one API:
-//
-//   - compressed: (start, end) pairs are delta-encoded as uvarints in
-//     blocks of 64 postings. Gap numbering (xmltree.Gap) multiplies raw
-//     start magnitudes 16x, which makes delta encoding *more* attractive,
-//     not less: consecutive same-path starts differ by small multiples of
-//     the stride, so most pairs fit in a few bytes where the flat layout
-//     spends twenty-four. Each block opens with an absolute pair (uvarint
-//     start, uvarint extent), so blocks decode independently; blockOff
-//     holds one byte offset per block beyond the first — the block-level
-//     skip pointers the holistic matcher gallops over. A probe into a
-//     long list reads only block-opening varints plus the one block it
-//     lands in, leaving the rest undecoded; a single-block list carries
-//     no skip structure at all. The level is not stored per posting —
-//     every node of one dotted path sits at the same depth, so one level
-//     per list suffices.
-//
-//   - flat: a plain []Posting, the layout of an index built with
-//     BuildFlat — the reference the differential fuzzer compares against.
+// path (or one (path, text) value key). (start, end) pairs are
+// delta-encoded as uvarints in blocks of 64 postings. Gap numbering
+// (xmltree.Gap) multiplies raw start magnitudes 16x, which makes delta
+// encoding *more* attractive, not less: consecutive same-path starts
+// differ by small multiples of the stride, so most pairs fit in a few
+// bytes where a plain []Posting spends twenty-four. Each block opens with
+// an absolute pair (uvarint start, uvarint extent), so blocks decode
+// independently; blockOff holds one byte offset per block beyond the
+// first — the block-level skip pointers the holistic matcher gallops
+// over. A probe into a long list reads only block-opening varints plus
+// the one block it lands in, leaving the rest undecoded; a single-block
+// list carries no skip structure at all. The level is not stored per
+// posting — every node of one dotted path sits at the same depth, so one
+// level per list suffices.
 //
 // Node pointers are kept in a parallel array (they cannot be compressed
-// and are touched only at emission), so a compressed list costs
-// 8 bytes/posting of pointers plus a few bytes of deltas against the flat
-// layout's postingBytes.
+// and are touched only at emission), so a list costs 8 bytes/posting of
+// pointers plus a few bytes of deltas against a []Posting's postingBytes.
 //
 // Invariant: every list is sorted by Start with all starts distinct. Path
 // and value lists are additionally *disjoint* interval sequences (two
@@ -53,15 +46,11 @@ const (
 	blockMask  = blockSize - 1
 )
 
-// PostingList is one immutable postings list, compressed or flat. The zero
-// value is an empty list. Lists are built once (compressPostings,
-// newFlatList) and never modified, so any number of goroutines may read
-// one concurrently through their own cursors.
+// PostingList is one immutable compressed postings list. The zero value
+// is an empty list. Lists are built once (compressPostings) and never
+// modified, so any number of goroutines may read one concurrently through
+// their own cursors.
 type PostingList struct {
-	// flat is the uncompressed representation; non-nil means the
-	// compressed fields below are unused.
-	flat []Posting
-
 	count int
 	level int32
 	// id slots the list into the matcher's per-state decode cache in O(1)
@@ -73,15 +62,6 @@ type PostingList struct {
 	// data; block 0 starts at offset 0. Nil for single-block lists.
 	blockOff []uint32
 	data     []byte
-}
-
-// newFlatList wraps an already-decoded postings slice. The slice is
-// retained; callers hand over ownership.
-func newFlatList(ps []Posting) *PostingList {
-	if len(ps) == 0 {
-		return nil
-	}
-	return &PostingList{flat: ps, count: len(ps)}
 }
 
 // compressPostings encodes ps into the block-compressed representation.
@@ -131,10 +111,7 @@ func (pl *PostingList) Len() int {
 	return pl.count
 }
 
-// compressed reports whether the list is block-compressed.
-func (pl *PostingList) compressed() bool { return pl != nil && pl.flat == nil }
-
-// blocks returns the number of blocks of a compressed list.
+// blocks returns the number of blocks of the list.
 func (pl *PostingList) blocks() int { return len(pl.blockOff) + 1 }
 
 // blockDataOff returns the byte offset of block b's opening pair.
@@ -209,9 +186,6 @@ func (pl *PostingList) appendRange(buf []Posting, lo, hi int) []Posting {
 	if pl == nil || lo >= hi {
 		return buf
 	}
-	if pl.flat != nil {
-		return append(buf, pl.flat[lo:hi]...)
-	}
 	var starts, ends [blockSize]int32
 	for b := lo >> blockShift; b<<blockShift < hi; b++ {
 		n := pl.decodeBlock(b, &starts, &ends)
@@ -236,14 +210,11 @@ func (pl *PostingList) residentBytes() int {
 	if pl == nil {
 		return 0
 	}
-	if pl.flat != nil {
-		return len(pl.flat) * postingBytes
-	}
 	return len(pl.nodes)*8 + len(pl.data) + len(pl.blockOff)*4
 }
 
-// flatBytes is the hypothetical footprint of the same list in the flat
-// []Posting layout — the denominator of the compression ratio.
+// flatBytes is the hypothetical footprint of the same list as a plain
+// []Posting — the denominator of the compression ratio.
 func (pl *PostingList) flatBytes() int { return pl.Len() * postingBytes }
 
 // cursor is a one-block decode window over a PostingList, the unit of
@@ -285,9 +256,6 @@ func (c *cursor) ensure(i int) {
 
 // at returns posting i, node pointer included.
 func (c *cursor) at(i int) Posting {
-	if c.pl.flat != nil {
-		return c.pl.flat[i]
-	}
 	c.ensure(i)
 	return Posting{Start: c.starts[i&blockMask], End: c.ends[i&blockMask], Level: c.pl.level, Node: c.pl.nodes[i]}
 }
@@ -295,41 +263,26 @@ func (c *cursor) at(i int) Posting {
 // startAt and endAt return posting i's region numbers without touching
 // the node array — the merge passes' accessors.
 func (c *cursor) startAt(i int) int32 {
-	if c.pl.flat != nil {
-		return c.pl.flat[i].Start
-	}
 	c.ensure(i)
 	return c.starts[i&blockMask]
 }
 
 func (c *cursor) endAt(i int) int32 {
-	if c.pl.flat != nil {
-		return c.pl.flat[i].End
-	}
 	c.ensure(i)
 	return c.ends[i&blockMask]
 }
 
 // nodeAt returns posting i's node without decoding any region block.
-func (c *cursor) nodeAt(i int) *xmltree.Node {
-	if c.pl.flat != nil {
-		return c.pl.flat[i].Node
-	}
-	return c.pl.nodes[i]
-}
+func (c *cursor) nodeAt(i int) *xmltree.Node { return c.pl.nodes[i] }
 
 // seekStartGT returns the smallest index ≥ from whose posting has
 // Start > v, galloping block-wise: an exponential probe over the
-// block-opening skip pointers (or the flat slice) brackets the target,
-// a binary search narrows it to one block, and only that block is
-// decoded.
+// block-opening skip pointers brackets the target, a binary search
+// narrows it to one block, and only that block is decoded.
 func (c *cursor) seekStartGT(v int32, from int) int {
 	n := c.pl.Len()
 	if from >= n {
 		return n
-	}
-	if c.pl.flat != nil {
-		return from + gallop(len(c.pl.flat)-from, func(i int) bool { return c.pl.flat[from+i].Start > v })
 	}
 	nb := c.pl.blocks()
 	b0 := from >> blockShift

@@ -7,8 +7,8 @@ import "sort"
 // Nothing persists it — the index is derived state, rebuilt from its
 // document on every load — so its job is to let tests compare two
 // indexes for equality: an index spliced by mutations against a fresh
-// Build of the same document, the compressed layout against the flat
-// one, a restored checkpoint's index against the one it was saved from.
+// Build of the same document, a restored checkpoint's index against the
+// one it was saved from.
 type Snapshot struct {
 	// DocNodes is the node count of the document the index was built over.
 	DocNodes int

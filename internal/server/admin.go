@@ -106,7 +106,7 @@ func (m *MutateRequest) validate(maxEdits int) error {
 func (s *Server) handleMutate(p *request) {
 	var req MutateRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if !p.open(err, req.validate(s.opts.MaxBatchEdits), target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
+	if !p.open(err, req.validate(maxBatchEdits), target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
 		return
 	}
 	// Every applied batch goes through the shard's replication log — the

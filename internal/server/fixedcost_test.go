@@ -282,7 +282,7 @@ func TestPreparedQueryConstants(t *testing.T) {
 // show again — spans of a finished request may not change under a running
 // one. Run under -race in CI.
 func TestFixedCostUnderConcurrency(t *testing.T) {
-	srv := benchServer(t, server.Options{TraceThreshold: time.Nanosecond, TraceBufferSize: 32})
+	srv := benchServer(t, server.Options{TraceThreshold: time.Nanosecond})
 	ds := srv.Catalog().Get("D7")
 	o := oracle.New(t)
 	serveBody := func(path string, body []byte) (int, []byte) {

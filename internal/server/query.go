@@ -224,7 +224,7 @@ func (s *Server) handleQuery(p *request) {
 func (s *Server) handleBatch(p *request) {
 	var req BatchRequest
 	err := s.decodeBody(p.w, p.r.Body, &req)
-	if !p.open(err, req.validate(s.opts.MaxBatchQueries), target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
+	if !p.open(err, req.validate(maxBatchQueries), target{dataset: req.Dataset, minEpoch: req.MinEpoch, timeoutMs: req.TimeoutMs}, stageEvaluate, "queries="+strconv.Itoa(len(req.Queries))) {
 		return
 	}
 	// The batch's queries are answered over one consistent per-shard

@@ -42,17 +42,27 @@ import (
 	"xmatch/internal/store"
 )
 
+// Fixed bounds of the HTTP layer.
+const (
+	// maxBatchQueries bounds the queries one /v1/batch request may carry
+	// — like Options.MaxBodyBytes, a cap on the work a single well-formed
+	// request can demand.
+	maxBatchQueries = 256
+	// maxBatchEdits bounds the edits one /v1/admin/mutate request may
+	// carry.
+	maxBatchEdits = 256
+	// workloadFingerprints caps the per-fingerprint accounting table
+	// behind /v1/debug/workload; the rarest fingerprint is evicted past
+	// the cap.
+	workloadFingerprints = 512
+	// traceBufferSize bounds the slow traces retained on /v1/debug/traces.
+	traceBufferSize = 64
+)
+
 // Options configure the HTTP layer. The zero value is serviceable.
 type Options struct {
 	// MaxBodyBytes bounds request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// MaxBatchQueries bounds the queries one /v1/batch request may carry
-	// — like MaxBodyBytes, a cap on the work a single well-formed request
-	// can demand. 0 means 256.
-	MaxBatchQueries int
-	// MaxBatchEdits bounds the edits one /v1/admin/mutate request may
-	// carry. 0 means 256.
-	MaxBatchEdits int
 	// ReadOnly rejects every state-changing endpoint (mutate, reload,
 	// checkpoint) with 403 — the posture of a read replica, whose state
 	// changes only through replication.
@@ -70,8 +80,6 @@ type Options struct {
 	// threshold. 0 means 100ms; negative disables retention (requests are
 	// still traced for EXPLAIN, just never retained).
 	TraceThreshold time.Duration
-	// TraceBufferSize bounds the retained slow traces; 0 means 64.
-	TraceBufferSize int
 	// MaxLagEpochs, on a follower, is the replication lag (epochs behind
 	// the primary, worst shard) beyond which /healthz reports degraded
 	// with a 503. 0 means 1000; negative disables the check.
@@ -102,10 +110,6 @@ type Options struct {
 	// CaptureBudgetBytes stops appending (but keeps counting what was
 	// missed) once the capture file reaches this size; 0 means 64 MiB.
 	CaptureBudgetBytes int64
-	// WorkloadFingerprints caps the per-fingerprint accounting table
-	// behind /v1/debug/workload; the rarest fingerprint is evicted past
-	// the cap. 0 means 512.
-	WorkloadFingerprints int
 	// QueryTimeout bounds every /v1 request end to end: the request
 	// context carries the deadline, the engine's evaluators observe it at
 	// their cancellation checkpoints, and an expired request answers 503
@@ -229,8 +233,6 @@ func New(loader Loader, opts Options) (*Server, error) {
 	}
 	// Zero means the documented default; MaxQueue defaults after MaxInflight.
 	opts.MaxBodyBytes = cmp.Or(opts.MaxBodyBytes, 1<<20)
-	opts.MaxBatchQueries = cmp.Or(opts.MaxBatchQueries, 256)
-	opts.MaxBatchEdits = cmp.Or(opts.MaxBatchEdits, 256)
 	opts.MinEpochWait = cmp.Or(opts.MinEpochWait, 2*time.Second)
 	opts.TraceThreshold = cmp.Or(opts.TraceThreshold, 100*time.Millisecond)
 	opts.MaxLagEpochs = cmp.Or(opts.MaxLagEpochs, 1000)
@@ -238,7 +240,6 @@ func New(loader Loader, opts Options) (*Server, error) {
 	opts.SLOObjective = cmp.Or(opts.SLOObjective, 0.99)
 	opts.SLOWindow = cmp.Or(opts.SLOWindow, 5*time.Minute)
 	opts.CaptureBudgetBytes = cmp.Or(opts.CaptureBudgetBytes, 64<<20)
-	opts.WorkloadFingerprints = cmp.Or(opts.WorkloadFingerprints, 512)
 	opts.QueryTimeout = cmp.Or(opts.QueryTimeout, 30*time.Second)
 	opts.MaxInflight = cmp.Or(opts.MaxInflight, 4*runtime.GOMAXPROCS(0))
 	opts.MaxQueue = cmp.Or(opts.MaxQueue, 2*opts.MaxInflight)
@@ -253,8 +254,8 @@ func New(loader Loader, opts Options) (*Server, error) {
 	ep := func(name string) *endpoint { return s.stats.declare(name, opts.SLOWindow) }
 	s.stats.query = ep("query")
 	batch, mutate, checkpoint, replicate := ep("batch"), ep("mutate"), ep("checkpoint"), ep("replicate")
-	s.workload = newWorkloadStats(opts.WorkloadFingerprints, opts.SLOWindow)
-	s.traces = obs.NewTraceLog(opts.TraceBufferSize, opts.TraceThreshold)
+	s.workload = newWorkloadStats(workloadFingerprints, opts.SLOWindow)
+	s.traces = obs.NewTraceLog(traceBufferSize, opts.TraceThreshold)
 	s.registry = s.newRegistry()
 	s.cat.Store(cat)
 	if opts.CapturePath != "" {

@@ -42,40 +42,64 @@ func TestCatalogGoldenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCatalogV1Compatibility: a manifest written with the version-1
-// envelope must still load unchanged, and future versions must be
-// rejected.
+// TestCatalogV1Compatibility: a manifest under the version-1 envelope is
+// a *FormatError, not a silent decode, and so is one under a future
+// version; the same payload under the current envelope loads unchanged.
 func TestCatalogV1Compatibility(t *testing.T) {
 	man := &Catalog{Entries: []CatalogEntry{
 		{Name: "orders", Dataset: "D7", Mappings: 100},
 		{Name: "frozen", SetPath: "blobs/frozen.set"},
 	}}
-	var buf bytes.Buffer
-	if err := writeHeaderVersion(&buf, "catalog", 1); err != nil {
-		t.Fatal(err)
+	encode := func(v int) []byte {
+		var buf bytes.Buffer
+		if err := writeHeaderVersion(&buf, "catalog", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(&buf).Encode(man); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if err := gob.NewEncoder(&buf).Encode(man); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCatalog(bytes.NewReader(buf.Bytes()))
+	got, err := LoadCatalog(bytes.NewReader(encode(version)))
 	if err != nil {
-		t.Fatalf("v1 manifest rejected: %v", err)
+		t.Fatalf("current manifest rejected: %v", err)
 	}
 	if !reflect.DeepEqual(got, man) {
-		t.Errorf("v1 manifest round trip mismatch: %+v", got)
+		t.Errorf("current manifest round trip mismatch: %+v", got)
 	}
+	for _, v := range []int{1, version + 1} {
+		_, err := LoadCatalog(bytes.NewReader(encode(v)))
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Errorf("v%d manifest accepted or misclassified: %v", v, err)
+		}
+	}
+}
 
-	var future bytes.Buffer
-	if err := writeHeaderVersion(&future, "catalog", version+1); err != nil {
+// TestCatalogFieldsRoundTrip: every catalog entry field survives a save
+// and load. One input is a manifest checked in from a build whose entries
+// could still name an index blob (IndexPath); gob skips that field, and
+// every other field of the entry loads intact.
+func TestCatalogFieldsRoundTrip(t *testing.T) {
+	want := &Catalog{Entries: []CatalogEntry{
+		{Name: "orders", Dataset: "D7", Mappings: 100, Shards: 4, DocNodes: 20000, DocSeed: 42, Tau: 0.2},
+		{Name: "frozen", SetPath: "blobs/frozen.set", DocPath: "blobs/frozen.xml", EditLogPath: "blobs/frozen.editlog", Tau: 0.35},
+	}}
+	var buf bytes.Buffer
+	if err := SaveCatalog(&buf, want); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewEncoder(&future).Encode(man); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadCatalog(bytes.NewReader(future.Bytes()))
-	var fe *FormatError
-	if err == nil || !errors.As(err, &fe) {
-		t.Errorf("future version accepted or misclassified: %v", err)
+	for name, blob := range map[string][]byte{
+		"current":          buf.Bytes(),
+		"with index blobs": testdataBlob(t, "catalog-v7-indexpath.blob"),
+	} {
+		got, err := LoadCatalog(bytes.NewReader(blob))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: entries diverged:\ngot  %+v\nwant %+v", name, got.Entries, want.Entries)
+		}
 	}
 }
 
@@ -211,12 +235,14 @@ func TestErrorClassification(t *testing.T) {
 
 func TestCatalogValidation(t *testing.T) {
 	cases := map[string]*Catalog{
-		"no entries":     {},
-		"unnamed":        {Entries: []CatalogEntry{{Dataset: "D1"}}},
-		"duplicate name": {Entries: []CatalogEntry{{Name: "a", Dataset: "D1"}, {Name: "a", Dataset: "D2"}}},
-		"no source":      {Entries: []CatalogEntry{{Name: "a"}}},
-		"two sources":    {Entries: []CatalogEntry{{Name: "a", Dataset: "D1", SetPath: "x.set"}}},
-		"bad tau":        {Entries: []CatalogEntry{{Name: "a", Dataset: "D1", Tau: 1.5}}},
+		"no entries":         {},
+		"unnamed":            {Entries: []CatalogEntry{{Dataset: "D1"}}},
+		"duplicate name":     {Entries: []CatalogEntry{{Name: "a", Dataset: "D1"}, {Name: "a", Dataset: "D2"}}},
+		"no source":          {Entries: []CatalogEntry{{Name: "a"}}},
+		"two sources":        {Entries: []CatalogEntry{{Name: "a", Dataset: "D1", SetPath: "x.set"}}},
+		"bad tau":            {Entries: []CatalogEntry{{Name: "a", Dataset: "D1", Tau: 1.5}}},
+		"negative shards":    {Entries: []CatalogEntry{{Name: "a", Dataset: "D1", Shards: -1}}},
+		"blob-backed shards": {Entries: []CatalogEntry{{Name: "a", SetPath: "b.set", Shards: 2}}},
 	}
 	for name, c := range cases {
 		err := c.Validate()

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -34,6 +35,16 @@ func editedState(t testing.TB) *delta.Snapshot {
 		}
 	}
 	return h.Snapshot()
+}
+
+// testdataBlob reads a blob checked in under testdata/.
+func testdataBlob(t testing.TB, name string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

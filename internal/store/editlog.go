@@ -28,15 +28,13 @@ import (
 // gob-encoded record. A torn tail — a crash mid-append — therefore
 // damages only the final record.
 //
-// Format version 6 adds two things. Each record carries the epoch its
-// batch produced, so a shipped record names the snapshot it reproduces;
-// and the envelope is followed by a meta message carrying the log's base
-// epoch — the epoch of the state the first record applies on top of.
-// A pristine log has base 0; a log reset by a checkpoint has the
-// checkpoint's epoch as its base, which is how replay knows the records
-// compacted into the checkpoint are gone on purpose. Records must then be
-// epoch-dense: record i carries epoch base+i+1. Pre-v6 logs decode with
-// base 0 and records implicitly numbered 1..n.
+// Each record carries the epoch its batch produced, so a shipped record
+// names the snapshot it reproduces; and the envelope is followed by a meta
+// message carrying the log's base epoch — the epoch of the state the first
+// record applies on top of. A pristine log has base 0; a log reset by a
+// checkpoint has the checkpoint's epoch as its base, which is how replay
+// knows the records compacted into the checkpoint are gone on purpose.
+// Records must be epoch-dense: record i carries epoch base+i+1.
 
 // EditRecord is one persisted or shipped record: the edits of one applied
 // batch, tagged with the snapshot epoch the batch produced.
@@ -46,7 +44,7 @@ type EditRecord struct {
 }
 
 // editLogMeta is the gob message between the envelope and the record
-// stream of a v6+ log.
+// stream.
 type editLogMeta struct {
 	Base uint64
 }
@@ -58,9 +56,10 @@ type EditLog struct {
 	Records []EditRecord
 
 	// Torn reports that the file ended inside the final record — the
-	// footprint of a crash mid-append. The torn bytes are dropped (the
-	// mutate path logs before it publishes, so a torn tail is by
-	// construction a batch that was never acknowledged), but the file
+	// footprint of a crash mid-append — or inside the envelope, before
+	// any record: a crash while the file was created. The torn bytes are
+	// dropped (the mutate path logs before it publishes, so a torn tail is
+	// by construction a batch that was never acknowledged), but the file
 	// still holds them: an append landing after torn garbage would turn a
 	// benign torn tail into fatal mid-log corruption, so writers must
 	// repair the file first (RecoverEditLogFile) before resuming appends.
@@ -113,27 +112,29 @@ func EncodeEditRecord(rec EditRecord) ([]byte, error) {
 
 // LoadEditLog reads an edit log, returning the base epoch and the applied
 // records in append order. A final record truncated by end-of-file is
-// dropped and reported via Torn/ValidSize rather than failing the load.
-// Everything else — a damaged envelope, an undecodable or implausible
-// record, a batch that fails delta.Validate, an epoch out of sequence —
-// is a *FormatError; genuine read failures stay unclassified.
+// dropped and reported via Torn/ValidSize rather than failing the load; so
+// is a non-empty stream that ends inside the envelope, which loads as an
+// empty log with ValidSize 0. Everything else — a damaged envelope, an
+// undecodable or implausible record, a batch that fails delta.Validate, an
+// epoch out of sequence — is a *FormatError; genuine read failures stay
+// unclassified.
 func LoadEditLog(r io.Reader) (*EditLog, error) {
 	dec, err := readHeader(r, "editlog")
-	if err != nil {
-		return nil, err
+	var meta editLogMeta
+	if err == nil {
+		err = dec.classify(dec.Decode(&meta), "edit log meta")
 	}
-	log := &EditLog{}
-	if dec.version >= 6 {
-		var meta editLogMeta
-		if err := dec.Decode(&meta); err != nil {
-			return nil, dec.classify(err, "edit log meta")
+	if err != nil {
+		if dec.tr.n > 0 && dec.tr.err == nil && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+			// The bytes that arrived begin an envelope and then stop.
+			return &EditLog{Torn: true}, nil
 		}
-		log.Base = meta.Base
+		return nil, err
 	}
 	// The envelope decoder reads exact message bounds (trackingReader is
 	// a ByteReader), so the record stream continues right where the
 	// meta ended, and the reader's byte count is the stream position.
-	log.ValidSize = dec.tr.n
+	log := &EditLog{Base: meta.Base, ValidSize: dec.tr.n}
 	var payload bytes.Buffer
 	for {
 		ok, torn, err := dec.nextRecord(&payload, 64<<20, "edit log", len(log.Records))
@@ -151,10 +152,7 @@ func LoadEditLog(r io.Reader) (*EditLog, error) {
 		if err := delta.Validate(rec.Edits); err != nil {
 			return nil, &FormatError{Msg: fmt.Sprintf("edit log record %d: %v", len(log.Records), err), Err: err}
 		}
-		want := log.Base + uint64(len(log.Records)) + 1
-		if rec.Epoch == 0 {
-			rec.Epoch = want // pre-v6 record: epochs were implicit
-		} else if rec.Epoch != want {
+		if want := log.Base + uint64(len(log.Records)) + 1; rec.Epoch != want {
 			return nil, formatErrorf("edit log record %d: epoch %d out of sequence (want %d, base %d)",
 				len(log.Records), rec.Epoch, want, log.Base)
 		}
@@ -189,10 +187,12 @@ func AppendEditFrameFile(path string, epoch uint64, frame []byte, sync bool) err
 	return appendEditFrame(path, epoch, sync, func() ([]byte, error) { return frame, nil })
 }
 
-// appendEditFrame appends the frame that encode yields. encode runs where
-// AppendEditRecordFile has always encoded — after the envelope of a new
-// file is written — so that entry point writes the bytes it always wrote
-// (gob numbers types in order of first use within a process).
+// appendEditFrame appends the frame that encode yields. A new file gets
+// its envelope in the same write as its first frame, so a failed write
+// leaves no envelope without a record. encode runs after the envelope is
+// encoded, where AppendEditRecordFile has always encoded, so that entry
+// point writes the bytes it always wrote (gob numbers types in order of
+// first use within a process).
 func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte, error)) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -204,20 +204,24 @@ func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte
 		return err
 	}
 	pre := st.Size()
+	var head []byte
 	if pre == 0 {
 		if epoch == 0 {
 			return fmt.Errorf("store: edit log %s: record carries no epoch", path)
 		}
-		if err := CreateEditLogAt(f, epoch-1); err != nil {
+		var envelope bytes.Buffer
+		if err := CreateEditLogAt(&envelope, epoch-1); err != nil {
 			return err
 		}
-		if st, err := f.Stat(); err == nil {
-			pre = st.Size()
-		}
+		head = envelope.Bytes()
 	}
 	frame, err := encode()
 	if err != nil {
 		return err
+	}
+	out := frame
+	if head != nil {
+		out = append(head, frame...)
 	}
 	if keep, herr := hookAppendFrame(path, frame); herr != nil {
 		// Injected fault. A torn variant (keep > 0) leaves a partial frame
@@ -225,14 +229,11 @@ func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte
 		// mid-write leaves; a clean variant writes nothing. Either way the
 		// append fails, so the batch is not acknowledged.
 		if keep > 0 {
-			if keep > len(frame) {
-				keep = len(frame)
-			}
-			_, _ = f.Write(frame[:keep])
+			_, _ = f.Write(out[:len(out)-len(frame)+min(keep, len(frame))])
 		}
 		return herr
 	}
-	if _, err := f.Write(frame); err != nil {
+	if _, err := f.Write(out); err != nil {
 		// Best effort: a tail we cannot truncate is still recoverable on
 		// load (torn-tail tolerance) as long as no later append lands
 		// after it; returning the error makes the mutate fail, so the
@@ -249,9 +250,10 @@ func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte
 	return nil
 }
 
-// LoadEditLogFile reads the edit-log file at path. A missing file is an
-// empty history (base 0), not an error — a dataset that has never been
-// mutated has no log yet.
+// LoadEditLogFile reads the edit-log file at path. A missing or empty file
+// is an empty history (base 0), not an error — a dataset that has never
+// been mutated has no log yet, and a crash after a log file is created
+// but before its first write leaves it empty.
 func LoadEditLogFile(path string) (*EditLog, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -261,6 +263,11 @@ func LoadEditLogFile(path string) (*EditLog, error) {
 		return nil, err
 	}
 	defer f.Close()
+	if st, err := f.Stat(); err != nil {
+		return nil, err
+	} else if st.Size() == 0 {
+		return &EditLog{}, nil
+	}
 	return LoadEditLog(f)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -100,6 +101,7 @@ func TestEditLogEpochDensity(t *testing.T) {
 		"repeat":     {1, 1},
 		"regression": {2, 1},
 		"wrong base": {5, 6},
+		"zero epoch": {0},
 	} {
 		var buf bytes.Buffer
 		if err := CreateEditLogAt(&buf, 0); err != nil {
@@ -114,7 +116,7 @@ func TestEditLogEpochDensity(t *testing.T) {
 		_, err := LoadEditLog(bytes.NewReader(buf.Bytes()))
 		var fe *FormatError
 		if err == nil || !errors.As(err, &fe) {
-			t.Errorf("%s: sparse epochs accepted: %v", name, err)
+			t.Errorf("%s: epochs %v accepted or misclassified: %v", name, epochs, err)
 		}
 	}
 }
@@ -286,6 +288,54 @@ func TestEditLogTornTailMatrix(t *testing.T) {
 	// The whole blob, untouched, is not torn.
 	if got, err := LoadEditLog(bytes.NewReader(good)); err != nil || got.Torn {
 		t.Fatalf("intact log: %v, torn %v", err, got.Torn)
+	}
+
+	// A cut inside the envelope — a crash during the write that creates
+	// the log — is an empty torn log whose repair point is the start.
+	envelope := envelopeBytes(t)
+	for cut := 1; cut < len(envelope); cut++ {
+		got, err := LoadEditLog(bytes.NewReader(good[:cut]))
+		if err != nil || !got.Torn || got.ValidSize != 0 || got.Base != 0 || len(got.Records) != 0 {
+			t.Errorf("cut at %d inside the %d-byte envelope: %+v, %v; want an empty torn log", cut, len(envelope), got, err)
+		}
+	}
+}
+
+// envelopeBytes is the envelope of an empty log at base 0.
+func envelopeBytes(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := CreateEditLogAt(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEditLogTornEnvelopeRecovers: a crash while a log file is created
+// leaves it holding a prefix of its envelope, possibly none of it.
+// Recovery — twice, as a restart before the next append does — must leave
+// a file that the next append extends and a load reads back.
+func TestEditLogTornEnvelopeRecovers(t *testing.T) {
+	envelope := envelopeBytes(t)
+	rec := sampleRecords(0)[0]
+	dir := t.TempDir()
+	for cut := 0; cut < len(envelope); cut++ {
+		path := filepath.Join(dir, fmt.Sprintf("log-%d", cut))
+		if err := os.WriteFile(path, envelope[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if lg, err := RecoverEditLogFile(path); err != nil || lg.Torn || len(lg.Records) != 0 {
+				t.Fatalf("cut at %d: recovery %d: %+v, %v", cut, i, lg, err)
+			}
+		}
+		if err := AppendEditRecordFile(path, rec, false); err != nil {
+			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
+		}
+		got, err := LoadEditLogFile(path)
+		if err != nil || got.Torn || !reflect.DeepEqual(got.Records, []EditRecord{rec}) {
+			t.Fatalf("cut at %d: load after append: %+v, %v", cut, got, err)
+		}
 	}
 }
 

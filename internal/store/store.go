@@ -24,27 +24,17 @@ import (
 
 const (
 	magic = "XMATCH1\n"
-	// version is the blob format written by this build. Version 2 added
-	// index blobs and the optional index-blob reference on catalog
-	// entries; version 3 added edit-log blobs and the optional edit-log
-	// reference; version 4 delta-compressed the index payload; version 5
-	// added the per-entry shard count on catalog manifests
-	// (CatalogEntry.Shards); version 6 added checkpoint blobs and made
-	// edit logs epoch-aware (a base-epoch meta message after the envelope,
-	// and an explicit epoch on every record — the replication substrate);
-	// version 7 added workload-capture blobs (a sampled request log reusing
-	// the edit log's appendable framing) and selectivity-profile blobs
-	// (observed per-path candidate/survivor ratios persisted alongside a
-	// capture). Index blobs are no longer read or written: the index is
-	// rebuilt from its document. Readers accept every version back to
-	// minVersion. gob ignores fields a payload lacks, so older blobs decode
-	// with the new fields zero-valued — a v4 manifest loads with Shards 0,
-	// meaning a single-document collection, and a v5 edit log loads with
-	// base 0 and its record epochs implicitly numbered 1..n. gob also skips
-	// fields the reader no longer declares: a manifest entry's index-blob
-	// reference, and the index payload of v6/v7 checkpoints.
-	version    = 7
-	minVersion = 1
+	// version is the one blob format this build writes and reads; any
+	// other version is a *FormatError. Every blob is the magic, a gob
+	// header naming the version and the kind, and the kind's gob payload:
+	// a mapping set with its two schemas; a catalog manifest; an edit log
+	// or a workload capture, whose meta message (base epoch, sampling
+	// stride) is followed by length-prefixed records appended in place; or
+	// a checkpoint of one document and its epoch. gob skips fields the
+	// reader no longer declares, so blobs written by earlier builds of
+	// this version still load: a manifest entry's index-blob reference and
+	// a checkpoint's index payload are read past.
+	version = 7
 )
 
 // FormatError reports a structurally invalid or corrupted store blob: bad
@@ -133,16 +123,10 @@ type setDTO struct {
 }
 
 func writeHeader(w io.Writer, kind string) error {
-	return writeHeaderVersion(w, kind, version)
-}
-
-// writeHeaderVersion writes the envelope with an explicit version; tests
-// use it to produce blobs of older format versions.
-func writeHeaderVersion(w io.Writer, kind string, v int) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(header{Version: v, Kind: kind})
+	return gob.NewEncoder(w).Encode(header{Version: version, Kind: kind})
 }
 
 // trackingReader remembers the first non-EOF error its underlying reader
@@ -178,12 +162,10 @@ func (t *trackingReader) ReadByte() (byte, error) {
 }
 
 // blobReader decodes a store blob's payload after readHeader validated the
-// envelope. version is the envelope's format version, for kinds whose
-// payload layout changed across versions (edit logs).
+// envelope.
 type blobReader struct {
 	*gob.Decoder
-	tr      *trackingReader
-	version int
+	tr *trackingReader
 }
 
 // classify wraps a payload decode error: *FormatError (corruption or
@@ -232,32 +214,35 @@ func (b *blobReader) nextRecord(payload *bytes.Buffer, max uint64, kind string, 
 }
 
 // readHeader consumes and validates the magic and header, returning the
-// remaining gob stream decoder. Validation failures and truncation are
+// remaining gob stream decoder — also on error, so a caller can tell how
+// far the stream got. Validation failures and truncation are
 // *FormatError; genuine read failures stay unclassified.
 func readHeader(r io.Reader, wantKind string) (*blobReader, error) {
 	tr := &trackingReader{r: r}
+	b := &blobReader{Decoder: gob.NewDecoder(tr), tr: tr}
 	buf := make([]byte, len(magic))
 	if n, err := io.ReadFull(tr, buf); err != nil {
 		if tr.err != nil {
-			return nil, fmt.Errorf("store: reading magic: %w", tr.err)
+			return b, fmt.Errorf("store: reading magic: %w", tr.err)
 		}
-		return nil, &FormatError{Msg: fmt.Sprintf("truncated magic (%d bytes)", n), Err: err}
+		if string(buf[:n]) != magic[:n] {
+			return b, formatErrorf("bad magic %q", buf[:n])
+		}
+		return b, &FormatError{Msg: fmt.Sprintf("truncated magic (%d bytes)", n), Err: err}
 	}
 	if string(buf) != magic {
-		return nil, formatErrorf("bad magic %q", buf)
+		return b, formatErrorf("bad magic %q", buf)
 	}
-	b := &blobReader{Decoder: gob.NewDecoder(tr), tr: tr}
 	var h header
 	if err := b.Decode(&h); err != nil {
-		return nil, b.classify(err, "reading header")
+		return b, b.classify(err, "reading header")
 	}
-	if h.Version < minVersion || h.Version > version {
-		return nil, formatErrorf("unsupported version %d (want %d..%d)", h.Version, minVersion, version)
+	if h.Version != version {
+		return b, formatErrorf("unsupported version %d (want %d)", h.Version, version)
 	}
 	if h.Kind != wantKind {
-		return nil, formatErrorf("file contains a %s, want a %s", h.Kind, wantKind)
+		return b, formatErrorf("file contains a %s, want a %s", h.Kind, wantKind)
 	}
-	b.version = h.Version
 	return b, nil
 }
 

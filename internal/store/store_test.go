@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -196,4 +198,100 @@ func FuzzLoadSet(f *testing.F) {
 			t.Fatal("a loaded set changed through a save and reload")
 		}
 	})
+}
+
+// writeHeaderVersion is writeHeader with an explicit version, for blobs
+// of formats this build does not read.
+func writeHeaderVersion(w io.Writer, kind string, v int) error {
+	if _, err := io.WriteString(w, magic); err != nil {
+		return err
+	}
+	return gob.NewEncoder(w).Encode(header{Version: v, Kind: kind})
+}
+
+// reversion rewrites a current-format blob's envelope to version v,
+// leaving the payload bytes untouched.
+func reversion(t *testing.T, blob []byte, v int) []byte {
+	t.Helper()
+	tr := &trackingReader{r: bytes.NewReader(blob)}
+	buf := make([]byte, len(magic))
+	if _, err := io.ReadFull(tr, buf); err != nil || string(buf) != magic {
+		t.Fatalf("blob has no magic: %v", err)
+	}
+	var h header
+	if err := gob.NewDecoder(tr).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := writeHeaderVersion(&out, h.Kind, v); err != nil {
+		t.Fatal(err)
+	}
+	out.Write(blob[tr.n:])
+	return out.Bytes()
+}
+
+// TestStoreMigrateAcrossVersions: no blob migrates across versions, since
+// version 7 is the only format read. Every kind's blob loads at v7, and the
+// same payload under any other envelope version — the six before it and the
+// next — is a *FormatError.
+func TestStoreMigrateAcrossVersions(t *testing.T) {
+	snap := editedState(t)
+	kinds := map[string]struct {
+		save func(*bytes.Buffer) error
+		load func(io.Reader) error
+	}{
+		"mappingset": {
+			func(b *bytes.Buffer) error { _, err := b.Write(setBlob(t, "D1", 10)); return err },
+			func(r io.Reader) error { _, err := LoadSet(r); return err },
+		},
+		"catalog": {
+			func(b *bytes.Buffer) error { return SaveCatalog(b, testCatalog()) },
+			func(r io.Reader) error { _, err := LoadCatalog(r); return err },
+		},
+		"editlog": {
+			func(b *bytes.Buffer) error {
+				if err := CreateEditLogAt(b, 0); err != nil {
+					return err
+				}
+				return appendRecord(b, sampleRecords(0)[0])
+			},
+			func(r io.Reader) error {
+				lg, err := LoadEditLog(r)
+				if err == nil && (lg.Torn || len(lg.Records) != 1) {
+					err = fmt.Errorf("loaded %d records, torn %v", len(lg.Records), lg.Torn)
+				}
+				return err
+			},
+		},
+		"checkpoint": {
+			func(b *bytes.Buffer) error { return SaveCheckpoint(b, snap.Doc, snap.Epoch) },
+			func(r io.Reader) error { _, err := LoadCheckpoint(r); return err },
+		},
+		"workload": {
+			func(b *bytes.Buffer) error {
+				if err := CreateWorkload(b, 1); err != nil {
+					return err
+				}
+				_, err := AppendWorkloadRecord(b, sampleWorkloadRecords()[0])
+				return err
+			},
+			func(r io.Reader) error { _, err := LoadWorkload(r); return err },
+		},
+	}
+	for kind, k := range kinds {
+		var buf bytes.Buffer
+		if err := k.save(&buf); err != nil {
+			t.Fatalf("%s: save: %v", kind, err)
+		}
+		for v := 1; v <= version+1; v++ {
+			err := k.load(bytes.NewReader(reversion(t, buf.Bytes(), v)))
+			var fe *FormatError
+			switch {
+			case v == version && err != nil:
+				t.Errorf("%s: v%d rejected: %v", kind, v, err)
+			case v != version && !errors.As(err, &fe):
+				t.Errorf("%s: v%d accepted or misclassified: %v", kind, v, err)
+			}
+		}
+	}
 }
