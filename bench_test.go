@@ -529,10 +529,11 @@ func BenchmarkPTQTopKIndexed(b *testing.B) {
 }
 
 // BenchmarkAnswerBuild measures what a warmed Table III request spends on
-// its answer once evaluation is done — AggregateLeaf, then
-// AppendResultsJSON and AppendAnswersJSON into one reused buffer, the
-// aggregate and encode stages of /v1/query — over the served collection
-// (D7, |M| = 100, the indexed 3,473-node document), top-5 and compact.
+// its answer once evaluation is done — AggregateLeaf into a reused
+// AnswerScratch, then AppendResultsJSON and AppendAnswersJSON into one
+// reused buffer, the aggregate and encode stages of /v1/query — over the
+// served collection (D7, |M| = 100, the indexed 3,473-node document), top-5
+// and compact.
 func BenchmarkAnswerBuild(b *testing.B) {
 	setup(b)
 	set := fixSets[100]
@@ -559,11 +560,12 @@ func BenchmarkAnswerBuild(b *testing.B) {
 				work = append(work, answer{q, results})
 			}
 			var buf []byte
+			var agg core.AnswerScratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := work[i%len(work)]
-				answers := core.AggregateLeaf(w.q, w.results)
+				answers := agg.Leaf(w.q, w.results)
 				buf = core.AppendResultsJSON(buf[:0], w.results, heads)
 				buf = core.AppendAnswersJSON(buf, answers)
 			}
@@ -1219,6 +1221,30 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				loop.serve(b, bodies[i%len(bodies)])
+			}
+		})
+	}
+}
+
+// BenchmarkCatalogBuild measures a cold catalog build, what bench's setup_s
+// times: the dataset, Algorithm 5's top-h at |M| = 100, the block tree, the
+// generated members and their indexes. It runs bench's two manifests: D7
+// over 3,473 nodes in one shard (t3) and over 200,000 nodes in four
+// (corpus).
+func BenchmarkCatalogBuild(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		nodes, shards int
+	}{{"t3", 3473, 1}, {"corpus", 200000, 4}} {
+		b.Run(c.name, func(b *testing.B) {
+			man := &store.Catalog{Entries: []store.CatalogEntry{
+				{Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: c.nodes, DocSeed: 42, Shards: c.shards, Tau: 0.2},
+			}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := server.BuildCatalog(man, ".", engine.Options{CacheCapacity: engine.DefaultCacheCapacity}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -22,11 +22,11 @@ var unreachedAllowed = map[string]string{
 }
 
 // interfaceMethod reports whether a method name satisfies a standard
-// interface (sort, fmt, errors, io, net/http, encoding): callers reach it
-// through the interface without naming it.
+// interface (sort, fmt, errors, io, net/http, encoding, context): callers
+// reach it through the interface without naming it.
 func interfaceMethod(name string) bool {
 	switch name {
-	case "Less", "Len", "Swap", "String", "Error", "Unwrap", "ReadByte", "ServeHTTP":
+	case "Less", "Len", "Swap", "String", "Error", "Unwrap", "ReadByte", "ServeHTTP", "Deadline":
 		return true
 	}
 	return strings.HasPrefix(name, "Marshal") || strings.HasPrefix(name, "Unmarshal")

@@ -568,35 +568,63 @@ type Answer struct {
 // summed in result order. A plan ends in a handful of result classes, so a
 // new value set finds its group by a linear search of the answers.
 func AggregateByNode(results []Result, qn *twig.Node) []Answer {
-	answers := make([]Answer, 0, 4)    // groups, in order of first appearance
+	return new(AnswerScratch).byNode(results, qn)
+}
+
+// AnswerScratch is what AggregateByNode builds in — the answers, one array
+// their value lists are cut from, the sort's tie keys — for a caller that
+// reuses it, so a warmed aggregation allocates nothing. Answers built in
+// it are valid until its next use. The zero value is ready.
+type AnswerScratch struct {
+	answers []Answer
+	values  []string
+	order   answerOrder
+}
+
+// Leaf is AggregateLeaf, building the answers in s.
+func (s *AnswerScratch) Leaf(q *Query, results []Result) []Answer {
+	nodes := q.Pattern.Nodes()
+	return s.byNode(results, nodes[len(nodes)-1])
+}
+
+func (s *AnswerScratch) byNode(results []Result, qn *twig.Node) []Answer {
+	answers := s.answers[:0] // groups, in order of first appearance
+	values := s.values[:0]   // each group's sorted distinct values, back to back
+	if values == nil {
+		values = make([]string, 0, 8) // never nil, so an empty set renders as []
+	}
 	var bySlice smallTable[ident, int] // match slice -> group
-	var buf [8]string                  // vals' first array, on the stack
-	vals := buf[:0]                    // one slice's sorted distinct values
 	for _, r := range results {
 		id := sliceIdent(r.Matches)
 		gi, ok := bySlice.get(id)
 		if !ok {
-			vals = vals[:0]
+			start := len(values)
 			for _, m := range r.Matches {
 				if d := m.Get(qn); d != nil {
-					vals = append(vals, d.Text)
+					values = append(values, d.Text)
 				}
 			}
-			slices.Sort(vals)
-			vals = slices.Compact(vals)
+			slices.Sort(values[start:])
+			values = values[:start+len(slices.Compact(values[start:]))]
+			vals := values[start:len(values):len(values)]
 			gi = slices.IndexFunc(answers, func(a Answer) bool { return slices.Equal(a.Values, vals) })
 			if gi < 0 {
 				gi = len(answers)
-				// A fresh, never nil, slice: an empty set renders as [].
-				answers = append(answers, Answer{Values: append(make([]string, 0, len(vals)), vals...)})
+				answers = append(answers, Answer{Values: vals})
+			} else {
+				values = values[:start]
 			}
 			bySlice.put(id, gi)
 		}
 		answers[gi].Prob += r.Prob
 	}
 	if len(answers) > 1 {
-		sort.Sort(&answerOrder{answers: answers})
+		s.order.answers = answers
+		sort.Sort(&s.order)
+		clear(s.order.ties)
+		s.order.answers, s.order.ties = nil, s.order.ties[:0]
 	}
+	s.answers, s.values = answers, values
 	return answers
 }
 
@@ -609,8 +637,8 @@ type answerOrder struct {
 }
 
 func (o *answerOrder) tie(i int) string {
-	if o.ties == nil {
-		o.ties = make([]string, len(o.answers))
+	if len(o.ties) == 0 {
+		o.ties = slices.Grow(o.ties, len(o.answers))[:len(o.answers)]
 	}
 	if o.ties[i] == "" {
 		o.ties[i] = fmt.Sprint(o.answers[i].Values)
@@ -629,7 +657,7 @@ func (o *answerOrder) Less(i, j int) bool {
 
 func (o *answerOrder) Swap(i, j int) {
 	o.answers[i], o.answers[j] = o.answers[j], o.answers[i]
-	if o.ties != nil {
+	if len(o.ties) > 0 {
 		o.ties[i], o.ties[j] = o.ties[j], o.ties[i]
 	}
 }

@@ -70,6 +70,5 @@ func AnswersToWire(answers []Answer) []WireAnswer {
 // pattern node (the leaf of the spine) — the presentation both the CLI and
 // the serving layer use for human-readable answers.
 func AggregateLeaf(q *Query, results []Result) []Answer {
-	nodes := q.Pattern.Nodes()
-	return AggregateByNode(results, nodes[len(nodes)-1])
+	return new(AnswerScratch).Leaf(q, results)
 }

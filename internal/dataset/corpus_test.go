@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"hash/crc32"
 	"testing"
 
 	"xmatch/internal/xmltree"
@@ -71,5 +72,24 @@ func TestOrderCorpusLayout(t *testing.T) {
 	}
 	if one[0].String() != d.OrderDocument(3473, 7).String() {
 		t.Fatal("single-shard member differs from OrderDocument with the same seed")
+	}
+}
+
+// TestGeneratedBytesPinned pins the serialisations of one Order document and
+// one corpus, as generated before leaf values looked their concept up by
+// element: the generator's draws, and so every value, must not move.
+func TestGeneratedBytesPinned(t *testing.T) {
+	d := MustLoad("D7")
+	if got := crc32.ChecksumIEEE([]byte(d.OrderDocument(3473, 43).String())); got != 0x00d2f453 {
+		t.Errorf("OrderDocument(3473, 43) crc32 %08x, want 00d2f453", got)
+	}
+	h := crc32.NewIEEE()
+	for _, m := range d.OrderCorpus(4, 8000, 7) {
+		if err := m.WriteXML(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Sum32(); got != 0x2491daf9 {
+		t.Errorf("OrderCorpus(4, 8000, 7) crc32 %08x, want 2491daf9", got)
 	}
 }

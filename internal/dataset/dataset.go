@@ -127,10 +127,13 @@ func All() ([]*Dataset, error) {
 }
 
 // builtSchema is a schema plus its concept annotations and filler elements.
+// concept is the annotations read by element: the spec gives an element at
+// most one concept, primary or alternate.
 type builtSchema struct {
 	schema    *schema.Schema
 	primaries map[string]*schema.Element
 	alts      map[string][]*schema.Element
+	concept   map[*schema.Element]string
 	filler    []*schema.Element
 }
 
@@ -168,6 +171,7 @@ func buildAnnotatedSchema(name, spec string, size int, rng *rand.Rand) (*builtSc
 	out := &builtSchema{
 		primaries: map[string]*schema.Element{},
 		alts:      map[string][]*schema.Element{},
+		concept:   map[*schema.Element]string{},
 	}
 	type frame struct {
 		elem  *schema.Element
@@ -224,6 +228,7 @@ func buildAnnotatedSchema(name, spec string, size int, rng *rand.Rand) (*builtSc
 			} else {
 				out.primaries[concept] = elem
 			}
+			out.concept[elem] = concept
 		}
 	}
 	if s == nil {

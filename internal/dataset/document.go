@@ -60,23 +60,7 @@ func (d *Dataset) orderTree(targetNodes int, seed int64) *xmltree.Node {
 	lineElem := d.src.primaries["line"]
 
 	valueFor := func(e *schema.Element, ordinal int) string {
-		key := ""
-		for k, pe := range d.src.primaries {
-			if pe == e {
-				key = k
-				break
-			}
-		}
-		if key == "" {
-			for k, alts := range d.src.alts {
-				for _, ae := range alts {
-					if ae == e {
-						key = k
-					}
-				}
-			}
-		}
-		switch key {
+		switch d.src.concept[e] {
 		case "buyer.contact.name", "deliver.contact.name", "seller.contact.name", "invoice.contact.name":
 			return contactNames[rng.Intn(len(contactNames))]
 		case "buyer.contact.email", "deliver.contact.email":

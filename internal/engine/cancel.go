@@ -13,24 +13,23 @@ import (
 // cancellation from deadline expiry.
 var ErrCanceled = errors.New("engine: evaluation canceled")
 
-// WithContext returns a view of the engine whose evaluations observe ctx:
-// once ctx is canceled or times out, every evaluation loop on the view —
-// including core's plan evaluation, which polls the view's done channel
-// between units — exits at its next checkpoint and pool slots the view
-// took are returned. Evaluation results produced after cancellation are
-// partial; callers must check ctx.Err() before trusting them.
-//
-// The view shares the parent's pool and prepared-query cache, like Sub. It registers nothing on ctx — a
-// checkpoint is a non-blocking receive on ctx.Done() — so there is nothing
-// to release when the request ends. A context that can never be canceled
-// returns the engine unchanged, so the uncancellable path stays zero-cost.
-func (e *Engine) WithContext(ctx context.Context) *Engine {
-	if ctx == nil || ctx.Done() == nil {
-		return e
+// View returns a view of the engine that splits one call into at most n
+// parts, as Sub does, and whose evaluation loops — core's plan included —
+// poll ctx's done channel between units: once ctx ends they exit at the
+// next checkpoint and return the pool slots they took, leaving partial
+// results the caller must discard after checking ctx.Err(). The view
+// registers nothing on ctx, and it is a value, so a caller keeping it in
+// storage of its own allocates nothing for it. n <= 0, and a ctx that can
+// never end, leave the engine's split and its done channel as they are.
+func (e *Engine) View(n int, ctx context.Context) Engine {
+	v := *e
+	if n > 0 && n < e.workers {
+		v.workers = n
 	}
-	view := *e
-	view.done = ctx.Done()
-	return &view
+	if ctx != nil && ctx.Done() != nil {
+		v.done = ctx.Done()
+	}
+	return v
 }
 
 // canceled reports whether the view's context has been canceled. On an

@@ -1,6 +1,6 @@
 package engine_test
 
-// Cancellation tests: WithContext views must stop promptly once their
+// Cancellation tests: context views (View) must stop promptly once their
 // context ends, must release every admission slot they reserved (the
 // cancel-storm tests assert Busy() == 0 afterwards under -race), and
 // must change nothing when the context stays live — the differential
@@ -20,17 +20,17 @@ import (
 	"xmatch/internal/oracle"
 )
 
-func TestWithContextNoDeadlineIsIdentity(t *testing.T) {
+func TestViewNoDeadlineIsIdentity(t *testing.T) {
 	e := engine.New(engine.Options{Workers: 4})
-	if got := e.WithContext(context.Background()); got != e {
-		t.Fatal("WithContext(Background) allocated a view")
+	if got := e.View(0, context.Background()); got != *e {
+		t.Fatal("View(0, Background) is not the engine")
 	}
-	if got := e.WithContext(nil); got != e { //nolint:staticcheck // nil ctx tolerance is part of the contract
-		t.Fatal("WithContext(nil) allocated a view")
+	if got := e.View(0, nil); got != *e { //nolint:staticcheck // nil ctx tolerance is part of the contract
+		t.Fatal("View(0, nil) is not the engine")
 	}
 }
 
-func TestWithContextLiveIsTransparent(t *testing.T) {
+func TestViewLiveIsTransparent(t *testing.T) {
 	fix := newDiffFixture(t)
 	o := oracle.New(t)
 	set := randomSubSet(t, fix.base, newRng(3))
@@ -46,7 +46,8 @@ func TestWithContextLiveIsTransparent(t *testing.T) {
 		want := o.Results(set, spec.Text, 0, fix.doc)
 		for _, w := range []int{1, 4} {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-			e := engine.New(engine.Options{Workers: w}).WithContext(ctx)
+			v := engine.New(engine.Options{Workers: w}).View(0, ctx)
+			e := &v
 			assertSameResults(t, fmt.Sprintf("%s workers=%d", spec.ID, w), want, e.EvaluateAcross(q, set, one(fix.doc), bt))
 			assertSameResults(t, fmt.Sprintf("%s basic workers=%d", spec.ID, w), want, e.EvaluateBasicAcross(q, set, one(fix.doc)))
 			cancel()
@@ -63,7 +64,8 @@ func TestPreCanceledEvaluatesNothing(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := engine.New(engine.Options{Workers: 4}).WithContext(ctx)
+	v := engine.New(engine.Options{Workers: 4}).View(0, ctx)
+	e := &v
 	// Evaluation on a dead context returns promptly; the (partial) output
 	// is unspecified and discarded by callers, so only termination and
 	// slot accounting are asserted here.
@@ -104,7 +106,8 @@ func TestCancelStormReleasesSlots(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				e := root.Sub(2 + g%3).WithContext(ctx)
+				v := root.View(2+g%3, ctx)
+				e := &v
 				for i := 0; i < 8; i++ {
 					spec := specs[(g+i)%len(specs)]
 					q, err := e.Prepare(spec.Text, set)
@@ -151,7 +154,8 @@ func TestCancelStormAcrossReleasesSlots(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e := root.Sub(4).WithContext(ctx)
+			v := root.View(4, ctx)
+			e := &v
 			for i := 0; i < 6; i++ {
 				spec := specs[(g+i)%len(specs)]
 				q, err := e.Prepare(spec.Text, set)
@@ -190,7 +194,8 @@ func TestCancelMidEvaluationReportsErrCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e := engine.New(engine.Options{Workers: 1}).WithContext(ctx)
+	v := engine.New(engine.Options{Workers: 1}).View(0, ctx)
+	e := &v
 	sh := engine.Shards{Docs: fix.members, Observe: func(int, time.Duration) { cancel() }}
 	resps := e.EvaluateBatchAcross(fix.base, sh, bt, []engine.Request{{Pattern: dataset.Queries()[0].Text}})
 	if !errors.Is(resps[0].Err, engine.ErrCanceled) || resps[0].Results != nil {

@@ -71,16 +71,16 @@ func DefaultOptions() Options {
 // one prepared-query cache and one worker pool).
 type Engine struct {
 	// workers caps the parts one call splits into: the engine's worker
-	// count, or a Sub view's n.
+	// count, or a view's n.
 	workers int
 	// gate is the engine's pool: Workers-1 slots (the calling goroutine is
-	// the extra worker), shared by every Sub and WithContext view. A spawn
-	// takes a slot without waiting; with none free, the caller does the
-	// part itself. Nil on a sequential engine.
+	// the extra worker), shared by every view. A spawn takes a slot
+	// without waiting; with none free, the caller does the part itself.
+	// Nil on a sequential engine.
 	gate  chan struct{}
 	cache *queryCache
 
-	// done is set by WithContext: the view's context's Done channel, polled
+	// done is set by View: the view's context's Done channel, polled
 	// by the evaluation loops. Nil on an engine without a context view.
 	done <-chan struct{}
 }

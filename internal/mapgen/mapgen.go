@@ -15,7 +15,6 @@
 package mapgen
 
 import (
-	"container/heap"
 	"fmt"
 
 	"xmatch/internal/assignment"
@@ -114,7 +113,8 @@ func topHPartitioned(u *matching.Matching, h int) ([][]int, error) {
 		return [][]int{nil}, nil
 	}
 	// current is the ranked list of combined partials so far.
-	var current []*partial
+	var current []partial
+	var m merger
 	for _, p := range parts {
 		ranked, err := rankPartition(u, p, h)
 		if err != nil {
@@ -124,12 +124,12 @@ func topHPartitioned(u *matching.Matching, h int) ([][]int, error) {
 			current = ranked
 			continue
 		}
-		current = mergeTopH(current, ranked, h)
+		current = m.mergeTopH(current, ranked, h)
 	}
 	out := make([][]int, len(current))
-	for i, pt := range current {
+	for i := range current {
 		var corrs []int
-		for q := pt; q != nil; q = q.prev {
+		for q := &current[i]; q != nil; q = q.prev {
 			corrs = append(corrs, q.corrs...)
 		}
 		out[i] = corrs
@@ -142,7 +142,7 @@ func topHPartitioned(u *matching.Matching, h int) ([][]int, error) {
 // sufficient for a global top-h: any combination using a partition's rank
 // beyond h is dominated by at least h combinations that upgrade that
 // partition's choice.
-func rankPartition(u *matching.Matching, p *matching.Partition, h int) ([]*partial, error) {
+func rankPartition(u *matching.Matching, p *matching.Partition, h int) ([]partial, error) {
 	srcIdx := make(map[int]int, len(p.SourceIDs))
 	for i, id := range p.SourceIDs {
 		srcIdx[id] = i
@@ -161,13 +161,13 @@ func rankPartition(u *matching.Matching, p *matching.Partition, h int) ([]*parti
 		return nil, fmt.Errorf("mapgen: partition graph: %w", err)
 	}
 	sols := g.TopH(h)
-	out := make([]*partial, len(sols))
+	out := make([]partial, len(sols))
 	for i, s := range sols {
 		corrs := make([]int, len(s.EdgeIDs))
 		for j, ei := range s.EdgeIDs {
 			corrs[j] = p.Corrs[ei] // local edge j is partition correspondence j
 		}
-		out[i] = &partial{score: s.Score, corrs: corrs}
+		out[i] = partial{score: s.Score, corrs: corrs}
 	}
 	return out, nil
 }
@@ -178,51 +178,67 @@ type mergeState struct {
 	score float64
 }
 
-type mergeHeap []mergeState
-
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeState)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// merger is the best-first merge's scratch, reused across a fold's merges:
+// the frontier heap and a bitset over the (i, j) grid of cells visited.
+type merger struct {
+	heap []mergeState
+	seen []uint64
 }
 
 // mergeTopH returns the h best combinations of one entry from each ranked
 // list (scores add), as new partials chaining b's choice onto a's. This is
 // the merge function of Algorithm 5; because the lists are sorted, a
 // best-first walk of the (i, j) grid visits combinations in score order.
-func mergeTopH(a, b []*partial, h int) []*partial {
-	if len(a) == 0 || len(b) == 0 {
-		// Defensive: ranked lists always contain at least the empty
-		// matching, so this should not happen.
-		if len(a) == 0 {
-			return b
+// Equal scores leave the order to the heap, so push and pop repeat
+// container/heap's exact swap sequence. Neither list is empty: a ranked
+// partition always holds at least the empty matching.
+func (m *merger) mergeTopH(a, b []partial, h int) []partial {
+	m.seen = append(m.seen[:0], make([]uint64, (len(a)*len(b)+63)/64)...)
+	m.heap = m.heap[:0]
+	m.push(0, 0, a[0].score+b[0].score, len(b))
+	out := make([]partial, 0, min(h, len(a)*len(b)))
+	for len(m.heap) > 0 && len(out) < h {
+		s := m.pop()
+		out = append(out, partial{score: s.score, corrs: b[s.j].corrs, prev: &a[s.i]})
+		if s.i+1 < len(a) {
+			m.push(s.i+1, s.j, a[s.i+1].score+b[s.j].score, len(b))
 		}
-		return a
-	}
-	pq := &mergeHeap{{0, 0, a[0].score + b[0].score}}
-	seen := map[[2]int]bool{{0, 0}: true}
-	out := make([]*partial, 0, h)
-	for pq.Len() > 0 && len(out) < h {
-		s := heap.Pop(pq).(mergeState)
-		out = append(out, &partial{
-			score: s.score,
-			corrs: b[s.j].corrs,
-			prev:  a[s.i],
-		})
-		if s.i+1 < len(a) && !seen[[2]int{s.i + 1, s.j}] {
-			seen[[2]int{s.i + 1, s.j}] = true
-			heap.Push(pq, mergeState{s.i + 1, s.j, a[s.i+1].score + b[s.j].score})
-		}
-		if s.j+1 < len(b) && !seen[[2]int{s.i, s.j + 1}] {
-			seen[[2]int{s.i, s.j + 1}] = true
-			heap.Push(pq, mergeState{s.i, s.j + 1, a[s.i].score + b[s.j+1].score})
+		if s.j+1 < len(b) {
+			m.push(s.i, s.j+1, a[s.i].score+b[s.j+1].score, len(b))
 		}
 	}
 	return out
+}
+
+// push adds cell (i, j) of a grid cols wide to the frontier, unless it was
+// visited, and sifts it up.
+func (m *merger) push(i, j int, score float64, cols int) {
+	bit := i*cols + j
+	if m.seen[bit/64]&(1<<(bit%64)) != 0 {
+		return
+	}
+	m.seen[bit/64] |= 1 << (bit % 64)
+	m.heap = append(m.heap, mergeState{i, j, score})
+	for c := len(m.heap) - 1; c > 0 && m.heap[c].score > m.heap[(c-1)/2].score; c = (c - 1) / 2 {
+		m.heap[c], m.heap[(c-1)/2] = m.heap[(c-1)/2], m.heap[c]
+	}
+}
+
+// pop removes the frontier's best cell: the last cell moves to the root
+// and sifts down.
+func (m *merger) pop() mergeState {
+	n := len(m.heap) - 1
+	m.heap[0], m.heap[n] = m.heap[n], m.heap[0]
+	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
+		if j+1 < n && m.heap[j+1].score > m.heap[j].score {
+			j++
+		}
+		if m.heap[j].score <= m.heap[i].score {
+			break
+		}
+		m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
+	}
+	s := m.heap[n]
+	m.heap = m.heap[:n]
+	return s
 }

@@ -162,8 +162,15 @@ func TestTraceNilSafe(t *testing.T) {
 	}
 }
 
+// newTrace begins a trace of its own.
+func newTrace(id string) *Trace {
+	tr := new(Trace)
+	tr.Begin(id)
+	return tr
+}
+
 func TestTraceRecordsAndCaps(t *testing.T) {
-	tr := NewTrace("req-1")
+	tr := newTrace("req-1")
 	begin := tr.Start()
 	for i := 0; i < maxSpans+10; i++ {
 		tr.Add("span", "", begin, time.Millisecond)
@@ -182,10 +189,10 @@ func TestTraceRecordsAndCaps(t *testing.T) {
 
 // TestTraceSpansAcrossInlineArray: spans keep their order and content as
 // the list outgrows the trace's inline array, Data is a copy that later
-// spans do not reach, a Region records what Add would, and a request that
-// fits the array costs one allocation for the whole trace.
+// spans do not reach, a Region records what Add would, and a trace begun
+// again for a request that fits the array allocates nothing.
 func TestTraceSpansAcrossInlineArray(t *testing.T) {
-	tr := NewTrace("req-2")
+	tr := newTrace("req-2")
 	var snapshots []TraceData
 	for i := 0; i < 3*inlineSpans; i++ {
 		if i%2 == 0 {
@@ -208,13 +215,16 @@ func TestTraceSpansAcrossInlineArray(t *testing.T) {
 	}
 	begin := time.Now()
 	if avg := testing.AllocsPerRun(100, func() {
-		tr := NewTrace("req-3")
-		for i := 0; i < inlineSpans; i++ {
+		tr.Begin("req-3")
+		for i := 0; i < inlineSpans/2; i++ {
 			tr.Add("span", "", begin, time.Microsecond)
 			tr.Region("region", "").End()
 		}
-	}); avg > 2 { // the trace, and its span list's one move off the inline array
-		t.Fatalf("a trace of %d spans allocates %.1f times", 2*inlineSpans, avg)
+	}); avg != 0 {
+		t.Fatalf("a trace begun again for %d spans allocates %.1f times", inlineSpans, avg)
+	}
+	if d := tr.Data(time.Millisecond); d.ID != "req-3" || len(d.Spans) != inlineSpans || d.DroppedSpans != 0 {
+		t.Fatalf("trace begun again holds %+v", d)
 	}
 	// The ID's form is what fmt wrote before it was assembled by hand.
 	id := RequestID()
@@ -226,13 +236,13 @@ func TestTraceSpansAcrossInlineArray(t *testing.T) {
 func TestTraceLogTailSampling(t *testing.T) {
 	l := NewTraceLog(3, 10*time.Millisecond)
 	for i := 0; i < 5; i++ {
-		tr := NewTrace(string(rune('a' + i)))
+		tr := newTrace(string(rune('a' + i)))
 		if l.Finish(tr, 5*time.Millisecond, "ds", "query") {
 			t.Fatal("fast trace retained")
 		}
 	}
 	for i := 0; i < 5; i++ {
-		tr := NewTrace(string(rune('A' + i)))
+		tr := newTrace(string(rune('A' + i)))
 		if !l.Finish(tr, 20*time.Millisecond, "ds", "query") {
 			t.Fatal("slow trace dropped")
 		}
@@ -251,7 +261,7 @@ func TestTraceLogTailSampling(t *testing.T) {
 	}
 	// Negative threshold disables retention.
 	off := NewTraceLog(3, -1)
-	if off.Finish(NewTrace("x"), time.Hour, "ds", "query") {
+	if off.Finish(newTrace("x"), time.Hour, "ds", "query") {
 		t.Fatal("disabled log retained a trace")
 	}
 }

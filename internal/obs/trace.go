@@ -27,7 +27,8 @@ const maxSpans = 256
 // to the heap: a query over up to four shards (decode, prepare, one
 // shard_evaluate each, evaluate, aggregate, encode, write) or a mutation
 // (decode, resolve, commit, index, log, apply, write) fits, so the usual
-// request's trace is one allocation.
+// request's trace, begun again in storage its holder reuses, allocates
+// nothing.
 const inlineSpans = 10
 
 // Trace is a request-scoped span recorder. All methods are safe on a nil
@@ -40,17 +41,20 @@ type Trace struct {
 	start time.Time
 
 	mu      sync.Mutex
-	dataset string
 	spans   []Span // backed by inline until it outgrows it
 	dropped int
 	inline  [inlineSpans]Span
 }
 
-// NewTrace starts a trace identified by id (usually a RequestID).
-func NewTrace(id string) *Trace {
-	t := &Trace{id: id, start: time.Now()}
+// Begin empties the trace and starts it now, identified by id (usually a
+// RequestID). The zero Trace is ready for it, and so is one a finished
+// request leaves behind: a holder that reuses one Trace per request must
+// not begin it again while anything still reads it.
+func (t *Trace) Begin(id string) {
+	t.mu.Lock()
+	t.id, t.start, t.dropped = id, time.Now(), 0
 	t.spans = t.inline[:0]
-	return t
+	t.mu.Unlock()
 }
 
 // ID returns the trace's request ID ("" on nil).
@@ -67,28 +71,6 @@ func (t *Trace) Start() time.Time {
 		return time.Time{}
 	}
 	return t.start
-}
-
-// SetDataset annotates the trace with the dataset the request resolved
-// to; the handler that learns the dataset calls it so the middleware that
-// finishes the trace can label it without re-parsing the request.
-func (t *Trace) SetDataset(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.dataset = name
-	t.mu.Unlock()
-}
-
-// Dataset returns the annotation set by SetDataset ("" on nil).
-func (t *Trace) Dataset() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dataset
 }
 
 // Add records a completed span that began at begin and took d.

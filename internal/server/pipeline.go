@@ -6,15 +6,16 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"xmatch/internal/core"
 	"xmatch/internal/delta"
 	"xmatch/internal/engine"
 	"xmatch/internal/obs"
-	"xmatch/internal/xmltree"
 )
 
 // stage is a step of the request pipeline. Its name is both the span the
@@ -61,34 +62,119 @@ const (
 
 // request is one request moving through the pipeline: the stage it is in
 // and what the shared stages resolved for it. It is pooled, so a handler
-// must not keep it past its return.
+// must not keep it past its return. The pool keeps what a request only
+// builds to throw away — its trace, deadline, engine view, scatter (whose
+// Observe is bound once) and answer scratch — for the next request.
 type request struct {
+	requestState
+	tr      obs.Trace
+	dl      deadline
+	eng     engine.Engine
+	scatter engine.Shards
+	snaps   []*delta.Snapshot // the pins the scatter's documents come from
+	aggs    []core.AnswerScratch
+}
+
+// requestState is what one request resolves for itself; finish zeroes it.
+type requestState struct {
 	s       *Server
 	w       http.ResponseWriter
 	r       *http.Request
-	tr      *obs.Trace
-	ctx     context.Context    // the client's, under the request's deadline once open sets it
-	cancel  context.CancelFunc // the deadline's
-	timeout time.Duration      // the effective bound a 503 reports
+	ctx     context.Context // the client's, or dl once open arms it
+	timeout time.Duration   // the effective bound a 503 reports; > 0 while dl is armed
 	route   route
 
 	stage  stage
 	detail string    // the stage's span detail
 	began  time.Time // the stage's boundary
 
-	ds    *Dataset
-	shard *Shard // the addressed shard (mutate, replication)
-	// An evaluating request's pinned snapshots, and the engine view that
-	// scatters over them: under ctx, half the dataset's pool per call.
-	snaps   []*delta.Snapshot
-	eng     *engine.Engine
-	scatter engine.Shards
-
+	dataset string // the name the request resolved, its trace's label
+	ds      *Dataset
+	shard   *Shard // the addressed shard (mutate, replication)
 	release func() // the admission slot's, while one is held
 	locked  bool   // holds the reload read lock
 }
 
-var requests = sync.Pool{New: func() any { return new(request) }}
+var requests = sync.Pool{New: func() any {
+	p := &request{dl: deadline{done: make(chan struct{})}}
+	// Each (embedding, shard) scatter unit is timed into the shard's
+	// histogram and recorded as a shard_evaluate span.
+	p.scatter.Observe = func(shard int, took time.Duration) {
+		sh := p.ds.shards[shard]
+		sh.lat.Observe(took)
+		p.tr.Add("shard_evaluate", sh.spanDetail, time.Now().Add(-took), took)
+	}
+	return p
+}}
+
+// aggregates returns n answer scratches of the request's own.
+func (p *request) aggregates(n int) []core.AnswerScratch {
+	p.aggs = slices.Grow(p.aggs[:0], n)[:n]
+	return p.aggs
+}
+
+// deadline is a request's bound as a context under the client's: a done
+// channel closed by a timer armed per request, or by the client's
+// cancellation. Channel and timer are kept across requests; only those of
+// a request whose deadline fired are replaced.
+type deadline struct {
+	context.Context // the client's
+	at              time.Time
+	timer           *time.Timer
+	stop            func() bool // ends the forwarding of the client's cancellation
+
+	mu   sync.Mutex // orders a late end against done's replacement; guards err
+	done chan struct{}
+	err  error
+}
+
+func (d *deadline) arm(parent context.Context, at time.Time) {
+	d.Context, d.at = parent, at
+	ch := d.done
+	if d.timer == nil {
+		d.timer = time.AfterFunc(time.Until(at), func() { d.end(ch, context.DeadlineExceeded) })
+	} else {
+		d.timer.Reset(time.Until(at))
+	}
+	if parent.Done() != nil {
+		d.stop = context.AfterFunc(parent, func() { d.end(ch, context.Canceled) })
+	}
+}
+
+// end closes ch unless it was replaced: a timer or a client firing after
+// its request ended reaches no later request.
+func (d *deadline) end(ch chan struct{}, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.done == ch && d.err == nil {
+		d.err = err
+		close(ch)
+	}
+}
+
+// disarm ends the arming. A channel that fired, or may yet, is replaced,
+// and with it the timer whose func closes that channel.
+func (d *deadline) disarm() {
+	fired := !d.timer.Stop()
+	if d.stop != nil {
+		fired = !d.stop() || fired
+	}
+	d.Context, d.stop = nil, nil
+	if fired {
+		d.mu.Lock()
+		d.timer, d.done, d.err = nil, make(chan struct{}), nil
+		d.mu.Unlock()
+	}
+}
+
+func (d *deadline) Deadline() (time.Time, bool) { return d.at, true }
+func (d *deadline) Done() <-chan struct{}       { return d.done }
+
+func (d *deadline) Err() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.err
+}
 
 // target is what a decoded body addresses.
 type target struct {
@@ -114,10 +200,10 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 		ep.requests.Add(1)
 		s.stats.inFlight.Add(1)
 		id := obs.RequestID()
-		tr := obs.NewTrace(id)
 		w.Header().Set("X-Request-Id", id)
 		p := requests.Get().(*request)
-		*p = request{s: s, w: w, r: r, tr: tr, ctx: r.Context(), route: rt, stage: stageDecode, began: tr.Start()}
+		p.tr.Begin(id)
+		p.requestState = requestState{s: s, w: w, r: r, ctx: r.Context(), route: rt, stage: stageDecode, began: p.tr.Start()}
 		defer p.finish(ep)
 		defer s.recoverPanic(w, ep.name)
 		if rt == writeRoute && s.readOnly(w) {
@@ -129,9 +215,10 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 
 // finish ends the request: one clock read closes the stage in progress
 // and is the request's latency; then what the request held is given back
-// and the trace is filed.
+// and the trace is filed — before the request is pooled, since the next
+// request to get it begins the same trace again.
 func (p *request) finish(ep *endpoint) {
-	s, tr := p.s, p.tr // p is reset and pooled before the trace is filed
+	s, tr := p.s, &p.tr
 	end := time.Now()
 	tr.Add(string(p.stage), p.detail, p.began, end.Sub(p.began))
 	if p.release != nil {
@@ -140,18 +227,21 @@ func (p *request) finish(ep *endpoint) {
 	if p.locked {
 		s.reloadMu.RUnlock()
 	}
-	if p.cancel != nil {
-		p.cancel()
+	if p.timeout > 0 {
+		p.dl.disarm()
 	}
-	*p = request{}
-	requests.Put(p)
 	total := end.Sub(tr.Start())
 	ep.lat.Observe(total)
 	s.stats.inFlight.Add(-1)
-	if s.traces.Finish(tr, total, tr.Dataset(), ep.name) {
-		s.logger.Info("slow request", "id", tr.ID(), "endpoint", ep.name, "dataset", tr.Dataset(),
+	if s.traces.Finish(tr, total, p.dataset, ep.name) {
+		s.logger.Info("slow request", "id", tr.ID(), "endpoint", ep.name, "dataset", p.dataset,
 			"ms", float64(total.Microseconds())/1e3)
 	}
+	clear(p.snaps) // pins no document, nor the engine, past the request
+	clear(p.scatter.Docs)
+	p.eng = engine.Engine{}
+	p.requestState = requestState{}
+	requests.Put(p)
 }
 
 // next is a stage boundary: one clock read ends the span of the stage in
@@ -191,7 +281,8 @@ func (p *request) open(decodeErr, invalid error, t target, first stage, detail s
 		p.timeout = d
 	}
 	if p.timeout > 0 {
-		p.ctx, p.cancel = context.WithDeadline(p.ctx, p.tr.Start().Add(p.timeout))
+		p.dl.arm(p.ctx, p.tr.Start().Add(p.timeout))
+		p.ctx = &p.dl
 	}
 	if p.route == writeRoute {
 		// Held from resolution to the end: a reload swapping the catalog in
@@ -213,7 +304,7 @@ func (p *request) open(decodeErr, invalid error, t target, first stage, detail s
 			if !p.next(stageAwaitEpoch, "min_epoch="+strconv.FormatUint(t.minEpoch, 10)) {
 				return false
 			}
-			if !s.awaitEpoch(p.ctx, p.tr, p.ds, t.minEpoch) {
+			if !s.awaitEpoch(p.ctx, &p.tr, p.ds, t.minEpoch) {
 				if !p.expired() {
 					s.fail(p.w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
 						t.dataset, snapsEpoch(p.ds.Snapshots()), t.minEpoch)
@@ -222,21 +313,16 @@ func (p *request) open(decodeErr, invalid error, t target, first stage, detail s
 			}
 		}
 		// One pin per shard: everything the request evaluates sees these
-		// (document, index) pairs even if a mutation lands mid-request. Each
-		// (embedding, shard) scatter unit is timed into the shard's
-		// histogram and recorded as a shard_evaluate span.
-		ds, tr := p.ds, p.tr
-		p.snaps = ds.Snapshots()
-		docs := make([]*xmltree.Document, len(p.snaps))
-		for i, sn := range p.snaps {
-			docs[i] = sn.Doc
+		// (document, index) pairs even if a mutation lands mid-request. The
+		// engine view scatters over them under ctx, with half the dataset's
+		// pool per call.
+		p.snaps, p.scatter.Docs = p.snaps[:0], p.scatter.Docs[:0]
+		for _, sh := range p.ds.shards {
+			sn := sh.Live.Snapshot()
+			p.snaps = append(p.snaps, sn)
+			p.scatter.Docs = append(p.scatter.Docs, sn.Doc)
 		}
-		p.eng = ds.Engine.Sub((ds.Engine.Workers() + 1) / 2).WithContext(p.ctx)
-		p.scatter = engine.Shards{Docs: docs, Observe: func(shard int, took time.Duration) {
-			sh := ds.shards[shard]
-			sh.lat.Observe(took)
-			tr.Add("shard_evaluate", sh.spanDetail, time.Now().Add(-took), took)
-		}}
+		p.eng = p.ds.Engine.View((p.ds.Engine.Workers()+1)/2, p.ctx)
 	}
 	return p.next(first, detail)
 }
@@ -254,7 +340,7 @@ func (s *Server) failBody(w http.ResponseWriter, err error) {
 }
 
 // resolveShard looks up the target's dataset — and bounds-checks its
-// shard, when it addresses one — and labels the trace with it, answering
+// shard, when it addresses one — and labels the request with it, answering
 // the request itself on failure.
 func (p *request) resolveShard(t target) bool {
 	ds := p.s.Catalog().Get(t.dataset)
@@ -262,7 +348,7 @@ func (p *request) resolveShard(t target) bool {
 		p.s.fail(p.w, http.StatusNotFound, "unknown dataset %q", t.dataset)
 		return false
 	}
-	p.tr.SetDataset(t.dataset)
+	p.dataset = t.dataset
 	if t.perShard {
 		if t.shard < 0 || t.shard >= ds.NumShards() {
 			p.s.fail(p.w, http.StatusBadRequest, "dataset %q has %d shards, no shard %d", t.dataset, ds.NumShards(), t.shard)

@@ -141,7 +141,7 @@ func (s *Server) handleQuery(p *request) {
 	}
 	// RawQuery is empty on nearly every request; only a non-empty one is parsed.
 	explain := req.Explain || (p.r.URL.RawQuery != "" && p.r.URL.Query().Get("explain") == "1")
-	ds, snaps, eng, sh := p.ds, p.snaps, p.eng, p.scatter
+	ds, snaps, eng, sh := p.ds, p.snaps, &p.eng, p.scatter
 	q, cached, err := eng.PrepareCached(req.Pattern, ds.Set)
 	if cached {
 		p.detail = "cached=true"
@@ -172,7 +172,7 @@ func (s *Server) handleQuery(p *request) {
 	if !p.next(stageAggregate, "") {
 		return
 	}
-	answers := core.AggregateLeaf(q, results)
+	answers := p.aggregates(1)[0].Leaf(q, results)
 	epoch := snapsEpoch(snaps)
 	body := getBody()
 	defer body.release()
@@ -190,7 +190,7 @@ func (s *Server) handleQuery(p *request) {
 			tree = nil // Algorithm 3 is the plan over no c-blocks
 		}
 		plan := q.Plan(ds.Set, tree).Stats()
-		body.b = appendJSON(body.b, buildExplain(p.tr, &plan, snaps, before))
+		body.b = appendJSON(body.b, buildExplain(&p.tr, &plan, snaps, before))
 	}
 	body.b = append(body.b, '}', '\n')
 	// Workload accounting happens on the response the client is about to
@@ -243,10 +243,11 @@ func (s *Server) handleBatch(p *request) {
 	if !p.next(stageAggregate, "") {
 		return
 	}
+	aggs := p.aggregates(len(evaluated)) // one per member, until the body is rendered
 	answers := make([][]core.Answer, len(evaluated))
 	for i, er := range evaluated {
 		if er.Err == nil {
-			answers[i] = core.AggregateLeaf(er.Query, er.Results)
+			answers[i] = aggs[i].Leaf(er.Query, er.Results)
 		}
 	}
 	body := getBody()
