@@ -568,6 +568,7 @@ func BenchmarkAnswerBuild(b *testing.B) {
 				answers := agg.Leaf(w.q, w.results)
 				buf = core.AppendResultsJSON(buf[:0], w.results, heads)
 				buf = core.AppendAnswersJSON(buf, answers)
+				agg.Clear()
 			}
 		})
 	}

@@ -574,11 +574,19 @@ func AggregateByNode(results []Result, qn *twig.Node) []Answer {
 // AnswerScratch is what AggregateByNode builds in — the answers, one array
 // their value lists are cut from, the sort's tie keys — for a caller that
 // reuses it, so a warmed aggregation allocates nothing. Answers built in
-// it are valid until its next use. The zero value is ready.
+// it are valid until it is cleared. The zero value is ready.
 type AnswerScratch struct {
 	answers []Answer
 	values  []string
 	order   answerOrder
+}
+
+// Clear ends the answers built in s and drops the text they hold, keeping
+// the arrays.
+func (s *AnswerScratch) Clear() {
+	clear(s.answers[:cap(s.answers)])
+	clear(s.values[:cap(s.values)])
+	s.answers, s.values = s.answers[:0], s.values[:0]
 }
 
 // Leaf is AggregateLeaf, building the answers in s.
@@ -588,12 +596,9 @@ func (s *AnswerScratch) Leaf(q *Query, results []Result) []Answer {
 }
 
 func (s *AnswerScratch) byNode(results []Result, qn *twig.Node) []Answer {
-	answers := s.answers[:0] // groups, in order of first appearance
-	values := s.values[:0]   // each group's sorted distinct values, back to back
-	if values == nil {
-		values = make([]string, 0, 8) // never nil, so an empty set renders as []
-	}
-	var bySlice smallTable[ident, int] // match slice -> group
+	first, all := len(s.answers), s.answers // this call's groups follow first, in order of first appearance
+	values := slices.Grow(s.values, 8)      // their sorted distinct values, back to back; never nil: [] renders
+	var bySlice smallTable[ident, int]      // match slice -> group
 	for _, r := range results {
 		id := sliceIdent(r.Matches)
 		gi, ok := bySlice.get(id)
@@ -607,24 +612,23 @@ func (s *AnswerScratch) byNode(results []Result, qn *twig.Node) []Answer {
 			slices.Sort(values[start:])
 			values = values[:start+len(slices.Compact(values[start:]))]
 			vals := values[start:len(values):len(values)]
-			gi = slices.IndexFunc(answers, func(a Answer) bool { return slices.Equal(a.Values, vals) })
+			gi = slices.IndexFunc(all[first:], func(a Answer) bool { return slices.Equal(a.Values, vals) })
 			if gi < 0 {
-				gi = len(answers)
-				answers = append(answers, Answer{Values: vals})
+				gi = len(all) - first
+				all = append(all, Answer{Values: vals})
 			} else {
 				values = values[:start]
 			}
 			bySlice.put(id, gi)
 		}
-		answers[gi].Prob += r.Prob
+		all[first+gi].Prob += r.Prob
 	}
+	s.answers, s.values = all, values
+	answers := all[first:len(all):len(all)]
 	if len(answers) > 1 {
-		s.order.answers = answers
+		s.order = answerOrder{answers: answers, ties: s.order.ties[:0]}
 		sort.Sort(&s.order)
-		clear(s.order.ties)
-		s.order.answers, s.order.ties = nil, s.order.ties[:0]
 	}
-	s.answers, s.values = answers, values
 	return answers
 }
 
@@ -638,7 +642,7 @@ type answerOrder struct {
 
 func (o *answerOrder) tie(i int) string {
 	if len(o.ties) == 0 {
-		o.ties = slices.Grow(o.ties, len(o.answers))[:len(o.answers)]
+		o.ties = append(o.ties, make([]string, len(o.answers))...)
 	}
 	if o.ties[i] == "" {
 		o.ties[i] = fmt.Sprint(o.answers[i].Values)

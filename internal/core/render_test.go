@@ -355,3 +355,48 @@ func TestAggregateByNodeManyTies(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerScratchReuse: answer sets built one after another in one
+// scratch — a batch's members — each equal what a fresh aggregation gives,
+// the earlier ones too, after the scratch's arrays grew under them; Clear
+// then drops every string the scratch held, and the scratch builds the same
+// sets again.
+func TestAnswerScratchReuse(t *testing.T) {
+	qn := &twig.Node{Label: "leaf", Index: 1}
+	other := &twig.Node{Label: "root", Index: 0}
+	match := func(text string) twig.Match {
+		return twig.Match{{Q: other, D: &xmltree.Node{Text: "ignored"}}, {Q: qn, D: &xmltree.Node{Text: text}}}
+	}
+	var sets [][]Result
+	for n := 1; n <= 12; n++ {
+		var rs []Result
+		for i := 0; i < 3*n; i++ {
+			ms := []twig.Match{match(fmt.Sprint(i % n)), match(fmt.Sprint(i * 5 % (n + 2)))}
+			rs = append(rs, Result{MappingIndex: i, Prob: float64(i%4) / 10, Matches: ms})
+		}
+		sets = append(sets, append(rs, Result{MappingIndex: len(rs), Prob: 0.05})) // an empty answer
+	}
+	var s AnswerScratch
+	for round := 0; round < 2; round++ {
+		var got [][]Answer
+		for _, rs := range sets {
+			got = append(got, s.byNode(rs, qn))
+		}
+		for i, rs := range sets {
+			if want := AggregateByNode(rs, qn); !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("round %d, set %d: %v, want %v", round, i, got[i], want)
+			}
+		}
+		s.Clear()
+		for _, v := range s.values[:cap(s.values)] {
+			if v != "" {
+				t.Fatalf("round %d: Clear left %q in the value array", round, v)
+			}
+		}
+		for _, a := range s.answers[:cap(s.answers)] {
+			if a.Values != nil || len(s.answers) != 0 {
+				t.Fatalf("round %d: Clear left answer %v", round, a)
+			}
+		}
+	}
+}

@@ -22,10 +22,7 @@ var ErrCanceled = errors.New("engine: evaluation canceled")
 // storage of its own allocates nothing for it. n <= 0, and a ctx that can
 // never end, leave the engine's split and its done channel as they are.
 func (e *Engine) View(n int, ctx context.Context) Engine {
-	v := *e
-	if n > 0 && n < e.workers {
-		v.workers = n
-	}
+	v := *e.Sub(n)
 	if ctx != nil && ctx.Done() != nil {
 		v.done = ctx.Done()
 	}

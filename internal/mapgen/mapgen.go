@@ -15,6 +15,7 @@
 package mapgen
 
 import (
+	"container/heap"
 	"fmt"
 
 	"xmatch/internal/assignment"
@@ -181,24 +182,35 @@ type mergeState struct {
 // merger is the best-first merge's scratch, reused across a fold's merges:
 // the frontier heap and a bitset over the (i, j) grid of cells visited.
 type merger struct {
-	heap []mergeState
+	heap mergeHeap
 	seen []uint64
 }
+
+// mergeHeap is the frontier, a max-heap on score that container/heap keeps
+// without boxing a cell: a push appends and calls heap.Fix instead of
+// Push, and a pop reads the root before heap.Pop, so Pop returns nothing.
+type mergeHeap []mergeState
+
+func (h mergeHeap) Len() int           { return len(h) }
+func (h mergeHeap) Less(i, j int) bool { return h[i].score > h[j].score }
+func (h mergeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(any)          { panic("mapgen: mergeHeap grows by append") }
+func (h *mergeHeap) Pop() any          { *h = (*h)[:len(*h)-1]; return nil }
 
 // mergeTopH returns the h best combinations of one entry from each ranked
 // list (scores add), as new partials chaining b's choice onto a's. This is
 // the merge function of Algorithm 5; because the lists are sorted, a
 // best-first walk of the (i, j) grid visits combinations in score order.
-// Equal scores leave the order to the heap, so push and pop repeat
-// container/heap's exact swap sequence. Neither list is empty: a ranked
-// partition always holds at least the empty matching.
+// Equal scores leave the order to the heap's swap sequence. Neither list
+// is empty: a ranked partition always holds at least the empty matching.
 func (m *merger) mergeTopH(a, b []partial, h int) []partial {
 	m.seen = append(m.seen[:0], make([]uint64, (len(a)*len(b)+63)/64)...)
 	m.heap = m.heap[:0]
 	m.push(0, 0, a[0].score+b[0].score, len(b))
 	out := make([]partial, 0, min(h, len(a)*len(b)))
 	for len(m.heap) > 0 && len(out) < h {
-		s := m.pop()
+		s := m.heap[0]
+		heap.Pop(&m.heap)
 		out = append(out, partial{score: s.score, corrs: b[s.j].corrs, prev: &a[s.i]})
 		if s.i+1 < len(a) {
 			m.push(s.i+1, s.j, a[s.i+1].score+b[s.j].score, len(b))
@@ -211,7 +223,7 @@ func (m *merger) mergeTopH(a, b []partial, h int) []partial {
 }
 
 // push adds cell (i, j) of a grid cols wide to the frontier, unless it was
-// visited, and sifts it up.
+// visited.
 func (m *merger) push(i, j int, score float64, cols int) {
 	bit := i*cols + j
 	if m.seen[bit/64]&(1<<(bit%64)) != 0 {
@@ -219,26 +231,5 @@ func (m *merger) push(i, j int, score float64, cols int) {
 	}
 	m.seen[bit/64] |= 1 << (bit % 64)
 	m.heap = append(m.heap, mergeState{i, j, score})
-	for c := len(m.heap) - 1; c > 0 && m.heap[c].score > m.heap[(c-1)/2].score; c = (c - 1) / 2 {
-		m.heap[c], m.heap[(c-1)/2] = m.heap[(c-1)/2], m.heap[c]
-	}
-}
-
-// pop removes the frontier's best cell: the last cell moves to the root
-// and sifts down.
-func (m *merger) pop() mergeState {
-	n := len(m.heap) - 1
-	m.heap[0], m.heap[n] = m.heap[n], m.heap[0]
-	for i, j := 0, 1; j < n; i, j = j, 2*j+1 {
-		if j+1 < n && m.heap[j+1].score > m.heap[j].score {
-			j++
-		}
-		if m.heap[j].score <= m.heap[i].score {
-			break
-		}
-		m.heap[i], m.heap[j] = m.heap[j], m.heap[i]
-	}
-	s := m.heap[n]
-	m.heap = m.heap[:n]
-	return s
+	heap.Fix(&m.heap, len(m.heap)-1)
 }

@@ -190,7 +190,8 @@ func TestTraceRecordsAndCaps(t *testing.T) {
 // TestTraceSpansAcrossInlineArray: spans keep their order and content as
 // the list outgrows the trace's inline array, Data is a copy that later
 // spans do not reach, a Region records what Add would, and a trace begun
-// again for a request that fits the array allocates nothing.
+// again allocates nothing for a request that fits the array and once, the
+// list's move to the heap, for one of twice as many spans.
 func TestTraceSpansAcrossInlineArray(t *testing.T) {
 	tr := newTrace("req-2")
 	var snapshots []TraceData
@@ -224,6 +225,18 @@ func TestTraceSpansAcrossInlineArray(t *testing.T) {
 		t.Fatalf("a trace begun again for %d spans allocates %.1f times", inlineSpans, avg)
 	}
 	if d := tr.Data(time.Millisecond); d.ID != "req-3" || len(d.Spans) != inlineSpans || d.DroppedSpans != 0 {
+		t.Fatalf("trace begun again holds %+v", d)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		tr.Begin("req-4")
+		for i := 0; i < inlineSpans; i++ {
+			tr.Add("span", "", begin, time.Microsecond)
+			tr.Region("region", "").End()
+		}
+	}); avg > 1 {
+		t.Fatalf("a trace begun again for %d spans allocates %.1f times", 2*inlineSpans, avg)
+	}
+	if d := tr.Data(time.Millisecond); d.ID != "req-4" || len(d.Spans) != 2*inlineSpans || d.DroppedSpans != 0 {
 		t.Fatalf("trace begun again holds %+v", d)
 	}
 	// The ID's form is what fmt wrote before it was assembled by hand.

@@ -47,14 +47,10 @@ type Trace struct {
 }
 
 // Begin empties the trace and starts it now, identified by id (usually a
-// RequestID). The zero Trace is ready for it, and so is one a finished
-// request leaves behind: a holder that reuses one Trace per request must
-// not begin it again while anything still reads it.
+// RequestID). A zero Trace or a finished one may begin, but not one that
+// anything still reads.
 func (t *Trace) Begin(id string) {
-	t.mu.Lock()
-	t.id, t.start, t.dropped = id, time.Now(), 0
-	t.spans = t.inline[:0]
-	t.mu.Unlock()
+	t.id, t.start, t.dropped, t.spans = id, time.Now(), 0, t.inline[:0]
 }
 
 // ID returns the trace's request ID ("" on nil).

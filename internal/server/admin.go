@@ -117,7 +117,7 @@ func (s *Server) handleMutate(p *request) {
 	// retired by a concurrent reload refuses the append, failing the
 	// mutate instead of writing to a file the new catalog generation now
 	// owns.
-	snap, err := p.shard.Live.ApplyTraced(&p.tr, req.Edits, p.shard.Log.Append)
+	snap, err := p.shard.Live.ApplyTraced(p.tr, req.Edits, p.shard.Log.Append)
 	if err != nil {
 		var ee *delta.EditError
 		if errors.As(err, &ee) {

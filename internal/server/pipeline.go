@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -62,21 +61,8 @@ const (
 
 // request is one request moving through the pipeline: the stage it is in
 // and what the shared stages resolved for it. It is pooled, so a handler
-// must not keep it past its return. The pool keeps what a request only
-// builds to throw away — its trace, deadline, engine view, scatter (whose
-// Observe is bound once) and answer scratch — for the next request.
+// must not keep it past its return.
 type request struct {
-	requestState
-	tr      obs.Trace
-	dl      deadline
-	eng     engine.Engine
-	scatter engine.Shards
-	snaps   []*delta.Snapshot // the pins the scatter's documents come from
-	aggs    []core.AnswerScratch
-}
-
-// requestState is what one request resolves for itself; finish zeroes it.
-type requestState struct {
 	s       *Server
 	w       http.ResponseWriter
 	r       *http.Request
@@ -91,12 +77,21 @@ type requestState struct {
 	dataset string // the name the request resolved, its trace's label
 	ds      *Dataset
 	shard   *Shard // the addressed shard (mutate, replication)
+	eng     engine.Engine
 	release func() // the admission slot's, while one is held
 	locked  bool   // holds the reload read lock
+
+	// What a request only builds to throw away; finish keeps it, zeroing the rest.
+	tr      *obs.Trace
+	dl      *deadline
+	scatter engine.Shards     // its Observe bound once
+	snaps   []*delta.Snapshot // the pins the scatter's documents come from
+	answers core.AnswerScratch
+	body    []byte // the response, rendered whole before it is written
 }
 
 var requests = sync.Pool{New: func() any {
-	p := &request{dl: deadline{done: make(chan struct{})}}
+	p := &request{tr: new(obs.Trace), dl: new(deadline)}
 	// Each (embedding, shard) scatter unit is timed into the shard's
 	// histogram and recorded as a shard_evaluate span.
 	p.scatter.Observe = func(shard int, took time.Duration) {
@@ -107,73 +102,60 @@ var requests = sync.Pool{New: func() any {
 	return p
 }}
 
-// aggregates returns n answer scratches of the request's own.
-func (p *request) aggregates(n int) []core.AnswerScratch {
-	p.aggs = slices.Grow(p.aggs[:0], n)[:n]
-	return p.aggs
-}
-
 // deadline is a request's bound as a context under the client's: a done
-// channel closed by a timer armed per request, or by the client's
-// cancellation. Channel and timer are kept across requests; only those of
-// a request whose deadline fired are replaced.
+// channel closed by a timer armed per request or by the client's
+// cancellation. A pooled request keeps it, timer and channel included; one
+// that fired, or may yet, is replaced, so no late firing reaches a later request.
 type deadline struct {
 	context.Context // the client's
 	at              time.Time
 	timer           *time.Timer
 	stop            func() bool // ends the forwarding of the client's cancellation
-
-	mu   sync.Mutex // orders a late end against done's replacement; guards err
-	done chan struct{}
-	err  error
+	once            sync.Once
+	done            chan struct{}
+	err             error // set before done closes
 }
 
+// arm bounds the request by at, or by the client's deadline if it is earlier.
 func (d *deadline) arm(parent context.Context, at time.Time) {
+	if pd, ok := parent.Deadline(); ok && pd.Before(at) {
+		at = pd
+	}
 	d.Context, d.at = parent, at
-	ch := d.done
 	if d.timer == nil {
-		d.timer = time.AfterFunc(time.Until(at), func() { d.end(ch, context.DeadlineExceeded) })
+		d.done = make(chan struct{})
+		d.timer = time.AfterFunc(time.Until(at), func() { d.end(context.DeadlineExceeded) })
 	} else {
 		d.timer.Reset(time.Until(at))
 	}
 	if parent.Done() != nil {
-		d.stop = context.AfterFunc(parent, func() { d.end(ch, context.Canceled) })
+		d.stop = context.AfterFunc(parent, func() { d.end(parent.Err()) })
 	}
 }
 
-// end closes ch unless it was replaced: a timer or a client firing after
-// its request ended reaches no later request.
-func (d *deadline) end(ch chan struct{}, err error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.done == ch && d.err == nil {
-		d.err = err
-		close(ch)
-	}
-}
+func (d *deadline) end(err error) { d.once.Do(func() { d.err = err; close(d.done) }) }
 
-// disarm ends the arming. A channel that fired, or may yet, is replaced,
-// and with it the timer whose func closes that channel.
-func (d *deadline) disarm() {
-	fired := !d.timer.Stop()
+// disarm ends the arming and reports whether d may be armed again: not if
+// it fired, or may yet.
+func (d *deadline) disarm() bool {
+	idle := d.timer.Stop()
 	if d.stop != nil {
-		fired = !d.stop() || fired
+		idle = d.stop() && idle
 	}
 	d.Context, d.stop = nil, nil
-	if fired {
-		d.mu.Lock()
-		d.timer, d.done, d.err = nil, make(chan struct{}), nil
-		d.mu.Unlock()
-	}
+	return idle
 }
 
 func (d *deadline) Deadline() (time.Time, bool) { return d.at, true }
 func (d *deadline) Done() <-chan struct{}       { return d.done }
 
 func (d *deadline) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
+	select {
+	case <-d.done:
+		return d.err
+	default:
+		return nil
+	}
 }
 
 // target is what a decoded body addresses.
@@ -203,7 +185,7 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 		w.Header().Set("X-Request-Id", id)
 		p := requests.Get().(*request)
 		p.tr.Begin(id)
-		p.requestState = requestState{s: s, w: w, r: r, ctx: r.Context(), route: rt, stage: stageDecode, began: p.tr.Start()}
+		p.s, p.w, p.r, p.ctx, p.route, p.stage, p.began = s, w, r, r.Context(), rt, stageDecode, p.tr.Start()
 		defer p.finish(ep)
 		defer s.recoverPanic(w, ep.name)
 		if rt == writeRoute && s.readOnly(w) {
@@ -218,7 +200,7 @@ func (s *Server) timed(ep *endpoint, method string, rt route, handle func(*reque
 // and the trace is filed — before the request is pooled, since the next
 // request to get it begins the same trace again.
 func (p *request) finish(ep *endpoint) {
-	s, tr := p.s, &p.tr
+	s, tr := p.s, p.tr
 	end := time.Now()
 	tr.Add(string(p.stage), p.detail, p.began, end.Sub(p.began))
 	if p.release != nil {
@@ -227,8 +209,8 @@ func (p *request) finish(ep *endpoint) {
 	if p.locked {
 		s.reloadMu.RUnlock()
 	}
-	if p.timeout > 0 {
-		p.dl.disarm()
+	if p.timeout > 0 && !p.dl.disarm() {
+		p.dl = new(deadline)
 	}
 	total := end.Sub(tr.Start())
 	ep.lat.Observe(total)
@@ -237,10 +219,13 @@ func (p *request) finish(ep *endpoint) {
 		s.logger.Info("slow request", "id", tr.ID(), "endpoint", ep.name, "dataset", p.dataset,
 			"ms", float64(total.Microseconds())/1e3)
 	}
-	clear(p.snaps) // pins no document, nor the engine, past the request
+	clear(p.snaps) // pins no document, engine or answer text past the request
 	clear(p.scatter.Docs)
-	p.eng = engine.Engine{}
-	p.requestState = requestState{}
+	p.answers.Clear()
+	if cap(p.body) > maxPooledBody {
+		p.body = nil
+	}
+	*p = request{tr: tr, dl: p.dl, scatter: p.scatter, snaps: p.snaps, answers: p.answers, body: p.body}
 	requests.Put(p)
 }
 
@@ -282,7 +267,7 @@ func (p *request) open(decodeErr, invalid error, t target, first stage, detail s
 	}
 	if p.timeout > 0 {
 		p.dl.arm(p.ctx, p.tr.Start().Add(p.timeout))
-		p.ctx = &p.dl
+		p.ctx = p.dl
 	}
 	if p.route == writeRoute {
 		// Held from resolution to the end: a reload swapping the catalog in
@@ -304,7 +289,7 @@ func (p *request) open(decodeErr, invalid error, t target, first stage, detail s
 			if !p.next(stageAwaitEpoch, "min_epoch="+strconv.FormatUint(t.minEpoch, 10)) {
 				return false
 			}
-			if !s.awaitEpoch(p.ctx, &p.tr, p.ds, t.minEpoch) {
+			if !s.awaitEpoch(p.ctx, p.tr, p.ds, t.minEpoch) {
 				if !p.expired() {
 					s.fail(p.w, http.StatusPreconditionFailed, "dataset %q at epoch %d, below requested min_epoch %d",
 						t.dataset, snapsEpoch(p.ds.Snapshots()), t.minEpoch)

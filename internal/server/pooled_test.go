@@ -185,9 +185,10 @@ func TestPooledRequestTraceIntact(t *testing.T) {
 
 // TestPooledDeadlineNotInherited: on one P, where the pool hands back the
 // request value that just ran, a request that timed out leaves the next
-// hundred requests their own deadlines — each answers 200 — and a request
-// whose client went away still says so, after which the next hundred
-// answer 200 again.
+// hundred requests their own deadlines — each answers 200 — a request
+// whose client went away still says so, and one whose client's own
+// deadline came first says the deadline was exceeded; after each, the next
+// hundred answer 200 again.
 func TestPooledDeadlineNotInherited(t *testing.T) {
 	srv := pooledServer(t, server.Options{QueryTimeout: 10 * time.Second, MinEpochWait: 10 * time.Second})
 	orders := srv.Catalog().Get("orders")
@@ -227,4 +228,8 @@ func TestPooledDeadlineNotInherited(t *testing.T) {
 	time.AfterFunc(5*time.Millisecond, cancel)
 	timeout(ctx, 0, "request canceled by client")
 	serveHundred("a client's cancellation")
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	timeout(ctx, 0, "request deadline exceeded")
+	serveHundred("a client's deadline")
 }

@@ -172,27 +172,25 @@ func (s *Server) handleQuery(p *request) {
 	if !p.next(stageAggregate, "") {
 		return
 	}
-	answers := p.aggregates(1)[0].Leaf(q, results)
+	answers := p.answers.Leaf(q, results)
 	epoch := snapsEpoch(snaps)
-	body := getBody()
-	defer body.release()
 	p.next(stageEncode, "")
 	var payload payloadSpans
-	body.b, payload = appendQueryBody(body.b, req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
+	p.body, payload = appendQueryBody(p.body[:0], req.Dataset, req.Pattern, mode, req.K, epoch, ds.heads, results, answers)
 	// The body is rendered whole before anything is accounted or written:
 	// the write stage's boundary is the latency the workload table and the
 	// capture record, encode included; the explain block shows its span.
 	p.next(stageWrite, "")
 	if explain {
-		body.b = append(body.b, `,"explain":`...)
+		p.body = append(p.body, `,"explain":`...)
 		tree := ds.Tree
 		if mode == "basic" {
 			tree = nil // Algorithm 3 is the plan over no c-blocks
 		}
 		plan := q.Plan(ds.Set, tree).Stats()
-		body.b = appendJSON(body.b, buildExplain(&p.tr, &plan, snaps, before))
+		p.body = appendJSON(p.body, buildExplain(p.tr, &plan, snaps, before))
 	}
-	body.b = append(body.b, '}', '\n')
+	p.body = append(p.body, '}', '\n')
 	// Workload accounting happens on the response the client is about to
 	// receive: the fingerprint keys the prepared query's canonical pattern
 	// (not the request text), and the capture's digest covers the exact
@@ -215,10 +213,10 @@ func (s *Server) handleQuery(p *request) {
 			K:           k,
 			Epoch:       epoch,
 			LatencyUs:   latency.Microseconds(),
-			Digest:      digestPayload(body.b, payload),
+			Digest:      digestPayload(p.body, payload),
 		})
 	}
-	writeBody(p.w, body.b)
+	writeBody(p.w, p.body)
 }
 
 func (s *Server) handleBatch(p *request) {
@@ -243,17 +241,14 @@ func (s *Server) handleBatch(p *request) {
 	if !p.next(stageAggregate, "") {
 		return
 	}
-	aggs := p.aggregates(len(evaluated)) // one per member, until the body is rendered
 	answers := make([][]core.Answer, len(evaluated))
 	for i, er := range evaluated {
 		if er.Err == nil {
-			answers[i] = aggs[i].Leaf(er.Query, er.Results)
+			answers[i] = p.answers.Leaf(er.Query, er.Results)
 		}
 	}
-	body := getBody()
-	defer body.release()
 	p.next(stageEncode, "")
-	body.b = appendBatchBody(body.b, req.Dataset, snapsEpoch(p.snaps), ds.heads, evaluated, answers)
+	p.body = appendBatchBody(p.body[:0], req.Dataset, snapsEpoch(p.snaps), ds.heads, evaluated, answers)
 	p.next(stageWrite, "")
-	writeBody(p.w, body.b)
+	writeBody(p.w, p.body)
 }

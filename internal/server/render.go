@@ -5,14 +5,13 @@ import (
 	"hash/fnv"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"xmatch/internal/core"
 	"xmatch/internal/engine"
 )
 
 // The response path of /v1/query and /v1/batch: bodies are rendered whole
-// into a pooled buffer by append-style code (core.AppendResultsJSON /
+// into the pooled request's buffer by append-style code (core.AppendResultsJSON /
 // AppendAnswersJSON — no Wire* structs, no reflection, each distinct match
 // set rendered once, each result's head copied from the collection's
 // table), then accounted, then written with a Content-Length.
@@ -22,7 +21,7 @@ import (
 
 // maxPooledBody is the largest response buffer (by capacity, which the
 // renderer's one reservation per distinct match set leaves at about the
-// body) returned to the pool: a rare giant body must not stay warm for
+// body) a pooled request keeps: a rare giant body must not stay warm for
 // requests that will never need it. It sits well above a full Table III
 // compact batch (~4 MB). A request whose buffer the pool has dropped — past
 // this size always, below it after two collections without use — allocates
@@ -31,23 +30,6 @@ import (
 // t3_compact's live heap (2.72 -> 3.42 MB) — scratch that stays reachable
 // is live data.
 const maxPooledBody = 16 << 20
-
-var bodyPool = sync.Pool{New: func() any { return new(bodyBuf) }}
-
-// bodyBuf is a pooled response buffer.
-type bodyBuf struct{ b []byte }
-
-func getBody() *bodyBuf { return bodyPool.Get().(*bodyBuf) }
-
-// release returns the buffer to the pool. The caller must be done with
-// every byte of it: the next request renders over them.
-func (bb *bodyBuf) release() {
-	if cap(bb.b) > maxPooledBody {
-		return
-	}
-	bb.b = bb.b[:0]
-	bodyPool.Put(bb)
-}
 
 // payloadSpans locates a rendered payload's results and answers arrays
 // inside the response buffer — the bytes the capture digest covers.
