@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xmatch/internal/core"
@@ -1169,15 +1170,20 @@ func newHandlerLoop(b *testing.B, h http.Handler, path string) *handlerLoop {
 
 // serve sends one body and fails the benchmark unless it is answered 200.
 func (l *handlerLoop) serve(b *testing.B, body []byte) {
+	if code := l.send(body); code != http.StatusOK {
+		b.Fatalf("status %d", code)
+	}
+}
+
+// send sends one body and returns the status.
+func (l *handlerLoop) send(body []byte) int {
 	l.w.code = 0
 	l.body.Reset(body)
 	r := *l.tmpl // the handler derives its own copies; the template stays clean
 	r.Body = &l.body
 	r.ContentLength = int64(len(body))
 	l.h.ServeHTTP(&l.w, &r)
-	if l.w.code != http.StatusOK {
-		b.Fatalf("status %d", l.w.code)
-	}
+	return l.w.code
 }
 
 // BenchmarkServeQuery measures one /v1/query through the real handler —
@@ -1287,5 +1293,58 @@ func BenchmarkServeMutate(b *testing.B) {
 			b.Fatal(err)
 		}
 		loop.serve(b, body)
+	}
+}
+
+// BenchmarkSyncedMutate measures the write path xmatchd runs by default:
+// one /v1/admin/mutate with fsync on, through the real handler, on one
+// 3,473-node D7 shard, one settext per request. writers=8 sends from
+// eight goroutines at once, which queue on the shard's write lock, one
+// fsync each. It is recorded, not gated: the fsync is the disk's time.
+func BenchmarkSyncedMutate(b *testing.B) {
+	man := &store.Catalog{Entries: []store.CatalogEntry{{
+		Name: "D7", Dataset: "D7", Mappings: 100, DocNodes: 3473, DocSeed: 42, Tau: 0.2,
+		EditLogPath: "D7.editlog",
+	}}}
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			dir := b.TempDir()
+			srv, err := server.New(func() (*server.Catalog, error) {
+				return server.BuildCatalog(man, dir, engine.Options{CacheCapacity: engine.DefaultCacheCapacity})
+			}, server.Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			edits := leafSetTexts(srv.Catalog().Get("D7").Snapshots()[0].Doc, 1024)
+			loops := make([]*handlerLoop, writers)
+			for w := range loops {
+				loops[w] = newHandlerLoop(b, srv, "/v1/admin/mutate")
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, loop := range loops {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := int(next.Add(1)) - 1; i < b.N; i = int(next.Add(1)) - 1 {
+						e := edits[i%len(edits)]
+						e.Text = fmt.Sprintf("s%d", i)
+						body, err := json.Marshal(server.MutateRequest{Dataset: "D7", Edits: []delta.Edit{e}})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if code := loop.send(body); code != http.StatusOK {
+							b.Errorf("status %d", code)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }

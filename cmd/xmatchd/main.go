@@ -354,7 +354,7 @@ func run(cfg config) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		err := hs.Shutdown(ctx)
-		// Closing the server closes the workload capture.
+		// Closing the server closes the workload capture and the edit logs.
 		if cerr := srv.Close(); err == nil {
 			err = cerr
 		}

@@ -10,37 +10,33 @@ package index
 // typically all but a handful of paths — is shared structurally across
 // epochs. Lookups walk the layers newest-first.
 //
-// The chain is kept short by size, never by a count of writes, so that a
-// write pays for the entries it splices and not for the index:
-//
-//   - A new overlay absorbs the overlays below it for as long as they hold
-//     no more than twice its own entries (the logarithmic method). Sizes
-//     along the chain therefore more than double from each overlay to the
-//     one below, the chain is at most log2 of the accumulated entries
-//     long, and an entry is copied once per doubling.
-//   - When the overlays together have grown to 1/compactFraction of the
-//     complete maps at the bottom, the whole chain is folded into one fresh
-//     complete layer. That pass is O(index), and it happens once per
-//     O(index) spliced entries — a constant per entry, whatever the
-//     document's size. It also lets go of the superseded lists the older
-//     overlays still held, and of the node objects of superseded snapshots
-//     those lists point to.
+// The postings are xmltree.Layered maps, and xmltree.Settle keeps their
+// overlays few by size, never by a count of writes, so that a write pays
+// for the entries it splices and not for the index: a new overlay absorbs
+// the overlays below it while they hold no more than twice its entries,
+// and the chain is folded into one fresh complete map once the overlays
+// hold 1/compactFraction of the entries below them. A fold also lets go
+// of the superseded lists the older overlays still held, and of the node
+// objects of superseded snapshots those lists point to. The path and
+// value maps take every decision together, one per epoch.
 //
 // Spliced lists are block-compressed like built ones: an overlay entry
 // lives until the next compaction, which may be thousands of writes away.
-// The commonest
-// splice is cheaper than that, though: a clone that replaces its original
-// at the same (start, end, level) — every spine clone of an edit, and a
-// settext target — leaves the region encoding of its path's list as it
-// was, so the new list shares the old one's compressed blocks and takes
-// the new document's per-path node array as its pointer array.
+// The commonest splice is cheaper than that, though: a clone that
+// replaces its original at the same (start, end, level) — every spine
+// clone of an edit, and a settext target — leaves the region encoding of
+// its path's list as it was, so the new list shares the old one's
+// compressed blocks and takes the new document's per-path node array as
+// its pointer array.
 //
 // The base index's lists are never written, so queries running against
 // any older snapshot proceed unperturbed while new epochs are built — the
 // copy-on-write contract the delta subsystem's concurrency model rests on.
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 	"time"
 
 	"xmatch/internal/xmltree"
@@ -57,24 +53,6 @@ const (
 	compactMinEntries = 64
 )
 
-// change is the part of a change set that falls under one index key: the
-// nodes leaving and entering that key's list, each sorted by start.
-type change struct {
-	dropped, added []*xmltree.Node
-}
-
-// changes groups a change set by index key.
-type changes[K comparable] map[K]*change
-
-func (cs changes[K]) of(k K) *change {
-	c := cs[k]
-	if c == nil {
-		c = &change{}
-		cs[k] = c
-	}
-	return c
-}
-
 // ApplyChanges derives the index of a mutated document snapshot from the
 // index of its base snapshot and the revision's change set. Postings of
 // unaffected paths are shared with the base; affected paths and value
@@ -86,12 +64,7 @@ func (cs changes[K]) of(k K) *change {
 func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *Index {
 	start := time.Now()
 	nx := &Index{
-		doc: newDoc,
-		layer: &layer{
-			paths:  make(map[string]*PostingList),
-			values: make(map[valueKey]*PostingList),
-			below:  ix.layer,
-		},
+		doc:   newDoc,
 		epoch: ix.epoch + 1,
 		ctr:   ix.ctr,
 		prof:  ix.prof,
@@ -99,49 +72,30 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 	}
 	nx.stats.Epoch = nx.epoch
 
-	byPath := changes[string]{}
-	byValue := changes[valueKey]{}
-	each := func(n *xmltree.Node, f func(*change)) {
-		f(byPath.of(n.Path))
-		if n.Text != "" {
-			f(byValue.of(valueKey{n.Path, n.Text}))
-		}
-	}
-	for _, n := range cs.Dropped { // both lists come sorted by start
-		each(n, func(c *change) { c.dropped = append(c.dropped, n) })
-	}
-	for _, n := range cs.Added {
-		each(n, func(c *change) { c.added = append(c.added, n) })
-	}
-
-	for p, c := range byPath {
-		old := ix.list(p)
-		nl := splicePath(old, c, newDoc.NodesByPath(p))
-		nx.paths[p] = nl
+	// A path's runs are the change set's own: its lists are grouped by
+	// path. A value key's come from its text nodes, sorted by key.
+	paths := make([]xmltree.Entry[string, *PostingList], 0, max(len(cs.Dropped), len(cs.Added)))
+	xmltree.EachRun(cs.Dropped, cs.Added, xmltree.ComparePaths, func(k *xmltree.Node, dropped, added []*xmltree.Node) {
+		p := k.Path
+		old := ix.paths.Get(p)
+		nl := splicePath(old, dropped, added, newDoc.NodesByPath(p))
+		paths = append(paths, xmltree.Entry[string, *PostingList]{Key: p, Val: nl})
 		nx.stats.Postings += nl.Len() - old.Len()
-		nx.stats.addPostings(old, nl, len(p))
-		switch {
-		case old.Len() == 0 && nl.Len() > 0:
-			nx.stats.DistinctPaths++
-		case old.Len() > 0 && nl.Len() == 0:
-			nx.stats.DistinctPaths--
-		}
-	}
-	for k, c := range byValue {
-		old := ix.valueList(k)
-		nl := splice(old, c)
-		nx.values[k] = nl
-		nx.stats.addPostings(old, nl, len(k.path)+len(k.text))
-		switch {
-		case old.Len() == 0 && nl.Len() > 0:
-			nx.stats.ValueKeys++
-		case old.Len() > 0 && nl.Len() == 0:
-			nx.stats.ValueKeys--
-		}
-	}
+		nx.stats.DistinctPaths += nx.stats.addPostings(old, nl, len(p))
+	})
+	textDropped, textAdded := textNodes(cs.Dropped), textNodes(cs.Added)
+	values := make([]xmltree.Entry[valueKey, *PostingList], 0, max(len(textDropped), len(textAdded)))
+	xmltree.EachRun(textDropped, textAdded, compareValues, func(n *xmltree.Node, dropped, added []*xmltree.Node) {
+		k := valueKey{n.Path, n.Text}
+		old := ix.values.Get(k)
+		nl := splice(old, dropped, added)
+		values = append(values, xmltree.Entry[valueKey, *PostingList]{Key: k, Val: nl})
+		nx.stats.ValueKeys += nx.stats.addPostings(old, nl, len(k.path)+len(k.text))
+	})
+	nx.paths, nx.values = ix.paths.With(paths), ix.values.With(values)
 
 	carried, dropped := 0, 0
-	if nx.stats.Overlays = nx.settle(); nx.stats.Overlays == 0 {
+	if nx.stats.Overlays = xmltree.Settle(compactFraction, compactMinEntries, &nx.paths, &nx.values); nx.stats.Overlays == 0 {
 		// Compacted, and the memo starts empty: carried results reference
 		// node objects of superseded snapshots, and a compaction is where
 		// those are let go.
@@ -155,72 +109,39 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 	return nx
 }
 
+// textNodes returns the nodes of list that carry text, sorted by value
+// key and then by start.
+func textNodes(list []*xmltree.Node) []*xmltree.Node {
+	var out []*xmltree.Node
+	for _, n := range list {
+		if n.Text != "" {
+			out = append(out, n)
+		}
+	}
+	slices.SortFunc(out, func(a, b *xmltree.Node) int { return cmp.Or(compareValues(a, b), a.Start-b.Start) })
+	return out
+}
+
+func compareValues(a, b *xmltree.Node) int {
+	return compareValueKeys(valueKey{a.Path, a.Text}, valueKey{b.Path, b.Text})
+}
+
 // addPostings moves the byte accounting from one version of a list to the
-// next; keyBytes is the map key's string footprint, counted while the list
-// is non-empty.
-func (st *Stats) addPostings(old, nl *PostingList, keyBytes int) {
+// next, and returns the change in distinct keys: keyBytes is the map key's
+// string footprint, counted while the list is non-empty.
+func (st *Stats) addPostings(old, nl *PostingList, keyBytes int) (keys int) {
+	switch {
+	case old.Len() == 0 && nl.Len() > 0:
+		keys = 1
+	case old.Len() > 0 && nl.Len() == 0:
+		keys = -1
+	}
 	dr, df := nl.residentBytes()-old.residentBytes(), nl.flatBytes()-old.flatBytes()
 	st.PostingsBytes += dr
 	st.PostingsFlatBytes += df
-	switch {
-	case old.Len() == 0 && nl.Len() > 0:
-		dr, df = dr+keyBytes, df+keyBytes
-	case old.Len() > 0 && nl.Len() == 0:
-		dr, df = dr-keyBytes, df-keyBytes
-	}
-	st.ResidentBytes += dr
-	st.FlatBytes += df
-}
-
-// entries is the number of map entries the layer itself holds — for an
-// overlay, the entries it has spliced.
-func (l *layer) entries() int { return len(l.paths) + len(l.values) }
-
-// settle keeps the chain under the overlay l, not yet published, short by
-// the two rules above, and returns the number of layers left below l — 0
-// when it folded the whole chain into l.
-//
-// First l absorbs the overlays below it that are no longer much larger than
-// it is: their entries that l has not spliced again move up, and l comes to
-// rest on the first layer it left alone. How far down to go is decided
-// before anything is copied (the sum of entries stands in for the merged
-// size, which shared keys can only shrink), so each merged map is allocated
-// once at its final size.
-func (l *layer) settle() (depth int) {
-	np, nv, stop := len(l.paths), len(l.values), l.below
-	for stop.below != nil && stop.entries() <= 2*(np+nv) {
-		np, nv = np+len(stop.paths), nv+len(stop.values)
-		stop = stop.below
-	}
-	if stop != l.below {
-		paths := make(map[string]*PostingList, np)
-		values := make(map[valueKey]*PostingList, nv)
-		for x := l; x != stop; x = x.below {
-			mergeUnder(paths, x.paths)
-			mergeUnder(values, x.values)
-		}
-		l.paths, l.values, l.below = paths, values, stop
-	}
-	overlays, bottom := 0, l
-	for ; bottom.below != nil; bottom = bottom.below {
-		overlays += bottom.entries()
-		depth++
-	}
-	if overlays >= compactMinEntries && overlays*compactFraction >= bottom.entries() {
-		l.paths, l.values = l.materialize()
-		l.below, depth = nil, 0
-	}
-	return depth
-}
-
-// mergeUnder copies into dst the entries of an older overlay that dst does
-// not hold yet.
-func mergeUnder[K comparable, V any](dst, older map[K]V) {
-	for k, v := range older {
-		if _, ok := dst[k]; !ok {
-			dst[k] = v
-		}
-	}
+	st.ResidentBytes += dr + keys*keyBytes
+	st.FlatBytes += df + keys*keyBytes
+	return keys
 }
 
 // splicePath splices one path's postings list. nodes is the path's node
@@ -229,13 +150,13 @@ func mergeUnder[K comparable, V any](dst, older map[K]V) {
 // encoding is unchanged: the result shares old's compressed blocks and
 // takes nodes — the same nodes in the same order, by definition — as its
 // pointer array, allocating nothing per posting.
-func splicePath(old *PostingList, c *change, nodes []*xmltree.Node) *PostingList {
-	if old == nil || len(c.dropped) != len(c.added) || len(nodes) != old.count {
-		return splice(old, c)
+func splicePath(old *PostingList, dropped, added, nodes []*xmltree.Node) *PostingList {
+	if old == nil || len(dropped) != len(added) || len(nodes) != old.count {
+		return splice(old, dropped, added)
 	}
-	for i, n := range c.added {
-		if o := c.dropped[i]; o.Start != n.Start || o.End != n.End || o.Level != n.Level {
-			return splice(old, c)
+	for i, n := range added {
+		if o := dropped[i]; o.Start != n.Start || o.End != n.End || o.Level != n.Level {
+			return splice(old, dropped, added)
 		}
 	}
 	// The id is kept: the new list takes over the old one's decode-cache
@@ -250,8 +171,7 @@ func splicePath(old *PostingList, c *change, nodes []*xmltree.Node) *PostingList
 // dropped nodes, interleaved by start number with postings for the added
 // nodes. The result is a fresh compressed list in document order, or nil —
 // the overlay's deletion marker — when nothing is left.
-func splice(old *PostingList, c *change) *PostingList {
-	dropped, added := c.dropped, c.added
+func splice(old *PostingList, dropped, added []*xmltree.Node) *PostingList {
 	obuf, nbuf := getPostingBuf(), getPostingBuf()
 	olds := old.appendAll(*obuf)
 	out := (*nbuf)[:0]
@@ -283,41 +203,9 @@ func postingOf(n *xmltree.Node) Posting {
 	return Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n}
 }
 
-func valueKeyLess(a, b valueKey) bool {
-	if a.path != b.path {
-		return a.path < b.path
+func compareValueKeys(a, b valueKey) int {
+	if c := strings.Compare(a.path, b.path); c != 0 {
+		return c
 	}
-	return a.text < b.text
-}
-
-// materialize returns the effective maps of the layer chain: the bottom
-// layer's complete maps with each overlay applied on top, oldest first (nil
-// entries delete). The returned maps are fresh even for a single layer, so
-// callers may keep them.
-func (l *layer) materialize() (map[string]*PostingList, map[valueKey]*PostingList) {
-	var chain []*layer
-	for x := l; x != nil; x = x.below {
-		chain = append(chain, x)
-	}
-	slices.Reverse(chain)
-	bottom := chain[0] // nearly every entry is the bottom layer's
-	paths := make(map[string]*PostingList, len(bottom.paths))
-	values := make(map[valueKey]*PostingList, len(bottom.values))
-	for _, x := range chain {
-		for p, pl := range x.paths {
-			if pl.Len() == 0 {
-				delete(paths, p)
-			} else {
-				paths[p] = pl
-			}
-		}
-		for k, pl := range x.values {
-			if pl.Len() == 0 {
-				delete(values, k)
-			} else {
-				values[k] = pl
-			}
-		}
-	}
-	return paths, values
+	return strings.Compare(a.text, b.text)
 }

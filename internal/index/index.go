@@ -29,7 +29,7 @@ package index
 
 import (
 	"runtime"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,9 +64,13 @@ type valueKey struct {
 type Index struct {
 	doc *xmltree.Document
 
-	// The top layer of the index's maps; paths, values and below are
-	// its fields. A self-contained index has a single layer.
-	*layer
+	// The postings, by dotted path and by (path, text). An overlay
+	// epoch's maps lay its spliced lists over its base's, sharing the
+	// layers below; epochs share layers, never each other, so a superseded
+	// epoch — its document, its result memo — is collected as soon as the
+	// last reader that pinned it lets go.
+	paths  xmltree.Layered[string, *PostingList]
+	values xmltree.Layered[valueKey, *PostingList]
 
 	epoch uint64
 
@@ -82,19 +86,6 @@ type Index struct {
 	prof *pathProfiles
 
 	stats Stats
-}
-
-// layer is one level of an index's maps. Epochs share layers, never each
-// other: a superseded epoch — its document, its result memo — is reachable
-// from nothing a newer epoch holds, so it is collected as soon as the last
-// reader that pinned it lets go.
-type layer struct {
-	paths  map[string]*PostingList   // dotted path -> postings in document order
-	values map[valueKey]*PostingList // (path, text) -> postings in document order
-
-	// below is the next layer down — an older, larger overlay or the
-	// complete maps at the bottom — nil for the bottom itself.
-	below *layer
 }
 
 // Stats describes an index for observability (the per-shard xmatch_index_*
@@ -159,152 +150,89 @@ const parallelBuildThreshold = 2048
 func Build(doc *xmltree.Document) *Index {
 	start := time.Now()
 	nodes := doc.Nodes()
-	workers := runtime.GOMAXPROCS(0)
-	var paths map[string][]Posting
-	var values map[valueKey][]Posting
-	parallel := len(nodes) >= parallelBuildThreshold && workers > 1
-	if parallel {
-		paths, values = collectParallel(nodes, workers)
-	} else {
-		paths, values = collectSerial(nodes)
+	workers := 1
+	if len(nodes) >= parallelBuildThreshold {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	paths, values := collect(nodes, workers)
+	pm, vm := compressAll(paths, workers), compressAll(values, workers)
 	ix := &Index{
-		doc: doc,
-		layer: &layer{
-			paths:  make(map[string]*PostingList, len(paths)),
-			values: make(map[valueKey]*PostingList, len(values)),
-		},
-		ctr:  &Counters{},
-		prof: &pathProfiles{},
+		doc:    doc,
+		paths:  xmltree.NewLayered(pm, strings.Compare),
+		values: xmltree.NewLayered(vm, compareValueKeys),
+		ctr:    &Counters{},
+		prof:   &pathProfiles{},
+		stats:  computeStats(pm, vm),
 	}
-	if parallel {
-		compressParallel(ix, paths, values, workers)
-	} else {
-		for p, ps := range paths {
-			ix.paths[p] = compressPostings(ps)
-		}
-		for k, ps := range values {
-			ix.values[k] = compressPostings(ps)
-		}
-	}
-	ix.stats = ix.computeStats()
 	ix.stats.BuildTime = time.Since(start)
 	return ix
 }
 
-func collectSerial(nodes []*xmltree.Node) (map[string][]Posting, map[valueKey][]Posting) {
-	paths := make(map[string][]Posting)
-	values := make(map[valueKey][]Posting)
-	for _, n := range nodes {
-		p := Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n}
-		paths[n.Path] = append(paths[n.Path], p)
-		if n.Text != "" {
-			values[valueKey{n.Path, n.Text}] = append(values[valueKey{n.Path, n.Text}], p)
-		}
+// fanOut runs f(0), ..., f(workers-1), each on a goroutine of its own
+// when there is more than one.
+func fanOut(workers int, f func(w int)) {
+	if workers == 1 {
+		f(0)
+		return
 	}
-	return paths, values
-}
-
-// collectParallel builds per-chunk partial postings concurrently and
-// merges them in chunk order. Chunks are contiguous preorder ranges, so
-// appending chunk lists in order yields document order per key.
-func collectParallel(nodes []*xmltree.Node, workers int) (map[string][]Posting, map[valueKey][]Posting) {
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-	type shard struct {
-		paths  map[string][]Posting
-		values map[valueKey][]Posting
-	}
-	shards := make([]shard, workers)
 	var wg sync.WaitGroup
-	chunk := (len(nodes) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(nodes) {
-			hi = len(nodes)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := shard{paths: make(map[string][]Posting), values: make(map[valueKey][]Posting)}
-			for _, n := range nodes[lo:hi] {
-				p := Posting{Start: int32(n.Start), End: int32(n.End), Level: int32(n.Level), Node: n}
-				s.paths[n.Path] = append(s.paths[n.Path], p)
-				if n.Text != "" {
-					s.values[valueKey{n.Path, n.Text}] = append(s.values[valueKey{n.Path, n.Text}], p)
-				}
-			}
-			shards[w] = s
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	paths := make(map[string][]Posting)
-	values := make(map[valueKey][]Posting)
-	for _, s := range shards {
-		for p, ps := range s.paths {
-			paths[p] = append(paths[p], ps...)
-		}
-		for k, ps := range s.values {
-			values[k] = append(values[k], ps...)
-		}
-	}
-	return paths, values
-}
-
-// compressParallel fans the per-list compression out across workers and
-// installs the results into ix's maps single-threaded.
-func compressParallel(ix *Index, paths map[string][]Posting, values map[valueKey][]Posting, workers int) {
-	type pathJob struct {
-		key string
-		ps  []Posting
-		out *PostingList
-	}
-	type valueJob struct {
-		key valueKey
-		ps  []Posting
-		out *PostingList
-	}
-	pjobs := make([]pathJob, 0, len(paths))
-	for p, ps := range paths {
-		pjobs = append(pjobs, pathJob{key: p, ps: ps})
-	}
-	vjobs := make([]valueJob, 0, len(values))
-	for k, ps := range values {
-		vjobs = append(vjobs, valueJob{key: k, ps: ps})
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	total := len(pjobs) + len(vjobs)
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				if i < len(pjobs) {
-					pjobs[i].out = compressPostings(pjobs[i].ps)
-				} else {
-					j := i - len(pjobs)
-					vjobs[j].out = compressPostings(vjobs[j].ps)
-				}
-			}
+			f(w)
 		}()
 	}
 	wg.Wait()
-	for i := range pjobs {
-		ix.paths[pjobs[i].key] = pjobs[i].out
+}
+
+// collect builds the postings of nodes by path and by value key, one
+// contiguous preorder chunk per worker, and concatenates the chunks'
+// lists in chunk order, which is document order.
+func collect(nodes []*xmltree.Node, workers int) (map[string][]Posting, map[valueKey][]Posting) {
+	paths := make([]map[string][]Posting, workers)
+	values := make([]map[valueKey][]Posting, workers)
+	chunk := (len(nodes) + workers - 1) / workers
+	fanOut(workers, func(w int) {
+		ps, vs := make(map[string][]Posting), make(map[valueKey][]Posting)
+		for _, n := range nodes[min(w*chunk, len(nodes)):min((w+1)*chunk, len(nodes))] {
+			ps[n.Path] = append(ps[n.Path], postingOf(n))
+			if n.Text != "" {
+				k := valueKey{n.Path, n.Text}
+				vs[k] = append(vs[k], postingOf(n))
+			}
+		}
+		paths[w], values[w] = ps, vs
+	})
+	for w := 1; w < workers; w++ {
+		for p, ps := range paths[w] {
+			paths[0][p] = append(paths[0][p], ps...)
+		}
+		for k, ps := range values[w] {
+			values[0][k] = append(values[0][k], ps...)
+		}
 	}
-	for i := range vjobs {
-		ix.values[vjobs[i].key] = vjobs[i].out
+	return paths[0], values[0]
+}
+
+// compressAll compresses every list of lists, fanned out across workers.
+func compressAll[K comparable](lists map[K][]Posting, workers int) map[K]*PostingList {
+	keys := make([]K, 0, len(lists))
+	for k := range lists {
+		keys = append(keys, k)
 	}
+	out := make([]*PostingList, len(keys))
+	var next atomic.Int64
+	fanOut(workers, func(int) {
+		for i := int(next.Add(1)) - 1; i < len(keys); i = int(next.Add(1)) - 1 {
+			out[i] = compressPostings(lists[keys[i]])
+		}
+	})
+	m := make(map[K]*PostingList, len(keys))
+	for i, k := range keys {
+		m[k] = out[i]
+	}
+	return m
 }
 
 // Attach builds an index over doc and attaches it to the document's
@@ -348,54 +276,22 @@ func (ix *Index) SetEpoch(e uint64) {
 	ix.stats.Epoch = e
 }
 
-// list returns the postings list of the given dotted path. An overlay
-// epoch answers from its own spliced entries first and falls through to
-// the base chain; a self-contained index answers in one lookup.
-func (ix *Index) list(path string) *PostingList {
-	for l := ix.layer; l != nil; l = l.below {
-		if pl, ok := l.paths[path]; ok {
-			return pl
-		}
-	}
-	return nil
-}
-
-// valueList returns the postings list of one (path, text) value key.
-func (ix *Index) valueList(k valueKey) *PostingList {
-	for l := ix.layer; l != nil; l = l.below {
-		if pl, ok := l.values[k]; ok {
-			return pl
-		}
-	}
-	return nil
-}
-
 // Postings returns the region postings of the given dotted path in
 // document order, decoded into a fresh slice. It is a diagnostic and test
 // accessor; the matcher reads the compressed lists directly through
 // cursors and never materializes whole lists it can gallop over.
-func (ix *Index) Postings(path string) []Posting {
-	return ix.list(path).appendAll(nil)
-}
+func (ix *Index) Postings(path string) []Posting { return ix.paths.Get(path).appendAll(nil) }
 
 // ValuePostings returns the postings of nodes under path whose text equals
 // value, in document order, decoded into a fresh slice. Diagnostic and
 // test accessor, like Postings.
 func (ix *Index) ValuePostings(path, value string) []Posting {
-	return ix.valueList(valueKey{path, value}).appendAll(nil)
+	return ix.values.Get(valueKey{path, value}).appendAll(nil)
 }
 
 // Paths returns the indexed dotted paths, sorted. Used by tests and
 // benchmarks; the hot path never calls it.
-func (ix *Index) Paths() []string {
-	paths, _ := ix.materialize()
-	out := make([]string, 0, len(paths))
-	for p := range paths {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (ix *Index) Paths() []string { return ix.paths.Keys() }
 
 // PathStat is one path's row of the per-path postings report (the CLI's
 // index -stats mode): the static postings footprint joined with the
@@ -419,13 +315,14 @@ type PathStat struct {
 // footprints, and the observed workload funnel, sorted by path.
 // Diagnostic; materializes overlay chains.
 func (ix *Index) PathStats() []PathStat {
-	paths, _ := ix.materialize()
+	paths := ix.paths.Sorted()
 	profiles := make(map[string]PathProfile)
 	for _, pp := range ix.PathProfiles() {
 		profiles[pp.Path] = pp
 	}
 	out := make([]PathStat, 0, len(paths))
-	for p, pl := range paths {
+	for _, e := range paths {
+		p, pl := e.Key, e.Val
 		pp := profiles[p]
 		out = append(out, PathStat{
 			Path:            p,
@@ -438,7 +335,6 @@ func (ix *Index) PathStats() []PathStat {
 			ReachSurvivors:  pp.ReachSurvivors,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
 }
 
@@ -447,22 +343,13 @@ func (ix *Index) PathStats() []PathStat {
 // the compression ratio.
 const postingBytes = 24
 
-func (ix *Index) computeStats() Stats {
-	st := Stats{DistinctPaths: len(ix.paths), ValueKeys: len(ix.values)}
-	for p, pl := range ix.paths {
+func computeStats(paths map[string]*PostingList, values map[valueKey]*PostingList) (st Stats) {
+	for p, pl := range paths {
 		st.Postings += pl.Len()
-		st.PostingsBytes += pl.residentBytes()
-		st.PostingsFlatBytes += pl.flatBytes()
-		st.ResidentBytes += len(p)
-		st.FlatBytes += len(p)
+		st.DistinctPaths += st.addPostings(nil, pl, len(p))
 	}
-	for k, pl := range ix.values {
-		st.PostingsBytes += pl.residentBytes()
-		st.PostingsFlatBytes += pl.flatBytes()
-		st.ResidentBytes += len(k.path) + len(k.text)
-		st.FlatBytes += len(k.path) + len(k.text)
+	for k, pl := range values {
+		st.ValueKeys += st.addPostings(nil, pl, len(k.path)+len(k.text))
 	}
-	st.ResidentBytes += st.PostingsBytes
-	st.FlatBytes += st.PostingsFlatBytes
 	return st
 }

@@ -91,9 +91,9 @@ func (ix *Index) matchTwig(st *twigState, qn *twig.Node, paths twig.PathBinding)
 	if len(qn.Children) == 0 && !(qn.HasValue && qn.Value == "") {
 		var pl *PostingList
 		if qn.HasValue {
-			pl = ix.valueList(valueKey{paths[qn], qn.Value})
+			pl = ix.values.Get(valueKey{paths[qn], qn.Value})
 		} else {
-			pl = ix.list(paths[qn])
+			pl = ix.paths.Get(paths[qn])
 		}
 		st.tally.fastPath = 1
 		st.tally.candidates = uint64(pl.Len())
@@ -157,7 +157,7 @@ var memoSeed = maphash.MakeSeed()
 // It reports false when the list is empty (the pattern cannot match).
 func (ix *Index) loadCandidates(st *twigState, i int, n *twig.Node, paths twig.PathBinding) bool {
 	if n.HasValue && n.Value == "" {
-		pl := ix.list(paths[n])
+		pl := ix.paths.Get(paths[n])
 		if pl.Len() == 0 {
 			return false
 		}
@@ -173,9 +173,9 @@ func (ix *Index) loadCandidates(st *twigState, i int, n *twig.Node, paths twig.P
 	}
 	var pl *PostingList
 	if n.HasValue {
-		pl = ix.valueList(valueKey{paths[n], n.Value})
+		pl = ix.values.Get(valueKey{paths[n], n.Value})
 	} else {
-		pl = ix.list(paths[n])
+		pl = ix.paths.Get(paths[n])
 	}
 	st.lists[i], st.cand[i], st.owned[i] = pl, nil, false
 	return pl.Len() > 0

@@ -1,7 +1,5 @@
 package index
 
-import "sort"
-
 // Snapshot is the pointer-free comparison form of an Index: the region
 // encodings and value keys of every entry, sorted, with no node pointers.
 // Nothing persists it — the index is derived state, rebuilt from its
@@ -33,24 +31,16 @@ type SnapshotValue struct {
 }
 
 // Snapshot extracts the comparison form of the index. Entries are sorted,
-// so two snapshots of the same index are deeply equal. An
-// overlay epoch is materialized first, so the snapshot of a mutated
-// index is indistinguishable from that of a fresh build over the same
-// document.
+// so two snapshots of the same index are deeply equal, and the snapshot of
+// a mutated index is that of a fresh build over the same document.
 func (ix *Index) Snapshot() *Snapshot {
-	pathMap, valueMap := ix.materialize()
 	snap := &Snapshot{DocNodes: ix.doc.Len()}
-	pathNames := make([]string, 0, len(pathMap))
-	for p := range pathMap {
-		pathNames = append(pathNames, p)
-	}
-	sort.Strings(pathNames)
 	buf := getPostingBuf()
-	for _, path := range pathNames {
-		*buf = pathMap[path].appendAll((*buf)[:0])
+	for _, e := range ix.paths.Sorted() {
+		*buf = e.Val.appendAll((*buf)[:0])
 		ps := *buf
 		sp := SnapshotPath{
-			Path:   path,
+			Path:   e.Key,
 			Starts: make([]int32, len(ps)),
 			Ends:   make([]int32, len(ps)),
 			Levels: make([]int32, len(ps)),
@@ -60,15 +50,10 @@ func (ix *Index) Snapshot() *Snapshot {
 		}
 		snap.Paths = append(snap.Paths, sp)
 	}
-	keys := make([]valueKey, 0, len(valueMap))
-	for k := range valueMap {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return valueKeyLess(keys[i], keys[j]) })
-	for _, k := range keys {
-		*buf = valueMap[k].appendAll((*buf)[:0])
+	for _, e := range ix.values.Sorted() {
+		*buf = e.Val.appendAll((*buf)[:0])
 		ps := *buf
-		sv := SnapshotValue{Path: k.path, Text: k.text, Starts: make([]int32, len(ps))}
+		sv := SnapshotValue{Path: e.Key.path, Text: e.Key.text, Starts: make([]int32, len(ps))}
 		for i, p := range ps {
 			sv.Starts[i] = p.Start
 		}

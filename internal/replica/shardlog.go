@@ -45,6 +45,9 @@ type ShardLog struct {
 	frames  [][]byte
 	bytes   int64
 
+	enc  store.RecordEncoder
+	file *store.EditLogFile // opened by an append, closed by a failed one, a checkpoint and Retire
+
 	// appendLat times the durable file append (fsync included) of each
 	// logged record; empty on memory-only logs.
 	appendLat *obs.Histogram
@@ -95,7 +98,7 @@ func OpenShardLog(path string, syncEach bool, ckptEpoch uint64) (*ShardLog, []st
 		if rec.Epoch <= ckptEpoch {
 			continue // already folded into the checkpoint
 		}
-		frame, err := store.EncodeEditRecord(rec)
+		frame, err := l.enc.Encode(rec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -149,12 +152,12 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.retired {
-		return fmt.Errorf("replica: edit log retired by reload")
+		return fmt.Errorf("replica: edit log retired")
 	}
 	if want := l.base + uint64(len(l.frames)) + 1; epoch != want {
 		return fmt.Errorf("replica: append at epoch %d, want %d", epoch, want)
 	}
-	frame, err := store.EncodeEditRecord(store.EditRecord{Epoch: epoch, Edits: edits})
+	frame, err := l.enc.Encode(store.EditRecord{Epoch: epoch, Edits: edits})
 	if err != nil {
 		return err
 	}
@@ -168,8 +171,14 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 			}
 			l.repair = false
 		}
+		if l.file == nil {
+			if l.file, err = store.OpenEditLogFile(l.path); err != nil {
+				return err
+			}
+		}
 		start := time.Now()
-		if err := store.AppendEditFrameFile(l.path, epoch, frame, l.sync); err != nil {
+		if err := l.file.Append(epoch, frame, l.sync); err != nil {
+			l.closeFile() // the repair reopens it
 			l.repair = true
 			return err
 		}
@@ -178,6 +187,15 @@ func (l *ShardLog) Append(epoch uint64, edits []delta.Edit) error {
 	l.frames = append(l.frames, frame)
 	l.bytes += int64(len(frame))
 	return nil
+}
+
+// closeFile closes the edit-log handle, if open. Each append has reported
+// its own write and fsync, so the close error is dropped.
+func (l *ShardLog) closeFile() {
+	if l.file != nil {
+		_ = l.file.Close()
+		l.file = nil
+	}
 }
 
 // Stream describes one streaming response: either the framed records
@@ -225,7 +243,7 @@ func (l *ShardLog) Checkpoint(doc *xmltree.Document, epoch uint64) (int64, error
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.retired {
-		return 0, fmt.Errorf("replica: edit log retired by reload")
+		return 0, fmt.Errorf("replica: edit log retired")
 	}
 	if cur := l.base + uint64(len(l.frames)); epoch != cur {
 		return 0, fmt.Errorf("replica: checkpoint at epoch %d but log is at %d", epoch, cur)
@@ -235,6 +253,7 @@ func (l *ShardLog) Checkpoint(doc *xmltree.Document, epoch uint64) (int64, error
 		if err := store.SaveCheckpointFile(l.ckpt, doc, nil, epoch); err != nil {
 			return 0, err
 		}
+		l.closeFile() // the rewrite renames a new file over the path
 		if err := store.WriteEditLogFile(l.path, epoch, nil); err != nil {
 			return 0, err
 		}
@@ -270,11 +289,13 @@ func (l *ShardLog) CollectMetrics(e *obs.Exporter, labels ...obs.Label) {
 	}
 }
 
-// Retire permanently refuses further appends and checkpoints. Reload
-// retires the outgoing catalog generation's logs so no straggling writer
-// can interleave with the new generation on the same file.
+// Retire permanently refuses further appends and checkpoints, and closes
+// the edit-log file. Reload retires the outgoing catalog generation's
+// logs so no straggling writer can interleave with the new generation on
+// the same file; Server.Close retires the current generation's.
 func (l *ShardLog) Retire() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.retired = true
+	l.closeFile()
 }

@@ -244,3 +244,103 @@ func TestShardLogOpenReconciliation(t *testing.T) {
 		t.Fatalf("post-repair file: %v, %+v", err, lg)
 	}
 }
+
+// TestShardLogWritesAppendEditRecordFileBytes records a mutate sequence
+// over every op through a durable log and checks that the log's file —
+// written through one handle, from one warm encoder — is byte-identical
+// to the file AppendEditRecordFile writes for the same records, and loads.
+func TestShardLogWritesAppendEditRecordFileBytes(t *testing.T) {
+	dir := t.TempDir()
+	path, ref := filepath.Join(dir, "s0.editlog"), filepath.Join(dir, "ref.editlog")
+	l, _, err := OpenShardLog(path, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Retire()
+	h := shardState(t)
+	var recs []store.EditRecord
+	record := func(epoch uint64, edits []delta.Edit) error {
+		recs = append(recs, store.EditRecord{Epoch: epoch, Edits: edits})
+		return l.Append(epoch, edits)
+	}
+	for i := 0; i < 40; i++ {
+		var edits []delta.Edit
+		switch i % 4 {
+		case 0:
+			edits = []delta.Edit{{Op: delta.OpSetText, Path: "r.a", Text: strings.Repeat("é", i)}}
+		case 1:
+			edits = []delta.Edit{{Op: delta.OpInsert, Path: "r", Pos: -1, XML: "<b><c>x</c></b>"}}
+		case 2:
+			edits = []delta.Edit{{Op: delta.OpRename, Path: "r.b", Label: "d"}, {Op: delta.OpSetText, Path: "r.d.c", Text: ""}}
+		case 3:
+			edits = []delta.Edit{{Op: delta.OpDelete, Path: "r.d"}}
+		}
+		if _, err := h.ApplyLogged(edits, record); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	for _, rec := range recs {
+		if err := store.AppendEditRecordFile(ref, rec, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("shard log file (%d bytes) differs from AppendEditRecordFile's (%d bytes)", len(got), len(want))
+	}
+	if lg, err := store.LoadEditLogFile(path); err != nil || len(lg.Records) != len(recs) {
+		t.Fatalf("load: %v, %+v", err, lg)
+	}
+}
+
+// TestShardLogTornAppendThenAppend injects a torn append through the
+// store's hook: the append fails, the next one repairs the file by path,
+// reopens it and succeeds, and the log loads with every acknowledged
+// record and nothing else.
+func TestShardLogTornAppendThenAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s0.editlog")
+	l, _, err := OpenShardLog(path, true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Retire()
+	if err := l.Append(1, batch("one")); err != nil {
+		t.Fatal(err)
+	}
+	tear := true
+	store.SetHooks(&store.Hooks{AppendFrame: func(_ string, frame []byte) (int, error) {
+		if tear {
+			tear = false
+			return len(frame) / 2, os.ErrDeadlineExceeded
+		}
+		return len(frame), nil
+	}})
+	t.Cleanup(func() { store.SetHooks(nil) })
+	if err := l.Append(2, batch("torn")); err == nil {
+		t.Fatal("torn append reported success")
+	}
+	if lg, err := store.LoadEditLogFile(path); err != nil || !lg.Torn || len(lg.Records) != 1 {
+		t.Fatalf("after the torn append: %v, %+v", err, lg)
+	}
+	for i, text := range []string{"two", "three"} {
+		if err := l.Append(uint64(2+i), batch(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg, err := store.LoadEditLogFile(path)
+	if err != nil || lg.Torn || len(lg.Records) != 3 {
+		t.Fatalf("after the repair: %v, %+v", err, lg)
+	}
+	for i, text := range []string{"one", "two", "three"} {
+		if rec := lg.Records[i]; rec.Epoch != uint64(i+1) || rec.Edits[0].Text != text {
+			t.Fatalf("record %d: %+v", i, rec)
+		}
+	}
+}

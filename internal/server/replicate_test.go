@@ -10,11 +10,14 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -480,5 +483,81 @@ func TestCheckpointDurableRestart(t *testing.T) {
 	mutate(5)
 	if got := after.Snapshot().Epoch; got != 6 {
 		t.Fatalf("post-restart mutate epoch %d, want 6", got)
+	}
+}
+
+// TestEditLogHandlesDoNotLeak counts the process's open files. A durable
+// shard log holds one handle to its edit-log file: a reload retires the
+// outgoing generation's log, closing it, across 50 reloads; a checkpoint
+// rewrites the file and the next append reopens the new one and lands in
+// it; and Server.Close closes the handle.
+func TestEditLogHandlesDoNotLeak(t *testing.T) {
+	if _, err := os.ReadDir("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd to count open files in")
+	}
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	man := &store.Catalog{Entries: []store.CatalogEntry{
+		{Name: "durable", Dataset: "D1", Mappings: 8, DocNodes: 200, DocSeed: 3, EditLogPath: "durable.editlog"},
+	}}
+	srv, err := server.New(func() (*server.Catalog, error) {
+		return server.BuildCatalog(man, dir, engine.Options{Workers: 2})
+	}, server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(path string, body any) []byte {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := serveRecorded(context.Background(), srv, path, data)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	mutate := func(i int) {
+		t.Helper()
+		root := srv.Catalog().Get("durable").Shards()[0].Live.Snapshot().Doc.Root
+		serve("/v1/admin/mutate", server.MutateRequest{Dataset: "durable",
+			Edits: []delta.Edit{{Op: delta.OpSetText, Start: root.Start, Text: fmt.Sprint(i)}}})
+	}
+
+	mutate(0) // the log's handle is open from its first append on
+	base := openFiles()
+	for i := 1; i <= 50; i++ {
+		if _, err := srv.Reload(); err != nil {
+			t.Fatal(err)
+		}
+		mutate(i)
+	}
+	if n := openFiles(); n > base {
+		t.Fatalf("%d open files after 50 reloads, %d before", n, base)
+	}
+
+	serve("/v1/admin/checkpoint", server.CheckpointRequest{Dataset: "durable"})
+	mutate(51)
+	path := filepath.Join(dir, "durable.editlog")
+	lg, err := store.LoadEditLogFile(path)
+	if err != nil || lg.Base != 51 || len(lg.Records) != 1 || lg.Records[0].Epoch != 52 {
+		t.Fatalf("the append after the checkpoint: %v, %+v", err, lg)
+	}
+	if n := openFiles(); n > base {
+		t.Fatalf("%d open files after a checkpoint, %d before", n, base)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFiles(); n >= base {
+		t.Fatalf("%d open files after Close, %d with the log open", n, base)
 	}
 }

@@ -294,13 +294,29 @@ func New(loader Loader, opts Options) (*Server, error) {
 // requests finish.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// Close releases the server's workload-capture file. Serving after Close
-// keeps working; captures are just no longer recorded.
+// Close releases what the server holds: it retires the current catalog
+// (see retire), closing its edit-log files, and closes the workload
+// capture. Queries after Close keep working, from cold memos and no
+// longer captured; a mutate fails on its retired log.
 func (s *Server) Close() error {
+	retire(s.cat.Load())
 	if s.capture != nil {
 		return s.capture.close()
 	}
 	return nil
+}
+
+// retire purges the result memo of every shard of cat and retires its
+// shard log.
+func retire(cat *Catalog) {
+	for _, d := range cat.Datasets() {
+		for _, sh := range d.Shards() {
+			sh.Live.Snapshot().Index.PurgeMemo()
+			if sh.Log != nil {
+				sh.Log.Retire()
+			}
+		}
+	}
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -330,14 +346,7 @@ func (s *Server) Reload() ([]string, error) {
 		// half of the race: a mutate or checkpoint that resolved the old
 		// collection before the swap fails its log write instead of
 		// interleaving with the new generation's writer on the same file.
-		for _, d := range old.Datasets() {
-			for _, sh := range d.Shards() {
-				sh.Live.Snapshot().Index.PurgeMemo()
-				if sh.Log != nil {
-					sh.Log.Retire()
-				}
-			}
-		}
+		retire(old)
 	}
 	if s.follower != nil {
 		s.wireFollower(cat)

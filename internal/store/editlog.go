@@ -110,6 +110,50 @@ func EncodeEditRecord(rec EditRecord) ([]byte, error) {
 	return buf[binary.MaxVarintLen64-n:], nil
 }
 
+// RecordEncoder frames records as EncodeEditRecord does, byte for byte,
+// from one gob encoder kept warm: the first record captures the type
+// descriptors a fresh encoder writes before the value, and every frame is
+// the length prefix, those descriptors and the warm encoder's value
+// message. (Gob numbers types per process, so both encoders agree.) The
+// zero value is ready for use; it is not safe for concurrent use.
+type RecordEncoder struct {
+	enc   *gob.Encoder
+	buf   bytes.Buffer
+	types []byte // the descriptors a fresh encoder writes before the value
+}
+
+// Encode returns rec's frame in a fresh array.
+func (e *RecordEncoder) Encode(rec EditRecord) ([]byte, error) {
+	if len(rec.Edits) == 0 {
+		return nil, fmt.Errorf("store: edit log: empty batch")
+	}
+	e.buf.Reset()
+	fresh := e.enc == nil
+	if fresh {
+		e.enc = gob.NewEncoder(&e.buf)
+	}
+	if err := e.enc.Encode(rec); err != nil {
+		e.enc = nil // it may have sent half a type
+		return nil, fmt.Errorf("store: encoding edit record: %w", err)
+	}
+	if fresh {
+		// Encoding the record again gives its value message alone, and
+		// what stands before it in the first encoding is the descriptors.
+		n := e.buf.Len()
+		if err := e.enc.Encode(rec); err != nil {
+			e.enc = nil
+			return nil, fmt.Errorf("store: encoding edit record: %w", err)
+		}
+		e.types = bytes.Clone(e.buf.Bytes()[:n-(e.buf.Len()-n)])
+		e.buf.Next(n)
+	}
+	value := e.buf.Bytes()
+	size := len(e.types) + len(value)
+	frame := make([]byte, 0, binary.MaxVarintLen64+size)
+	frame = binary.AppendUvarint(frame, uint64(size))
+	return append(append(frame, e.types...), value...), nil
+}
+
 // LoadEditLog reads an edit log, returning the base epoch and the applied
 // records in append order. A final record truncated by end-of-file is
 // dropped and reported via Torn/ValidSize rather than failing the load; so
@@ -161,49 +205,64 @@ func LoadEditLog(r io.Reader) (*EditLog, error) {
 	}
 }
 
-// AppendEditRecordFile appends one record to the edit-log file at path,
-// creating the file (with its envelope, at the record's predecessor
-// epoch) if it does not exist or is empty. The append is a single write
-// on a file opened with O_APPEND; if it fails partway (disk full, say)
-// the file is truncated back to its pre-append size, so a failed — and
-// therefore unacknowledged — append cannot leave garbage in front of
-// later successful records. With sync set the record is fsynced before
-// success is reported, so an acknowledged batch survives a process or
-// machine crash.
-//
-// The caller is responsible for having repaired any torn tail first
-// (RecoverEditLogFile): appending after torn garbage would strand an
-// intact record behind undecodable bytes, which LoadEditLog rightly
-// refuses as mid-log corruption.
+// AppendEditRecordFile appends one record to the edit-log file at path
+// through a handle opened and closed around it (see EditLogFile.Append).
 func AppendEditRecordFile(path string, rec EditRecord, sync bool) error {
-	return appendEditFrame(path, rec.Epoch, sync, func() ([]byte, error) { return EncodeEditRecord(rec) })
+	w, err := OpenEditLogFile(path)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	return w.append(rec.Epoch, sync, func() ([]byte, error) { return EncodeEditRecord(rec) })
 }
 
-// AppendEditFrameFile is AppendEditRecordFile for a record already framed
-// by EncodeEditRecord — a caller that keeps the frame (the replication log
-// retains it for streaming) encodes once and hands it down. epoch is the
-// record's epoch, which bases the envelope when the file is new.
-func AppendEditFrameFile(path string, epoch uint64, frame []byte, sync bool) error {
-	return appendEditFrame(path, epoch, sync, func() ([]byte, error) { return frame, nil })
+// EditLogFile is an edit-log file held open for appends. It tracks the
+// file's size itself, so an append is one write (and one fsync when
+// synced), without an open, stat or close. It is not safe for concurrent
+// use.
+type EditLogFile struct {
+	f    *os.File
+	size int64
 }
 
-// appendEditFrame appends the frame that encode yields. A new file gets
-// its envelope in the same write as its first frame, so a failed write
-// leaves no envelope without a record. encode runs after the envelope is
-// encoded, where AppendEditRecordFile has always encoded, so that entry
-// point writes the bytes it always wrote (gob numbers types in order of
-// first use within a process).
-func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte, error)) error {
+// OpenEditLogFile opens the edit-log file at path for appending, creating
+// it if it does not exist.
+func OpenEditLogFile(path string) (*EditLogFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return err
+		f.Close()
+		return nil, err
 	}
-	pre := st.Size()
+	return &EditLogFile{f: f, size: st.Size()}, nil
+}
+
+// Close closes the file.
+func (w *EditLogFile) Close() error { return w.f.Close() }
+
+// Append appends one record frame (EncodeEditRecord's bytes; epoch is the
+// record's). An empty file first gets its envelope, at the record's
+// predecessor epoch, in the same write, so a failed write leaves no
+// envelope without a record. If the write fails partway (disk full, say)
+// the file is truncated back, so a failed — unacknowledged — append
+// leaves no garbage in front of later records. With sync set the record
+// is fsynced before success is reported, so an acknowledged batch
+// survives a crash. After a failure the caller repairs the file by path
+// (RecoverEditLogFile: an injected torn write skips the truncate) and
+// opens it again: an append after torn bytes would strand an intact
+// record behind them, which LoadEditLog refuses as mid-log corruption.
+func (w *EditLogFile) Append(epoch uint64, frame []byte, sync bool) error {
+	return w.append(epoch, sync, func() ([]byte, error) { return frame, nil })
+}
+
+// append appends the frame encode yields. encode runs after the envelope
+// is encoded, so AppendEditRecordFile writes the bytes it always wrote
+// (gob numbers types in order of first use within a process).
+func (w *EditLogFile) append(epoch uint64, sync bool, encode func() ([]byte, error)) error {
+	path, pre := w.f.Name(), w.size
 	var head []byte
 	if pre == 0 {
 		if epoch == 0 {
@@ -229,24 +288,25 @@ func appendEditFrame(path string, epoch uint64, sync bool, encode func() ([]byte
 		// mid-write leaves; a clean variant writes nothing. Either way the
 		// append fails, so the batch is not acknowledged.
 		if keep > 0 {
-			_, _ = f.Write(out[:len(out)-len(frame)+min(keep, len(frame))])
+			_, _ = w.f.Write(out[:len(out)-len(frame)+min(keep, len(frame))])
 		}
 		return herr
 	}
-	if _, err := f.Write(out); err != nil {
+	if _, err := w.f.Write(out); err != nil {
 		// Best effort: a tail we cannot truncate is still recoverable on
 		// load (torn-tail tolerance) as long as no later append lands
 		// after it; returning the error makes the mutate fail, so the
 		// batch is not acknowledged either way.
-		_ = f.Truncate(pre)
+		_ = w.f.Truncate(pre)
 		return err
 	}
 	if sync {
-		if err := f.Sync(); err != nil {
-			_ = f.Truncate(pre)
+		if err := w.f.Sync(); err != nil {
+			_ = w.f.Truncate(pre)
 			return err
 		}
 	}
+	w.size += int64(len(out))
 	return nil
 }
 

@@ -9,14 +9,14 @@ import "sync/atomic"
 // per file operation.
 type Hooks struct {
 	// AppendFrame is consulted with the target path and the encoded
-	// edit-record frame before it is appended (AppendEditRecordFile,
-	// AppendEditFrameFile). Returning
-	// (len(frame), nil) passes. Returning an error with keep == 0 injects
-	// a clean failure: nothing is written and the append fails as a disk
-	// error would. Returning an error with keep > 0 injects a torn write:
-	// only the first keep bytes land on disk and the failure path skips
-	// its truncate repair — exactly the state a crash mid-write leaves,
-	// which RecoverEditLogFile must clean up before the next append.
+	// edit-record frame before it is appended (EditLogFile.Append,
+	// AppendEditRecordFile). Returning (len(frame), nil) passes. Returning
+	// an error with keep == 0 injects a clean failure: nothing is written
+	// and the append fails as a disk error would. Returning an error with
+	// keep > 0 injects a torn write: only the first keep bytes land on disk
+	// and the failure path skips its truncate repair — exactly the state a
+	// crash mid-write leaves, which RecoverEditLogFile must clean up before
+	// the next append.
 	AppendFrame func(path string, frame []byte) (keep int, err error)
 	// WriteFile is consulted with the target path before an atomic
 	// replace (WriteEditLogFile, SaveCheckpointFile); an error aborts the

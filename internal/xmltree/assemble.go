@@ -1,6 +1,9 @@
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // NodeSpec describes one node of a document being reassembled from
 // persisted state. Specs are given in preorder; Parent indexes the spec
@@ -49,7 +52,7 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 		return nil, fmt.Errorf("xmltree: assemble: negative numbering base %d", numBase)
 	}
 	nodes := make([]*Node, len(specs))
-	byPath := make(map[string][]*Node)
+	byPath := make(map[string]nodeList)
 	lastStart := numBase
 	for i, sp := range specs {
 		if sp.Label == "" {
@@ -87,5 +90,5 @@ func Assemble(specs []NodeSpec, numBase int) (*Document, error) {
 		}
 		nodes[i] = n
 	}
-	return &Document{Root: nodes[0], count: len(nodes), nodes: nodes, numBase: numBase, paths: &pathLayer{byPath: byPath}}, nil
+	return &Document{Root: nodes[0], count: len(nodes), nodes: nodes, numBase: numBase, paths: NewLayered(byPath, strings.Compare)}, nil
 }

@@ -1,6 +1,9 @@
 package xmltree
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // CorpusRootLabel is the label of the synthetic root a Corpus document
 // places above its members. Parentheses cannot appear in schema element
@@ -48,8 +51,7 @@ func Corpus(members ...*Document) (*Document, error) {
 	d := &Document{Root: super}
 	d.nodes = make([]*Node, 0, total)
 	d.nodes = append(d.nodes, super)
-	byPath := map[string][]*Node{CorpusRootLabel: {super}}
-	d.paths = &pathLayer{byPath: byPath}
+	byPath := map[string]nodeList{CorpusRootLabel: {super}}
 	for _, m := range members {
 		super.Children = append(super.Children, m.Root)
 		d.nodes = append(d.nodes, m.Nodes()...)
@@ -57,6 +59,7 @@ func Corpus(members ...*Document) (*Document, error) {
 			byPath[p] = append(byPath[p], m.NodesByPath(p)...)
 		}
 	}
+	d.paths = NewLayered(byPath, strings.Compare)
 	d.count = len(d.nodes)
 	return d, nil
 }

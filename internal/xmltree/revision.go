@@ -20,9 +20,11 @@ package xmltree
 // interval itself runs out of room.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Revision is an in-progress copy-on-write edit batch over a base
@@ -44,8 +46,10 @@ type Revision struct {
 // objects that left the document (deleted nodes, plus originals superseded
 // by clones) and those that entered it (clones, plus inserted nodes). A
 // node whose position, label, path, and text are all unchanged appears in
-// neither list. Added is in the new snapshot's document order, Dropped in
-// the base snapshot's (the start numbers the nodes carry).
+// neither list. Both lists are grouped by path, in path order, and each
+// path's nodes are in document order (by the start numbers they carry:
+// Added the new snapshot's, Dropped the base snapshot's), so a path's
+// share of either list is one run of it (see EachRun).
 //
 // Most entries of a change set are not changes a query can observe: every
 // edit clones the spine from the root to its target, and a clone that
@@ -454,115 +458,98 @@ func renumberChildren(a *Node) {
 // from it remain fully usable. Committing a revision twice, or using it
 // after Commit, is invalid.
 func (r *Revision) Commit() (*Document, *ChangeSet) {
-	cs := &ChangeSet{Dropped: r.dropped}
-	slices.SortFunc(cs.Dropped, byStart)
+	cs := &ChangeSet{Dropped: r.dropped, Touched: []string{}}
+	slices.SortFunc(cs.Dropped, byPath)
 	cs.Added = make([]*Node, 0, len(r.owned))
-	touched := make(map[string]bool)
-	replaced := make(map[*Node]bool, len(r.owned)) // originals a position-identical clone stands in for
-	for n, orig := range r.owned {
+	for n := range r.owned {
 		cs.Added = append(cs.Added, n)
-		if orig != nil && samePosition(n, orig) {
-			replaced[orig] = true
-		} else {
-			touched[n.Path] = true
-		}
 	}
-	slices.SortFunc(cs.Added, byStart)
+	slices.SortFunc(cs.Added, byPath)
 
-	// The path index becomes an overlay over the base document's: only
-	// the affected paths get freshly spliced lists (nil marks a path that
-	// disappeared); every other lookup falls through the chain. An added
-	// node takes the string its path already has in the lineage, or the
-	// string of the first node added on it, so that a path keeps one
-	// string (see Node.Path).
-	droppedBy := make(map[string][]*Node) // sorted by start, like cs.Dropped
-	for _, n := range cs.Dropped {
-		droppedBy[n.Path] = append(droppedBy[n.Path], n)
-		if !replaced[n] {
-			touched[n.Path] = true
-		}
-	}
-	addedBy := make(map[string][]*Node) // document order, like cs.Added
-	for _, n := range cs.Added {
-		addedBy[n.Path] = append(addedBy[n.Path], n)
-		if _, ok := droppedBy[n.Path]; !ok {
-			droppedBy[n.Path] = nil // a path that only gained nodes is affected too
-		}
-	}
-	cs.Touched = make([]string, 0, len(touched))
-	for p := range touched {
-		cs.Touched = append(cs.Touched, p)
-	}
-	sort.Strings(cs.Touched)
-
-	top := &pathLayer{byPath: make(map[string][]*Node, len(droppedBy)), below: r.base.paths}
-	for p, dropped := range droppedBy {
-		old, added := r.base.NodesByPath(p), addedBy[p]
+	// The path index gains an overlay over the base document's: only the
+	// affected paths get freshly spliced lists (an empty one where a path
+	// disappeared); every other lookup falls through to the layers below.
+	// An added node takes the string its path already has in the lineage,
+	// or the string of the path's first added node, so that a path keeps
+	// one string (see Node.Path). Paths come in sorted order, so the
+	// overlay and Touched are sorted as they are built.
+	top := make([]Entry[string, nodeList], 0, max(len(cs.Dropped), len(cs.Added)))
+	EachRun(cs.Dropped, cs.Added, ComparePaths, func(k *Node, dropped, added []*Node) {
+		p := k.Path
+		old := r.base.NodesByPath(p)
 		if len(old) > 0 {
 			p = old[0].Path
+		}
+		if !r.replacesInPlace(dropped, added) {
+			cs.Touched = append(cs.Touched, p)
 		}
 		for _, n := range added {
 			n.Path = p
 		}
-		list := SpliceNodes(old, dropped, added)
-		if len(list) == 0 {
-			list = nil // the path disappeared
-		}
-		top.byPath[p] = list
-	}
-	top.settle()
-	return &Document{
+		top = append(top, Entry[string, nodeList]{p, SpliceNodes(old, dropped, added)})
+	})
+	doc := &Document{
 		Root:    r.root,
 		count:   r.base.count + len(cs.Added) - len(cs.Dropped),
 		numBase: r.base.numBase,
-		paths:   top,
-	}, cs
+		paths:   r.base.paths.With(top),
+	}
+	Settle(pathCompactFraction, 0, &doc.paths)
+	return doc, cs
+}
+
+// replacesInPlace reports whether one path's added nodes are all
+// position-identical clones of its dropped ones: then the path is not
+// touched. Both runs are in start order, and a clone stands at its
+// original's start, so such a path's runs pair up index by index.
+func (r *Revision) replacesInPlace(dropped, added []*Node) bool {
+	if len(dropped) != len(added) {
+		return false
+	}
+	for i, n := range added {
+		if r.owned[n] != dropped[i] || !samePosition(n, dropped[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // pathCompactFraction sets when a snapshot's path-index overlays are folded
-// into one complete layer: when they hold at least 1/pathCompactFraction of
-// the entries the complete layer at the bottom holds.
+// into one complete map: when they hold at least 1/pathCompactFraction of
+// the entries the map at the bottom holds (see Settle).
 const pathCompactFraction = 4
 
-// settle keeps the layers under a fresh top layer few by size, so that a
-// commit pays for the paths it touched and not for every path the document
-// has: the new overlay absorbs the overlays below it for as long as they
-// hold no more than twice its entries (sizes then more than double down the
-// chain, which bounds its length by a logarithm and copies an entry once
-// per doubling), and the chain is folded into one complete layer only when
-// the overlays have grown to a fixed fraction of the bottom one — once per
-// that many touched paths, not once per so many commits. (internal/index
-// keeps its overlay chain by the same two rules.)
-func (l *pathLayer) settle() {
-	// How far down to absorb is decided before anything is copied (the sum
-	// stands in for the merged size, which shared paths can only shrink),
-	// so the merged map is allocated once at its final size.
-	n, stop := len(l.byPath), l.below
-	for stop.below != nil && len(stop.byPath) <= 2*n {
-		n += len(stop.byPath)
-		stop = stop.below
-	}
-	if stop != l.below {
-		merged := make(map[string][]*Node, n)
-		for x := l; x != stop; x = x.below {
-			for p, list := range x.byPath {
-				if _, ok := merged[p]; !ok { // the newer overlay's entry stands
-					merged[p] = list
-				}
-			}
+// EachRun calls fn once per key of dropped and added, in key order, with
+// the key's run of each (either may be empty) and the node whose key it
+// is: the run's first dropped node, else its first added one. cmp
+// compares nodes' keys, and both lists must be sorted by key and within a
+// key by start — a change set's lists are, by path.
+func EachRun(dropped, added []*Node, cmp func(a, b *Node) int, fn func(key *Node, dropped, added []*Node)) {
+	for len(dropped) > 0 || len(added) > 0 {
+		var k *Node
+		if len(dropped) > 0 {
+			k = dropped[0]
 		}
-		l.byPath, l.below = merged, stop
-	}
-	overlays, bottom := 0, l
-	for ; bottom.below != nil; bottom = bottom.below {
-		overlays += len(bottom.byPath)
-	}
-	if overlays*pathCompactFraction >= len(bottom.byPath) {
-		l.byPath, l.below = l.materialize(), nil
+		if len(added) > 0 && (k == nil || cmp(added[0], k) < 0) {
+			k = added[0]
+		}
+		i, j := 0, 0
+		for i < len(dropped) && cmp(dropped[i], k) == 0 {
+			i++
+		}
+		for j < len(added) && cmp(added[j], k) == 0 {
+			j++
+		}
+		fn(k, dropped[:i], added[:j])
+		dropped, added = dropped[i:], added[j:]
 	}
 }
 
-func byStart(a, b *Node) int { return a.Start - b.Start }
+// ComparePaths orders nodes by path.
+func ComparePaths(a, b *Node) int { return strings.Compare(a.Path, b.Path) }
+
+// byPath orders nodes by path, then by start.
+func byPath(a, b *Node) int { return cmp.Or(ComparePaths(a, b), a.Start-b.Start) }
 
 // SpliceNodes returns list — nodes in document order — without the nodes
 // of dropped and with the nodes of added, in document order: the update of

@@ -523,3 +523,5 @@ func TestSpliceNodesAgainstFilterAndSort(t *testing.T) {
 		}
 	}
 }
+
+func byStart(a, b *Node) int { return a.Start - b.Start }

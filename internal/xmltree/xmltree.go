@@ -13,7 +13,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -94,8 +93,13 @@ type Document struct {
 	nodes     []*Node
 	nodesOnce sync.Once
 
-	// paths is the top layer of the path index (see pathLayer).
-	paths *pathLayer
+	// paths is the path index: dotted path -> nodes in preorder. A parsed
+	// or built document's is one complete map. A revision snapshot's lays
+	// the paths its revisions changed over the base snapshot's (see
+	// Commit); snapshots share those layers, never each other, so nothing
+	// a newer document holds refers to an older Document, and a
+	// superseded snapshot is collected as soon as its last reader lets go.
+	paths Layered[string, nodeList]
 
 	// accel is an opaque accelerator attached by a higher layer (the
 	// positional index of internal/index); consumers type-assert against
@@ -112,18 +116,11 @@ type Document struct {
 	numBase int
 }
 
-// pathLayer is one level of a document's path index: dotted path -> nodes
-// in preorder. A parsed or built document has a single, complete layer. A
-// revision snapshot's top layer holds only the entries revisions changed
-// (nil marking a path that disappeared) and lookups fall through the layers
-// below, which Commit keeps few by size (see settle). Snapshots share
-// layers, never each other: nothing a newer document holds refers to an
-// older Document, so a superseded snapshot is collected as soon as its last
-// reader lets go.
-type pathLayer struct {
-	byPath map[string][]*Node
-	below  *pathLayer
-}
+// nodeList is a path's nodes in preorder; an empty one marks, in an
+// overlay of the path index, a path that disappeared.
+type nodeList []*Node
+
+func (l nodeList) Len() int { return len(l) }
 
 // SetAccel attaches an opaque accelerator to the document (nil detaches).
 // Attachment is not synchronized: it must happen before the document is
@@ -172,8 +169,7 @@ func NewRoot(label string) *Node {
 
 func (d *Document) renumber() {
 	d.nodes = d.nodes[:0]
-	byPath := make(map[string][]*Node)
-	d.paths = &pathLayer{byPath: byPath}
+	byPath := make(map[string]nodeList)
 	counter := d.numBase
 	var walk func(n *Node, level int, prefix string)
 	walk = func(n *Node, level int, prefix string) {
@@ -191,13 +187,14 @@ func (d *Document) renumber() {
 	if d.Root != nil {
 		walk(d.Root, 0, "")
 	}
+	d.paths = NewLayered(byPath, strings.Compare)
 	d.count = len(d.nodes)
 }
 
 // addPath sets the dotted path of n, a node below a parent on path prefix
 // ("" for the root), and files n under it in byPath. A path byPath already
 // lists keeps its string: n takes the one the nodes on it hold.
-func addPath(byPath map[string][]*Node, n *Node, prefix string) {
+func addPath(byPath map[string]nodeList, n *Node, prefix string) {
 	p := n.Label
 	if prefix != "" {
 		p = prefix + "." + n.Label
@@ -236,49 +233,10 @@ func (d *Document) Nodes() []*Node {
 // NodesByPath returns the nodes whose dotted label path from the root equals
 // path, in document (preorder) order. The returned slice must not be
 // modified.
-func (d *Document) NodesByPath(path string) []*Node {
-	for l := d.paths; l != nil; l = l.below {
-		if list, ok := l.byPath[path]; ok {
-			return list
-		}
-	}
-	return nil
-}
-
-// materialize returns the effective path index of the layer chain: the
-// bottom layer's complete map with each overlay applied on top. The
-// returned map is fresh.
-func (l *pathLayer) materialize() map[string][]*Node {
-	var chain []*pathLayer
-	for x := l; x != nil; x = x.below {
-		chain = append(chain, x)
-	}
-	m := make(map[string][]*Node, len(chain[len(chain)-1].byPath))
-	for i := len(chain) - 1; i >= 0; i-- {
-		for p, list := range chain[i].byPath {
-			if list == nil {
-				delete(m, p)
-			} else {
-				m[p] = list
-			}
-		}
-	}
-	return m
-}
+func (d *Document) NodesByPath(path string) []*Node { return d.paths.Get(path) }
 
 // Paths returns the distinct dotted paths present in the document, sorted.
-func (d *Document) Paths() []string {
-	m := d.paths.byPath
-	if d.paths.below != nil {
-		m = d.paths.materialize()
-	}
-	ps := make([]string, 0, len(m))
-	for p := range m {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
-}
+func (d *Document) Paths() []string { return d.paths.Keys() }
 
 // Parse reads an XML document from r. Attributes are ignored; character
 // data is trimmed and attached to the enclosing element.
