@@ -871,32 +871,11 @@ func BenchmarkDeltaApply(b *testing.B) {
 	// wire exposes (WireBinding.Start) and the form a mutation-heavy
 	// client uses. SetText clones keep their numbers, so the starts stay
 	// valid across iterations.
-	b.Run("order-3473", func(b *testing.B) {
-		doc := fixD7.OrderDocument(3473, 43)
-		h := delta.Open(doc)
-		qty := doc.Paths()[0]
-		for _, p := range doc.Paths() {
-			if strings.HasSuffix(p, ".Quantity") {
-				qty = p
-				break
-			}
-		}
-		var starts []int
-		for _, n := range doc.NodesByPath(qty) {
-			starts = append(starts, n.Start)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, err := h.Apply([]delta.Edit{
-				{Op: delta.OpSetText, Start: starts[i%len(starts)], Text: fmt.Sprintf("%d", i%50)},
-				{Op: delta.OpSetText, Start: starts[(i+7)%len(starts)], Text: fmt.Sprintf("%d", (i+9)%50)},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("order-3473", func(b *testing.B) { benchOrderWrites(b, 0) })
+	// warm-memo: the same writes with the result memo holding 16,384
+	// entries — half its bound — that the edits do not bind, refilled after
+	// every compaction: a write costs its edit, not the memo.
+	b.Run("warm-memo", func(b *testing.B) { benchOrderWrites(b, 16384) })
 	// shard-50000: bench/'s edit shape on one corpus_rw-sized shard.
 	b.Run("shard-50000", func(b *testing.B) {
 		doc := fixD7.OrderDocument(50000, 43)
@@ -912,6 +891,45 @@ func BenchmarkDeltaApply(b *testing.B) {
 			}
 		}
 	})
+}
+
+// benchOrderWrites times two-settext writes on Quantity leaves of the large
+// Order document, addressed by start number — the stable node identity the
+// wire exposes (WireBinding.Start) and the form a mutation-heavy client
+// uses — with the result memo holding memoEntries entries the edits do
+// not bind. SetText clones keep their numbers, so the starts stay valid
+// across iterations.
+func benchOrderWrites(b *testing.B, memoEntries int) {
+	doc := fixD7.OrderDocument(3473, 43)
+	h := delta.Open(doc)
+	fillMemo(h.Snapshot().Index, memoEntries)
+	qty := doc.Paths()[0]
+	for _, p := range doc.Paths() {
+		if strings.HasSuffix(p, ".Quantity") {
+			qty = p
+			break
+		}
+	}
+	var starts []int
+	for _, n := range doc.NodesByPath(qty) {
+		starts = append(starts, n.Start)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := h.Apply([]delta.Edit{
+			{Op: delta.OpSetText, Start: starts[i%len(starts)], Text: fmt.Sprintf("%d", i%50)},
+			{Op: delta.OpSetText, Start: starts[(i+7)%len(starts)], Text: fmt.Sprintf("%d", (i+9)%50)},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if memoEntries > 0 && snap.Index.Stats().Overlays == 0 {
+			b.StopTimer()
+			fillMemo(snap.Index, memoEntries)
+			b.StartTimer()
+		}
+	}
 }
 
 // leafSetTexts generates n one-edit settext targets in the shape bench/

@@ -199,8 +199,10 @@ func TestCarriedMemoMatchesRebuild(t *testing.T) {
 }
 
 // TestPinnedSnapshotKeepsItsMemo: a write that invalidates an entry for the
-// next epoch leaves the pinned epoch's own entry — and answer — alone, and
-// hands the next epoch the entries it did not touch without an evaluation.
+// next epoch leaves the pinned epoch's answer — and its memo hit — alone,
+// and the next epoch uses the entries the write did not touch without an
+// evaluation. A reader pinned below every kept version of an entry misses
+// and leaves the newer version in place.
 func TestPinnedSnapshotKeepsItsMemo(t *testing.T) {
 	probes := carryProbes()
 	header, line := probes[0], probes[2]
@@ -217,10 +219,7 @@ func TestPinnedSnapshotKeepsItsMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0 := s1.Index.Counters() // one chain, one set of counters
-	if c0.MemoCarried != 1 || c0.MemoDropped != 1 {
-		t.Fatalf("the write carried %d and dropped %d entries, want 1 and 1", c0.MemoCarried, c0.MemoDropped)
-	}
-	// The pinned epoch: same answer, from its memo.
+	// The pinned epoch: same answer, from the memo.
 	if err := sameAnswer(s0.Index.MatchTwig(s0.Doc, header.root, header.paths), before); err != nil {
 		t.Fatalf("pinned snapshot's answer changed under a later write: %v", err)
 	}
@@ -231,15 +230,46 @@ func TestPinnedSnapshotKeepsItsMemo(t *testing.T) {
 		t.Fatalf("pinned header + carried line: %d hits, %d misses, want 2 and 0", d.MemoHits, d.MemoMisses)
 	}
 	after := s1.Index.MatchTwig(s1.Doc, header.root, header.paths)
-	if d := s1.Index.Counters().Sub(c0); d.MemoMisses != 1 || len(after) != 1 || after[0][2].D.Text != "e1" {
+	d := s1.Index.Counters().Sub(c0)
+	if d.MemoMisses != 1 || len(after) != 1 || after[0][2].D.Text != "e1" {
 		t.Fatalf("new epoch served a stale header answer: %v (misses %d)", after, d.MemoMisses)
+	}
+	if d.MemoCarried != 1 || d.MemoDropped != 1 {
+		t.Fatalf("first uses after the write carried %d and dropped %d entries, want 1 and 1", d.MemoCarried, d.MemoDropped)
+	}
+	// s1's recomputed entry superseded s0's, which s0 still hits.
+	c1 := s1.Index.Counters()
+	if err := sameAnswer(s0.Index.MatchTwig(s0.Doc, header.root, header.paths), before); err != nil {
+		t.Fatalf("pinned snapshot's answer changed after a recompute: %v", err)
+	}
+	if d := s1.Index.Counters().Sub(c1); d.MemoHits != 1 {
+		t.Fatalf("pinned header after s1's recompute: %d hits, want 1", d.MemoHits)
+	}
+
+	// A second header write: s0 is now below both kept versions, so it
+	// misses, and its recompute must not displace s2's entry.
+	s2, err := h.Apply([]delta.Edit{{Op: delta.OpSetText, Path: "r.h.e", Text: "e2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.Index.MatchTwig(s2.Doc, header.root, header.paths)
+	c2 := s2.Index.Counters()
+	if err := sameAnswer(s0.Index.MatchTwig(s0.Doc, header.root, header.paths), before); err != nil {
+		t.Fatalf("pinned snapshot's answer changed after two writes: %v", err)
+	}
+	if got := s2.Index.MatchTwig(s2.Doc, header.root, header.paths); len(got) != 1 || got[0][2].D.Text != "e2" {
+		t.Fatalf("unexpected header answer %v over s2", got)
+	}
+	if d := s2.Index.Counters().Sub(c2); d.MemoMisses != 1 || d.MemoHits != 1 {
+		t.Fatalf("s0 then s2 after two header writes: %d misses and %d hits, want s0 to miss and s2 to hit", d.MemoMisses, d.MemoHits)
 	}
 }
 
 // TestReadersRaceWriterOverCarriedMemo: eight readers evaluate the retained
-// probes over whatever snapshot is current — warming memos the writer is at
-// that moment copying from — and check every answer against the unindexed
-// evaluator over the same snapshot. Run under -race.
+// probes over whatever snapshot is current — storing and stamping entries
+// of the memo the writer is at that moment handing to the next epoch — and
+// check every answer against the unindexed evaluator over the same
+// snapshot. Run under -race.
 func TestReadersRaceWriterOverCarriedMemo(t *testing.T) {
 	probes := carryProbes()
 	h := delta.Open(carryDoc(16))
@@ -364,8 +394,8 @@ func TestCarriedUnitsMatchRebuild(t *testing.T) {
 				t.Fatalf("batch %d epoch %d, %s: plan answer diverged from the oracle: %v", step, snap.Epoch, q.Canonical, err)
 			}
 		}
-		// An epoch's memo starts with what the write carried, so the first
-		// pass's hits are carried units.
+		// An epoch shares its predecessor's memo, so the first pass's hits
+		// are units carried over the write.
 		carriedHits += snap.Index.Counters().Sub(before).UnitHits
 		for _, q := range queries {
 			want := o.Results(set, q.Canonical, 3, snap.Doc)

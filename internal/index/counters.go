@@ -66,9 +66,9 @@ type CountersSnapshot struct {
 	UsefulSurvivors uint64 `json:"usefulSurvivors"`
 	ReachSurvivors  uint64 `json:"reachSurvivors"`
 	Emitted         uint64 `json:"emitted"`
-	// MemoCarried/MemoDropped count, over the chain's writes, the memo
-	// entries a new epoch inherited from its predecessor and the ones it
-	// did not — the write bound one of their paths, or compacted the index.
+	// MemoCarried/MemoDropped count the memo entries a first use after a
+	// write accepted, and those it refused (a write bound one of their
+	// paths) or a compaction released.
 	MemoCarried uint64 `json:"memoCarried"`
 	MemoDropped uint64 `json:"memoDropped"`
 	// UnitHits/UnitMisses count the evaluation plan's unit lookups
@@ -173,7 +173,7 @@ func (c *Counters) addMemoHit() {
 	c.memoHits.Add(1)
 }
 
-// addMemoCarry records what one write did to the result memo.
+// addMemoCarry records what first uses or a compaction did to the memo.
 func (c *Counters) addMemoCarry(carried, dropped int) {
 	if c == nil {
 		return
@@ -225,8 +225,8 @@ func CollectMetrics(e *obs.Exporter) {
 	emit("useful_survivors", "Candidates surviving the bottom-up pass.", s.UsefulSurvivors)
 	emit("reach_survivors", "Candidates surviving the top-down pass.", s.ReachSurvivors)
 	emit("emitted_matches", "Matches emitted by uncached evaluations.", s.Emitted)
-	emit("memo_carried", "Result-memo entries a write handed to the next epoch.", s.MemoCarried)
-	emit("memo_dropped", "Result-memo entries a write invalidated or a compaction released.", s.MemoDropped)
+	emit("memo_carried", "Result-memo entries accepted at first use after a write.", s.MemoCarried)
+	emit("memo_dropped", "Result-memo entries refused at first use after a write, or released by a compaction.", s.MemoDropped)
 	emit("unit_hits", "Evaluation-plan units answered from the result memo.", s.UnitHits)
 	emit("unit_misses", "Evaluation-plan units the result memo did not hold.", s.UnitMisses)
 }

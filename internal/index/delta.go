@@ -56,11 +56,12 @@ const (
 // ApplyChanges derives the index of a mutated document snapshot from the
 // index of its base snapshot and the revision's change set. Postings of
 // unaffected paths are shared with the base; affected paths and value
-// keys get freshly spliced lists. Cached evaluation results whose bound
-// paths the change set did not touch are carried over (see carryFrom). The
-// receiver is not modified and remains the valid index of its own
-// document. The returned index is not yet attached to newDoc; callers
-// publish it with Install.
+// keys get freshly spliced lists. The new epoch shares the receiver's
+// result memo and records only the paths the change set touched: an entry
+// is checked against them the first time a later epoch uses it (see
+// resultMemo). The receiver is not modified and remains the valid index
+// of its own document. The returned index is not yet attached to newDoc;
+// callers publish it with Install.
 func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *Index {
 	start := time.Now()
 	nx := &Index{
@@ -94,17 +95,25 @@ func (ix *Index) ApplyChanges(newDoc *xmltree.Document, cs *xmltree.ChangeSet) *
 	})
 	nx.paths, nx.values = ix.paths.With(paths), ix.values.With(values)
 
-	carried, dropped := 0, 0
+	m := ix.memo.Load()
 	if nx.stats.Overlays = xmltree.Settle(compactFraction, compactMinEntries, &nx.paths, &nx.values); nx.stats.Overlays == 0 {
 		// Compacted, and the memo starts empty: carried results reference
 		// node objects of superseded snapshots, and a compaction is where
 		// those are let go.
-		dropped = ix.memo.len()
+		dropped := m.len()
+		ix.ctr.addMemoCarry(0, dropped)
+		globalCounters.addMemoCarry(0, dropped)
+		m = new(resultMemo)
+	} else if ix.derived.CompareAndSwap(false, true) {
+		prev := ix.write
+		if nx.epoch%maxWriteRecords == 0 {
+			prev = nil
+		}
+		nx.write = &writeRecord{epoch: nx.epoch, touched: cs.Touched, prev: prev}
 	} else {
-		carried, dropped = nx.memo.carryFrom(&ix.memo, cs.Touched)
+		m = new(resultMemo) // a second successor of ix: its epoch's stamps are taken
 	}
-	ix.ctr.addMemoCarry(carried, dropped)
-	globalCounters.addMemoCarry(carried, dropped)
+	nx.memo.Store(m)
 	nx.stats.BuildTime = time.Since(start)
 	return nx
 }

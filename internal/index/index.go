@@ -67,15 +67,19 @@ type Index struct {
 	// The postings, by dotted path and by (path, text). An overlay
 	// epoch's maps lay its spliced lists over its base's, sharing the
 	// layers below; epochs share layers, never each other, so a superseded
-	// epoch — its document, its result memo — is collected as soon as the
-	// last reader that pinned it lets go.
+	// epoch — its document — is collected as soon as the last reader that
+	// pinned it lets go.
 	paths  xmltree.Layered[string, *PostingList]
 	values xmltree.Layered[valueKey, *PostingList]
 
 	epoch uint64
 
-	// memo caches whole evaluations over this epoch (see resultMemo).
-	memo resultMemo
+	// memo caches whole evaluations for the lineage since its last fold
+	// (see resultMemo); write records the write that produced this epoch;
+	// derived is set by its first successor, the one sharing its memo.
+	memo    atomic.Pointer[resultMemo]
+	write   *writeRecord
+	derived atomic.Bool
 
 	// ctr accumulates the chain's matcher counters (see Counters); shared
 	// by every epoch ApplyChanges derives from this one.
@@ -164,6 +168,7 @@ func Build(doc *xmltree.Document) *Index {
 		prof:   &pathProfiles{},
 		stats:  computeStats(pm, vm),
 	}
+	ix.memo.Store(new(resultMemo))
 	ix.stats.BuildTime = time.Since(start)
 	return ix
 }

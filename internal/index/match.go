@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xmatch/internal/twig"
 	"xmatch/internal/xmltree"
@@ -67,7 +68,7 @@ func (ix *Index) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.Path
 	kb := paths.AppendKey(st.keyBuf[:0], qn)
 	st.keyBuf = kb
 	hv := maphash.Bytes(memoSeed, kb)
-	if res, hit := memoGet(&ix.memo, qn, kb, hv); hit {
+	if res, hit := lookup(ix, qn, kb, hv); hit {
 		ix.ctr.addMemoHit()
 		globalCounters.addMemoHit()
 		return res
@@ -79,7 +80,7 @@ func (ix *Index) MatchTwig(doc *xmltree.Document, qn *twig.Node, paths twig.Path
 	ix.ctr.addEval(&st.tally)
 	globalCounters.addEval(&st.tally)
 	ix.prof.flush(st.pathTallies)
-	ix.memo.put(qn, string(kb), hv, res)
+	ix.store(qn, string(kb), hv, res)
 	return res
 }
 
@@ -207,22 +208,22 @@ const (
 	memoShardCap = 4096
 )
 
-// resultMemo is one index's evaluation cache: (pattern node, binding key)
-// -> result, sharded by key under read-write locks. It lives on
-// the Index, so every goroutine querying the epoch shares one warm cache,
-// and a snapshot a reader pinned keeps answering from its own memo
-// whatever is written afterwards. MatchTwig and the evaluation plan's units
-// (LookupUnit, StoreUnit) share it: an entry is keyed by a pattern node
-// and the twig.PathBinding key of the paths its result depends on, whoever
-// wrote it. One map per shard, not one per node: a cold request stores an
-// entry per unit, and a map per node would cost it two allocations each.
+// resultMemo is an index lineage's evaluation cache: (pattern node,
+// binding key) -> result, sharded by key under read-write locks, shared by
+// every epoch until the next fold. A write touches no entry: a later epoch
+// checks one against the writes since at first use (see lookup).
+// MatchTwig and the evaluation plan's units (LookupUnit, StoreUnit) share
+// it: an entry is keyed by a pattern node and the twig.PathBinding key of
+// the paths its result depends on, whoever wrote it. One map per shard,
+// not one per node: a cold request stores an entry per unit, and a map
+// per node would cost it two allocations each.
 type resultMemo struct {
 	shards [memoShards]memoShard
 }
 
 type memoShard struct {
 	mu sync.RWMutex
-	m  map[memoKey][]twig.Match
+	m  map[memoKey]*memoEntry
 }
 
 type memoKey struct {
@@ -230,26 +231,88 @@ type memoKey struct {
 	key string
 }
 
-// memoGet looks the entry (qn, key) up; hv is the key's maphash under
-// memoSeed.
-func memoGet[K string | []byte](m *resultMemo, qn *twig.Node, key K, hv uint64) ([]twig.Match, bool) {
-	shard := &m.shards[hv%memoShards]
-	shard.mu.RLock()
-	res, ok := shard.m[memoKey{qn, string(key)}]
-	shard.mu.RUnlock()
-	return res, ok
+// memoEntry is one result, valid from epoch lo to hi, which later readers
+// raise; prev, read and written under the shard's lock, is the version it
+// superseded, kept one level deep for readers pinned below lo.
+type memoEntry struct {
+	res  []twig.Match
+	key  string
+	lo   uint64
+	hi   atomic.Uint64
+	prev *memoEntry
 }
 
-// put stores the entry (qn, key). A shard past memoShardCap entries is
-// reset rather than grown: a runaway population of distinct patterns or
-// bindings makes the memo start over.
-func (m *resultMemo) put(qn *twig.Node, key string, hv uint64, res []twig.Match) {
-	shard := &m.shards[hv%memoShards]
+// writeRecord is the write that produced an epoch and the paths it
+// touched, linked to the record before it (never to an Index). The chain
+// is cut at every multiple of maxWriteRecords, so a lookup walks, and a
+// lineage holds, at most that many; an entry valid only below it misses.
+type writeRecord struct {
+	epoch   uint64
+	touched []string
+	prev    *writeRecord
+}
+
+const maxWriteRecords = 64
+
+// clean reports whether r's chain reaches the write after hi unbound by key.
+func (r *writeRecord) clean(key string, hi uint64) bool {
+	for ; r != nil && r.epoch > hi && !bindsAny(key, r.touched); r = r.prev {
+		if r.epoch == hi+1 {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup returns the entry (qn, key) valid over ix's epoch; hv is the
+// key's maphash under memoSeed. An entry known valid only below the epoch
+// is carried — its range raised — when no write since touched its paths:
+// a result depends only on the (Start, End, Level, Text) of the nodes on
+// its bound paths, which an untouched path keeps, and the Matcher contract
+// (internal/core) makes a node as good as the clone that replaced it.
+func lookup[K string | []byte](ix *Index, qn *twig.Node, key K, hv uint64) ([]twig.Match, bool) {
+	shard := &ix.memo.Load().shards[hv%memoShards]
+	shard.mu.RLock()
+	e := shard.m[memoKey{qn, string(key)}]
+	if e != nil && ix.epoch < e.lo {
+		e = e.prev
+	}
+	shard.mu.RUnlock()
+	if e == nil || ix.epoch < e.lo {
+		return nil, false
+	}
+	if hi := e.hi.Load(); ix.epoch > hi {
+		if !ix.write.clean(e.key, hi) {
+			ix.ctr.addMemoCarry(0, 1)
+			globalCounters.addMemoCarry(0, 1)
+			return nil, false
+		}
+		ix.ctr.addMemoCarry(1, 0)
+		globalCounters.addMemoCarry(1, 0)
+		e.hi.CompareAndSwap(hi, ix.epoch) // or another reader moved it first
+	}
+	return e.res, true
+}
+
+// store enters res as the entry (qn, key) over ix's epoch, keeping the
+// version it supersedes, unless that one is known valid there or later.
+// A shard past memoShardCap entries is reset rather than grown: a runaway
+// population of distinct patterns or bindings makes the memo start over.
+func (ix *Index) store(qn *twig.Node, key string, hv uint64, res []twig.Match) {
+	shard := &ix.memo.Load().shards[hv%memoShards]
 	shard.mu.Lock()
 	if shard.m == nil || len(shard.m) >= memoShardCap {
-		shard.m = make(map[memoKey][]twig.Match)
+		shard.m = make(map[memoKey]*memoEntry)
 	}
-	shard.m[memoKey{qn, key}] = res
+	k := memoKey{qn, key}
+	if old := shard.m[k]; old == nil || old.hi.Load() < ix.epoch {
+		e := &memoEntry{res: res, key: key, lo: ix.epoch, prev: old}
+		e.hi.Store(ix.epoch)
+		if old != nil {
+			old.prev = nil
+		}
+		shard.m[k] = e
+	}
 	shard.mu.Unlock()
 }
 
@@ -257,7 +320,7 @@ func (m *resultMemo) put(qn *twig.Node, key string, hv uint64, res []twig.Match)
 // entry core's plan keyed by qn and key (see core.UnitMemo) — and counts
 // the lookup.
 func (ix *Index) LookupUnit(qn *twig.Node, key string) ([]twig.Match, bool) {
-	res, ok := memoGet(&ix.memo, qn, key, maphash.String(memoSeed, key))
+	res, ok := lookup(ix, qn, key, maphash.String(memoSeed, key))
 	ix.ctr.addUnitLookup(ok)
 	globalCounters.addUnitLookup(ok)
 	return res, ok
@@ -266,39 +329,7 @@ func (ix *Index) LookupUnit(qn *twig.Node, key string) ([]twig.Match, bool) {
 // StoreUnit memoises a complete unit output under (qn, key) for every
 // later request over this epoch, and for the epochs writes carry it to.
 func (ix *Index) StoreUnit(qn *twig.Node, key string, res []twig.Match) {
-	ix.memo.put(qn, key, maphash.String(memoSeed, key), res)
-}
-
-// carryFrom seeds the memo of a new overlay epoch, not yet published, with
-// every entry of its predecessor's memo whose bound paths — spelled out in
-// the entry's key — miss the touched paths of the change set between the
-// two, and reports how many entries it carried and how many it left.
-//
-// This is sound because a result is a function of the (Start, End, Level,
-// Text) of the nodes on its bound paths and nothing else, which is exactly
-// what an untouched path keeps (xmltree.ChangeSet.Touched). The carried
-// matches may bind node objects that a position-identical clone has since
-// replaced; the Matcher contract (internal/core) is what makes such a node
-// as good as its replacement. Compaction starts from an empty memo, so a
-// superseded node object is pinned for one compaction interval at most.
-func (m *resultMemo) carryFrom(old *resultMemo, touched []string) (carried, dropped int) {
-	for i := range old.shards {
-		from, to := &old.shards[i], &m.shards[i]
-		from.mu.RLock()
-		for k, res := range from.m {
-			if bindsAny(k.key, touched) {
-				dropped++
-				continue
-			}
-			if to.m == nil {
-				to.m = make(map[memoKey][]twig.Match, len(from.m))
-			}
-			to.m[k] = res
-			carried++
-		}
-		from.mu.RUnlock()
-	}
-	return carried, dropped
+	ix.store(qn, key, maphash.String(memoSeed, key), res)
 }
 
 // bindsAny reports whether a memo key — bound paths, each NUL-terminated —
@@ -334,18 +365,11 @@ func (m *resultMemo) len() int {
 // PurgeMemo drops the cached evaluation results of this index. The server
 // calls it on the outgoing catalog after an admin reload so a retired
 // epoch's memo — which pins match slices over the old document — is
-// released even while in-flight queries still hold the old snapshot.
-// (Older epochs need no purging: nothing a newer one holds refers to them.)
-// It is safe to call concurrently with MatchTwig: readers see a nil map as
-// a miss and the write path recreates the map before inserting.
-func (ix *Index) PurgeMemo() {
-	for i := range ix.memo.shards {
-		shard := &ix.memo.shards[i]
-		shard.mu.Lock()
-		shard.m = nil
-		shard.mu.Unlock()
-	}
-}
+// released even while in-flight queries still hold the old snapshot. It
+// swaps this epoch's memo for an empty one, so an older epoch a reader
+// still pins keeps the memo it shared; it is safe to call concurrently
+// with MatchTwig.
+func (ix *Index) PurgeMemo() { ix.memo.Store(new(resultMemo)) }
 
 // twigState is the per-evaluation working set: the pattern subtree in
 // preorder, one candidate list per pattern node, the decode cache, and

@@ -104,8 +104,7 @@ func (m *MutateRequest) validate(maxEdits int) error {
 }
 
 func (s *Server) handleMutate(p *request) {
-	var req MutateRequest
-	err := s.decodeBody(p.w, p.r.Body, &req)
+	req, err := s.decodeMutate(p.w, p.r)
 	if !p.open(err, req.validate(maxBatchEdits), target{dataset: req.Dataset, shard: req.Shard, perShard: true}, stageApply, "shard="+strconv.Itoa(req.Shard)+" edits="+strconv.Itoa(len(req.Edits))) {
 		return
 	}

@@ -20,9 +20,8 @@ import (
 // holds them to it). /v1/batch and /v1/admin/mutate stay on encoding/json
 // alone: their bodies are arrays of objects (edits carry XML fragments,
 // where escapes are the rule), so a plain subset would be a second, larger
-// parser under a second fuzz equivalence, and what it saved would be small
-// beside what those requests cost — a batch evaluates every member, a
-// mutation rewrites a shard and appends to its log.
+// parser under a second fuzz equivalence. A mutate body is still read
+// ahead, for json.Unmarshal (decodeMutate, FuzzDecodeMutateRequest).
 
 // decodeBody decodes a JSON request body with a size cap, rejecting
 // trailing garbage.
@@ -62,6 +61,20 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (QueryReque
 		}
 	}
 	var req QueryRequest
+	err = s.decodeBody(w, &replayBody{head: head.b[:n], err: err, rest: r.Body}, &req)
+	return req, err
+}
+
+// decodeMutate is decodeQuery for a MutateRequest: what json.Unmarshal
+// accepts, decodeBody accepts with the same fields.
+func (s *Server) decodeMutate(w http.ResponseWriter, r *http.Request) (req MutateRequest, err error) {
+	head := bodyHeadPool.Get().(*bodyHead)
+	defer bodyHeadPool.Put(head) // every decoded string is a copy
+	n, err := readAhead(r.Body, head.b[:])
+	if err == io.EOF && int64(n) <= s.opts.MaxBodyBytes && json.Unmarshal(head.b[:n], &req) == nil {
+		return req, nil
+	}
+	req = MutateRequest{}
 	err = s.decodeBody(w, &replayBody{head: head.b[:n], err: err, rest: r.Body}, &req)
 	return req, err
 }

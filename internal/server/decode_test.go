@@ -17,18 +17,18 @@ import (
 // decoded is everything a client or a handler can see of a body's decode:
 // the request on success, the status and response bytes failBody answers
 // with otherwise.
-type decoded struct {
-	Req    QueryRequest
+type decoded[R any] struct {
+	Req    R
 	Status int
 	Body   string
 }
 
-func decodeOutcome(s *Server, rec *httptest.ResponseRecorder, req QueryRequest, err error) decoded {
+func decodeOutcome[R any](s *Server, rec *httptest.ResponseRecorder, req R, err error) decoded[R] {
 	if err == nil {
-		return decoded{Req: req}
+		return decoded[R]{Req: req}
 	}
 	s.failBody(rec, err)
-	return decoded{Req: req, Status: rec.Code, Body: rec.Body.String()}
+	return decoded[R]{Req: req, Status: rec.Code, Body: rec.Body.String()}
 }
 
 // chunked delivers a body a few bytes per Read, like a slow connection.
@@ -50,10 +50,16 @@ func (c chunked) Read(p []byte) (int, error) {
 // feeds decodeQuery the body that many bytes at a time.
 func checkDecode(t *testing.T, limit int64, chunk int, body []byte) {
 	t.Helper()
+	checkDecodeAs(t, limit, chunk, body, (*Server).decodeQuery)
+}
+
+// checkDecodeAs is checkDecode for any read-ahead decoder of a request R.
+func checkDecodeAs[R any](t *testing.T, limit int64, chunk int, body []byte, decode func(*Server, http.ResponseWriter, *http.Request) (R, error)) {
+	t.Helper()
 	s := &Server{opts: Options{MaxBodyBytes: limit}}
 
 	rec := httptest.NewRecorder()
-	var want QueryRequest
+	var want R
 	err := s.decodeBody(rec, io.NopCloser(bytes.NewReader(body)), &want)
 	wantOut := decodeOutcome(s, rec, want, err)
 
@@ -62,13 +68,13 @@ func checkDecode(t *testing.T, limit int64, chunk int, body []byte) {
 		src = chunked{src, chunk}
 	}
 	rec = httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPost, "/v1/query", nil)
+	r := httptest.NewRequest(http.MethodPost, "/", nil)
 	r.Body = io.NopCloser(src)
-	got, err := s.decodeQuery(rec, r)
+	got, err := decode(s, rec, r)
 	gotOut := decodeOutcome(s, rec, got, err)
 
 	if !reflect.DeepEqual(gotOut, wantOut) {
-		t.Fatalf("limit %d chunk %d body %q:\ndecodeQuery %+v\ndecodeBody  %+v", limit, chunk, body, gotOut, wantOut)
+		t.Fatalf("limit %d chunk %d body %q:\nread ahead %+v\ndecodeBody %+v", limit, chunk, body, gotOut, wantOut)
 	}
 }
 
@@ -253,6 +259,58 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, chunk uint8) {
 		for _, limit := range []int64{1 << 20, 48} {
 			checkDecode(t, limit, int(chunk), body)
+		}
+	})
+}
+
+// decodeMutateCases are mutate bodies: the shape bench/ and the CLI send,
+// escapes inside XML payloads, what json.Unmarshal refuses and
+// json.Decoder accepts (a trailing '}' or ']', which More() does not call
+// data), type errors, and trailing garbage.
+var decodeMutateCases = []string{
+	`{"dataset":"D7","shard":2,"edits":[{"op":"settext","path":"Order.OrderHeader.OrderNumber","ordinal":3,"text":"s17"}]}`,
+	`{"dataset":"D7","edits":[{"op":"insert","path":"Order","pos":0,"xml":"<Audit><Who>ops</Who></Audit>"},{"op":"delete","start":12}]}`,
+	`{"dataset":"D7","edits":[{"op":"insert","start":1,"xml":"<a b=\"c\">x\u0026amp;y</a>"}]}`,
+	`{"dataset":"D7","edits":[{"op":"rename","path":"Order.X","label":"Y"}]}` + "\n",
+	`{"dataset":"D7","edits":[]}}`, `{"dataset":"D7","edits":[]}]`, `{"dataset":"D7","edits":[]} }`, `{"dataset":"D7","edits":[]}]]`,
+	`{"dataset":"D7","edits":[]}{}`, `{"dataset":"D7","edits":[]} x`, `{"dataset":"D7","edits":[]},`,
+	`{"dataset":"D7","edits":{}}`, `{"dataset":"D7","edits":[1]}`, `{"dataset":"D7","shard":"1"}`, `{"dataset":"D7","shard":1.5}`,
+	`{"dataset":"D7","shard":-1,"edits":[{"op":7}]}`, `{"dataset":"D7","edits":[{"op":"settext","ordinal":99999999999999999999}]}`,
+	`{"Dataset":"D7","EDITS":[{"OP":"delete","Start":3}]}`, `{"dataset":"D7","edits":[{"op":"delete","start":3,"extra":[1,{"a":null}]}]}`,
+	`{"dataset":"D7","edits":[{"op":"settext","text":"a` + "\xff" + `b"}]}`, `{"dataset":"D7","edits":null}`, `{"dataset":"D7","edits":[null]}`,
+}
+
+// TestDecodeMutateMatchesDecodeBody runs the mutate bodies, and the query
+// edge cases read as mutate bodies, under a roomy and tight MaxBodyBytes,
+// whole and in small chunks.
+func TestDecodeMutateMatchesDecodeBody(t *testing.T) {
+	bodies := append(append([]string(nil), decodeMutateCases...), decodeEdgeCases...)
+	for _, body := range bodies {
+		for _, limit := range []int64{1 << 20, 48, int64(len(body)), int64(len(body)) - 1} {
+			for _, chunk := range []int{0, 1, 7} {
+				checkDecodeAs(t, limit, chunk, []byte(body), (*Server).decodeMutate)
+			}
+		}
+	}
+	// A body that outgrows the read-ahead window streams through decodeBody.
+	long := `{"dataset":"D7","edits":[{"op":"insert","path":"Order","xml":"<a>` + strings.Repeat("x", fastBodyMax) + `</a>"}]}`
+	for _, limit := range []int64{1 << 20, int64(len(long)), fastBodyMax} {
+		checkDecodeAs(t, limit, 1000, []byte(long), (*Server).decodeMutate)
+	}
+}
+
+// FuzzDecodeMutateRequest: for any bytes, under a roomy and a tight
+// MaxBodyBytes and any read chunking, decodeMutate is decodeBody.
+func FuzzDecodeMutateRequest(f *testing.F) {
+	for i, c := range decodeMutateCases {
+		f.Add([]byte(c), uint8(i%5))
+	}
+	for i, c := range decodeEdgeCases {
+		f.Add([]byte(c), uint8(i%5))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, chunk uint8) {
+		for _, limit := range []int64{1 << 20, 48} {
+			checkDecodeAs(t, limit, int(chunk), body, (*Server).decodeMutate)
 		}
 	})
 }
